@@ -38,7 +38,9 @@ from .hypersurface import (
 from .induced import (
     IdentityReport,
     InducedStructure,
+    SampleState,
     extract_structure,
+    sample_states,
     verify_algebraic_identities,
     verify_differential_identities,
 )
@@ -75,6 +77,7 @@ __all__ = [
     "NormalField",
     "Point",
     "PointwiseModel",
+    "SampleState",
     "ScalarField",
     "SimpleAmbient",
     "TensorField",
@@ -96,6 +99,7 @@ __all__ = [
     "jet",
     "make_pointwise_model",
     "parallel_residual",
+    "sample_states",
     "second_fundamental_symmetry",
     "standard_sasakian",
     "unit_normal",

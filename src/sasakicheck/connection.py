@@ -92,11 +92,13 @@ def christoffel(
     g = jt.value
     if abs(np.linalg.det(g)) < DET_FLOOR:
         raise SingularMetricError(f"metric determinant below {DET_FLOOR} at {p.coords}")
-    ginv = np.linalg.inv(g)
-    dg = jt.partials  # dg[i, j, l] = d_i g_jl
+    return ChristoffelSymbols(point=p, gamma=levi_civita_gamma(g, jt.partials))
+
+
+def levi_civita_gamma(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma[k, i, j] from metric values g and partials dg[i, j, l] = d_i g_jl."""
     term = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
-    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, term)
-    return ChristoffelSymbols(point=p, gamma=gamma)
+    return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(g), term)
 
 
 def covariant_derivative_components(

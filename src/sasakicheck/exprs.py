@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 from . import dual
-from .errors import ExprParseError
+from .errors import EvaluationError, ExprParseError
 
 _FUNCTIONS = {"exp": dual.exp, "sin": dual.sin, "cos": dual.cos}
 
@@ -24,7 +24,11 @@ class Expr:
     fn: Callable
 
     def __call__(self, coords):
-        return self.fn(coords)
+        try:
+            return self.fn(coords)
+        except (ArithmeticError, ValueError) as exc:
+            at = [dual.real_part(c) for c in coords]
+            raise EvaluationError(f"expression {self.text!r} failed at {at}: {exc}") from exc
 
 
 class _Parser:

@@ -189,14 +189,15 @@ def induced_metric(E: Embedding) -> MetricField:
     return MetricField(TensorField((0, 2), E.dim, func))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussWeingartenData:
     """Frame decomposition of the ambient derivative along the surface.
 
     ``induced_gamma[c, a, b]`` are the surface connection coefficients
     from the tangential part of D_a(B e_b); ``h`` is its normal part.
     ``H_w``/``w`` split D_a N, and ``H_h`` realizes h through the
-    induced metric.
+    induced metric.  ``D[i, a, b]`` and ``DN[i, a]`` are the ambient
+    derivatives D_a(B e_b) and D_a N that were decomposed.
     """
 
     point: Point
@@ -208,6 +209,8 @@ class GaussWeingartenData:
     frame: np.ndarray
     jacobian: np.ndarray
     normal: np.ndarray
+    D: np.ndarray
+    DN: np.ndarray
 
 
 def _normal_jacobian_at(N: NormalField, p: Point) -> np.ndarray:
@@ -260,6 +263,8 @@ def gauss_weingarten(E: Embedding, N: NormalField, p: Point) -> GaussWeingartenD
         frame=frame,
         jacobian=B,
         normal=nvec,
+        D=D,
+        DN=DN,
     )
 
 
@@ -273,19 +278,12 @@ def second_fundamental_symmetry(
     )
 
 
-def reconstruction_residuals(E: Embedding, N: NormalField, p: Point) -> dict:
+def reconstruction_residuals(gw: GaussWeingartenData) -> dict:
     """How exactly B(nabla e_a e_b) + h N and B(H_w e_a) + w N rebuild the
     ambient derivatives; the defining contract of the decomposition."""
-    gw = gauss_weingarten(E, N, p)
     B, nvec = gw.jacobian, gw.normal
-    d, m = B.shape
-    bp = E.point_image(p)
-    gamma_amb = christoffel(E.ambient_metric, bp).gamma
-    D = E.hessian_at(p) + np.einsum("ijk,ja,kb->iab", gamma_amb, B, B)
-    gauss = D - np.einsum("ic,cab->iab", B, gw.induced_gamma) - np.einsum("ab,i->iab", gw.h, nvec)
-    dN = _normal_jacobian_at(N, p)
-    DN = dN.T + np.einsum("ijk,ja,k->ia", gamma_amb, B, nvec)
-    wein = DN - np.einsum("ic,ca->ia", B, gw.H_w) - np.outer(nvec, gw.w)
+    gauss = gw.D - np.einsum("ic,cab->iab", B, gw.induced_gamma) - np.einsum("ab,i->iab", gw.h, nvec)
+    wein = gw.DN - np.einsum("ic,ca->ia", B, gw.H_w) - np.outer(nvec, gw.w)
     return {
         "gauss": float(np.max(np.abs(gauss))),
         "weingarten": float(np.max(np.abs(wein))),

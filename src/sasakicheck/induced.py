@@ -28,11 +28,17 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .connection import MetricField
+from .connection import MetricField, covariant_derivative_components, levi_civita_gamma
 from .dual import grad_part, real_part, seed, value_part
 from .errors import TangencyError
 from .fields import Point, ScalarField, TensorField
-from .hypersurface import Embedding, NormalField, gauss_weingarten, induced_metric
+from .hypersurface import (
+    Embedding,
+    GaussWeingartenData,
+    NormalField,
+    gauss_weingarten,
+    induced_metric,
+)
 from .sampling import g_normalized
 from .sasakian import check_sasakian_axioms
 
@@ -87,11 +93,7 @@ def _structure_values(E: Embedding, N: NormalField, coords) -> dict:
     }
 
 
-def _floats(x) -> float:
-    return real_part(x)
-
-
-@dataclass
+@dataclass(slots=True)
 class StructureBundle:
     """Float snapshot of the induced data at one point, with coordinate
     partials and induced Christoffel symbols when requested."""
@@ -115,7 +117,7 @@ class StructureBundle:
 
 
 def _scalar_parts(x, m):
-    return _floats(value_part(x)), [ _floats(gv) for gv in grad_part(x, m) ]
+    return real_part(value_part(x)), [real_part(gv) for gv in grad_part(x, m)]
 
 
 @dataclass(frozen=True)
@@ -142,17 +144,16 @@ class InducedStructure:
 
     def values_at(self, p: Point) -> StructureBundle:
         data = _structure_values(self.embedding, self.normal, list(p.coords))
-        m = self.dim
         return StructureBundle(
-            phi=np.array([[_floats(x) for x in row] for row in data["phi"]]),
-            u=np.array([_floats(x) for x in data["u"]]),
-            U=np.array([_floats(x) for x in data["U"]]),
-            V=np.array([_floats(x) for x in data["V"]]),
-            v=np.array([_floats(x) for x in data["v"]]),
-            lam=_floats(data["lam"]),
-            g=np.array([[_floats(x) for x in row] for row in data["g"]]),
-            eta_n=_floats(data["eta_n"]),
-            tangency=abs(_floats(data["tangency"])),
+            phi=np.array([[real_part(x) for x in row] for row in data["phi"]]),
+            u=np.array([real_part(x) for x in data["u"]]),
+            U=np.array([real_part(x) for x in data["U"]]),
+            V=np.array([real_part(x) for x in data["V"]]),
+            v=np.array([real_part(x) for x in data["v"]]),
+            lam=real_part(data["lam"]),
+            g=np.array([[real_part(x) for x in row] for row in data["g"]]),
+            eta_n=real_part(data["eta_n"]),
+            tangency=abs(real_part(data["tangency"])),
         )
 
     def bundle_at(self, p: Point) -> StructureBundle:
@@ -167,9 +168,9 @@ class InducedStructure:
                 comp = nested
                 for i in idx:
                     comp = comp[i]
-                val[idx] = _floats(value_part(comp))
+                val[idx] = real_part(value_part(comp))
                 for k, gv in enumerate(grad_part(comp, m)):
-                    der[(k,) + idx] = _floats(gv)
+                    der[(k,) + idx] = real_part(gv)
             return val, der
 
         phi, dphi = tensor_parts(data["phi"], (m, m))
@@ -180,20 +181,13 @@ class InducedStructure:
         g, dg = tensor_parts(data["g"], (m, m))
         lam_val, dlam = _scalar_parts(data["lam"], m)
 
-        ginv = np.linalg.inv(g)
-        term = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
-        gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, term)
-
         return StructureBundle(
             phi=phi, u=u, U=U, V=V, v=v, lam=lam_val, g=g,
-            eta_n=_floats(value_part(data["eta_n"])),
-            tangency=abs(_floats(value_part(data["tangency"]))),
+            eta_n=real_part(value_part(data["eta_n"])),
+            tangency=abs(real_part(value_part(data["tangency"]))),
             dphi=dphi, du=du, dU=dU, dV=dV, dv=dv,
-            dlam=np.array(dlam), gamma=gamma,
+            dlam=np.array(dlam), gamma=levi_civita_gamma(g, dg),
         )
-
-    def gw_at(self, p: Point):
-        return gauss_weingarten(self.embedding, self.normal, p)
 
 
 def extract_structure(
@@ -227,15 +221,15 @@ def extract_structure(
         frame = np.column_stack([E.jacobian_at(p), N.components_at(p)])
         linalg.check_condition(frame, what="extraction frame")
         data = _structure_values(E, N, list(p.coords))
-        tang = abs(_floats(data["tangency"]))
+        tang = abs(real_part(data["tangency"]))
         if tang > tangency_tol:
             raise TangencyError(
                 f"phi~N has normal coefficient {tang:.3e} > {tangency_tol} at {p.coords}"
             )
         max_tang = max(max_tang, tang)
-        max_u = max(max_u, max(abs(_floats(x)) for x in data["u"]))
+        max_u = max(max_u, max(abs(real_part(x)) for x in data["u"]))
         if N.scaling is None:
-            max_lam = max(max_lam, abs(_floats(data["lam"]) - _floats(data["eta_n"])))
+            max_lam = max(max_lam, abs(real_part(data["lam"]) - real_part(data["eta_n"])))
 
     def field_func(key):
         return lambda coords: _structure_values(E, N, coords)[key]
@@ -255,6 +249,58 @@ def extract_structure(
         tangency_residual=max_tang,
         lambda_consistency=max_lam,
     )
+
+
+@dataclass(frozen=True, slots=True)
+class SampleState:
+    """Everything the derivative checks read at one chart point, built once.
+
+    ``dirs`` holds the sampled directions scaled to unit g-length, one
+    per row; the ``cov*`` arrays are full covariant derivatives of the
+    induced fields, axis 0 the derivative index.
+    """
+
+    bundle: StructureBundle
+    gw: GaussWeingartenData
+    dirs: np.ndarray
+    covphi: np.ndarray
+    covu: np.ndarray
+    covv: np.ndarray
+    covU: np.ndarray
+    covV: np.ndarray
+
+
+def sample_states(
+    S: InducedStructure,
+    points: Sequence[Point],
+    directions: Sequence,
+    gws: Optional[Sequence[GaussWeingartenData]] = None,
+) -> List[SampleState]:
+    """One :class:`SampleState` per point.
+
+    ``gws`` passes Gauss-Weingarten data already built at ``points``;
+    without it the data is built here.
+    """
+    if gws is None:
+        gws = [gauss_weingarten(S.embedding, S.normal, p) for p in points]
+    states = []
+    for p, gw in zip(points, gws):
+        bd = S.bundle_at(p)
+
+        def cov(value, partials, valence):
+            return covariant_derivative_components(value, partials, bd.gamma, valence)
+
+        states.append(SampleState(
+            bundle=bd,
+            gw=gw,
+            dirs=np.array([g_normalized(np.asarray(t, float), bd.g) for t in directions]),
+            covphi=cov(bd.phi, bd.dphi, (1, 1)),
+            covu=cov(bd.u, bd.du, (0, 1)),
+            covv=cov(bd.v, bd.dv, (0, 1)),
+            covU=cov(bd.U, bd.dU, (1, 0)),
+            covV=cov(bd.V, bd.dV, (1, 0)),
+        ))
+    return states
 
 
 @dataclass
@@ -363,15 +409,14 @@ def _tag(nu, h):
 
 
 def verify_differential_identities(
-    S: InducedStructure,
-    points: Sequence[Point],
-    pairs: Sequence,
+    states: Sequence[SampleState],
     tolerance: float = 1e-5,
     strict_paper: bool = False,
 ) -> IdentityReport:
     """Covariant-derivative identity battery with convention adjudication.
 
-    For each identity the maximum residual over all samples is computed
+    Each state's directions are taken in consecutive pairs (X, Y).  For
+    each identity the maximum residual over all samples is computed
     for every variant; the report carries the minimizing variant per
     identity together with one global structure-sign verdict.  In strict
     paper mode only the printed form with H = H_h and the extracted
@@ -379,28 +424,16 @@ def verify_differential_identities(
     """
     names = ["2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17"]
     signs = (1.0,) if strict_paper else (1.0, -1.0)
+    grid = {name: _variant_grid(name) for name in names}
     acc: Dict[tuple, float] = {}
     v_HY = {"H_h": 0.0, "H_w": 0.0}
     h_U_premise = 0.0
     HU_norm = {"H_h": 0.0, "H_w": 0.0}
     pair_count = 0
 
-    for p in points:
-        bd = S.bundle_at(p)
-        gw = S.gw_at(p)
-        gamma = bd.gamma
-        covphi = (bd.dphi
-                  + np.einsum("aim,mb->iab", gamma, bd.phi)
-                  - np.einsum("mib,am->iab", gamma, bd.phi))
-        covu = bd.du - np.einsum("mia,m->ia", gamma, bd.u)
-        covv = bd.dv - np.einsum("mia,m->ia", gamma, bd.v)
-        covU = bd.dU + np.einsum("aij,j->ia", gamma, bd.U)
-        covV = bd.dV + np.einsum("aij,j->ia", gamma, bd.V)
+    for st in states:
+        bd, gw = st.bundle, st.gw
         H_of = {"H_h": gw.H_h, "H_w": gw.H_w, "-H_w": -gw.H_w}
-        dir_pairs = [
-            (g_normalized(np.asarray(X, float), bd.g), g_normalized(np.asarray(Y, float), bd.g))
-            for X, Y in pairs
-        ]
 
         for hk in ("H_h", "H_w"):
             v_HY[hk] = max(v_HY[hk], float(np.max(np.abs(bd.v @ H_of[hk]))))
@@ -409,7 +442,7 @@ def verify_differential_identities(
         for hk in ("H_h", "H_w"):
             HU_norm[hk] = max(HU_norm[hk], float(np.max(np.abs(H_of[hk] @ bd.U))))
 
-        for X, Y in dir_pairs:
+        for X, Y in zip(st.dirs[0::2], st.dirs[1::2]):
             pair_count += 1
             gXY = float(X @ bd.g @ Y)
             hXY = float(X @ gw.h @ Y)
@@ -418,55 +451,62 @@ def verify_differential_identities(
             uY = float(bd.u @ Y)
             wY = float(gw.w @ Y)
             dlamY = float(bd.dlam @ Y)
-            hYV = float(Y @ gw.h @ bd.V)
+            Yh = Y @ gw.h
+            hYV = float(Yh @ bd.V)
+            hYU = float(Yh @ bd.U)
+            phiY = bd.phi @ Y
             hphiXY_base = float((bd.phi @ X) @ gw.h @ Y)
-            gphiYX_base = float((bd.phi @ Y) @ bd.g @ X)
-            Lphi = np.einsum("i,iab,b->a", Y, covphi, X)
-            Lu = _bilinear(Y, covu, X)
-            Lv = _bilinear(Y, covv, X)
-            LU = np.einsum("i,ia->a", Y, covU)
-            LV = np.einsum("i,ia->a", Y, covV)
+            gphiYX_base = float(phiY @ bd.g @ X)
+            Lphi = np.einsum("i,iab,b->a", Y, st.covphi, X)
+            Lu = _bilinear(Y, st.covu, X)
+            Lv = _bilinear(Y, st.covv, X)
+            LU = np.einsum("i,ia->a", Y, st.covU)
+            LV = np.einsum("i,ia->a", Y, st.covV)
+            # everything below that depends on neither s nor nu, once per pair;
+            # s = +-1 multiplies outside a product with the same bits as inside
+            HY = {k: H @ Y for k, H in H_of.items()}
+            phiHY = {k: bd.phi @ hy for k, hy in HY.items()}
+            uHY = {k: float(bd.u @ hy) for k, hy in HY.items()}
+            hU_uHY = {k: -(hXY) * bd.U - uX * hy for k, hy in HY.items()}
+            vY_gV = vX * Y - gXY * bd.V
+            lamY = bd.lam * Y
 
             for s in signs:
-                for nu, htag in _variant_grid("2.11"):
-                    H = H_of[htag]
-                    rhs = (vX * Y - gXY * bd.V
-                           + nu * s * (-(hXY) * bd.U - uX * (H @ Y)))
-                    r = float(np.max(np.abs(s * Lphi - rhs)))
+                sLphi = s * Lphi
+                sLU = s * LU
+                for nu, htag in grid["2.11"]:
+                    rhs = vY_gV + nu * s * hU_uHY[htag]
+                    r = float(np.max(np.abs(sLphi - rhs)))
                     key = ("2.11", s, nu, htag)
                     acc[key] = max(acc.get(key, 0.0), r)
-                for nu, htag in _variant_grid("2.12"):
+                for nu, htag in grid["2.12"]:
                     rhs = -nu * s * hphiXY_base - s * uX * wY - bd.lam * gXY
                     r = abs(s * Lu - rhs)
                     key = ("2.12", s, nu, htag)
                     acc[key] = max(acc.get(key, 0.0), r)
-                for nu, htag in _variant_grid("2.13"):
+                for nu, htag in grid["2.13"]:
                     rhs = s * gphiYX_base + nu * bd.lam * hXY
                     r = abs(Lv - rhs)
                     key = ("2.13", s, nu, htag)
                     acc[key] = max(acc.get(key, 0.0), r)
-                for nu, htag in _variant_grid("2.14"):
-                    H = H_of[htag]
-                    rhs = s * wY * bd.U - nu * s * (bd.phi @ (H @ Y)) - bd.lam * Y
-                    r = float(np.max(np.abs(s * LU - rhs)))
+                for nu, htag in grid["2.14"]:
+                    rhs = s * wY * bd.U - nu * s * phiHY[htag] - lamY
+                    r = float(np.max(np.abs(sLU - rhs)))
                     key = ("2.14", s, nu, htag)
                     acc[key] = max(acc.get(key, 0.0), r)
-                for nu, htag in _variant_grid("2.15"):
-                    H = H_of[htag]
-                    rhs = s * (bd.phi @ Y) + nu * bd.lam * (H @ Y)
+                for nu, htag in grid["2.15"]:
+                    rhs = s * phiY + nu * bd.lam * HY[htag]
                     r = float(np.max(np.abs(LV - rhs)))
                     key = ("2.15", s, nu, htag)
                     acc[key] = max(acc.get(key, 0.0), r)
-                for nu, htag in _variant_grid("2.16"):
+                for nu, htag in grid["2.16"]:
                     rhs = s * uY - dlamY - bd.lam * wY
                     r = abs(hYV - rhs)
                     key = ("2.16", s, nu, htag)
                     acc[key] = max(acc.get(key, 0.0), r)
-                for nu, htag in _variant_grid("2.17"):
-                    H = H_of[htag]
-                    hYU = float(Y @ gw.h @ (s * bd.U))
-                    rhs = -nu * float((s * bd.u) @ (H @ Y))
-                    r = abs(hYU - rhs)
+                for nu, htag in grid["2.17"]:
+                    rhs = -nu * (s * uHY[htag])
+                    r = abs(s * hYU - rhs)
                     key = ("2.17", s, nu, htag)
                     acc[key] = max(acc.get(key, 0.0), r)
 
@@ -476,7 +516,7 @@ def verify_differential_identities(
         # on every hypersurface instead of by floating-point noise
         per = {}
         for name in names:
-            entries = [((nu, htag), acc[(name, s, nu, htag)]) for nu, htag in _variant_grid(name)]
+            entries = [((nu, htag), acc[(name, s, nu, htag)]) for nu, htag in grid[name]]
             if strict_paper:
                 entries = [e for e in entries if e[0] == (1.0, "H_h" if _HAS_H[name] else None)]
             smallest = min(r for _, r in entries)
@@ -504,7 +544,7 @@ def verify_differential_identities(
         details = {
             "variants": {
                 f"{STRUCTURE_TAGS[s]}|{_tag(n, h)}": acc[(name, s, n, h)]
-                for s in signs for n, h in _variant_grid(name)
+                for s in signs for n, h in grid[name]
             },
         }
         if other:
@@ -523,7 +563,7 @@ def verify_differential_identities(
         equation_ref="Eq (2.18)",
         residual=HU_norm["H_h"],
         convention=f"H_h|{STRUCTURE_TAGS[chosen_s]}",
-        samples_used=len(points),
+        samples_used=len(states),
         details={
             "premise_max_h_Y_U": h_U_premise,
             "HU_norms": dict(HU_norm),

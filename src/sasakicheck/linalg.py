@@ -17,15 +17,6 @@ def matvec(A, x):
     return [sum(A[i][j] * x[j] for j in range(len(x))) for i in range(len(A))]
 
 
-def matmul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][p] * B[p][j] for p in range(k)) for j in range(m)] for i in range(n)]
-
-
-def transpose(A):
-    return [list(row) for row in zip(*A)]
-
-
 def dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
@@ -76,13 +67,6 @@ def solve_columns(A, rhs_columns):
 
 def solve(A, b):
     return solve_columns(A, [b])[0]
-
-
-def inverse(A):
-    n = len(A)
-    eye = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
-    cols = solve_columns(A, eye)
-    return transpose(cols)
 
 
 def det(A):

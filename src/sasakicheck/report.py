@@ -99,13 +99,5 @@ def render_text(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: VerificationReport, format: str = "text") -> str:
-    if format == "json":
-        return render_json(report)
-    if format == "text":
-        return render_text(report)
-    raise ValueError(f"unknown report format {format!r}")
-
-
 def exit_code_for(report: VerificationReport) -> int:
     return EXIT_CHECK_FAILED if report.failed() else EXIT_OK

@@ -26,6 +26,7 @@ from .hypersurface import (
 from .induced import (
     NONINVARIANT_THRESHOLD,
     extract_structure,
+    sample_states,
     verify_algebraic_identities,
     verify_differential_identities,
 )
@@ -97,8 +98,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     ambient_points = sample_points(config.ambient_dim, config.count, config.box, rngs["ambient_points"])
     ambient_dirs = sample_direction_fields(config.ambient_dim, 5, rngs["ambient_directions"])
     chart_points = sample_points(config.surface_dim, config.count, config.box, rngs["chart_points"])
+    # the differential battery pairs these consecutively: (0, 1), (2, 3), ...
     tangent_vecs = sample_vectors(config.surface_dim, 10, rngs["chart_directions"])
-    tangent_pairs = [(tangent_vecs[2 * k], tangent_vecs[2 * k + 1]) for k in range(5)]
 
     embedding = Embedding(config.surface_dim, ambient, compile_map(config.outputs, config.inputs))
     scaling_field: Optional[ScalarField] = None
@@ -167,13 +168,14 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
             structure = extract_structure(embedding, normal, chart_points)
         return structure
 
+    gws = None
     if "gauss_weingarten" in requested:
+        gws = [gauss_weingarten(embedding, normal, p) for p in chart_points]
         gauss_res = wein_res = sym_res = w_unit_res = 0.0
-        for p in chart_points:
-            rec = reconstruction_residuals(embedding, normal, p)
+        for gw in gws:
+            rec = reconstruction_residuals(gw)
             gauss_res = max(gauss_res, rec["gauss"])
             wein_res = max(wein_res, rec["weingarten"])
-            gw = gauss_weingarten(embedding, normal, p)
             sym_res = max(sym_res, float(np.max(np.abs(gw.h - gw.h.T))))
             if config.scaling is None:
                 w_unit_res = max(w_unit_res, float(np.max(np.abs(gw.w))))
@@ -189,12 +191,9 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         ))
         if config.scaling is not None:
             # w must equal d log rho; independent product-rule consequence
-            expr = compile_expression(config.scaling, config.inputs)
             w_log_res = 0.0
-            rho_field = ScalarField(config.surface_dim, expr)
-            for p in chart_points:
-                gw = gauss_weingarten(embedding, normal, p)
-                jt = field_jet(rho_field, p)
+            for p, gw in zip(chart_points, gws):
+                jt = field_jet(scaling_field, p)
                 dlog = jt.partials / jt.value
                 w_log_res = max(w_log_res, float(np.max(np.abs(gw.w - dlog))))
             checks.append(_tol_check(
@@ -241,12 +240,14 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                 convention=r.convention, samples_used=r.samples_used, details=r.details,
             ))
 
+    states = None
+    if "differential" in requested or "theorems" in requested:
+        states = sample_states(need_structure(), chart_points, tangent_vecs, gws)
+
     structure_sign = 1.0
     if "differential" in requested:
-        S = need_structure()
         rep = verify_differential_identities(
-            S, chart_points, tangent_pairs,
-            tolerance=tol["differential"], strict_paper=config.strict_paper,
+            states, tolerance=tol["differential"], strict_paper=config.strict_paper,
         )
         meta["structure_sign"] = rep.structure_sign
         meta["v_HY_measured"] = rep.extras["v_HY_measured"]
@@ -274,10 +275,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                 ))
 
     if "theorems" in requested:
-        S = need_structure()
-        dirs = tangent_vecs
-        r31 = theorem_3_1_chart(S, chart_points, dirs, tol["hypothesis"], tol["conclusion"],
-                                structure_sign)
+        r31 = theorem_3_1_chart(states, tol["hypothesis"], tol["conclusion"], structure_sign)
         checks.append(CheckResult(
             name="eq_3_1", equation_ref="Eq (3.1)",
             max_residual=r31.hypothesis_residual, tolerance=tol["hypothesis"],
@@ -294,13 +292,11 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                 convention=r31.convention,
                 samples_used=r31.samples_used, samples_excluded=r31.samples_excluded,
             ))
-        r32 = theorem_3_2_chart(S, chart_points, dirs, tol["hypothesis"], tol["conclusion"],
-                                structure_sign)
+        r32 = theorem_3_2_chart(states, tol["hypothesis"], tol["conclusion"], structure_sign)
         checks.append(_implication_check("thm_3_2_chart", "Thm 3.2 (chart)", r32, tol["conclusion"]))
-        r33 = theorem_3_3_chart(S, chart_points, dirs, tol["hypothesis"])
+        r33 = theorem_3_3_chart(states, tol["hypothesis"])
         checks.append(_implication_check("thm_3_3_chart", "Thm 3.3 (chart)", r33, tol["conclusion"]))
-        r34 = check_theorem_3_4(S, chart_points, dirs, tol["hypothesis"], tol["conclusion"],
-                                structure_sign)
+        r34 = check_theorem_3_4(states, tol["hypothesis"], tol["conclusion"], structure_sign)
         checks.append(_implication_check("eq_3_8", "Eq (3.8)", r34, tol["conclusion"]))
 
     if "models" in requested:

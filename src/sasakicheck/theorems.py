@@ -17,9 +17,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .fields import Point
-from .induced import InducedStructure
-from .sampling import g_normalized
+from .induced import SampleState
 
 LAMBDA_FLOOR = 1e-6
 HYPOTHESIS_TOL = 1e-6
@@ -52,60 +50,33 @@ def _verdict(hyp: float, concl: Dict[str, float], eps_h: float, eps_c: float) ->
 # ---------------------------------------------------------------------------
 
 
-def parallel_residual(
-    S: InducedStructure,
-    field: str,
-    points: Sequence[Point],
-    directions: Sequence[np.ndarray],
-) -> float:
-    """max over samples of |nabla_X field| for field in {phi, U, V}."""
+def parallel_residual(states: Sequence[SampleState], field: str) -> float:
+    """max over samples and directions of |nabla_X field| for field in {phi, U, V}."""
     if field not in ("phi", "U", "V"):
         raise ValueError(f"parallel_residual supports phi, U, V; got {field!r}")
     out = 0.0
-    for p in points:
-        bd = S.bundle_at(p)
-        gamma = bd.gamma
-        if field == "phi":
-            cov = (bd.dphi
-                   + np.einsum("aim,mb->iab", gamma, bd.phi)
-                   - np.einsum("mib,am->iab", gamma, bd.phi))
-        elif field == "U":
-            cov = bd.dU + np.einsum("aij,j->ia", gamma, bd.U)
-        else:
-            cov = bd.dV + np.einsum("aij,j->ia", gamma, bd.V)
-        for X in directions:
-            Xn = g_normalized(np.asarray(X, dtype=float), bd.g)
-            out = max(out, float(np.max(np.abs(np.einsum("i,i...->...", Xn, cov)))))
+    for st in states:
+        cov = getattr(st, "cov" + field)
+        for X in st.dirs:
+            out = max(out, float(np.max(np.abs(np.einsum("i,i...->...", X, cov)))))
     return out
 
 
-def _chart_samples(S, points, directions):
-    """Per-point hypothesis ingredients shared by the chart checks."""
-    rows = []
-    for p in points:
-        bd = S.bundle_at(p)
-        gw = S.gw_at(p)
-        dirs = [g_normalized(np.asarray(t, float), bd.g) for t in directions]
-        rows.append((p, bd, gw, dirs))
-    return rows
-
-
 def theorem_3_1_chart(
-    S: InducedStructure,
-    points: Sequence[Point],
-    directions: Sequence[np.ndarray],
+    states: Sequence[SampleState],
     eps_h: float = HYPOTHESIS_TOL,
     eps_c: float = CONCLUSION_TOL,
     structure_sign: float = 1.0,
 ) -> ImplicationCheckResult:
     """phi parallel implies (3.2)-(3.5); evaluated only where nabla phi is small."""
-    hyp = parallel_residual(S, "phi", points, directions)
+    hyp = parallel_residual(states, "phi")
     concl = {"3.2": 0.0, "3.3": 0.0, "3.4": 0.0, "3.5": 0.0}
     s = structure_sign
     excluded = 0
     used = 0
     if hyp <= eps_h:
-        for p, bd, gw, dirs in _chart_samples(S, points, directions):
+        for st in states:
+            bd, gw, dirs = st.bundle, st.gw, st.dirs
             lam = bd.lam
             u = s * bd.u
             one = 1.0 - lam * lam
@@ -134,21 +105,20 @@ def theorem_3_1_chart(
 
 
 def theorem_3_2_chart(
-    S: InducedStructure,
-    points: Sequence[Point],
-    directions: Sequence[np.ndarray],
+    states: Sequence[SampleState],
     eps_h: float = HYPOTHESIS_TOL,
     eps_c: float = CONCLUSION_TOL,
     structure_sign: float = 1.0,
 ) -> ImplicationCheckResult:
     """U parallel implies (3.6)-(3.7); generically vacuous."""
-    hyp = parallel_residual(S, "U", points, directions)
+    hyp = parallel_residual(states, "U")
     concl = {"3.6": 0.0, "3.7": 0.0}
     s = structure_sign
     used = 0
     excluded = 0
     if hyp <= eps_h:
-        for p, bd, gw, dirs in _chart_samples(S, points, directions):
+        for st in states:
+            bd, gw, dirs = st.bundle, st.gw, st.dirs
             lam = bd.lam
             u = s * bd.u
             phi = s * bd.phi
@@ -177,9 +147,7 @@ def theorem_3_2_chart(
 
 
 def theorem_3_3_chart(
-    S: InducedStructure,
-    points: Sequence[Point],
-    directions: Sequence[np.ndarray],
+    states: Sequence[SampleState],
     eps_h: float = HYPOTHESIS_TOL,
 ) -> ImplicationCheckResult:
     """V parallel implies totally geodesic, as the bound |h| <= C eps / |lambda|."""
@@ -187,13 +155,9 @@ def theorem_3_3_chart(
     used = 0
     excluded = 0
     worst_hyp = 0.0
-    for p in points:
-        bd = S.bundle_at(p)
-        gw = S.gw_at(p)
-        gamma = bd.gamma
-        covV = bd.dV + np.einsum("aij,j->ia", gamma, bd.V)
-        dirs = [g_normalized(np.asarray(t, float), bd.g) for t in directions]
-        eps_p = max(float(np.max(np.abs(np.einsum("i,ia->a", X, covV)))) for X in dirs)
+    for st in states:
+        bd, gw = st.bundle, st.gw
+        eps_p = max(float(np.max(np.abs(np.einsum("i,ia->a", X, st.covV)))) for X in st.dirs)
         worst_hyp = max(worst_hyp, 0.0 if eps_p <= eps_h else eps_p)
         if eps_p > eps_h:
             continue
@@ -218,9 +182,7 @@ def theorem_3_3_chart(
 
 
 def check_theorem_3_4(
-    S: InducedStructure,
-    points: Sequence[Point],
-    directions: Sequence[np.ndarray],
+    states: Sequence[SampleState],
     eps_h: float = HYPOTHESIS_TOL,
     eps_c: float = CONCLUSION_TOL,
     structure_sign: float = 1.0,
@@ -230,9 +192,8 @@ def check_theorem_3_4(
     used = 0
     excluded = 0
     min_h = np.inf
-    for p in points:
-        bd = S.bundle_at(p)
-        gw = S.gw_at(p)
+    for st in states:
+        bd, gw = st.bundle, st.gw
         hnorm = float(np.max(np.abs(gw.h)))
         min_h = min(min_h, hnorm)
         if hnorm > eps_h:
@@ -241,8 +202,7 @@ def check_theorem_3_4(
             excluded += 1
             continue
         used += 1
-        dirs = [g_normalized(np.asarray(t, float), bd.g) for t in directions]
-        for Y in dirs:
+        for Y in st.dirs:
             r = bd.lam * float(gw.w @ Y) - structure_sign * float(bd.u @ Y) + float(bd.dlam @ Y)
             concl["3.8"] = max(concl["3.8"], abs(r))
     if used == 0:

@@ -25,6 +25,7 @@ from sasakicheck import (
     gauss_weingarten,
     jet,
     make_pointwise_model,
+    sample_states,
     standard_sasakian,
     verify_algebraic_identities,
     verify_differential_identities,
@@ -57,9 +58,9 @@ def _points(dim, count, seed):
     return sample_points(dim, count, (-1.0, 1.0), np.random.default_rng(seed))
 
 
-def _pairs(dim, seed):
-    vecs = sample_vectors(dim, 10, np.random.default_rng(seed))
-    return [(vecs[2 * k], vecs[2 * k + 1]) for k in range(5)]
+def _pair_dirs(dim, seed):
+    """Ten directions; the differential battery pairs them (0, 1), (2, 3), ..."""
+    return sample_vectors(dim, 10, np.random.default_rng(seed))
 
 
 def test_criterion_1_sasakian_axioms():
@@ -94,7 +95,7 @@ def test_criterion_3_gauss_weingarten_reconstruction():
         ):
             N = NormalField(emb)
             for p in _points(2, 25, seed=23):
-                rec = reconstruction_residuals(emb, N, p)
+                rec = reconstruction_residuals(gauss_weingarten(emb, N, p))
                 assert rec["gauss"] <= 1e-6 and rec["weingarten"] <= 1e-6
         euclid = SimpleAmbient(3, euclidean_metric(3))
         r = 2.0
@@ -137,7 +138,7 @@ def test_criterion_5_derived_identities_adjudicated():
         for name, emb, dim in runs:
             pts = _points(dim, 20, seed=37)
             S = extract_structure(emb, NormalField(emb), pts)
-            rep = verify_differential_identities(S, pts, _pairs(dim, seed=41))
+            rep = verify_differential_identities(sample_states(S, pts, _pair_dirs(dim, seed=41)))
             for r in rep.identities:
                 if r.name == "2.18":
                     # tautology of the H_h definition: never premise-pass with
@@ -156,7 +157,8 @@ def test_criterion_5_derived_identities_adjudicated():
         emb = runs[0][1]
         pts = _points(2, 10, seed=43)
         S = extract_structure(emb, NormalField(emb), pts)
-        strict = verify_differential_identities(S, pts, _pairs(2, seed=41), strict_paper=True)
+        strict = verify_differential_identities(sample_states(S, pts, _pair_dirs(2, seed=41)),
+                                                strict_paper=True)
         assert len(strict.identities) == 8
         assert all(r.residual > 1e-5 for r in strict.identities if r.name != "2.18")
 
@@ -185,7 +187,7 @@ def test_criterion_7_scaled_normal_run():
             gw = gauss_weingarten(emb, N, p)
             assert np.max(np.abs(gw.w - np.array([1.0, 1.0]))) <= 1e-6
         S = extract_structure(emb, N, pts)
-        res = check_theorem_3_4(S, pts, sample_vectors(2, 4, np.random.default_rng(48)))
+        res = check_theorem_3_4(sample_states(S, pts, sample_vectors(2, 4, np.random.default_rng(48))))
         assert res.verdict == "vacuous"
 
 

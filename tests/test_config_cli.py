@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from sasakicheck import Embedding, InducedStructure, hypersurface
 from sasakicheck.cli import main
-from sasakicheck.config import load_suite_config, resolve_config_path
+from sasakicheck.config import CHECK_GROUPS, load_suite_config, resolve_config_path
 from sasakicheck.errors import ConfigError
 from sasakicheck.report import render_json, render_text
 from sasakicheck.runner import run_suite
@@ -180,15 +184,11 @@ def test_eq_2_18_equation_ref_string(tmp_path, capsys):
     assert ref == "Eq (2.18)"
 
 
-def test_emit_report_formats(tmp_path):
-    from sasakicheck.report import emit_report
-
+def test_render_report_formats(tmp_path):
     cfg = load_suite_config(write_config(tmp_path, GOOD))
     report = run_suite(cfg)
-    assert json.loads(emit_report(report, "json"))["meta"]["config"] == "suite"
-    assert "eq_1_1" in emit_report(report, "text")
-    with pytest.raises(ValueError):
-        emit_report(report, "yaml")
+    assert json.loads(render_json(report))["meta"]["config"] == "suite"
+    assert "eq_1_1" in render_text(report)
 
 
 def test_every_identity_has_exactly_one_check():
@@ -239,6 +239,67 @@ def test_out_file_written(tmp_path, capsys):
     main(["--config", str(path), "--format", "json", "--out", str(out)])
     capsys.readouterr()
     assert json.loads(out.read_text())["meta"]["config"] == "suite"
+
+
+def test_cli_arithmetic_error_exits_one_without_traceback(tmp_path):
+    body = GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, 1/(s-s)").replace(
+        "checks = axioms", "checks = structure")
+    path = write_config(tmp_path, body)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sasakicheck", "--config", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "'1/(s-s)'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _per_point_calls(monkeypatch, config):
+    """Run the suite and count, per chart point, Gauss-Weingarten
+    decompositions, structure bundles and embedding Hessians, wherever the
+    engine looks them up."""
+    calls = {"gauss_weingarten": 0, "bundle_at": 0, "hessian_at": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    original = hypersurface.gauss_weingarten
+    wrapped = counted("gauss_weingarten", original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "sasakicheck":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapped)
+    monkeypatch.setattr(InducedStructure, "bundle_at",
+                        counted("bundle_at", InducedStructure.bundle_at))
+    monkeypatch.setattr(Embedding, "hessian_at", counted("hessian_at", Embedding.hessian_at))
+    run_suite(config)
+    return {k: v / config.count for k, v in calls.items()}
+
+
+def test_run_suite_builds_each_point_once(monkeypatch):
+    config = load_suite_config(CONFIGS / "plane_r3.cfg")
+    config.checks = list(CHECK_GROUPS)
+    config.count = 10
+    assert _per_point_calls(monkeypatch, config) == {
+        "gauss_weingarten": 1.0, "bundle_at": 1.0, "hessian_at": 1.0}
+
+
+@pytest.mark.parametrize("checks,gw_per_point", [
+    (["axioms", "structure", "algebraic"], 0.0),
+    (["gauss_weingarten"], 1.0),
+])
+def test_per_point_data_built_only_for_groups_that_read_it(monkeypatch, checks, gw_per_point):
+    config = load_suite_config(CONFIGS / "plane_r3.cfg")
+    config.checks = checks
+    config.count = 10
+    assert _per_point_calls(monkeypatch, config) == {
+        "gauss_weingarten": gw_per_point, "bundle_at": 0.0, "hessian_at": gw_per_point}
 
 
 @pytest.mark.parametrize("name", ["plane_r3", "quadric_r3", "plane_r5", "quadric_r3_scaled"])

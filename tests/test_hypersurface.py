@@ -129,7 +129,7 @@ def test_gauss_weingarten_reconstruction(surface, request):
     E = request.getfixturevalue(surface)
     N = NormalField(E)
     for p in chart_points(2, 15, seed=19):
-        rec = reconstruction_residuals(E, N, p)
+        rec = reconstruction_residuals(gauss_weingarten(E, N, p))
         assert rec["gauss"] < 1e-6
         assert rec["weingarten"] < 1e-6
 
@@ -184,7 +184,7 @@ def test_scaled_normal_product_rule(quadric_r3):
         np.testing.assert_allclose(gw_s.h, gw_u.h / r, atol=1e-6)
         np.testing.assert_allclose(gw_s.H_w, gw_u.H_w * r, atol=1e-6)
         np.testing.assert_allclose(gw_s.H_h, gw_u.H_h / r, atol=1e-6)
-        rec = reconstruction_residuals(E, N_scaled, p)
+        rec = reconstruction_residuals(gw_s)
         assert rec["gauss"] < 1e-6 and rec["weingarten"] < 1e-6
 
 

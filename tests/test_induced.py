@@ -28,6 +28,8 @@ from sasakicheck import (
     ScalarField,
     TensorField,
     extract_structure,
+    gauss_weingarten,
+    sample_states,
     verify_algebraic_identities,
     verify_differential_identities,
 )
@@ -38,9 +40,13 @@ from sasakicheck.induced import _bilinear
 from conftest import chart_points, chart_vectors
 
 
-def _pairs(dim, count=5, seed=11):
-    vecs = chart_vectors(dim, 2 * count, seed=seed)
-    return [(vecs[2 * k], vecs[2 * k + 1]) for k in range(count)]
+def _pair_dirs(dim, count=5, seed=11):
+    """2 * count directions; the differential battery pairs them (0, 1), (2, 3), ..."""
+    return chart_vectors(dim, 2 * count, seed=seed)
+
+
+def _differential(S, pts, **kwargs):
+    return verify_differential_identities(sample_states(S, pts, _pair_dirs(S.dim)), **kwargs)
 
 
 @pytest.fixture()
@@ -74,7 +80,8 @@ def test_extraction_matches_frozen_plane_oracle(plane_structure):
         np.testing.assert_allclose(bd.U, want["U"], atol=1e-12)
         np.testing.assert_allclose(bd.v, want["v"], atol=1e-12)
         np.testing.assert_allclose(bd.V, want["V"], atol=1e-12)
-        np.testing.assert_allclose(S.gw_at(p).h, want["h"], atol=1e-12)
+        np.testing.assert_allclose(gauss_weingarten(S.embedding, S.normal, p).h, want["h"],
+                                   atol=1e-12)
 
 
 def test_phi_n_tangency_enforced(plane_structure):
@@ -178,9 +185,8 @@ def test_orientation_flip_covariance(plane_r3):
         np.testing.assert_allclose(b.v, a.v, atol=1e-12)
         np.testing.assert_allclose(b.V, a.V, atol=1e-12)
         np.testing.assert_allclose(b.phi, a.phi, atol=1e-12)
-    pairs = _pairs(2)
-    ra = verify_differential_identities(S, pts, pairs)
-    rb = verify_differential_identities(Sf, pts, pairs)
+    ra = _differential(S, pts)
+    rb = _differential(Sf, pts)
     for x, y in zip(ra.identities, rb.identities):
         assert x.residual == pytest.approx(y.residual, abs=1e-10)
 
@@ -191,7 +197,7 @@ def test_differential_identities_adjudicate_consistently(surface, n, request):
     dim = 2 * n
     pts = chart_points(dim, 15, seed=59)
     S = extract_structure(E, NormalField(E), pts)
-    rep = verify_differential_identities(S, pts, _pairs(dim))
+    rep = _differential(S, pts)
     assert rep.structure_sign == "phi-flipped"
     expected = {
         "2.11": "H_w|printed|phi-flipped",
@@ -216,7 +222,7 @@ def test_differential_identities_adjudicate_consistently(surface, n, request):
 
 def test_strict_paper_mode_reports_printed_residuals(plane_structure):
     pts = chart_points(2, 10, seed=61)
-    rep = verify_differential_identities(plane_structure, pts, _pairs(2), strict_paper=True)
+    rep = _differential(plane_structure, pts, strict_paper=True)
     assert rep.structure_sign == "as-extracted"
     # the printed convention with H = H_h does not hold on actual surfaces
     assert all(r.residual > 1e-3 for r in rep.identities if r.name != "2.18")
@@ -226,13 +232,13 @@ def test_eq_2_16_value_under_adjudicated_convention(plane_structure):
     # with a unit normal (w = 0) the scalar relation reduces to
     # h(Y, V) = u'(Y) - Y lambda in the adjudicated sign
     pts = chart_points(2, 10, seed=67)
-    rep = verify_differential_identities(plane_structure, pts, _pairs(2))
+    rep = _differential(plane_structure, pts)
     assert rep.by_name("2.16").residual <= 1e-5
 
 
 def test_eq_2_18_vacuous_on_plane(plane_structure):
     pts = chart_points(2, 10, seed=71)
-    rep = verify_differential_identities(plane_structure, pts, _pairs(2))
+    rep = _differential(plane_structure, pts)
     r = rep.by_name("2.18")
     assert r.details["premise_max_h_Y_U"] > 1e-3
     assert r.details["vacuous"]
@@ -240,7 +246,7 @@ def test_eq_2_18_vacuous_on_plane(plane_structure):
 
 def test_v_HY_is_measured_not_assumed(plane_structure):
     pts = chart_points(2, 10, seed=73)
-    rep = verify_differential_identities(plane_structure, pts, _pairs(2))
+    rep = _differential(plane_structure, pts)
     assert rep.extras["v_HY_measured"]["H_h"] > 1e-3
 
 
@@ -252,7 +258,7 @@ def test_scaled_normal_refutes_unit_gauge_identities(quadric_r3):
     # rho^2 factors break the unit-normal forms of (2.6) to (2.8)
     assert alg.by_name("2.6").residual > 1e-2
     assert alg.by_name("2.7").residual > 1e-2
-    rep = verify_differential_identities(S, pts, _pairs(2))
+    rep = _differential(S, pts)
     # the xi-decomposition identities still hold, the eta(N)-gauge ones fail
     assert rep.by_name("2.12").residual <= 1e-5
     assert rep.by_name("2.15").residual <= 1e-5

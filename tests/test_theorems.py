@@ -11,8 +11,10 @@ from sasakicheck import (
     check_theorem_3_3,
     check_theorem_3_4,
     extract_structure,
+    gauss_weingarten,
     make_pointwise_model,
     parallel_residual,
+    sample_states,
     verify_differential_identities,
 )
 from sasakicheck.dual import exp
@@ -36,7 +38,7 @@ def plane_structure(plane_r3):
 
 def test_parallel_residual_rejects_unknown_field(plane_structure):
     with pytest.raises(ValueError):
-        parallel_residual(plane_structure, "xi", [], [])
+        parallel_residual([], "xi")
 
 
 def test_constant_field_on_flat_chart_is_parallel():
@@ -58,7 +60,7 @@ def test_constant_field_on_flat_chart_is_parallel():
 def test_V_not_parallel_on_plane(plane_structure):
     pts = chart_points(2, 10, seed=89)
     dirs = chart_vectors(2, 4, seed=90)
-    assert parallel_residual(plane_structure, "V", pts, dirs) > 1e-3
+    assert parallel_residual(sample_states(plane_structure, pts, dirs), "V") > 1e-3
 
 
 def test_nabla_V_matches_adjudicated_identity(plane_structure):
@@ -67,7 +69,7 @@ def test_nabla_V_matches_adjudicated_identity(plane_structure):
     pts = chart_points(2, 8, seed=91)
     for p in pts:
         bd = plane_structure.bundle_at(p)
-        gw = plane_structure.gw_at(p)
+        gw = gauss_weingarten(plane_structure.embedding, plane_structure.normal, p)
         covV = bd.dV + np.einsum("aij,j->ia", bd.gamma, bd.V)
         for Y in chart_vectors(2, 3, seed=92):
             direct = np.einsum("i,ia->a", Y, covV)
@@ -119,8 +121,8 @@ def test_theorem_3_3_lambda_zero_excluded():
 
 
 def test_theorem_3_3_chart_vacuous_generically(plane_structure):
-    res = theorem_3_3_chart(plane_structure, chart_points(2, 8, seed=93),
-                            chart_vectors(2, 4, seed=94))
+    res = theorem_3_3_chart(sample_states(plane_structure, chart_points(2, 8, seed=93),
+                                          chart_vectors(2, 4, seed=94)))
     assert res.verdict == "vacuous"
 
 
@@ -169,8 +171,8 @@ def test_theorem_3_1_model_lambda_zero_flags_35_exclusion():
 
 
 def test_theorem_3_1_chart_vacuous(plane_structure):
-    res = theorem_3_1_chart(plane_structure, chart_points(2, 8, seed=95),
-                            chart_vectors(2, 4, seed=96), structure_sign=-1.0)
+    res = theorem_3_1_chart(sample_states(plane_structure, chart_points(2, 8, seed=95),
+                                          chart_vectors(2, 4, seed=96)), structure_sign=-1.0)
     assert res.verdict == "vacuous"
     assert res.hypothesis_residual > 1e-3
 
@@ -196,15 +198,16 @@ def test_theorem_3_2_lambda_zero_branch():
 
 
 def test_theorem_3_2_chart_vacuous(plane_structure):
-    res = theorem_3_2_chart(plane_structure, chart_points(2, 8, seed=97),
-                            chart_vectors(2, 4, seed=98), structure_sign=-1.0)
+    res = theorem_3_2_chart(sample_states(plane_structure, chart_points(2, 8, seed=97),
+                                          chart_vectors(2, 4, seed=98)), structure_sign=-1.0)
     assert res.verdict == "vacuous"
 
 
 def test_theorem_3_4_chart_vacuous_on_quadric(quadric_r3):
     pts = chart_points(2, 10, seed=99)
     S = extract_structure(quadric_r3, NormalField(quadric_r3), pts)
-    res = check_theorem_3_4(S, pts, chart_vectors(2, 4, seed=100), structure_sign=-1.0)
+    res = check_theorem_3_4(sample_states(S, pts, chart_vectors(2, 4, seed=100)),
+                            structure_sign=-1.0)
     assert res.verdict == "vacuous"
 
 
@@ -213,7 +216,7 @@ def test_theorem_3_4_scaled_normal_w_is_dlog_rho(quadric_r3):
     pts = chart_points(2, 8, seed=103)
     S = extract_structure(quadric_r3, NormalField(quadric_r3, scaling=rho), pts)
     for p in pts:
-        gw = S.gw_at(p)
+        gw = gauss_weingarten(S.embedding, S.normal, p)
         np.testing.assert_allclose(gw.w, [1.0, 1.0], atol=1e-6)
 
 
@@ -237,10 +240,10 @@ def test_implication_verdict_rules():
 def test_verdicts_stable_under_direction_scaling(plane_structure):
     pts = chart_points(2, 8, seed=107)
     vecs = chart_vectors(2, 10, seed=108)
-    pairs = [(vecs[2 * k], vecs[2 * k + 1]) for k in range(5)]
-    scaled = [(17.0 * x, 0.03 * y) for x, y in pairs]
-    a = verify_differential_identities(plane_structure, pts, pairs)
-    b = verify_differential_identities(plane_structure, pts, scaled)
+    # pairs are (vecs[0], vecs[1]), (vecs[2], vecs[3]), ...; scale X and Y differently
+    scaled = [(17.0 if k % 2 == 0 else 0.03) * v for k, v in enumerate(vecs)]
+    a = verify_differential_identities(sample_states(plane_structure, pts, vecs))
+    b = verify_differential_identities(sample_states(plane_structure, pts, scaled))
     for x, y in zip(a.identities, b.identities):
         assert x.residual == pytest.approx(y.residual, abs=1e-10)
         assert x.convention == y.convention
