@@ -1,10 +1,13 @@
 """Parametric hypersurfaces: normals, induced metric, Gauss-Weingarten data.
 
 An embedding maps a 2n-dimensional chart into a (2n+1)-dimensional
-ambient chart.  The unit normal is built from the metric-orthogonal
-complement of the Jacobian columns; everything is written so it also
-evaluates on dual numbers, because the extracted hypersurface fields
-get differentiated downstream.
+ambient chart.  Everything the surface checks read at a chart point
+starts from one :class:`FrameJet`: the image b(p), the Jacobian B, the
+Hessian (one nested dual pass of the embedding map), the ambient metric
+jet chained through B, and the normal N with its first partials.  Dual
+numbers differentiate only the embedding map and the ambient tensors;
+the normal and every frame solve are plain numpy, differentiated
+implicitly (d(A^-1 b) = A^-1 (db - dA A^-1 b)).
 
 Two shape operators are carried side by side:
 
@@ -17,18 +20,30 @@ between them rather than assuming either.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .connection import MetricField, christoffel
-from .dual import grad_part, real_part, seed, sqrt as generic_sqrt
-from .errors import RankDeficientError
-from .fields import Point, ScalarField, TensorField, generic_jacobian
+from .connection import DET_FLOOR, MetricField, levi_civita_gamma
+from .dual import grad_part, real_part, seed
+from .errors import EvaluationError, NonFiniteValueError, RankDeficientError, SingularMetricError
+from .fields import Point, ScalarField, TensorField, evaluate, generic_jacobian, jet
 MIN_SINGULAR_VALUE = 1e-8
 FRAME_CONDITION_LIMIT = 1e12
+
+
+def _full_rank(B: np.ndarray, p: Point) -> np.ndarray:
+    if not np.isfinite(B).all():
+        raise NonFiniteValueError(f"non-finite embedding Jacobian at {p.coords}")
+    sv = np.linalg.svd(B, compute_uv=False)
+    if sv[-1] <= MIN_SINGULAR_VALUE:
+        raise RankDeficientError(
+            f"embedding Jacobian has smallest singular value {sv[-1]:.3e} at {p.coords}"
+        )
+    return B
 
 
 @dataclass(frozen=True)
@@ -71,26 +86,23 @@ class Embedding:
 
     def jacobian_at(self, p: Point) -> np.ndarray:
         _, jac = self.jacobian(list(p.coords))
-        B = np.array(jac, dtype=float)
-        sv = np.linalg.svd(B, compute_uv=False)
-        if sv[-1] <= MIN_SINGULAR_VALUE:
-            raise RankDeficientError(
-                f"embedding Jacobian has smallest singular value {sv[-1]:.3e} at {p.coords}"
-            )
-        return B
+        return _full_rank(np.array(jac, dtype=float), p)
 
-    def hessian_at(self, p: Point) -> np.ndarray:
-        """hess[i, a, b] = d_a d_b b^i via nested dual passes."""
-        m = self.dim
-        inner = seed(list(p.coords))
-        outer = seed(inner)
-        outs = self.map(outer)
-        hess = np.zeros((self.ambient_dim, m, m))
+    def hessian_at(self, p: Point):
+        """``(b, B, hess)`` from one nested dual pass of the map:
+        b[i] = b^i(p), B[i, a] = d_a b^i and hess[i, a, c] = d_a d_c b^i."""
+        m, d = self.dim, self.ambient_dim
+        outs = self.map(seed(seed(list(p.coords))))
+        b = np.empty(d)
+        B = np.empty((d, m))
+        hess = np.zeros((d, m, m))
         for i, o in enumerate(outs):
+            b[i] = real_part(o)
             for a, g in enumerate(grad_part(o, m)):
-                for b, gg in enumerate(grad_part(g, m)):
-                    hess[i, a, b] = float(gg)
-        return hess
+                B[i, a] = real_part(g)
+                for c, gg in enumerate(grad_part(g, m)):
+                    hess[i, a, c] = float(gg)
+        return b, B, hess
 
 
 @dataclass(frozen=True)
@@ -101,46 +113,6 @@ class SimpleAmbient:
     g: MetricField
 
 
-def _generalized_cross(B, d):
-    """Vector w with w . x = det([B | x]) for all x; dual-compatible."""
-    out = []
-    for a in range(d):
-        mat = [list(B[i]) + [1.0 if i == a else 0.0] for i in range(d)]
-        out.append(linalg.det(mat))
-    return out
-
-
-def _unit_normal_generic(E: Embedding, coords, orientation: int = 1):
-    """Ambient components of the oriented unit normal, dual-compatible.
-
-    Solves g(B e_a, N) = 0 with g(N, N) = 1; the base orientation makes
-    det([B | N]) positive and ``orientation`` multiplies by +-1.
-    """
-    d = E.ambient_dim
-    b_out, jac = E.jacobian(coords)
-    gt = E.ambient_metric.tensor.func(b_out)
-    cross = _generalized_cross(jac, d)
-    n_raw = linalg.solve([list(r) for r in gt], cross)
-    norm2 = linalg.dot(n_raw, cross)  # equals g(n_raw, n_raw)
-    if real_part(norm2) <= 0:
-        raise RankDeficientError("normal construction degenerate (nonpositive norm)")
-    # sign of det([B | n_raw]) is locally constant; evaluate it on real parts
-    frame_real = [
-        [real_part(jac[i][a]) for a in range(E.dim)] + [real_part(n_raw[i])]
-        for i in range(d)
-    ]
-    s = orientation * (1.0 if np.linalg.det(np.array(frame_real)) > 0 else -1.0)
-    scale = s / generic_sqrt(norm2)
-    return [scale * c for c in n_raw]
-
-
-def unit_normal(E: Embedding, p: Point, orientation: int = 1) -> np.ndarray:
-    """Oriented metric unit normal at a point."""
-    E.jacobian_at(p)  # full-rank precondition
-    n = _unit_normal_generic(E, list(p.coords), orientation)
-    return np.array([real_part(c) for c in n])
-
-
 @dataclass(frozen=True)
 class NormalField:
     """Affine normal N = rho * N_unit with positive scaling rho."""
@@ -149,28 +121,123 @@ class NormalField:
     scaling: Optional[ScalarField] = None
     orientation: int = 1
 
-    def unit_components(self, coords):
-        return _unit_normal_generic(self.embedding, coords, self.orientation)
-
-    def scale_value(self, coords):
-        if self.scaling is None:
-            return 1.0
-        return self.scaling.func(list(coords))
-
-    def components(self, coords):
-        n = self.unit_components(coords)
-        if self.scaling is None:
-            return n
-        rho = self.scale_value(coords)
-        if real_part(rho) <= 0:
-            raise ValueError(f"normal scaling must stay positive, got {real_part(rho)}")
-        return [rho * c for c in n]
-
     def components_at(self, p: Point) -> np.ndarray:
-        return np.array([real_part(c) for c in self.components(p.coords)])
+        return frame_values(self, p).normal
 
     def flipped(self) -> "NormalField":
         return NormalField(self.embedding, self.scaling, -self.orientation)
+
+
+@dataclass(frozen=True, slots=True)
+class FrameJet:
+    """The tangent-plus-normal frame A = [B | N] at one chart point.
+
+    ``image`` is b(p), ``metric`` the ambient metric there and ``normal``
+    the effective normal N.  The first-order fields (``hessian[i, a, c] =
+    d_c B[i, a]``, ``dmetric[c] = d_c g~`` along the surface,
+    ``dnormal[c] = d_c N`` and the ambient Christoffel symbols ``gamma``)
+    are None on a value-only frame from :func:`frame_values`.
+    """
+
+    image: Point
+    jacobian: np.ndarray
+    metric: np.ndarray
+    normal: np.ndarray
+    frame: np.ndarray
+    hessian: Optional[np.ndarray] = None
+    dmetric: Optional[np.ndarray] = None
+    gamma: Optional[np.ndarray] = None
+    dnormal: Optional[np.ndarray] = None
+
+
+def _unit_normal(B: np.ndarray, G: np.ndarray, orientation: int) -> np.ndarray:
+    """Metric unit normal from the cofactor vector c of B (c . x = det([B | x])).
+
+    N = orientation * g~^-1 c / sqrt(c . g~^-1 c).  Since
+    det([B | g~^-1 c]) = c . g~^-1 c > 0, orientation 1 makes det([B | N])
+    positive and -1 flips it.
+    """
+    d, m = B.shape
+    if abs(np.linalg.det(G)) < DET_FLOOR:
+        raise SingularMetricError(f"ambient metric determinant below {DET_FLOOR}")
+    stack = np.zeros((d, d, d))
+    stack[:, :, :m] = B
+    stack[np.arange(d), np.arange(d), m] = 1.0
+    c = np.linalg.det(stack)
+    n_raw = np.linalg.solve(G, c)
+    norm2 = float(c @ n_raw)  # equals g~(n_raw, n_raw)
+    if not norm2 > 0.0:
+        raise RankDeficientError("normal construction degenerate (nonpositive norm)")
+    return (orientation / math.sqrt(norm2)) * n_raw
+
+
+def _scaling(N: NormalField, p: Point, partials: bool):
+    """rho(p) and, if asked, its partials; rho must stay positive."""
+    if partials:
+        jt = jet(N.scaling, p)
+        rho, drho = float(jt.value), jt.partials
+    else:
+        rho, drho = float(evaluate(N.scaling, p)), None
+    if rho <= 0.0:
+        label = getattr(N.scaling.func, "text", "<callable>")
+        raise EvaluationError(
+            f"normal scaling {label!r} must stay positive, got {rho!r} at {list(p.coords)}"
+        )
+    return rho, drho
+
+
+def frame_values(N: NormalField, p: Point) -> FrameJet:
+    """Value-only frame: one first-order pass of the map, no derivative solves."""
+    E = N.embedding
+    values, jac = E.jacobian(list(p.coords))
+    image = Point([real_part(v) for v in values])
+    B = _full_rank(np.array(jac, dtype=float), p)
+    G = evaluate(E.ambient_metric.tensor, image)
+    nvec = _unit_normal(B, G, N.orientation)
+    if N.scaling is not None:
+        nvec = _scaling(N, p, partials=False)[0] * nvec
+    return FrameJet(image=image, jacobian=B, metric=G, normal=nvec,
+                    frame=np.column_stack([B, nvec]))
+
+
+def frame_jet(N: NormalField, p: Point) -> FrameJet:
+    """Frame with first partials.
+
+    The unit normal n is differentiated implicitly: differentiating
+    g~(B e_a, n) = 0 and g~(n, n) = 1 along e_c gives one solve
+        [B | n]^T g~ d_c n = -( (d_c B)^T g~ n + B^T (d_c g~) n ;  n^T (d_c g~) n / 2 ),
+    and a scaled normal N = rho n follows by the product rule.  With g~
+    nonsingular and B of full rank, that system and the frame are
+    nonsingular too.
+    """
+    E = N.embedding
+    m, d = E.dim, E.ambient_dim
+    b, B, hess = E.hessian_at(p)
+    _full_rank(B, p)
+    image = Point(b)
+    jg = jet(E.ambient_metric.tensor, image)
+    G = jg.value
+    n = _unit_normal(B, G, N.orientation)
+    dG = np.einsum("kc,kij->cij", B, jg.partials)
+    dGn = dG @ n  # [c, i]
+    rhs = np.empty((d, m))
+    rhs[:m] = -(np.einsum("iac,i->ac", hess, G @ n) + B.T @ dGn.T)
+    rhs[m] = -0.5 * (dGn @ n)
+    dn = np.linalg.solve(np.column_stack([B, n]).T @ G, rhs).T
+
+    if N.scaling is None:
+        nvec, dnvec = n, dn
+    else:
+        rho, drho = _scaling(N, p, partials=True)
+        nvec, dnvec = rho * n, np.outer(drho, n) + rho * dn
+    return FrameJet(image=image, jacobian=B, metric=G, normal=nvec,
+                    frame=np.column_stack([B, nvec]), hessian=hess, dmetric=dG,
+                    gamma=levi_civita_gamma(G, jg.partials), dnormal=dnvec)
+
+
+def unit_normal(E: Embedding, p: Point, orientation: int = 1) -> np.ndarray:
+    """Oriented metric unit normal at a point."""
+    return frame_values(NormalField(E, None, orientation), p).normal
 
 
 def induced_metric(E: Embedding) -> MetricField:
@@ -197,74 +264,55 @@ class GaussWeingartenData:
     from the tangential part of D_a(B e_b); ``h`` is its normal part.
     ``H_w``/``w`` split D_a N, and ``H_h`` realizes h through the
     induced metric.  ``D[i, a, b]`` and ``DN[i, a]`` are the ambient
-    derivatives D_a(B e_b) and D_a N that were decomposed.
+    derivatives D_a(B e_b) and D_a N that were decomposed; ``jet`` is
+    the frame jet they were built from.
     """
 
-    point: Point
     induced_gamma: np.ndarray
     h: np.ndarray
     H_w: np.ndarray
     H_h: np.ndarray
     w: np.ndarray
-    frame: np.ndarray
-    jacobian: np.ndarray
-    normal: np.ndarray
     D: np.ndarray
     DN: np.ndarray
+    jet: FrameJet
 
-
-def _normal_jacobian_at(N: NormalField, p: Point) -> np.ndarray:
-    """dN[a, i] = d_a N^i of the effective normal field."""
-    coords = seed(list(p.coords))
-    outs = N.components(coords)
-    m = N.embedding.dim
-    dN = np.zeros((m, len(outs)))
-    for i, o in enumerate(outs):
-        for a, g in enumerate(grad_part(o, m)):
-            dN[a, i] = float(g)
-    return dN
+    @property
+    def normal(self) -> np.ndarray:
+        return self.jet.normal
 
 
 def gauss_weingarten(E: Embedding, N: NormalField, p: Point) -> GaussWeingartenData:
     """Decompose ambient covariant derivatives into tangential and normal parts."""
     m, d = E.dim, E.ambient_dim
-    B = E.jacobian_at(p)
-    hess = E.hessian_at(p)
-    bp = E.point_image(p)
-    gamma_amb = christoffel(E.ambient_metric, bp).gamma
-    nvec = N.components_at(p)
-
-    frame = np.column_stack([B, nvec])
+    fj = frame_jet(N, p)
+    B, nvec, frame, gamma_amb = fj.jacobian, fj.normal, fj.frame, fj.gamma
     linalg.check_condition(frame, FRAME_CONDITION_LIMIT, what="tangent-normal frame")
 
     # Gauss: D_a (B e_b) = hess[:, a, b] + Gamma~(B e_a, B e_b)
-    D = hess + np.einsum("ijk,ja,kb->iab", gamma_amb, B, B)
+    D = fj.hessian + np.einsum("ijk,ja,kb->iab", gamma_amb, B, B)
     sol = np.linalg.solve(frame, D.reshape(d, m * m)).reshape(d, m, m)
     induced_gamma = sol[:m]
     h = sol[m]
 
     # Weingarten: D_a N = dN[a] + Gamma~(B e_a, N)
-    dN = _normal_jacobian_at(N, p)
-    DN = dN.T + np.einsum("ijk,ja,k->ia", gamma_amb, B, nvec)
+    DN = fj.dnormal.T + np.einsum("ijk,ja,k->ia", gamma_amb, B, nvec)
     solN = np.linalg.solve(frame, DN)
     H_w = solN[:m]
     w = solN[m]
 
-    gind = np.einsum("ia,ij,jb->ab", B, E.ambient_metric.components(bp), B)
+    gind = np.einsum("ia,ij,jb->ab", B, fj.metric, B)
     H_h = np.linalg.solve(gind, h)
 
     return GaussWeingartenData(
-        point=p,
         induced_gamma=induced_gamma,
         h=h,
         H_w=H_w,
         H_h=H_h,
         w=w,
-        frame=frame,
-        jacobian=B,
-        normal=nvec,
         D=D,
         DN=DN,
+        jet=fj,
     )
 
 
@@ -281,7 +329,7 @@ def second_fundamental_symmetry(
 def reconstruction_residuals(gw: GaussWeingartenData) -> dict:
     """How exactly B(nabla e_a e_b) + h N and B(H_w e_a) + w N rebuild the
     ambient derivatives; the defining contract of the decomposition."""
-    B, nvec = gw.jacobian, gw.normal
+    B, nvec = gw.jet.jacobian, gw.normal
     gauss = gw.D - np.einsum("ic,cab->iab", B, gw.induced_gamma) - np.einsum("ab,i->iab", gw.h, nvec)
     wein = gw.DN - np.einsum("ic,ca->ia", B, gw.H_w) - np.outer(nvec, gw.w)
     return {

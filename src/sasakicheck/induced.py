@@ -6,6 +6,13 @@ one-forms u and v, and a scalar lambda on the surface chart.  This
 module extracts that data, exposes it as fields, and measures the
 algebraic and covariant-derivative identity battery against it.
 
+The split is one float solve X = A^-1 R against the frame A = [B | N]
+of a :class:`~sasakicheck.hypersurface.FrameJet`.  Its first partials
+come from implicit differentiation, d_c X = A^-1 (d_c R - d_c A X), with
+the ambient tensors' partials taken from one dual jet each at b(p) and
+chained through B; central differences of the induced fields stay the
+independent check.
+
 Sign conventions are adjudicated, not assumed.  Each derivative
 identity is evaluated over a grid of variants:
 
@@ -29,13 +36,15 @@ import numpy as np
 
 from . import linalg
 from .connection import MetricField, covariant_derivative_components, levi_civita_gamma
-from .dual import grad_part, real_part, seed, value_part
 from .errors import TangencyError
-from .fields import Point, ScalarField, TensorField
+from .fields import Point, ScalarField, TensorField, evaluate, jet
 from .hypersurface import (
     Embedding,
+    FrameJet,
     GaussWeingartenData,
     NormalField,
+    frame_jet,
+    frame_values,
     gauss_weingarten,
     induced_metric,
 )
@@ -55,42 +64,6 @@ _HAS_H = {"2.11": True, "2.12": False, "2.13": False, "2.14": True, "2.15": True
           "2.16": False, "2.17": True}
 _HAS_NU = {"2.11": True, "2.12": True, "2.13": True, "2.14": True, "2.15": True,
            "2.16": False, "2.17": True}
-
-
-def _structure_values(E: Embedding, N: NormalField, coords) -> dict:
-    """Frame decomposition at (possibly dual) surface coordinates."""
-    m, d = E.dim, E.ambient_dim
-    amb = E.ambient
-    b_out, jac = E.jacobian(coords)
-    gt = amb.g.tensor.func(b_out)
-    phit = amb.phi.func(b_out)
-    xit = amb.xi.func(b_out)
-    etat = amb.eta.func(b_out)
-    nvec = N.components(coords)
-
-    frame = [[jac[i][a] for a in range(m)] + [nvec[i]] for i in range(d)]
-    rhs = []
-    for a in range(m):
-        col = [jac[i][a] for i in range(d)]
-        rhs.append(linalg.matvec(phit, col))
-    rhs.append(linalg.matvec(phit, nvec))
-    rhs.append(list(xit))
-    sols = linalg.solve_columns(frame, rhs)
-
-    phi = [[sols[a][c] for a in range(m)] for c in range(m)]
-    u = [sols[a][m] for a in range(m)]
-    U = [-sols[m][c] for c in range(m)]
-    tangency = sols[m][m]
-    V = [sols[m + 1][c] for c in range(m)]
-    lam = sols[m + 1][m]
-    v = [linalg.dot(etat, [jac[i][a] for i in range(d)]) for a in range(m)]
-    gB = [[sum(gt[i][j] * jac[j][a] for j in range(d)) for a in range(m)] for i in range(d)]
-    g = [[sum(jac[i][a] * gB[i][b] for i in range(d)) for b in range(m)] for a in range(m)]
-    eta_n = linalg.dot(etat, nvec)
-    return {
-        "phi": phi, "u": u, "U": U, "V": V, "lam": lam, "v": v,
-        "g": g, "tangency": tangency, "eta_n": eta_n,
-    }
 
 
 @dataclass(slots=True)
@@ -116,8 +89,50 @@ class StructureBundle:
     gamma: Optional[np.ndarray] = None
 
 
-def _scalar_parts(x, m):
-    return real_part(value_part(x)), [real_part(gv) for gv in grad_part(x, m)]
+def _structure_at(ambient, fj: FrameJet) -> StructureBundle:
+    """Split phi~B, phi~N and xi against the frame: X = A^-1 [phi~B | phi~N | xi].
+
+    On a frame jet the bundle also carries every first partial,
+    d_c X = A^-1 (d_c R - d_c A X), and the induced Christoffel symbols;
+    on a value-only frame those stay None.
+    """
+    B, nvec, A, G = fj.jacobian, fj.normal, fj.frame, fj.metric
+    d, m = B.shape
+    fields = (ambient.phi, ambient.xi, ambient.eta)
+    jets = None if fj.hessian is None else [jet(f, fj.image) for f in fields]
+    if jets is None:
+        phit, xit, etat = (evaluate(f, fj.image) for f in fields)
+    else:
+        phit, xit, etat = (j.value for j in jets)
+    R = np.column_stack([phit @ B, phit @ nvec, xit])
+    X = np.linalg.solve(A, R)
+    bundle = StructureBundle(
+        phi=X[:m, :m], u=X[m, :m], U=-X[:m, m], V=X[:m, m + 1], v=etat @ B,
+        lam=float(X[m, m + 1]), g=B.T @ G @ B, eta_n=float(etat @ nvec),
+        tangency=abs(float(X[m, m])),
+    )
+    if jets is None:
+        return bundle
+
+    # chart partials of the ambient tensors at b(p), index c first
+    dphit, dxit, detat = (np.einsum("kc,k...->c...", B, j.partials) for j in jets)
+    H = np.moveaxis(fj.hessian, 2, 0)  # H[c] = d_c B
+    dN = fj.dnormal
+    dA = np.concatenate([H, dN[:, :, None]], axis=2)
+    dR = np.concatenate([dphit @ B + phit @ H, (dphit @ nvec + dN @ phit.T)[:, :, None],
+                         dxit[:, :, None]], axis=2)
+    rhs = np.moveaxis(dR - dA @ X, 0, 1).reshape(d, -1)
+    dX = np.moveaxis(np.linalg.solve(A, rhs).reshape(d, m, m + 2), 1, 0)
+    HGB = np.einsum("cia,ij,jb->cab", H, G, B)
+    dg = HGB + HGB.transpose(0, 2, 1) + np.einsum("ia,cij,jb->cab", B, fj.dmetric, B)
+    bundle.dphi = dX[:, :m, :m]
+    bundle.du = dX[:, m, :m]
+    bundle.dU = -dX[:, :m, m]
+    bundle.dV = dX[:, :m, m + 1]
+    bundle.dlam = dX[:, m, m + 1]
+    bundle.dv = detat @ B + np.einsum("i,cia->ca", etat, H)
+    bundle.gamma = levi_civita_gamma(bundle.g, dg)
+    return bundle
 
 
 @dataclass(frozen=True)
@@ -137,57 +152,28 @@ class InducedStructure:
     max_u: float
     tangency_residual: float
     lambda_consistency: float
+    # float induced data at the extraction points, as built there
+    extracted: Dict[Point, StructureBundle] = dc_field(default_factory=dict, compare=False,
+                                                      repr=False)
 
     @property
     def dim(self) -> int:
         return self.embedding.dim
 
     def values_at(self, p: Point) -> StructureBundle:
-        data = _structure_values(self.embedding, self.normal, list(p.coords))
-        return StructureBundle(
-            phi=np.array([[real_part(x) for x in row] for row in data["phi"]]),
-            u=np.array([real_part(x) for x in data["u"]]),
-            U=np.array([real_part(x) for x in data["U"]]),
-            V=np.array([real_part(x) for x in data["V"]]),
-            v=np.array([real_part(x) for x in data["v"]]),
-            lam=real_part(data["lam"]),
-            g=np.array([[real_part(x) for x in row] for row in data["g"]]),
-            eta_n=real_part(data["eta_n"]),
-            tangency=abs(real_part(data["tangency"])),
-        )
+        """Float induced data at p, from a value-only frame."""
+        return _structure_at(self.embedding.ambient, frame_values(self.normal, p))
 
-    def bundle_at(self, p: Point) -> StructureBundle:
-        """Values plus first partials of every induced field, one dual pass."""
-        m = self.dim
-        data = _structure_values(self.embedding, self.normal, seed(list(p.coords)))
+    def bundle_at(self, p: Point, fj: Optional[FrameJet] = None) -> StructureBundle:
+        """Values plus first partials of every induced field at p.
 
-        def tensor_parts(nested, shape):
-            val = np.empty(shape)
-            der = np.zeros((m,) + shape)
-            for idx in np.ndindex(shape):
-                comp = nested
-                for i in idx:
-                    comp = comp[i]
-                val[idx] = real_part(value_part(comp))
-                for k, gv in enumerate(grad_part(comp, m)):
-                    der[(k,) + idx] = real_part(gv)
-            return val, der
-
-        phi, dphi = tensor_parts(data["phi"], (m, m))
-        u, du = tensor_parts(data["u"], (m,))
-        U, dU = tensor_parts(data["U"], (m,))
-        V, dV = tensor_parts(data["V"], (m,))
-        v, dv = tensor_parts(data["v"], (m,))
-        g, dg = tensor_parts(data["g"], (m, m))
-        lam_val, dlam = _scalar_parts(data["lam"], m)
-
-        return StructureBundle(
-            phi=phi, u=u, U=U, V=V, v=v, lam=lam_val, g=g,
-            eta_n=real_part(value_part(data["eta_n"])),
-            tangency=abs(real_part(value_part(data["tangency"]))),
-            dphi=dphi, du=du, dU=dU, dV=dV, dv=dv,
-            dlam=np.array(dlam), gamma=levi_civita_gamma(g, dg),
-        )
+        ``fj`` passes the frame jet already built at p (for example the
+        one a :class:`GaussWeingartenData` carries); without it one is
+        built here.
+        """
+        if fj is None:
+            fj = frame_jet(self.normal, p)
+        return _structure_at(self.embedding.ambient, fj)
 
 
 def extract_structure(
@@ -217,22 +203,23 @@ def extract_structure(
     max_u = 0.0
     max_tang = 0.0
     max_lam = 0.0
+    extracted: Dict[Point, StructureBundle] = {}
     for p in points:
-        frame = np.column_stack([E.jacobian_at(p), N.components_at(p)])
-        linalg.check_condition(frame, what="extraction frame")
-        data = _structure_values(E, N, list(p.coords))
-        tang = abs(real_part(data["tangency"]))
-        if tang > tangency_tol:
+        fj = frame_values(N, p)
+        linalg.check_condition(fj.frame, what="extraction frame")
+        bd = _structure_at(E.ambient, fj)
+        if bd.tangency > tangency_tol:
             raise TangencyError(
-                f"phi~N has normal coefficient {tang:.3e} > {tangency_tol} at {p.coords}"
+                f"phi~N has normal coefficient {bd.tangency:.3e} > {tangency_tol} at {p.coords}"
             )
-        max_tang = max(max_tang, tang)
-        max_u = max(max_u, max(abs(real_part(x)) for x in data["u"]))
+        max_tang = max(max_tang, bd.tangency)
+        max_u = max(max_u, float(np.max(np.abs(bd.u))))
         if N.scaling is None:
-            max_lam = max(max_lam, abs(real_part(data["lam"]) - real_part(data["eta_n"])))
+            max_lam = max(max_lam, abs(bd.lam - bd.eta_n))
+        extracted[p] = bd
 
     def field_func(key):
-        return lambda coords: _structure_values(E, N, coords)[key]
+        return lambda coords: getattr(_structure_at(E.ambient, frame_values(N, Point(coords))), key)
 
     return InducedStructure(
         embedding=E,
@@ -248,6 +235,7 @@ def extract_structure(
         max_u=max_u,
         tangency_residual=max_tang,
         lambda_consistency=max_lam,
+        extracted=extracted,
     )
 
 
@@ -285,7 +273,7 @@ def sample_states(
         gws = [gauss_weingarten(S.embedding, S.normal, p) for p in points]
     states = []
     for p, gw in zip(points, gws):
-        bd = S.bundle_at(p)
+        bd = S.bundle_at(p, gw.jet)
 
         def cov(value, partials, valence):
             return covariant_derivative_components(value, partials, bd.gamma, valence)
@@ -345,7 +333,9 @@ def verify_algebraic_identities(
         sub[key] = max(sub.get(key, 0.0), float(value))
 
     for p in points:
-        bd = S.values_at(p)
+        bd = S.extracted.get(p)
+        if bd is None:
+            bd = S.values_at(p)
         m = S.dim
         eye = np.eye(m)
         phi, u, U, V, v, lam, g, etaN = bd.phi, bd.u, bd.U, bd.V, bd.v, bd.lam, bd.g, bd.eta_n

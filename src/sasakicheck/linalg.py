@@ -1,24 +1,21 @@
-"""Small dense linear algebra that works on floats and dual numbers.
+"""Small dense linear algebra.
 
-Everything here operates on nested lists so that dual numbers flow
-through unchanged; chart dimensions never exceed a handful, so plain
-Gaussian elimination with partial pivoting (on real parts) is plenty.
+:func:`check_condition` rejects ill-conditioned frames before the engine
+decomposes against them (the solves themselves are ``numpy.linalg``).
+:func:`solve_columns` and :func:`det` are Gaussian elimination on nested
+lists that also carries dual numbers; the engine no longer calls them,
+and they stay because the benchmark's tracer (``perfbench/tracing.py``)
+wraps them by name.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .dual import real_part
 from .errors import IllConditionedFrameError, SingularMetricError
 
 _PIVOT_RTOL = 1e-15
-
-
-def matvec(A, x):
-    return [sum(A[i][j] * x[j] for j in range(len(x))) for i in range(len(A))]
-
-
-def dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
 
 
 def _pivot_scale(A):
@@ -65,10 +62,6 @@ def solve_columns(A, rhs_columns):
     return xs
 
 
-def solve(A, b):
-    return solve_columns(A, [b])[0]
-
-
 def det(A):
     n = len(A)
     rows = [list(r) for r in A]
@@ -95,8 +88,6 @@ def det(A):
 
 def check_condition(mat_float, limit: float = 1e12, what: str = "frame"):
     """Reject float matrices whose condition number exceeds ``limit``."""
-    import numpy as np
-
     c = np.linalg.cond(np.asarray(mat_float, dtype=float))
     if not np.isfinite(c) or c > limit:
         raise IllConditionedFrameError(

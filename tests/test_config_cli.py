@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sasakicheck import Embedding, InducedStructure, hypersurface
+from sasakicheck import Embedding, InducedStructure, hypersurface, linalg
 from sasakicheck.cli import main
 from sasakicheck.config import CHECK_GROUPS, load_suite_config, resolve_config_path
 from sasakicheck.errors import ConfigError
@@ -256,11 +256,34 @@ def test_cli_arithmetic_error_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_nonpositive_normal_scaling_exits_one_without_traceback(tmp_path):
+    body = GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, (s^2 + t^2)/2").replace(
+        "checks = axioms", "checks = gauss_weingarten, structure") + "\n[normal]\nscaling = s\n"
+    path = write_config(tmp_path, body)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sasakicheck", "--config", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: normal scaling 's' must stay positive")
+    assert "Traceback" not in proc.stderr
+
+
 def _per_point_calls(monkeypatch, config):
     """Run the suite and count, per chart point, Gauss-Weingarten
-    decompositions, structure bundles and embedding Hessians, wherever the
-    engine looks them up."""
-    calls = {"gauss_weingarten": 0, "bundle_at": 0, "hessian_at": 0}
+    decompositions, structure bundles, embedding Hessians, frame jets,
+    value-only frames, ``values_at`` calls and dual eliminations, wherever
+    the engine looks them up."""
+    functions = {"gauss_weingarten": hypersurface.gauss_weingarten,
+                 "frame_jet": hypersurface.frame_jet,
+                 "frame_values": hypersurface.frame_values,
+                 "linalg.det": linalg.det,
+                 "linalg.solve_columns": linalg.solve_columns}
+    methods = {"bundle_at": (InducedStructure, "bundle_at"),
+               "values_at": (InducedStructure, "values_at"),
+               "hessian_at": (Embedding, "hessian_at")}
+    calls = dict.fromkeys([*functions, *methods], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -268,16 +291,15 @@ def _per_point_calls(monkeypatch, config):
             return fn(*args, **kwargs)
         return wrapper
 
-    original = hypersurface.gauss_weingarten
-    wrapped = counted("gauss_weingarten", original)
-    for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "sasakicheck":
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, wrapped)
-    monkeypatch.setattr(InducedStructure, "bundle_at",
-                        counted("bundle_at", InducedStructure.bundle_at))
-    monkeypatch.setattr(Embedding, "hessian_at", counted("hessian_at", Embedding.hessian_at))
+    for name, original in functions.items():
+        wrapped = counted(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "sasakicheck":
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapped)
+    for name, (cls, attr) in methods.items():
+        monkeypatch.setattr(cls, attr, counted(name, getattr(cls, attr)))
     run_suite(config)
     return {k: v / config.count for k, v in calls.items()}
 
@@ -287,7 +309,9 @@ def test_run_suite_builds_each_point_once(monkeypatch):
     config.checks = list(CHECK_GROUPS)
     config.count = 10
     assert _per_point_calls(monkeypatch, config) == {
-        "gauss_weingarten": 1.0, "bundle_at": 1.0, "hessian_at": 1.0}
+        "gauss_weingarten": 1.0, "bundle_at": 1.0, "hessian_at": 1.0,
+        "frame_jet": 1.0, "frame_values": 1.0, "values_at": 0.0,
+        "linalg.det": 0.0, "linalg.solve_columns": 0.0}
 
 
 @pytest.mark.parametrize("checks,gw_per_point", [
@@ -298,8 +322,12 @@ def test_per_point_data_built_only_for_groups_that_read_it(monkeypatch, checks, 
     config = load_suite_config(CONFIGS / "plane_r3.cfg")
     config.checks = checks
     config.count = 10
+    # structure extraction builds one value-only frame per point
+    values_per_point = 1.0 if "structure" in checks else 0.0
     assert _per_point_calls(monkeypatch, config) == {
-        "gauss_weingarten": gw_per_point, "bundle_at": 0.0, "hessian_at": gw_per_point}
+        "gauss_weingarten": gw_per_point, "bundle_at": 0.0, "hessian_at": gw_per_point,
+        "frame_jet": gw_per_point, "frame_values": values_per_point, "values_at": 0.0,
+        "linalg.det": 0.0, "linalg.solve_columns": 0.0}
 
 
 @pytest.mark.parametrize("name", ["plane_r3", "quadric_r3", "plane_r5", "quadric_r3_scaled"])

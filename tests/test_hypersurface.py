@@ -5,9 +5,11 @@ import pytest
 
 from sasakicheck import (
     Embedding,
+    MetricField,
     NormalField,
     ScalarField,
     SimpleAmbient,
+    TensorField,
     euclidean_metric,
     gauss_weingarten,
     induced_metric,
@@ -15,7 +17,7 @@ from sasakicheck import (
     unit_normal,
 )
 from sasakicheck.dual import cos, exp, sin
-from sasakicheck.errors import RankDeficientError
+from sasakicheck.errors import RankDeficientError, SingularMetricError
 from sasakicheck.fields import Point as P
 from sasakicheck.hypersurface import reconstruction_residuals
 from sasakicheck.connection import christoffel
@@ -211,6 +213,16 @@ def test_rank_deficient_embedding_rejected(euclid3):
     E = Embedding(2, euclid3, lambda c: [c[0], c[0], 0.0])
     with pytest.raises(RankDeficientError):
         unit_normal(E, P([0.2, 0.2]))
+
+
+def test_singular_ambient_metric_rejected():
+    degenerate = MetricField(TensorField((0, 2), 3, lambda c: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                              [0.0, 0.0, 0.0]]))
+    E = Embedding(2, SimpleAmbient(3, degenerate), lambda c: [c[0], c[1], 0.0])
+    with pytest.raises(SingularMetricError):
+        unit_normal(E, P([0.2, 0.2]))
+    with pytest.raises(SingularMetricError):
+        gauss_weingarten(E, NormalField(E), P([0.2, 0.2]))
 
 
 def test_wrong_output_arity_rejected(euclid3):

@@ -83,7 +83,7 @@ def _check_normal_partials(N, pts):
     for p in pts:
         gw = gauss_weingarten(E, N, p)
         gamma = christoffel(E.ambient_metric, E.point_image(p)).gamma
-        dN = gw.DN - np.einsum("ijk,ja,k->ia", gamma, gw.jacobian, gw.normal)
+        dN = gw.DN - np.einsum("ijk,ja,k->ia", gamma, E.jacobian_at(p), gw.normal)
         err = float(np.max(np.abs(dN.T - _fd_normal(N, p))))
         assert err <= TOL, (p.coords, err)
 
