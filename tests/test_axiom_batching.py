@@ -39,7 +39,9 @@ def _per_key_max(dicts):
 @pytest.mark.parametrize("n", [1, 2])
 def test_axiom_residuals_equal_max_over_single_points(n, count):
     S = standard_sasakian(n)
-    pts, dirs = _samples(S.dim, count, seed=100 * n + count)
+    # at n = 2, P = 400 this draw is one where summing nabla phi from a
+    # strided (non-C-contiguous) stack changes the eq 1.6 maximum
+    pts, dirs = _samples(S.dim, count, seed=1004)
     whole = check_sasakian_axioms(S, pts, dirs)
     singles = [check_sasakian_axioms(S, [p], dirs).residuals for p in pts]
     assert whole.residuals == _per_key_max(singles)
