@@ -19,11 +19,14 @@ from .connection import (
 from .fields import (
     Jet,
     Point,
+    PointStack,
     ScalarField,
     TensorField,
     evaluate,
+    evaluate_stack,
     fd_derivative,
     jet,
+    jet_stack,
 )
 from .hypersurface import (
     Embedding,
@@ -76,6 +79,7 @@ __all__ = [
     "MetricField",
     "NormalField",
     "Point",
+    "PointStack",
     "PointwiseModel",
     "SampleState",
     "ScalarField",
@@ -91,12 +95,14 @@ __all__ = [
     "covariant_derivative_vector",
     "euclidean_metric",
     "evaluate",
+    "evaluate_stack",
     "extract_structure",
     "fd_derivative",
     "fundamental_two_form",
     "gauss_weingarten",
     "induced_metric",
     "jet",
+    "jet_stack",
     "make_pointwise_model",
     "parallel_residual",
     "sample_states",

@@ -3,7 +3,9 @@
 The connection is always the Levi-Civita connection of the supplied
 metric; Christoffel symbols come from dual-number jets of the metric
 components, with a finite-difference path kept as an independent
-oracle.
+oracle.  ``levi_civita_gamma`` and ``covariant_derivative_components``
+accept leading point axes, so the same formulas serve one point and a
+stack of P points (``christoffel_stack``).
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from .errors import SingularMetricError, UnsupportedValenceError
 from .fields import (
     DEFAULT_FD_STEP,
     Point,
+    PointStack,
     TensorField,
     evaluate,
     fd_derivative,
     jet,
+    jet_stack,
 )
 
 DET_FLOOR = 1e-12
@@ -42,8 +46,7 @@ class MetricField:
 
     def inverse(self, p: Point) -> np.ndarray:
         g = self.components(p)
-        if abs(np.linalg.det(g)) < DET_FLOOR:
-            raise SingularMetricError(f"metric determinant below {DET_FLOOR} at {p.coords}")
+        _require_nonsingular(g[None], [p])
         return np.linalg.inv(g)
 
 
@@ -89,37 +92,53 @@ def christoffel(
         jt = fd_derivative(metric.tensor, p, step=step)
     else:
         raise ValueError(f"unknown differentiation method {method!r}")
-    g = jt.value
-    if abs(np.linalg.det(g)) < DET_FLOOR:
-        raise SingularMetricError(f"metric determinant below {DET_FLOOR} at {p.coords}")
-    return ChristoffelSymbols(point=p, gamma=levi_civita_gamma(g, jt.partials))
+    _require_nonsingular(jt.value[None], [p])
+    return ChristoffelSymbols(point=p, gamma=levi_civita_gamma(jt.value, jt.partials))
+
+
+def christoffel_stack(metric: MetricField, stack: PointStack) -> np.ndarray:
+    """Gamma[p, k, i, j] at every point of a stack, from one stacked metric jet."""
+    jt = jet_stack(metric.tensor, stack)
+    _require_nonsingular(jt.value, stack.points)
+    return levi_civita_gamma(jt.value, jt.partials)
+
+
+def _require_nonsingular(g: np.ndarray, points) -> None:
+    """SingularMetricError for the first point whose metric g[p] is (nearly) singular."""
+    small = np.flatnonzero(np.abs(np.linalg.det(g)) < DET_FLOOR)
+    if small.size:
+        raise SingularMetricError(
+            f"metric determinant below {DET_FLOOR} at {points[int(small[0])].coords}"
+        )
 
 
 def levi_civita_gamma(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma[k, i, j] from metric values g and partials dg[i, j, l] = d_i g_jl."""
-    term = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
-    return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(g), term)
+    """Gamma[..., k, i, j] from metric values g[..., j, l] and partials
+    dg[..., i, j, l] = d_i g_jl; leading axes index points."""
+    term = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", np.linalg.inv(g), term)
 
 
 def covariant_derivative_components(
     value: np.ndarray, partials: np.ndarray, gamma: np.ndarray, valence: tuple
 ) -> np.ndarray:
-    """Full covariant derivative array; axis 0 is the derivative index."""
+    """Full covariant derivative array; the first axis after any leading
+    point axes is the derivative index."""
     if valence == (1, 0):
-        return partials + np.einsum("aij,j->ia", gamma, value)
+        return partials + np.einsum("...aij,...j->...ia", gamma, value)
     if valence == (0, 1):
-        return partials - np.einsum("mia,m->ia", gamma, value)
+        return partials - np.einsum("...mia,...m->...ia", gamma, value)
     if valence == (1, 1):
         return (
             partials
-            + np.einsum("aim,mb->iab", gamma, value)
-            - np.einsum("mib,am->iab", gamma, value)
+            + np.einsum("...aim,...mb->...iab", gamma, value)
+            - np.einsum("...mib,...am->...iab", gamma, value)
         )
     if valence == (0, 2):
         return (
             partials
-            - np.einsum("mia,mb->iab", gamma, value)
-            - np.einsum("mib,am->iab", gamma, value)
+            - np.einsum("...mia,...mb->...iab", gamma, value)
+            - np.einsum("...mib,...am->...iab", gamma, value)
         )
     raise UnsupportedValenceError(f"unsupported tensor valence {valence}")
 

@@ -8,12 +8,19 @@ without a separate engine.
 
 Field component functions are ordinary Python closures written with
 ``+ - * / **`` and the generic ``exp/log/sin/cos/sqrt`` below, so the
-same closure evaluates on floats and on duals.
+same closure evaluates on floats and on duals.  The contract is
+elementwise: a closure must also accept numpy arrays of coordinates
+(one entry per sample point), and duals whose values and gradient
+entries are such arrays, and give the stack of its per-point results.
+Floats keep the ``math`` functions, arrays use the numpy ones with the
+same domain errors.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "Dual",
@@ -28,11 +35,13 @@ __all__ = [
     "sqrt",
 ]
 
-_SCALARS = (int, float)
+_OPERANDS = (int, float, np.ndarray)
 
 
 class Dual:
     __slots__ = ("val", "grad")
+    # numpy defers to the reflected Dual operators instead of building object arrays
+    __array_ufunc__ = None
 
     def __init__(self, val, grad):
         self.val = val
@@ -49,7 +58,7 @@ class Dual:
         return Dual(other, (0.0,) * len(self.grad))
 
     def __add__(self, other):
-        if not isinstance(other, (Dual, *_SCALARS)):
+        if not isinstance(other, (Dual, *_OPERANDS)):
             return NotImplemented
         o = self._coerce(other)
         return Dual(self.val + o.val, tuple(a + b for a, b in zip(self.grad, o.grad)))
@@ -57,7 +66,7 @@ class Dual:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (Dual, *_SCALARS)):
+        if not isinstance(other, (Dual, *_OPERANDS)):
             return NotImplemented
         o = self._coerce(other)
         return Dual(self.val - o.val, tuple(a - b for a, b in zip(self.grad, o.grad)))
@@ -67,7 +76,7 @@ class Dual:
         return Dual(o.val - self.val, tuple(a - b for a, b in zip(o.grad, self.grad)))
 
     def __mul__(self, other):
-        if not isinstance(other, (Dual, *_SCALARS)):
+        if not isinstance(other, (Dual, *_OPERANDS)):
             return NotImplemented
         o = self._coerce(other)
         return Dual(
@@ -78,10 +87,10 @@ class Dual:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, (Dual, *_SCALARS)):
+        if not isinstance(other, (Dual, *_OPERANDS)):
             return NotImplemented
         o = self._coerce(other)
-        if real_part(o.val) == 0.0:
+        if _any(_innermost(o.val) == 0.0):
             raise ZeroDivisionError("division by a dual number with zero real part")
         inv = 1.0 / o.val if not isinstance(o.val, Dual) else _reciprocal(o.val)
         q = self.val * inv
@@ -105,9 +114,26 @@ class Dual:
         return f"Dual({self.val!r}, {self.grad!r})"
 
 
+def _innermost(x):
+    """``x`` with all dual layers stripped: a float or an array."""
+    while isinstance(x, Dual):
+        x = x.val
+    return x
+
+
+def _any(mask) -> bool:
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _check_domain(x, bad, message: str) -> None:
+    """ValueError with ``message`` naming the first entry of ``x`` where ``bad`` holds."""
+    if _any(bad):
+        raise ValueError(message.format(float(x[bad].flat[0]) if isinstance(x, np.ndarray) else x))
+
+
 def _reciprocal(x):
     if isinstance(x, Dual):
-        if real_part(x.val) == 0.0:
+        if _any(_innermost(x.val) == 0.0):
             raise ZeroDivisionError("division by a dual number with zero real part")
         r = _reciprocal(x.val)
         return Dual(r, tuple(-(g * r) * r for g in x.grad))
@@ -127,9 +153,7 @@ def _ipow(x, n):
 
 def real_part(x) -> float:
     """Strip all dual layers and return the underlying float."""
-    while isinstance(x, Dual):
-        x = x.val
-    return float(x)
+    return float(_innermost(x))
 
 
 def value_part(x):
@@ -160,42 +184,40 @@ def exp(x):
     if isinstance(x, Dual):
         e = exp(x.val)
         return Dual(e, tuple(e * g for g in x.grad))
-    return math.exp(x)
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def log(x):
     if isinstance(x, Dual):
-        if real_part(x.val) <= 0.0:
-            raise ValueError(f"log domain error: real part {real_part(x.val)} <= 0")
+        r = _innermost(x.val)
+        _check_domain(r, r <= 0.0, "log domain error: real part {} <= 0")
         v = log(x.val)
         inv = _reciprocal(x.val)
         return Dual(v, tuple(inv * g for g in x.grad))
-    if x <= 0.0:
-        raise ValueError(f"log domain error: input must be > 0, got {x}")
-    return math.log(x)
+    _check_domain(x, x <= 0.0, "log domain error: input must be > 0, got {}")
+    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
 
 
 def sin(x):
     if isinstance(x, Dual):
         c = cos(x.val)
         return Dual(sin(x.val), tuple(c * g for g in x.grad))
-    return math.sin(x)
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         s = sin(x.val)
         return Dual(cos(x.val), tuple(-(s * g) for g in x.grad))
-    return math.cos(x)
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
-        if real_part(x.val) <= 0.0:
-            raise ValueError(f"sqrt domain error: real part {real_part(x.val)} <= 0")
+        r = _innermost(x.val)
+        _check_domain(r, r <= 0.0, "sqrt domain error: real part {} <= 0")
         s = sqrt(x.val)
         half_inv = 0.5 * _reciprocal(s)
         return Dual(s, tuple(half_inv * g for g in x.grad))
-    if x < 0.0:
-        raise ValueError(f"sqrt domain error: input must be >= 0, got {x}")
-    return math.sqrt(x)
+    _check_domain(x, x < 0.0, "sqrt domain error: input must be >= 0, got {}")
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)

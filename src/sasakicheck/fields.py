@@ -6,6 +6,16 @@ component function receives a list of coordinate values (floats or
 scalar) of components.  Differentiation happens by feeding seeded duals
 through the same closure; central finite differences provide an
 independent second route for cross checking.
+
+Component functions are elementwise.  :func:`evaluate_stack` and
+:func:`jet_stack` call the closure once for a whole :class:`PointStack`
+of P points: each coordinate is a numpy column of shape (P,), or a dual
+seeded on those columns, and each component comes back as such a
+column or as a constant, which is broadcast to (P,).  Results carry the
+point axis first.  Overflow inside a closure gives a non-finite
+component, on a stack as on Python floats, and is reported naming the
+first offending point; on a stack a division by zero does the same
+instead of raising ``ZeroDivisionError``.
 """
 
 from __future__ import annotations
@@ -43,6 +53,27 @@ class Point:
         c = list(self.coords)
         c[k] += delta
         return Point(c)
+
+
+class PointStack:
+    """P points of one chart, with each coordinate as a contiguous (P,) column.
+
+    Built once and shared by every field evaluated on the same points.
+    """
+
+    def __init__(self, points: Sequence[Point], dim: int):
+        for p in points:
+            if p.dim != dim:
+                raise DimensionMismatchError(
+                    f"point of dimension {p.dim} in a stack of {dim}-dimensional points"
+                )
+        self.points = list(points)
+        self.dim = dim
+        coords = np.array([p.coords for p in points], dtype=float).reshape(len(points), dim)
+        self.columns = list(np.ascontiguousarray(coords.T))
+
+    def __len__(self) -> int:
+        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -120,6 +151,63 @@ def evaluate(fld, p: Point) -> np.ndarray:
             f"non-finite component at index {idx} of field evaluated at {p.coords}"
         )
     return out if shape else out[()]
+
+
+def _check_stack(fld, stack: PointStack) -> None:
+    if stack.dim != fld.dim:
+        raise DimensionMismatchError(
+            f"points of dimension {stack.dim} fed to a field on a {fld.dim}-dimensional chart"
+        )
+
+
+def _stacked(raw, shape: tuple, count: int, leaf) -> np.ndarray:
+    """Components of a closure's nested output as one (P, *shape) array."""
+    out = np.empty((count,) + shape, dtype=float)
+    for idx in np.ndindex(shape):
+        out[(slice(None),) + idx] = leaf(_component(raw, idx))
+    return out
+
+
+def evaluate_stack(fld, stack: PointStack) -> np.ndarray:
+    """``evaluate`` at every point of a stack in one closure call.
+
+    Returns an array of shape (P, *fld.shape); a non-finite component
+    raises :class:`NonFiniteValueError` for the first such point, as
+    ``evaluate`` would there.
+    """
+    _check_stack(fld, stack)
+    with np.errstate(all="ignore"):
+        out = _stacked(fld.func(list(stack.columns)), fld.shape, len(stack), lambda c: c)
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        i, idx = int(bad[0][0]), tuple(int(k) for k in bad[0][1:])
+        raise NonFiniteValueError(
+            f"non-finite component at index {idx} of field evaluated at {stack.points[i].coords}"
+        )
+    return out
+
+
+def jet_stack(fld, stack: PointStack) -> Jet:
+    """First-order ``jet`` at every point of a stack in one dual pass.
+
+    ``value`` has shape (P, *fld.shape) and ``partials`` (P, dim,
+    *fld.shape), with ``partials[p, k]`` the derivative along coordinate k.
+    """
+    _check_stack(fld, stack)
+    d, shape, count = fld.dim, fld.shape, len(stack)
+    coords = seed(stack.columns)
+    with np.errstate(all="ignore"):
+        raw = fld.func(coords)
+        value = _stacked(raw, shape, count, value_part)
+        partials = np.empty((count, d) + shape, dtype=float)
+        for k in range(d):
+            partials[:, k] = _stacked(raw, shape, count, lambda c: grad_part(c, d)[k])
+    finite = (np.isfinite(value).all(axis=tuple(range(1, value.ndim)))
+              & np.isfinite(partials).all(axis=tuple(range(1, partials.ndim))))
+    if not finite.all():
+        bad = stack.points[int(np.argmin(finite))]
+        raise NonFiniteValueError(f"non-finite jet of field at {bad.coords}")
+    return Jet(value=value, partials=partials)
 
 
 def jet(fld, p: Point, order: int = 1) -> Jet:

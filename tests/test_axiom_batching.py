@@ -3,7 +3,9 @@
 Run on a whole point list, ``check_sasakian_axioms`` and
 ``two_form_residuals`` must return, bit for bit, the per-key maximum of
 the same checks run one point at a time, and they must raise the same
-errors, naming the first offending sample.
+errors, naming the first offending sample.  The stacked field
+evaluators they stand on must match the one-point ``evaluate``/``jet``
+exactly.
 """
 
 import re
@@ -16,12 +18,20 @@ from sasakicheck import (
     AlmostContactMetricStructure,
     MetricField,
     Point,
+    PointStack,
+    ScalarField,
     TensorField,
     check_sasakian_axioms,
+    dual,
+    evaluate,
+    evaluate_stack,
+    fundamental_two_form,
+    jet,
+    jet_stack,
     standard_sasakian,
 )
-from sasakicheck.connection import DET_FLOOR
-from sasakicheck.errors import NonFiniteValueError, SingularMetricError
+from sasakicheck.connection import DET_FLOOR, christoffel, christoffel_stack
+from sasakicheck.errors import DimensionMismatchError, NonFiniteValueError, SingularMetricError
 from sasakicheck.sampling import sample_direction_fields, sample_points
 from sasakicheck.sasakian import two_form_residuals
 
@@ -109,3 +119,63 @@ def test_degenerate_metric_names_first_singular_point(n):
         warnings.simplefilter("error")
         with pytest.raises(SingularMetricError, match=re.escape(message)):
             check_sasakian_axioms(_with(S, g=g), pts, dirs)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_fields_equal_per_point_fields(n):
+    S = standard_sasakian(n)
+    pts, _ = _samples(S.dim, 50, seed=21)
+    stack = PointStack(pts, S.dim)
+    for f in (S.phi, S.xi, S.eta, S.g.tensor, fundamental_two_form(S)):
+        values = evaluate_stack(f, stack)
+        jt = jet_stack(f, stack)
+        assert values.shape == jt.value.shape == (50,) + f.shape
+        assert jt.partials.shape == (50, S.dim) + f.shape
+        for i, p in enumerate(pts):
+            one = jet(f, p)
+            assert (values[i] == evaluate(f, p)).all()
+            assert (jt.value[i] == one.value).all()
+            assert (jt.partials[i] == one.partials).all()
+    gamma = christoffel_stack(S.g, stack)
+    for i, p in enumerate(pts):
+        assert (gamma[i] == christoffel(S.g, p).gamma).all()
+
+
+def test_stacked_constant_and_scalar_fields_broadcast():
+    pts, _ = _samples(3, 4, seed=22)
+    stack = PointStack(pts, 3)
+    vec = evaluate_stack(TensorField((1, 0), 3, lambda c: [1.0, c[0], 2.0]), stack)
+    np.testing.assert_array_equal(vec[:, 0], np.ones(4))
+    np.testing.assert_array_equal(vec[:, 1], [p.coords[0] for p in pts])
+    jt = jet_stack(ScalarField(3, lambda c: c[0] * c[1]), stack)
+    assert jt.value.shape == (4,) and jt.partials.shape == (4, 3)
+    np.testing.assert_array_equal(jt.partials[:, 2], np.zeros(4))
+    np.testing.assert_array_equal(jt.partials[:, 0], [p.coords[1] for p in pts])
+
+
+def test_stack_dimensions_checked():
+    with pytest.raises(DimensionMismatchError):
+        PointStack([Point([0.0, 0.0, 0.0]), Point([0.0, 0.0])], 3)
+    stack = PointStack([Point([0.0, 0.0])], 2)
+    with pytest.raises(DimensionMismatchError):
+        evaluate_stack(standard_sasakian(1).eta, stack)
+    with pytest.raises(DimensionMismatchError):
+        jet_stack(standard_sasakian(1).eta, stack)
+
+
+def test_stacked_jet_names_first_non_finite_point():
+    pts = [Point([0.5, 1.0]), Point([5.0, 1.0]), Point([-6.0, 1.0])]
+    f = ScalarField(2, lambda c: _blowup(c[0]) * c[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValueError, match=re.escape(f"at {pts[1].coords}")):
+            jet_stack(f, PointStack(pts, 2))
+
+
+def test_structure_with_exp_factor_batches_like_the_standard_one(sasaki3):
+    S = sasaki3
+    # exp(0) = 1 on floats and on arrays, so eta is unchanged
+    eta = TensorField((0, 1), 3, lambda c: [e * dual.exp(c[0] - c[0]) for e in S.eta.func(c)])
+    pts, dirs = _samples(3, 50, seed=23)
+    assert (check_sasakian_axioms(_with(S, eta=eta), pts, dirs).residuals
+            == check_sasakian_axioms(S, pts, dirs).residuals)

@@ -94,3 +94,56 @@ def test_random_polynomial_matches_finite_differences():
 def test_mixed_gradient_lengths_rejected():
     with pytest.raises(ValueError):
         Dual(1.0, (1.0,)) + Dual(1.0, (1.0, 0.0))
+
+
+_ELEMENTARY = [(dual.exp, math.exp), (dual.log, math.log), (dual.sin, math.sin),
+               (dual.cos, math.cos), (dual.sqrt, math.sqrt)]
+
+
+@pytest.mark.parametrize("f, scalar", _ELEMENTARY)
+def test_elementary_functions_accept_arrays(f, scalar):
+    x = np.array([0.25, 0.5, 1.5, 3.0])
+    out = f(x)
+    assert isinstance(out, np.ndarray) and out.shape == x.shape
+    np.testing.assert_allclose(out, [scalar(v) for v in x], rtol=1e-15)
+    # floats keep the math functions, bit for bit
+    assert type(f(0.5)) is float and f(0.5) == scalar(0.5)
+
+
+@pytest.mark.parametrize("f, scalar", _ELEMENTARY)
+def test_elementary_functions_on_array_duals_match_per_point(f, scalar):
+    x = np.array([0.25, 0.5, 1.5])
+    t = Dual(x, (np.ones(3), 2.0))
+    out = f(t)
+    for i, v in enumerate(x):
+        one = f(Dual(float(v), (1.0, 2.0)))
+        assert out.val[i] == pytest.approx(one.val, rel=1e-15)
+        assert out.grad[0][i] == pytest.approx(one.grad[0], rel=1e-15)
+        assert out.grad[1][i] == pytest.approx(one.grad[1], rel=1e-15)
+
+
+@pytest.mark.parametrize("f, name", [(dual.log, "log"), (dual.sqrt, "sqrt")])
+def test_array_domain_errors_name_first_bad_entry(f, name):
+    with pytest.raises(ValueError, match=rf"{name} domain error: input must be .* got -2\.0"):
+        f(np.array([1.0, -2.0, -3.0]))
+    with pytest.raises(ValueError, match=rf"{name} domain error: real part -2\.0 <= 0"):
+        f(Dual(np.array([1.0, -2.0, -3.0]), (1.0,)))
+
+
+def test_array_duals_divide_like_per_point_duals():
+    x = Dual(np.array([1.0, 2.0]), (1.0, 0.0))
+    y = Dual(np.array([3.0, -4.0]), (0.0, 1.0))
+    q = x / y
+    for i in range(2):
+        one = Dual(float(x.val[i]), (1.0, 0.0)) / Dual(float(y.val[i]), (0.0, 1.0))
+        assert q.val[i] == one.val and (q.grad[0][i], q.grad[1][i]) == one.grad
+    with pytest.raises(ZeroDivisionError):
+        x / Dual(np.array([1.0, 0.0]), (0.0, 1.0))
+
+
+def test_arrays_combine_with_duals_from_either_side():
+    t = Dual(np.array([1.0, 2.0]), (1.0,))
+    for out in (np.array([3.0, 4.0]) * t, t * np.array([3.0, 4.0])):
+        assert isinstance(out, Dual)
+        np.testing.assert_array_equal(out.val, [3.0, 8.0])
+        np.testing.assert_array_equal(out.grad[0], [3.0, 4.0])
