@@ -28,8 +28,6 @@ from .fields import (
 
 DET_FLOOR = 1e-12
 
-SUPPORTED_VALENCES = ((1, 0), (0, 1), (1, 1), (0, 2))
-
 
 @dataclass(frozen=True)
 class MetricField:
@@ -43,11 +41,6 @@ class MetricField:
 
     def components(self, p: Point) -> np.ndarray:
         return evaluate(self.tensor, p)
-
-    def inverse(self, p: Point) -> np.ndarray:
-        g = self.components(p)
-        _require_nonsingular(g[None], [p])
-        return np.linalg.inv(g)
 
 
 @dataclass(frozen=True)
@@ -92,18 +85,18 @@ def christoffel(
         jt = fd_derivative(metric.tensor, p, step=step)
     else:
         raise ValueError(f"unknown differentiation method {method!r}")
-    _require_nonsingular(jt.value[None], [p])
+    require_nonsingular(jt.value[None], [p])
     return ChristoffelSymbols(point=p, gamma=levi_civita_gamma(jt.value, jt.partials))
 
 
 def christoffel_stack(metric: MetricField, stack: PointStack) -> np.ndarray:
     """Gamma[p, k, i, j] at every point of a stack, from one stacked metric jet."""
     jt = jet_stack(metric.tensor, stack)
-    _require_nonsingular(jt.value, stack.points)
+    require_nonsingular(jt.value, stack.points)
     return levi_civita_gamma(jt.value, jt.partials)
 
 
-def _require_nonsingular(g: np.ndarray, points) -> None:
+def require_nonsingular(g: np.ndarray, points) -> None:
     """SingularMetricError for the first point whose metric g[p] is (nearly) singular."""
     small = np.flatnonzero(np.abs(np.linalg.det(g)) < DET_FLOOR)
     if small.size:

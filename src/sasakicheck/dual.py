@@ -13,7 +13,10 @@ elementwise: a closure must also accept numpy arrays of coordinates
 (one entry per sample point), and duals whose values and gradient
 entries are such arrays, and give the stack of its per-point results.
 Floats keep the ``math`` functions, arrays use the numpy ones with the
-same domain errors.
+same domain errors.  ``exp`` is the exception: numpy's ``exp`` rounds
+differently from libm's in a few percent of inputs, so on arrays it
+applies ``math.exp`` entry by entry, and a stack of points gets the bits
+(and the ``OverflowError``) each point would get alone.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ import numpy as np
 __all__ = [
     "Dual",
     "real_part",
+    "innermost",
     "value_part",
     "grad_part",
     "seed",
+    "take",
     "exp",
     "log",
     "sin",
@@ -90,7 +95,7 @@ class Dual:
         if not isinstance(other, (Dual, *_OPERANDS)):
             return NotImplemented
         o = self._coerce(other)
-        if _any(_innermost(o.val) == 0.0):
+        if _any(innermost(o.val) == 0.0):
             raise ZeroDivisionError("division by a dual number with zero real part")
         inv = 1.0 / o.val if not isinstance(o.val, Dual) else _reciprocal(o.val)
         q = self.val * inv
@@ -114,7 +119,7 @@ class Dual:
         return f"Dual({self.val!r}, {self.grad!r})"
 
 
-def _innermost(x):
+def innermost(x):
     """``x`` with all dual layers stripped: a float or an array."""
     while isinstance(x, Dual):
         x = x.val
@@ -133,7 +138,7 @@ def _check_domain(x, bad, message: str) -> None:
 
 def _reciprocal(x):
     if isinstance(x, Dual):
-        if _any(_innermost(x.val) == 0.0):
+        if _any(innermost(x.val) == 0.0):
             raise ZeroDivisionError("division by a dual number with zero real part")
         r = _reciprocal(x.val)
         return Dual(r, tuple(-(g * r) * r for g in x.grad))
@@ -153,7 +158,7 @@ def _ipow(x, n):
 
 def real_part(x) -> float:
     """Strip all dual layers and return the underlying float."""
-    return float(_innermost(x))
+    return float(innermost(x))
 
 
 def value_part(x):
@@ -180,16 +185,25 @@ def seed(coords):
     ]
 
 
+def take(x, i: int):
+    """``x`` at point i of a stack: each array in it replaced by its entry i."""
+    if isinstance(x, Dual):
+        return Dual(take(x.val, i), tuple(take(g, i) for g in x.grad))
+    return float(x[i]) if isinstance(x, np.ndarray) else x
+
+
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.val)
         return Dual(e, tuple(e * g for g in x.grad))
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return math.exp(x)
 
 
 def log(x):
     if isinstance(x, Dual):
-        r = _innermost(x.val)
+        r = innermost(x.val)
         _check_domain(r, r <= 0.0, "log domain error: real part {} <= 0")
         v = log(x.val)
         inv = _reciprocal(x.val)
@@ -214,7 +228,7 @@ def cos(x):
 
 def sqrt(x):
     if isinstance(x, Dual):
-        r = _innermost(x.val)
+        r = innermost(x.val)
         _check_domain(r, r <= 0.0, "sqrt domain error: real part {} <= 0")
         s = sqrt(x.val)
         half_inv = 0.5 * _reciprocal(s)

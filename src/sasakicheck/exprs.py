@@ -3,13 +3,18 @@
 Supported: ``+ - * / ^<integer>``, parentheses, ``exp``, ``sin``,
 ``cos``, numeric literals and declared variable names.  Expressions
 compile to closures over a coordinate list, dual-compatible, so
-everything built from them can be differentiated.
+everything built from them can be differentiated.  They are elementwise
+(see :mod:`sasakicheck.fields`): the coordinates may be numpy columns of
+a point stack, or duals over them, and a failure on a stack names the
+first point that fails alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
+
+import numpy as np
 
 from . import dual
 from .errors import EvaluationError, ExprParseError
@@ -27,7 +32,15 @@ class Expr:
         try:
             return self.fn(coords)
         except (ArithmeticError, ValueError) as exc:
-            at = [dual.real_part(c) for c in coords]
+            columns = [x for x in map(dual.innermost, coords) if isinstance(x, np.ndarray)]
+            if columns:
+                # a stack: rerun point by point, so the message is the one
+                # the first failing point gives alone
+                for i in range(len(columns[0])):
+                    self([dual.take(c, i) for c in coords])
+                at = f"a stack of {len(columns[0])} points"
+            else:
+                at = [dual.real_part(c) for c in coords]
             raise EvaluationError(f"expression {self.text!r} failed at {at}: {exc}") from exc
 
 

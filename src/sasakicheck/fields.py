@@ -12,10 +12,15 @@ Component functions are elementwise.  :func:`evaluate_stack` and
 of P points: each coordinate is a numpy column of shape (P,), or a dual
 seeded on those columns, and each component comes back as such a
 column or as a constant, which is broadcast to (P,).  Results carry the
-point axis first.  Overflow inside a closure gives a non-finite
-component, on a stack as on Python floats, and is reported naming the
-first offending point; on a stack a division by zero does the same
-instead of raising ``ZeroDivisionError``.
+point axis first.  An overflowing product inside a closure gives a
+non-finite component, on a stack as on Python floats, and is reported
+naming the first offending point; on a stack of plain columns a
+division by zero does the same instead of raising ``ZeroDivisionError``.
+``dual.exp`` applies ``math.exp`` to every entry of an array, so its
+bits and its ``OverflowError`` are those of each point alone.  The
+embedding map goes through the same contract: the frame layer
+(:mod:`sasakicheck.hypersurface`) seeds the chart columns twice and
+reads every image, Jacobian and Hessian from one nested dual pass.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ class PointStack:
     """P points of one chart, with each coordinate as a contiguous (P,) column.
 
     Built once and shared by every field evaluated on the same points.
+    ``coords`` holds the points as (P, dim) rows.  A stack made by
+    :meth:`of_rows` builds its :class:`Point` objects only when
+    ``points`` is read.
     """
 
     def __init__(self, points: Sequence[Point], dim: int):
@@ -67,13 +75,37 @@ class PointStack:
                 raise DimensionMismatchError(
                     f"point of dimension {p.dim} in a stack of {dim}-dimensional points"
                 )
-        self.points = list(points)
+        self._points = list(points)
         self.dim = dim
-        coords = np.array([p.coords for p in points], dtype=float).reshape(len(points), dim)
-        self.columns = list(np.ascontiguousarray(coords.T))
+        self.coords = np.array([p.coords for p in points], dtype=float).reshape(len(points), dim)
+        self.columns = list(np.ascontiguousarray(self.coords.T))
+
+    @classmethod
+    def of_rows(cls, coords: np.ndarray) -> "PointStack":
+        """A stack of the finite (P, dim) rows of ``coords``."""
+        stack = cls.__new__(cls)
+        stack._points = None
+        stack.dim = coords.shape[1]
+        stack.coords = coords
+        stack.columns = list(np.ascontiguousarray(coords.T))
+        return stack
+
+    @property
+    def points(self) -> list:
+        if self._points is None:
+            self._points = [Point(row) for row in self.coords]
+        return self._points
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.coords)
+
+    def reject(self, bad: np.ndarray, error: type, describe: Callable) -> None:
+        """Raise ``error(describe(i, point))`` for the first point i where the
+        (P,) mask ``bad`` is set."""
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            i = int(hits[0])
+            raise error(describe(i, self.points[i]))
 
 
 @dataclass(frozen=True)
@@ -204,9 +236,7 @@ def jet_stack(fld, stack: PointStack) -> Jet:
             partials[:, k] = _stacked(raw, shape, count, lambda c: grad_part(c, d)[k])
     finite = (np.isfinite(value).all(axis=tuple(range(1, value.ndim)))
               & np.isfinite(partials).all(axis=tuple(range(1, partials.ndim))))
-    if not finite.all():
-        bad = stack.points[int(np.argmin(finite))]
-        raise NonFiniteValueError(f"non-finite jet of field at {bad.coords}")
+    stack.reject(~finite, NonFiniteValueError, lambda i, p: f"non-finite jet of field at {p.coords}")
     return Jet(value=value, partials=partials)
 
 
@@ -260,20 +290,6 @@ def fd_derivative(fld, p: Point, step: float = DEFAULT_FD_STEP) -> Jet:
             ) from exc
         partials[k] = (plus - minus) / (2.0 * step)
     return Jet(value=value, partials=partials)
-
-
-def generic_jacobian(map_func: Callable, coords: Sequence):
-    """Values and Jacobian of a coordinate map, dual-compatible.
-
-    ``map_func`` takes a list of m coordinate values and returns a list
-    of outputs.  Returns ``(values, jac)`` with ``jac[i][a]`` the partial
-    of output i along input a; both remain duals when ``coords`` are.
-    """
-    m = len(coords)
-    outs = map_func(seed(list(coords)))
-    values = [value_part(o) for o in outs]
-    jac = [list(grad_part(o, m)) for o in outs]
-    return values, jac
 
 
 def constant_field(valence: tuple, dim: int, components) -> TensorField:

@@ -1,13 +1,17 @@
 """Parametric hypersurfaces: normals, induced metric, Gauss-Weingarten data.
 
 An embedding maps a 2n-dimensional chart into a (2n+1)-dimensional
-ambient chart.  Everything the surface checks read at a chart point
-starts from one :class:`FrameJet`: the image b(p), the Jacobian B, the
-Hessian (one nested dual pass of the embedding map), the ambient metric
-jet chained through B, and the normal N with its first partials.  Dual
-numbers differentiate only the embedding map and the ambient tensors;
-the normal and every frame solve are plain numpy, differentiated
-implicitly (d(A^-1 b) = A^-1 (db - dA A^-1 b)).
+ambient chart.  Everything the surface checks read starts from one
+:class:`FrameStack` on all P chart points at once: the images b(p), the
+Jacobians B and Hessians (one dual pass of the embedding map on the
+point stack's coordinate columns, nested for the Hessian), the ambient
+metric and its jet at b(p) chained through B, and the normal N with its
+first partials.  Dual numbers differentiate only the embedding map and
+the ambient tensors; the normal and every frame solve are batched numpy
+calls on (P, d, d) stacks, differentiated implicitly
+(d(A^-1 b) = A^-1 (db - dA A^-1 b)).  Stacked products keep the
+operand layouts and singleton axes of the one-point products, so every
+point gets the bits it gets in a stack of one.
 
 Two shape operators are carried side by side:
 
@@ -20,30 +24,19 @@ between them rather than assuming either.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .connection import DET_FLOOR, MetricField, levi_civita_gamma
-from .dual import grad_part, real_part, seed
-from .errors import EvaluationError, NonFiniteValueError, RankDeficientError, SingularMetricError
-from .fields import Point, ScalarField, TensorField, evaluate, generic_jacobian, jet
+from .connection import MetricField, levi_civita_gamma, require_nonsingular
+from .dual import grad_part, innermost, real_part, seed, value_part
+from .errors import EvaluationError, NonFiniteValueError, RankDeficientError
+from .fields import Point, PointStack, ScalarField, TensorField, evaluate_stack, jet_stack
+
 MIN_SINGULAR_VALUE = 1e-8
 FRAME_CONDITION_LIMIT = 1e12
-
-
-def _full_rank(B: np.ndarray, p: Point) -> np.ndarray:
-    if not np.isfinite(B).all():
-        raise NonFiniteValueError(f"non-finite embedding Jacobian at {p.coords}")
-    sv = np.linalg.svd(B, compute_uv=False)
-    if sv[-1] <= MIN_SINGULAR_VALUE:
-        raise RankDeficientError(
-            f"embedding Jacobian has smallest singular value {sv[-1]:.3e} at {p.coords}"
-        )
-    return B
 
 
 @dataclass(frozen=True)
@@ -51,10 +44,10 @@ class Embedding:
     """Map b from a 2n-chart into a (2n+1)-chart carrying a metric.
 
     ``map_func`` takes the 2n surface coordinates and returns the 2n+1
-    ambient coordinates; it must be written with dual-compatible
-    arithmetic.  ``ambient`` is any object with ``dim`` and a metric
-    field ``g`` (a full almost contact structure or a bare metric
-    carrier).
+    ambient coordinates; it must be written with dual-compatible,
+    elementwise arithmetic (see :mod:`sasakicheck.fields`).  ``ambient``
+    is any object with ``dim`` and a metric field ``g`` (a full almost
+    contact structure or a bare metric carrier).
     """
 
     dim: int
@@ -80,30 +73,6 @@ class Embedding:
     def point_image(self, p: Point) -> Point:
         return Point([real_part(c) for c in self.map(p.coords)])
 
-    def jacobian(self, coords):
-        """Ambient values and Jacobian columns; jac[i][a] = d_a b^i."""
-        return generic_jacobian(self.map, coords)
-
-    def jacobian_at(self, p: Point) -> np.ndarray:
-        _, jac = self.jacobian(list(p.coords))
-        return _full_rank(np.array(jac, dtype=float), p)
-
-    def hessian_at(self, p: Point):
-        """``(b, B, hess)`` from one nested dual pass of the map:
-        b[i] = b^i(p), B[i, a] = d_a b^i and hess[i, a, c] = d_a d_c b^i."""
-        m, d = self.dim, self.ambient_dim
-        outs = self.map(seed(seed(list(p.coords))))
-        b = np.empty(d)
-        B = np.empty((d, m))
-        hess = np.zeros((d, m, m))
-        for i, o in enumerate(outs):
-            b[i] = real_part(o)
-            for a, g in enumerate(grad_part(o, m)):
-                B[i, a] = real_part(g)
-                for c, gg in enumerate(grad_part(g, m)):
-                    hess[i, a, c] = float(gg)
-        return b, B, hess
-
 
 @dataclass(frozen=True)
 class SimpleAmbient:
@@ -122,24 +91,26 @@ class NormalField:
     orientation: int = 1
 
     def components_at(self, p: Point) -> np.ndarray:
-        return frame_values(self, p).normal
+        return frame_stack(self, [p]).normal[0]
 
     def flipped(self) -> "NormalField":
         return NormalField(self.embedding, self.scaling, -self.orientation)
 
 
 @dataclass(frozen=True, slots=True)
-class FrameJet:
-    """The tangent-plus-normal frame A = [B | N] at one chart point.
+class FrameStack:
+    """The tangent-plus-normal frame A = [B | N] at P chart points.
 
-    ``image`` is b(p), ``metric`` the ambient metric there and ``normal``
-    the effective normal N.  The first-order fields (``hessian[i, a, c] =
-    d_c B[i, a]``, ``dmetric[c] = d_c g~`` along the surface,
-    ``dnormal[c] = d_c N`` and the ambient Christoffel symbols ``gamma``)
-    are None on a value-only frame from :func:`frame_values`.
+    Every array has the point axis first.  ``images`` holds b(p),
+    ``metric`` the ambient metric there and ``normal`` the effective
+    normal N.  The first-order fields (``hessian[p, i, a, c] =
+    d_c B[p, i, a]``, ``dmetric[p, c] = d_c g~`` along the surface,
+    ``dnormal[p, c] = d_c N`` and the ambient Christoffel symbols
+    ``gamma``) are None on a value-only stack.
     """
 
-    image: Point
+    points: PointStack
+    images: PointStack
     jacobian: np.ndarray
     metric: np.ndarray
     normal: np.ndarray
@@ -150,103 +121,115 @@ class FrameJet:
     dnormal: Optional[np.ndarray] = None
 
 
-def _unit_normal(B: np.ndarray, G: np.ndarray, orientation: int) -> np.ndarray:
-    """Metric unit normal from the cofactor vector c of B (c . x = det([B | x])).
+def _map_pass(E: Embedding, chart: PointStack, partials: bool):
+    """Images, Jacobians and (with ``partials``) Hessians of the map at every
+    chart point, from one dual pass on the coordinate columns."""
+    m, d, count = E.dim, E.ambient_dim, len(chart)
+    coords = seed(chart.columns)
+    if partials:
+        coords = seed(coords)
+    b = np.empty((count, d))
+    B = np.empty((count, d, m))
+    hess = np.empty((count, d, m, m)) if partials else None
+    with np.errstate(all="ignore"):
+        for i, out in enumerate(E.map(coords)):
+            b[:, i] = innermost(out)
+            for a, g in enumerate(grad_part(out, m)):
+                B[:, i, a] = innermost(g)
+                if partials:
+                    for c, gg in enumerate(grad_part(g, m)):
+                        hess[:, i, a, c] = gg
+    finite = np.isfinite(b).all(axis=1) & np.isfinite(B).all(axis=(1, 2))
+    chart.reject(~finite, NonFiniteValueError,
+                 lambda i, p: f"non-finite embedding value or Jacobian at {p.coords}")
+    sv = np.linalg.svd(B, compute_uv=False)
+    chart.reject(sv[:, -1] <= MIN_SINGULAR_VALUE, RankDeficientError, lambda i, p: (
+        f"embedding Jacobian has smallest singular value {sv[i, -1]:.3e} at {p.coords}"))
+    return b, B, hess
+
+
+def _unit_normal(B: np.ndarray, G: np.ndarray, orientation: int, chart: PointStack) -> np.ndarray:
+    """Metric unit normals from the cofactor vectors c of B (c . x = det([B | x])).
 
     N = orientation * g~^-1 c / sqrt(c . g~^-1 c).  Since
     det([B | g~^-1 c]) = c . g~^-1 c > 0, orientation 1 makes det([B | N])
     positive and -1 flips it.
     """
-    d, m = B.shape
-    if abs(np.linalg.det(G)) < DET_FLOOR:
-        raise SingularMetricError(f"ambient metric determinant below {DET_FLOOR}")
-    stack = np.zeros((d, d, d))
-    stack[:, :, :m] = B
-    stack[np.arange(d), np.arange(d), m] = 1.0
-    c = np.linalg.det(stack)
-    n_raw = np.linalg.solve(G, c)
-    norm2 = float(c @ n_raw)  # equals g~(n_raw, n_raw)
-    if not norm2 > 0.0:
-        raise RankDeficientError("normal construction degenerate (nonpositive norm)")
-    return (orientation / math.sqrt(norm2)) * n_raw
+    count, d, m = B.shape
+    cof = np.zeros((count, d, d, d))
+    cof[:, :, :, :m] = B[:, None]
+    cof[:, np.arange(d), np.arange(d), m] = 1.0
+    c = np.linalg.det(cof)
+    n_raw = np.linalg.solve(G, c[:, :, None])[:, :, 0]
+    norm2 = linalg.pair(c, n_raw)  # equals g~(n_raw, n_raw)
+    chart.reject(~(norm2 > 0.0), RankDeficientError,
+                 lambda i, p: f"normal construction degenerate (nonpositive norm) at {p.coords}")
+    return (orientation / np.sqrt(norm2))[:, None] * n_raw
 
 
-def _scaling(N: NormalField, p: Point, partials: bool):
-    """rho(p) and, if asked, its partials; rho must stay positive."""
-    if partials:
-        jt = jet(N.scaling, p)
-        rho, drho = float(jt.value), jt.partials
-    else:
-        rho, drho = float(evaluate(N.scaling, p)), None
-    if rho <= 0.0:
-        label = getattr(N.scaling.func, "text", "<callable>")
-        raise EvaluationError(
-            f"normal scaling {label!r} must stay positive, got {rho!r} at {list(p.coords)}"
-        )
-    return rho, drho
-
-
-def frame_values(N: NormalField, p: Point) -> FrameJet:
-    """Value-only frame: one first-order pass of the map, no derivative solves."""
-    E = N.embedding
-    values, jac = E.jacobian(list(p.coords))
-    image = Point([real_part(v) for v in values])
-    B = _full_rank(np.array(jac, dtype=float), p)
-    G = evaluate(E.ambient_metric.tensor, image)
-    nvec = _unit_normal(B, G, N.orientation)
-    if N.scaling is not None:
-        nvec = _scaling(N, p, partials=False)[0] * nvec
-    return FrameJet(image=image, jacobian=B, metric=G, normal=nvec,
-                    frame=np.column_stack([B, nvec]))
-
-
-def frame_jet(N: NormalField, p: Point) -> FrameJet:
-    """Frame with first partials.
+def frame_stack(N: NormalField, points: Sequence[Point], partials: bool = False) -> FrameStack:
+    """The frame at every point, with first partials if ``partials``.
 
     The unit normal n is differentiated implicitly: differentiating
     g~(B e_a, n) = 0 and g~(n, n) = 1 along e_c gives one solve
         [B | n]^T g~ d_c n = -( (d_c B)^T g~ n + B^T (d_c g~) n ;  n^T (d_c g~) n / 2 ),
     and a scaled normal N = rho n follows by the product rule.  With g~
     nonsingular and B of full rank, that system and the frame are
-    nonsingular too.
+    nonsingular too.  A degenerate point (non-finite map, rank-deficient
+    B, singular metric, nonpositive scaling, frame condition number over
+    ``FRAME_CONDITION_LIMIT``) raises, naming the first such point.
     """
     E = N.embedding
-    m, d = E.dim, E.ambient_dim
-    b, B, hess = E.hessian_at(p)
-    _full_rank(B, p)
-    image = Point(b)
-    jg = jet(E.ambient_metric.tensor, image)
-    G = jg.value
-    n = _unit_normal(B, G, N.orientation)
-    dG = np.einsum("kc,kij->cij", B, jg.partials)
-    dGn = dG @ n  # [c, i]
-    rhs = np.empty((d, m))
-    rhs[:m] = -(np.einsum("iac,i->ac", hess, G @ n) + B.T @ dGn.T)
-    rhs[m] = -0.5 * (dGn @ n)
-    dn = np.linalg.solve(np.column_stack([B, n]).T @ G, rhs).T
+    chart = PointStack(points, E.dim)
+    b, B, hess = _map_pass(E, chart, partials)
+    images = PointStack.of_rows(b)
+    if partials:
+        jg = jet_stack(E.ambient_metric.tensor, images)
+        G = jg.value
+    else:
+        G = evaluate_stack(E.ambient_metric.tensor, images)
+    require_nonsingular(G, chart.points)
+    n = _unit_normal(B, G, N.orientation, chart)
+    fields, dn = {}, None
+    if partials:
+        dG = np.einsum("pkc,pkij->pcij", B, jg.partials)
+        dGn = (dG @ n[:, None, :, None])[..., 0]  # [p, c, i]
+        rhs = np.empty(n.shape + (E.dim,))
+        rhs[:, :-1] = -(np.einsum("piac,pi->pac", hess, (G @ n[:, :, None])[..., 0])
+                        + B.mT @ dGn.mT)
+        rhs[:, -1] = -0.5 * (dGn @ n[:, :, None])[..., 0]
+        dn = np.linalg.solve(np.concatenate([B, n[:, :, None]], axis=2).mT @ G, rhs).mT
+        fields = dict(hessian=hess, dmetric=dG, gamma=levi_civita_gamma(G, jg.partials))
 
     if N.scaling is None:
         nvec, dnvec = n, dn
     else:
-        rho, drho = _scaling(N, p, partials=True)
-        nvec, dnvec = rho * n, np.outer(drho, n) + rho * dn
-    return FrameJet(image=image, jacobian=B, metric=G, normal=nvec,
-                    frame=np.column_stack([B, nvec]), hessian=hess, dmetric=dG,
-                    gamma=levi_civita_gamma(G, jg.partials), dnormal=dnvec)
+        jt = jet_stack(N.scaling, chart) if partials else None
+        rho = jt.value if partials else evaluate_stack(N.scaling, chart)
+        label = getattr(N.scaling.func, "text", "<callable>")
+        chart.reject(rho <= 0.0, EvaluationError, lambda i, p: (
+            f"normal scaling {label!r} must stay positive, got {float(rho[i])!r} at {list(p.coords)}"))
+        nvec = rho[:, None] * n
+        dnvec = jt.partials[:, :, None] * n[:, None, :] + rho[:, None, None] * dn if partials else None
+    frame = np.concatenate([B, nvec[:, :, None]], axis=2)
+    linalg.check_condition(frame, chart, FRAME_CONDITION_LIMIT, what="tangent-normal frame")
+    return FrameStack(points=chart, images=images, jacobian=B, metric=G, normal=nvec,
+                      frame=frame, dnormal=dnvec, **fields)
 
 
 def unit_normal(E: Embedding, p: Point, orientation: int = 1) -> np.ndarray:
     """Oriented metric unit normal at a point."""
-    return frame_values(NormalField(E, None, orientation), p).normal
+    return NormalField(E, None, orientation).components_at(p)
 
 
 def induced_metric(E: Embedding) -> MetricField:
     """Pullback metric g(X, Y) = g_ambient(BX, BY) on the surface chart."""
 
     def func(coords):
-        b_out, jac = E.jacobian(coords)
-        gt = E.ambient_metric.tensor.func(b_out)
         m, d = E.dim, E.ambient_dim
+        outs = E.map(seed(list(coords)))
+        gt = E.ambient_metric.tensor.func([value_part(o) for o in outs])
+        jac = [grad_part(o, m) for o in outs]
         gB = [[sum(gt[i][j] * jac[j][a] for j in range(d)) for a in range(m)] for i in range(d)]
         return [
             [sum(jac[i][a] * gB[i][b] for i in range(d)) for b in range(m)]
@@ -258,14 +241,16 @@ def induced_metric(E: Embedding) -> MetricField:
 
 @dataclass(frozen=True, slots=True)
 class GaussWeingartenData:
-    """Frame decomposition of the ambient derivative along the surface.
+    """Frame decomposition of the ambient derivative at one chart point.
 
     ``induced_gamma[c, a, b]`` are the surface connection coefficients
     from the tangential part of D_a(B e_b); ``h`` is its normal part.
     ``H_w``/``w`` split D_a N, and ``H_h`` realizes h through the
     induced metric.  ``D[i, a, b]`` and ``DN[i, a]`` are the ambient
-    derivatives D_a(B e_b) and D_a N that were decomposed; ``jet`` is
-    the frame jet they were built from.
+    derivatives D_a(B e_b) and D_a N that were decomposed, against the
+    frame of ``jacobian`` B and ``normal`` N.  The arrays are views into
+    the (P, ...) arrays shared by the points of a
+    :class:`GaussWeingartenStack`.
     """
 
     induced_gamma: np.ndarray
@@ -275,61 +260,54 @@ class GaussWeingartenData:
     w: np.ndarray
     D: np.ndarray
     DN: np.ndarray
-    jet: FrameJet
-
-    @property
-    def normal(self) -> np.ndarray:
-        return self.jet.normal
+    jacobian: np.ndarray
+    normal: np.ndarray
 
 
-def gauss_weingarten(E: Embedding, N: NormalField, p: Point) -> GaussWeingartenData:
-    """Decompose ambient covariant derivatives into tangential and normal parts."""
-    m, d = E.dim, E.ambient_dim
-    fj = frame_jet(N, p)
-    B, nvec, frame, gamma_amb = fj.jacobian, fj.normal, fj.frame, fj.gamma
-    linalg.check_condition(frame, FRAME_CONDITION_LIMIT, what="tangent-normal frame")
+class GaussWeingartenStack(tuple):
+    """Gauss-Weingarten data at every point of a frame stack with partials,
+    one :class:`GaussWeingartenData` per point; ``frames`` is the stack."""
+
+    def __new__(cls, frames: FrameStack, data):
+        self = super().__new__(cls, data)
+        self.frames = frames
+        return self
+
+
+def gauss_weingarten(E: Embedding, N: NormalField, points: Sequence[Point]) -> GaussWeingartenStack:
+    """Decompose ambient covariant derivatives into tangential and normal parts
+    at every point, with one batched solve per decomposition."""
+    fs = frame_stack(N, points, partials=True)
+    B, nvec, frame, gamma_amb = fs.jacobian, fs.normal, fs.frame, fs.gamma
+    count, d, m = B.shape
 
     # Gauss: D_a (B e_b) = hess[:, a, b] + Gamma~(B e_a, B e_b)
-    D = fj.hessian + np.einsum("ijk,ja,kb->iab", gamma_amb, B, B)
-    sol = np.linalg.solve(frame, D.reshape(d, m * m)).reshape(d, m, m)
-    induced_gamma = sol[:m]
-    h = sol[m]
+    D = fs.hessian + np.einsum("pijk,pja,pkb->piab", gamma_amb, B, B)
+    sol = np.linalg.solve(frame, D.reshape(count, d, m * m)).reshape(count, d, m, m)
 
     # Weingarten: D_a N = dN[a] + Gamma~(B e_a, N)
-    DN = fj.dnormal.T + np.einsum("ijk,ja,k->ia", gamma_amb, B, nvec)
+    DN = fs.dnormal.mT + np.einsum("pijk,pja,pk->pia", gamma_amb, B, nvec)
     solN = np.linalg.solve(frame, DN)
-    H_w = solN[:m]
-    w = solN[m]
 
-    gind = np.einsum("ia,ij,jb->ab", B, fj.metric, B)
-    H_h = np.linalg.solve(gind, h)
-
-    return GaussWeingartenData(
-        induced_gamma=induced_gamma,
-        h=h,
-        H_w=H_w,
-        H_h=H_h,
-        w=w,
-        D=D,
-        DN=DN,
-        jet=fj,
-    )
+    gind = np.einsum("pia,pij,pjb->pab", B, fs.metric, B)
+    H_h = np.linalg.solve(gind, sol[:, m])
+    return GaussWeingartenStack(fs, tuple(
+        GaussWeingartenData(induced_gamma=sol[i, :m], h=sol[i, m], H_w=solN[i, :m], H_h=H_h[i],
+                            w=solN[i, m], D=D[i], DN=DN[i], jacobian=B[i], normal=nvec[i])
+        for i in range(count)))
 
 
 def second_fundamental_symmetry(
     E: Embedding, N: NormalField, points: Sequence[Point]
 ) -> float:
     """max |h(X, Y) - h(Y, X)| over the sampled points."""
-    return max(
-        float(np.max(np.abs(gw.h - gw.h.T)))
-        for gw in (gauss_weingarten(E, N, p) for p in points)
-    )
+    return max(float(np.max(np.abs(gw.h - gw.h.T))) for gw in gauss_weingarten(E, N, points))
 
 
 def reconstruction_residuals(gw: GaussWeingartenData) -> dict:
     """How exactly B(nabla e_a e_b) + h N and B(H_w e_a) + w N rebuild the
     ambient derivatives; the defining contract of the decomposition."""
-    B, nvec = gw.jet.jacobian, gw.normal
+    B, nvec = gw.jacobian, gw.normal
     gauss = gw.D - np.einsum("ic,cab->iab", B, gw.induced_gamma) - np.einsum("ab,i->iab", gw.h, nvec)
     wein = gw.DN - np.einsum("ic,ca->ia", B, gw.H_w) - np.outer(nvec, gw.w)
     return {

@@ -6,12 +6,15 @@ one-forms u and v, and a scalar lambda on the surface chart.  This
 module extracts that data, exposes it as fields, and measures the
 algebraic and covariant-derivative identity battery against it.
 
-The split is one float solve X = A^-1 R against the frame A = [B | N]
-of a :class:`~sasakicheck.hypersurface.FrameJet`.  Its first partials
-come from implicit differentiation, d_c X = A^-1 (d_c R - d_c A X), with
-the ambient tensors' partials taken from one dual jet each at b(p) and
-chained through B; central differences of the induced fields stay the
-independent check.
+The split is one batched float solve X = A^-1 R against the frames
+A = [B | N] of a :class:`~sasakicheck.hypersurface.FrameStack` of all
+sample points.  Its first partials come from implicit differentiation,
+d_c X = A^-1 (d_c R - d_c A X), with the ambient tensors' partials
+taken from one stacked dual jet each at the images b(p) and chained
+through B; central differences of the induced fields stay the
+independent check.  The per-point :class:`StructureBundle` and
+:class:`SampleState` objects the identity checks read are views into
+the stacked arrays.
 
 Sign conventions are adjudicated, not assumed.  Each derivative
 identity is evaluated over a grid of variants:
@@ -37,14 +40,14 @@ import numpy as np
 from . import linalg
 from .connection import MetricField, covariant_derivative_components, levi_civita_gamma
 from .errors import TangencyError
-from .fields import Point, ScalarField, TensorField, evaluate, jet
+from .fields import Point, ScalarField, TensorField, evaluate_stack, jet_stack
 from .hypersurface import (
     Embedding,
-    FrameJet,
+    FrameStack,
     GaussWeingartenData,
+    GaussWeingartenStack,
     NormalField,
-    frame_jet,
-    frame_values,
+    frame_stack,
     gauss_weingarten,
     induced_metric,
 )
@@ -56,7 +59,6 @@ NONINVARIANT_THRESHOLD = 1e-3
 AMBIENT_AXIOM_TOL = 1e-6
 
 H_TAGS = ("H_h", "H_w", "-H_w")
-SIGN_TAGS = ("printed", "hH-negated")
 STRUCTURE_TAGS = {1.0: "as-extracted", -1.0: "phi-flipped"}
 
 # which variant axes each derivative identity actually has
@@ -89,50 +91,59 @@ class StructureBundle:
     gamma: Optional[np.ndarray] = None
 
 
-def _structure_at(ambient, fj: FrameJet) -> StructureBundle:
-    """Split phi~B, phi~N and xi against the frame: X = A^-1 [phi~B | phi~N | xi].
+_SCALARS = ("lam", "eta_n", "tangency")
 
-    On a frame jet the bundle also carries every first partial,
-    d_c X = A^-1 (d_c R - d_c A X), and the induced Christoffel symbols;
-    on a value-only frame those stay None.
+
+def _structure_stack(ambient, fs: FrameStack) -> Dict[str, np.ndarray]:
+    """Split phi~B, phi~N and xi against every frame: X = A^-1 [phi~B | phi~N | xi].
+
+    Returns the :class:`StructureBundle` fields as (P, ...) arrays.  On a
+    frame stack with partials they include every first partial,
+    d_c X = A^-1 (d_c R - d_c A X), and the induced Christoffel symbols.
     """
-    B, nvec, A, G = fj.jacobian, fj.normal, fj.frame, fj.metric
-    d, m = B.shape
+    B, nvec, A, G = fs.jacobian, fs.normal, fs.frame, fs.metric
+    count, d, m = B.shape
     fields = (ambient.phi, ambient.xi, ambient.eta)
-    jets = None if fj.hessian is None else [jet(f, fj.image) for f in fields]
+    jets = None if fs.hessian is None else [jet_stack(f, fs.images) for f in fields]
     if jets is None:
-        phit, xit, etat = (evaluate(f, fj.image) for f in fields)
+        phit, xit, etat = (evaluate_stack(f, fs.images) for f in fields)
     else:
         phit, xit, etat = (j.value for j in jets)
-    R = np.column_stack([phit @ B, phit @ nvec, xit])
+    R = np.concatenate([phit @ B, phit @ nvec[:, :, None], xit[:, :, None]], axis=2)
     X = np.linalg.solve(A, R)
-    bundle = StructureBundle(
-        phi=X[:m, :m], u=X[m, :m], U=-X[:m, m], V=X[:m, m + 1], v=etat @ B,
-        lam=float(X[m, m + 1]), g=B.T @ G @ B, eta_n=float(etat @ nvec),
-        tangency=abs(float(X[m, m])),
-    )
+    st = dict(phi=X[:, :m, :m], u=X[:, m, :m], U=-X[:, :m, m], V=X[:, :m, m + 1],
+              v=(etat[:, None, :] @ B)[:, 0], lam=X[:, m, m + 1], g=B.mT @ G @ B,
+              eta_n=linalg.pair(etat, nvec), tangency=np.abs(X[:, m, m]))
     if jets is None:
-        return bundle
+        return st
 
-    # chart partials of the ambient tensors at b(p), index c first
-    dphit, dxit, detat = (np.einsum("kc,k...->c...", B, j.partials) for j in jets)
-    H = np.moveaxis(fj.hessian, 2, 0)  # H[c] = d_c B
-    dN = fj.dnormal
-    dA = np.concatenate([H, dN[:, :, None]], axis=2)
-    dR = np.concatenate([dphit @ B + phit @ H, (dphit @ nvec + dN @ phit.T)[:, :, None],
-                         dxit[:, :, None]], axis=2)
-    rhs = np.moveaxis(dR - dA @ X, 0, 1).reshape(d, -1)
-    dX = np.moveaxis(np.linalg.solve(A, rhs).reshape(d, m, m + 2), 1, 0)
-    HGB = np.einsum("cia,ij,jb->cab", H, G, B)
-    dg = HGB + HGB.transpose(0, 2, 1) + np.einsum("ia,cij,jb->cab", B, fj.dmetric, B)
-    bundle.dphi = dX[:, :m, :m]
-    bundle.du = dX[:, m, :m]
-    bundle.dU = -dX[:, :m, m]
-    bundle.dV = dX[:, :m, m + 1]
-    bundle.dlam = dX[:, m, m + 1]
-    bundle.dv = detat @ B + np.einsum("i,cia->ca", etat, H)
-    bundle.gamma = levi_civita_gamma(bundle.g, dg)
-    return bundle
+    # chart partials of the ambient tensors at b(p), index c after the point axis
+    dphit, dxit, detat = (np.einsum("pkc,pk...->pc...", B, j.partials) for j in jets)
+    H = np.moveaxis(fs.hessian, 3, 1)  # H[p, c] = d_c B
+    dN = fs.dnormal
+    dA = np.concatenate([H, dN[..., None]], axis=3)
+    dR = np.concatenate([dphit @ B[:, None] + phit[:, None] @ H,
+                         dphit @ nvec[:, None, :, None] + (dN @ phit.mT)[..., None],
+                         dxit[..., None]], axis=3)
+    rhs = np.moveaxis(dR - dA @ X[:, None], 1, 2).reshape(count, d, m * (m + 2))
+    dX = np.moveaxis(np.linalg.solve(A, rhs).reshape(count, d, m, m + 2), 2, 1)
+    HGB = np.einsum("pcia,pij,pjb->pcab", H, G, B)
+    dg = HGB + HGB.mT + np.einsum("pia,pcij,pjb->pcab", B, fs.dmetric, B)
+    st.update(dphi=dX[:, :, :m, :m], du=dX[:, :, m, :m], dU=-dX[:, :, :m, m],
+              dV=dX[:, :, :m, m + 1], dlam=dX[:, :, m, m + 1],
+              dv=detat @ B + np.einsum("pi,pcia->pca", etat, H),
+              gamma=levi_civita_gamma(st["g"], dg))
+    return st
+
+
+def _bundles(st: Dict[str, np.ndarray]) -> List[StructureBundle]:
+    """One bundle per point, its arrays views into the stacked ones."""
+    columns = [a.tolist() if k in _SCALARS else list(a) for k, a in st.items()]
+    return [StructureBundle(**dict(zip(st, row))) for row in zip(*columns)]
+
+
+def _structure_at(ambient, N: NormalField, p: Point, partials: bool) -> StructureBundle:
+    return _bundles(_structure_stack(ambient, frame_stack(N, [p], partials)))[0]
 
 
 @dataclass(frozen=True)
@@ -162,18 +173,11 @@ class InducedStructure:
 
     def values_at(self, p: Point) -> StructureBundle:
         """Float induced data at p, from a value-only frame."""
-        return _structure_at(self.embedding.ambient, frame_values(self.normal, p))
+        return _structure_at(self.embedding.ambient, self.normal, p, partials=False)
 
-    def bundle_at(self, p: Point, fj: Optional[FrameJet] = None) -> StructureBundle:
-        """Values plus first partials of every induced field at p.
-
-        ``fj`` passes the frame jet already built at p (for example the
-        one a :class:`GaussWeingartenData` carries); without it one is
-        built here.
-        """
-        if fj is None:
-            fj = frame_jet(self.normal, p)
-        return _structure_at(self.embedding.ambient, fj)
+    def bundle_at(self, p: Point) -> StructureBundle:
+        """Values plus first partials of every induced field at p."""
+        return _structure_at(self.embedding.ambient, self.normal, p, partials=True)
 
 
 def extract_structure(
@@ -186,41 +190,31 @@ def extract_structure(
     """Build the induced structure and validate the decomposition.
 
     Checks, at every supplied point, that phi~N has no normal component
-    (raising :class:`TangencyError` otherwise) and records the
-    noninvariance witness max|u| and the lambda = eta(N) consistency
-    residual for a unit normal.
+    (raising :class:`TangencyError` otherwise, naming the first such
+    point) and records the noninvariance witness max|u| and the
+    lambda = eta(N) consistency residual for a unit normal.  The frames
+    and the split are built once on the whole point stack.
     """
+    fs = frame_stack(N, points)
     if require_sasakian:
-        ambient_pts = [E.point_image(p) for p in points[: min(len(points), 8)]]
-        rep = check_sasakian_axioms(E.ambient, ambient_pts)
+        rep = check_sasakian_axioms(E.ambient, [Point(b) for b in fs.images.coords[:8]])
         if rep.max_residual > AMBIENT_AXIOM_TOL:
             raise TangencyError(
                 f"ambient structure fails the axiom battery "
                 f"(max residual {rep.max_residual:.3e} > {AMBIENT_AXIOM_TOL})"
             )
 
-    m = E.dim
-    max_u = 0.0
-    max_tang = 0.0
-    max_lam = 0.0
-    extracted: Dict[Point, StructureBundle] = {}
-    for p in points:
-        fj = frame_values(N, p)
-        linalg.check_condition(fj.frame, what="extraction frame")
-        bd = _structure_at(E.ambient, fj)
-        if bd.tangency > tangency_tol:
-            raise TangencyError(
-                f"phi~N has normal coefficient {bd.tangency:.3e} > {tangency_tol} at {p.coords}"
-            )
-        max_tang = max(max_tang, bd.tangency)
-        max_u = max(max_u, float(np.max(np.abs(bd.u))))
-        if N.scaling is None:
-            max_lam = max(max_lam, abs(bd.lam - bd.eta_n))
-        extracted[p] = bd
+    st = _structure_stack(E.ambient, fs)
+    tangency = st["tangency"]
+    fs.points.reject(tangency > tangency_tol, TangencyError, lambda i, p: (
+        f"phi~N has normal coefficient {tangency[i]:.3e} > {tangency_tol} at {p.coords}"))
+    max_u = linalg.worst(np.abs(st["u"]))
+    lambda_consistency = linalg.worst(np.abs(st["lam"] - st["eta_n"])) if N.scaling is None else 0.0
 
     def field_func(key):
-        return lambda coords: getattr(_structure_at(E.ambient, frame_values(N, Point(coords))), key)
+        return lambda coords: getattr(_structure_at(E.ambient, N, Point(coords), False), key)
 
+    m = E.dim
     return InducedStructure(
         embedding=E,
         normal=N,
@@ -233,9 +227,9 @@ def extract_structure(
         g=induced_metric(E),
         noninvariant=max_u > NONINVARIANT_THRESHOLD,
         max_u=max_u,
-        tangency_residual=max_tang,
-        lambda_consistency=max_lam,
-        extracted=extracted,
+        tangency_residual=linalg.worst(tangency),
+        lambda_consistency=lambda_consistency,
+        extracted=dict(zip(fs.points.points, _bundles(st))),
     )
 
 
@@ -262,33 +256,25 @@ def sample_states(
     S: InducedStructure,
     points: Sequence[Point],
     directions: Sequence,
-    gws: Optional[Sequence[GaussWeingartenData]] = None,
+    gws: Optional[GaussWeingartenStack] = None,
 ) -> List[SampleState]:
-    """One :class:`SampleState` per point.
+    """One :class:`SampleState` per point, built on the whole point stack.
 
-    ``gws`` passes Gauss-Weingarten data already built at ``points``;
-    without it the data is built here.
+    ``gws`` passes Gauss-Weingarten data already built at ``points``
+    (its frame stack is reused); without it the data is built here.
     """
     if gws is None:
-        gws = [gauss_weingarten(S.embedding, S.normal, p) for p in points]
-    states = []
-    for p, gw in zip(points, gws):
-        bd = S.bundle_at(p, gw.jet)
+        gws = gauss_weingarten(S.embedding, S.normal, points)
+    st = _structure_stack(S.embedding.ambient, gws.frames)
 
-        def cov(value, partials, valence):
-            return covariant_derivative_components(value, partials, bd.gamma, valence)
+    def cov(key, valence):
+        return covariant_derivative_components(st[key], st["d" + key], st["gamma"], valence)
 
-        states.append(SampleState(
-            bundle=bd,
-            gw=gw,
-            dirs=np.array([g_normalized(np.asarray(t, float), bd.g) for t in directions]),
-            covphi=cov(bd.phi, bd.dphi, (1, 1)),
-            covu=cov(bd.u, bd.du, (0, 1)),
-            covv=cov(bd.v, bd.dv, (0, 1)),
-            covU=cov(bd.U, bd.dU, (1, 0)),
-            covV=cov(bd.V, bd.dV, (1, 0)),
-        ))
-    return states
+    stacked = dict(dirs=g_normalized(np.asarray(directions, float), st["g"]),
+                   covphi=cov("phi", (1, 1)), covu=cov("u", (0, 1)), covv=cov("v", (0, 1)),
+                   covU=cov("U", (1, 0)), covV=cov("V", (1, 0)))
+    return [SampleState(bundle=bd, gw=gw, **{k: a[i] for k, a in stacked.items()})
+            for i, (bd, gw) in enumerate(zip(_bundles(st), gws))]
 
 
 @dataclass

@@ -1,7 +1,10 @@
-"""Small dense linear algebra.
+"""Small dense linear algebra on stacks of P points.
 
-:func:`check_condition` rejects ill-conditioned frames before the engine
-decomposes against them (the solves themselves are ``numpy.linalg``).
+Arrays carry the point axis first.  :func:`check_condition` rejects
+ill-conditioned frames before the engine decomposes against them (the
+solves themselves are ``numpy.linalg``, which solves each matrix of a
+stack as it would solve it alone).  :func:`pair` and :func:`worst` are
+a stacked dot product and residual maximum whose bits do not depend on P.
 :func:`solve_columns` and :func:`det` are Gaussian elimination on nested
 lists that also carries dual numbers; the engine no longer calls them,
 and they stay because the benchmark's tracer (``perfbench/tracing.py``)
@@ -86,11 +89,27 @@ def det(A):
     return sign * out
 
 
-def check_condition(mat_float, limit: float = 1e12, what: str = "frame"):
-    """Reject float matrices whose condition number exceeds ``limit``."""
-    c = np.linalg.cond(np.asarray(mat_float, dtype=float))
-    if not np.isfinite(c) or c > limit:
-        raise IllConditionedFrameError(
-            f"{what} condition number {c:.3e} exceeds {limit:.1e}"
-        )
-    return float(c)
+def check_condition(mats: np.ndarray, stack, limit: float = 1e12, what: str = "frame") -> None:
+    """Reject a (P, d, d) stack where some matrix has a condition number
+    over ``limit``, naming the first such point of the point ``stack``."""
+    c = np.linalg.cond(mats)
+    stack.reject(~(c <= limit), IllConditionedFrameError, lambda i, p: (
+        f"{what} condition number {c[i]:.3e} exceeds {limit:.1e} at {p.coords}"))
+
+
+def pair(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X[p] @ Y[p] at every point, as shape (P,).
+
+    Products on stacks keep explicit singleton axes, (P, 1, d) @ (P, d, 1)
+    here, so each point runs the same BLAS call as its one-point ``@``
+    and the bits do not depend on P.
+    """
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def worst(residual: np.ndarray) -> float:
+    """Largest entry of a (P, ...) residual stack, as a running
+    ``max(res, float(np.max(...)))`` over the points would give it:
+    a point whose own maximum is NaN is passed over."""
+    per_point = np.max(residual, axis=tuple(range(1, residual.ndim)))
+    return float(np.fmax.reduce(per_point, initial=0.0))

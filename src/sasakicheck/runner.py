@@ -13,10 +13,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linalg
 from .config import CHECK_GROUPS, SuiteConfig
 from .exprs import compile_expression, compile_map
-from .fields import DEFAULT_FD_STEP, Point, ScalarField, evaluate, jet as field_jet
+from .fields import DEFAULT_FD_STEP, Point, ScalarField, evaluate, jet_stack
 from .hypersurface import (
     Embedding,
     NormalField,
@@ -170,7 +170,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     gws = None
     if "gauss_weingarten" in requested:
-        gws = [gauss_weingarten(embedding, normal, p) for p in chart_points]
+        gws = gauss_weingarten(embedding, normal, chart_points)
         gauss_res = wein_res = sym_res = w_unit_res = 0.0
         for gw in gws:
             rec = reconstruction_residuals(gw)
@@ -191,11 +191,9 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         ))
         if config.scaling is not None:
             # w must equal d log rho; independent product-rule consequence
-            w_log_res = 0.0
-            for p, gw in zip(chart_points, gws):
-                jt = field_jet(scaling_field, p)
-                dlog = jt.partials / jt.value
-                w_log_res = max(w_log_res, float(np.max(np.abs(gw.w - dlog))))
+            jt = jet_stack(scaling_field, gws.frames.points)
+            w = np.array([gw.w for gw in gws])
+            w_log_res = linalg.worst(np.abs(w - jt.partials / jt.value[:, None]))
             checks.append(_tol_check(
                 "normal_scaling_w", "w = d log rho", w_log_res, tol["reconstruction"],
                 convention="scaled normal", used=len(chart_points),

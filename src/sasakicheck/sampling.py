@@ -14,7 +14,6 @@ import numpy as np
 from .fields import Point, constant_vector_field
 
 DEFAULT_SEED = 7
-DEFAULT_BOX = (-1.0, 1.0)
 
 _STREAMS = (
     "ambient_points",
@@ -51,9 +50,10 @@ def sample_direction_fields(dim: int, count: int, rng) -> list:
     return [constant_vector_field(dim, v) for v in sample_vectors(dim, count, rng)]
 
 
-def g_normalized(vec: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Scale a direction to unit length in the metric g."""
-    n = float(vec @ g @ vec)
-    if n <= 0:
+def g_normalized(vecs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Scale K directions (K, m) to unit length in each metric of a
+    (P, m, m) stack; returns (P, K, m)."""
+    n = ((vecs[None, :, None, :] @ g[:, None]) @ vecs[None, :, :, None])[..., 0, 0]
+    if not (n > 0).all():
         raise ValueError("direction has nonpositive metric norm")
-    return vec / np.sqrt(n)
+    return vecs[None] / np.sqrt(n)[..., None]

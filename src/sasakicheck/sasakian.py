@@ -28,6 +28,7 @@ import numpy as np
 from .connection import MetricField, christoffel_stack, covariant_derivative_components
 from .errors import DimensionMismatchError
 from .fields import Point, PointStack, TensorField, evaluate_stack, jet_stack
+from .linalg import pair, worst
 from .sampling import sample_direction_fields, spawn_rngs, DEFAULT_SEED
 
 RANK_SV_THRESHOLD = 1e-8
@@ -131,29 +132,6 @@ def fundamental_two_form(S: AlmostContactMetricStructure) -> TensorField:
     return TensorField((0, 2), S.dim, func)
 
 
-def _worst(residual: np.ndarray) -> float:
-    """Largest entry of a (P, ...) residual stack, as a running
-    ``max(res, float(np.max(...)))`` over the points would give it:
-    a point whose own maximum is NaN is passed over."""
-    per_point = np.max(residual, axis=tuple(range(1, residual.ndim)))
-    return float(np.fmax.reduce(per_point, initial=0.0))
-
-
-def _pair(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X[p] @ Y[p] at every point, as shape (P,).
-
-    Products on stacks keep explicit singleton axes, (P, 1, d) @ (P, d, 1)
-    here, so each point runs the same BLAS call as its one-point ``@``
-    and the bits do not depend on P.
-    """
-    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
-
-
-def _t(a: np.ndarray) -> np.ndarray:
-    """Transpose of each matrix in a (P, d, d) stack."""
-    return np.swapaxes(a, -1, -2)
-
-
 def _nabla_xi(S, stack, gamma) -> np.ndarray:
     """(nabla_i xi)^a on the stack, shape (P, d, d)."""
     jxi = jet_stack(S.xi, stack)
@@ -163,7 +141,7 @@ def _nabla_xi(S, stack, gamma) -> np.ndarray:
 def _xi_transport(dxi, phi, dirs) -> float:
     """Eq (1.7): max |nabla_X xi + phi X| over the stack and the directions."""
     return max(
-        _worst(np.abs(np.einsum("...i,...ia->...a", X, dxi) + (phi @ X[:, :, None])[:, :, 0]))
+        worst(np.abs(np.einsum("...i,...ia->...a", X, dxi) + (phi @ X[:, :, None])[:, :, 0]))
         for X in dirs
     )
 
@@ -175,9 +153,9 @@ def two_form_residuals(S: AlmostContactMetricStructure, points: Sequence[Point])
     phi = evaluate_stack(S.phi, stack)
     FP = F @ phi
     return {
-        "1.8": _worst(np.abs(F + _t(F))),
-        "1.9": _worst(np.abs(FP - _t(FP))),
-        "1.10": _worst(np.abs(_t(phi) @ F @ phi - F)),
+        "1.8": worst(np.abs(F + F.mT)),
+        "1.9": worst(np.abs(FP - FP.mT)),
+        "1.10": worst(np.abs(phi.mT @ F @ phi - F)),
     }
 
 
@@ -215,13 +193,13 @@ def check_sasakian_axioms(
     g = evaluate_stack(S.g.tensor, stack)
     sv = np.linalg.svd(phi, compute_uv=False)
     res = {
-        "1.1": _worst(np.abs(_pair(eta, xi) - 1.0)),
-        "1.2": _worst(np.abs(phi @ phi + np.eye(S.dim) - xi[:, :, None] * eta[:, None, :])),
-        "1.3a": _worst(np.abs(eta[:, None, :] @ phi)),
-        "1.3b": _worst(np.abs(phi @ xi[:, :, None])),
-        "1.3c": _worst(np.where(sv[:, 2 * n - 1] <= RANK_SV_THRESHOLD, 1.0, sv[:, 2 * n])),
-        "1.4": _worst(np.abs(_t(phi) @ g @ phi - g + eta[:, :, None] * eta[:, None, :])),
-        "1.5": _worst(np.abs((g @ xi[:, :, None])[:, :, 0] - eta)),
+        "1.1": worst(np.abs(pair(eta, xi) - 1.0)),
+        "1.2": worst(np.abs(phi @ phi + np.eye(S.dim) - xi[:, :, None] * eta[:, None, :])),
+        "1.3a": worst(np.abs(eta[:, None, :] @ phi)),
+        "1.3b": worst(np.abs(phi @ xi[:, :, None])),
+        "1.3c": worst(np.where(sv[:, 2 * n - 1] <= RANK_SV_THRESHOLD, 1.0, sv[:, 2 * n])),
+        "1.4": worst(np.abs(phi.mT @ g @ phi - g + eta[:, :, None] * eta[:, None, :])),
+        "1.5": worst(np.abs((g @ xi[:, :, None])[:, :, 0] - eta)),
     }
 
     gamma = christoffel_stack(S.g, stack)
@@ -231,14 +209,14 @@ def check_sasakian_axioms(
         covariant_derivative_components(jphi.value, jphi.partials, gamma, (1, 1)))
     dxi = _nabla_xi(S, stack, gamma)
     dirs = [evaluate_stack(D, stack) for D in directions]
-    eta_dirs = [_pair(eta, Y)[:, None] for Y in dirs]
+    eta_dirs = [pair(eta, Y)[:, None] for Y in dirs]
     res["1.6"] = 0.0
     for X in dirs:
         Xg = X[:, None, :] @ g
         for Y, etaY in zip(dirs, eta_dirs):
             lhs = np.einsum("...i,...iab,...b->...a", X, dphi, Y)
             rhs = (Xg @ Y[:, :, None])[:, 0] * xi - etaY * X
-            res["1.6"] = max(res["1.6"], _worst(np.abs(lhs - rhs)))
+            res["1.6"] = max(res["1.6"], worst(np.abs(lhs - rhs)))
     res["1.7"] = _xi_transport(dxi, phi, dirs)
 
     res.update(two_form_residuals(S, points))

@@ -95,7 +95,7 @@ def test_criterion_3_gauss_weingarten_reconstruction():
         ):
             N = NormalField(emb)
             for p in _points(2, 25, seed=23):
-                rec = reconstruction_residuals(gauss_weingarten(emb, N, p))
+                rec = reconstruction_residuals(gauss_weingarten(emb, N, [p])[0])
                 assert rec["gauss"] <= 1e-6 and rec["weingarten"] <= 1e-6
         euclid = SimpleAmbient(3, euclidean_metric(3))
         r = 2.0
@@ -104,7 +104,7 @@ def test_criterion_3_gauss_weingarten_reconstruction():
         N = NormalField(sphere, orientation=-1)
         for p in _points(2, 10, seed=29):
             q = Point([0.5 * p.coords[0], 0.5 * p.coords[1]])
-            gw = gauss_weingarten(sphere, N, q)
+            gw = gauss_weingarten(sphere, N, [q])[0]
             assert np.max(np.abs(gw.H_h - np.eye(2) / r)) <= 1e-6
 
 
@@ -184,7 +184,7 @@ def test_criterion_7_scaled_normal_run():
         N = NormalField(emb, scaling=rho)
         pts = _points(2, 20, seed=47)
         for p in pts:
-            gw = gauss_weingarten(emb, N, p)
+            gw = gauss_weingarten(emb, N, [p])[0]
             assert np.max(np.abs(gw.w - np.array([1.0, 1.0]))) <= 1e-6
         S = extract_structure(emb, N, pts)
         res = check_theorem_3_4(sample_states(S, pts, sample_vectors(2, 4, np.random.default_rng(48))))

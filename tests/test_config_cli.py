@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sasakicheck import Embedding, InducedStructure, hypersurface, linalg
+from sasakicheck import InducedStructure, hypersurface, linalg
 from sasakicheck.cli import main
 from sasakicheck.config import CHECK_GROUPS, load_suite_config, resolve_config_path
 from sasakicheck.errors import ConfigError
@@ -270,20 +270,19 @@ def test_cli_nonpositive_normal_scaling_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def _per_point_calls(monkeypatch, config):
-    """Run the suite and count, per chart point, Gauss-Weingarten
-    decompositions, structure bundles, embedding Hessians, frame jets,
-    value-only frames, ``values_at`` calls and dual eliminations, wherever
-    the engine looks them up."""
-    functions = {"gauss_weingarten": hypersurface.gauss_weingarten,
-                 "frame_jet": hypersurface.frame_jet,
-                 "frame_values": hypersurface.frame_values,
-                 "linalg.det": linalg.det,
-                 "linalg.solve_columns": linalg.solve_columns}
-    methods = {"bundle_at": (InducedStructure, "bundle_at"),
-               "values_at": (InducedStructure, "values_at"),
-               "hessian_at": (Embedding, "hessian_at")}
-    calls = dict.fromkeys([*functions, *methods], 0)
+def _frame_builds(monkeypatch, config):
+    """Run the suite and record the frame stacks it builds (the point
+    count of each, split by whether it carries partials), and count
+    Gauss-Weingarten decompositions, one-point structure bundles and dual
+    eliminations, wherever the engine looks them up."""
+    builds = {"partials": [], "values": []}
+    calls = dict.fromkeys(["gauss_weingarten", "bundle_at", "values_at",
+                           "linalg.det", "linalg.solve_columns"], 0)
+    frame_stack = hypersurface.frame_stack
+
+    def recorded_frame_stack(N, points, partials=False):
+        builds["partials" if partials else "values"].append(len(points))
+        return frame_stack(N, points, partials)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -291,27 +290,33 @@ def _per_point_calls(monkeypatch, config):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, original in functions.items():
-        wrapped = counted(name, original)
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] == "sasakicheck":
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, wrapped)
-    for name, (cls, attr) in methods.items():
-        monkeypatch.setattr(cls, attr, counted(name, getattr(cls, attr)))
+    functions = {"gauss_weingarten": hypersurface.gauss_weingarten,
+                 "linalg.det": linalg.det,
+                 "linalg.solve_columns": linalg.solve_columns}
+    wrapped = {id(frame_stack): recorded_frame_stack,
+               **{id(fn): counted(name, fn) for name, fn in functions.items()}}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "sasakicheck":
+            for key, value in list(vars(module).items()):
+                if id(value) in wrapped:
+                    monkeypatch.setattr(module, key, wrapped[id(value)])
+    for name in ("bundle_at", "values_at"):
+        monkeypatch.setattr(InducedStructure, name, counted(name, getattr(InducedStructure, name)))
     run_suite(config)
-    return {k: v / config.count for k, v in calls.items()}
+    return builds, calls
 
 
 def test_run_suite_builds_each_point_once(monkeypatch):
     config = load_suite_config(CONFIGS / "plane_r3.cfg")
     config.checks = list(CHECK_GROUPS)
     config.count = 10
-    assert _per_point_calls(monkeypatch, config) == {
-        "gauss_weingarten": 1.0, "bundle_at": 1.0, "hessian_at": 1.0,
-        "frame_jet": 1.0, "frame_values": 1.0, "values_at": 0.0,
-        "linalg.det": 0.0, "linalg.solve_columns": 0.0}
+    builds, calls = _frame_builds(monkeypatch, config)
+    # one frame stack with partials serves the Gauss-Weingarten group and
+    # the sample states; extraction adds at most one value-only stack
+    assert builds["partials"] == [10]
+    assert builds["values"] in ([], [10])
+    assert calls == {"gauss_weingarten": 1, "bundle_at": 0, "values_at": 0,
+                     "linalg.det": 0, "linalg.solve_columns": 0}
 
 
 @pytest.mark.parametrize("checks,gw_per_point", [
@@ -322,12 +327,12 @@ def test_per_point_data_built_only_for_groups_that_read_it(monkeypatch, checks, 
     config = load_suite_config(CONFIGS / "plane_r3.cfg")
     config.checks = checks
     config.count = 10
-    # structure extraction builds one value-only frame per point
-    values_per_point = 1.0 if "structure" in checks else 0.0
-    assert _per_point_calls(monkeypatch, config) == {
-        "gauss_weingarten": gw_per_point, "bundle_at": 0.0, "hessian_at": gw_per_point,
-        "frame_jet": gw_per_point, "frame_values": values_per_point, "values_at": 0.0,
-        "linalg.det": 0.0, "linalg.solve_columns": 0.0}
+    builds, calls = _frame_builds(monkeypatch, config)
+    # structure extraction builds one value-only stack of all points
+    assert builds == {"partials": [10] * int(gw_per_point),
+                      "values": [10] if "structure" in checks else []}
+    assert calls == {"gauss_weingarten": int(gw_per_point), "bundle_at": 0, "values_at": 0,
+                     "linalg.det": 0, "linalg.solve_columns": 0}
 
 
 @pytest.mark.parametrize("name", ["plane_r3", "quadric_r3", "plane_r5", "quadric_r3_scaled"])

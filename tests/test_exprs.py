@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from sasakicheck.dual import real_part, seed
-from sasakicheck.errors import ExprParseError
+from sasakicheck.errors import EvaluationError, ExprParseError
 from sasakicheck.exprs import compile_expression, compile_map
 
 
@@ -62,3 +63,17 @@ def test_function_requires_parentheses():
 def test_compile_map_evaluates_componentwise():
     f = compile_map(["s", "t", "(s^2 + t^2)/2"], ["s", "t"])
     assert f([1.0, 2.0]) == [1.0, 2.0, 2.5]
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_stacked_failure_names_first_failing_point(levels):
+    # only row 1 has s == t; a stack fails with the message that point gives alone
+    e = compile_expression("1/(s-t)", ["s", "t"])
+    columns = [np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.0, 2.0, 1.0, 4.0])]
+    coords = seed(columns) if levels == 1 else seed(seed(columns))
+    with pytest.raises(EvaluationError) as stacked:
+        e(coords)
+    with pytest.raises(EvaluationError) as single:
+        e(seed([2.0, 2.0]) if levels == 1 else seed(seed([2.0, 2.0])))
+    assert str(stacked.value) == str(single.value)
+    assert "failed at [2.0, 2.0]" in str(stacked.value)

@@ -25,7 +25,12 @@ from sasakicheck import (
     standard_sasakian,
 )
 from sasakicheck.config import load_suite_config
-from sasakicheck.errors import EvaluationError, NonFiniteValueError, RankDeficientError
+from sasakicheck.errors import (
+    EvaluationError,
+    IllConditionedFrameError,
+    NonFiniteValueError,
+    RankDeficientError,
+)
 from sasakicheck.exprs import compile_expression, compile_map
 from sasakicheck.sampling import sample_points, sample_vectors
 
@@ -154,3 +159,15 @@ def test_non_finite_map_value_names_first_bad_point(sasaki3):
     pts = _points({3: [5.0, 0.6875], 6: [-6.0, 0.8125]})
     _raises_naming_first(NonFiniteValueError, NormalField(E), pts,
                          r"5\.0, 0\.6875", "0.8125")
+
+
+def test_ill_conditioned_frame_names_first_bad_point(sasaki3):
+    # B's second column shrinks to about 1e-7 where s = 0.625 or s = 0.875,
+    # and a large constant scaling puts the frame's condition number over
+    # the limit there only
+    E = Embedding(2, sasaki3, lambda c: [
+        c[0], c[1] * (((c[0] - 0.625) * (c[0] - 0.875)) ** 2 + 1e-7), 0.1])
+    rho = ScalarField(2, lambda c: 1e6)
+    pts = _points({5: [0.625, 0.5625], 9: [0.875, 0.9375]})
+    _raises_naming_first(IllConditionedFrameError, NormalField(E, rho), pts,
+                         re.escape(str((0.625, 0.5625))), re.escape("0.9375"))

@@ -19,7 +19,7 @@ from sasakicheck import (
 from sasakicheck.dual import cos, exp, sin
 from sasakicheck.errors import RankDeficientError, SingularMetricError
 from sasakicheck.fields import Point as P
-from sasakicheck.hypersurface import reconstruction_residuals
+from sasakicheck.hypersurface import frame_stack, reconstruction_residuals
 from sasakicheck.connection import christoffel
 
 from conftest import chart_points
@@ -53,7 +53,7 @@ def test_flat_plane_unit_normal(flat_plane):
 
 
 def test_flat_plane_totally_geodesic(flat_plane):
-    gw = gauss_weingarten(flat_plane, NormalField(flat_plane), P([0.5, 0.5]))
+    gw = gauss_weingarten(flat_plane, NormalField(flat_plane), [P([0.5, 0.5])])[0]
     assert np.max(np.abs(gw.h)) == 0.0
     assert np.max(np.abs(gw.H_w)) == 0.0
     assert np.max(np.abs(gw.w)) == 0.0
@@ -72,7 +72,7 @@ def test_sphere_shape_operator_is_curvature_times_identity(euclid3):
         N = NormalField(E, orientation=-1)
         for p in chart_points(2, 6, seed=5):
             q = P([0.5 * p.coords[0], 0.5 * p.coords[1]])  # stay away from poles
-            gw = gauss_weingarten(E, N, q)
+            gw = gauss_weingarten(E, N, [q])[0]
             np.testing.assert_allclose(gw.H_h, np.eye(2) / r, atol=1e-6)
             np.testing.assert_allclose(gw.h, gw.h.T, atol=1e-12)
             gind = induced_metric(E).components(q)
@@ -112,7 +112,7 @@ def test_normal_defining_equations(plane_r3):
     # g~(B e_a, N) = 0 and g~(N, N) = 1, at a point with y != 0
     p = P([0.5, -0.3])
     n = unit_normal(plane_r3, p)
-    B = plane_r3.jacobian_at(p)
+    B = frame_stack(NormalField(plane_r3), [p]).jacobian[0]
     gt = plane_r3.ambient_metric.components(plane_r3.point_image(p))
     assert np.max(np.abs(B.T @ gt @ n)) < 1e-10
     assert abs(float(n @ gt @ n) - 1.0) < 1e-10
@@ -131,7 +131,7 @@ def test_gauss_weingarten_reconstruction(surface, request):
     E = request.getfixturevalue(surface)
     N = NormalField(E)
     for p in chart_points(2, 15, seed=19):
-        rec = reconstruction_residuals(gauss_weingarten(E, N, p))
+        rec = reconstruction_residuals(gauss_weingarten(E, N, [p])[0])
         assert rec["gauss"] < 1e-6
         assert rec["weingarten"] < 1e-6
 
@@ -140,7 +140,7 @@ def test_decomposed_connection_matches_levi_civita(quadric_r3):
     g = induced_metric(quadric_r3)
     N = NormalField(quadric_r3)
     for p in chart_points(2, 10, seed=23):
-        gw = gauss_weingarten(quadric_r3, N, p)
+        gw = gauss_weingarten(quadric_r3, N, [p])[0]
         gamma = christoffel(g, p).gamma
         assert np.max(np.abs(gw.induced_gamma - gamma)) < 1e-6
 
@@ -154,7 +154,7 @@ def test_decomposed_connection_metricity(quadric_r3):
     g = induced_metric(quadric_r3)
     N = NormalField(quadric_r3)
     for p in chart_points(2, 8, seed=24):
-        gw = gauss_weingarten(quadric_r3, N, p)
+        gw = gauss_weingarten(quadric_r3, N, [p])[0]
         jg = jet(g.tensor, p)
         full = covariant_derivative_components(jg.value, jg.partials, gw.induced_gamma, (0, 2))
         assert np.max(np.abs(full)) < 1e-6
@@ -164,7 +164,7 @@ def test_unit_normal_weingarten_relations(quadric_r3):
     N = NormalField(quadric_r3)
     g = induced_metric(quadric_r3)
     for p in chart_points(2, 10, seed=27):
-        gw = gauss_weingarten(quadric_r3, N, p)
+        gw = gauss_weingarten(quadric_r3, N, [p])[0]
         assert np.max(np.abs(gw.w)) < 1e-10
         gv = g.components(p)
         # metric Weingarten relation g(H_w X, Y) = -h(X, Y)
@@ -180,8 +180,8 @@ def test_scaled_normal_product_rule(quadric_r3):
     N_scaled = NormalField(E, scaling=rho)
     for p in chart_points(2, 8, seed=31):
         r = math.exp(p.coords[0] + p.coords[1])
-        gw_u = gauss_weingarten(E, N_unit, p)
-        gw_s = gauss_weingarten(E, N_scaled, p)
+        gw_u = gauss_weingarten(E, N_unit, [p])[0]
+        gw_s = gauss_weingarten(E, N_scaled, [p])[0]
         np.testing.assert_allclose(gw_s.w, [1.0, 1.0], atol=1e-6)
         np.testing.assert_allclose(gw_s.h, gw_u.h / r, atol=1e-6)
         np.testing.assert_allclose(gw_s.H_w, gw_u.H_w * r, atol=1e-6)
@@ -194,8 +194,8 @@ def test_orientation_flip_action(quadric_r3):
     N = NormalField(quadric_r3)
     Nf = N.flipped()
     for p in chart_points(2, 6, seed=33):
-        a = gauss_weingarten(quadric_r3, N, p)
-        b = gauss_weingarten(quadric_r3, Nf, p)
+        a = gauss_weingarten(quadric_r3, N, [p])[0]
+        b = gauss_weingarten(quadric_r3, Nf, [p])[0]
         np.testing.assert_allclose(b.h, -a.h, atol=1e-12)
         np.testing.assert_allclose(b.H_w, -a.H_w, atol=1e-12)
         np.testing.assert_allclose(b.H_h, -a.H_h, atol=1e-12)
@@ -222,7 +222,7 @@ def test_singular_ambient_metric_rejected():
     with pytest.raises(SingularMetricError):
         unit_normal(E, P([0.2, 0.2]))
     with pytest.raises(SingularMetricError):
-        gauss_weingarten(E, NormalField(E), P([0.2, 0.2]))
+        gauss_weingarten(E, NormalField(E), [P([0.2, 0.2])])[0]
 
 
 def test_wrong_output_arity_rejected(euclid3):

@@ -80,7 +80,7 @@ def test_extraction_matches_frozen_plane_oracle(plane_structure):
         np.testing.assert_allclose(bd.U, want["U"], atol=1e-12)
         np.testing.assert_allclose(bd.v, want["v"], atol=1e-12)
         np.testing.assert_allclose(bd.V, want["V"], atol=1e-12)
-        np.testing.assert_allclose(gauss_weingarten(S.embedding, S.normal, p).h, want["h"],
+        np.testing.assert_allclose(gauss_weingarten(S.embedding, S.normal, [p])[0].h, want["h"],
                                    atol=1e-12)
 
 

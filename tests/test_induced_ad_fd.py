@@ -81,9 +81,9 @@ def _fd_normal(N, p):
 def _check_normal_partials(N, pts):
     E = N.embedding
     for p in pts:
-        gw = gauss_weingarten(E, N, p)
+        gw = gauss_weingarten(E, N, [p])[0]
         gamma = christoffel(E.ambient_metric, E.point_image(p)).gamma
-        dN = gw.DN - np.einsum("ijk,ja,k->ia", gamma, E.jacobian_at(p), gw.normal)
+        dN = gw.DN - np.einsum("ijk,ja,k->ia", gamma, gw.jacobian, gw.normal)
         err = float(np.max(np.abs(dN.T - _fd_normal(N, p))))
         assert err <= TOL, (p.coords, err)
 

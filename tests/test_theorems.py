@@ -69,7 +69,7 @@ def test_nabla_V_matches_adjudicated_identity(plane_structure):
     pts = chart_points(2, 8, seed=91)
     for p in pts:
         bd = plane_structure.bundle_at(p)
-        gw = gauss_weingarten(plane_structure.embedding, plane_structure.normal, p)
+        gw = gauss_weingarten(plane_structure.embedding, plane_structure.normal, [p])[0]
         covV = bd.dV + np.einsum("aij,j->ia", bd.gamma, bd.V)
         for Y in chart_vectors(2, 3, seed=92):
             direct = np.einsum("i,ia->a", Y, covV)
@@ -216,7 +216,7 @@ def test_theorem_3_4_scaled_normal_w_is_dlog_rho(quadric_r3):
     pts = chart_points(2, 8, seed=103)
     S = extract_structure(quadric_r3, NormalField(quadric_r3, scaling=rho), pts)
     for p in pts:
-        gw = gauss_weingarten(S.embedding, S.normal, p)
+        gw = gauss_weingarten(S.embedding, S.normal, [p])[0]
         np.testing.assert_allclose(gw.w, [1.0, 1.0], atol=1e-6)
 
 
