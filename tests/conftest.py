@@ -1,8 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sasakicheck import Embedding, standard_sasakian
+from sasakicheck import Embedding, NormalField, ScalarField, standard_sasakian
+from sasakicheck.config import load_suite_config
+from sasakicheck.exprs import compile_expression, compile_map
 from sasakicheck.sampling import sample_points, sample_vectors, spawn_rngs
+
+REPO = Path(__file__).resolve().parent.parent
+# the shipped surfaces plus the curved n = 2 benchmark surface
+SURFACES = {
+    "plane_r3": REPO / "configs" / "plane_r3.cfg",
+    "quadric_r3": REPO / "configs" / "quadric_r3.cfg",
+    "quadric_r3_scaled": REPO / "configs" / "quadric_r3_scaled.cfg",
+    "plane_r5": REPO / "configs" / "plane_r5.cfg",
+    "quadric_r5": REPO / "perfbench" / "configs" / "quadric_r5.cfg",
+}
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +57,15 @@ def chart_points(dim, count, seed=7):
 def chart_vectors(dim, count, seed=11):
     rng = np.random.default_rng(seed)
     return sample_vectors(dim, count, rng)
+
+
+def surface_normal(path):
+    """The normal field a suite run builds from the config at ``path``."""
+    config = load_suite_config(path)
+    E = Embedding(config.surface_dim, standard_sasakian(config.n),
+                  compile_map(config.outputs, config.inputs))
+    scaling = None
+    if config.scaling is not None:
+        scaling = ScalarField(config.surface_dim,
+                              compile_expression(config.scaling, config.inputs))
+    return NormalField(E, scaling, config.orientation)

@@ -10,7 +10,6 @@ as it does point by point, naming the first offending sample.
 import re
 import warnings
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,40 +21,19 @@ from sasakicheck import (
     ScalarField,
     extract_structure,
     sample_states,
-    standard_sasakian,
 )
-from sasakicheck.config import load_suite_config
 from sasakicheck.errors import (
     EvaluationError,
     IllConditionedFrameError,
     NonFiniteValueError,
     RankDeficientError,
 )
-from sasakicheck.exprs import compile_expression, compile_map
 from sasakicheck.sampling import sample_points, sample_vectors
 
-REPO = Path(__file__).resolve().parent.parent
-SURFACES = {
-    "plane_r3": REPO / "configs" / "plane_r3.cfg",
-    "quadric_r3": REPO / "configs" / "quadric_r3.cfg",
-    "quadric_r3_scaled": REPO / "configs" / "quadric_r3_scaled.cfg",
-    "plane_r5": REPO / "configs" / "plane_r5.cfg",
-    "quadric_r5": REPO / "perfbench" / "configs" / "quadric_r5.cfg",
-}
+from conftest import SURFACES, surface_normal
+
 GW_ARRAYS = ("induced_gamma", "h", "H_w", "H_h", "w", "D", "DN", "normal")
 STATE_ARRAYS = ("dirs", "covphi", "covu", "covv", "covU", "covV")
-
-
-def _normal(path):
-    """The normal field a suite run builds from the config at ``path``."""
-    config = load_suite_config(path)
-    E = Embedding(config.surface_dim, standard_sasakian(config.n),
-                  compile_map(config.outputs, config.inputs))
-    scaling = None
-    if config.scaling is not None:
-        scaling = ScalarField(config.surface_dim,
-                              compile_expression(config.scaling, config.inputs))
-    return NormalField(E, scaling, config.orientation)
 
 
 def _samples(dim, count, seed):
@@ -78,7 +56,7 @@ def _assert_same_bundle(a, b, where):
 @pytest.mark.parametrize("count", [8, 50, 400])
 @pytest.mark.parametrize("surface", sorted(SURFACES))
 def test_extraction_equals_single_point_extractions(surface, count):
-    N = _normal(SURFACES[surface])
+    N = surface_normal(SURFACES[surface])
     pts, _ = _samples(N.embedding.dim, count, seed=count + 3)
     whole = extract_structure(N.embedding, N, pts)
     singles = [extract_structure(N.embedding, N, [p]) for p in pts]
@@ -92,7 +70,7 @@ def test_extraction_equals_single_point_extractions(surface, count):
 @pytest.mark.parametrize("count", [8, 50, 400])
 @pytest.mark.parametrize("surface", sorted(SURFACES))
 def test_sample_states_equal_single_point_states(surface, count):
-    N = _normal(SURFACES[surface])
+    N = surface_normal(SURFACES[surface])
     pts, dirs = _samples(N.embedding.dim, count, seed=count + 5)
     S = extract_structure(N.embedding, N, pts)
     whole = sample_states(S, pts, dirs)
