@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .config import CHECK_GROUPS, load_suite_config, resolve_config_path
+from .config import CHECK_GROUPS, check_seed, load_suite_config, resolve_config_path
 from .errors import SasakicheckError
 from .report import EXIT_CONFIG_ERROR, exit_code_for, render_json, render_text
 from .runner import run_suite
@@ -42,7 +42,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         path = resolve_config_path(args.config)
         config = load_suite_config(path)
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = check_seed(args.seed)
         if args.strict_paper:
             config.strict_paper = True
         if args.check:

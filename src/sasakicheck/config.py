@@ -30,6 +30,7 @@ Example::
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,6 +93,13 @@ def _split_list(raw: str) -> List[str]:
     if len(lines) > 1:
         return lines
     return [part.strip() for part in raw.split(",") if part.strip()]
+
+
+def check_seed(seed: int) -> int:
+    """Return ``seed`` if numpy's seed sequence accepts it (it must be >= 0)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def resolve_config_path(value: str) -> Path:
@@ -188,14 +196,14 @@ def load_suite_config(path) -> SuiteConfig:
 
     try:
         count = int(get("sample", "count", fallback="50"))
-        seed = int(get("sample", "seed", fallback="7"))
+        seed = check_seed(int(get("sample", "seed", fallback="7")))
         box_vals = [float(x) for x in _split_list(get("sample", "box", fallback="-1, 1"))]
     except ValueError as exc:
         raise ConfigError(f"bad [sample] entry: {exc}") from exc
     if count < 1:
         raise ConfigError(f"[sample] count must be >= 1, got {count}")
-    if len(box_vals) != 2 or box_vals[0] >= box_vals[1]:
-        raise ConfigError(f"[sample] box must be 'lo, hi' with lo < hi, got {box_vals}")
+    if len(box_vals) != 2 or not all(map(math.isfinite, box_vals)) or box_vals[0] >= box_vals[1]:
+        raise ConfigError(f"[sample] box must be 'lo, hi' with finite lo < hi, got {box_vals}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     if parser.has_section("tolerances"):
@@ -203,9 +211,12 @@ def load_suite_config(path) -> SuiteConfig:
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {key!r}")
             try:
-                tolerances[key] = float(parser.get("tolerances", key))
+                value = float(parser.get("tolerances", key))
             except ValueError as exc:
                 raise ConfigError(f"bad tolerance {key}: {exc}") from exc
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"tolerance {key} must be a finite number >= 0, got {value}")
+            tolerances[key] = value
 
     checks = _split_list(get("suite", "checks", fallback=", ".join(CHECK_GROUPS)))
     for c in checks:

@@ -2,8 +2,7 @@
 
 The connection is always the Levi-Civita connection of the supplied
 metric; Christoffel symbols come from dual-number jets of the metric
-components, with a finite-difference path kept as an independent
-oracle.  ``levi_civita_gamma`` and ``covariant_derivative_components``
+components.  ``levi_civita_gamma`` and ``covariant_derivative_components``
 accept leading point axes, so the same formulas serve one point and a
 stack of P points (``christoffel_stack``).
 """
@@ -15,16 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMetricError, UnsupportedValenceError
-from .fields import (
-    DEFAULT_FD_STEP,
-    Point,
-    PointStack,
-    TensorField,
-    evaluate,
-    fd_derivative,
-    jet,
-    jet_stack,
-)
+from .fields import Point, PointStack, TensorField, evaluate, jet, jet_stack
 
 DET_FLOOR = 1e-12
 
@@ -68,23 +58,9 @@ def metric_positivity_ok(metric: MetricField, points) -> bool:
     return True
 
 
-def christoffel(
-    metric: MetricField,
-    p: Point,
-    method: str = "ad",
-    step: float = DEFAULT_FD_STEP,
-) -> ChristoffelSymbols:
-    """Levi-Civita Christoffel symbols from metric jets.
-
-    ``method="fd"`` swaps the dual-number partials for central finite
-    differences, which is the cross-validation path.
-    """
-    if method == "ad":
-        jt = jet(metric.tensor, p)
-    elif method == "fd":
-        jt = fd_derivative(metric.tensor, p, step=step)
-    else:
-        raise ValueError(f"unknown differentiation method {method!r}")
+def christoffel(metric: MetricField, p: Point) -> ChristoffelSymbols:
+    """Levi-Civita Christoffel symbols from a dual-number jet of the metric."""
+    jt = jet(metric.tensor, p)
     require_nonsingular(jt.value[None], [p])
     return ChristoffelSymbols(point=p, gamma=levi_civita_gamma(jt.value, jt.partials))
 

@@ -26,13 +26,13 @@ reads every image, Jacobian and Hessian from one nested dual pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import math
 
 import numpy as np
 
-from .dual import Dual, grad_part, real_part, seed, value_part
+from .dual import grad_part, real_part, seed, value_part
 from .errors import DimensionMismatchError, EvaluationError, NonFiniteValueError
 
 DEFAULT_FD_STEP = 1e-5
@@ -141,13 +141,11 @@ class Jet:
     """Field components at a point together with coordinate derivatives.
 
     ``partials[k, ...]`` is the partial derivative along coordinate k of
-    the component array; ``second_partials[k, l, ...]`` (optional) the
-    corresponding second derivative.
+    the component array.
     """
 
     value: np.ndarray
     partials: np.ndarray
-    second_partials: Optional[np.ndarray] = None
 
 
 def _check_point(fld, p: Point) -> None:
@@ -240,36 +238,22 @@ def jet_stack(fld, stack: PointStack) -> Jet:
     return Jet(value=value, partials=partials)
 
 
-def jet(fld, p: Point, order: int = 1) -> Jet:
-    """First (and optionally second) partials by dual-number propagation."""
+def jet(fld, p: Point) -> Jet:
+    """Value and first partials at a point by dual-number propagation."""
     _check_point(fld, p)
-    if order not in (1, 2):
-        raise ValueError("jet order must be 1 or 2")
     d = p.dim
-    coords = seed(list(p.coords))
-    if order == 2:
-        coords = seed(coords)
-    raw = fld.func(coords)
+    raw = fld.func(seed(list(p.coords)))
     shape = fld.shape
     value = np.empty(shape, dtype=float)
     partials = np.zeros((d,) + shape, dtype=float)
-    second = np.zeros((d, d) + shape, dtype=float) if order == 2 else None
     for idx in np.ndindex(shape):
         comp = _component(raw, idx)
-        if order == 1:
-            value[idx] = real_part(comp) if isinstance(comp, Dual) else float(comp)
-            for k, g in enumerate(grad_part(comp, d)):
-                partials[(k,) + idx] = float(g)
-        else:
-            inner_val = value_part(comp)
-            value[idx] = real_part(inner_val) if isinstance(inner_val, Dual) else float(inner_val)
-            for k, g in enumerate(grad_part(comp, d)):
-                partials[(k,) + idx] = real_part(g) if isinstance(g, Dual) else float(g)
-                for l, gg in enumerate(grad_part(g, d)):
-                    second[(k, l) + idx] = float(gg)
+        value[idx] = real_part(comp)
+        for k, g in enumerate(grad_part(comp, d)):
+            partials[(k,) + idx] = float(g)
     if not np.isfinite(value).all() or not np.isfinite(partials).all():
         raise NonFiniteValueError(f"non-finite jet of field at {p.coords}")
-    return Jet(value=value, partials=partials, second_partials=second)
+    return Jet(value=value, partials=partials)
 
 
 def fd_derivative(fld, p: Point, step: float = DEFAULT_FD_STEP) -> Jet:

@@ -163,13 +163,18 @@ class InducedStructure:
     max_u: float
     tangency_residual: float
     lambda_consistency: float
-    # float induced data at the extraction points, as built there
-    extracted: Dict[Point, StructureBundle] = dc_field(default_factory=dict, compare=False,
-                                                      repr=False)
+    # the extraction points, and the float induced data there as (P, ...) arrays
+    points: tuple = dc_field(default=(), compare=False, repr=False)
+    stack: Dict[str, np.ndarray] = dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.embedding.dim
+
+    @property
+    def extracted(self) -> Dict[Point, StructureBundle]:
+        """One bundle per extraction point, its arrays views into ``stack``."""
+        return dict(zip(self.points, _bundles(self.stack)))
 
     def values_at(self, p: Point) -> StructureBundle:
         """Float induced data at p, from a value-only frame."""
@@ -229,7 +234,8 @@ def extract_structure(
         max_u=max_u,
         tangency_residual=linalg.worst(tangency),
         lambda_consistency=lambda_consistency,
-        extracted=dict(zip(fs.points.points, _bundles(st))),
+        points=tuple(fs.points.points),
+        stack=st,
     )
 
 
@@ -302,60 +308,67 @@ class IdentityReport:
         raise KeyError(name)
 
 
-def verify_algebraic_identities(
-    S: InducedStructure, points: Sequence[Point], tangents: Optional[Sequence] = None
-) -> IdentityReport:
-    """Residuals of the derivative-free identity family (2.5) to (2.8).
+def structure_residuals(phi, u, U, V, v, lam, g, eta_n) -> Dict[str, float]:
+    """Largest residual of each algebraic identity (2.5) to (2.8) over (P, ...) stacks.
 
     The (2.5) family keeps eta(N) literal; the (2.8) family substitutes
-    lambda for it, which is automatic for a unit normal.  All checks are
-    run on full component arrays, which covers every direction at once.
+    lambda for it, which is automatic for a unit normal.  The checks run
+    on full component arrays, which covers every direction at once.
+    Products keep singleton axes, so each point's bits do not depend on P.
     """
-    names = ["2.5", "2.6", "2.7", "2.8"]
-    res = {k: 0.0 for k in names}
-    sub: Dict[str, float] = {}
+    def worst(*residuals):
+        return max(linalg.worst(np.abs(r)) for r in residuals)
 
-    def bump(key, value):
-        sub[key] = max(sub.get(key, 0.0), float(value))
+    def outer(a, b):
+        return a[:, :, None] * b[:, None, :]
 
-    for p in points:
-        bd = S.extracted.get(p)
-        if bd is None:
-            bd = S.values_at(p)
-        m = S.dim
-        eye = np.eye(m)
-        phi, u, U, V, v, lam, g, etaN = bd.phi, bd.u, bd.U, bd.V, bd.v, bd.lam, bd.g, bd.eta_n
+    def left(x, M):  # x[p] @ M[p]
+        return (x[:, None, :] @ M)[:, 0]
 
-        bump("2.5a", np.max(np.abs(phi @ phi + eye - np.outer(U, u) - np.outer(V, v))))
-        for gauge, en in (("2.5", etaN), ("2.8", lam)):
-            bump(f"{gauge}b" if gauge == "2.5" else "2.8c",
-                 max(np.max(np.abs(u @ phi - lam * v)), np.max(np.abs(v @ phi + en * u))))
-            bump(f"{gauge}c" if gauge == "2.5" else "2.8b",
-                 max(np.max(np.abs(phi @ U + en * V)), np.max(np.abs(phi @ V - lam * U))))
-            bump(f"{gauge}d" if gauge == "2.5" else "2.8d",
-                 max(abs(float(u @ U) - (1.0 - lam * en)), abs(float(u @ V))))
-            bump(f"{gauge}e" if gauge == "2.5" else "2.8e",
-                 max(abs(float(v @ U)), abs(float(v @ V) - (1.0 - lam * en))))
-        bump("2.8a", np.max(np.abs(phi @ phi + eye - np.outer(U, u) - np.outer(V, v))))
-        bump("2.6", np.max(np.abs(phi.T @ g @ phi - g + np.outer(u, u) + np.outer(v, v))))
-        bump("2.7", max(np.max(np.abs(g @ U - u)), np.max(np.abs(g @ V - v))))
+    def right(M, x):  # M[p] @ x[p]
+        return (M @ x[:, :, None])[..., 0]
 
-    res["2.5"] = max(val for key, val in sub.items() if key.startswith("2.5"))
-    res["2.8"] = max(val for key, val in sub.items() if key.startswith("2.8"))
-    res["2.6"] = sub["2.6"]
-    res["2.7"] = sub["2.7"]
+    square = worst(phi @ phi + np.eye(phi.shape[-1]) - outer(U, u) - outer(V, v))
+    out = {"2.5a": square, "2.8a": square}
+    uphi, vphi, phiU, phiV = left(u, phi), left(v, phi), right(phi, U), right(phi, V)
+    uU, uV, vU, vV = (linalg.pair(x, y) for x in (u, v) for y in (U, V))
+    lam_ = lam[:, None]
+    # the two families name their one-form and vector rows in opposite order
+    for family, en, (forms, vectors) in (("2.5", eta_n, "bc"), ("2.8", lam, "cb")):
+        one = 1.0 - lam * en
+        out[family + forms] = worst(uphi - lam_ * v, vphi + en[:, None] * u)
+        out[family + vectors] = worst(phiU + en[:, None] * V, phiV - lam_ * U)
+        out[family + "d"] = worst(uU - one, uV)
+        out[family + "e"] = worst(vU, vV - one)
+    out["2.6"] = worst(phi.mT @ g @ phi - g + outer(u, u) + outer(v, v))
+    out["2.7"] = worst(right(g, U) - u, right(g, V) - v)
+    return out
 
-    identities = [
-        IdentityResult(
-            name=k,
-            equation_ref=f"Eq ({k})",
-            residual=res[k],
+
+_STRUCTURE_ARGS = ("phi", "u", "U", "V", "v", "lam", "g", "eta_n")
+
+
+def verify_algebraic_identities(S: InducedStructure, points: Sequence[Point]) -> IdentityReport:
+    """Residuals of the derivative-free identity family (2.5) to (2.8).
+
+    At the extraction points this reads the data extraction built; at
+    other points it builds one value-only frame stack of them.
+    """
+    points = tuple(points)
+    st = S.stack if points == S.points else _structure_stack(
+        S.embedding.ambient, frame_stack(S.normal, points))
+    sub = structure_residuals(*(st[k] for k in _STRUCTURE_ARGS))
+    identities = []
+    for name in ("2.5", "2.6", "2.7", "2.8"):
+        details = {k: r for k, r in sub.items() if k.startswith(name)}
+        identities.append(IdentityResult(
+            name=name,
+            equation_ref=f"Eq ({name})",
+            residual=max(details.values()),
             convention="independent",
             samples_used=len(points),
-            details={kk: vv for kk, vv in sub.items() if kk.startswith(k)},
-        )
-        for k in names
-    ]
+            details=details,
+        ))
     return IdentityReport(identities=identities, structure_sign="independent",
                           sample_count=len(points))
 

@@ -98,13 +98,13 @@ def check_condition(mats: np.ndarray, stack, limit: float = 1e12, what: str = "f
 
 
 def pair(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X[p] @ Y[p] at every point, as shape (P,).
+    """X[p] @ Y[p] at every point, as shape (P,); further leading axes broadcast.
 
     Products on stacks keep explicit singleton axes, (P, 1, d) @ (P, d, 1)
     here, so each point runs the same BLAS call as its one-point ``@``
     and the bits do not depend on P.
     """
-    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
 def worst(residual: np.ndarray) -> float:

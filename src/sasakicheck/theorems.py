@@ -13,11 +13,13 @@ measures the conclusions to machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import attrgetter
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .induced import SampleState
+from . import linalg
+from .induced import SampleState, structure_residuals
 
 LAMBDA_FLOOR = 1e-6
 HYPOTHESIS_TOL = 1e-6
@@ -50,16 +52,47 @@ def _verdict(hyp: float, concl: Dict[str, float], eps_h: float, eps_c: float) ->
 # ---------------------------------------------------------------------------
 
 
+def _stack(states: Sequence[SampleState], *paths: str) -> List[np.ndarray]:
+    """Each dotted field path (``"gw.h"``, ``"dirs"``) of every state, stacked
+    with the point axis first."""
+    return [np.stack([attrgetter(path)(st) for st in states]) for path in paths]
+
+
+def _along(dirs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x[p] @ X for every direction X of every state, as (P, K)."""
+    return linalg.pair(x[:, None], dirs)
+
+
+def _form(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(X @ M[p]) @ Y for every row X of X[p] and Y of Y[p], as (P, K, K)."""
+    XM = (X[:, :, None] @ M[:, None])[:, :, 0]
+    return linalg.pair(XM[:, :, None], Y[:, None])
+
+
+def _covariant_along(states: Sequence[SampleState], field: str) -> np.ndarray:
+    """|nabla_X field| for every state and direction X, as (P, K, ...)."""
+    dirs, cov = _stack(states, "dirs", "cov" + field)
+    return np.abs(np.einsum("pki,pi...->pk...", dirs, cov))
+
+
+def _max_per_point(a: np.ndarray) -> np.ndarray:
+    return np.max(a, axis=tuple(range(1, a.ndim)))
+
+
+def _gated(hypothesis: np.ndarray, lam: np.ndarray, eps_h: float):
+    """Mask of the samples whose own hypothesis residual is within ``eps_h``
+    and whose lambda clears the floor, their count, and the count of
+    samples within ``eps_h`` excluded by the floor."""
+    held = ~(hypothesis > eps_h)
+    small = np.abs(lam) < LAMBDA_FLOOR
+    return held & ~small, int(np.count_nonzero(held & ~small)), int(np.count_nonzero(held & small))
+
+
 def parallel_residual(states: Sequence[SampleState], field: str) -> float:
     """max over samples and directions of |nabla_X field| for field in {phi, U, V}."""
     if field not in ("phi", "U", "V"):
         raise ValueError(f"parallel_residual supports phi, U, V; got {field!r}")
-    out = 0.0
-    for st in states:
-        cov = getattr(st, "cov" + field)
-        for X in st.dirs:
-            out = max(out, float(np.max(np.abs(np.einsum("i,i...->...", X, cov)))))
-    return out
+    return linalg.worst(_covariant_along(states, field))
 
 
 def theorem_3_1_chart(
@@ -70,29 +103,23 @@ def theorem_3_1_chart(
 ) -> ImplicationCheckResult:
     """phi parallel implies (3.2)-(3.5); evaluated only where nabla phi is small."""
     hyp = parallel_residual(states, "phi")
-    concl = {"3.2": 0.0, "3.3": 0.0, "3.4": 0.0, "3.5": 0.0}
-    s = structure_sign
-    excluded = 0
-    used = 0
+    concl = dict.fromkeys(("3.2", "3.3", "3.4", "3.5"), 0.0)
+    used = excluded = 0
     if hyp <= eps_h:
-        for st in states:
-            bd, gw, dirs = st.bundle, st.gw, st.dirs
-            lam = bd.lam
-            u = s * bd.u
-            one = 1.0 - lam * lam
-            for X in dirs:
-                for Y in dirs:
-                    used += 1
-                    hXY = float(X @ gw.h @ Y)
-                    concl["3.2"] = max(concl["3.2"], abs(one * hXY + float(u @ Y) * float(bd.v @ X)))
-                    concl["3.4"] = max(concl["3.4"], abs(one * float(X @ bd.g @ Y) - float(bd.v @ X) * float(bd.v @ Y)))
-            concl["3.3"] = max(concl["3.3"], float(np.max(np.abs(gw.h @ bd.V))))
-            if abs(lam) < LAMBDA_FLOOR:
-                excluded += 1
-            else:
-                for Y in dirs:
-                    r = float(lam * (gw.w @ Y) - u @ Y + bd.dlam @ Y)
-                    concl["3.5"] = max(concl["3.5"], abs(r))
+        dirs, lam, u, v, V, g, dlam, h, w = _stack(
+            states, "dirs", "bundle.lam", "bundle.u", "bundle.v", "bundle.V", "bundle.g",
+            "bundle.dlam", "gw.h", "gw.w")
+        u = structure_sign * u
+        one = (1.0 - lam * lam)[:, None, None]
+        uY, vX = _along(dirs, u), _along(dirs, v)
+        concl["3.2"] = linalg.worst(np.abs(one * _form(dirs, h, dirs) + uY[:, None] * vX[..., None]))
+        concl["3.4"] = linalg.worst(np.abs(one * _form(dirs, g, dirs) - vX[..., None] * vX[:, None]))
+        concl["3.3"] = linalg.worst(np.abs(h @ V[..., None]))
+        small = np.abs(lam) < LAMBDA_FLOOR
+        r = lam[:, None] * _along(dirs, w) - uY + _along(dirs, dlam)
+        concl["3.5"] = linalg.worst(np.abs(r[~small]))
+        used = dirs.shape[0] * dirs.shape[1] ** 2
+        excluded = int(np.count_nonzero(small))
     return ImplicationCheckResult(
         name="theorem_3_1_chart",
         hypothesis_residual=hyp,
@@ -113,28 +140,23 @@ def theorem_3_2_chart(
     """U parallel implies (3.6)-(3.7); generically vacuous."""
     hyp = parallel_residual(states, "U")
     concl = {"3.6": 0.0, "3.7": 0.0}
-    s = structure_sign
-    used = 0
-    excluded = 0
+    used = excluded = 0
     if hyp <= eps_h:
-        for st in states:
-            bd, gw, dirs = st.bundle, st.gw, st.dirs
-            lam = bd.lam
-            u = s * bd.u
-            phi = s * bd.phi
-            if abs(lam) < LAMBDA_FLOOR:
-                excluded += 1
-                continue
-            for X in dirs:
-                for Y in dirs:
-                    used += 1
-                    concl["3.6"] = max(concl["3.6"], abs(
-                        float(X @ gw.h @ (phi @ Y)) - lam * float(X @ bd.g @ Y)
-                        + float(gw.w @ Y) * float(u @ X)))
-            for Y in dirs:
-                dloglam = float(bd.dlam @ Y) / lam
-                concl["3.7"] = max(concl["3.7"], abs(
-                    float(gw.w @ Y) - 2.0 * lam * float(u @ Y) + lam * lam * dloglam))
+        stacks = _stack(states, "bundle.lam", "dirs", "bundle.u", "bundle.phi", "bundle.g",
+                        "bundle.dlam", "gw.h", "gw.w")
+        kept = ~(np.abs(stacks[0]) < LAMBDA_FLOOR)
+        lam, dirs, u, phi, g, dlam, h, w = (a[kept] for a in stacks)
+        u, phi = structure_sign * u, structure_sign * phi
+        phiY = (phi[:, None] @ dirs[..., None])[..., 0]
+        uX, wY = _along(dirs, u), _along(dirs, w)
+        concl["3.6"] = linalg.worst(np.abs(
+            _form(dirs, h, phiY) - lam[:, None, None] * _form(dirs, g, dirs)
+            + wY[:, None] * uX[..., None]))
+        dloglam = _along(dirs, dlam) / lam[:, None]
+        concl["3.7"] = linalg.worst(np.abs(
+            wY - (2.0 * lam)[:, None] * uX + (lam * lam)[:, None] * dloglam))
+        used = dirs.shape[0] * dirs.shape[1] ** 2
+        excluded = len(states) - dirs.shape[0]
     return ImplicationCheckResult(
         name="theorem_3_2_chart",
         hypothesis_residual=hyp,
@@ -151,28 +173,18 @@ def theorem_3_3_chart(
     eps_h: float = HYPOTHESIS_TOL,
 ) -> ImplicationCheckResult:
     """V parallel implies totally geodesic, as the bound |h| <= C eps / |lambda|."""
-    concl = {"h_bound": 0.0}
-    used = 0
-    excluded = 0
-    worst_hyp = 0.0
-    for st in states:
-        bd, gw = st.bundle, st.gw
-        eps_p = max(float(np.max(np.abs(np.einsum("i,ia->a", X, st.covV)))) for X in st.dirs)
-        worst_hyp = max(worst_hyp, 0.0 if eps_p <= eps_h else eps_p)
-        if eps_p > eps_h:
-            continue
-        if abs(bd.lam) < LAMBDA_FLOOR:
-            excluded += 1
-            continue
-        used += 1
-        C = (1.0 + float(np.max(np.abs(bd.g)))) * (1.0 + float(np.max(np.abs(bd.phi))))
-        bound = C * max(eps_p, 1e-15) / abs(bd.lam)
-        overshoot = max(0.0, float(np.max(np.abs(gw.h))) - bound)
-        concl["h_bound"] = max(concl["h_bound"], overshoot)
+    eps = _max_per_point(_covariant_along(states, "V"))
+    lam, g, phi, h = _stack(states, "bundle.lam", "bundle.g", "bundle.phi", "gw.h")
+    ok, used, excluded = _gated(eps, lam, eps_h)
+    hyp = linalg.worst(np.where(eps > eps_h, eps, 0.0)) if used == 0 else 0.0
+    eps, lam, g, phi, h = (a[ok] for a in (eps, lam, g, phi, h))
+    C = (1.0 + _max_per_point(np.abs(g))) * (1.0 + _max_per_point(np.abs(phi)))
+    bound = C * np.maximum(eps, 1e-15) / np.abs(lam)
+    concl = {"h_bound": linalg.worst(np.maximum(0.0, _max_per_point(np.abs(h)) - bound))}
     verdict = "vacuous" if used == 0 else ("confirmed" if concl["h_bound"] == 0.0 else "refuted")
     return ImplicationCheckResult(
         name="theorem_3_3_chart",
-        hypothesis_residual=worst_hyp if used == 0 else 0.0,
+        hypothesis_residual=hyp,
         conclusion_residuals=concl,
         verdict=verdict,
         convention="nabla V = 0 hypothesis",
@@ -188,26 +200,16 @@ def check_theorem_3_4(
     structure_sign: float = 1.0,
 ) -> ImplicationCheckResult:
     """h = 0 implies lambda w = u - d lambda; vacuous wherever h != 0."""
-    concl = {"3.8": 0.0}
-    used = 0
-    excluded = 0
-    min_h = np.inf
-    for st in states:
-        bd, gw = st.bundle, st.gw
-        hnorm = float(np.max(np.abs(gw.h)))
-        min_h = min(min_h, hnorm)
-        if hnorm > eps_h:
-            continue
-        if abs(bd.lam) < LAMBDA_FLOOR:
-            excluded += 1
-            continue
-        used += 1
-        for Y in st.dirs:
-            r = bd.lam * float(gw.w @ Y) - structure_sign * float(bd.u @ Y) + float(bd.dlam @ Y)
-            concl["3.8"] = max(concl["3.8"], abs(r))
+    dirs, lam, u, dlam, h, w = _stack(states, "dirs", "bundle.lam", "bundle.u", "bundle.dlam",
+                                      "gw.h", "gw.w")
+    hnorm = _max_per_point(np.abs(h))
+    ok, used, excluded = _gated(hnorm, lam, eps_h)
+    r = (lam[:, None] * _along(dirs, w) - structure_sign * _along(dirs, u)
+         + _along(dirs, dlam))
+    concl = {"3.8": linalg.worst(np.abs(r[ok]))}
     if used == 0:
         verdict = "vacuous"
-        hyp = float(min_h) if np.isfinite(min_h) else np.inf
+        hyp = float(np.fmin.reduce(hnorm, initial=np.inf))
     else:
         hyp = 0.0
         verdict = "confirmed" if concl["3.8"] <= eps_c else "refuted"
@@ -280,21 +282,13 @@ def make_pointwise_model(n: int, lam: float, rng) -> PointwiseModel:
     return PointwiseModel(n=n, lam=lam, g=g, phi=phi, u=u, v=v, U=U, V=V)
 
 
-def model_structure_residuals(model: PointwiseModel) -> Dict[str, float]:
-    """Residuals of the algebraic structure identities on the model."""
-    m = 2 * model.n
-    eye = np.eye(m)
-    phi, u, v, U, V, g, lam = model.phi, model.u, model.v, model.U, model.V, model.g, model.lam
-    out = {
-        "2.6": float(np.max(np.abs(phi.T @ g @ phi - g + np.outer(u, u) + np.outer(v, v)))),
-        "2.7": max(float(np.max(np.abs(g @ U - u))), float(np.max(np.abs(g @ V - v)))),
-        "2.8a": float(np.max(np.abs(phi @ phi + eye - np.outer(U, u) - np.outer(V, v)))),
-        "2.8b": max(float(np.max(np.abs(phi @ U + lam * V))), float(np.max(np.abs(phi @ V - lam * U)))),
-        "2.8c": max(float(np.max(np.abs(u @ phi - lam * v))), float(np.max(np.abs(v @ phi + lam * u)))),
-        "2.8d": max(abs(float(u @ U) - (1 - lam ** 2)), abs(float(u @ V))),
-        "2.8e": max(abs(float(v @ U)), abs(float(v @ V) - (1 - lam ** 2))),
-    }
-    return out
+def model_structure_residuals(models: Sequence[PointwiseModel]) -> Dict[str, float]:
+    """Largest residual of each algebraic structure identity (2.6)-(2.8)
+    over models of one dimension, evaluated on their stacked data."""
+    phi, u, U, V, v, lam, g = (np.stack([getattr(md, k) for md in models])
+                               for k in ("phi", "u", "U", "V", "v", "lam", "g"))
+    res = structure_residuals(phi, u, U, V, v, lam, g, eta_n=lam)
+    return {k: r for k, r in res.items() if not k.startswith("2.5")}
 
 
 def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> ImplicationCheckResult:

@@ -90,6 +90,25 @@ def test_bad_box_rejected(tmp_path):
         load_suite_config(write_config(tmp_path, bad))
 
 
+@pytest.mark.parametrize("box", ["-inf, inf", "nan, 1", "-inf, 1", "0, inf"])
+def test_non_finite_box_rejected(tmp_path, box):
+    bad = GOOD.replace("seed = 7", f"seed = 7\nbox = {box}")
+    with pytest.raises(ConfigError, match="box"):
+        load_suite_config(write_config(tmp_path, bad))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-8"])
+def test_bad_tolerance_value_rejected(tmp_path, value):
+    bad = GOOD + f"\n[tolerances]\naxiom = {value}\n"
+    with pytest.raises(ConfigError, match="tolerance axiom"):
+        load_suite_config(write_config(tmp_path, bad))
+
+
+def test_negative_seed_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="seed"):
+        load_suite_config(write_config(tmp_path, GOOD.replace("seed = 7", "seed = -3")))
+
+
 def test_config_dir_env_lookup(tmp_path, monkeypatch):
     write_config(tmp_path, GOOD, name="mine.cfg")
     monkeypatch.setenv("SASAKICHECK_CONFIG_DIR", str(tmp_path))
@@ -267,6 +286,24 @@ def test_cli_nonpositive_normal_scaling_exits_one_without_traceback(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: normal scaling 's' must stay positive")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("body,args", [
+    (GOOD, ["--seed", "-1"]),
+    (GOOD.replace("seed = 7", "seed = -3"), []),
+    (GOOD.replace("seed = 7", "seed = 7\nbox = -inf, inf"), []),
+    (GOOD + "\n[tolerances]\naxiom = nan\n", []),
+], ids=["cli_seed", "config_seed", "box", "tolerance"])
+def test_cli_bad_number_exits_one_without_traceback(tmp_path, body, args):
+    path = write_config(tmp_path, body)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sasakicheck", "--config", str(path), *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
 
 

@@ -154,3 +154,98 @@ def test_chart_theorems_equal_single_state_checks(surface, count, variant, sign)
         assert theorem_3_2_chart(states).samples_excluded == 2
         assert theorem_3_3_chart(states).samples_excluded == 2
         assert check_theorem_3_4(states).samples_excluded == 2
+
+
+# ---------------------------------------------------------------------------
+# per-sample loops as the reference for the stacked formulas
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _loop_structure_residuals(bundles):
+    """(2.5)-(2.8) one point at a time, with scalar products per point."""
+    sub = {}
+
+    def bump(key, value):
+        sub[key] = max(sub.get(key, 0.0), float(value))
+
+    for bd in bundles:
+        phi, u, U, V, v, lam, g, en5 = bd.phi, bd.u, bd.U, bd.V, bd.v, bd.lam, bd.g, bd.eta_n
+        square = np.max(np.abs(phi @ phi + np.eye(len(u)) - np.outer(U, u) - np.outer(V, v)))
+        bump("2.5a", square)
+        bump("2.8a", square)
+        for family, en, forms, vectors in (("2.5", en5, "b", "c"), ("2.8", lam, "c", "b")):
+            bump(family + forms, max(np.max(np.abs(u @ phi - lam * v)),
+                                     np.max(np.abs(v @ phi + en * u))))
+            bump(family + vectors, max(np.max(np.abs(phi @ U + en * V)),
+                                       np.max(np.abs(phi @ V - lam * U))))
+            bump(family + "d", max(abs(float(u @ U) - (1.0 - lam * en)), abs(float(u @ V))))
+            bump(family + "e", max(abs(float(v @ U)), abs(float(v @ V) - (1.0 - lam * en))))
+        bump("2.6", np.max(np.abs(phi.T @ g @ phi - g + np.outer(u, u) + np.outer(v, v))))
+        bump("2.7", max(np.max(np.abs(g @ U - u)), np.max(np.abs(g @ V - v))))
+    return sub
+
+
+@pytest.mark.parametrize("surface", sorted(SURFACES))
+def test_algebraic_battery_equals_per_point_loop(surface):
+    N = surface_normal(SURFACES[surface])
+    pts = _points(N.embedding.dim, 50, seed=17)
+    S = extract_structure(N.embedding, N, pts)
+    want = _loop_structure_residuals(S.extracted.values())
+    rep = verify_algebraic_identities(S, pts)
+    assert {k: v for r in rep.identities for k, v in r.details.items()} == want
+
+
+def _loop_conclusions(states, sign):
+    """The chart-theorem conclusions sample by sample and direction by
+    direction, as if every hypothesis held, skipping lambda below the floor
+    where a conclusion divides by it or excludes it."""
+    out = dict.fromkeys(("3.2", "3.3", "3.4", "3.5", "3.6", "3.7", "3.8", "h_bound"), 0.0)
+
+    def bump(key, value):
+        out[key] = max(out[key], abs(float(value)))
+
+    for st in states:
+        bd, gw, dirs = st.bundle, st.gw, st.dirs
+        lam, u, phi = bd.lam, sign * bd.u, sign * bd.phi
+        one = 1.0 - lam * lam
+        bump("3.3", np.max(np.abs(gw.h @ bd.V)))
+        for X in dirs:
+            for Y in dirs:
+                bump("3.2", one * (X @ gw.h @ Y) + (u @ Y) * (bd.v @ X))
+                bump("3.4", one * (X @ bd.g @ Y) - (bd.v @ X) * (bd.v @ Y))
+                if abs(lam) >= LAMBDA_FLOOR:
+                    bump("3.6", X @ gw.h @ (phi @ Y) - lam * (X @ bd.g @ Y) + (gw.w @ Y) * (u @ X))
+        if abs(lam) >= LAMBDA_FLOOR:
+            for Y in dirs:
+                bump("3.5", lam * (gw.w @ Y) - u @ Y + bd.dlam @ Y)
+                bump("3.7", gw.w @ Y - 2.0 * lam * (u @ Y) + lam * lam * ((bd.dlam @ Y) / lam))
+                bump("3.8", lam * (gw.w @ Y) - sign * (bd.u @ Y) + bd.dlam @ Y)
+            # nabla V = 0 here, so the bound takes its floor 1e-15
+            C = (1.0 + np.max(np.abs(bd.g))) * (1.0 + np.max(np.abs(bd.phi)))
+            bump("h_bound", max(0.0, np.max(np.abs(gw.h)) - C * 1e-15 / abs(lam)))
+    return out
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("variant", ["parallel", "lambda_floor"])
+@pytest.mark.parametrize("surface", sorted(SURFACES))
+def test_chart_theorems_equal_per_sample_loops(surface, variant, sign):
+    N = surface_normal(SURFACES[surface])
+    m = N.embedding.dim
+    rng = np.random.default_rng(19)
+    pts = sample_points(m, 12, (-1.0, 1.0), rng)
+    states = _edited(sample_states(extract_structure(N.embedding, N, pts), pts,
+                                   sample_vectors(m, 6, rng)), variant)
+    want = _loop_conclusions(states, sign)
+    got = {**theorem_3_1_chart(states, structure_sign=sign).conclusion_residuals,
+           **theorem_3_2_chart(states, structure_sign=sign).conclusion_residuals,
+           **theorem_3_3_chart(states).conclusion_residuals}
+    if variant == "lambda_floor":  # h = 0 holds only here
+        got.update(check_theorem_3_4(states, structure_sign=sign).conclusion_residuals)
+    else:
+        del want["3.8"]
+    # the per-sample dot products read strided views, the stacked ones
+    # contiguous copies; BLAS may sum those in a different order
+    assert got == pytest.approx(want, rel=16 * EPS, abs=16 * EPS)

@@ -79,13 +79,17 @@ def test_nabla_V_matches_adjudicated_identity(plane_structure):
 
 def test_model_constructor_structure_residuals():
     rng = np.random.default_rng(101)
-    worst = 0.0
+    models = {1: [], 2: [], 3: []}
     for _ in range(1000):
         n = int(rng.integers(1, 4))
         lam = float(rng.uniform(-0.99, 0.99))
-        model = make_pointwise_model(n, lam, rng)
-        worst = max(worst, max(model_structure_residuals(model).values()))
-    assert worst <= 1e-12
+        models[n].append(make_pointwise_model(n, lam, rng))
+    for same_n in models.values():
+        whole = model_structure_residuals(same_n)
+        assert max(whole.values()) <= 1e-12
+        # one stacked call is the per-key maximum of one-model calls
+        singles = [model_structure_residuals([md]) for md in same_n]
+        assert whole == {k: max(s[k] for s in singles) for k in whole}
 
 
 def test_model_constructor_rejects_invariant_lambda():
