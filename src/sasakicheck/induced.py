@@ -345,9 +345,6 @@ def structure_residuals(phi, u, U, V, v, lam, g, eta_n) -> Dict[str, float]:
     return out
 
 
-_STRUCTURE_ARGS = ("phi", "u", "U", "V", "v", "lam", "g", "eta_n")
-
-
 def verify_algebraic_identities(S: InducedStructure, points: Sequence[Point]) -> IdentityReport:
     """Residuals of the derivative-free identity family (2.5) to (2.8).
 
@@ -357,7 +354,7 @@ def verify_algebraic_identities(S: InducedStructure, points: Sequence[Point]) ->
     points = tuple(points)
     st = S.stack if points == S.points else _structure_stack(
         S.embedding.ambient, frame_stack(S.normal, points))
-    sub = structure_residuals(*(st[k] for k in _STRUCTURE_ARGS))
+    sub = structure_residuals(*(st[k] for k in ("phi", "u", "U", "V", "v", "lam", "g", "eta_n")))
     identities = []
     for name in ("2.5", "2.6", "2.7", "2.8"):
         details = {k: r for k, r in sub.items() if k.startswith(name)}

@@ -103,7 +103,7 @@ def theorem_3_1_chart(
 ) -> ImplicationCheckResult:
     """phi parallel implies (3.2)-(3.5); evaluated only where nabla phi is small."""
     hyp = parallel_residual(states, "phi")
-    concl = dict.fromkeys(("3.2", "3.3", "3.4", "3.5"), 0.0)
+    concl = {"3.2": 0.0, "3.3": 0.0, "3.4": 0.0, "3.5": 0.0}
     used = excluded = 0
     if hyp <= eps_h:
         dirs, lam, u, v, V, g, dlam, h, w = _stack(
