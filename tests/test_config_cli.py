@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from sasakicheck import InducedStructure, hypersurface, linalg
 from sasakicheck.cli import main
 from sasakicheck.config import CHECK_GROUPS, load_suite_config, resolve_config_path
 from sasakicheck.errors import ConfigError
-from sasakicheck.report import render_json, render_text
+from sasakicheck.report import render_json, render_text, report_to_dict
 from sasakicheck.runner import run_suite
 
 REPO = Path(__file__).resolve().parent.parent
@@ -222,6 +223,17 @@ def test_every_identity_has_exactly_one_check():
     )
     for ref in wanted:
         assert refs.count(ref) == 1, (ref, refs.count(ref))
+
+
+def _rows(config, groups):
+    return report_to_dict(run_suite(replace(config, checks=list(groups))))["checks"]
+
+
+@pytest.mark.parametrize("name", ["plane_r3", "quadric_r3", "plane_r5", "quadric_r3_scaled"])
+def test_group_rows_do_not_depend_on_other_groups(name):
+    config = replace(load_suite_config(CONFIGS / f"{name}.cfg"), count=10)
+    alone = [row for group in CHECK_GROUPS for row in _rows(config, [group])]
+    assert alone == _rows(config, CHECK_GROUPS)
 
 
 def test_lambda_nonneg_orientation(tmp_path, capsys):
