@@ -249,8 +249,7 @@ class GaussWeingartenData:
     induced metric.  ``D[i, a, b]`` and ``DN[i, a]`` are the ambient
     derivatives D_a(B e_b) and D_a N that were decomposed, against the
     frame of ``jacobian`` B and ``normal`` N.  The arrays are views into
-    the (P, ...) arrays shared by the points of a
-    :class:`GaussWeingartenStack`.
+    the (P, ...) ``arrays`` of a :class:`GaussWeingartenStack`.
     """
 
     induced_gamma: np.ndarray
@@ -266,11 +265,14 @@ class GaussWeingartenData:
 
 class GaussWeingartenStack(tuple):
     """Gauss-Weingarten data at every point of a frame stack with partials,
-    one :class:`GaussWeingartenData` per point; ``frames`` is the stack."""
+    one :class:`GaussWeingartenData` per point; ``frames`` is the stack and
+    ``arrays`` maps each field to its C-contiguous (P, ...) array."""
 
-    def __new__(cls, frames: FrameStack, data):
-        self = super().__new__(cls, data)
-        self.frames = frames
+    def __new__(cls, frames: FrameStack, arrays: dict):
+        arrays = {k: np.ascontiguousarray(a) for k, a in arrays.items()}
+        self = super().__new__(cls, (GaussWeingartenData(**{k: a[i] for k, a in arrays.items()})
+                                     for i in range(len(frames.points))))
+        self.frames, self.arrays = frames, arrays
         return self
 
 
@@ -291,26 +293,28 @@ def gauss_weingarten(E: Embedding, N: NormalField, points: Sequence[Point]) -> G
 
     gind = np.einsum("pia,pij,pjb->pab", B, fs.metric, B)
     H_h = np.linalg.solve(gind, sol[:, m])
-    return GaussWeingartenStack(fs, tuple(
-        GaussWeingartenData(induced_gamma=sol[i, :m], h=sol[i, m], H_w=solN[i, :m], H_h=H_h[i],
-                            w=solN[i, m], D=D[i], DN=DN[i], jacobian=B[i], normal=nvec[i])
-        for i in range(count)))
+    return GaussWeingartenStack(fs, dict(
+        induced_gamma=sol[:, :m], h=sol[:, m], H_w=solN[:, :m], H_h=H_h, w=solN[:, m],
+        D=D, DN=DN, jacobian=B, normal=nvec))
 
 
-def second_fundamental_symmetry(
-    E: Embedding, N: NormalField, points: Sequence[Point]
-) -> float:
+def h_asymmetry(gws: GaussWeingartenStack) -> float:
+    """max |h(X, Y) - h(Y, X)| over the points of a stack."""
+    return linalg.worst(np.abs(gws.arrays["h"] - gws.arrays["h"].mT))
+
+
+def second_fundamental_symmetry(E: Embedding, N: NormalField, points: Sequence[Point]) -> float:
     """max |h(X, Y) - h(Y, X)| over the sampled points."""
-    return max(float(np.max(np.abs(gw.h - gw.h.T))) for gw in gauss_weingarten(E, N, points))
+    return h_asymmetry(gauss_weingarten(E, N, points))
 
 
-def reconstruction_residuals(gw: GaussWeingartenData) -> dict:
+def reconstruction_residuals(gws: GaussWeingartenStack) -> dict:
     """How exactly B(nabla e_a e_b) + h N and B(H_w e_a) + w N rebuild the
-    ambient derivatives; the defining contract of the decomposition."""
-    B, nvec = gw.jacobian, gw.normal
-    gauss = gw.D - np.einsum("ic,cab->iab", B, gw.induced_gamma) - np.einsum("ab,i->iab", gw.h, nvec)
-    wein = gw.DN - np.einsum("ic,ca->ia", B, gw.H_w) - np.outer(nvec, gw.w)
-    return {
-        "gauss": float(np.max(np.abs(gauss))),
-        "weingarten": float(np.max(np.abs(wein))),
-    }
+    ambient derivatives at every point of a stack; the defining contract of
+    the decomposition."""
+    a = gws.arrays
+    B, nvec = a["jacobian"], a["normal"]
+    gauss = (a["D"] - np.einsum("pic,pcab->piab", B, a["induced_gamma"])
+             - np.einsum("pab,pi->piab", a["h"], nvec))
+    wein = a["DN"] - np.einsum("pic,pca->pia", B, a["H_w"]) - nvec[:, :, None] * a["w"][:, None, :]
+    return {"gauss": linalg.worst(np.abs(gauss)), "weingarten": linalg.worst(np.abs(wein))}

@@ -1,15 +1,20 @@
 """Execute a configured verification suite and assemble the report.
 
-Check groups run in dependency order (ambient axioms before structure
-extraction before identities before theorems); shared intermediates
-are computed once.  Everything is driven off the configured seed, so a
-fixed configuration reproduces the report bit for bit.
+A report is one :class:`_Context` read by the check groups in
+``GROUPS``, one function per group, each returning its report rows.
+The context draws every sample from the configured seed up front, in a
+fixed order, and builds each shared intermediate (the ambient axiom
+battery, the extracted structure, the Gauss-Weingarten stack, the
+sample states and the differential battery with its adjudicated
+structure sign) once, when a group first reads it.  So a group's rows
+do not depend on which other groups run, and a fixed configuration
+reproduces the report bit for bit.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +26,7 @@ from .hypersurface import (
     Embedding,
     NormalField,
     gauss_weingarten,
+    h_asymmetry,
     reconstruction_residuals,
 )
 from .induced import (
@@ -56,68 +62,229 @@ MODEL_TOLERANCE = 1e-12
 MODEL_CONCLUSION_TOLERANCE = 1e-10
 
 
-def _tol_check(name, ref, residual, tol, convention="", used=0, excluded=0, details=None):
-    return CheckResult(
-        name=name,
-        equation_ref=ref,
-        max_residual=float(residual),
-        tolerance=float(tol),
-        verdict="pass" if residual <= tol else "fail",
-        convention=convention,
-        samples_used=used,
-        samples_excluded=excluded,
-        details=details or {},
-    )
+class _Context:
+    """The samples, surface and normal of one report, plus the shared
+    intermediates, each built on first use."""
+
+    def __init__(self, config: SuiteConfig):
+        self.config, self.tol = config, config.tolerances
+        self.rngs = rngs = spawn_rngs(config.seed)
+        self.ambient = ambient = standard_sasakian(config.n)
+        self.ambient_points = sample_points(config.ambient_dim, config.count, config.box,
+                                            rngs["ambient_points"])
+        self.ambient_dirs = sample_direction_fields(config.ambient_dim, 5, rngs["ambient_directions"])
+        self.chart_points = sample_points(config.surface_dim, config.count, config.box,
+                                          rngs["chart_points"])
+        # the differential battery pairs these consecutively: (0, 1), (2, 3), ...
+        self.tangent_vecs = sample_vectors(config.surface_dim, 10, rngs["chart_directions"])
+
+        self.embedding = Embedding(config.surface_dim, ambient,
+                                   compile_map(config.outputs, config.inputs))
+        self.scaling_field = None if config.scaling is None else ScalarField(
+            config.surface_dim, compile_expression(config.scaling, config.inputs))
+        orientation = config.orientation
+        if orientation == "lambda_nonneg":
+            # pick the sign that makes eta(N) >= 0 at the declared base point
+            base = Point(config.base_point)
+            probe = NormalField(self.embedding, None, 1)
+            eta = evaluate(ambient.eta, self.embedding.point_image(base))
+            lam0 = float(eta @ probe.components_at(base))
+            orientation = 1 if lam0 >= 0 else -1
+        self.orientation = orientation
+        self.normal = NormalField(self.embedding, self.scaling_field, orientation)
+
+    @cached_property
+    def axioms(self):
+        return check_sasakian_axioms(self.ambient, self.ambient_points, self.ambient_dirs)
+
+    @cached_property
+    def structure(self):
+        return extract_structure(self.embedding, self.normal, self.chart_points)
+
+    @cached_property
+    def gws(self):
+        return gauss_weingarten(self.embedding, self.normal, self.chart_points)
+
+    @cached_property
+    def states(self):
+        return sample_states(self.structure, self.chart_points, self.tangent_vecs, self.gws)
+
+    @cached_property
+    def differential(self):
+        return verify_differential_identities(
+            self.states, tolerance=self.tol["differential"], strict_paper=self.config.strict_paper)
+
+    @cached_property
+    def structure_sign(self) -> float:
+        return -1.0 if self.differential.structure_sign == "phi-flipped" else 1.0
 
 
-def _implication_check(name, ref, result, tol):
+def _row(name, ref, residual, tol, verdict=None, convention="", used=0, excluded=0, details=None):
+    """One report row; by default it passes when ``residual <= tol``."""
+    if verdict is None:
+        verdict = "pass" if residual <= tol else "fail"
+    return CheckResult(name, ref, None if residual is None else float(residual),
+                       None if tol is None else float(tol), verdict, convention, used, excluded,
+                       details or {})
+
+
+def _eq(eq):
+    """Row name and reference of a numbered equation."""
+    return f"eq_{eq.replace('.', '_')}", f"Eq ({eq})"
+
+
+def _identity_rows(rep, tol):
+    # identity claims are measured, not asserted: a miss is a finding
+    # about the identity (e.g. the rho^2 factors a scaled normal
+    # introduces), not an engine failure
+    return [_row(_eq(r.name)[0], r.equation_ref, r.residual, tol,
+                 "pass" if r.residual <= tol else "refuted", r.convention, r.samples_used,
+                 details=r.details)
+            for r in rep.identities]
+
+
+def _implication_verdict(result):
+    return {"confirmed": "pass"}.get(result.verdict, result.verdict)
+
+
+def _implication_row(name, ref, result, tol):
     residual = max(result.conclusion_residuals.values()) if result.conclusion_residuals else 0.0
-    verdict = {"confirmed": "pass"}.get(result.verdict, result.verdict)
-    return CheckResult(
-        name=name,
-        equation_ref=ref,
-        max_residual=float(residual if result.verdict != "vacuous" else result.hypothesis_residual),
-        tolerance=float(tol),
-        verdict=verdict,
-        convention=result.convention,
-        samples_used=result.samples_used,
-        samples_excluded=result.samples_excluded,
-        details={
-            "hypothesis_residual": result.hypothesis_residual,
-            "conclusion_residuals": result.conclusion_residuals,
-            "notes": result.notes,
-        },
-    )
+    return _row(
+        name, ref, residual if result.verdict != "vacuous" else result.hypothesis_residual, tol,
+        _implication_verdict(result), result.convention, result.samples_used,
+        result.samples_excluded, {"hypothesis_residual": result.hypothesis_residual,
+                                  "conclusion_residuals": result.conclusion_residuals,
+                                  "notes": result.notes})
+
+
+def _axiom_rows(ctx, eqs):
+    res = ctx.axioms.residuals
+    rows = []
+    for eq in eqs:
+        details = {k: res[k] for k in ("1.3a", "1.3b", "1.3c")} if eq == "1.3" else {}
+        rows.append(_row(*_eq(eq), max(details.values()) if details else res[eq],
+                         ctx.tol["axiom"], used=ctx.axioms.sample_count, details=details))
+    return rows
+
+
+def _gauss_weingarten(ctx):
+    tol, used, gws = ctx.tol["reconstruction"], len(ctx.chart_points), ctx.gws
+    rec, w = reconstruction_residuals(gws), gws.arrays["w"]
+    unit = ctx.scaling_field is None
+    rows = [
+        _row(*_eq("2.9"), rec["gauss"], tol, convention="Gauss reconstruction",
+             used=used, details={"h_symmetry": h_asymmetry(gws)}),
+        _row(*_eq("2.10"), rec["weingarten"], tol, convention="Weingarten reconstruction",
+             used=used, details={"w_residual_unit_normal": linalg.worst(np.abs(w))} if unit else {}),
+    ]
+    if not unit:
+        # w must equal d log rho; independent product-rule consequence
+        jt = jet_stack(ctx.scaling_field, gws.frames.points)
+        rows.append(_row("normal_scaling_w", "w = d log rho",
+                         linalg.worst(np.abs(w - jt.partials / jt.value[:, None])), tol,
+                         convention="scaled normal", used=used))
+    return rows
+
+
+def _structure(ctx):
+    S, tol, used = ctx.structure, ctx.tol["axiom"], len(ctx.chart_points)
+    if ctx.scaling_field is None:
+        lam = _row("lambda_eta_consistency", "Eq (2.3)", S.lambda_consistency, tol,
+                   convention="unit normal", used=used)
+    else:
+        lam = _row("lambda_eta_consistency", "Eq (2.3)", None, None, "vacuous",
+                   "scaled normal: eta(N) != lambda by construction", used)
+    return [
+        _row("phi_normal_tangency", "Eq (2.2)", S.tangency_residual, tol, used=used),
+        lam,
+        _row("noninvariance", "u != 0", max(0.0, NONINVARIANT_THRESHOLD - S.max_u), 0.0,
+             convention=f"max|u| = {S.max_u:.6e}", used=used,
+             details={"max_u": S.max_u, "threshold": NONINVARIANT_THRESHOLD}),
+    ]
+
+
+def _algebraic(ctx):
+    return _identity_rows(verify_algebraic_identities(ctx.structure, ctx.chart_points),
+                          ctx.tol["algebraic"])
+
+
+def _differential(ctx):
+    tol = ctx.tol["differential"]
+    rows = _identity_rows(ctx.differential, tol)
+    # (2.18) is an implication: without its premise h(Y, U) = 0 it is vacuous
+    last = rows[-1]
+    if last.details["premise_max_h_Y_U"] > tol:
+        last.verdict = "vacuous"
+    else:
+        last.verdict = "pass" if last.max_residual <= tol else "fail"
+    return rows
+
+
+def _theorems(ctx):
+    states, sign = ctx.states, ctx.structure_sign
+    hyp, concl = ctx.tol["hypothesis"], ctx.tol["conclusion"]
+    r31 = theorem_3_1_chart(states, hyp, concl, sign)
+    rows = [_row("eq_3_1", "Eq (3.1)", r31.hypothesis_residual, hyp,
+                 "pass" if r31.hypothesis_residual <= hyp else "vacuous", r31.convention,
+                 len(ctx.chart_points), details={"note": "hypothesis residual |nabla phi|"})]
+    rows += [_row(*_eq(eq), r31.conclusion_residuals[eq] if r31.verdict != "vacuous" else None,
+                  concl, _implication_verdict(r31), r31.convention, r31.samples_used,
+                  r31.samples_excluded)
+             for eq in ("3.2", "3.3", "3.4", "3.5")]
+    r32 = theorem_3_2_chart(states, hyp, concl, sign)
+    rows.append(_implication_row("thm_3_2_chart", "Thm 3.2 (chart)", r32, concl))
+    r33 = theorem_3_3_chart(states, hyp)
+    rows.append(_implication_row("thm_3_3_chart", "Thm 3.3 (chart)", r33, concl))
+    r34 = check_theorem_3_4(states, hyp, concl, sign)
+    rows.append(_implication_row("eq_3_8", "Eq (3.8)", r34, concl))
+    return rows
+
+
+def _models(ctx):
+    n, rng = ctx.config.n, ctx.rngs["models"]
+    worst_33 = worst_36 = worst_37 = 0.0
+    models = []
+    for lam in rng.uniform(0.1, 0.9, size=MODEL_DRAWS):
+        model = make_pointwise_model(n, float(lam), rng)
+        models.append(model)
+        r = check_theorem_3_3(model, MODEL_TOLERANCE)
+        worst_33 = max(worst_33, r.conclusion_residuals["max_h"])
+        r2 = check_theorem_3_2(model, MODEL_CONCLUSION_TOLERANCE, rng)
+        worst_36 = max(worst_36, r2.conclusion_residuals["3.6"])
+        worst_37 = max(worst_37, r2.conclusion_residuals["3.7"])
+    model0 = make_pointwise_model(n, 0.5, ctx.rngs["misc"])
+    return [
+        _row("model_structure", "Eqs (2.6)-(2.8)", max(model_structure_residuals(models).values()),
+             MODEL_TOLERANCE, convention="exact pointwise model", used=MODEL_DRAWS),
+        _implication_row("thm_3_1_model", "Thm 3.1 (model)",
+                         check_theorem_3_1(model0, MODEL_TOLERANCE), MODEL_TOLERANCE),
+        _row("eq_3_6", "Eq (3.6)", worst_36, MODEL_CONCLUSION_TOLERANCE,
+             convention="d(lambda) = 0 model", used=MODEL_DRAWS),
+        _row("eq_3_7", "Eq (3.7)", worst_37, MODEL_CONCLUSION_TOLERANCE,
+             convention="w = 2 lambda u", used=MODEL_DRAWS),
+        _row("thm_3_3_model", "Thm 3.3 (model)", worst_33, MODEL_TOLERANCE,
+             convention="H = -phi/lambda", used=MODEL_DRAWS),
+        _implication_row("thm_3_4_model", "Thm 3.4 (model)",
+                         theorem_3_4_model_consistency(model0), MODEL_TOLERANCE),
+    ]
+
+
+GROUPS = {
+    "axioms": lambda ctx: _axiom_rows(ctx, [f"1.{k}" for k in range(1, 8)]),
+    "two_form": lambda ctx: _axiom_rows(ctx, ["1.8", "1.9", "1.10"]),
+    "gauss_weingarten": _gauss_weingarten,
+    "structure": _structure,
+    "algebraic": _algebraic,
+    "differential": _differential,
+    "theorems": _theorems,
+    "models": _models,
+}
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
-    tol = config.tolerances
-    rngs = spawn_rngs(config.seed)
-    ambient = standard_sasakian(config.n)
-
-    ambient_points = sample_points(config.ambient_dim, config.count, config.box, rngs["ambient_points"])
-    ambient_dirs = sample_direction_fields(config.ambient_dim, 5, rngs["ambient_directions"])
-    chart_points = sample_points(config.surface_dim, config.count, config.box, rngs["chart_points"])
-    # the differential battery pairs these consecutively: (0, 1), (2, 3), ...
-    tangent_vecs = sample_vectors(config.surface_dim, 10, rngs["chart_directions"])
-
-    embedding = Embedding(config.surface_dim, ambient, compile_map(config.outputs, config.inputs))
-    scaling_field: Optional[ScalarField] = None
-    if config.scaling is not None:
-        expr = compile_expression(config.scaling, config.inputs)
-        scaling_field = ScalarField(config.surface_dim, expr)
-    orientation = config.orientation
-    if orientation == "lambda_nonneg":
-        # pick the sign that makes eta(N) >= 0 at the declared base point
-        base = Point(config.base_point)
-        probe = NormalField(embedding, None, 1)
-        eta = evaluate(ambient.eta, embedding.point_image(base))
-        lam0 = float(eta @ probe.components_at(base))
-        orientation = 1 if lam0 >= 0 else -1
-    normal = NormalField(embedding, scaling_field, orientation)
-
+    ctx = _Context(config)
     requested = [g for g in CHECK_GROUPS if g in config.checks]
-    checks: List[CheckResult] = []
+    checks = [row for group in requested for row in GROUPS[group](ctx)]
     meta = {
         "config": config.name,
         "seed": config.seed,
@@ -126,213 +293,15 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         "ambient": f"standard_sasakian(n={config.n})",
         "embedding": list(config.outputs),
         "normal_scaling": config.scaling or "unit",
-        "orientation": orientation,
+        "orientation": ctx.orientation,
         "orientation_mode": config.orientation if isinstance(config.orientation, str) else "fixed",
         "sample_count": config.count,
         "box": list(config.box),
         "strict_paper": config.strict_paper,
         "checks": requested,
     }
-
-    axiom_report = None
-    if "axioms" in requested or "two_form" in requested:
-        axiom_report = check_sasakian_axioms(ambient, ambient_points, ambient_dirs)
-
-    if "axioms" in requested:
-        res = axiom_report.residuals
-        for eq in ("1.1", "1.2", "1.3", "1.4", "1.5", "1.6", "1.7"):
-            if eq == "1.3":
-                residual = max(res["1.3a"], res["1.3b"], res["1.3c"])
-                details = {k: res[k] for k in ("1.3a", "1.3b", "1.3c")}
-            else:
-                residual = res[eq]
-                details = {}
-            checks.append(_tol_check(
-                f"eq_{eq.replace('.', '_')}", f"Eq ({eq})", residual, tol["axiom"],
-                used=axiom_report.sample_count, details=details,
-            ))
-
-    if "two_form" in requested:
-        res = axiom_report.residuals
-        for eq in ("1.8", "1.9", "1.10"):
-            checks.append(_tol_check(
-                f"eq_{eq.replace('.', '_')}", f"Eq ({eq})", res[eq], tol["axiom"],
-                used=axiom_report.sample_count,
-            ))
-
-    structure = None
-
-    def need_structure():
-        nonlocal structure
-        if structure is None:
-            structure = extract_structure(embedding, normal, chart_points)
-        return structure
-
-    gws = None
-    if "gauss_weingarten" in requested:
-        gws = gauss_weingarten(embedding, normal, chart_points)
-        gauss_res = wein_res = sym_res = w_unit_res = 0.0
-        for gw in gws:
-            rec = reconstruction_residuals(gw)
-            gauss_res = max(gauss_res, rec["gauss"])
-            wein_res = max(wein_res, rec["weingarten"])
-            sym_res = max(sym_res, float(np.max(np.abs(gw.h - gw.h.T))))
-            if config.scaling is None:
-                w_unit_res = max(w_unit_res, float(np.max(np.abs(gw.w))))
-        checks.append(_tol_check(
-            "eq_2_9", "Eq (2.9)", gauss_res, tol["reconstruction"],
-            convention="Gauss reconstruction", used=len(chart_points),
-            details={"h_symmetry": sym_res},
-        ))
-        checks.append(_tol_check(
-            "eq_2_10", "Eq (2.10)", wein_res, tol["reconstruction"],
-            convention="Weingarten reconstruction", used=len(chart_points),
-            details={"w_residual_unit_normal": w_unit_res} if config.scaling is None else {},
-        ))
-        if config.scaling is not None:
-            # w must equal d log rho; independent product-rule consequence
-            jt = jet_stack(scaling_field, gws.frames.points)
-            w = np.array([gw.w for gw in gws])
-            w_log_res = linalg.worst(np.abs(w - jt.partials / jt.value[:, None]))
-            checks.append(_tol_check(
-                "normal_scaling_w", "w = d log rho", w_log_res, tol["reconstruction"],
-                convention="scaled normal", used=len(chart_points),
-            ))
-
-    if "structure" in requested:
-        S = need_structure()
-        checks.append(_tol_check(
-            "phi_normal_tangency", "Eq (2.2)", S.tangency_residual, tol["axiom"],
-            used=len(chart_points),
-        ))
-        if config.scaling is None:
-            checks.append(_tol_check(
-                "lambda_eta_consistency", "Eq (2.3)", S.lambda_consistency, tol["axiom"],
-                convention="unit normal", used=len(chart_points),
-            ))
-        else:
-            checks.append(CheckResult(
-                name="lambda_eta_consistency", equation_ref="Eq (2.3)",
-                max_residual=None, tolerance=None, verdict="vacuous",
-                convention="scaled normal: eta(N) != lambda by construction",
-                samples_used=len(chart_points),
-            ))
-        shortfall = max(0.0, NONINVARIANT_THRESHOLD - S.max_u)
-        checks.append(_tol_check(
-            "noninvariance", "u != 0", shortfall, 0.0,
-            convention=f"max|u| = {S.max_u:.6e}", used=len(chart_points),
-            details={"max_u": S.max_u, "threshold": NONINVARIANT_THRESHOLD},
-        ))
-
-    if "algebraic" in requested:
-        S = need_structure()
-        rep = verify_algebraic_identities(S, chart_points)
-        for r in rep.identities:
-            # identity claims are measured, not asserted: a miss is a finding
-            # about the identity (e.g. the rho^2 factors a scaled normal
-            # introduces), not an engine failure
-            checks.append(CheckResult(
-                name=f"eq_{r.name.replace('.', '_')}", equation_ref=r.equation_ref,
-                max_residual=r.residual, tolerance=tol["algebraic"],
-                verdict="pass" if r.residual <= tol["algebraic"] else "refuted",
-                convention=r.convention, samples_used=r.samples_used, details=r.details,
-            ))
-
-    states = None
-    if "differential" in requested or "theorems" in requested:
-        states = sample_states(need_structure(), chart_points, tangent_vecs, gws)
-
-    structure_sign = 1.0
-    if "differential" in requested:
-        rep = verify_differential_identities(
-            states, tolerance=tol["differential"], strict_paper=config.strict_paper,
-        )
-        meta["structure_sign"] = rep.structure_sign
-        meta["v_HY_measured"] = rep.extras["v_HY_measured"]
-        structure_sign = -1.0 if rep.structure_sign == "phi-flipped" else 1.0
-        for r in rep.identities:
-            if r.name == "2.18":
-                premise = r.details["premise_max_h_Y_U"]
-                if premise > tol["differential"]:
-                    verdict = "vacuous"
-                else:
-                    verdict = "pass" if r.residual <= tol["differential"] else "fail"
-                checks.append(CheckResult(
-                    name="eq_2_18", equation_ref="Eq (2.18)",
-                    max_residual=r.residual, tolerance=tol["differential"],
-                    verdict=verdict, convention=r.convention,
-                    samples_used=r.samples_used, details=r.details,
-                ))
-            else:
-                verdict = "pass" if r.residual <= tol["differential"] else "refuted"
-                checks.append(CheckResult(
-                    name=f"eq_{r.name.replace('.', '_')}", equation_ref=r.equation_ref,
-                    max_residual=r.residual, tolerance=tol["differential"],
-                    verdict=verdict, convention=r.convention,
-                    samples_used=r.samples_used, details=r.details,
-                ))
-
-    if "theorems" in requested:
-        r31 = theorem_3_1_chart(states, tol["hypothesis"], tol["conclusion"], structure_sign)
-        checks.append(CheckResult(
-            name="eq_3_1", equation_ref="Eq (3.1)",
-            max_residual=r31.hypothesis_residual, tolerance=tol["hypothesis"],
-            verdict="pass" if r31.hypothesis_residual <= tol["hypothesis"] else "vacuous",
-            convention=r31.convention, samples_used=len(chart_points),
-            details={"note": "hypothesis residual |nabla phi|"},
-        ))
-        for eq in ("3.2", "3.3", "3.4", "3.5"):
-            checks.append(CheckResult(
-                name=f"eq_{eq.replace('.', '_')}", equation_ref=f"Eq ({eq})",
-                max_residual=r31.conclusion_residuals[eq] if r31.verdict != "vacuous" else None,
-                tolerance=tol["conclusion"],
-                verdict={"confirmed": "pass"}.get(r31.verdict, r31.verdict),
-                convention=r31.convention,
-                samples_used=r31.samples_used, samples_excluded=r31.samples_excluded,
-            ))
-        r32 = theorem_3_2_chart(states, tol["hypothesis"], tol["conclusion"], structure_sign)
-        checks.append(_implication_check("thm_3_2_chart", "Thm 3.2 (chart)", r32, tol["conclusion"]))
-        r33 = theorem_3_3_chart(states, tol["hypothesis"])
-        checks.append(_implication_check("thm_3_3_chart", "Thm 3.3 (chart)", r33, tol["conclusion"]))
-        r34 = check_theorem_3_4(states, tol["hypothesis"], tol["conclusion"], structure_sign)
-        checks.append(_implication_check("eq_3_8", "Eq (3.8)", r34, tol["conclusion"]))
-
-    if "models" in requested:
-        rng = rngs["models"]
-        worst_33 = 0.0
-        worst_36 = worst_37 = 0.0
-        lam_draws = rng.uniform(0.1, 0.9, size=MODEL_DRAWS)
-        models = []
-        for lam in lam_draws:
-            model = make_pointwise_model(config.n, float(lam), rng)
-            models.append(model)
-            r = check_theorem_3_3(model, MODEL_TOLERANCE)
-            worst_33 = max(worst_33, r.conclusion_residuals["max_h"])
-            r2 = check_theorem_3_2(model, MODEL_CONCLUSION_TOLERANCE, rng)
-            worst_36 = max(worst_36, r2.conclusion_residuals["3.6"])
-            worst_37 = max(worst_37, r2.conclusion_residuals["3.7"])
-        worst_structure = max(model_structure_residuals(models).values())
-        checks.append(_tol_check(
-            "model_structure", "Eqs (2.6)-(2.8)", worst_structure, MODEL_TOLERANCE,
-            convention="exact pointwise model", used=MODEL_DRAWS,
-        ))
-        model0 = make_pointwise_model(config.n, 0.5, rngs["misc"])
-        r31m = check_theorem_3_1(model0, MODEL_TOLERANCE)
-        checks.append(_implication_check("thm_3_1_model", "Thm 3.1 (model)", r31m, MODEL_TOLERANCE))
-        checks.append(_tol_check(
-            "eq_3_6", "Eq (3.6)", worst_36, MODEL_CONCLUSION_TOLERANCE,
-            convention="d(lambda) = 0 model", used=MODEL_DRAWS,
-        ))
-        checks.append(_tol_check(
-            "eq_3_7", "Eq (3.7)", worst_37, MODEL_CONCLUSION_TOLERANCE,
-            convention="w = 2 lambda u", used=MODEL_DRAWS,
-        ))
-        checks.append(_tol_check(
-            "thm_3_3_model", "Thm 3.3 (model)", worst_33, MODEL_TOLERANCE,
-            convention="H = -phi/lambda", used=MODEL_DRAWS,
-        ))
-        r34m = theorem_3_4_model_consistency(model0)
-        checks.append(_implication_check("thm_3_4_model", "Thm 3.4 (model)", r34m, MODEL_TOLERANCE))
-
+    if "differential" in vars(ctx):  # the battery ran, for its group or the theorems
+        meta["structure_sign"] = ctx.differential.structure_sign
+        meta["v_HY_measured"] = ctx.differential.extras["v_HY_measured"]
     meta["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     return VerificationReport(meta=meta, checks=checks)

@@ -95,7 +95,7 @@ def test_criterion_3_gauss_weingarten_reconstruction():
         ):
             N = NormalField(emb)
             for p in _points(2, 25, seed=23):
-                rec = reconstruction_residuals(gauss_weingarten(emb, N, [p])[0])
+                rec = reconstruction_residuals(gauss_weingarten(emb, N, [p]))
                 assert rec["gauss"] <= 1e-6 and rec["weingarten"] <= 1e-6
         euclid = SimpleAmbient(3, euclidean_metric(3))
         r = 2.0

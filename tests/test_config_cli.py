@@ -13,7 +13,7 @@ from sasakicheck.cli import main
 from sasakicheck.config import CHECK_GROUPS, load_suite_config, resolve_config_path
 from sasakicheck.errors import ConfigError
 from sasakicheck.report import render_json, render_text, report_to_dict
-from sasakicheck.runner import run_suite
+from sasakicheck.runner import GROUPS, run_suite
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -229,9 +229,15 @@ def _rows(config, groups):
     return report_to_dict(run_suite(replace(config, checks=list(groups))))["checks"]
 
 
-@pytest.mark.parametrize("name", ["plane_r3", "quadric_r3", "plane_r5", "quadric_r3_scaled"])
-def test_group_rows_do_not_depend_on_other_groups(name):
-    config = replace(load_suite_config(CONFIGS / f"{name}.cfg"), count=10)
+@pytest.mark.parametrize("name,tolerances", [
+    ("plane_r3", {}), ("quadric_r3", {}), ("plane_r5", {}), ("quadric_r3_scaled", {}),
+    # hypotheses that hold put the adjudicated structure sign into the theorem rows
+    ("quadric_r3", {"hypothesis": 1e3}),
+], ids=["plane_r3", "quadric_r3", "plane_r5", "quadric_r3_scaled", "quadric_r3_loose"])
+def test_group_rows_do_not_depend_on_other_groups(name, tolerances):
+    config = load_suite_config(CONFIGS / f"{name}.cfg")
+    config = replace(config, count=10, tolerances={**config.tolerances, **tolerances})
+    assert tuple(GROUPS) == CHECK_GROUPS
     alone = [row for group in CHECK_GROUPS for row in _rows(config, [group])]
     assert alone == _rows(config, CHECK_GROUPS)
 

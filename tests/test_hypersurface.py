@@ -131,7 +131,7 @@ def test_gauss_weingarten_reconstruction(surface, request):
     E = request.getfixturevalue(surface)
     N = NormalField(E)
     for p in chart_points(2, 15, seed=19):
-        rec = reconstruction_residuals(gauss_weingarten(E, N, [p])[0])
+        rec = reconstruction_residuals(gauss_weingarten(E, N, [p]))
         assert rec["gauss"] < 1e-6
         assert rec["weingarten"] < 1e-6
 
@@ -181,12 +181,13 @@ def test_scaled_normal_product_rule(quadric_r3):
     for p in chart_points(2, 8, seed=31):
         r = math.exp(p.coords[0] + p.coords[1])
         gw_u = gauss_weingarten(E, N_unit, [p])[0]
-        gw_s = gauss_weingarten(E, N_scaled, [p])[0]
+        stack_s = gauss_weingarten(E, N_scaled, [p])
+        gw_s = stack_s[0]
         np.testing.assert_allclose(gw_s.w, [1.0, 1.0], atol=1e-6)
         np.testing.assert_allclose(gw_s.h, gw_u.h / r, atol=1e-6)
         np.testing.assert_allclose(gw_s.H_w, gw_u.H_w * r, atol=1e-6)
         np.testing.assert_allclose(gw_s.H_h, gw_u.H_h / r, atol=1e-6)
-        rec = reconstruction_residuals(gw_s)
+        rec = reconstruction_residuals(stack_s)
         assert rec["gauss"] < 1e-6 and rec["weingarten"] < 1e-6
 
 
