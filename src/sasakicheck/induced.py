@@ -421,11 +421,9 @@ def verify_differential_identities(
         bd, gw = st.bundle, st.gw
         H_of = {"H_h": gw.H_h, "H_w": gw.H_w, "-H_w": -gw.H_w}
 
+        h_U_premise = max(h_U_premise, float(np.max(np.abs(gw.h @ bd.U))))
         for hk in ("H_h", "H_w"):
             v_HY[hk] = max(v_HY[hk], float(np.max(np.abs(bd.v @ H_of[hk]))))
-        hU = gw.h @ bd.U
-        h_U_premise = max(h_U_premise, float(np.max(np.abs(hU))))
-        for hk in ("H_h", "H_w"):
             HU_norm[hk] = max(HU_norm[hk], float(np.max(np.abs(H_of[hk] @ bd.U))))
 
         for X, Y in zip(st.dirs[0::2], st.dirs[1::2]):
@@ -460,41 +458,22 @@ def verify_differential_identities(
             for s in signs:
                 sLphi = s * Lphi
                 sLU = s * LU
-                for nu, htag in grid["2.11"]:
-                    rhs = vY_gV + nu * s * hU_uHY[htag]
-                    r = float(np.max(np.abs(sLphi - rhs)))
-                    key = ("2.11", s, nu, htag)
-                    acc[key] = max(acc.get(key, 0.0), r)
-                for nu, htag in grid["2.12"]:
-                    rhs = -nu * s * hphiXY_base - s * uX * wY - bd.lam * gXY
-                    r = abs(s * Lu - rhs)
-                    key = ("2.12", s, nu, htag)
-                    acc[key] = max(acc.get(key, 0.0), r)
-                for nu, htag in grid["2.13"]:
-                    rhs = s * gphiYX_base + nu * bd.lam * hXY
-                    r = abs(Lv - rhs)
-                    key = ("2.13", s, nu, htag)
-                    acc[key] = max(acc.get(key, 0.0), r)
-                for nu, htag in grid["2.14"]:
-                    rhs = s * wY * bd.U - nu * s * phiHY[htag] - lamY
-                    r = float(np.max(np.abs(sLU - rhs)))
-                    key = ("2.14", s, nu, htag)
-                    acc[key] = max(acc.get(key, 0.0), r)
-                for nu, htag in grid["2.15"]:
-                    rhs = s * phiY + nu * bd.lam * HY[htag]
-                    r = float(np.max(np.abs(LV - rhs)))
-                    key = ("2.15", s, nu, htag)
-                    acc[key] = max(acc.get(key, 0.0), r)
-                for nu, htag in grid["2.16"]:
-                    rhs = s * uY - dlamY - bd.lam * wY
-                    r = abs(hYV - rhs)
-                    key = ("2.16", s, nu, htag)
-                    acc[key] = max(acc.get(key, 0.0), r)
-                for nu, htag in grid["2.17"]:
-                    rhs = -nu * (s * uHY[htag])
-                    r = abs(s * hYU - rhs)
-                    key = ("2.17", s, nu, htag)
-                    acc[key] = max(acc.get(key, 0.0), r)
+                # each identity's residual at this pair and s, as a function of (nu, H)
+                residual = {
+                    "2.11": lambda nu, h: float(np.max(np.abs(sLphi - (vY_gV + nu * s * hU_uHY[h])))),
+                    "2.12": lambda nu, h: abs(
+                        s * Lu - (-nu * s * hphiXY_base - s * uX * wY - bd.lam * gXY)),
+                    "2.13": lambda nu, h: abs(Lv - (s * gphiYX_base + nu * bd.lam * hXY)),
+                    "2.14": lambda nu, h: float(np.max(np.abs(
+                        sLU - (s * wY * bd.U - nu * s * phiHY[h] - lamY)))),
+                    "2.15": lambda nu, h: float(np.max(np.abs(LV - (s * phiY + nu * bd.lam * HY[h])))),
+                    "2.16": lambda nu, h: abs(hYV - (s * uY - dlamY - bd.lam * wY)),
+                    "2.17": lambda nu, h: abs(s * hYU - (-nu * (s * uHY[h]))),
+                }
+                for name in names:
+                    for nu, htag in grid[name]:
+                        key = (name, s, nu, htag)
+                        acc[key] = max(acc.get(key, 0.0), residual[name](nu, htag))
 
     def best_for(s):
         # ties within a band are broken by enumeration order, so equivalent
