@@ -53,8 +53,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG_ERROR
     rendered = render_json(report) if args.format == "json" else render_text(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out!r}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_CONFIG_ERROR
     sys.stdout.write(rendered)
     return exit_code_for(report)
 

@@ -395,3 +395,17 @@ def test_golden_reports(name):
     got = normalized_json_report(CONFIGS / f"{name}.cfg")
     want = (GOLDEN / f"{name}.json").read_text()
     assert got == want
+
+
+def test_cli_unwritable_out_exits_one_without_traceback(tmp_path):
+    path = write_config(tmp_path, GOOD)
+    out = tmp_path / "missing" / "x.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sasakicheck", "--config", str(path),
+                           "--check", "axioms", "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: cannot write report to {str(out)!r}:")
+    assert "Traceback" not in proc.stderr
