@@ -1,9 +1,11 @@
-"""Structure extraction and sample states do not depend on how chart points are grouped.
+"""Structure extraction, sample states and Gauss-Weingarten checks do not
+depend on how chart points are grouped.
 
 Run on a whole point list, ``extract_structure`` and ``sample_states``
 must give, bit for bit, the data the same calls give one point at a
 time: every array of every extracted bundle and of every sample state,
-and the report maxima.  A degenerate surface must raise the same error
+and the report maxima; so must the reconstruction and h-symmetry maxima
+of a Gauss-Weingarten stack.  A degenerate surface must raise the same error
 as it does point by point, naming the first offending sample.
 """
 
@@ -20,6 +22,7 @@ from sasakicheck import (
     Point,
     ScalarField,
     extract_structure,
+    gauss_weingarten,
     sample_states,
 )
 from sasakicheck.errors import (
@@ -28,6 +31,7 @@ from sasakicheck.errors import (
     NonFiniteValueError,
     RankDeficientError,
 )
+from sasakicheck.hypersurface import h_asymmetry, reconstruction_residuals
 from sasakicheck.sampling import sample_points, sample_vectors
 
 from conftest import SURFACES, surface_normal
@@ -82,6 +86,20 @@ def test_sample_states_equal_single_point_states(surface, count):
             assert _same(getattr(st.gw, key), getattr(one.gw, key)), (p.coords, key)
         for key in STATE_ARRAYS:
             assert _same(getattr(st, key), getattr(one, key)), (p.coords, key)
+
+
+@pytest.mark.parametrize("count", [8, 50])
+@pytest.mark.parametrize("surface", sorted(SURFACES))
+def test_stacked_reconstruction_equals_single_point_stacks(surface, count):
+    N = surface_normal(SURFACES[surface])
+    pts, _ = _samples(N.embedding.dim, count, seed=count + 7)
+    whole = gauss_weingarten(N.embedding, N, pts)
+    singles = [gauss_weingarten(N.embedding, N, [p]) for p in pts]
+    assert all(a.flags.c_contiguous for a in whole.arrays.values())
+    rec = reconstruction_residuals(whole)
+    for key in ("gauss", "weingarten"):
+        assert rec[key] == max(reconstruction_residuals(s)[key] for s in singles), key
+    assert h_asymmetry(whole) == max(h_asymmetry(s) for s in singles)
 
 
 def _points(replaced):
