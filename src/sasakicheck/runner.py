@@ -137,7 +137,7 @@ def _identity_rows(rep, tol):
     # identity claims are measured, not asserted: a miss is a finding
     # about the identity (e.g. the rho^2 factors a scaled normal
     # introduces), not an engine failure
-    return [_row(_eq(r.name)[0], r.equation_ref, r.residual, tol,
+    return [_row("eq_" + r.name.replace(".", "_"), r.equation_ref, r.residual, tol,
                  "pass" if r.residual <= tol else "refuted", r.convention, r.samples_used,
                  details=r.details)
             for r in rep.identities]
@@ -211,12 +211,11 @@ def _algebraic(ctx):
 def _differential(ctx):
     tol = ctx.tol["differential"]
     rows = _identity_rows(ctx.differential, tol)
-    # (2.18) is an implication: without its premise h(Y, U) = 0 it is vacuous
+    # (2.18) is an implication: the battery marks it vacuous where its
+    # premise h(Y, U) = 0 fails at the same tolerance
     last = rows[-1]
-    if last.details["premise_max_h_Y_U"] > tol:
-        last.verdict = "vacuous"
-    else:
-        last.verdict = "pass" if last.max_residual <= tol else "fail"
+    last.verdict = ("vacuous" if last.details["vacuous"]
+                    else "pass" if last.max_residual <= tol else "fail")
     return rows
 
 
