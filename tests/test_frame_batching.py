@@ -4,9 +4,9 @@ depend on how chart points are grouped.
 Run on a whole point list, ``extract_structure`` and ``sample_states``
 must give, bit for bit, the data the same calls give one point at a
 time: every array of every extracted bundle and of every sample state,
-and the report maxima; so must the reconstruction and h-symmetry maxima
-of a Gauss-Weingarten stack.  A degenerate surface must raise the same error
-as it does point by point, naming the first offending sample.
+and the report maxima; so must the reconstruction and h-symmetry
+maxima of a Gauss-Weingarten stack.  A degenerate surface must raise the
+same error as it does point by point, naming the first offending sample.
 """
 
 import re
