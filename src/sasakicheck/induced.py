@@ -26,14 +26,19 @@ identity is evaluated over a grid of variants:
   phi~ sign conventions found in the literature; the ambient axioms
   pin one, the derived identities turn out to live in the other).
 
-The report records the residual of every variant and the minimizing
-tags; strict paper mode restricts to the printed form with H = H_h.
+Each identity's variants form a table, one row per variant with its s
+and nu signs and its H.  At each direction pair the contractions are
+taken once, one product at a time as printed, and every variant's
+residual is one array expression over the table; the signs are +-1, so
+every term has the bits it has in that one variant written out.  The
+report records the residual of every variant and the minimizing tags;
+strict paper mode restricts to the printed form with H = H_h.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +53,6 @@ from .hypersurface import (
     GaussWeingartenStack,
     NormalField,
     frame_stack,
-    gauss_weingarten,
     induced_metric,
 )
 from .sampling import g_normalized
@@ -259,18 +263,10 @@ class SampleState:
 
 
 def sample_states(
-    S: InducedStructure,
-    points: Sequence[Point],
-    directions: Sequence,
-    gws: Optional[GaussWeingartenStack] = None,
+    S: InducedStructure, directions: Sequence, gws: GaussWeingartenStack
 ) -> List[SampleState]:
-    """One :class:`SampleState` per point, built on the whole point stack.
-
-    ``gws`` passes Gauss-Weingarten data already built at ``points``
-    (its frame stack is reused); without it the data is built here.
-    """
-    if gws is None:
-        gws = gauss_weingarten(S.embedding, S.normal, points)
+    """One :class:`SampleState` per point of the Gauss-Weingarten stack
+    ``gws``, built on its frame stack."""
     st = _structure_stack(S.embedding.ambient, gws.frames)
 
     def cov(key, valence):
@@ -376,6 +372,23 @@ def _variant_grid(name):
     return [(nu, h) for nu in nus for h in hs]
 
 
+class _Variants(NamedTuple):
+    """One identity's variants in report order: their ``(name, s, nu, H)``
+    keys, and one row each of s, nu, nu*s (columns) and the H index."""
+
+    keys: list
+    s: np.ndarray
+    nu: np.ndarray
+    nus: np.ndarray
+    hi: np.ndarray
+
+
+def _variant_table(name, signs) -> _Variants:
+    keys = [(name, s, nu, h) for s in signs for nu, h in _variant_grid(name)]
+    s, nu = (np.array([[k[i]] for k in keys]) for i in (1, 2))
+    return _Variants(keys, s, nu, nu * s, np.array([H_TAGS.index(k[3] or "H_h") for k in keys]))
+
+
 def _bilinear(y, M, x) -> float:
     """Return ``y^i M_ia x^a`` summed flat, ``i`` outer and ``a`` inner."""
     # Not einsum or @: numpy leaves their summation order open; the goldens pin this one.
@@ -401,79 +414,66 @@ def verify_differential_identities(
 ) -> IdentityReport:
     """Covariant-derivative identity battery with convention adjudication.
 
-    Each state's directions are taken in consecutive pairs (X, Y).  For
-    each identity the maximum residual over all samples is computed
-    for every variant; the report carries the minimizing variant per
-    identity together with one global structure-sign verdict.  In strict
-    paper mode only the printed form with H = H_h and the extracted
-    structure sign is evaluated.
+    Each state's directions are taken in consecutive pairs (X, Y).  The
+    pair's contractions (``X @ g @ Y``, the covariant-derivative einsums,
+    :func:`_bilinear`, ...) are taken one by one, once per pair; each
+    identity then gives the residuals of all its variants at the pair as
+    one array over its :class:`_Variants` table.  A variant's residual is
+    its largest over the pairs, a NaN residual passed over.  The report
+    carries the minimizing variant per identity together with one global
+    structure-sign verdict.  In strict paper mode only the printed form
+    with H = H_h and the extracted structure sign is evaluated.
     """
     names = ["2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17"]
     signs = (1.0,) if strict_paper else (1.0, -1.0)
     grid = {name: _variant_grid(name) for name in names}
-    acc: Dict[tuple, float] = {}
+    t11, t12, t13, t14, t15, t16, t17 = tables = [_variant_table(name, signs) for name in names]
+    rows = []
     v_HY = {"H_h": 0.0, "H_w": 0.0}
     h_U_premise = 0.0
     HU_norm = {"H_h": 0.0, "H_w": 0.0}
-    pair_count = 0
 
     for st in states:
         bd, gw = st.bundle, st.gw
-        H_of = {"H_h": gw.H_h, "H_w": gw.H_w, "-H_w": -gw.H_w}
+        lam, Hs = bd.lam, (gw.H_h, gw.H_w, -gw.H_w)
 
         h_U_premise = max(h_U_premise, float(np.max(np.abs(gw.h @ bd.U))))
-        for hk in ("H_h", "H_w"):
-            v_HY[hk] = max(v_HY[hk], float(np.max(np.abs(bd.v @ H_of[hk]))))
-            HU_norm[hk] = max(HU_norm[hk], float(np.max(np.abs(H_of[hk] @ bd.U))))
+        for hk, H in zip(v_HY, Hs):
+            v_HY[hk] = max(v_HY[hk], float(np.max(np.abs(bd.v @ H))))
+            HU_norm[hk] = max(HU_norm[hk], float(np.max(np.abs(H @ bd.U))))
 
         for X, Y in zip(st.dirs[0::2], st.dirs[1::2]):
-            pair_count += 1
             gXY = float(X @ bd.g @ Y)
             hXY = float(X @ gw.h @ Y)
             uX = float(bd.u @ X)
             vX = float(bd.v @ X)
-            uY = float(bd.u @ Y)
             wY = float(gw.w @ Y)
-            dlamY = float(bd.dlam @ Y)
             Yh = Y @ gw.h
-            hYV = float(Yh @ bd.V)
-            hYU = float(Yh @ bd.U)
             phiY = bd.phi @ Y
-            hphiXY_base = float((bd.phi @ X) @ gw.h @ Y)
-            gphiYX_base = float(phiY @ bd.g @ X)
             Lphi = np.einsum("i,iab,b->a", Y, st.covphi, X)
-            Lu = _bilinear(Y, st.covu, X)
-            Lv = _bilinear(Y, st.covv, X)
             LU = np.einsum("i,ia->a", Y, st.covU)
             LV = np.einsum("i,ia->a", Y, st.covV)
-            # everything below that depends on neither s nor nu, once per pair;
-            # s = +-1 multiplies outside a product with the same bits as inside
-            HY = {k: H @ Y for k, H in H_of.items()}
-            phiHY = {k: bd.phi @ hy for k, hy in HY.items()}
-            uHY = {k: float(bd.u @ hy) for k, hy in HY.items()}
-            hU_uHY = {k: -(hXY) * bd.U - uX * hy for k, hy in HY.items()}
-            vY_gV = vX * Y - gXY * bd.V
-            lamY = bd.lam * Y
+            # one row per H tag, each product as in the printed identity
+            HY = [H @ Y for H in Hs]
+            phiHY = np.array([bd.phi @ hy for hy in HY])
+            uHY = np.array([[float(bd.u @ hy)] for hy in HY])
+            HY = np.array(HY)
+            residuals = (
+                t11.s * Lphi - (vX * Y - gXY * bd.V + t11.nus * (-(hXY) * bd.U - uX * HY)[t11.hi]),
+                t12.s * _bilinear(Y, st.covu, X) - (
+                    -t12.nus * float((bd.phi @ X) @ gw.h @ Y) - t12.s * uX * wY - lam * gXY),
+                _bilinear(Y, st.covv, X) - (t13.s * float(phiY @ bd.g @ X) + t13.nu * lam * hXY),
+                t14.s * LU - (t14.s * wY * bd.U - t14.nus * phiHY[t14.hi] - lam * Y),
+                LV - (t15.s * phiY + t15.nu * lam * HY[t15.hi]),
+                float(Yh @ bd.V) - (t16.s * float(bd.u @ Y) - float(bd.dlam @ Y) - lam * wY),
+                t17.s * float(Yh @ bd.U) - (-t17.nu * (t17.s * uHY[t17.hi])),
+            )
+            rows.append([np.max(np.abs(r), axis=1) for r in residuals])
 
-            for s in signs:
-                sLphi = s * Lphi
-                sLU = s * LU
-                # each identity's residual at this pair and s, as a function of (nu, H)
-                residual = {
-                    "2.11": lambda nu, h: float(np.max(np.abs(sLphi - (vY_gV + nu * s * hU_uHY[h])))),
-                    "2.12": lambda nu, h: abs(
-                        s * Lu - (-nu * s * hphiXY_base - s * uX * wY - bd.lam * gXY)),
-                    "2.13": lambda nu, h: abs(Lv - (s * gphiYX_base + nu * bd.lam * hXY)),
-                    "2.14": lambda nu, h: float(np.max(np.abs(
-                        sLU - (s * wY * bd.U - nu * s * phiHY[h] - lamY)))),
-                    "2.15": lambda nu, h: float(np.max(np.abs(LV - (s * phiY + nu * bd.lam * HY[h])))),
-                    "2.16": lambda nu, h: abs(hYV - (s * uY - dlamY - bd.lam * wY)),
-                    "2.17": lambda nu, h: abs(s * hYU - (-nu * (s * uHY[h]))),
-                }
-                for name in names:
-                    for nu, htag in grid[name]:
-                        key = (name, s, nu, htag)
-                        acc[key] = max(acc.get(key, 0.0), residual[name](nu, htag))
+    # fmax passes over a NaN residual: a variant keeps its largest number
+    acc = {key: float(r) for t, col in zip(tables, zip(*rows)) for key, r in
+           zip(t.keys, np.fmax.reduce(np.array(col), axis=0, initial=0.0))}
+    pair_count = len(rows)
 
     def best_for(s):
         # ties within a band are broken by enumeration order, so equivalent

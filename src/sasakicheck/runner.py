@@ -107,7 +107,7 @@ class _Context:
 
     @cached_property
     def states(self):
-        return sample_states(self.structure, self.chart_points, self.tangent_vecs, self.gws)
+        return sample_states(self.structure, self.tangent_vecs, self.gws)
 
     @cached_property
     def differential(self):

@@ -3,7 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sasakicheck import Embedding, NormalField, ScalarField, standard_sasakian
+from sasakicheck import (
+    Embedding,
+    NormalField,
+    ScalarField,
+    gauss_weingarten,
+    sample_states,
+    standard_sasakian,
+)
 from sasakicheck.config import load_suite_config
 from sasakicheck.exprs import compile_expression, compile_map
 from sasakicheck.sampling import sample_points, sample_vectors, spawn_rngs
@@ -57,6 +64,12 @@ def chart_points(dim, count, seed=7):
 def chart_vectors(dim, count, seed=11):
     rng = np.random.default_rng(seed)
     return sample_vectors(dim, count, rng)
+
+
+def states_at(S, points, directions):
+    """Sample states of the induced structure ``S`` at ``points``, on a
+    Gauss-Weingarten stack built there."""
+    return sample_states(S, directions, gauss_weingarten(S.embedding, S.normal, points))
 
 
 def surface_normal(path):

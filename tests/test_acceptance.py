@@ -25,7 +25,6 @@ from sasakicheck import (
     gauss_weingarten,
     jet,
     make_pointwise_model,
-    sample_states,
     standard_sasakian,
     verify_algebraic_identities,
     verify_differential_identities,
@@ -37,6 +36,8 @@ from sasakicheck.hypersurface import SimpleAmbient, reconstruction_residuals
 from sasakicheck.report import render_json
 from sasakicheck.runner import run_suite
 from sasakicheck.sampling import sample_direction_fields, sample_points, sample_vectors
+
+from conftest import states_at
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -138,7 +139,7 @@ def test_criterion_5_derived_identities_adjudicated():
         for name, emb, dim in runs:
             pts = _points(dim, 20, seed=37)
             S = extract_structure(emb, NormalField(emb), pts)
-            rep = verify_differential_identities(sample_states(S, pts, _pair_dirs(dim, seed=41)))
+            rep = verify_differential_identities(states_at(S, pts, _pair_dirs(dim, seed=41)))
             for r in rep.identities:
                 if r.name == "2.18":
                     # tautology of the H_h definition: never premise-pass with
@@ -157,7 +158,7 @@ def test_criterion_5_derived_identities_adjudicated():
         emb = runs[0][1]
         pts = _points(2, 10, seed=43)
         S = extract_structure(emb, NormalField(emb), pts)
-        strict = verify_differential_identities(sample_states(S, pts, _pair_dirs(2, seed=41)),
+        strict = verify_differential_identities(states_at(S, pts, _pair_dirs(2, seed=41)),
                                                 strict_paper=True)
         assert len(strict.identities) == 8
         assert all(r.residual > 1e-5 for r in strict.identities if r.name != "2.18")
@@ -187,7 +188,7 @@ def test_criterion_7_scaled_normal_run():
             gw = gauss_weingarten(emb, N, [p])[0]
             assert np.max(np.abs(gw.w - np.array([1.0, 1.0]))) <= 1e-6
         S = extract_structure(emb, N, pts)
-        res = check_theorem_3_4(sample_states(S, pts, sample_vectors(2, 4, np.random.default_rng(48))))
+        res = check_theorem_3_4(states_at(S, pts, sample_vectors(2, 4, np.random.default_rng(48))))
         assert res.verdict == "vacuous"
 
 

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sasakicheck import extract_structure, gauss_weingarten, sample_states
+from sasakicheck import extract_structure
 from sasakicheck.config import load_suite_config
 from sasakicheck.induced import (
     H_TAGS,
@@ -30,7 +30,7 @@ from sasakicheck.induced import (
 from sasakicheck.runner import GROUPS, _Context
 from sasakicheck.sampling import sample_points, sample_vectors
 
-from conftest import SURFACES, surface_normal
+from conftest import SURFACES, states_at, surface_normal
 
 NAMES = ("2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17")
 H_FREE = ("2.12", "2.13", "2.16")
@@ -43,8 +43,7 @@ def _states(surface, count=12, directions=6, seed=23):
     rng = np.random.default_rng(seed)
     pts = sample_points(m, count, (-1.0, 1.0), rng)
     dirs = sample_vectors(m, directions, rng)
-    return sample_states(extract_structure(N.embedding, N, pts), pts, dirs,
-                         gauss_weingarten(N.embedding, N, pts))
+    return states_at(extract_structure(N.embedding, N, pts), pts, dirs)
 
 
 def _variants(name):
@@ -153,6 +152,18 @@ def test_battery_equals_per_variant_oracle(surface, strict_paper):
                            "vacuous": premise > 1e-5}
     assert r18.residual == HU["H_h"]
     assert r18.samples_used == len(states)
+
+
+def test_battery_passes_over_nan_residuals_like_the_oracle():
+    states = _states("quadric_r3")
+    nan = np.full_like(states[0].covphi, np.nan)
+    states[3] = replace(states[3], covphi=nan)
+    states[5] = replace(states[5], covU=np.full_like(states[5].covU, np.nan))
+    rep = verify_differential_identities(states)
+    variants = _oracle(states, False)[0]
+    for name in NAMES:
+        assert rep.by_name(name).details["variants"] == variants[name], name
+    assert all(np.isfinite(r) for r in variants["2.11"].values())
 
 
 @pytest.mark.parametrize("strict_paper", [False, True])

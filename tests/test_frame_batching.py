@@ -23,7 +23,6 @@ from sasakicheck import (
     ScalarField,
     extract_structure,
     gauss_weingarten,
-    sample_states,
 )
 from sasakicheck.errors import (
     EvaluationError,
@@ -34,7 +33,7 @@ from sasakicheck.errors import (
 from sasakicheck.hypersurface import h_asymmetry, reconstruction_residuals
 from sasakicheck.sampling import sample_points, sample_vectors
 
-from conftest import SURFACES, surface_normal
+from conftest import SURFACES, states_at, surface_normal
 
 GW_ARRAYS = ("induced_gamma", "h", "H_w", "H_h", "w", "D", "DN", "normal")
 STATE_ARRAYS = ("dirs", "covphi", "covu", "covv", "covU", "covV")
@@ -77,10 +76,10 @@ def test_sample_states_equal_single_point_states(surface, count):
     N = surface_normal(SURFACES[surface])
     pts, dirs = _samples(N.embedding.dim, count, seed=count + 5)
     S = extract_structure(N.embedding, N, pts)
-    whole = sample_states(S, pts, dirs)
+    whole = states_at(S, pts, dirs)
     assert len(whole) == count
     for p, st in zip(pts, whole):
-        one = sample_states(S, [p], dirs)[0]
+        one = states_at(S, [p], dirs)[0]
         _assert_same_bundle(st.bundle, one.bundle, p.coords)
         for key in GW_ARRAYS:
             assert _same(getattr(st.gw, key), getattr(one.gw, key)), (p.coords, key)
@@ -111,14 +110,12 @@ def _points(replaced):
 
 
 def _raises_naming_first(error, N, pts, first, second):
-    """Extraction and sample states both raise ``error`` naming ``first``, not ``second``."""
-    good = _points({})
-    S = extract_structure(N.embedding, N, good)
-    dirs = sample_vectors(2, 4, np.random.default_rng(43))
+    """Extraction and the Gauss-Weingarten stack both raise ``error``
+    naming ``first``, not ``second``."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for build in (lambda: extract_structure(N.embedding, N, pts),
-                      lambda: sample_states(S, pts, dirs)):
+                      lambda: gauss_weingarten(N.embedding, N, pts)):
             with pytest.raises(error) as info:
                 build()
             assert re.search(first, str(info.value)), str(info.value)

@@ -17,7 +17,6 @@ from sasakicheck import (
     check_theorem_3_4,
     extract_structure,
     parallel_residual,
-    sample_states,
     verify_algebraic_identities,
 )
 from sasakicheck.sampling import sample_points, sample_vectors
@@ -29,7 +28,7 @@ from sasakicheck.theorems import (
     theorem_3_3_chart,
 )
 
-from conftest import SURFACES, surface_normal
+from conftest import SURFACES, states_at, surface_normal
 
 
 def _points(dim, count, seed):
@@ -122,7 +121,7 @@ def test_chart_theorems_equal_single_state_checks(surface, count, variant, sign)
     rng = np.random.default_rng(count + 13)
     pts = sample_points(m, count, (-1.0, 1.0), rng)
     dirs = sample_vectors(m, 10, rng)
-    states = _edited(sample_states(extract_structure(N.embedding, N, pts), pts, dirs), variant)
+    states = _edited(states_at(extract_structure(N.embedding, N, pts), pts, dirs), variant)
     ones = [[st] for st in states]
 
     for field in ("phi", "U", "V"):
@@ -236,8 +235,8 @@ def test_chart_theorems_equal_per_sample_loops(surface, variant, sign):
     m = N.embedding.dim
     rng = np.random.default_rng(19)
     pts = sample_points(m, 12, (-1.0, 1.0), rng)
-    states = _edited(sample_states(extract_structure(N.embedding, N, pts), pts,
-                                   sample_vectors(m, 6, rng)), variant)
+    states = _edited(states_at(extract_structure(N.embedding, N, pts), pts,
+                               sample_vectors(m, 6, rng)), variant)
     want = _loop_conclusions(states, sign)
     got = {**theorem_3_1_chart(states, structure_sign=sign).conclusion_residuals,
            **theorem_3_2_chart(states, structure_sign=sign).conclusion_residuals,

@@ -29,7 +29,6 @@ from sasakicheck import (
     TensorField,
     extract_structure,
     gauss_weingarten,
-    sample_states,
     verify_algebraic_identities,
     verify_differential_identities,
 )
@@ -37,7 +36,7 @@ from sasakicheck.dual import exp
 from sasakicheck.errors import TangencyError
 from sasakicheck.induced import _bilinear
 
-from conftest import chart_points, chart_vectors
+from conftest import chart_points, chart_vectors, states_at
 
 
 def _pair_dirs(dim, count=5, seed=11):
@@ -46,7 +45,7 @@ def _pair_dirs(dim, count=5, seed=11):
 
 
 def _differential(S, pts, **kwargs):
-    return verify_differential_identities(sample_states(S, pts, _pair_dirs(S.dim)), **kwargs)
+    return verify_differential_identities(states_at(S, pts, _pair_dirs(S.dim)), **kwargs)
 
 
 @pytest.fixture()

@@ -14,7 +14,6 @@ from sasakicheck import (
     gauss_weingarten,
     make_pointwise_model,
     parallel_residual,
-    sample_states,
     verify_differential_identities,
 )
 from sasakicheck.dual import exp
@@ -27,7 +26,7 @@ from sasakicheck.theorems import (
     theorem_3_4_model_consistency,
 )
 
-from conftest import chart_points, chart_vectors
+from conftest import chart_points, chart_vectors, states_at
 
 
 @pytest.fixture()
@@ -60,7 +59,7 @@ def test_constant_field_on_flat_chart_is_parallel():
 def test_V_not_parallel_on_plane(plane_structure):
     pts = chart_points(2, 10, seed=89)
     dirs = chart_vectors(2, 4, seed=90)
-    assert parallel_residual(sample_states(plane_structure, pts, dirs), "V") > 1e-3
+    assert parallel_residual(states_at(plane_structure, pts, dirs), "V") > 1e-3
 
 
 def test_nabla_V_matches_adjudicated_identity(plane_structure):
@@ -125,8 +124,8 @@ def test_theorem_3_3_lambda_zero_excluded():
 
 
 def test_theorem_3_3_chart_vacuous_generically(plane_structure):
-    res = theorem_3_3_chart(sample_states(plane_structure, chart_points(2, 8, seed=93),
-                                          chart_vectors(2, 4, seed=94)))
+    res = theorem_3_3_chart(states_at(plane_structure, chart_points(2, 8, seed=93),
+                                      chart_vectors(2, 4, seed=94)))
     assert res.verdict == "vacuous"
 
 
@@ -175,8 +174,8 @@ def test_theorem_3_1_model_lambda_zero_flags_35_exclusion():
 
 
 def test_theorem_3_1_chart_vacuous(plane_structure):
-    res = theorem_3_1_chart(sample_states(plane_structure, chart_points(2, 8, seed=95),
-                                          chart_vectors(2, 4, seed=96)), structure_sign=-1.0)
+    res = theorem_3_1_chart(states_at(plane_structure, chart_points(2, 8, seed=95),
+                                      chart_vectors(2, 4, seed=96)), structure_sign=-1.0)
     assert res.verdict == "vacuous"
     assert res.hypothesis_residual > 1e-3
 
@@ -202,15 +201,15 @@ def test_theorem_3_2_lambda_zero_branch():
 
 
 def test_theorem_3_2_chart_vacuous(plane_structure):
-    res = theorem_3_2_chart(sample_states(plane_structure, chart_points(2, 8, seed=97),
-                                          chart_vectors(2, 4, seed=98)), structure_sign=-1.0)
+    res = theorem_3_2_chart(states_at(plane_structure, chart_points(2, 8, seed=97),
+                                      chart_vectors(2, 4, seed=98)), structure_sign=-1.0)
     assert res.verdict == "vacuous"
 
 
 def test_theorem_3_4_chart_vacuous_on_quadric(quadric_r3):
     pts = chart_points(2, 10, seed=99)
     S = extract_structure(quadric_r3, NormalField(quadric_r3), pts)
-    res = check_theorem_3_4(sample_states(S, pts, chart_vectors(2, 4, seed=100)),
+    res = check_theorem_3_4(states_at(S, pts, chart_vectors(2, 4, seed=100)),
                             structure_sign=-1.0)
     assert res.verdict == "vacuous"
 
@@ -246,8 +245,8 @@ def test_verdicts_stable_under_direction_scaling(plane_structure):
     vecs = chart_vectors(2, 10, seed=108)
     # pairs are (vecs[0], vecs[1]), (vecs[2], vecs[3]), ...; scale X and Y differently
     scaled = [(17.0 if k % 2 == 0 else 0.03) * v for k, v in enumerate(vecs)]
-    a = verify_differential_identities(sample_states(plane_structure, pts, vecs))
-    b = verify_differential_identities(sample_states(plane_structure, pts, scaled))
+    a = verify_differential_identities(states_at(plane_structure, pts, vecs))
+    b = verify_differential_identities(states_at(plane_structure, pts, scaled))
     for x, y in zip(a.identities, b.identities):
         assert x.residual == pytest.approx(y.residual, abs=1e-10)
         assert x.convention == y.convention
