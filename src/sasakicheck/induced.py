@@ -26,13 +26,12 @@ identity is evaluated over a grid of variants:
   phi~ sign conventions found in the literature; the ambient axioms
   pin one, the derived identities turn out to live in the other).
 
-Each identity's variants form a table, one row per variant with its s
-and nu signs and its H.  At each direction pair the contractions are
-taken once, one product at a time as printed, and every variant's
-residual is one array expression over the table; the signs are +-1, so
-every term has the bits it has in that one variant written out.  The
-report records the residual of every variant and the minimizing tags;
-strict paper mode restricts to the printed form with H = H_h.
+The variants of an identity form a table (its s and nu signs and H).
+Per direction pair the contractions are taken once, as printed, and all
+variants' residuals are one array over the table; s and nu are +-1, so
+each term keeps the bits of that variant written out alone.  The report
+records every variant's residual and the minimizing tags; strict paper
+mode restricts to the printed form with H = H_h.
 """
 
 from __future__ import annotations
@@ -373,8 +372,7 @@ def _variant_grid(name):
 
 
 class _Variants(NamedTuple):
-    """One identity's variants in report order: their ``(name, s, nu, H)``
-    keys, and one row each of s, nu, nu*s (columns) and the H index."""
+    """An identity's variants in report order: keys; s, nu, nu*s (columns); H index."""
 
     keys: list
     s: np.ndarray
@@ -414,21 +412,24 @@ def verify_differential_identities(
 ) -> IdentityReport:
     """Covariant-derivative identity battery with convention adjudication.
 
-    Each state's directions are taken in consecutive pairs (X, Y).  The
-    pair's contractions (``X @ g @ Y``, the covariant-derivative einsums,
-    :func:`_bilinear`, ...) are taken one by one, once per pair; each
-    identity then gives the residuals of all its variants at the pair as
-    one array over its :class:`_Variants` table.  A variant's residual is
-    its largest over the pairs, a NaN residual passed over.  The report
-    carries the minimizing variant per identity together with one global
-    structure-sign verdict.  In strict paper mode only the printed form
-    with H = H_h and the extracted structure sign is evaluated.
+    Each state's directions are taken in consecutive pairs (X, Y).  A
+    pair's contractions (``X @ g @ Y``, the einsums, :func:`_bilinear`)
+    are taken one by one; each identity then gives all its variants'
+    residuals at the pair as one array over its :class:`_Variants` table.
+    A variant's residual is its largest over the pairs, a NaN passed over.
+    The report carries the minimizing variant per identity together with
+    one global structure-sign verdict.  In strict paper mode only the
+    printed form with H = H_h and the extracted structure sign is evaluated.
     """
     names = ["2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17"]
     signs = (1.0,) if strict_paper else (1.0, -1.0)
     grid = {name: _variant_grid(name) for name in names}
     t11, t12, t13, t14, t15, t16, t17 = tables = [_variant_table(name, signs) for name in names]
-    rows = []
+    keys = [key for t in tables for key in t.keys]
+    # one row per direction pair, one column per variant, identity after identity;
+    # ``outs`` yields each pair's row as one view per identity
+    worst = np.empty((sum(len(st.dirs) // 2 for st in states), len(keys)))
+    outs = zip(*np.split(worst, np.cumsum([len(t.keys) for t in tables])[:-1], axis=1))
     v_HY = {"H_h": 0.0, "H_w": 0.0}
     h_U_premise = 0.0
     HU_norm = {"H_h": 0.0, "H_w": 0.0}
@@ -468,12 +469,11 @@ def verify_differential_identities(
                 float(Yh @ bd.V) - (t16.s * float(bd.u @ Y) - float(bd.dlam @ Y) - lam * wY),
                 t17.s * float(Yh @ bd.U) - (-t17.nu * (t17.s * uHY[t17.hi])),
             )
-            rows.append([np.max(np.abs(r), axis=1) for r in residuals])
+            for r, out in zip(residuals, next(outs)):
+                np.max(np.abs(r), axis=1, out=out)
 
     # fmax passes over a NaN residual: a variant keeps its largest number
-    acc = {key: float(r) for t, col in zip(tables, zip(*rows)) for key, r in
-           zip(t.keys, np.fmax.reduce(np.array(col), axis=0, initial=0.0))}
-    pair_count = len(rows)
+    acc = dict(zip(keys, np.fmax.reduce(worst, axis=0, initial=0.0).tolist()))
 
     def best_for(s):
         # ties within a band are broken by enumeration order, so equivalent
@@ -519,7 +519,7 @@ def verify_differential_identities(
             equation_ref=f"Eq ({name})",
             residual=resid,
             convention=f"{_tag(nu, htag)}|{STRUCTURE_TAGS[chosen_s]}",
-            samples_used=pair_count,
+            samples_used=len(worst),
             details=details,
         ))
 
@@ -539,6 +539,6 @@ def verify_differential_identities(
     return IdentityReport(
         identities=identities,
         structure_sign=STRUCTURE_TAGS[chosen_s],
-        sample_count=pair_count,
+        sample_count=len(worst),
         extras={"v_HY_measured": dict(v_HY)},
     )
