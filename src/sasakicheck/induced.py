@@ -399,10 +399,7 @@ def _bilinear(y, M, x) -> float:
 
 
 def _tag(nu, h):
-    parts = []
-    parts.append(h if h is not None else "H-free")
-    parts.append("printed" if nu > 0 else "hH-negated")
-    return "|".join(parts)
+    return f"{h or 'H-free'}|{'printed' if nu > 0 else 'hH-negated'}"
 
 
 def verify_differential_identities(
@@ -429,6 +426,8 @@ def verify_differential_identities(
     # one row per direction pair, one column per variant, identity after identity;
     # ``outs`` yields each pair's row as one view per identity
     worst = np.empty((sum(len(st.dirs) // 2 for st in states), len(keys)))
+    if not len(worst):
+        raise ValueError("the differential battery needs at least one direction pair")
     outs = zip(*np.split(worst, np.cumsum([len(t.keys) for t in tables])[:-1], axis=1))
     v_HY = {"H_h": 0.0, "H_w": 0.0}
     h_U_premise = 0.0

@@ -166,6 +166,11 @@ def test_battery_passes_over_nan_residuals_like_the_oracle():
     assert all(np.isfinite(r) for r in variants["2.11"].values())
 
 
+def test_battery_without_a_direction_pair_raises():
+    with pytest.raises(ValueError, match="direction pair"):
+        verify_differential_identities(_states("plane_r3", directions=1))
+
+
 @pytest.mark.parametrize("strict_paper", [False, True])
 @pytest.mark.parametrize("surface", sorted(SURFACES))
 def test_battery_variants_equal_single_state_batteries(surface, strict_paper):
