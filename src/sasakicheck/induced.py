@@ -399,7 +399,10 @@ def _bilinear(y, M, x) -> float:
 
 
 def _tag(nu, h):
-    return f"{h or 'H-free'}|{'printed' if nu > 0 else 'hH-negated'}"
+    parts = []
+    parts.append(h if h is not None else "H-free")
+    parts.append("printed" if nu > 0 else "hH-negated")
+    return "|".join(parts)
 
 
 def verify_differential_identities(
@@ -420,7 +423,6 @@ def verify_differential_identities(
     """
     names = ["2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17"]
     signs = (1.0,) if strict_paper else (1.0, -1.0)
-    grid = {name: _variant_grid(name) for name in names}
     t11, t12, t13, t14, t15, t16, t17 = tables = [_variant_table(name, signs) for name in names]
     keys = [key for t in tables for key in t.keys]
     # one row per direction pair, one column per variant, identity after identity;
@@ -438,7 +440,7 @@ def verify_differential_identities(
         lam, Hs = bd.lam, (gw.H_h, gw.H_w, -gw.H_w)
 
         h_U_premise = max(h_U_premise, float(np.max(np.abs(gw.h @ bd.U))))
-        for hk, H in zip(v_HY, Hs):
+        for hk, H in (("H_h", gw.H_h), ("H_w", gw.H_w)):
             v_HY[hk] = max(v_HY[hk], float(np.max(np.abs(bd.v @ H))))
             HU_norm[hk] = max(HU_norm[hk], float(np.max(np.abs(H @ bd.U))))
 
@@ -479,8 +481,8 @@ def verify_differential_identities(
         # variants (H_h versus -H_w at a unit normal) adjudicate identically
         # on every hypersurface instead of by floating-point noise
         per = {}
-        for name in names:
-            entries = [((nu, htag), acc[(name, s, nu, htag)]) for nu, htag in grid[name]]
+        for name, t in zip(names, tables):
+            entries = [(key[2:], acc[key]) for key in t.keys if key[1] == s]
             if strict_paper:
                 entries = [e for e in entries if e[0] == (1.0, "H_h" if _HAS_H[name] else None)]
             smallest = min(r for _, r in entries)
@@ -503,13 +505,10 @@ def verify_differential_identities(
         other = per_minus if chosen_s > 0 else per_plus
 
     identities = []
-    for name in names:
+    for name, t in zip(names, tables):
         (nu, htag), resid = per[name]
         details = {
-            "variants": {
-                f"{STRUCTURE_TAGS[s]}|{_tag(n, h)}": acc[(name, s, n, h)]
-                for s in signs for n, h in grid[name]
-            },
+            "variants": {f"{STRUCTURE_TAGS[key[1]]}|{_tag(*key[2:])}": acc[key] for key in t.keys},
         }
         if other:
             details["best_other_structure_sign"] = other[name][1]
