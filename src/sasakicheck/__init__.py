@@ -9,7 +9,6 @@ conventions adjudicated by residual comparison rather than assumed.
 __version__ = "0.1.0"
 
 from .connection import (
-    ChristoffelSymbols,
     MetricField,
     christoffel,
     covariant_derivative_tensor,
@@ -69,7 +68,6 @@ __all__ = [
     "__version__",
     "AlmostContactMetricStructure",
     "AxiomReport",
-    "ChristoffelSymbols",
     "Embedding",
     "GaussWeingartenData",
     "IdentityReport",

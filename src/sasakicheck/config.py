@@ -65,7 +65,6 @@ DEFAULT_TOLERANCES = {
 @dataclass
 class SuiteConfig:
     name: str
-    ambient_name: str
     n: int
     inputs: List[str]
     outputs: List[str]
@@ -228,7 +227,6 @@ def load_suite_config(path) -> SuiteConfig:
 
     return SuiteConfig(
         name=path.stem,
-        ambient_name=ambient_name,
         n=n,
         inputs=inputs,
         outputs=outputs,

@@ -33,14 +33,6 @@ class MetricField:
         return evaluate(self.tensor, p)
 
 
-@dataclass(frozen=True)
-class ChristoffelSymbols:
-    """Gamma[k, i, j] = Gamma^k_ij at a single point."""
-
-    point: Point
-    gamma: np.ndarray
-
-
 def metric_symmetry_residual(metric: MetricField, points) -> float:
     return max(
         float(np.max(np.abs(g - g.T)))
@@ -58,11 +50,11 @@ def metric_positivity_ok(metric: MetricField, points) -> bool:
     return True
 
 
-def christoffel(metric: MetricField, p: Point) -> ChristoffelSymbols:
-    """Levi-Civita Christoffel symbols from a dual-number jet of the metric."""
+def christoffel(metric: MetricField, p: Point) -> np.ndarray:
+    """Gamma[k, i, j] = Gamma^k_ij at p, from a dual-number jet of the metric."""
     jt = jet(metric.tensor, p)
     require_nonsingular(jt.value[None], [p])
-    return ChristoffelSymbols(point=p, gamma=levi_civita_gamma(jt.value, jt.partials))
+    return levi_civita_gamma(jt.value, jt.partials)
 
 
 def christoffel_stack(metric: MetricField, stack: PointStack) -> np.ndarray:
@@ -116,7 +108,7 @@ def covariant_derivative_vector(
     metric: MetricField, X: TensorField, Y: TensorField, p: Point
 ) -> np.ndarray:
     """(nabla_X Y)^k = X^i (d_i Y^k + Gamma^k_ij Y^j) at a point."""
-    gamma = christoffel(metric, p).gamma
+    gamma = christoffel(metric, p)
     jy = jet(Y, p)
     full = covariant_derivative_components(jy.value, jy.partials, gamma, (1, 0))
     x = evaluate(X, p)
@@ -131,7 +123,7 @@ def covariant_derivative_tensor(
         raise UnsupportedValenceError(
             f"covariant_derivative_tensor supports (0,1), (1,1), (0,2); got {T.valence}"
         )
-    gamma = christoffel(metric, p).gamma
+    gamma = christoffel(metric, p)
     jt = jet(T, p)
     full = covariant_derivative_components(jt.value, jt.partials, gamma, T.valence)
     x = evaluate(X, p)

@@ -11,7 +11,8 @@ the ambient tensors; the normal and every frame solve are batched numpy
 calls on (P, d, d) stacks, differentiated implicitly
 (d(A^-1 b) = A^-1 (db - dA A^-1 b)).  Stacked products keep the
 operand layouts and singleton axes of the one-point products, so every
-point gets the bits it gets in a stack of one.
+point gets the bits it gets in a stack of one.  The decomposition is one
+:class:`Stacked` record, :class:`GaussWeingartenData`, of (P, ...) arrays.
 
 Two shape operators are carried side by side:
 
@@ -24,7 +25,8 @@ between them rather than assuming either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field, fields
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -95,6 +97,40 @@ class NormalField:
 
     def flipped(self) -> "NormalField":
         return NormalField(self.embedding, self.scaling, -self.orientation)
+
+
+class Stacked:
+    """Point indexing for a record whose fields carry the point axis first.
+
+    ``record[i]`` is point i's record: array views, a (P,) field as a Python
+    float, nested records indexed alike and any other field None.
+    ``record[a:b]`` is a sub-stack; ``len`` and iteration count and walk points.
+    """
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __iter__(self):
+        return map(type(self), *(_column(getattr(self, f.name)) for f in fields(self)))
+
+    def __getitem__(self, index):
+        return type(self)(*(_take(getattr(self, f.name), index) for f in fields(self)))
+
+
+def _take(value, index):
+    if isinstance(value, np.ndarray):
+        part = value[index]
+        return part.item() if part.ndim == 0 else part
+    return value[index] if isinstance(value, Stacked) else None
+
+
+def _column(value):
+    """``_take(value, i)`` for every point i, in one pass over the field."""
+    if isinstance(value, np.ndarray):
+        return value.tolist() if value.ndim == 1 else list(value)
+    return iter(value) if isinstance(value, Stacked) else repeat(None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +226,7 @@ def frame_stack(N: NormalField, points: Sequence[Point], partials: bool = False)
         G = evaluate_stack(E.ambient_metric.tensor, images)
     require_nonsingular(G, chart.points)
     n = _unit_normal(B, G, N.orientation, chart)
-    fields, dn = {}, None
+    first_order, dn = {}, None
     if partials:
         dG = np.einsum("pkc,pkij->pcij", B, jg.partials)
         dGn = (dG @ n[:, None, :, None])[..., 0]  # [p, c, i]
@@ -199,7 +235,7 @@ def frame_stack(N: NormalField, points: Sequence[Point], partials: bool = False)
                         + B.mT @ dGn.mT)
         rhs[:, -1] = -0.5 * (dGn @ n[:, :, None])[..., 0]
         dn = np.linalg.solve(np.concatenate([B, n[:, :, None]], axis=2).mT @ G, rhs).mT
-        fields = dict(hessian=hess, dmetric=dG, gamma=levi_civita_gamma(G, jg.partials))
+        first_order = dict(hessian=hess, dmetric=dG, gamma=levi_civita_gamma(G, jg.partials))
 
     if N.scaling is None:
         nvec, dnvec = n, dn
@@ -214,7 +250,7 @@ def frame_stack(N: NormalField, points: Sequence[Point], partials: bool = False)
     frame = np.concatenate([B, nvec[:, :, None]], axis=2)
     linalg.check_condition(frame, chart, FRAME_CONDITION_LIMIT, what="tangent-normal frame")
     return FrameStack(points=chart, images=images, jacobian=B, metric=G, normal=nvec,
-                      frame=frame, dnormal=dnvec, **fields)
+                      frame=frame, dnormal=dnvec, **first_order)
 
 
 def unit_normal(E: Embedding, p: Point, orientation: int = 1) -> np.ndarray:
@@ -240,16 +276,17 @@ def induced_metric(E: Embedding) -> MetricField:
 
 
 @dataclass(frozen=True, slots=True)
-class GaussWeingartenData:
-    """Frame decomposition of the ambient derivative at one chart point.
+class GaussWeingartenData(Stacked):
+    """Frame decomposition of the ambient derivative at P chart points.
 
-    ``induced_gamma[c, a, b]`` are the surface connection coefficients
+    Every array is C-contiguous with the point axis first.
+    ``induced_gamma[p, c, a, b]`` are the surface connection coefficients
     from the tangential part of D_a(B e_b); ``h`` is its normal part.
     ``H_w``/``w`` split D_a N, and ``H_h`` realizes h through the
-    induced metric.  ``D[i, a, b]`` and ``DN[i, a]`` are the ambient
+    induced metric.  ``D[p, i, a, b]`` and ``DN[p, i, a]`` are the ambient
     derivatives D_a(B e_b) and D_a N that were decomposed, against the
-    frame of ``jacobian`` B and ``normal`` N.  The arrays are views into
-    the (P, ...) ``arrays`` of a :class:`GaussWeingartenStack`.
+    frame of ``jacobian`` B and ``normal`` N.  ``frames`` is the frame
+    stack the data was built on; an indexed record has none.
     """
 
     induced_gamma: np.ndarray
@@ -261,22 +298,10 @@ class GaussWeingartenData:
     DN: np.ndarray
     jacobian: np.ndarray
     normal: np.ndarray
+    frames: Optional[FrameStack] = dc_field(default=None, repr=False)
 
 
-class GaussWeingartenStack(tuple):
-    """Gauss-Weingarten data at every point of a frame stack with partials,
-    one :class:`GaussWeingartenData` per point; ``frames`` is the stack and
-    ``arrays`` maps each field to its C-contiguous (P, ...) array."""
-
-    def __new__(cls, frames: FrameStack, arrays: dict):
-        arrays = {k: np.ascontiguousarray(a) for k, a in arrays.items()}
-        self = super().__new__(cls, (GaussWeingartenData(**{k: a[i] for k, a in arrays.items()})
-                                     for i in range(len(frames.points))))
-        self.frames, self.arrays = frames, arrays
-        return self
-
-
-def gauss_weingarten(E: Embedding, N: NormalField, points: Sequence[Point]) -> GaussWeingartenStack:
+def gauss_weingarten(E: Embedding, N: NormalField, points: Sequence[Point]) -> GaussWeingartenData:
     """Decompose ambient covariant derivatives into tangential and normal parts
     at every point, with one batched solve per decomposition."""
     fs = frame_stack(N, points, partials=True)
@@ -293,14 +318,13 @@ def gauss_weingarten(E: Embedding, N: NormalField, points: Sequence[Point]) -> G
 
     gind = np.einsum("pia,pij,pjb->pab", B, fs.metric, B)
     H_h = np.linalg.solve(gind, sol[:, m])
-    return GaussWeingartenStack(fs, dict(
-        induced_gamma=sol[:, :m], h=sol[:, m], H_w=solN[:, :m], H_h=H_h, w=solN[:, m],
-        D=D, DN=DN, jacobian=B, normal=nvec))
+    parts = (sol[:, :m], sol[:, m], solN[:, :m], H_h, solN[:, m], D, DN, B, nvec)
+    return GaussWeingartenData(*map(np.ascontiguousarray, parts), frames=fs)
 
 
-def h_asymmetry(gws: GaussWeingartenStack) -> float:
+def h_asymmetry(gw: GaussWeingartenData) -> float:
     """max |h(X, Y) - h(Y, X)| over the points of a stack."""
-    return linalg.worst(np.abs(gws.arrays["h"] - gws.arrays["h"].mT))
+    return linalg.worst(np.abs(gw.h - gw.h.mT))
 
 
 def second_fundamental_symmetry(E: Embedding, N: NormalField, points: Sequence[Point]) -> float:
@@ -308,13 +332,12 @@ def second_fundamental_symmetry(E: Embedding, N: NormalField, points: Sequence[P
     return h_asymmetry(gauss_weingarten(E, N, points))
 
 
-def reconstruction_residuals(gws: GaussWeingartenStack) -> dict:
+def reconstruction_residuals(gw: GaussWeingartenData) -> dict:
     """How exactly B(nabla e_a e_b) + h N and B(H_w e_a) + w N rebuild the
     ambient derivatives at every point of a stack; the defining contract of
     the decomposition."""
-    a = gws.arrays
-    B, nvec = a["jacobian"], a["normal"]
-    gauss = (a["D"] - np.einsum("pic,pcab->piab", B, a["induced_gamma"])
-             - np.einsum("pab,pi->piab", a["h"], nvec))
-    wein = a["DN"] - np.einsum("pic,pca->pia", B, a["H_w"]) - nvec[:, :, None] * a["w"][:, None, :]
+    B, nvec = gw.jacobian, gw.normal
+    gauss = (gw.D - np.einsum("pic,pcab->piab", B, gw.induced_gamma)
+             - np.einsum("pab,pi->piab", gw.h, nvec))
+    wein = gw.DN - np.einsum("pic,pca->pia", B, gw.H_w) - nvec[:, :, None] * gw.w[:, None, :]
     return {"gauss": linalg.worst(np.abs(gauss)), "weingarten": linalg.worst(np.abs(wein))}

@@ -12,9 +12,9 @@ sample points.  Its first partials come from implicit differentiation,
 d_c X = A^-1 (d_c R - d_c A X), with the ambient tensors' partials
 taken from one stacked dual jet each at the images b(p) and chained
 through B; central differences of the induced fields stay the
-independent check.  The per-point :class:`StructureBundle` and
-:class:`SampleState` objects the identity checks read are views into
-the stacked arrays.
+independent check.  The split is one :class:`StructureBundle` and the
+derivative checks read one :class:`SampleState`, both records of (P, ...)
+arrays indexed as :class:`~sasakicheck.hypersurface.Stacked` records.
 
 Sign conventions are adjudicated, not assumed.  Each derivative
 identity is evaluated over a grid of variants:
@@ -36,7 +36,7 @@ mode restricts to the printed form with H = H_h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -49,8 +49,8 @@ from .hypersurface import (
     Embedding,
     FrameStack,
     GaussWeingartenData,
-    GaussWeingartenStack,
     NormalField,
+    Stacked,
     frame_stack,
     induced_metric,
 )
@@ -71,10 +71,11 @@ _HAS_NU = {"2.11": True, "2.12": True, "2.13": True, "2.14": True, "2.15": True,
            "2.16": False, "2.17": True}
 
 
-@dataclass(slots=True)
-class StructureBundle:
-    """Float snapshot of the induced data at one point, with coordinate
-    partials and induced Christoffel symbols when requested."""
+@dataclass(frozen=True, slots=True)
+class StructureBundle(Stacked):
+    """Float induced data at P points, every field with the point axis
+    first; with partials also ``dphi[p, c] = d_c phi`` (and so on) and the
+    induced Christoffel symbols ``gamma``."""
 
     phi: np.ndarray
     u: np.ndarray
@@ -94,14 +95,10 @@ class StructureBundle:
     gamma: Optional[np.ndarray] = None
 
 
-_SCALARS = ("lam", "eta_n", "tangency")
-
-
-def _structure_stack(ambient, fs: FrameStack) -> Dict[str, np.ndarray]:
+def _structure_stack(ambient, fs: FrameStack) -> StructureBundle:
     """Split phi~B, phi~N and xi against every frame: X = A^-1 [phi~B | phi~N | xi].
 
-    Returns the :class:`StructureBundle` fields as (P, ...) arrays.  On a
-    frame stack with partials they include every first partial,
+    On a frame stack with partials the bundle includes every first partial,
     d_c X = A^-1 (d_c R - d_c A X), and the induced Christoffel symbols.
     """
     B, nvec, A, G = fs.jacobian, fs.normal, fs.frame, fs.metric
@@ -114,9 +111,9 @@ def _structure_stack(ambient, fs: FrameStack) -> Dict[str, np.ndarray]:
         phit, xit, etat = (j.value for j in jets)
     R = np.concatenate([phit @ B, phit @ nvec[:, :, None], xit[:, :, None]], axis=2)
     X = np.linalg.solve(A, R)
-    st = dict(phi=X[:, :m, :m], u=X[:, m, :m], U=-X[:, :m, m], V=X[:, :m, m + 1],
-              v=(etat[:, None, :] @ B)[:, 0], lam=X[:, m, m + 1], g=B.mT @ G @ B,
-              eta_n=linalg.pair(etat, nvec), tangency=np.abs(X[:, m, m]))
+    st = StructureBundle(phi=X[:, :m, :m], u=X[:, m, :m], U=-X[:, :m, m], V=X[:, :m, m + 1],
+                         v=(etat[:, None, :] @ B)[:, 0], lam=X[:, m, m + 1], g=B.mT @ G @ B,
+                         eta_n=linalg.pair(etat, nvec), tangency=np.abs(X[:, m, m]))
     if jets is None:
         return st
 
@@ -132,21 +129,14 @@ def _structure_stack(ambient, fs: FrameStack) -> Dict[str, np.ndarray]:
     dX = np.moveaxis(np.linalg.solve(A, rhs).reshape(count, d, m, m + 2), 2, 1)
     HGB = np.einsum("pcia,pij,pjb->pcab", H, G, B)
     dg = HGB + HGB.mT + np.einsum("pia,pcij,pjb->pcab", B, fs.dmetric, B)
-    st.update(dphi=dX[:, :, :m, :m], du=dX[:, :, m, :m], dU=-dX[:, :, :m, m],
-              dV=dX[:, :, :m, m + 1], dlam=dX[:, :, m, m + 1],
-              dv=detat @ B + np.einsum("pi,pcia->pca", etat, H),
-              gamma=levi_civita_gamma(st["g"], dg))
-    return st
-
-
-def _bundles(st: Dict[str, np.ndarray]) -> List[StructureBundle]:
-    """One bundle per point, its arrays views into the stacked ones."""
-    columns = [a.tolist() if k in _SCALARS else list(a) for k, a in st.items()]
-    return [StructureBundle(**dict(zip(st, row))) for row in zip(*columns)]
+    return replace(st, dphi=dX[:, :, :m, :m], du=dX[:, :, m, :m], dU=-dX[:, :, :m, m],
+                   dV=dX[:, :, :m, m + 1], dlam=dX[:, :, m, m + 1],
+                   dv=detat @ B + np.einsum("pi,pcia->pca", etat, H),
+                   gamma=levi_civita_gamma(st.g, dg))
 
 
 def _structure_at(ambient, N: NormalField, p: Point, partials: bool) -> StructureBundle:
-    return _bundles(_structure_stack(ambient, frame_stack(N, [p], partials)))[0]
+    return _structure_stack(ambient, frame_stack(N, [p], partials))[0]
 
 
 @dataclass(frozen=True)
@@ -166,21 +156,16 @@ class InducedStructure:
     max_u: float
     tangency_residual: float
     lambda_consistency: float
-    # the extraction points, and the float induced data there as (P, ...) arrays
+    # the extraction points, and the float induced data there
     points: tuple = dc_field(default=(), compare=False, repr=False)
-    stack: Dict[str, np.ndarray] = dc_field(default_factory=dict, compare=False, repr=False)
+    stack: Optional[StructureBundle] = dc_field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.embedding.dim
 
-    @property
-    def extracted(self) -> Dict[Point, StructureBundle]:
-        """One bundle per extraction point, its arrays views into ``stack``."""
-        return dict(zip(self.points, _bundles(self.stack)))
-
     def values_at(self, p: Point) -> StructureBundle:
-        """Float induced data at p, from a value-only frame."""
+        """Float induced data at p, from a value-only frame, as one point's record."""
         return _structure_at(self.embedding.ambient, self.normal, p, partials=False)
 
     def bundle_at(self, p: Point) -> StructureBundle:
@@ -213,11 +198,11 @@ def extract_structure(
             )
 
     st = _structure_stack(E.ambient, fs)
-    tangency = st["tangency"]
+    tangency = st.tangency
     fs.points.reject(tangency > tangency_tol, TangencyError, lambda i, p: (
         f"phi~N has normal coefficient {tangency[i]:.3e} > {tangency_tol} at {p.coords}"))
-    max_u = linalg.worst(np.abs(st["u"]))
-    lambda_consistency = linalg.worst(np.abs(st["lam"] - st["eta_n"])) if N.scaling is None else 0.0
+    max_u = linalg.worst(np.abs(st.u))
+    lambda_consistency = linalg.worst(np.abs(st.lam - st.eta_n)) if N.scaling is None else 0.0
 
     def field_func(key):
         return lambda coords: getattr(_structure_at(E.ambient, N, Point(coords), False), key)
@@ -243,12 +228,14 @@ def extract_structure(
 
 
 @dataclass(frozen=True, slots=True)
-class SampleState:
-    """Everything the derivative checks read at one chart point, built once.
+class SampleState(Stacked):
+    """Everything the derivative checks read at P chart points, built once.
 
-    ``dirs`` holds the sampled directions scaled to unit g-length, one
-    per row; the ``cov*`` arrays are full covariant derivatives of the
-    induced fields, axis 0 the derivative index.
+    ``bundle`` and ``gw`` are the points' structure and Gauss-Weingarten
+    records.  ``dirs[p]`` holds the sampled directions scaled to unit
+    g-length at point p, one per row; the ``cov*`` arrays are full
+    covariant derivatives of the induced fields, axis 1 the derivative
+    index.  ``states[i]`` is point i's state.
     """
 
     bundle: StructureBundle
@@ -262,20 +249,19 @@ class SampleState:
 
 
 def sample_states(
-    S: InducedStructure, directions: Sequence, gws: GaussWeingartenStack
-) -> List[SampleState]:
-    """One :class:`SampleState` per point of the Gauss-Weingarten stack
-    ``gws``, built on its frame stack."""
-    st = _structure_stack(S.embedding.ambient, gws.frames)
+    S: InducedStructure, directions: Sequence, gw: GaussWeingartenData
+) -> SampleState:
+    """The sample states at the points of the Gauss-Weingarten record ``gw``,
+    built on its frame stack."""
+    st = _structure_stack(S.embedding.ambient, gw.frames)
 
     def cov(key, valence):
-        return covariant_derivative_components(st[key], st["d" + key], st["gamma"], valence)
+        return covariant_derivative_components(getattr(st, key), getattr(st, "d" + key),
+                                               st.gamma, valence)
 
-    stacked = dict(dirs=g_normalized(np.asarray(directions, float), st["g"]),
-                   covphi=cov("phi", (1, 1)), covu=cov("u", (0, 1)), covv=cov("v", (0, 1)),
-                   covU=cov("U", (1, 0)), covV=cov("V", (1, 0)))
-    return [SampleState(bundle=bd, gw=gw, **{k: a[i] for k, a in stacked.items()})
-            for i, (bd, gw) in enumerate(zip(_bundles(st), gws))]
+    return SampleState(bundle=st, gw=gw, dirs=g_normalized(np.asarray(directions, float), st.g),
+                       covphi=cov("phi", (1, 1)), covu=cov("u", (0, 1)), covv=cov("v", (0, 1)),
+                       covU=cov("U", (1, 0)), covV=cov("V", (1, 0)))
 
 
 @dataclass
@@ -349,7 +335,7 @@ def verify_algebraic_identities(S: InducedStructure, points: Sequence[Point]) ->
     points = tuple(points)
     st = S.stack if points == S.points else _structure_stack(
         S.embedding.ambient, frame_stack(S.normal, points))
-    sub = structure_residuals(*(st[k] for k in ("phi", "u", "U", "V", "v", "lam", "g", "eta_n")))
+    sub = structure_residuals(st.phi, st.u, st.U, st.V, st.v, st.lam, st.g, st.eta_n)
     identities = []
     for name in ("2.5", "2.6", "2.7", "2.8"):
         details = {k: r for k, r in sub.items() if k.startswith(name)}
@@ -406,13 +392,13 @@ def _tag(nu, h):
 
 
 def verify_differential_identities(
-    states: Sequence[SampleState],
+    states: SampleState,
     tolerance: float = 1e-5,
     strict_paper: bool = False,
 ) -> IdentityReport:
     """Covariant-derivative identity battery with convention adjudication.
 
-    Each state's directions are taken in consecutive pairs (X, Y).  A
+    Each point's directions are taken in consecutive pairs (X, Y).  A
     pair's contractions (``X @ g @ Y``, the einsums, :func:`_bilinear`)
     are taken one by one; each identity then gives all its variants'
     residuals at the pair as one array over its :class:`_Variants` table.
@@ -427,7 +413,7 @@ def verify_differential_identities(
     keys = [key for t in tables for key in t.keys]
     # one row per direction pair, one column per variant, identity after identity;
     # ``outs`` yields each pair's row as one view per identity
-    worst = np.empty((sum(len(st.dirs) // 2 for st in states), len(keys)))
+    worst = np.empty((len(states) * (states.dirs.shape[1] // 2), len(keys)))
     if not len(worst):
         raise ValueError("the differential battery needs at least one direction pair")
     outs = zip(*np.split(worst, np.cumsum([len(t.keys) for t in tables])[:-1], axis=1))

@@ -169,7 +169,7 @@ def _axiom_rows(ctx, eqs):
 
 def _gauss_weingarten(ctx):
     tol, used, gws = ctx.tol["reconstruction"], len(ctx.chart_points), ctx.gws
-    rec, w = reconstruction_residuals(gws), gws.arrays["w"]
+    rec, w = reconstruction_residuals(gws), gws.w
     unit = ctx.scaling_field is None
     rows = [
         _row(*_eq("2.9"), rec["gauss"], tol, convention="Gauss reconstruction",

@@ -52,14 +52,14 @@ def _verdict(hyp: float, concl: Dict[str, float], eps_h: float, eps_c: float) ->
 # ---------------------------------------------------------------------------
 
 
-def _stack(states: Sequence[SampleState], *paths: str) -> List[np.ndarray]:
-    """Each dotted field path (``"gw.h"``, ``"dirs"``) of every state, stacked
-    with the point axis first."""
-    return [np.stack([attrgetter(path)(st) for st in states]) for path in paths]
+def _stack(states: SampleState, *paths: str) -> List[np.ndarray]:
+    """Each dotted field path (``"gw.h"``, ``"dirs"``) of the states as a
+    C-contiguous array, point axis first."""
+    return [np.ascontiguousarray(attrgetter(path)(states)) for path in paths]
 
 
 def _along(dirs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x[p] @ X for every direction X of every state, as (P, K)."""
+    """x[p] @ X for every direction X of every point, as (P, K)."""
     return linalg.pair(x[:, None], dirs)
 
 
@@ -69,8 +69,8 @@ def _form(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return linalg.pair(XM[:, :, None], Y[:, None])
 
 
-def _covariant_along(states: Sequence[SampleState], field: str) -> np.ndarray:
-    """|nabla_X field| for every state and direction X, as (P, K, ...)."""
+def _covariant_along(states: SampleState, field: str) -> np.ndarray:
+    """|nabla_X field| for every point and direction X, as (P, K, ...)."""
     dirs, cov = _stack(states, "dirs", "cov" + field)
     return np.abs(np.einsum("pki,pi...->pk...", dirs, cov))
 
@@ -88,7 +88,7 @@ def _gated(hypothesis: np.ndarray, lam: np.ndarray, eps_h: float):
     return held & ~small, int(np.count_nonzero(held & ~small)), int(np.count_nonzero(held & small))
 
 
-def parallel_residual(states: Sequence[SampleState], field: str) -> float:
+def parallel_residual(states: SampleState, field: str) -> float:
     """max over samples and directions of |nabla_X field| for field in {phi, U, V}."""
     if field not in ("phi", "U", "V"):
         raise ValueError(f"parallel_residual supports phi, U, V; got {field!r}")
@@ -96,7 +96,7 @@ def parallel_residual(states: Sequence[SampleState], field: str) -> float:
 
 
 def theorem_3_1_chart(
-    states: Sequence[SampleState],
+    states: SampleState,
     eps_h: float = HYPOTHESIS_TOL,
     eps_c: float = CONCLUSION_TOL,
     structure_sign: float = 1.0,
@@ -132,7 +132,7 @@ def theorem_3_1_chart(
 
 
 def theorem_3_2_chart(
-    states: Sequence[SampleState],
+    states: SampleState,
     eps_h: float = HYPOTHESIS_TOL,
     eps_c: float = CONCLUSION_TOL,
     structure_sign: float = 1.0,
@@ -169,7 +169,7 @@ def theorem_3_2_chart(
 
 
 def theorem_3_3_chart(
-    states: Sequence[SampleState],
+    states: SampleState,
     eps_h: float = HYPOTHESIS_TOL,
 ) -> ImplicationCheckResult:
     """V parallel implies totally geodesic, as the bound |h| <= C eps / |lambda|."""
@@ -194,7 +194,7 @@ def theorem_3_3_chart(
 
 
 def check_theorem_3_4(
-    states: Sequence[SampleState],
+    states: SampleState,
     eps_h: float = HYPOTHESIS_TOL,
     eps_c: float = CONCLUSION_TOL,
     structure_sign: float = 1.0,

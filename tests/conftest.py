@@ -67,8 +67,8 @@ def chart_vectors(dim, count, seed=11):
 
 
 def states_at(S, points, directions):
-    """Sample states of the induced structure ``S`` at ``points``, on a
-    Gauss-Weingarten stack built there."""
+    """The sample states of the induced structure ``S`` at ``points``, one
+    stacked record, on a Gauss-Weingarten record built there."""
     return sample_states(S, directions, gauss_weingarten(S.embedding, S.normal, points))
 
 

@@ -156,9 +156,9 @@ def test_battery_equals_per_variant_oracle(surface, strict_paper):
 
 def test_battery_passes_over_nan_residuals_like_the_oracle():
     states = _states("quadric_r3")
-    nan = np.full_like(states[0].covphi, np.nan)
-    states[3] = replace(states[3], covphi=nan)
-    states[5] = replace(states[5], covU=np.full_like(states[5].covU, np.nan))
+    covphi, covU = states.covphi.copy(), states.covU.copy()
+    covphi[3] = covU[5] = np.nan
+    states = replace(states, covphi=covphi, covU=covU)
     rep = verify_differential_identities(states)
     variants = _oracle(states, False)[0]
     for name in NAMES:
@@ -176,7 +176,8 @@ def test_battery_without_a_direction_pair_raises():
 def test_battery_variants_equal_single_state_batteries(surface, strict_paper):
     states = _states(surface, count=8, seed=29)
     whole = verify_differential_identities(states, strict_paper=strict_paper)
-    singles = [verify_differential_identities([st], strict_paper=strict_paper) for st in states]
+    singles = [verify_differential_identities(states[i:i + 1], strict_paper=strict_paper)
+               for i in range(len(states))]
     assert whole.sample_count == sum(s.sample_count for s in singles)
     for name in NAMES:
         r = whole.by_name(name)
@@ -190,7 +191,7 @@ def test_battery_variants_equal_single_state_batteries(surface, strict_paper):
 
 
 def _scaled_H(st, factor):
-    """A state with h = 0, so that h(Y, U) = 0, and H_h scaled by ``factor``."""
+    """States with h = 0, so that h(Y, U) = 0, and H_h scaled by ``factor``."""
     gw = replace(st.gw, h=np.zeros_like(st.gw.h), H_h=factor * st.gw.H_h)
     return replace(st, gw=gw)
 
@@ -205,7 +206,7 @@ def test_eq_2_18_row_is_decided_where_its_premise_holds(surface):
     for factor, verdict in ((1.0, "fail"), (2.0 * tol / norm, "fail"),
                             (0.5 * tol / norm, "pass"), (0.0, "pass")):
         ctx = _Context(config)
-        ctx.states = [_scaled_H(st, factor) for st in real]
+        ctx.states = _scaled_H(real, factor)
         row = GROUPS["differential"](ctx)[-1]
         assert row.name == "eq_2_18"
         assert not row.details["vacuous"]

@@ -3,10 +3,11 @@ depend on how chart points are grouped.
 
 Run on a whole point list, ``extract_structure`` and ``sample_states``
 must give, bit for bit, the data the same calls give one point at a
-time: every array of every extracted bundle and of every sample state,
-and the report maxima; so must the reconstruction and h-symmetry
-maxima of a Gauss-Weingarten stack.  A degenerate surface must raise the
-same error as it does point by point, naming the first offending sample.
+time: every array of every point of the extracted structure record and
+of the sample-state record, and the report maxima; so must the
+reconstruction and h-symmetry maxima of a Gauss-Weingarten record.  A
+degenerate surface must raise the same error as it does point by point,
+naming the first offending sample.
 """
 
 import re
@@ -65,9 +66,9 @@ def test_extraction_equals_single_point_extractions(surface, count):
     singles = [extract_structure(N.embedding, N, [p]) for p in pts]
     for key in ("max_u", "tangency_residual", "lambda_consistency"):
         assert getattr(whole, key) == max(getattr(s, key) for s in singles), key
-    assert list(whole.extracted) == pts
-    for p, single in zip(pts, singles):
-        _assert_same_bundle(whole.extracted[p], single.extracted[p], p.coords)
+    assert list(whole.points) == pts and len(whole.stack) == count
+    for i, (p, single) in enumerate(zip(pts, singles)):
+        _assert_same_bundle(whole.stack[i], single.stack[0], p.coords)
 
 
 @pytest.mark.parametrize("count", [8, 50, 400])
@@ -94,7 +95,8 @@ def test_stacked_reconstruction_equals_single_point_stacks(surface, count):
     pts, _ = _samples(N.embedding.dim, count, seed=count + 7)
     whole = gauss_weingarten(N.embedding, N, pts)
     singles = [gauss_weingarten(N.embedding, N, [p]) for p in pts]
-    assert all(a.flags.c_contiguous for a in whole.arrays.values())
+    assert all(getattr(whole, f.name).flags.c_contiguous
+               for f in fields(whole) if f.name != "frames")
     rec = reconstruction_residuals(whole)
     for key in ("gauss", "weingarten"):
         assert rec[key] == max(reconstruction_residuals(s)[key] for s in singles), key

@@ -1,10 +1,10 @@
 """The algebraic battery and the chart theorems do not depend on how samples are grouped.
 
-Run on many points (or sample states), ``verify_algebraic_identities``
-and the chart-theorem checks must give, bit for bit, what the same calls
-give one point at a time, combined as each check combines its samples:
-residual maxima, summed sample counts and, for Theorem 3.4, the
-smallest |h|.  The chart theorems are also driven through their
+Run on many points (or a sample-state record of many points),
+``verify_algebraic_identities`` and the chart-theorem checks must give,
+bit for bit, what the same calls give one point at a time, combined as
+each check combines its samples: residual maxima, summed sample counts
+and, for Theorem 3.4, the smallest |h|.  The chart theorems are also driven through their
 non-vacuous branches, on states edited so that the hypothesis holds.
 """
 
@@ -76,12 +76,13 @@ def _edited(states, variant):
     """Real states, or states edited so that the chart hypotheses hold."""
     if variant == "real":
         return states
-    out = [_zeroed(st, "covphi", "covU", "covV") for st in states]
+    out = _zeroed(states, "covphi", "covU", "covV")
     if variant in ("h_zero", "lambda_floor"):
-        out = [_flat_h(st) for st in out]
+        out = _flat_h(out)
     if variant == "lambda_floor":
-        for i in (1, len(out) - 2):
-            out[i] = replace(out[i], bundle=replace(out[i].bundle, lam=0.25 * LAMBDA_FLOOR))
+        lam = out.bundle.lam.copy()
+        lam[[1, len(out) - 2]] = 0.25 * LAMBDA_FLOOR
+        out = replace(out, bundle=replace(out.bundle, lam=lam))
     return out
 
 
@@ -122,7 +123,7 @@ def test_chart_theorems_equal_single_state_checks(surface, count, variant, sign)
     pts = sample_points(m, count, (-1.0, 1.0), rng)
     dirs = sample_vectors(m, 10, rng)
     states = _edited(states_at(extract_structure(N.embedding, N, pts), pts, dirs), variant)
-    ones = [[st] for st in states]
+    ones = [states[i:i + 1] for i in range(count)]
 
     for field in ("phi", "U", "V"):
         assert parallel_residual(states, field) == max(parallel_residual(o, field) for o in ones)
@@ -191,7 +192,7 @@ def test_algebraic_battery_equals_per_point_loop(surface):
     N = surface_normal(SURFACES[surface])
     pts = _points(N.embedding.dim, 50, seed=17)
     S = extract_structure(N.embedding, N, pts)
-    want = _loop_structure_residuals(S.extracted.values())
+    want = _loop_structure_residuals(S.stack)
     rep = verify_algebraic_identities(S, pts)
     assert {k: v for r in rep.identities for k, v in r.details.items()} == want
 

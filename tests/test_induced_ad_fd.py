@@ -82,7 +82,7 @@ def _check_normal_partials(N, pts):
     E = N.embedding
     for p in pts:
         gw = gauss_weingarten(E, N, [p])[0]
-        gamma = christoffel(E.ambient_metric, E.point_image(p)).gamma
+        gamma = christoffel(E.ambient_metric, E.point_image(p))
         dN = gw.DN - np.einsum("ijk,ja,k->ia", gamma, gw.jacobian, gw.normal)
         err = float(np.max(np.abs(dN.T - _fd_normal(N, p))))
         assert err <= TOL, (p.coords, err)

@@ -50,7 +50,7 @@ def test_constant_field_on_flat_chart_is_parallel():
     g = euclidean_metric(2)
     Y = constant_vector_field(2, [1.0, 2.0])
     for p in chart_points(2, 5):
-        gamma = christoffel(g, p).gamma
+        gamma = christoffel(g, p)
         jy = jet(Y, p)
         full = covariant_derivative_components(jy.value, jy.partials, gamma, (1, 0))
         assert np.max(np.abs(full)) <= 1e-8
