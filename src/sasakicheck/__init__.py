@@ -13,7 +13,6 @@ from .connection import (
     christoffel,
     covariant_derivative_tensor,
     covariant_derivative_vector,
-    euclidean_metric,
 )
 from .fields import (
     Jet,
@@ -31,7 +30,6 @@ from .hypersurface import (
     Embedding,
     GaussWeingartenData,
     NormalField,
-    SimpleAmbient,
     gauss_weingarten,
     induced_metric,
     second_fundamental_symmetry,
@@ -81,7 +79,6 @@ __all__ = [
     "PointwiseModel",
     "SampleState",
     "ScalarField",
-    "SimpleAmbient",
     "TensorField",
     "check_sasakian_axioms",
     "check_theorem_3_1",
@@ -91,7 +88,6 @@ __all__ = [
     "christoffel",
     "covariant_derivative_tensor",
     "covariant_derivative_vector",
-    "euclidean_metric",
     "evaluate",
     "evaluate_stack",
     "extract_structure",

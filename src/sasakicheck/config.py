@@ -144,6 +144,9 @@ def load_suite_config(path) -> SuiteConfig:
 
     inputs = _split_list(get("embedding", "inputs"))
     outputs = _split_list(get("embedding", "outputs"))
+    for i, name in enumerate(inputs):
+        if name in inputs[:i]:
+            raise ConfigError(f"[embedding] inputs names {name!r} more than once")
     if len(inputs) != 2 * n:
         raise ConfigError(
             f"embedding declares {len(inputs)} input coordinates {inputs}, "

@@ -25,30 +25,6 @@ class MetricField:
 
     tensor: TensorField
 
-    @property
-    def dim(self) -> int:
-        return self.tensor.dim
-
-    def components(self, p: Point) -> np.ndarray:
-        return evaluate(self.tensor, p)
-
-
-def metric_symmetry_residual(metric: MetricField, points) -> float:
-    return max(
-        float(np.max(np.abs(g - g.T)))
-        for g in (metric.components(p) for p in points)
-    )
-
-
-def metric_positivity_ok(metric: MetricField, points) -> bool:
-    """Positive definiteness via leading principal minors at each point."""
-    for p in points:
-        g = metric.components(p)
-        for k in range(1, metric.dim + 1):
-            if np.linalg.det(g[:k, :k]) <= 0:
-                return False
-    return True
-
 
 def christoffel(metric: MetricField, p: Point) -> np.ndarray:
     """Gamma[k, i, j] = Gamma^k_ij at p, from a dual-number jet of the metric."""
@@ -129,7 +105,3 @@ def covariant_derivative_tensor(
     x = evaluate(X, p)
     return np.einsum("i,i...->...", x, full)
 
-
-def euclidean_metric(dim: int) -> MetricField:
-    eye = np.eye(dim).tolist()
-    return MetricField(TensorField((0, 2), dim, lambda c: eye))

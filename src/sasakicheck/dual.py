@@ -146,14 +146,19 @@ def _reciprocal(x):
 
 
 def _ipow(x, n):
+    """x^n by repeated squaring; products commute bit for bit, so x^3 = x * (x * x)."""
     if n == 0:
         return 1.0
     if n < 0:
         return _reciprocal(_ipow(x, -n))
-    out = x
-    for _ in range(n - 1):
-        out = out * x
-    return out
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return out
+        x = x * x
 
 
 def real_part(x) -> float:

@@ -1,7 +1,9 @@
 """Tiny arithmetic expression grammar for embeddings and normal scalings.
 
 Supported: ``+ - * / ^<integer>``, parentheses, ``exp``, ``sin``,
-``cos``, numeric literals and declared variable names.  Expressions
+``cos``, numeric literals and declared variable names.  Parentheses,
+function calls and signs nest at most ``MAX_DEPTH`` deep; a chain of
+``+ -`` or ``* /`` operands of any length runs in one loop.  Expressions
 compile to closures over a coordinate list, dual-compatible, so
 everything built from them can be differentiated.  They are elementwise
 (see :mod:`sasakicheck.fields`): the coordinates may be numpy columns of
@@ -11,6 +13,7 @@ first point that fails alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
@@ -20,12 +23,13 @@ from . import dual
 from .errors import EvaluationError, ExprParseError
 
 _FUNCTIONS = {"exp": dual.exp, "sin": dual.sin, "cos": dual.cos}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+MAX_DEPTH = 50  # about 8 parser frames a level: well inside Python's recursion limit
 
 
 @dataclass(frozen=True)
 class Expr:
     text: str
-    variables: tuple
     fn: Callable
 
     def __call__(self, coords):
@@ -49,6 +53,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.vars = {name: i for i, name in enumerate(variables)}
+        self.depth = 0
 
     def error(self, msg: str):
         raise ExprParseError(f"{msg} in {self.text!r}", self.pos)
@@ -65,44 +70,45 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                rhs = self.term()
-                node = (lambda a, b: lambda c: a(c) + b(c))(node, rhs)
-            elif ch == "-":
-                self.pos += 1
-                rhs = self.term()
-                node = (lambda a, b: lambda c: a(c) - b(c))(node, rhs)
-            else:
-                return node
+        return self.chain(self.term, "+-")
 
     def term(self):
-        node = self.unary()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                rhs = self.unary()
-                node = (lambda a, b: lambda c: a(c) * b(c))(node, rhs)
-            elif ch == "/":
-                self.pos += 1
-                rhs = self.unary()
-                node = (lambda a, b: lambda c: a(c) / b(c))(node, rhs)
-            else:
-                return node
+        return self.chain(self.unary, "*/")
+
+    def chain(self, operand, ops):
+        """Left-associative ``operand (op operand)*`` with ``op`` one of ``ops``."""
+        first, rest = operand(), []
+        while (ch := self.peek()) and ch in ops:
+            self.pos += 1
+            rest.append((_BINARY[ch], operand()))
+        if not rest:
+            return first
+
+        def run(c):
+            acc = first(c)
+            for op, f in rest:
+                acc = op(acc, f(c))
+            return acc
+        return run
+
+    def nested(self, parse):
+        """``parse()`` one nesting level down, refused past ``MAX_DEPTH``."""
+        if self.depth == MAX_DEPTH:
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def unary(self):
         ch = self.peek()
         if ch == "-":
             self.pos += 1
-            inner = self.unary()
+            inner = self.nested(self.unary)
             return lambda c: -inner(c)
         if ch == "+":
             self.pos += 1
-            return self.unary()
+            return self.nested(self.unary)
         return self.power()
 
     def power(self):
@@ -126,7 +132,7 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            node = self.nested(self.expr)
             if self.peek() != ")":
                 self.error("missing closing parenthesis")
             self.pos += 1
@@ -149,7 +155,7 @@ class _Parser:
                 if self.peek() != "(":
                     self.error(f"function {name} needs parentheses")
                 self.pos += 1
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 if self.peek() != ")":
                     self.error(f"missing closing parenthesis after {name}(...)")
                 self.pos += 1
@@ -167,7 +173,7 @@ class _Parser:
 
 def compile_expression(text: str, variables: Sequence[str]) -> Expr:
     fn = _Parser(text, variables).parse()
-    return Expr(text=text.strip(), variables=tuple(variables), fn=fn)
+    return Expr(text=text.strip(), fn=fn)
 
 
 def compile_map(texts: Sequence[str], variables: Sequence[str]) -> Callable:

@@ -285,6 +285,3 @@ def constant_field(valence: tuple, dim: int, components) -> TensorField:
 def constant_vector_field(dim: int, vec) -> TensorField:
     return constant_field((1, 0), dim, vec)
 
-
-def identity_field(dim: int) -> TensorField:
-    return constant_field((1, 1), dim, np.eye(dim))

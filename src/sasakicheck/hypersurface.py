@@ -77,14 +77,6 @@ class Embedding:
 
 
 @dataclass(frozen=True)
-class SimpleAmbient:
-    """Bare metric-carrying ambient chart (no contact structure)."""
-
-    dim: int
-    g: MetricField
-
-
-@dataclass(frozen=True)
 class NormalField:
     """Affine normal N = rho * N_unit with positive scaling rho."""
 

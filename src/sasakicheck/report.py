@@ -36,12 +36,6 @@ class VerificationReport:
     meta: Dict
     checks: List[CheckResult]
 
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def failed(self) -> List[CheckResult]:
         return [c for c in self.checks if c.verdict == "fail"]
 

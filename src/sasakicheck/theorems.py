@@ -25,6 +25,7 @@ LAMBDA_FLOOR = 1e-6
 HYPOTHESIS_TOL = 1e-6
 CONCLUSION_TOL = 1e-5
 MODEL_TOL = 1e-12
+MODEL_CONCLUSION_TOL = 1e-10
 
 
 @dataclass
@@ -364,7 +365,9 @@ def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> Implicat
     )
 
 
-def check_theorem_3_2(model: PointwiseModel, tol: float = 1e-10, rng=None) -> ImplicationCheckResult:
+def check_theorem_3_2(
+    model: PointwiseModel, tol: float = MODEL_CONCLUSION_TOL, rng=None
+) -> ImplicationCheckResult:
     """Impose w(X)U - phi H X - lambda X = 0 on a d(lambda) = 0 model.
 
     H follows from the hypothesis once w is known; w itself is pinned by

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 
 from sasakicheck import (
     Embedding,
+    MetricField,
     NormalField,
     ScalarField,
+    TensorField,
     gauss_weingarten,
     sample_states,
     standard_sasakian,
@@ -64,6 +67,24 @@ def chart_points(dim, count, seed=7):
 def chart_vectors(dim, count, seed=11):
     rng = np.random.default_rng(seed)
     return sample_vectors(dim, count, rng)
+
+
+@dataclass(frozen=True)
+class SimpleAmbient:
+    """Bare metric-carrying ambient chart (no contact structure)."""
+
+    dim: int
+    g: MetricField
+
+
+def euclidean_metric(dim):
+    eye = np.eye(dim).tolist()
+    return MetricField(TensorField((0, 2), dim, lambda c: eye))
+
+
+def by_name(rep, name):
+    """The result called ``name`` in an identity report."""
+    return {r.name: r for r in rep.identities}[name]
 
 
 def states_at(S, points, directions):

@@ -19,7 +19,6 @@ from sasakicheck import (
     check_sasakian_axioms,
     check_theorem_3_3,
     check_theorem_3_4,
-    euclidean_metric,
     extract_structure,
     fd_derivative,
     gauss_weingarten,
@@ -32,12 +31,12 @@ from sasakicheck import (
 from sasakicheck.cli import main
 from sasakicheck.config import load_suite_config
 from sasakicheck.dual import cos, exp, sin
-from sasakicheck.hypersurface import SimpleAmbient, reconstruction_residuals
+from sasakicheck.hypersurface import reconstruction_residuals
 from sasakicheck.report import render_json
 from sasakicheck.runner import run_suite
 from sasakicheck.sampling import sample_direction_fields, sample_points, sample_vectors
 
-from conftest import states_at
+from conftest import SimpleAmbient, euclidean_metric, states_at
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -119,7 +118,7 @@ def test_criterion_4_induced_structure():
             Embedding(2, S3, lambda c: [c[0], c[1], (c[0] ** 2 + c[1] ** 2) / 2]),
         ):
             S = extract_structure(emb, NormalField(emb), nonzero_y)
-            rep = verify_algebraic_identities(S, nonzero_y)
+            rep = verify_algebraic_identities(S)
             for r in rep.identities:
                 assert r.residual <= 1e-5, (r.name, r.residual)
             assert S.max_u > 1e-3

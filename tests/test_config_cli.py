@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sasakicheck import InducedStructure, hypersurface, linalg
+from sasakicheck import InducedStructure, hypersurface, linalg, sasakian
 from sasakicheck.cli import main
 from sasakicheck.config import CHECK_GROUPS, load_suite_config, resolve_config_path
 from sasakicheck.errors import ConfigError
@@ -70,6 +70,12 @@ def test_wrong_output_arity_names_expressions(tmp_path):
 def test_bad_expression_reported_with_location(tmp_path):
     bad = GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, s +* t")
     with pytest.raises(ConfigError, match="bad embedding expression"):
+        load_suite_config(write_config(tmp_path, bad))
+
+
+def test_repeated_input_name_rejected(tmp_path):
+    bad = GOOD.replace("inputs = s, t", "inputs = s, s")
+    with pytest.raises(ConfigError, match=r"inputs names 's' more than once"):
         load_suite_config(write_config(tmp_path, bad))
 
 
@@ -312,7 +318,9 @@ def test_cli_nonpositive_normal_scaling_exits_one_without_traceback(tmp_path):
     (GOOD.replace("seed = 7", "seed = -3"), []),
     (GOOD.replace("seed = 7", "seed = 7\nbox = -inf, inf"), []),
     (GOOD + "\n[tolerances]\naxiom = nan\n", []),
-], ids=["cli_seed", "config_seed", "box", "tolerance"])
+    (GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, " + "(" * 400 + "s" + ")" * 400), []),
+    (GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, " + "-" * 3000 + "s"), []),
+], ids=["cli_seed", "config_seed", "box", "tolerance", "deep_parentheses", "deep_signs"])
 def test_cli_bad_number_exits_one_without_traceback(tmp_path, body, args):
     path = write_config(tmp_path, body)
     env = dict(os.environ)
@@ -328,11 +336,11 @@ def test_cli_bad_number_exits_one_without_traceback(tmp_path, body, args):
 def _frame_builds(monkeypatch, config):
     """Run the suite and record the frame stacks it builds (the point
     count of each, split by whether it carries partials), and count
-    Gauss-Weingarten decompositions, one-point structure bundles and dual
-    eliminations, wherever the engine looks them up."""
+    Gauss-Weingarten decompositions, ambient axiom batteries, one-point
+    structure bundles and dual eliminations, wherever the engine looks them up."""
     builds = {"partials": [], "values": []}
-    calls = dict.fromkeys(["gauss_weingarten", "bundle_at", "values_at",
-                           "linalg.det", "linalg.solve_columns"], 0)
+    calls = dict.fromkeys(["gauss_weingarten", "check_sasakian_axioms", "bundle_at",
+                           "values_at", "linalg.det", "linalg.solve_columns"], 0)
     frame_stack = hypersurface.frame_stack
 
     def recorded_frame_stack(N, points, partials=False):
@@ -346,6 +354,7 @@ def _frame_builds(monkeypatch, config):
         return wrapper
 
     functions = {"gauss_weingarten": hypersurface.gauss_weingarten,
+                 "check_sasakian_axioms": sasakian.check_sasakian_axioms,
                  "linalg.det": linalg.det,
                  "linalg.solve_columns": linalg.solve_columns}
     wrapped = {id(frame_stack): recorded_frame_stack,
@@ -370,12 +379,14 @@ def test_run_suite_builds_each_point_once(monkeypatch):
     # the sample states; extraction adds at most one value-only stack
     assert builds["partials"] == [10]
     assert builds["values"] in ([], [10])
-    assert calls == {"gauss_weingarten": 1, "bundle_at": 0, "values_at": 0,
-                     "linalg.det": 0, "linalg.solve_columns": 0}
+    # the axioms and two_form groups share one ambient axiom battery
+    assert calls == {"gauss_weingarten": 1, "check_sasakian_axioms": 1, "bundle_at": 0,
+                     "values_at": 0, "linalg.det": 0, "linalg.solve_columns": 0}
 
 
 @pytest.mark.parametrize("checks,gw_per_point", [
     (["axioms", "structure", "algebraic"], 0.0),
+    (["structure", "algebraic"], 0.0),
     (["gauss_weingarten"], 1.0),
 ])
 def test_per_point_data_built_only_for_groups_that_read_it(monkeypatch, checks, gw_per_point):
@@ -386,8 +397,10 @@ def test_per_point_data_built_only_for_groups_that_read_it(monkeypatch, checks, 
     # structure extraction builds one value-only stack of all points
     assert builds == {"partials": [10] * int(gw_per_point),
                       "values": [10] if "structure" in checks else []}
-    assert calls == {"gauss_weingarten": int(gw_per_point), "bundle_at": 0, "values_at": 0,
-                     "linalg.det": 0, "linalg.solve_columns": 0}
+    # extraction does not re-check the report's ambient
+    assert calls == {"gauss_weingarten": int(gw_per_point),
+                     "check_sasakian_axioms": int("axioms" in checks), "bundle_at": 0,
+                     "values_at": 0, "linalg.det": 0, "linalg.solve_columns": 0}
 
 
 @pytest.mark.parametrize("name", ["plane_r3", "quadric_r3", "plane_r5", "quadric_r3_scaled"])

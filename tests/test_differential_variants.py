@@ -30,7 +30,7 @@ from sasakicheck.induced import (
 from sasakicheck.runner import GROUPS, _Context
 from sasakicheck.sampling import sample_points, sample_vectors
 
-from conftest import SURFACES, states_at, surface_normal
+from conftest import SURFACES, by_name, states_at, surface_normal
 
 NAMES = ("2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17")
 H_FREE = ("2.12", "2.13", "2.16")
@@ -138,7 +138,7 @@ def test_battery_equals_per_variant_oracle(surface, strict_paper):
     variants, other, v_HY, premise, HU, pair_count = _oracle(states, strict_paper)
     assert rep.sample_count == pair_count
     for name in NAMES:
-        r = rep.by_name(name)
+        r = by_name(rep, name)
         assert r.samples_used == pair_count
         assert r.details["variants"] == variants[name], name
         assert list(r.details["variants"]) == list(variants[name]), name
@@ -147,7 +147,7 @@ def test_battery_equals_per_variant_oracle(surface, strict_paper):
         else:
             assert r.details["best_other_structure_sign"] == other[name], name
     assert rep.extras["v_HY_measured"] == v_HY
-    r18 = rep.by_name("2.18")
+    r18 = by_name(rep, "2.18")
     assert r18.details == {"premise_max_h_Y_U": premise, "HU_norms": HU,
                            "vacuous": premise > 1e-5}
     assert r18.residual == HU["H_h"]
@@ -162,7 +162,7 @@ def test_battery_passes_over_nan_residuals_like_the_oracle():
     rep = verify_differential_identities(states)
     variants = _oracle(states, False)[0]
     for name in NAMES:
-        assert rep.by_name(name).details["variants"] == variants[name], name
+        assert by_name(rep, name).details["variants"] == variants[name], name
     assert all(np.isfinite(r) for r in variants["2.11"].values())
 
 
@@ -180,13 +180,13 @@ def test_battery_variants_equal_single_state_batteries(surface, strict_paper):
                for i in range(len(states))]
     assert whole.sample_count == sum(s.sample_count for s in singles)
     for name in NAMES:
-        r = whole.by_name(name)
-        parts = [s.by_name(name) for s in singles]
+        r = by_name(whole, name)
+        parts = [by_name(s, name) for s in singles]
         assert r.samples_used == sum(p.samples_used for p in parts), name
         assert list(r.details["variants"]) == list(parts[0].details["variants"]), name
         for key, value in r.details["variants"].items():
             assert value == max(p.details["variants"][key] for p in parts), (name, key)
-    assert whole.by_name("2.18").samples_used == sum(s.by_name("2.18").samples_used
+    assert by_name(whole, "2.18").samples_used == sum(by_name(s, "2.18").samples_used
                                                      for s in singles)
 
 

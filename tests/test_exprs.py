@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sasakicheck.dual import real_part, seed
+from sasakicheck.dual import Dual, _ipow, real_part, seed
 from sasakicheck.errors import EvaluationError, ExprParseError
-from sasakicheck.exprs import compile_expression, compile_map
+from sasakicheck.exprs import MAX_DEPTH, compile_expression, compile_map
 
 
 @pytest.mark.parametrize("text,coords,expected", [
@@ -58,6 +58,52 @@ def test_fractional_exponent_rejected():
 def test_function_requires_parentheses():
     with pytest.raises(ExprParseError):
         compile_expression("exp s", ["s"])
+
+
+@pytest.mark.parametrize("x,n", [(1.0, 10**9), (-1.0, 10**9), (1.0 + 1e-10, 10**9), (2.0, -3)])
+def test_large_and_negative_integer_powers(x, n):
+    # repeated squaring: 10^9 costs 41 products, not n - 1
+    e = compile_expression(f"s^{n}", ["s"])
+    assert e([x]) == pytest.approx(x ** n, rel=1e-6)
+    d = e(seed([x]))
+    assert real_part(d) == pytest.approx(x ** n, rel=1e-6)
+    assert d.grad[0] == pytest.approx(n * x ** (n - 1), rel=1e-6)
+
+
+def _flat(x):
+    """Value and every gradient entry of a (nested) dual, as one array."""
+    if not isinstance(x, Dual):
+        return np.asarray(x)
+    return np.concatenate([_flat(x.val)] + [_flat(g) for g in x.grad])
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2])
+def test_small_powers_keep_the_bits_of_written_out_products(levels):
+    x = np.random.default_rng(3).normal(size=50)
+    coords = [x, 2.0 * x]
+    for _ in range(levels):
+        coords = seed(coords)
+    base = coords[0] * coords[1] + coords[0]
+    assert np.array_equal(_flat(_ipow(base, 2)), _flat(base * base))
+    assert np.array_equal(_flat(_ipow(base, 3)), _flat(base * base * base))
+
+
+def test_nesting_past_max_depth_rejected():
+    assert compile_expression("(" * MAX_DEPTH + "s" + ")" * MAX_DEPTH, ["s"])([2.0]) == 2.0
+    assert compile_expression("-" * MAX_DEPTH + "s", ["s"])([2.0]) == (-1) ** MAX_DEPTH * 2.0
+    for deep in ("(" * 400 + "s" + ")" * 400, "-" * 3000 + "s", "exp(" * 60 + "s" + ")" * 60):
+        with pytest.raises(ExprParseError, match="nests deeper"):
+            compile_expression(deep, ["s"])
+
+
+def test_long_chains_evaluate_left_to_right():
+    want = 0.1
+    for _ in range(2999):
+        want = want + 0.1
+    assert compile_expression(" + ".join(["s"] * 3000), ["s"])([0.1]) == want
+    d = compile_expression("*".join(["s"] * 3000), ["s"])(seed([1.0001]))
+    assert real_part(d) == pytest.approx(1.0001 ** 3000)
+    assert d.grad[0] == pytest.approx(3000 * 1.0001 ** 2999)
 
 
 def test_compile_map_evaluates_componentwise():

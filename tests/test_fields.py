@@ -15,7 +15,7 @@ from sasakicheck import (
     standard_sasakian,
 )
 from sasakicheck.errors import DimensionMismatchError, NonFiniteValueError
-from sasakicheck.fields import constant_field, identity_field
+from sasakicheck.fields import constant_field
 from sasakicheck.hypersurface import frame_stack
 
 from conftest import chart_points
@@ -35,7 +35,7 @@ def test_evaluate_constant_field():
 
 
 def test_evaluate_identity_field_gives_kronecker():
-    out = evaluate(identity_field(4), Point([1, 2, 3, 4]))
+    out = evaluate(constant_field((1, 1), 4, np.eye(4)), Point([1, 2, 3, 4]))
     np.testing.assert_array_equal(out, np.eye(4))
 
 

@@ -8,9 +8,8 @@ from sasakicheck import (
     MetricField,
     NormalField,
     ScalarField,
-    SimpleAmbient,
     TensorField,
-    euclidean_metric,
+    evaluate,
     gauss_weingarten,
     induced_metric,
     second_fundamental_symmetry,
@@ -22,7 +21,7 @@ from sasakicheck.fields import Point as P
 from sasakicheck.hypersurface import frame_stack, reconstruction_residuals
 from sasakicheck.connection import christoffel
 
-from conftest import chart_points
+from conftest import SimpleAmbient, chart_points, euclidean_metric
 
 
 @pytest.fixture()
@@ -45,7 +44,7 @@ def sphere(euclid3, r):
 
 def test_flat_plane_metric_is_identity(flat_plane):
     g = induced_metric(flat_plane)
-    np.testing.assert_allclose(g.components(P([0.3, -0.8])), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(evaluate(g.tensor, P([0.3, -0.8])), np.eye(2), atol=1e-15)
 
 
 def test_flat_plane_unit_normal(flat_plane):
@@ -75,7 +74,7 @@ def test_sphere_shape_operator_is_curvature_times_identity(euclid3):
             gw = gauss_weingarten(E, N, [q])[0]
             np.testing.assert_allclose(gw.H_h, np.eye(2) / r, atol=1e-6)
             np.testing.assert_allclose(gw.h, gw.h.T, atol=1e-12)
-            gind = induced_metric(E).components(q)
+            gind = evaluate(induced_metric(E).tensor, q)
             np.testing.assert_allclose(gw.h, gind / r, atol=1e-6)
 
 
@@ -91,9 +90,9 @@ def test_induced_metric_vs_fd_oracle(plane_r3):
         return (up - dn) / (2 * step)
 
     B = np.column_stack([fd_column(0), fd_column(1)])
-    gt = E.ambient_metric.components(E.point_image(p))
+    gt = evaluate(E.ambient_metric.tensor, E.point_image(p))
     expected = B.T @ gt @ B
-    got = induced_metric(E).components(p)
+    got = evaluate(induced_metric(E).tensor, p)
     assert np.max(np.abs(got - expected)) < 1e-6
 
 
@@ -101,7 +100,7 @@ def test_induced_metric_positive_definite(quadric_r3):
     g = induced_metric(quadric_r3)
     rng = np.random.default_rng(14)
     for p in chart_points(2, 10, seed=15):
-        gv = g.components(p)
+        gv = evaluate(g.tensor, p)
         for _ in range(10):
             x = rng.uniform(-1, 1, 2)
             if np.linalg.norm(x) > 1e-6:
@@ -113,7 +112,7 @@ def test_normal_defining_equations(plane_r3):
     p = P([0.5, -0.3])
     n = unit_normal(plane_r3, p)
     B = frame_stack(NormalField(plane_r3), [p]).jacobian[0]
-    gt = plane_r3.ambient_metric.components(plane_r3.point_image(p))
+    gt = evaluate(plane_r3.ambient_metric.tensor, plane_r3.point_image(p))
     assert np.max(np.abs(B.T @ gt @ n)) < 1e-10
     assert abs(float(n @ gt @ n) - 1.0) < 1e-10
     assert np.linalg.det(np.column_stack([B, n])) > 0
@@ -166,7 +165,7 @@ def test_unit_normal_weingarten_relations(quadric_r3):
     for p in chart_points(2, 10, seed=27):
         gw = gauss_weingarten(quadric_r3, N, [p])[0]
         assert np.max(np.abs(gw.w)) < 1e-10
-        gv = g.components(p)
+        gv = evaluate(g.tensor, p)
         # metric Weingarten relation g(H_w X, Y) = -h(X, Y)
         assert np.max(np.abs(gw.H_w.T @ gv + gw.h)) < 1e-6
         assert np.max(np.abs(gw.H_w + gw.H_h)) < 1e-6

@@ -52,16 +52,11 @@ def _assert_combines(whole, singles):
 @pytest.mark.parametrize("surface", sorted(SURFACES))
 def test_algebraic_battery_equals_single_point_batteries(surface, count):
     N = surface_normal(SURFACES[surface])
-    m = N.embedding.dim
-    pts = _points(m, count, seed=count + 7)
+    pts = _points(N.embedding.dim, count, seed=count + 7)
     S = extract_structure(N.embedding, N, pts)
-    _assert_combines(verify_algebraic_identities(S, pts),
-                     [verify_algebraic_identities(extract_structure(N.embedding, N, [p]), [p])
+    _assert_combines(verify_algebraic_identities(S),
+                     [verify_algebraic_identities(extract_structure(N.embedding, N, [p]))
                       for p in pts])
-    # points other than the extraction points
-    other = _points(m, count, seed=count + 11)
-    _assert_combines(verify_algebraic_identities(S, other),
-                     [verify_algebraic_identities(S, [q]) for q in other])
 
 
 def _zeroed(st, *keys):
@@ -193,7 +188,7 @@ def test_algebraic_battery_equals_per_point_loop(surface):
     pts = _points(N.embedding.dim, 50, seed=17)
     S = extract_structure(N.embedding, N, pts)
     want = _loop_structure_residuals(S.stack)
-    rep = verify_algebraic_identities(S, pts)
+    rep = verify_algebraic_identities(S)
     assert {k: v for r in rep.identities for k, v in r.details.items()} == want
 
 

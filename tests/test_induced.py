@@ -36,7 +36,7 @@ from sasakicheck.dual import exp
 from sasakicheck.errors import TangencyError
 from sasakicheck.induced import _bilinear
 
-from conftest import chart_points, chart_vectors, states_at
+from conftest import by_name, chart_points, chart_vectors, states_at
 
 
 def _pair_dirs(dim, count=5, seed=11):
@@ -143,7 +143,7 @@ def test_algebraic_identities_on_canonical_surfaces(surface, request):
     E = request.getfixturevalue(surface)
     pts = chart_points(2, 30, seed=43)
     S = extract_structure(E, NormalField(E), pts)
-    rep = verify_algebraic_identities(S, pts)
+    rep = verify_algebraic_identities(S)
     for r in rep.identities:
         assert r.residual <= 1e-8, (r.name, r.residual)
 
@@ -156,11 +156,11 @@ def test_specific_algebraic_values_on_plane(plane_structure):
         assert abs(float(bd.u @ bd.U) - (1 - bd.lam ** 2)) <= 1e-12
 
 
-def test_gauge_families_agree_for_unit_normal(plane_structure):
-    pts = chart_points(2, 20, seed=47)
-    rep = verify_algebraic_identities(plane_structure, pts)
-    r25 = rep.by_name("2.5")
-    r28 = rep.by_name("2.8")
+def test_gauge_families_agree_for_unit_normal(plane_r3):
+    S = extract_structure(plane_r3, NormalField(plane_r3), chart_points(2, 20, seed=47))
+    rep = verify_algebraic_identities(S)
+    r25 = by_name(rep, "2.5")
+    r28 = by_name(rep, "2.8")
     assert r25.residual == pytest.approx(r28.residual, abs=1e-12)
 
 
@@ -208,7 +208,7 @@ def test_differential_identities_adjudicate_consistently(surface, n, request):
         "2.17": "H_w|printed|phi-flipped",
     }
     for name, conv in expected.items():
-        r = rep.by_name(name)
+        r = by_name(rep, name)
         assert r.residual <= 1e-5, (name, r.residual)
         assert r.convention == conv, (name, r.convention)
         if name != "2.17":
@@ -232,13 +232,13 @@ def test_eq_2_16_value_under_adjudicated_convention(plane_structure):
     # h(Y, V) = u'(Y) - Y lambda in the adjudicated sign
     pts = chart_points(2, 10, seed=67)
     rep = _differential(plane_structure, pts)
-    assert rep.by_name("2.16").residual <= 1e-5
+    assert by_name(rep, "2.16").residual <= 1e-5
 
 
 def test_eq_2_18_vacuous_on_plane(plane_structure):
     pts = chart_points(2, 10, seed=71)
     rep = _differential(plane_structure, pts)
-    r = rep.by_name("2.18")
+    r = by_name(rep, "2.18")
     assert r.details["premise_max_h_Y_U"] > 1e-3
     assert r.details["vacuous"]
 
@@ -253,17 +253,17 @@ def test_scaled_normal_refutes_unit_gauge_identities(quadric_r3):
     rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
     pts = chart_points(2, 12, seed=79)
     S = extract_structure(quadric_r3, NormalField(quadric_r3, scaling=rho), pts)
-    alg = verify_algebraic_identities(S, pts)
+    alg = verify_algebraic_identities(S)
     # rho^2 factors break the unit-normal forms of (2.6) to (2.8)
-    assert alg.by_name("2.6").residual > 1e-2
-    assert alg.by_name("2.7").residual > 1e-2
+    assert by_name(alg, "2.6").residual > 1e-2
+    assert by_name(alg, "2.7").residual > 1e-2
     rep = _differential(S, pts)
     # the xi-decomposition identities still hold, the eta(N)-gauge ones fail
-    assert rep.by_name("2.12").residual <= 1e-5
-    assert rep.by_name("2.15").residual <= 1e-5
-    assert rep.by_name("2.16").residual <= 1e-5
-    assert rep.by_name("2.13").residual > 1e-2
-    assert rep.by_name("2.14").residual > 1e-2
+    assert by_name(rep, "2.12").residual <= 1e-5
+    assert by_name(rep, "2.15").residual <= 1e-5
+    assert by_name(rep, "2.16").residual <= 1e-5
+    assert by_name(rep, "2.13").residual > 1e-2
+    assert by_name(rep, "2.14").residual > 1e-2
 
 
 def _flat_bilinear(y, M, x):

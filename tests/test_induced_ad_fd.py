@@ -18,16 +18,14 @@ from sasakicheck import (
     NormalField,
     Point,
     ScalarField,
-    SimpleAmbient,
     christoffel,
-    euclidean_metric,
     extract_structure,
     fd_derivative,
     gauss_weingarten,
 )
 from sasakicheck.dual import cos, exp, sin
 
-from conftest import chart_points
+from conftest import SimpleAmbient, chart_points, euclidean_metric
 
 STEP = 1e-5
 TOL = 1e-6

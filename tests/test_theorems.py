@@ -26,7 +26,7 @@ from sasakicheck.theorems import (
     theorem_3_4_model_consistency,
 )
 
-from conftest import chart_points, chart_vectors, states_at
+from conftest import chart_points, chart_vectors, euclidean_metric, states_at
 
 
 @pytest.fixture()
@@ -42,7 +42,6 @@ def test_parallel_residual_rejects_unknown_field(plane_structure):
 
 def test_constant_field_on_flat_chart_is_parallel():
     # the covariant derivative machinery itself: flat metric, constant field
-    from sasakicheck import euclidean_metric
     from sasakicheck.connection import christoffel
     from sasakicheck.fields import constant_vector_field, jet
     from sasakicheck.connection import covariant_derivative_components
