@@ -154,16 +154,25 @@ def test_battery_equals_per_variant_oracle(surface, strict_paper):
     assert r18.samples_used == len(states)
 
 
-def test_battery_passes_over_nan_residuals_like_the_oracle():
-    states = _states("quadric_r3")
+@pytest.mark.parametrize("strict_paper", [False, True])
+@pytest.mark.parametrize("surface", ["quadric_r3", "quadric_r5"])
+def test_battery_passes_over_nan_residuals_like_the_oracle(surface, strict_paper):
+    states = _states(surface)
     covphi, covU = states.covphi.copy(), states.covU.copy()
-    covphi[3] = covU[5] = np.nan
+    # one NaN component each: it spoils one entry of (2.11)'s and (2.14)'s
+    # vector residuals at every pair of points 3 and 5
+    covphi[3, 0, 1, 0] = covU[5, 1, 0] = np.nan
     states = replace(states, covphi=covphi, covU=covU)
-    rep = verify_differential_identities(states)
-    variants = _oracle(states, False)[0]
+    rep = verify_differential_identities(states, strict_paper=strict_paper)
+    variants = _oracle(states, strict_paper)[0]
     for name in NAMES:
         assert by_name(rep, name).details["variants"] == variants[name], name
-    assert all(np.isfinite(r) for r in variants["2.11"].values())
+    # such a pair's maximum is NaN, so the whole pair is passed over, its
+    # finite components included: the point drops out of that identity
+    for name, point in (("2.11", 3), ("2.14", 5)):
+        rest = _oracle([st for i, st in enumerate(states) if i != point], strict_paper)[0]
+        assert variants[name] == rest[name], name
+        assert all(np.isfinite(r) for r in variants[name].values()), name
 
 
 def test_battery_without_a_direction_pair_raises():
