@@ -161,7 +161,7 @@ def load_suite_config(path) -> SuiteConfig:
         try:
             compile_expression(text, inputs)
         except ExprParseError as exc:
-            raise ConfigError(f"bad embedding expression {text!r}: {exc}") from exc
+            raise ConfigError(f"bad embedding expression: {exc}") from exc
 
     scaling_raw = get("normal", "scaling", fallback="unit").strip()
     scaling: Optional[str]
@@ -171,7 +171,7 @@ def load_suite_config(path) -> SuiteConfig:
         try:
             compile_expression(scaling_raw, inputs)
         except ExprParseError as exc:
-            raise ConfigError(f"bad normal scaling expression {scaling_raw!r}: {exc}") from exc
+            raise ConfigError(f"bad normal scaling expression: {exc}") from exc
         scaling = scaling_raw
     orientation_raw = get("normal", "orientation", fallback="1").strip()
     base_point = None
@@ -221,6 +221,9 @@ def load_suite_config(path) -> SuiteConfig:
             tolerances[key] = value
 
     checks = _split_list(get("suite", "checks", fallback=", ".join(CHECK_GROUPS)))
+    if not checks:
+        raise ConfigError("[suite] checks names no check group; "
+                          f"valid: {', '.join(CHECK_GROUPS)} (omit the key to run them all)")
     for c in checks:
         if c not in CHECK_GROUPS:
             raise ConfigError(f"unknown check group {c!r}; valid: {', '.join(CHECK_GROUPS)}")

@@ -27,11 +27,13 @@ identity is evaluated over a grid of variants:
   pin one, the derived identities turn out to live in the other).
 
 The variants of an identity form a table (its s and nu signs and H).
-Per direction pair the contractions are taken once, as printed, and all
-variants' residuals are one array over the table; s and nu are +-1, so
-each term keeps the bits of that variant written out alone.  The report
-records every variant's residual and the minimizing tags; strict paper
-mode restricts to the printed form with H = H_h.
+Per direction pair only the contractions are taken, once each, as
+printed; every variant's residual, the bilinear forms and the maxima then
+run as one stacked pass over all pairs, one array per identity over the
+table.  That pass is elementwise and s and nu are +-1, so each term keeps
+the bits of that pair and variant written out alone.  The report records
+every variant's residual and the minimizing tags; strict paper mode
+restricts to the printed form with H = H_h.
 """
 
 from __future__ import annotations
@@ -366,17 +368,6 @@ def _variant_table(name, signs) -> _Variants:
     return _Variants(keys, s, nu, nu * s, np.array([H_TAGS.index(k[3] or "H_h") for k in keys]))
 
 
-def _bilinear(y, M, x) -> float:
-    """Return ``y^i M_ia x^a`` summed flat, ``i`` outer and ``a`` inner."""
-    # Not einsum or @: numpy leaves their summation order open; the goldens pin this one.
-    xs = x.tolist()
-    total = 0.0
-    for yi, row in zip(y.tolist(), M.tolist()):
-        for m, xa in zip(row, xs):
-            total += yi * m * xa
-    return total
-
-
 def _tag(nu, h):
     parts = []
     parts.append(h if h is not None else "H-free")
@@ -391,32 +382,39 @@ def verify_differential_identities(
 ) -> IdentityReport:
     """Covariant-derivative identity battery with convention adjudication.
 
-    Each point's directions are taken in consecutive pairs (X, Y).  A
-    pair's contractions (``X @ g @ Y``, the einsums, :func:`_bilinear`)
-    are taken one by one; each identity then gives all its variants'
-    residuals at the pair as one array over its :class:`_Variants` table.
-    A variant's residual is its largest over the pairs, a NaN passed over.
-    The report carries the minimizing variant per identity together with
-    one global structure-sign verdict.  In strict paper mode only the
-    printed form with H = H_h and the extracted structure sign is evaluated.
+    Each point's directions are taken in consecutive pairs (X, Y), R pairs
+    in all.  The loop over the pairs only takes each pair's contractions
+    (``X @ g @ Y``, ``H @ Y``, the einsums), on the point's own views, and
+    writes them into (R, ...) arrays.  One stacked pass then gives every
+    identity's residuals over an (R, variants, m) array, one column per
+    variant of its :class:`_Variants` table, with the bilinear forms from
+    :func:`~sasakicheck.linalg.bilinear` and one maximum per pair and
+    variant.  Every step is elementwise in the order of the printed
+    formula, so each residual keeps the bits of that pair and variant
+    written out alone.  A variant's residual is its largest over the pairs,
+    a NaN passed over.  The report carries the minimizing variant per
+    identity together with one global structure-sign verdict.  In strict
+    paper mode only the printed form with H = H_h and the extracted
+    structure sign is evaluated.
     """
     names = ["2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17"]
     signs = (1.0,) if strict_paper else (1.0, -1.0)
     t11, t12, t13, t14, t15, t16, t17 = tables = [_variant_table(name, signs) for name in names]
     keys = [key for t in tables for key in t.keys]
-    # one row per direction pair, one column per variant, identity after identity;
-    # ``outs`` yields each pair's row as one view per identity
-    worst = np.empty((len(states) * (states.dirs.shape[1] // 2), len(keys)))
-    if not len(worst):
+    m, pairs = states.dirs.shape[2], states.dirs.shape[1] // 2
+    rows = len(states) * pairs
+    if not rows:
         raise ValueError("the differential battery needs at least one direction pair")
-    outs = zip(*np.split(worst, np.cumsum([len(t.keys) for t in tables])[:-1], axis=1))
+    # one row per direction pair, point-major: 14 scalar and 10 vector contractions
+    scalars, vectors = np.empty((rows, 14)), np.empty((rows, 10, m))
     v_HY = {"H_h": 0.0, "H_w": 0.0}
     h_U_premise = 0.0
     HU_norm = {"H_h": 0.0, "H_w": 0.0}
 
+    r = 0
     for st in states:
         bd, gw = st.bundle, st.gw
-        lam, Hs = bd.lam, (gw.H_h, gw.H_w, -gw.H_w)
+        Hs = (gw.H_h, gw.H_w, -gw.H_w)
 
         h_U_premise = max(h_U_premise, float(np.max(np.abs(gw.h @ bd.U))))
         for hk, H in (("H_h", gw.H_h), ("H_w", gw.H_w)):
@@ -424,33 +422,43 @@ def verify_differential_identities(
             HU_norm[hk] = max(HU_norm[hk], float(np.max(np.abs(H @ bd.U))))
 
         for X, Y in zip(st.dirs[0::2], st.dirs[1::2]):
-            gXY = float(X @ bd.g @ Y)
-            hXY = float(X @ gw.h @ Y)
-            uX = float(bd.u @ X)
-            vX = float(bd.v @ X)
-            wY = float(gw.w @ Y)
             Yh = Y @ gw.h
             phiY = bd.phi @ Y
-            Lphi = np.einsum("i,iab,b->a", Y, st.covphi, X)
-            LU = np.einsum("i,ia->a", Y, st.covU)
-            LV = np.einsum("i,ia->a", Y, st.covV)
-            # one row per H tag, each product as in the printed identity
-            HY = [H @ Y for H in Hs]
-            phiHY = np.array([bd.phi @ hy for hy in HY])
-            uHY = np.array([[float(bd.u @ hy)] for hy in HY])
-            HY = np.array(HY)
-            residuals = (
-                t11.s * Lphi - (vX * Y - gXY * bd.V + t11.nus * (-(hXY) * bd.U - uX * HY)[t11.hi]),
-                t12.s * _bilinear(Y, st.covu, X) - (
-                    -t12.nus * float((bd.phi @ X) @ gw.h @ Y) - t12.s * uX * wY - lam * gXY),
-                _bilinear(Y, st.covv, X) - (t13.s * float(phiY @ bd.g @ X) + t13.nu * lam * hXY),
-                t14.s * LU - (t14.s * wY * bd.U - t14.nus * phiHY[t14.hi] - lam * Y),
-                LV - (t15.s * phiY + t15.nu * lam * HY[t15.hi]),
-                float(Yh @ bd.V) - (t16.s * float(bd.u @ Y) - float(bd.dlam @ Y) - lam * wY),
-                t17.s * float(Yh @ bd.U) - (-t17.nu * (t17.s * uHY[t17.hi])),
-            )
-            for r, out in zip(residuals, next(outs)):
-                np.max(np.abs(r), axis=1, out=out)
+            HY = [H @ Y for H in Hs]  # one per H tag
+            scalars[r] = (X @ bd.g @ Y, X @ gw.h @ Y, bd.u @ X, bd.v @ X, gw.w @ Y,
+                          (bd.phi @ X) @ gw.h @ Y, phiY @ bd.g @ X, Yh @ bd.V, bd.u @ Y,
+                          bd.dlam @ Y, Yh @ bd.U, *(bd.u @ hy for hy in HY))
+            vectors[r] = (phiY, np.einsum("i,iab,b->a", Y, st.covphi, X),
+                          np.einsum("i,ia->a", Y, st.covU), np.einsum("i,ia->a", Y, st.covV),
+                          *HY, *(bd.phi @ hy for hy in HY))
+            r += 1
+
+    # scalars as (R, 1, 1), vectors as (R, 1, m), H-tag rows as (R, 3, ...): a
+    # variant table's (V, 1) columns broadcast them to (R, V, ...)
+    (gXY, hXY, uX, vX, wY, hphiXY, gphiYX, YhV, uY, dlamY, YhU) = scalars.T[:11, :, None, None]
+    uHY = scalars[:, 11:, None]
+    phiY, Lphi, LU, LV = np.moveaxis(vectors[:, :4, None], 1, 0)
+    HY, phiHY = vectors[:, 4:7], vectors[:, 7:]
+
+    def per_pair(a):  # a point's value once for each of its pairs
+        return np.repeat(a, pairs, axis=0)
+
+    lam, U, V = (per_pair(getattr(states.bundle, key)) for key in ("lam", "U", "V"))
+    lam, U, V = lam[:, None, None], U[:, None], V[:, None]
+    X, Y = (states.dirs[:, k:2 * pairs:2].reshape(rows, m) for k in (0, 1))
+    Bu, Bv = (linalg.bilinear(Y, per_pair(c), X)[:, None, None] for c in (states.covu, states.covv))
+    Y = Y[:, None]
+    residuals = (
+        t11.s * Lphi - (vX * Y - gXY * V + t11.nus * (-(hXY) * U - uX * HY)[:, t11.hi]),
+        t12.s * Bu - (-t12.nus * hphiXY - t12.s * uX * wY - lam * gXY),
+        Bv - (t13.s * gphiYX + t13.nu * lam * hXY),
+        t14.s * LU - (t14.s * wY * U - t14.nus * phiHY[:, t14.hi] - lam * Y),
+        LV - (t15.s * phiY + t15.nu * lam * HY[:, t15.hi]),
+        YhV - (t16.s * uY - dlamY - lam * wY),
+        t17.s * YhU - (-t17.nu * (t17.s * uHY[:, t17.hi])),
+    )
+    # one column per variant, identity after identity
+    worst = np.concatenate([np.max(np.abs(res), axis=-1) for res in residuals], axis=1)
 
     # fmax passes over a NaN residual: a variant keeps its largest number
     acc = dict(zip(keys, np.fmax.reduce(worst, axis=0, initial=0.0).tolist()))

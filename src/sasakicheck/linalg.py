@@ -3,8 +3,9 @@
 Arrays carry the point axis first.  :func:`check_condition` rejects
 ill-conditioned frames before the engine decomposes against them (the
 solves themselves are ``numpy.linalg``, which solves each matrix of a
-stack as it would solve it alone).  :func:`pair` and :func:`worst` are
-a stacked dot product and residual maximum whose bits do not depend on P.
+stack as it would solve it alone).  :func:`pair`, :func:`bilinear` and
+:func:`worst` are a stacked dot product, bilinear form and residual
+maximum whose bits do not depend on P.
 :func:`solve_columns` and :func:`det` are Gaussian elimination on nested
 lists that also carries dual numbers; the engine no longer calls them,
 and they stay because the benchmark's tracer (``perfbench/tracing.py``)
@@ -105,6 +106,23 @@ def pair(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     and the bits do not depend on P.
     """
     return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
+
+
+def bilinear(y: np.ndarray, M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``y[r]^i M[r]_ia x[r]^a`` for every row r of (R, d) and (R, d, d)
+    stacks, as shape (R,).
+
+    The sum runs flat, ``i`` outer and ``a`` inner, one elementwise
+    ``total + y_i * M_ia * x_a`` per term from 0.0.  numpy ufuncs neither
+    fuse the multiply-add nor reorder it, so each row has the bits of the
+    scalar loop ``total += y[i] * M[i, a] * x[a]``; ``einsum`` and ``@``
+    leave their summation order open, and the goldens pin this one.
+    """
+    total = np.zeros(len(y))
+    for i in range(M.shape[1]):
+        for a in range(M.shape[2]):
+            total = total + y[:, i] * M[:, i, a] * x[:, a]
+    return total
 
 
 def worst(residual: np.ndarray) -> float:

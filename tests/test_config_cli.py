@@ -73,6 +73,16 @@ def test_bad_expression_reported_with_location(tmp_path):
         load_suite_config(write_config(tmp_path, bad))
 
 
+@pytest.mark.parametrize("body,what,text", [
+    (GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, log(s-s)"), "embedding", "log(s-s)"),
+    (GOOD + "\n[normal]\nscaling = s +* t\n", "normal scaling", "s +* t"),
+], ids=["embedding", "normal_scaling"])
+def test_bad_expression_named_once(tmp_path, body, what, text):
+    with pytest.raises(ConfigError, match=f"bad {what} expression") as info:
+        load_suite_config(write_config(tmp_path, body))
+    assert str(info.value).count(text) == 1, str(info.value)
+
+
 def test_repeated_input_name_rejected(tmp_path):
     bad = GOOD.replace("inputs = s, t", "inputs = s, s")
     with pytest.raises(ConfigError, match=r"inputs names 's' more than once"):
@@ -83,6 +93,15 @@ def test_unknown_check_group_rejected(tmp_path):
     bad = GOOD.replace("checks = axioms", "checks = axioms, plotting")
     with pytest.raises(ConfigError, match="plotting"):
         load_suite_config(write_config(tmp_path, bad))
+
+
+def test_empty_check_group_list_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, GOOD.replace("checks = axioms", "checks ="))
+    with pytest.raises(ConfigError, match=r"\[suite\] checks names no check group"):
+        load_suite_config(path)
+    assert main(["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [suite] checks names no check group")
 
 
 def test_unknown_tolerance_rejected(tmp_path):

@@ -19,14 +19,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sasakicheck import extract_structure
+from sasakicheck import extract_structure, linalg
 from sasakicheck.config import load_suite_config
-from sasakicheck.induced import (
-    H_TAGS,
-    STRUCTURE_TAGS,
-    _bilinear,
-    verify_differential_identities,
-)
+from sasakicheck.induced import H_TAGS, STRUCTURE_TAGS, verify_differential_identities
 from sasakicheck.runner import GROUPS, _Context
 from sasakicheck.sampling import sample_points, sample_vectors
 
@@ -51,6 +46,16 @@ def _variants(name):
     nus = (1.0,) if name in NU_FREE else (1.0, -1.0)
     hs = (None,) if name in H_FREE else H_TAGS
     return [(nu, h) for nu in nus for h in hs]
+
+
+def _bilinear(y, M, x) -> float:
+    """Return ``y^i M_ia x^a`` summed flat, ``i`` outer and ``a`` inner."""
+    xs = x.tolist()
+    total = 0.0
+    for yi, row in zip(y.tolist(), M.tolist()):
+        for m, xa in zip(row, xs):
+            total += yi * m * xa
+    return total
 
 
 def _label(s, nu, h):
@@ -173,6 +178,33 @@ def test_battery_passes_over_nan_residuals_like_the_oracle(surface, strict_paper
         rest = _oracle([st for i, st in enumerate(states) if i != point], strict_paper)[0]
         assert variants[name] == rest[name], name
         assert all(np.isfinite(r) for r in variants[name].values()), name
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_stacked_bilinear_equals_the_scalar_form_bit_for_bit(dim):
+    rng = np.random.default_rng(40 + dim)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -3e-310, 2.2e-308, 1e308])
+    rows = 500
+
+    def draw(*shape):
+        a = rng.standard_normal((rows, *shape))
+        hit = rng.random(a.shape) < 0.2
+        a[hit] = rng.choice(special, size=hit.sum())
+        return a
+
+    y, M, x = draw(dim), draw(dim, dim), draw(dim)
+    drawn = np.concatenate([y.ravel(), M.ravel(), x.ravel()]).view(np.int64)
+    assert np.isin(special.view(np.int64), drawn).all()
+    with np.errstate(all="ignore"):
+        got = linalg.bilinear(y, M, x)
+    want = np.array([_bilinear(y[r], M[r], x[r]) for r in range(rows)])
+    assert np.isnan(want).any() and np.isinf(want).any()
+    # IEEE 754 leaves open which operand's sign a NaN result carries (and
+    # the hardware picks by operand position); the battery reads the form
+    # only through abs, so a NaN must stay NaN, every other total keep its bits
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
 def test_battery_without_a_direction_pair_raises():
