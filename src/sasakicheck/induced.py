@@ -28,12 +28,11 @@ identity is evaluated over a grid of variants:
 
 The variants of an identity form a table (its s and nu signs and H).
 Per direction pair only the contractions are taken, once each, as
-printed; every variant's residual, the bilinear forms and the maxima then
-run as one stacked pass over all pairs, one array per identity over the
-table.  That pass is elementwise and s and nu are +-1, so each term keeps
-the bits of that pair and variant written out alone.  The report records
-every variant's residual and the minimizing tags; strict paper mode
-restricts to the printed form with H = H_h.
+printed; all variants' residuals, the bilinear forms and the maxima are
+one stacked pass over the pairs.  That pass is elementwise and s and nu
+are +-1, so each term keeps the bits of its pair and variant written out
+alone.  The report records every variant's residual and the minimizing
+tags; strict paper mode restricts to the printed form with H = H_h.
 """
 
 from __future__ import annotations
@@ -382,20 +381,16 @@ def verify_differential_identities(
 ) -> IdentityReport:
     """Covariant-derivative identity battery with convention adjudication.
 
-    Each point's directions are taken in consecutive pairs (X, Y), R pairs
-    in all.  The loop over the pairs only takes each pair's contractions
-    (``X @ g @ Y``, ``H @ Y``, the einsums), on the point's own views, and
-    writes them into (R, ...) arrays.  One stacked pass then gives every
-    identity's residuals over an (R, variants, m) array, one column per
-    variant of its :class:`_Variants` table, with the bilinear forms from
-    :func:`~sasakicheck.linalg.bilinear` and one maximum per pair and
-    variant.  Every step is elementwise in the order of the printed
-    formula, so each residual keeps the bits of that pair and variant
-    written out alone.  A variant's residual is its largest over the pairs,
-    a NaN passed over.  The report carries the minimizing variant per
-    identity together with one global structure-sign verdict.  In strict
-    paper mode only the printed form with H = H_h and the extracted
-    structure sign is evaluated.
+    Each point's directions are taken in consecutive pairs (X, Y).  The
+    pair loop only takes the contractions (``X @ g @ Y``, ``H @ Y``, the
+    einsums), on the point's own views.  One stacked pass over the R pairs
+    then gives each identity's residuals as an (R, variants, m) array over
+    its :class:`_Variants` table, elementwise in the printed order, so each
+    residual keeps the bits of its pair and variant written out alone.  A
+    variant's residual is its largest over the pairs, a NaN passed over.
+    The report carries the minimizing variant per identity together with
+    one global structure-sign verdict.  In strict paper mode only the
+    printed form with H = H_h and the extracted structure sign is evaluated.
     """
     names = ["2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17"]
     signs = (1.0,) if strict_paper else (1.0, -1.0)

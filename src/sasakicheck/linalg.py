@@ -109,14 +109,12 @@ def pair(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def bilinear(y: np.ndarray, M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``y[r]^i M[r]_ia x[r]^a`` for every row r of (R, d) and (R, d, d)
-    stacks, as shape (R,).
+    """``y[r]^i M[r]_ia x[r]^a`` for every row of (R, d) and (R, d, d) stacks.
 
-    The sum runs flat, ``i`` outer and ``a`` inner, one elementwise
-    ``total + y_i * M_ia * x_a`` per term from 0.0.  numpy ufuncs neither
-    fuse the multiply-add nor reorder it, so each row has the bits of the
-    scalar loop ``total += y[i] * M[i, a] * x[a]``; ``einsum`` and ``@``
-    leave their summation order open, and the goldens pin this one.
+    Summed flat, ``i`` outer and ``a`` inner, one elementwise multiply and
+    add per term: numpy ufuncs do not fuse them, so each row has the bits
+    of the scalar loop ``total += y[i] * M[i, a] * x[a]``, which ``einsum``
+    and ``@`` do not promise and the goldens pin.
     """
     total = np.zeros(len(y))
     for i in range(M.shape[1]):

@@ -67,20 +67,16 @@ def test_wrong_output_arity_names_expressions(tmp_path):
         load_suite_config(write_config(tmp_path, bad))
 
 
-def test_bad_expression_reported_with_location(tmp_path):
-    bad = GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, s +* t")
-    with pytest.raises(ConfigError, match="bad embedding expression"):
-        load_suite_config(write_config(tmp_path, bad))
-
-
 @pytest.mark.parametrize("body,what,text", [
-    (GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, log(s-s)"), "embedding", "log(s-s)"),
-    (GOOD + "\n[normal]\nscaling = s +* t\n", "normal scaling", "s +* t"),
+    (GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, s +* t"), "embedding", "s +* t"),
+    (GOOD + "\n[normal]\nscaling = log(s-s)\n", "normal scaling", "log(s-s)"),
 ], ids=["embedding", "normal_scaling"])
-def test_bad_expression_named_once(tmp_path, body, what, text):
+def test_bad_expression_reported_with_location(tmp_path, body, what, text):
     with pytest.raises(ConfigError, match=f"bad {what} expression") as info:
         load_suite_config(write_config(tmp_path, body))
+    # the parse error names the expression and its position; the wrapper adds neither
     assert str(info.value).count(text) == 1, str(info.value)
+    assert "(at position" in str(info.value)
 
 
 def test_repeated_input_name_rejected(tmp_path):

@@ -9,6 +9,8 @@ is passed over).  The battery must give the same numbers bit for bit:
 every variant, the best residual under the other structure sign, the
 measured v(HY) and the (2.18) details.  A battery over many states must
 also combine the one-state batteries: per-variant maxima, summed counts.
+The stacked bilinear form the battery uses must equal the oracle's scalar
+one bit for bit.
 
 The ``eq_2_18`` report row is driven through its non-vacuous branch on
 states edited so that its premise h(Y, U) = 0 holds.

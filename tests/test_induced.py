@@ -28,8 +28,8 @@ from sasakicheck import (
     ScalarField,
     TensorField,
     extract_structure,
-    linalg,
     gauss_weingarten,
+    linalg,
     verify_algebraic_identities,
     verify_differential_identities,
 )
