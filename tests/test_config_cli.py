@@ -328,6 +328,31 @@ def test_cli_nonpositive_normal_scaling_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+DEGENERATE = {
+    "map_division_by_zero": GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, 1/(s-s)"),
+    "map_rank_deficient": GOOD.replace("outputs = s, t, 0.1", "outputs = s, s, 0.1"),
+    "map_overflow": GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, exp(800*s)"),
+    **{f"scaling_{name}": GOOD.replace("count = 6", "count = 50") + f"\n[normal]\nscaling = {text}\n"
+       for name, text in (("nonpositive", "s"), ("overflow", "exp(-800*s)"),
+                          ("ill_conditioned", "exp(700*s)"))},
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_surface_gives_one_error_line_whichever_groups_run(tmp_path, capsys, name):
+    path = write_config(tmp_path, DEGENERATE[name])
+    lines = set()
+    for groups in (["structure"], ["structure", "algebraic"], ["structure", "differential"],
+                   ["theorems"], ["gauss_weingarten", "structure"]):
+        argv = ["--config", str(path)] + [arg for g in groups for arg in ("--check", g)]
+        assert main(argv) == 1, groups
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        lines.add(err)
+    assert len(lines) == 1, lines
+
+
 @pytest.mark.parametrize("body,args", [
     (GOOD, ["--seed", "-1"]),
     (GOOD.replace("seed = 7", "seed = -3"), []),

@@ -65,13 +65,18 @@ def test_scaled_eta_breaks_unit_axiom(sasaki3):
     assert rep.residuals["1.1"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_phi_sign_flip_even_axioms_unchanged_odd_break(sasaki3):
-    S = sasaki3
-    neg_phi = TensorField((1, 1), 3, lambda c: [[-x for x in row] for row in S.phi.func(c)])
-    flipped = AlmostContactMetricStructure(S.dim, neg_phi, S.xi, S.eta, S.g)
-    pts, dirs = _samples(3, 15)
+def _phi_negated(S):
+    """S with phi replaced by -phi."""
+    neg_phi = TensorField((1, 1), S.dim, lambda c: [[-x for x in row] for row in S.phi.func(c)])
+    return AlmostContactMetricStructure(S.dim, neg_phi, S.xi, S.eta, S.g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_phi_sign_flip_even_axioms_unchanged_odd_break(n):
+    S = standard_sasakian(n)
+    pts, dirs = _samples(S.dim, 15)
     base = check_sasakian_axioms(S, pts, dirs)
-    rep = check_sasakian_axioms(flipped, pts, dirs)
+    rep = check_sasakian_axioms(_phi_negated(S), pts, dirs)
     # quadratic in phi: unchanged
     assert rep.residuals["1.2"] == pytest.approx(base.residuals["1.2"], abs=1e-12)
     assert rep.residuals["1.4"] == pytest.approx(base.residuals["1.4"], abs=1e-12)
@@ -80,11 +85,20 @@ def test_phi_sign_flip_even_axioms_unchanged_odd_break(sasaki3):
     assert rep.residuals["1.7"] > 0.1
 
 
-def test_builtin_sign_chosen_by_transport_axioms():
-    S = standard_sasakian(1)
-    # phi d/dx = -d/dy under the selected sign
-    phi = evaluate(S.phi, Point([0.4, 1.3, -0.2]))
-    np.testing.assert_allclose(phi[:, 0], [0.0, -1.0, 0.0], atol=1e-15)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_builtin_sign_chosen_by_transport_axioms(n):
+    S = standard_sasakian(n)
+    d = S.dim
+    # phi d/dx^i = -d/dy^i
+    phi = evaluate(S.phi, Point([0.4 - 0.3 * k for k in range(d)]))
+    np.testing.assert_allclose(phi[:, :n], -np.eye(d)[:, n:2 * n], atol=1e-15)
+    # that sign meets the transport axioms (1.6) and (1.7); its negation breaks them
+    pts, dirs = _samples(d, 15)
+    built = check_sasakian_axioms(S, pts, dirs).residuals
+    negated = check_sasakian_axioms(_phi_negated(S), pts, dirs).residuals
+    for eq in ("1.6", "1.7"):
+        assert built[eq] <= 1e-12, (eq, built[eq])
+        assert negated[eq] > 0.1, (eq, negated[eq])
 
 
 def test_two_form_antisymmetry_on_random_vectors(sasaki3):
