@@ -28,8 +28,10 @@ from .fields import (
 )
 from .hypersurface import (
     Embedding,
+    FrameStack,
     GaussWeingartenData,
     NormalField,
+    frame_stack,
     gauss_weingarten,
     induced_metric,
     second_fundamental_symmetry,
@@ -67,6 +69,7 @@ __all__ = [
     "AlmostContactMetricStructure",
     "AxiomReport",
     "Embedding",
+    "FrameStack",
     "GaussWeingartenData",
     "IdentityReport",
     "ImplicationCheckResult",
@@ -92,6 +95,7 @@ __all__ = [
     "evaluate_stack",
     "extract_structure",
     "fd_derivative",
+    "frame_stack",
     "fundamental_two_form",
     "gauss_weingarten",
     "induced_metric",

@@ -11,8 +11,12 @@ the ambient tensors; the normal and every frame solve are batched numpy
 calls on (P, d, d) stacks, differentiated implicitly
 (d(A^-1 b) = A^-1 (db - dA A^-1 b)).  Stacked products keep the
 operand layouts and singleton axes of the one-point products, so every
-point gets the bits it gets in a stack of one.  The decomposition is one
-:class:`Stacked` record, :class:`GaussWeingartenData`, of (P, ...) arrays.
+point gets the bits it gets in a stack of one.  A report builds one
+frame stack, with first partials when a check reads derivatives, and
+passes it to the structure split
+(:func:`sasakicheck.induced.extract_structure`) and to
+:func:`gauss_weingarten`.  The decomposition is one :class:`Stacked`
+record, :class:`GaussWeingartenData`, of (P, ...) arrays.
 
 Two shape operators are carried side by side:
 
@@ -25,7 +29,7 @@ between them rather than assuming either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
@@ -277,8 +281,7 @@ class GaussWeingartenData(Stacked):
     ``H_w``/``w`` split D_a N, and ``H_h`` realizes h through the
     induced metric.  ``D[p, i, a, b]`` and ``DN[p, i, a]`` are the ambient
     derivatives D_a(B e_b) and D_a N that were decomposed, against the
-    frame of ``jacobian`` B and ``normal`` N.  ``frames`` is the frame
-    stack the data was built on; an indexed record has none.
+    frame of ``jacobian`` B and ``normal`` N.
     """
 
     induced_gamma: np.ndarray
@@ -290,13 +293,14 @@ class GaussWeingartenData(Stacked):
     DN: np.ndarray
     jacobian: np.ndarray
     normal: np.ndarray
-    frames: Optional[FrameStack] = dc_field(default=None, repr=False)
 
 
-def gauss_weingarten(E: Embedding, N: NormalField, points: Sequence[Point]) -> GaussWeingartenData:
+def gauss_weingarten(fs: FrameStack) -> GaussWeingartenData:
     """Decompose ambient covariant derivatives into tangential and normal parts
-    at every point, with one batched solve per decomposition."""
-    fs = frame_stack(N, points, partials=True)
+    at every point of a frame stack built with partials, with one batched
+    solve per decomposition."""
+    if fs.hessian is None:
+        raise ValueError("gauss_weingarten needs a frame stack built with partials")
     B, nvec, frame, gamma_amb = fs.jacobian, fs.normal, fs.frame, fs.gamma
     count, d, m = B.shape
 
@@ -311,17 +315,12 @@ def gauss_weingarten(E: Embedding, N: NormalField, points: Sequence[Point]) -> G
     gind = np.einsum("pia,pij,pjb->pab", B, fs.metric, B)
     H_h = np.linalg.solve(gind, sol[:, m])
     parts = (sol[:, :m], sol[:, m], solN[:, :m], H_h, solN[:, m], D, DN, B, nvec)
-    return GaussWeingartenData(*map(np.ascontiguousarray, parts), frames=fs)
+    return GaussWeingartenData(*map(np.ascontiguousarray, parts))
 
 
-def h_asymmetry(gw: GaussWeingartenData) -> float:
+def second_fundamental_symmetry(gw: GaussWeingartenData) -> float:
     """max |h(X, Y) - h(Y, X)| over the points of a stack."""
     return linalg.worst(np.abs(gw.h - gw.h.mT))
-
-
-def second_fundamental_symmetry(E: Embedding, N: NormalField, points: Sequence[Point]) -> float:
-    """max |h(X, Y) - h(Y, X)| over the sampled points."""
-    return h_asymmetry(gauss_weingarten(E, N, points))
 
 
 def reconstruction_residuals(gw: GaussWeingartenData) -> dict:

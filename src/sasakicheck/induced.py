@@ -7,14 +7,15 @@ module extracts that data, exposes it as fields, and measures the
 algebraic and covariant-derivative identity battery against it.
 
 The split is one batched float solve X = A^-1 R against the frames
-A = [B | N] of a :class:`~sasakicheck.hypersurface.FrameStack` of all
-sample points.  Its first partials come from implicit differentiation,
+A = [B | N] of one :class:`~sasakicheck.hypersurface.FrameStack` of all
+sample points, which the Gauss-Weingarten data reads too.  Its first
+partials come from implicit differentiation,
 d_c X = A^-1 (d_c R - d_c A X), with the ambient tensors' partials
 taken from one stacked dual jet each at the images b(p) and chained
 through B; central differences of the induced fields stay the
-independent check.  The split is one :class:`StructureBundle` and the
-derivative checks read one :class:`SampleState`, both records of (P, ...)
-arrays indexed as :class:`~sasakicheck.hypersurface.Stacked` records.
+independent check.  The split is one :class:`StructureBundle`, which
+one :class:`SampleState` holds for the derivative checks; both are
+:class:`~sasakicheck.hypersurface.Stacked` records of (P, ...) arrays.
 
 Sign conventions are adjudicated, not assumed.  Each derivative
 identity is evaluated over a grid of variants:
@@ -174,18 +175,17 @@ class InducedStructure:
 
 
 def extract_structure(
-    E: Embedding,
-    N: NormalField,
-    points: Sequence[Point],
-    require_sasakian: bool = True,
+    N: NormalField, fs: FrameStack, require_sasakian: bool = True
 ) -> InducedStructure:
-    """Build the induced structure and validate the decomposition.
+    """Build the induced structure of ``N`` on its frame stack ``fs`` and
+    validate the decomposition.
 
-    Checks, at every supplied point, that phi~N has no normal component
+    Checks, at every point of the stack, that phi~N has no normal component
     (raising :class:`TangencyError` otherwise, naming the first such
     point) and records the noninvariance witness max|u| and the
-    lambda = eta(N) consistency residual for a unit normal.  The frames
-    and the split are built once on the whole point stack.
+    lambda = eta(N) consistency residual for a unit normal.  The split is
+    built once on the whole stack; on a stack with partials it carries the
+    first partials that :func:`sample_states` reads.
 
     With ``require_sasakian`` the ambient structure first passes the
     axiom battery at up to eight of the images, so that a caller's own
@@ -194,7 +194,7 @@ def extract_structure(
     axioms the ``axioms`` and ``two_form`` groups measure on the
     report's own samples.
     """
-    fs = frame_stack(N, points)
+    E = N.embedding
     if require_sasakian:
         rep = check_sasakian_axioms(E.ambient, [Point(b) for b in fs.images.coords[:8]])
         if rep.max_residual > AMBIENT_AXIOM_TOL:
@@ -256,9 +256,13 @@ class SampleState(Stacked):
 def sample_states(
     S: InducedStructure, directions: Sequence, gw: GaussWeingartenData
 ) -> SampleState:
-    """The sample states at the points of the Gauss-Weingarten record ``gw``,
-    built on its frame stack."""
-    st = _structure_stack(S.embedding.ambient, gw.frames)
+    """The sample states at the extraction points of ``S``, which must have
+    been extracted from the frame stack with partials that ``gw`` was built on."""
+    st = S.stack
+    if st.gamma is None:
+        raise ValueError("sample_states needs a structure split with partials")
+    if len(st) != len(gw):
+        raise ValueError(f"structure at {len(st)} points, Gauss-Weingarten data at {len(gw)}")
 
     def cov(key, valence):
         return covariant_derivative_components(getattr(st, key), getattr(st, "d" + key),

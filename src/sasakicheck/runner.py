@@ -3,12 +3,13 @@
 A report is one :class:`_Context` read by the check groups in
 ``GROUPS``, one function per group, each returning its report rows.
 The context draws every sample from the configured seed up front, in a
-fixed order, and builds each shared intermediate (the ambient axiom
-battery, the extracted structure, the Gauss-Weingarten stack, the
-sample states and the differential battery with its adjudicated
-structure sign) once, when a group first reads it.  So a group's rows
-do not depend on which other groups run, and a fixed configuration
-reproduces the report bit for bit.
+fixed order, and builds each shared intermediate once, when a group
+first reads it: the ambient axiom battery; one frame stack of the chart
+points (with first partials only if a group reads derivatives), the
+structure split and the Gauss-Weingarten data on it and the sample
+states; and the differential battery with its adjudicated structure
+sign.  So a group's rows do not depend on which other groups run, and a
+fixed configuration reproduces the report bit for bit.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .fields import DEFAULT_FD_STEP, Point, ScalarField, evaluate, jet_stack
 from .hypersurface import (
     Embedding,
     NormalField,
+    frame_stack,
     gauss_weingarten,
-    h_asymmetry,
     reconstruction_residuals,
+    second_fundamental_symmetry,
 )
 from .induced import (
     NONINVARIANT_THRESHOLD,
@@ -98,14 +100,20 @@ class _Context:
         return check_sasakian_axioms(self.ambient, self.ambient_points, self.ambient_dirs)
 
     @cached_property
+    def frames(self):
+        # the groups that read derivatives need the frames' first partials
+        partials = not {"gauss_weingarten", "differential", "theorems"}.isdisjoint(
+            self.config.checks)
+        return frame_stack(self.normal, self.chart_points, partials)
+
+    @cached_property
     def structure(self):
         # the ambient is standard_sasakian(n), measured by the axiom groups
-        return extract_structure(self.embedding, self.normal, self.chart_points,
-                                 require_sasakian=False)
+        return extract_structure(self.normal, self.frames, require_sasakian=False)
 
     @cached_property
     def gws(self):
-        return gauss_weingarten(self.embedding, self.normal, self.chart_points)
+        return gauss_weingarten(self.frames)
 
     @cached_property
     def states(self):
@@ -175,13 +183,13 @@ def _gauss_weingarten(ctx):
     unit = ctx.scaling_field is None
     rows = [
         _row(*_eq("2.9"), rec["gauss"], tol, convention="Gauss reconstruction",
-             used=used, details={"h_symmetry": h_asymmetry(gws)}),
+             used=used, details={"h_symmetry": second_fundamental_symmetry(gws)}),
         _row(*_eq("2.10"), rec["weingarten"], tol, convention="Weingarten reconstruction",
              used=used, details={"w_residual_unit_normal": linalg.worst(np.abs(w))} if unit else {}),
     ]
     if not unit:
         # w must equal d log rho; independent product-rule consequence
-        jt = jet_stack(ctx.scaling_field, gws.frames.points)
+        jt = jet_stack(ctx.scaling_field, ctx.frames.points)
         rows.append(_row("normal_scaling_w", "w = d log rho",
                          linalg.worst(np.abs(w - jt.partials / jt.value[:, None])), tol,
                          convention="scaled normal", used=used))

@@ -302,29 +302,23 @@ def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> Implicat
     """
     m = 2 * model.n
     lam, g, u, v, U, V = model.lam, model.g, model.u, model.v, model.U, model.V
-    n_h = m * (m + 1) // 2
-    n_H = m * m
-    sym_index = [(a, b) for a in range(m) for b in range(a, m)]
-
-    rows = []
-    rhs = []
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                row = np.zeros(n_h + n_H)
-                ia, ib = min(a, b), max(a, b)
-                row[sym_index.index((ia, ib))] = U[c]
-                row[n_h + c * m + b] = u[a]
-                rows.append(row)
-                rhs.append(g[a, b] * V[c] - v[a] * (1.0 if b == c else 0.0))
-    A = np.array(rows)
-    bvec = np.array(rhs)
+    # h is unknown once per pair a <= b, in row-major order; sym[a, b] = sym[b, a]
+    # is that unknown's index.  Row (a, b, c) of the system, row-major, is
+    # U^c h(a, b) + u(a) H^c_b = g(a, b) V^c - v(a) delta^c_b
+    upper = np.triu_indices(m)
+    n_h = len(upper[0])
+    sym = np.empty((m, m), dtype=int)
+    sym[upper] = sym.T[upper] = np.arange(n_h)
+    a, b, c = np.indices((m, m, m)).reshape(3, -1)
+    row = np.arange(m ** 3)
+    A = np.zeros((m ** 3, n_h + m * m))
+    A[row, sym[a, b]] = U[c]
+    A[row, n_h + c * m + b] = u[a]
+    bvec = g[a, b] * V[c] - v[a] * (b == c)
     sol, *_ = np.linalg.lstsq(A, bvec, rcond=None)
     solve_residual = float(np.max(np.abs(A @ sol - bvec)))
 
-    h = np.zeros((m, m))
-    for k, (a, b) in enumerate(sym_index):
-        h[a, b] = h[b, a] = sol[k]
+    h = sol[sym]
     H = sol[n_h:].reshape(m, m)
 
     one = 1.0 - lam * lam

@@ -10,6 +10,8 @@ from sasakicheck import (
     NormalField,
     ScalarField,
     TensorField,
+    extract_structure,
+    frame_stack,
     gauss_weingarten,
     sample_states,
     standard_sasakian,
@@ -87,10 +89,14 @@ def by_name(rep, name):
     return {r.name: r for r in rep.identities}[name]
 
 
-def states_at(S, points, directions):
-    """The sample states of the induced structure ``S`` at ``points``, one
-    stacked record, on a Gauss-Weingarten record built there."""
-    return sample_states(S, directions, gauss_weingarten(S.embedding, S.normal, points))
+def states_at(N, points, directions):
+    """The sample states of the normal field ``N`` at ``points``, one stacked
+    record: the structure split and the Gauss-Weingarten data built on one
+    frame stack with partials there."""
+    fs = frame_stack(N, points, partials=True)
+    # the tests' ambients are standard_sasakian(n), whose axioms test_sasakian measures
+    return sample_states(extract_structure(N, fs, require_sasakian=False), directions,
+                         gauss_weingarten(fs))
 
 
 def surface_normal(path):

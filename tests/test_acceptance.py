@@ -21,6 +21,7 @@ from sasakicheck import (
     check_theorem_3_4,
     extract_structure,
     fd_derivative,
+    frame_stack,
     gauss_weingarten,
     jet,
     make_pointwise_model,
@@ -95,7 +96,7 @@ def test_criterion_3_gauss_weingarten_reconstruction():
         ):
             N = NormalField(emb)
             for p in _points(2, 25, seed=23):
-                rec = reconstruction_residuals(gauss_weingarten(emb, N, [p]))
+                rec = reconstruction_residuals(gauss_weingarten(frame_stack(N, [p], partials=True)))
                 assert rec["gauss"] <= 1e-6 and rec["weingarten"] <= 1e-6
         euclid = SimpleAmbient(3, euclidean_metric(3))
         r = 2.0
@@ -104,7 +105,7 @@ def test_criterion_3_gauss_weingarten_reconstruction():
         N = NormalField(sphere, orientation=-1)
         for p in _points(2, 10, seed=29):
             q = Point([0.5 * p.coords[0], 0.5 * p.coords[1]])
-            gw = gauss_weingarten(sphere, N, [q])[0]
+            gw = gauss_weingarten(frame_stack(N, [q], partials=True))[0]
             assert np.max(np.abs(gw.H_h - np.eye(2) / r)) <= 1e-6
 
 
@@ -117,7 +118,8 @@ def test_criterion_4_induced_structure():
             Embedding(2, S3, lambda c: [c[0], c[1], 0.1]),
             Embedding(2, S3, lambda c: [c[0], c[1], (c[0] ** 2 + c[1] ** 2) / 2]),
         ):
-            S = extract_structure(emb, NormalField(emb), nonzero_y)
+            N = NormalField(emb)
+            S = extract_structure(N, frame_stack(N, nonzero_y))
             rep = verify_algebraic_identities(S)
             for r in rep.identities:
                 assert r.residual <= 1e-5, (r.name, r.residual)
@@ -137,8 +139,8 @@ def test_criterion_5_derived_identities_adjudicated():
         conventions = {}
         for name, emb, dim in runs:
             pts = _points(dim, 20, seed=37)
-            S = extract_structure(emb, NormalField(emb), pts)
-            rep = verify_differential_identities(states_at(S, pts, _pair_dirs(dim, seed=41)))
+            rep = verify_differential_identities(states_at(NormalField(emb), pts,
+                                                           _pair_dirs(dim, seed=41)))
             for r in rep.identities:
                 if r.name == "2.18":
                     # tautology of the H_h definition: never premise-pass with
@@ -156,8 +158,8 @@ def test_criterion_5_derived_identities_adjudicated():
         # report is still emitted with intact rows
         emb = runs[0][1]
         pts = _points(2, 10, seed=43)
-        S = extract_structure(emb, NormalField(emb), pts)
-        strict = verify_differential_identities(states_at(S, pts, _pair_dirs(2, seed=41)),
+        strict = verify_differential_identities(states_at(NormalField(emb), pts,
+                                                          _pair_dirs(2, seed=41)),
                                                 strict_paper=True)
         assert len(strict.identities) == 8
         assert all(r.residual > 1e-5 for r in strict.identities if r.name != "2.18")
@@ -184,10 +186,9 @@ def test_criterion_7_scaled_normal_run():
         N = NormalField(emb, scaling=rho)
         pts = _points(2, 20, seed=47)
         for p in pts:
-            gw = gauss_weingarten(emb, N, [p])[0]
+            gw = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
             assert np.max(np.abs(gw.w - np.array([1.0, 1.0]))) <= 1e-6
-        S = extract_structure(emb, N, pts)
-        res = check_theorem_3_4(states_at(S, pts, sample_vectors(2, 4, np.random.default_rng(48))))
+        res = check_theorem_3_4(states_at(N, pts, sample_vectors(2, 4, np.random.default_rng(48))))
         assert res.verdict == "vacuous"
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sasakicheck import InducedStructure, hypersurface, linalg, sasakian
+from sasakicheck import InducedStructure, hypersurface, induced, linalg, sasakian
 from sasakicheck.cli import main
 from sasakicheck.config import CHECK_GROUPS, load_suite_config, resolve_config_path
 from sasakicheck.errors import ConfigError
@@ -328,13 +328,14 @@ def test_cli_nonpositive_normal_scaling_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+SCALED = GOOD.replace("count = 6", "count = 50") + "\n[normal]\nscaling = {}\n"
 DEGENERATE = {
     "map_division_by_zero": GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, 1/(s-s)"),
     "map_rank_deficient": GOOD.replace("outputs = s, t, 0.1", "outputs = s, s, 0.1"),
     "map_overflow": GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, exp(800*s)"),
-    **{f"scaling_{name}": GOOD.replace("count = 6", "count = 50") + f"\n[normal]\nscaling = {text}\n"
-       for name, text in (("nonpositive", "s"), ("overflow", "exp(-800*s)"),
-                          ("ill_conditioned", "exp(700*s)"))},
+    "scaling_nonpositive": SCALED.format("s"),
+    "scaling_overflow": SCALED.format("exp(-800*s)"),
+    "scaling_ill_conditioned": SCALED.format("exp(700*s)"),
 }
 
 
@@ -376,11 +377,12 @@ def test_cli_bad_number_exits_one_without_traceback(tmp_path, body, args):
 def _frame_builds(monkeypatch, config):
     """Run the suite and record the frame stacks it builds (the point
     count of each, split by whether it carries partials), and count
-    Gauss-Weingarten decompositions, ambient axiom batteries, one-point
-    structure bundles and dual eliminations, wherever the engine looks them up."""
+    structure splits, Gauss-Weingarten decompositions, ambient axiom
+    batteries, one-point structure bundles and dual eliminations, wherever
+    the engine looks them up."""
     builds = {"partials": [], "values": []}
-    calls = dict.fromkeys(["gauss_weingarten", "check_sasakian_axioms", "bundle_at",
-                           "values_at", "linalg.det", "linalg.solve_columns"], 0)
+    calls = dict.fromkeys(["_structure_stack", "gauss_weingarten", "check_sasakian_axioms",
+                           "bundle_at", "values_at", "linalg.det", "linalg.solve_columns"], 0)
     frame_stack = hypersurface.frame_stack
 
     def recorded_frame_stack(N, points, partials=False):
@@ -393,7 +395,8 @@ def _frame_builds(monkeypatch, config):
             return fn(*args, **kwargs)
         return wrapper
 
-    functions = {"gauss_weingarten": hypersurface.gauss_weingarten,
+    functions = {"_structure_stack": induced._structure_stack,
+                 "gauss_weingarten": hypersurface.gauss_weingarten,
                  "check_sasakian_axioms": sasakian.check_sasakian_axioms,
                  "linalg.det": linalg.det,
                  "linalg.solve_columns": linalg.solve_columns}
@@ -415,32 +418,35 @@ def test_run_suite_builds_each_point_once(monkeypatch):
     config.checks = list(CHECK_GROUPS)
     config.count = 10
     builds, calls = _frame_builds(monkeypatch, config)
-    # one frame stack with partials serves the Gauss-Weingarten group and
-    # the sample states; extraction adds at most one value-only stack
-    assert builds["partials"] == [10]
-    assert builds["values"] in ([], [10])
-    # the axioms and two_form groups share one ambient axiom battery
-    assert calls == {"gauss_weingarten": 1, "check_sasakian_axioms": 1, "bundle_at": 0,
-                     "values_at": 0, "linalg.det": 0, "linalg.solve_columns": 0}
+    # one frame stack with partials serves the structure split, the
+    # Gauss-Weingarten group and the sample states
+    assert builds == {"partials": [10], "values": []}
+    # the structure is split once; the axioms and two_form groups share
+    # one ambient axiom battery
+    assert calls == {"_structure_stack": 1, "gauss_weingarten": 1, "check_sasakian_axioms": 1,
+                     "bundle_at": 0, "values_at": 0, "linalg.det": 0, "linalg.solve_columns": 0}
 
 
-@pytest.mark.parametrize("checks,gw_per_point", [
-    (["axioms", "structure", "algebraic"], 0.0),
-    (["structure", "algebraic"], 0.0),
-    (["gauss_weingarten"], 1.0),
+VALUES, PARTIALS = {"partials": [], "values": [10]}, {"partials": [10], "values": []}
+
+
+@pytest.mark.parametrize("checks,builds,splits,gws", [
+    (["axioms", "structure", "algebraic"], VALUES, 1, 0),
+    (["structure", "algebraic"], VALUES, 1, 0),
+    (["gauss_weingarten"], PARTIALS, 0, 1),
+    (["structure", "differential"], PARTIALS, 1, 1),
 ])
-def test_per_point_data_built_only_for_groups_that_read_it(monkeypatch, checks, gw_per_point):
+def test_per_point_data_built_only_for_groups_that_read_it(monkeypatch, checks, builds, splits,
+                                                           gws):
     config = load_suite_config(CONFIGS / "plane_r3.cfg")
     config.checks = checks
     config.count = 10
-    builds, calls = _frame_builds(monkeypatch, config)
-    # structure extraction builds one value-only stack of all points
-    assert builds == {"partials": [10] * int(gw_per_point),
-                      "values": [10] if "structure" in checks else []}
-    # extraction does not re-check the report's ambient
-    assert calls == {"gauss_weingarten": int(gw_per_point),
-                     "check_sasakian_axioms": int("axioms" in checks), "bundle_at": 0,
-                     "values_at": 0, "linalg.det": 0, "linalg.solve_columns": 0}
+    # one frame stack of all points, with partials only when a group reads derivatives
+    assert _frame_builds(monkeypatch, config) == (builds, {
+        "_structure_stack": splits, "gauss_weingarten": gws,
+        # extraction does not re-check the report's ambient
+        "check_sasakian_axioms": int("axioms" in checks),
+        "bundle_at": 0, "values_at": 0, "linalg.det": 0, "linalg.solve_columns": 0})
 
 
 @pytest.mark.parametrize("name", ["plane_r3", "quadric_r3", "plane_r5", "quadric_r3_scaled"])

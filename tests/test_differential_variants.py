@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sasakicheck import extract_structure, linalg
+from sasakicheck import linalg
 from sasakicheck.config import load_suite_config
 from sasakicheck.induced import H_TAGS, STRUCTURE_TAGS, verify_differential_identities
 from sasakicheck.runner import GROUPS, _Context
@@ -40,7 +40,7 @@ def _states(surface, count=12, directions=6, seed=23):
     rng = np.random.default_rng(seed)
     pts = sample_points(m, count, (-1.0, 1.0), rng)
     dirs = sample_vectors(m, directions, rng)
-    return states_at(extract_structure(N.embedding, N, pts), pts, dirs)
+    return states_at(N, pts, dirs)
 
 
 def _variants(name):

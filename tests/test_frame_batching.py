@@ -23,6 +23,7 @@ from sasakicheck import (
     Point,
     ScalarField,
     extract_structure,
+    frame_stack,
     gauss_weingarten,
 )
 from sasakicheck.errors import (
@@ -31,7 +32,7 @@ from sasakicheck.errors import (
     NonFiniteValueError,
     RankDeficientError,
 )
-from sasakicheck.hypersurface import h_asymmetry, reconstruction_residuals
+from sasakicheck.hypersurface import reconstruction_residuals, second_fundamental_symmetry
 from sasakicheck.sampling import sample_points, sample_vectors
 
 from conftest import SURFACES, states_at, surface_normal
@@ -62,8 +63,8 @@ def _assert_same_bundle(a, b, where):
 def test_extraction_equals_single_point_extractions(surface, count):
     N = surface_normal(SURFACES[surface])
     pts, _ = _samples(N.embedding.dim, count, seed=count + 3)
-    whole = extract_structure(N.embedding, N, pts)
-    singles = [extract_structure(N.embedding, N, [p]) for p in pts]
+    whole = extract_structure(N, frame_stack(N, pts))
+    singles = [extract_structure(N, frame_stack(N, [p])) for p in pts]
     for key in ("max_u", "tangency_residual", "lambda_consistency"):
         assert getattr(whole, key) == max(getattr(s, key) for s in singles), key
     assert len(whole.stack) == count
@@ -76,11 +77,10 @@ def test_extraction_equals_single_point_extractions(surface, count):
 def test_sample_states_equal_single_point_states(surface, count):
     N = surface_normal(SURFACES[surface])
     pts, dirs = _samples(N.embedding.dim, count, seed=count + 5)
-    S = extract_structure(N.embedding, N, pts)
-    whole = states_at(S, pts, dirs)
+    whole = states_at(N, pts, dirs)
     assert len(whole) == count
     for p, st in zip(pts, whole):
-        one = states_at(S, [p], dirs)[0]
+        one = states_at(N, [p], dirs)[0]
         _assert_same_bundle(st.bundle, one.bundle, p.coords)
         for key in GW_ARRAYS:
             assert _same(getattr(st.gw, key), getattr(one.gw, key)), (p.coords, key)
@@ -93,14 +93,14 @@ def test_sample_states_equal_single_point_states(surface, count):
 def test_stacked_reconstruction_equals_single_point_stacks(surface, count):
     N = surface_normal(SURFACES[surface])
     pts, _ = _samples(N.embedding.dim, count, seed=count + 7)
-    whole = gauss_weingarten(N.embedding, N, pts)
-    singles = [gauss_weingarten(N.embedding, N, [p]) for p in pts]
-    assert all(getattr(whole, f.name).flags.c_contiguous
-               for f in fields(whole) if f.name != "frames")
+    whole = gauss_weingarten(frame_stack(N, pts, partials=True))
+    singles = [gauss_weingarten(frame_stack(N, [p], partials=True)) for p in pts]
+    assert all(getattr(whole, f.name).flags.c_contiguous for f in fields(whole))
     rec = reconstruction_residuals(whole)
     for key in ("gauss", "weingarten"):
         assert rec[key] == max(reconstruction_residuals(s)[key] for s in singles), key
-    assert h_asymmetry(whole) == max(h_asymmetry(s) for s in singles)
+    assert second_fundamental_symmetry(whole) == max(
+        second_fundamental_symmetry(s) for s in singles)
 
 
 def _points(replaced):
@@ -116,8 +116,8 @@ def _raises_naming_first(error, N, pts, first, second):
     naming ``first``, not ``second``."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for build in (lambda: extract_structure(N.embedding, N, pts),
-                      lambda: gauss_weingarten(N.embedding, N, pts)):
+        for build in (lambda: extract_structure(N, frame_stack(N, pts)),
+                      lambda: gauss_weingarten(frame_stack(N, pts, partials=True))):
             with pytest.raises(error) as info:
                 build()
             assert re.search(first, str(info.value)), str(info.value)

@@ -52,7 +52,7 @@ def test_flat_plane_unit_normal(flat_plane):
 
 
 def test_flat_plane_totally_geodesic(flat_plane):
-    gw = gauss_weingarten(flat_plane, NormalField(flat_plane), [P([0.5, 0.5])])[0]
+    gw = gauss_weingarten(frame_stack(NormalField(flat_plane), [P([0.5, 0.5])], partials=True))[0]
     assert np.max(np.abs(gw.h)) == 0.0
     assert np.max(np.abs(gw.H_w)) == 0.0
     assert np.max(np.abs(gw.w)) == 0.0
@@ -71,7 +71,7 @@ def test_sphere_shape_operator_is_curvature_times_identity(euclid3):
         N = NormalField(E, orientation=-1)
         for p in chart_points(2, 6, seed=5):
             q = P([0.5 * p.coords[0], 0.5 * p.coords[1]])  # stay away from poles
-            gw = gauss_weingarten(E, N, [q])[0]
+            gw = gauss_weingarten(frame_stack(N, [q], partials=True))[0]
             np.testing.assert_allclose(gw.H_h, np.eye(2) / r, atol=1e-6)
             np.testing.assert_allclose(gw.h, gw.h.T, atol=1e-12)
             gind = evaluate(induced_metric(E).tensor, q)
@@ -130,7 +130,7 @@ def test_gauss_weingarten_reconstruction(surface, request):
     E = request.getfixturevalue(surface)
     N = NormalField(E)
     for p in chart_points(2, 15, seed=19):
-        rec = reconstruction_residuals(gauss_weingarten(E, N, [p]))
+        rec = reconstruction_residuals(gauss_weingarten(frame_stack(N, [p], partials=True)))
         assert rec["gauss"] < 1e-6
         assert rec["weingarten"] < 1e-6
 
@@ -139,7 +139,7 @@ def test_decomposed_connection_matches_levi_civita(quadric_r3):
     g = induced_metric(quadric_r3)
     N = NormalField(quadric_r3)
     for p in chart_points(2, 10, seed=23):
-        gw = gauss_weingarten(quadric_r3, N, [p])[0]
+        gw = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
         gamma = christoffel(g, p)
         assert np.max(np.abs(gw.induced_gamma - gamma)) < 1e-6
 
@@ -153,7 +153,7 @@ def test_decomposed_connection_metricity(quadric_r3):
     g = induced_metric(quadric_r3)
     N = NormalField(quadric_r3)
     for p in chart_points(2, 8, seed=24):
-        gw = gauss_weingarten(quadric_r3, N, [p])[0]
+        gw = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
         jg = jet(g.tensor, p)
         full = covariant_derivative_components(jg.value, jg.partials, gw.induced_gamma, (0, 2))
         assert np.max(np.abs(full)) < 1e-6
@@ -163,7 +163,7 @@ def test_unit_normal_weingarten_relations(quadric_r3):
     N = NormalField(quadric_r3)
     g = induced_metric(quadric_r3)
     for p in chart_points(2, 10, seed=27):
-        gw = gauss_weingarten(quadric_r3, N, [p])[0]
+        gw = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
         assert np.max(np.abs(gw.w)) < 1e-10
         gv = evaluate(g.tensor, p)
         # metric Weingarten relation g(H_w X, Y) = -h(X, Y)
@@ -179,8 +179,8 @@ def test_scaled_normal_product_rule(quadric_r3):
     N_scaled = NormalField(E, scaling=rho)
     for p in chart_points(2, 8, seed=31):
         r = math.exp(p.coords[0] + p.coords[1])
-        gw_u = gauss_weingarten(E, N_unit, [p])[0]
-        stack_s = gauss_weingarten(E, N_scaled, [p])
+        gw_u = gauss_weingarten(frame_stack(N_unit, [p], partials=True))[0]
+        stack_s = gauss_weingarten(frame_stack(N_scaled, [p], partials=True))
         gw_s = stack_s[0]
         np.testing.assert_allclose(gw_s.w, [1.0, 1.0], atol=1e-6)
         np.testing.assert_allclose(gw_s.h, gw_u.h / r, atol=1e-6)
@@ -194,8 +194,8 @@ def test_orientation_flip_action(quadric_r3):
     N = NormalField(quadric_r3)
     Nf = N.flipped()
     for p in chart_points(2, 6, seed=33):
-        a = gauss_weingarten(quadric_r3, N, [p])[0]
-        b = gauss_weingarten(quadric_r3, Nf, [p])[0]
+        a = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
+        b = gauss_weingarten(frame_stack(Nf, [p], partials=True))[0]
         np.testing.assert_allclose(b.h, -a.h, atol=1e-12)
         np.testing.assert_allclose(b.H_w, -a.H_w, atol=1e-12)
         np.testing.assert_allclose(b.H_h, -a.H_h, atol=1e-12)
@@ -205,8 +205,18 @@ def test_orientation_flip_action(quadric_r3):
 
 def test_second_fundamental_symmetry(quadric_r3, flat_plane):
     pts = chart_points(2, 50, seed=37)
-    assert second_fundamental_symmetry(quadric_r3, NormalField(quadric_r3), pts) < 1e-6
-    assert second_fundamental_symmetry(flat_plane, NormalField(flat_plane), pts) == 0.0
+
+    def asymmetry(E):
+        return second_fundamental_symmetry(gauss_weingarten(frame_stack(NormalField(E), pts,
+                                                                        partials=True)))
+
+    assert asymmetry(quadric_r3) < 1e-6
+    assert asymmetry(flat_plane) == 0.0
+
+
+def test_gauss_weingarten_needs_frame_partials(quadric_r3):
+    with pytest.raises(ValueError, match="partials"):
+        gauss_weingarten(frame_stack(NormalField(quadric_r3), chart_points(2, 3)))
 
 
 def test_rank_deficient_embedding_rejected(euclid3):
@@ -222,7 +232,7 @@ def test_singular_ambient_metric_rejected():
     with pytest.raises(SingularMetricError):
         unit_normal(E, P([0.2, 0.2]))
     with pytest.raises(SingularMetricError):
-        gauss_weingarten(E, NormalField(E), [P([0.2, 0.2])])[0]
+        gauss_weingarten(frame_stack(NormalField(E), [P([0.2, 0.2])], partials=True))[0]
 
 
 def test_wrong_output_arity_rejected(euclid3):

@@ -16,6 +16,7 @@ import pytest
 from sasakicheck import (
     check_theorem_3_4,
     extract_structure,
+    frame_stack,
     parallel_residual,
     verify_algebraic_identities,
 )
@@ -53,9 +54,9 @@ def _assert_combines(whole, singles):
 def test_algebraic_battery_equals_single_point_batteries(surface, count):
     N = surface_normal(SURFACES[surface])
     pts = _points(N.embedding.dim, count, seed=count + 7)
-    S = extract_structure(N.embedding, N, pts)
+    S = extract_structure(N, frame_stack(N, pts))
     _assert_combines(verify_algebraic_identities(S),
-                     [verify_algebraic_identities(extract_structure(N.embedding, N, [p]))
+                     [verify_algebraic_identities(extract_structure(N, frame_stack(N, [p])))
                       for p in pts])
 
 
@@ -117,7 +118,7 @@ def test_chart_theorems_equal_single_state_checks(surface, count, variant, sign)
     rng = np.random.default_rng(count + 13)
     pts = sample_points(m, count, (-1.0, 1.0), rng)
     dirs = sample_vectors(m, 10, rng)
-    states = _edited(states_at(extract_structure(N.embedding, N, pts), pts, dirs), variant)
+    states = _edited(states_at(N, pts, dirs), variant)
     ones = [states[i:i + 1] for i in range(count)]
 
     for field in ("phi", "U", "V"):
@@ -186,7 +187,7 @@ def _loop_structure_residuals(bundles):
 def test_algebraic_battery_equals_per_point_loop(surface):
     N = surface_normal(SURFACES[surface])
     pts = _points(N.embedding.dim, 50, seed=17)
-    S = extract_structure(N.embedding, N, pts)
+    S = extract_structure(N, frame_stack(N, pts))
     want = _loop_structure_residuals(S.stack)
     rep = verify_algebraic_identities(S)
     assert {k: v for r in rep.identities for k, v in r.details.items()} == want
@@ -231,8 +232,7 @@ def test_chart_theorems_equal_per_sample_loops(surface, variant, sign):
     m = N.embedding.dim
     rng = np.random.default_rng(19)
     pts = sample_points(m, 12, (-1.0, 1.0), rng)
-    states = _edited(states_at(extract_structure(N.embedding, N, pts), pts,
-                               sample_vectors(m, 6, rng)), variant)
+    states = _edited(states_at(N, pts, sample_vectors(m, 6, rng)), variant)
     want = _loop_conclusions(states, sign)
     got = {**theorem_3_1_chart(states, structure_sign=sign).conclusion_residuals,
            **theorem_3_2_chart(states, structure_sign=sign).conclusion_residuals,

@@ -28,8 +28,10 @@ from sasakicheck import (
     ScalarField,
     TensorField,
     extract_structure,
+    frame_stack,
     gauss_weingarten,
     linalg,
+    sample_states,
     verify_algebraic_identities,
     verify_differential_identities,
 )
@@ -45,13 +47,14 @@ def _pair_dirs(dim, count=5, seed=11):
 
 
 def _differential(S, pts, **kwargs):
-    return verify_differential_identities(states_at(S, pts, _pair_dirs(S.dim)), **kwargs)
+    return verify_differential_identities(states_at(S.normal, pts, _pair_dirs(S.dim)), **kwargs)
 
 
 @pytest.fixture()
 def plane_structure(plane_r3):
     pts = chart_points(2, 20, seed=41)
-    return extract_structure(plane_r3, NormalField(plane_r3), pts)
+    N = NormalField(plane_r3)
+    return extract_structure(N, frame_stack(N, pts))
 
 
 def plane_oracle(t):
@@ -79,8 +82,8 @@ def test_extraction_matches_frozen_plane_oracle(plane_structure):
         np.testing.assert_allclose(bd.U, want["U"], atol=1e-12)
         np.testing.assert_allclose(bd.v, want["v"], atol=1e-12)
         np.testing.assert_allclose(bd.V, want["V"], atol=1e-12)
-        np.testing.assert_allclose(gauss_weingarten(S.embedding, S.normal, [p])[0].h, want["h"],
-                                   atol=1e-12)
+        gw = gauss_weingarten(frame_stack(S.normal, [p], partials=True))[0]
+        np.testing.assert_allclose(gw.h, want["h"], atol=1e-12)
 
 
 def test_phi_n_tangency_enforced(plane_structure):
@@ -108,7 +111,8 @@ def test_invariance_detector_on_synthetic_structure():
         g=MetricField(TensorField((0, 2), 3, lambda c: eye)),
     )
     E = Embedding(2, amb, lambda c: [c[0], c[1], 0.0])
-    S = extract_structure(E, NormalField(E), chart_points(2, 10), require_sasakian=False)
+    N = NormalField(E)
+    S = extract_structure(N, frame_stack(N, chart_points(2, 10)), require_sasakian=False)
     assert not S.noninvariant
     assert S.max_u <= 1e-12
 
@@ -120,8 +124,20 @@ def test_extraction_rejects_ill_conditioned_frame(plane_r3):
 
     rho = ScalarField(2, lambda c: 1e-13)
     with pytest.raises(IllConditionedFrameError):
-        extract_structure(plane_r3, NormalField(plane_r3, scaling=rho),
-                          chart_points(2, 3), require_sasakian=False)
+        N = NormalField(plane_r3, scaling=rho)
+        extract_structure(N, frame_stack(N, chart_points(2, 3)), require_sasakian=False)
+
+
+def test_sample_states_need_the_partials_split_of_the_same_points(quadric_r3):
+    N = NormalField(quadric_r3)
+    pts, dirs = chart_points(2, 6, seed=61), chart_vectors(2, 4)
+    fs = frame_stack(N, pts, partials=True)
+    gw = gauss_weingarten(fs)
+    with pytest.raises(ValueError, match="partials"):
+        sample_states(extract_structure(N, frame_stack(N, pts)), dirs, gw)
+    with pytest.raises(ValueError, match="structure at 4 points, Gauss-Weingarten data at 6"):
+        sample_states(extract_structure(N, frame_stack(N, pts[:4], partials=True)), dirs, gw)
+    assert len(sample_states(extract_structure(N, fs), dirs, gw)) == 6
 
 
 def test_extraction_rejects_non_sasakian_ambient():
@@ -135,14 +151,16 @@ def test_extraction_rejects_non_sasakian_ambient():
     )
     E = Embedding(2, amb, lambda c: [c[0], c[1], 0.0])
     with pytest.raises(TangencyError, match="axiom battery"):
-        extract_structure(E, NormalField(E), chart_points(2, 5))
+        N = NormalField(E)
+        extract_structure(N, frame_stack(N, chart_points(2, 5)))
 
 
 @pytest.mark.parametrize("surface", ["plane_r3", "quadric_r3"])
 def test_algebraic_identities_on_canonical_surfaces(surface, request):
     E = request.getfixturevalue(surface)
     pts = chart_points(2, 30, seed=43)
-    S = extract_structure(E, NormalField(E), pts)
+    N = NormalField(E)
+    S = extract_structure(N, frame_stack(N, pts))
     rep = verify_algebraic_identities(S)
     for r in rep.identities:
         assert r.residual <= 1e-8, (r.name, r.residual)
@@ -157,7 +175,8 @@ def test_specific_algebraic_values_on_plane(plane_structure):
 
 
 def test_gauge_families_agree_for_unit_normal(plane_r3):
-    S = extract_structure(plane_r3, NormalField(plane_r3), chart_points(2, 20, seed=47))
+    N = NormalField(plane_r3)
+    S = extract_structure(N, frame_stack(N, chart_points(2, 20, seed=47)))
     rep = verify_algebraic_identities(S)
     r25 = by_name(rep, "2.5")
     r28 = by_name(rep, "2.8")
@@ -174,8 +193,8 @@ def test_v_equals_metric_dual_of_V(plane_structure):
 def test_orientation_flip_covariance(plane_r3):
     pts = chart_points(2, 10, seed=53)
     N = NormalField(plane_r3)
-    S = extract_structure(plane_r3, N, pts)
-    Sf = extract_structure(plane_r3, N.flipped(), pts)
+    S = extract_structure(N, frame_stack(N, pts))
+    Sf = extract_structure(N.flipped(), frame_stack(N.flipped(), pts))
     for p in pts[:5]:
         a, b = S.values_at(p), Sf.values_at(p)
         np.testing.assert_allclose(b.u, -a.u, atol=1e-12)
@@ -195,7 +214,8 @@ def test_differential_identities_adjudicate_consistently(surface, n, request):
     E = request.getfixturevalue(surface)
     dim = 2 * n
     pts = chart_points(dim, 15, seed=59)
-    S = extract_structure(E, NormalField(E), pts)
+    N = NormalField(E)
+    S = extract_structure(N, frame_stack(N, pts))
     rep = _differential(S, pts)
     assert rep.structure_sign == "phi-flipped"
     expected = {
@@ -252,7 +272,8 @@ def test_v_HY_is_measured_not_assumed(plane_structure):
 def test_scaled_normal_refutes_unit_gauge_identities(quadric_r3):
     rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
     pts = chart_points(2, 12, seed=79)
-    S = extract_structure(quadric_r3, NormalField(quadric_r3, scaling=rho), pts)
+    N = NormalField(quadric_r3, scaling=rho)
+    S = extract_structure(N, frame_stack(N, pts))
     alg = verify_algebraic_identities(S)
     # rho^2 factors break the unit-normal forms of (2.6) to (2.8)
     assert by_name(alg, "2.6").residual > 1e-2

@@ -21,6 +21,7 @@ from sasakicheck import (
     christoffel,
     extract_structure,
     fd_derivative,
+    frame_stack,
     gauss_weingarten,
 )
 from sasakicheck.dual import cos, exp, sin
@@ -61,7 +62,7 @@ SURFACES = ["plane_r3", "quadric_r3", "quadric_r3_scaled", "plane_r5"]
 def test_bundle_partials_match_finite_differences(surface, request):
     N = _normal(surface, request)
     pts = chart_points(N.embedding.dim, POINTS, seed=83)
-    S = extract_structure(N.embedding, N, pts)
+    S = extract_structure(N, frame_stack(N, pts))
     for p in pts:
         bd = S.bundle_at(p)
         for partial, name in PARTIALS.items():
@@ -79,7 +80,7 @@ def _fd_normal(N, p):
 def _check_normal_partials(N, pts):
     E = N.embedding
     for p in pts:
-        gw = gauss_weingarten(E, N, [p])[0]
+        gw = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
         gamma = christoffel(E.ambient_metric, E.point_image(p))
         dN = gw.DN - np.einsum("ijk,ja,k->ia", gamma, gw.jacobian, gw.normal)
         err = float(np.max(np.abs(dN.T - _fd_normal(N, p))))

@@ -11,6 +11,7 @@ from sasakicheck import (
     check_theorem_3_3,
     check_theorem_3_4,
     extract_structure,
+    frame_stack,
     gauss_weingarten,
     make_pointwise_model,
     parallel_residual,
@@ -32,7 +33,8 @@ from conftest import chart_points, chart_vectors, euclidean_metric, states_at
 @pytest.fixture()
 def plane_structure(plane_r3):
     pts = chart_points(2, 12, seed=83)
-    return extract_structure(plane_r3, NormalField(plane_r3), pts)
+    N = NormalField(plane_r3)
+    return extract_structure(N, frame_stack(N, pts))
 
 
 def test_parallel_residual_rejects_unknown_field(plane_structure):
@@ -58,7 +60,7 @@ def test_constant_field_on_flat_chart_is_parallel():
 def test_V_not_parallel_on_plane(plane_structure):
     pts = chart_points(2, 10, seed=89)
     dirs = chart_vectors(2, 4, seed=90)
-    assert parallel_residual(states_at(plane_structure, pts, dirs), "V") > 1e-3
+    assert parallel_residual(states_at(plane_structure.normal, pts, dirs), "V") > 1e-3
 
 
 def test_nabla_V_matches_adjudicated_identity(plane_structure):
@@ -67,7 +69,7 @@ def test_nabla_V_matches_adjudicated_identity(plane_structure):
     pts = chart_points(2, 8, seed=91)
     for p in pts:
         bd = plane_structure.bundle_at(p)
-        gw = gauss_weingarten(plane_structure.embedding, plane_structure.normal, [p])[0]
+        gw = gauss_weingarten(frame_stack(plane_structure.normal, [p], partials=True))[0]
         covV = bd.dV + np.einsum("aij,j->ia", bd.gamma, bd.V)
         for Y in chart_vectors(2, 3, seed=92):
             direct = np.einsum("i,ia->a", Y, covV)
@@ -123,7 +125,7 @@ def test_theorem_3_3_lambda_zero_excluded():
 
 
 def test_theorem_3_3_chart_vacuous_generically(plane_structure):
-    res = theorem_3_3_chart(states_at(plane_structure, chart_points(2, 8, seed=93),
+    res = theorem_3_3_chart(states_at(plane_structure.normal, chart_points(2, 8, seed=93),
                                       chart_vectors(2, 4, seed=94)))
     assert res.verdict == "vacuous"
 
@@ -173,7 +175,7 @@ def test_theorem_3_1_model_lambda_zero_flags_35_exclusion():
 
 
 def test_theorem_3_1_chart_vacuous(plane_structure):
-    res = theorem_3_1_chart(states_at(plane_structure, chart_points(2, 8, seed=95),
+    res = theorem_3_1_chart(states_at(plane_structure.normal, chart_points(2, 8, seed=95),
                                       chart_vectors(2, 4, seed=96)), structure_sign=-1.0)
     assert res.verdict == "vacuous"
     assert res.hypothesis_residual > 1e-3
@@ -200,15 +202,14 @@ def test_theorem_3_2_lambda_zero_branch():
 
 
 def test_theorem_3_2_chart_vacuous(plane_structure):
-    res = theorem_3_2_chart(states_at(plane_structure, chart_points(2, 8, seed=97),
+    res = theorem_3_2_chart(states_at(plane_structure.normal, chart_points(2, 8, seed=97),
                                       chart_vectors(2, 4, seed=98)), structure_sign=-1.0)
     assert res.verdict == "vacuous"
 
 
 def test_theorem_3_4_chart_vacuous_on_quadric(quadric_r3):
     pts = chart_points(2, 10, seed=99)
-    S = extract_structure(quadric_r3, NormalField(quadric_r3), pts)
-    res = check_theorem_3_4(states_at(S, pts, chart_vectors(2, 4, seed=100)),
+    res = check_theorem_3_4(states_at(NormalField(quadric_r3), pts, chart_vectors(2, 4, seed=100)),
                             structure_sign=-1.0)
     assert res.verdict == "vacuous"
 
@@ -216,9 +217,9 @@ def test_theorem_3_4_chart_vacuous_on_quadric(quadric_r3):
 def test_theorem_3_4_scaled_normal_w_is_dlog_rho(quadric_r3):
     rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
     pts = chart_points(2, 8, seed=103)
-    S = extract_structure(quadric_r3, NormalField(quadric_r3, scaling=rho), pts)
+    N = NormalField(quadric_r3, scaling=rho)
     for p in pts:
-        gw = gauss_weingarten(S.embedding, S.normal, [p])[0]
+        gw = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
         np.testing.assert_allclose(gw.w, [1.0, 1.0], atol=1e-6)
 
 
@@ -244,8 +245,8 @@ def test_verdicts_stable_under_direction_scaling(plane_structure):
     vecs = chart_vectors(2, 10, seed=108)
     # pairs are (vecs[0], vecs[1]), (vecs[2], vecs[3]), ...; scale X and Y differently
     scaled = [(17.0 if k % 2 == 0 else 0.03) * v for k, v in enumerate(vecs)]
-    a = verify_differential_identities(states_at(plane_structure, pts, vecs))
-    b = verify_differential_identities(states_at(plane_structure, pts, scaled))
+    a = verify_differential_identities(states_at(plane_structure.normal, pts, vecs))
+    b = verify_differential_identities(states_at(plane_structure.normal, pts, scaled))
     for x, y in zip(a.identities, b.identities):
         assert x.residual == pytest.approx(y.residual, abs=1e-10)
         assert x.convention == y.convention
