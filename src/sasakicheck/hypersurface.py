@@ -131,7 +131,8 @@ def _column(value):
 
 @dataclass(frozen=True, slots=True)
 class FrameStack:
-    """The tangent-plus-normal frame A = [B | N] at P chart points.
+    """The tangent-plus-normal frame A = [B | N] at P chart points, built
+    from the normal field ``normal_field``.
 
     Every array has the point axis first.  ``images`` holds b(p),
     ``metric`` the ambient metric there and ``normal`` the effective
@@ -141,6 +142,7 @@ class FrameStack:
     ``gamma``) are None on a value-only stack.
     """
 
+    normal_field: NormalField
     points: PointStack
     images: PointStack
     jacobian: np.ndarray
@@ -245,8 +247,8 @@ def frame_stack(N: NormalField, points: Sequence[Point], partials: bool = False)
         dnvec = jt.partials[:, :, None] * n[:, None, :] + rho[:, None, None] * dn if partials else None
     frame = np.concatenate([B, nvec[:, :, None]], axis=2)
     linalg.check_condition(frame, chart, FRAME_CONDITION_LIMIT, what="tangent-normal frame")
-    return FrameStack(points=chart, images=images, jacobian=B, metric=G, normal=nvec,
-                      frame=frame, dnormal=dnvec, **first_order)
+    return FrameStack(normal_field=N, points=chart, images=images, jacobian=B, metric=G,
+                      normal=nvec, frame=frame, dnormal=dnvec, **first_order)
 
 
 def unit_normal(E: Embedding, p: Point, orientation: int = 1) -> np.ndarray:

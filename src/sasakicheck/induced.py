@@ -178,7 +178,8 @@ def extract_structure(
     N: NormalField, fs: FrameStack, require_sasakian: bool = True
 ) -> InducedStructure:
     """Build the induced structure of ``N`` on its frame stack ``fs`` and
-    validate the decomposition.
+    validate the decomposition.  A stack built from another normal field
+    raises ``ValueError``.
 
     Checks, at every point of the stack, that phi~N has no normal component
     (raising :class:`TangencyError` otherwise, naming the first such
@@ -194,6 +195,8 @@ def extract_structure(
     axioms the ``axioms`` and ``two_form`` groups measure on the
     report's own samples.
     """
+    if fs.normal_field != N:
+        raise ValueError("the frame stack was built from another normal field")
     E = N.embedding
     if require_sasakian:
         rep = check_sasakian_axioms(E.ambient, [Point(b) for b in fs.images.coords[:8]])

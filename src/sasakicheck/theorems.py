@@ -8,13 +8,21 @@ holds; on generic hypersurfaces that never happens and the verdict is
 builds exact pointwise linear-algebra data satisfying the algebraic
 structure identities, imposes the hypothesis algebraically, and
 measures the conclusions to machine precision.
+
+A report's models are one stack (:func:`make_pointwise_model` with an
+array of lambdas): one block of normal draws, one stacked QR and
+orientation determinant, stacked products for the model data.  The
+structure identities and Theorem 3.3 read the stack; Theorem 3.2 solves
+for w once per draw, on views into it.  Each stacked step is the
+one-model step elementwise or per matrix, so the stack holds the bits
+of one-model calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from operator import attrgetter
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -232,13 +240,17 @@ def check_theorem_3_4(
 
 @dataclass(frozen=True)
 class PointwiseModel:
-    """Exact induced data at one abstract point.
+    """Exact induced data at one abstract point, or at a stack of them.
 
     Built inside a flat linear ambient: identity metric on R^(2n+1),
     block rotation as phi~, the last basis vector as xi, a unit normal
     with eta(N) = lambda, and the orthogonal complement as the tangent
     space.  The decomposition is solved exactly, so the algebraic
     structure identities hold to machine precision.
+
+    On a stack ``lam`` is a (D,) array and every other array carries the
+    draw axis first; ``len`` counts the draws and ``model[i]`` is draw i,
+    with array views and ``lam`` as a Python float.
     """
 
     n: int
@@ -250,10 +262,28 @@ class PointwiseModel:
     U: np.ndarray
     V: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.lam)
 
-def make_pointwise_model(n: int, lam: float, rng) -> PointwiseModel:
-    if not (-1.0 < lam < 1.0):
+    def __getitem__(self, index) -> "PointwiseModel":
+        lam = self.lam[index]
+        return PointwiseModel(self.n, lam.item() if lam.ndim == 0 else lam,
+                              *(getattr(self, f.name)[index] for f in fields(self)[2:]))
+
+
+def make_pointwise_model(n: int, lam, rng) -> PointwiseModel:
+    """The model of lambda ``lam``, or with a 1-D array of D lambdas their
+    D models as one stack.
+
+    Each draw takes its normal direction and then its frame columns from
+    ``rng``, so a stack holds what D one-model calls in turn would build,
+    bit for bit, and leaves ``rng`` in the same state.  Every lambda must
+    lie in (-1, 1).
+    """
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1 or not np.all((-1.0 < lams) & (lams < 1.0)):
         raise ValueError("lambda must lie in (-1, 1) for a noninvariant model")
+    lams = lams.reshape(-1)
     d = 2 * n + 1
     m = 2 * n
     phi_amb = np.zeros((d, d))
@@ -262,33 +292,37 @@ def make_pointwise_model(n: int, lam: float, rng) -> PointwiseModel:
     xi = np.zeros(d)
     xi[-1] = 1.0
 
-    nu = rng.normal(size=m)
-    nu /= np.linalg.norm(nu)
-    N = np.concatenate([np.sqrt(1.0 - lam * lam) * nu, [lam]])
+    draws = rng.normal(size=(len(lams), m + d * m))
+    # one BLAS dot per draw, as np.linalg.norm takes it; a stacked sum rounds differently
+    nu = draws[:, :m] / np.sqrt([x.dot(x) for x in draws[:, :m]])[:, None]
+    N = np.concatenate([np.sqrt(1.0 - lams * lams)[:, None] * nu, lams[:, None]], axis=1)
 
-    # orthonormal tangent frame spanning the complement of N
-    A = np.column_stack([N, rng.normal(size=(d, m))])
+    # orthonormal tangent frames spanning the complements of N, oriented by [B | N]
+    A = np.concatenate([N[:, :, None], draws[:, m:].reshape(-1, d, m)], axis=2)
     Q, _ = np.linalg.qr(A)
-    B = Q[:, 1:]
-    if np.linalg.det(np.column_stack([B, N])) < 0:
-        B = B.copy()
-        B[:, 0] = -B[:, 0]
+    flip = np.linalg.det(np.concatenate([Q[:, :, 1:], N[:, :, None]], axis=2)) < 0
+    Q[flip, :, 1] = -Q[flip, :, 1]
+    B = Q[:, :, 1:]
+    Bt, Nc = B.mT, N[:, :, None]
 
-    phi = B.T @ phi_amb @ B
-    u = (phi_amb @ B).T @ N
-    U = -B.T @ (phi_amb @ N)
-    V = B.T @ xi
-    v = B.T @ np.concatenate([np.zeros(m), [1.0]])
-    g = B.T @ B
-    return PointwiseModel(n=n, lam=lam, g=g, phi=phi, u=u, v=v, U=U, V=V)
+    phi = Bt @ phi_amb @ B
+    u = ((phi_amb @ B).mT @ Nc)[..., 0]
+    U = (-Bt @ (phi_amb @ Nc))[..., 0]
+    V = v = Bt @ xi
+    g = Bt @ B
+    models = PointwiseModel(n=n, lam=lams, g=g, phi=phi, u=u, v=v, U=U, V=V)
+    return models if np.ndim(lam) else models[0]
 
 
-def model_structure_residuals(models: Sequence[PointwiseModel]) -> Dict[str, float]:
+def model_structure_residuals(models) -> Dict[str, float]:
     """Largest residual of each algebraic structure identity (2.6)-(2.8)
-    over models of one dimension, evaluated on their stacked data."""
-    phi, u, U, V, v, lam, g = (np.stack([getattr(md, k) for md in models])
-                               for k in ("phi", "u", "U", "V", "v", "lam", "g"))
-    res = structure_residuals(phi, u, U, V, v, lam, g, eta_n=lam)
+    over a stack of models, or over a sequence of models of one dimension
+    stacked here; a draw whose residual is NaN is passed over."""
+    if not isinstance(models, PointwiseModel):
+        models = PointwiseModel(models[0].n, *(np.stack([getattr(md, f.name) for md in models])
+                                               for f in fields(PointwiseModel)[1:]))
+    res = structure_residuals(models.phi, models.u, models.U, models.V, models.v, models.lam,
+                              models.g, eta_n=models.lam)
     return {k: r for k, r in res.items() if not k.startswith("2.5")}
 
 
@@ -433,26 +467,36 @@ def check_theorem_3_2(
 
 def check_theorem_3_3(model: PointwiseModel, tol: float = MODEL_TOL) -> ImplicationCheckResult:
     """V parallel forces h = 0: H = -phi/lambda makes g(HX, Y) antisymmetric,
-    and a symmetric second fundamental form equal to it must vanish."""
-    if abs(model.lam) < LAMBDA_FLOOR:
+    and a symmetric second fundamental form equal to it must vanish.
+
+    On a stack of models the draws with |lambda| < LAMBDA_FLOOR are
+    excluded, and ``max_h`` is the largest over the others, passing over
+    a NaN draw as :func:`linalg.worst` does."""
+    lam = np.asarray(model.lam)
+    kept = ~(np.abs(lam) < LAMBDA_FLOOR)  # one model is a stack of one here
+    used = int(np.count_nonzero(kept))
+    excluded = kept.size - used if lam.ndim else 0
+    if used == 0:
         return ImplicationCheckResult(
             name="theorem_3_3_model",
             hypothesis_residual=np.inf,
             conclusion_residuals={},
             verdict="vacuous",
             notes=["lambda = 0 excluded (hypothesis divides by lambda)"],
+            samples_excluded=excluded,
         )
-    H = -model.phi / model.lam
-    hmat = H.T @ model.g
-    forced_h = 0.5 * float(np.max(np.abs(hmat + hmat.T)))
-    concl = {"max_h": forced_h}
+    H = -model.phi[kept] / lam[kept][:, None, None]
+    hmat = H.mT @ model.g[kept]
+    forced = 0.5 * np.max(np.abs(hmat + hmat.mT), axis=(1, 2))
+    forced_h = linalg.worst(forced) if lam.ndim else float(forced[0])
     return ImplicationCheckResult(
         name="theorem_3_3_model",
         hypothesis_residual=0.0,
-        conclusion_residuals=concl,
+        conclusion_residuals={"max_h": forced_h},
         verdict="confirmed" if forced_h <= tol else "refuted",
         convention="H = -phi/lambda",
-        samples_used=1,
+        samples_used=used,
+        samples_excluded=excluded,
     )
 
 

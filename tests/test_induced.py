@@ -140,6 +140,20 @@ def test_sample_states_need_the_partials_split_of_the_same_points(quadric_r3):
     assert len(sample_states(extract_structure(N, fs), dirs, gw)) == 6
 
 
+def test_extraction_rejects_the_frame_stack_of_another_normal_field(quadric_r3, plane_r3):
+    N = NormalField(quadric_r3)
+    pts = chart_points(2, 6, seed=61)
+    fs = frame_stack(N, pts)
+    rho = ScalarField(2, lambda c: exp(c[0]))
+    # the flipped field would split with lambda of the other sign than its own fields
+    for other in (N.flipped(), NormalField(quadric_r3, rho), NormalField(plane_r3)):
+        with pytest.raises(ValueError, match="another normal field"):
+            extract_structure(other, fs)
+    # an equal field built separately owns the stack
+    S = extract_structure(NormalField(quadric_r3), fs)
+    assert S.stack.lam[0] == pytest.approx(S.values_at(pts[0]).lam, abs=1e-14)
+
+
 def test_extraction_rejects_non_sasakian_ambient():
     eye = np.eye(3).tolist()
     amb = AlmostContactMetricStructure(

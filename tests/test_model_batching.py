@@ -1,12 +1,17 @@
-"""The models group against one-model public calls, bit for bit.
+"""Stacked exact models against one-model calls, bit for bit.
 
 A report checks the exact pointwise models of ``theorems.py`` on
-``runner.MODEL_DRAWS`` draws from its ``models`` generator.  The rows it
-reports must equal a reference built here the plain way: one
-``make_pointwise_model``, ``check_theorem_3_3`` and ``check_theorem_3_2``
-call per draw, running maxima that pass over NaN, and one
-``model_structure_residuals`` call over the list of models.
+``runner.MODEL_DRAWS`` draws from its ``models`` generator, built as one
+stack.  The rows it reports must equal a reference built here the plain
+way: one ``make_pointwise_model``, ``check_theorem_3_3`` and
+``check_theorem_3_2`` call per draw, running maxima that pass over NaN,
+and one ``model_structure_residuals`` call over the list of models.  The
+stacked construction itself is held to ``_loop_model``, the one-model
+construction as it stood before the stack.
 """
+
+import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,7 +20,13 @@ from sasakicheck import check_theorem_3_2, check_theorem_3_3, make_pointwise_mod
 from sasakicheck.config import load_suite_config
 from sasakicheck.runner import MODEL_DRAWS, run_suite
 from sasakicheck.sampling import spawn_rngs
-from sasakicheck.theorems import MODEL_CONCLUSION_TOL, MODEL_TOL, model_structure_residuals
+from sasakicheck.theorems import (
+    LAMBDA_FLOOR,
+    MODEL_CONCLUSION_TOL,
+    MODEL_TOL,
+    PointwiseModel,
+    model_structure_residuals,
+)
 
 from conftest import SURFACES
 
@@ -52,3 +63,119 @@ def test_model_rows_equal_per_draw_calls(n, seed):
     for name, residual in _reference_rows(n, seed).items():
         assert rows[name].max_residual == residual, name
         assert rows[name].samples_used == MODEL_DRAWS
+
+
+def _loop_model(n, lam, rng):
+    """The one-model construction, one draw at a time, as the oracle."""
+    d, m = 2 * n + 1, 2 * n
+    phi_amb = np.zeros((d, d))
+    phi_amb[:n, n:m] = -np.eye(n)
+    phi_amb[n:m, :n] = np.eye(n)
+    xi = np.zeros(d)
+    xi[-1] = 1.0
+    nu = rng.normal(size=m)
+    nu /= np.linalg.norm(nu)
+    N = np.concatenate([np.sqrt(1.0 - lam * lam) * nu, [lam]])
+    Q, _ = np.linalg.qr(np.column_stack([N, rng.normal(size=(d, m))]))
+    B = Q[:, 1:]
+    if np.linalg.det(np.column_stack([B, N])) < 0:
+        B = B.copy()
+        B[:, 0] = -B[:, 0]
+    return PointwiseModel(n=n, lam=lam, g=B.T @ B, phi=B.T @ phi_amb @ B,
+                          u=(phi_amb @ B).T @ N, v=B.T @ np.concatenate([np.zeros(m), [1.0]]),
+                          U=-B.T @ (phi_amb @ N), V=B.T @ xi)
+
+
+def _bits(model):
+    return [np.asarray(getattr(model, f.name)).tobytes() for f in dataclasses.fields(model)[1:]]
+
+
+def _running_max(values):
+    """max(worst, r) over the values from 0.0, as the per-draw loop took it."""
+    return reduce(max, values, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_models_equal_one_model_calls_bit_for_bit(n, seed):
+    lams = np.random.default_rng(seed).uniform(-0.99, 0.99, size=100)
+    stacked_rng, loop_rng, single_rng = (np.random.default_rng(1000 + seed) for _ in range(3))
+    stack = make_pointwise_model(n, lams, stacked_rng)
+    assert len(stack) == len(lams) and stack.lam.tobytes() == lams.tobytes()
+    for i, lam in enumerate(lams.tolist()):
+        oracle = _loop_model(n, lam, loop_rng)
+        single = make_pointwise_model(n, lam, single_rng)
+        assert type(stack[i].lam) is float and stack[i].n == n
+        assert _bits(stack[i]) == _bits(oracle) == _bits(single)
+    # the stack drew exactly what the one-model calls drew
+    assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+    assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, -7.0, np.inf, -np.inf, np.nan])
+def test_model_rejects_lambda_outside_open_interval(bad):
+    rng = np.random.default_rng(5)
+    for lam in (bad, np.array([0.5, bad, -0.2]), np.array([bad])):
+        with pytest.raises(ValueError, match=r"lambda must lie in \(-1, 1\)"):
+            make_pointwise_model(2, lam, rng)
+
+
+def _with_nan_draw(stack, index, field):
+    values = getattr(stack, field).copy()
+    values[index] = np.nan
+    return dataclasses.replace(stack, **{field: values})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_theorem_3_3_is_the_running_max_of_one_model_calls(n):
+    stack = make_pointwise_model(n, np.random.default_rng(n).uniform(0.1, 0.9, size=60),
+                                 np.random.default_rng(10 + n))
+    for models in (stack, _with_nan_draw(stack, 7, "phi"), _with_nan_draw(stack, 0, "g")):
+        singles = [check_theorem_3_3(models[i]) for i in range(len(models))]
+        whole = check_theorem_3_3(models)
+        assert whole.conclusion_residuals["max_h"] == _running_max(
+            r.conclusion_residuals["max_h"] for r in singles)
+        assert whole.verdict == "confirmed"
+        assert (whole.samples_used, whole.samples_excluded) == (60, 0)
+    # a one-model call still reports its own NaN
+    nan_one = check_theorem_3_3(_with_nan_draw(stack, 7, "phi")[7])
+    assert np.isnan(nan_one.conclusion_residuals["max_h"]) and nan_one.verdict == "refuted"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_structure_residuals_are_the_running_max_of_one_model_calls(n):
+    stack = make_pointwise_model(n, np.random.default_rng(n).uniform(-0.9, 0.9, size=40),
+                                 np.random.default_rng(20 + n))
+    for models in (stack, _with_nan_draw(stack, 3, "u"), _with_nan_draw(stack, 0, "lam")):
+        whole = model_structure_residuals(models)
+        singles = [model_structure_residuals([models[i]]) for i in range(len(models))]
+        assert whole == {k: _running_max(s[k] for s in singles) for k in whole}
+        assert whole == model_structure_residuals(list(models))
+
+
+def test_theorem_3_3_stack_excludes_draws_below_the_lambda_floor():
+    rng = np.random.default_rng(8)
+    lams = np.array([0.5, -LAMBDA_FLOOR / 2, -0.3, 0.0, 0.7])
+    stack = make_pointwise_model(2, lams, rng)
+    whole = check_theorem_3_3(stack)
+    kept = [check_theorem_3_3(stack[i]) for i in (0, 2, 4)]
+    assert whole.conclusion_residuals["max_h"] == _running_max(
+        r.conclusion_residuals["max_h"] for r in kept)
+    assert (whole.verdict, whole.samples_used, whole.samples_excluded) == ("confirmed", 3, 2)
+    none_left = check_theorem_3_3(stack[1:4:2])
+    assert (none_left.verdict, none_left.hypothesis_residual, none_left.conclusion_residuals,
+            none_left.samples_used, none_left.samples_excluded) == ("vacuous", np.inf, {}, 0, 2)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-9, -5e-7])
+def test_one_model_lambda_floor_branches_unchanged(lam):
+    model = make_pointwise_model(1, lam, np.random.default_rng(3))
+    r33 = check_theorem_3_3(model)
+    assert (r33.verdict, r33.hypothesis_residual, r33.conclusion_residuals,
+            r33.samples_used, r33.samples_excluded) == ("vacuous", np.inf, {}, 0, 0)
+    assert r33.notes == ["lambda = 0 excluded (hypothesis divides by lambda)"]
+    rng = np.random.default_rng(4)
+    r32 = check_theorem_3_2(model, rng=rng)
+    assert r32.convention == "w = 0, lambda = 0 branch" and r32.conclusion_residuals["3.7"] == 0.0
+    # that branch draws its kernel map from the caller's generator
+    assert rng.bit_generator.state != np.random.default_rng(4).bit_generator.state
