@@ -254,7 +254,7 @@ class PointwiseModel:
     """
 
     n: int
-    lam: float
+    lam: float  # a (D,) array on a stack
     g: np.ndarray
     phi: np.ndarray
     u: np.ndarray
