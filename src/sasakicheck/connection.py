@@ -29,24 +29,22 @@ class MetricField:
 def christoffel(metric: MetricField, p: Point) -> np.ndarray:
     """Gamma[k, i, j] = Gamma^k_ij at p, from a dual-number jet of the metric."""
     jt = jet(metric.tensor, p)
-    require_nonsingular(jt.value[None], [p])
+    require_nonsingular(jt.value[None], PointStack([p.coords]))
     return levi_civita_gamma(jt.value, jt.partials)
 
 
 def christoffel_stack(metric: MetricField, stack: PointStack) -> np.ndarray:
     """Gamma[p, k, i, j] at every point of a stack, from one stacked metric jet."""
     jt = jet_stack(metric.tensor, stack)
-    require_nonsingular(jt.value, stack.points)
+    require_nonsingular(jt.value, stack)
     return levi_civita_gamma(jt.value, jt.partials)
 
 
-def require_nonsingular(g: np.ndarray, points) -> None:
-    """SingularMetricError for the first point whose metric g[p] is (nearly) singular."""
-    small = np.flatnonzero(np.abs(np.linalg.det(g)) < DET_FLOOR)
-    if small.size:
-        raise SingularMetricError(
-            f"metric determinant below {DET_FLOOR} at {points[int(small[0])].coords}"
-        )
+def require_nonsingular(g: np.ndarray, stack: PointStack) -> None:
+    """SingularMetricError for the first point of ``stack`` whose metric g[p]
+    is (nearly) singular."""
+    stack.reject(np.abs(np.linalg.det(g)) < DET_FLOOR, SingularMetricError,
+                 lambda i, at: f"metric determinant below {DET_FLOOR} at {at}")
 
 
 def levi_civita_gamma(g: np.ndarray, dg: np.ndarray) -> np.ndarray:

@@ -7,15 +7,20 @@ scalar) of components.  Differentiation happens by feeding seeded duals
 through the same closure; central finite differences provide an
 independent second route for cross checking.
 
-Component functions are elementwise.  :func:`evaluate_stack` and
-:func:`jet_stack` call the closure once for a whole :class:`PointStack`
-of P points: each coordinate is a numpy column of shape (P,), or a dual
-seeded on those columns, and each component comes back as such a
-column or as a constant, which is broadcast to (P,).  Results carry the
-point axis first.  An overflowing product inside a closure gives a
-non-finite component, on a stack as on Python floats, and is reported
-naming the first offending point; on a stack of plain columns a
-division by zero does the same instead of raising ``ZeroDivisionError``.
+A :class:`PointStack` of (P, dim) rows is the engine's one multi-point
+format: the sampler returns one and every stacked layer takes one.
+:class:`Point` and the one-point :func:`evaluate`, :func:`jet` and
+:func:`fd_derivative` stay as the independent oracles of the stacked
+path.  Component functions are elementwise.  :func:`evaluate_stack` and
+:func:`jet_stack` call the closure once for a whole stack of P points:
+each coordinate is a numpy column of shape (P,), or a dual seeded on
+those columns, and each component comes back as such a column or as a
+constant, which is broadcast to (P,).  Results carry the point axis
+first.  An overflowing product inside a closure gives a non-finite
+component, on a stack as on Python floats, and is reported naming the
+first offending point by its coordinate tuple; on a stack of plain
+columns a division by zero does the same instead of raising
+``ZeroDivisionError``.
 ``dual.exp`` applies ``math.exp`` to every entry of an array, so its
 bits and its ``OverflowError`` are those of each point alone.  The
 embedding map goes through the same contract: the frame layer
@@ -26,7 +31,7 @@ reads every image, Jacobian and Hessian from one nested dual pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import math
 
@@ -63,49 +68,34 @@ class Point:
 class PointStack:
     """P points of one chart, with each coordinate as a contiguous (P,) column.
 
-    Built once and shared by every field evaluated on the same points.
-    ``coords`` holds the points as (P, dim) rows.  A stack made by
-    :meth:`of_rows` builds its :class:`Point` objects only when
-    ``points`` is read.
+    Built once from (P, dim) rows and shared by every field evaluated on
+    the same points; ``coords`` holds those rows.  The rows must be
+    finite: a non-finite coordinate raises :class:`NonFiniteValueError`
+    with the text a :class:`Point` of that row would raise.
     """
 
-    def __init__(self, points: Sequence[Point], dim: int):
-        for p in points:
-            if p.dim != dim:
-                raise DimensionMismatchError(
-                    f"point of dimension {p.dim} in a stack of {dim}-dimensional points"
-                )
-        self._points = list(points)
-        self.dim = dim
-        self.coords = np.array([p.coords for p in points], dtype=float).reshape(len(points), dim)
-        self.columns = list(np.ascontiguousarray(self.coords.T))
-
-    @classmethod
-    def of_rows(cls, coords: np.ndarray) -> "PointStack":
-        """A stack of the finite (P, dim) rows of ``coords``."""
-        stack = cls.__new__(cls)
-        stack._points = None
-        stack.dim = coords.shape[1]
-        stack.coords = coords
-        stack.columns = list(np.ascontiguousarray(coords.T))
-        return stack
-
-    @property
-    def points(self) -> list:
-        if self._points is None:
-            self._points = [Point(row) for row in self.coords]
-        return self._points
+    def __init__(self, coords):
+        coords = np.asarray(coords, dtype=float)
+        if coords.ndim != 2:
+            raise DimensionMismatchError(
+                f"point rows must form a 2-D (points, dim) array, got shape {coords.shape}")
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+        if bad.size:
+            raise NonFiniteValueError(f"non-finite coordinate in {tuple(coords[bad[0]].tolist())}")
+        self.dim = coords.shape[1]
+        self.coords = coords
+        self.columns = list(np.ascontiguousarray(coords.T))
 
     def __len__(self) -> int:
         return len(self.coords)
 
     def reject(self, bad: np.ndarray, error: type, describe: Callable) -> None:
-        """Raise ``error(describe(i, point))`` for the first point i where the
-        (P,) mask ``bad`` is set."""
+        """Raise ``error(describe(i, at))`` for the first point i where the
+        (P,) mask ``bad`` is set; ``at`` is that point's coordinate tuple."""
         hits = np.flatnonzero(bad)
         if hits.size:
             i = int(hits[0])
-            raise error(describe(i, self.points[i]))
+            raise error(describe(i, tuple(self.coords[i].tolist())))
 
 
 @dataclass(frozen=True)
@@ -208,12 +198,10 @@ def evaluate_stack(fld, stack: PointStack) -> np.ndarray:
     _check_stack(fld, stack)
     with np.errstate(all="ignore"):
         out = _stacked(fld.func(list(stack.columns)), fld.shape, len(stack), lambda c: c)
-    bad = np.argwhere(~np.isfinite(out))
-    if bad.size:
-        i, idx = int(bad[0][0]), tuple(int(k) for k in bad[0][1:])
-        raise NonFiniteValueError(
-            f"non-finite component at index {idx} of field evaluated at {stack.points[i].coords}"
-        )
+    bad = ~np.isfinite(out)
+    stack.reject(bad.any(axis=tuple(range(1, bad.ndim))), NonFiniteValueError, lambda i, at: (
+        f"non-finite component at index {tuple(int(k) for k in np.argwhere(bad[i])[0])} "
+        f"of field evaluated at {at}"))
     return out
 
 
@@ -234,7 +222,7 @@ def jet_stack(fld, stack: PointStack) -> Jet:
             partials[:, k] = _stacked(raw, shape, count, lambda c: grad_part(c, d)[k])
     finite = (np.isfinite(value).all(axis=tuple(range(1, value.ndim)))
               & np.isfinite(partials).all(axis=tuple(range(1, partials.ndim))))
-    stack.reject(~finite, NonFiniteValueError, lambda i, p: f"non-finite jet of field at {p.coords}")
+    stack.reject(~finite, NonFiniteValueError, lambda i, at: f"non-finite jet of field at {at}")
     return Jet(value=value, partials=partials)
 
 
@@ -274,14 +262,3 @@ def fd_derivative(fld, p: Point, step: float = DEFAULT_FD_STEP) -> Jet:
             ) from exc
         partials[k] = (plus - minus) / (2.0 * step)
     return Jet(value=value, partials=partials)
-
-
-def constant_field(valence: tuple, dim: int, components) -> TensorField:
-    comps = np.asarray(components, dtype=float)
-    nested = comps.tolist()
-    return TensorField(valence, dim, lambda c: nested)
-
-
-def constant_vector_field(dim: int, vec) -> TensorField:
-    return constant_field((1, 0), dim, vec)
-

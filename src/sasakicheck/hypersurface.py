@@ -2,11 +2,12 @@
 
 An embedding maps a 2n-dimensional chart into a (2n+1)-dimensional
 ambient chart.  Everything the surface checks read starts from one
-:class:`FrameStack` on all P chart points at once: the images b(p), the
-Jacobians B and Hessians (one dual pass of the embedding map on the
-point stack's coordinate columns, nested for the Hessian), the ambient
-metric and its jet at b(p) chained through B, and the normal N with its
-first partials.  Dual numbers differentiate only the embedding map and
+:class:`FrameStack` on all P chart points at once, which come as one
+:class:`~sasakicheck.fields.PointStack` of chart rows: the images b(p)
+(again a stack), the Jacobians B and Hessians (one dual pass of the
+embedding map on the point stack's coordinate columns, nested for the
+Hessian), the ambient metric and its jet at b(p) chained through B, and
+the normal N with its first partials.  Dual numbers differentiate only the embedding map and
 the ambient tensors; the normal and every frame solve are batched numpy
 calls on (P, d, d) stacks, differentiated implicitly
 (d(A^-1 b) = A^-1 (db - dA A^-1 b)).  Stacked products keep the
@@ -31,14 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import linalg
 from .connection import MetricField, levi_civita_gamma, require_nonsingular
 from .dual import grad_part, innermost, real_part, seed, value_part
-from .errors import EvaluationError, NonFiniteValueError, RankDeficientError
+from .errors import (DimensionMismatchError, EvaluationError, NonFiniteValueError,
+                     RankDeficientError)
 from .fields import Point, PointStack, ScalarField, TensorField, evaluate_stack, jet_stack
 
 MIN_SINGULAR_VALUE = 1e-8
@@ -89,7 +91,7 @@ class NormalField:
     orientation: int = 1
 
     def components_at(self, p: Point) -> np.ndarray:
-        return frame_stack(self, [p]).normal[0]
+        return frame_stack(self, PointStack([p.coords])).normal[0]
 
     def flipped(self) -> "NormalField":
         return NormalField(self.embedding, self.scaling, -self.orientation)
@@ -175,10 +177,10 @@ def _map_pass(E: Embedding, chart: PointStack, partials: bool):
                         hess[:, i, a, c] = gg
     finite = np.isfinite(b).all(axis=1) & np.isfinite(B).all(axis=(1, 2))
     chart.reject(~finite, NonFiniteValueError,
-                 lambda i, p: f"non-finite embedding value or Jacobian at {p.coords}")
+                 lambda i, at: f"non-finite embedding value or Jacobian at {at}")
     sv = np.linalg.svd(B, compute_uv=False)
-    chart.reject(sv[:, -1] <= MIN_SINGULAR_VALUE, RankDeficientError, lambda i, p: (
-        f"embedding Jacobian has smallest singular value {sv[i, -1]:.3e} at {p.coords}"))
+    chart.reject(sv[:, -1] <= MIN_SINGULAR_VALUE, RankDeficientError, lambda i, at: (
+        f"embedding Jacobian has smallest singular value {sv[i, -1]:.3e} at {at}"))
     return b, B, hess
 
 
@@ -197,12 +199,12 @@ def _unit_normal(B: np.ndarray, G: np.ndarray, orientation: int, chart: PointSta
     n_raw = np.linalg.solve(G, c[:, :, None])[:, :, 0]
     norm2 = linalg.pair(c, n_raw)  # equals g~(n_raw, n_raw)
     chart.reject(~(norm2 > 0.0), RankDeficientError,
-                 lambda i, p: f"normal construction degenerate (nonpositive norm) at {p.coords}")
+                 lambda i, at: f"normal construction degenerate (nonpositive norm) at {at}")
     return (orientation / np.sqrt(norm2))[:, None] * n_raw
 
 
-def frame_stack(N: NormalField, points: Sequence[Point], partials: bool = False) -> FrameStack:
-    """The frame at every point, with first partials if ``partials``.
+def frame_stack(N: NormalField, chart: PointStack, partials: bool = False) -> FrameStack:
+    """The frame at every point of the chart stack, with first partials if ``partials``.
 
     The unit normal n is differentiated implicitly: differentiating
     g~(B e_a, n) = 0 and g~(n, n) = 1 along e_c gives one solve
@@ -214,15 +216,17 @@ def frame_stack(N: NormalField, points: Sequence[Point], partials: bool = False)
     ``FRAME_CONDITION_LIMIT``) raises, naming the first such point.
     """
     E = N.embedding
-    chart = PointStack(points, E.dim)
+    if chart.dim != E.dim:
+        raise DimensionMismatchError(
+            f"points of dimension {chart.dim} fed to a surface on a {E.dim}-dimensional chart")
     b, B, hess = _map_pass(E, chart, partials)
-    images = PointStack.of_rows(b)
+    images = PointStack(b)
     if partials:
         jg = jet_stack(E.ambient_metric.tensor, images)
         G = jg.value
     else:
         G = evaluate_stack(E.ambient_metric.tensor, images)
-    require_nonsingular(G, chart.points)
+    require_nonsingular(G, chart)
     n = _unit_normal(B, G, N.orientation, chart)
     first_order, dn = {}, None
     if partials:
@@ -241,8 +245,8 @@ def frame_stack(N: NormalField, points: Sequence[Point], partials: bool = False)
         jt = jet_stack(N.scaling, chart) if partials else None
         rho = jt.value if partials else evaluate_stack(N.scaling, chart)
         label = getattr(N.scaling.func, "text", "<callable>")
-        chart.reject(rho <= 0.0, EvaluationError, lambda i, p: (
-            f"normal scaling {label!r} must stay positive, got {float(rho[i])!r} at {list(p.coords)}"))
+        chart.reject(rho <= 0.0, EvaluationError, lambda i, at: (
+            f"normal scaling {label!r} must stay positive, got {float(rho[i])!r} at {list(at)}"))
         nvec = rho[:, None] * n
         dnvec = jt.partials[:, :, None] * n[:, None, :] + rho[:, None, None] * dn if partials else None
     frame = np.concatenate([B, nvec[:, :, None]], axis=2)

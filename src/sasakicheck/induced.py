@@ -46,7 +46,7 @@ import numpy as np
 from . import linalg
 from .connection import MetricField, covariant_derivative_components, levi_civita_gamma
 from .errors import TangencyError
-from .fields import Point, ScalarField, TensorField, evaluate_stack, jet_stack
+from .fields import Point, PointStack, ScalarField, TensorField, evaluate_stack, jet_stack
 from .hypersurface import (
     Embedding,
     FrameStack,
@@ -137,8 +137,8 @@ def _structure_stack(ambient, fs: FrameStack) -> StructureBundle:
                    gamma=levi_civita_gamma(st.g, dg))
 
 
-def _structure_at(ambient, N: NormalField, p: Point, partials: bool) -> StructureBundle:
-    return _structure_stack(ambient, frame_stack(N, [p], partials))[0]
+def _structure_at(ambient, N: NormalField, coords, partials: bool) -> StructureBundle:
+    return _structure_stack(ambient, frame_stack(N, PointStack([coords]), partials))[0]
 
 
 @dataclass(frozen=True)
@@ -167,11 +167,11 @@ class InducedStructure:
 
     def values_at(self, p: Point) -> StructureBundle:
         """Float induced data at p, from a value-only frame, as one point's record."""
-        return _structure_at(self.embedding.ambient, self.normal, p, partials=False)
+        return _structure_at(self.embedding.ambient, self.normal, p.coords, partials=False)
 
     def bundle_at(self, p: Point) -> StructureBundle:
         """Values plus first partials of every induced field at p."""
-        return _structure_at(self.embedding.ambient, self.normal, p, partials=True)
+        return _structure_at(self.embedding.ambient, self.normal, p.coords, partials=True)
 
 
 def extract_structure(
@@ -199,7 +199,7 @@ def extract_structure(
         raise ValueError("the frame stack was built from another normal field")
     E = N.embedding
     if require_sasakian:
-        rep = check_sasakian_axioms(E.ambient, [Point(b) for b in fs.images.coords[:8]])
+        rep = check_sasakian_axioms(E.ambient, PointStack(fs.images.coords[:8]))
         if rep.max_residual > AMBIENT_AXIOM_TOL:
             raise TangencyError(
                 f"ambient structure fails the axiom battery "
@@ -208,13 +208,13 @@ def extract_structure(
 
     st = _structure_stack(E.ambient, fs)
     tangency = st.tangency
-    fs.points.reject(tangency > TANGENCY_TOL, TangencyError, lambda i, p: (
-        f"phi~N has normal coefficient {tangency[i]:.3e} > {TANGENCY_TOL} at {p.coords}"))
+    fs.points.reject(tangency > TANGENCY_TOL, TangencyError, lambda i, at: (
+        f"phi~N has normal coefficient {tangency[i]:.3e} > {TANGENCY_TOL} at {at}"))
     max_u = linalg.worst(np.abs(st.u))
     lambda_consistency = linalg.worst(np.abs(st.lam - st.eta_n)) if N.scaling is None else 0.0
 
     def field_func(key):
-        return lambda coords: getattr(_structure_at(E.ambient, N, Point(coords), False), key)
+        return lambda coords: getattr(_structure_at(E.ambient, N, coords, False), key)
 
     m = E.dim
     return InducedStructure(

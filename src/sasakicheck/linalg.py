@@ -94,8 +94,8 @@ def check_condition(mats: np.ndarray, stack, limit: float = 1e12, what: str = "f
     """Reject a (P, d, d) stack where some matrix has a condition number
     over ``limit``, naming the first such point of the point ``stack``."""
     c = np.linalg.cond(mats)
-    stack.reject(~(c <= limit), IllConditionedFrameError, lambda i, p: (
-        f"{what} condition number {c[i]:.3e} exceeds {limit:.1e} at {p.coords}"))
+    stack.reject(~(c <= limit), IllConditionedFrameError, lambda i, at: (
+        f"{what} condition number {c[i]:.3e} exceeds {limit:.1e} at {at}"))
 
 
 def pair(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

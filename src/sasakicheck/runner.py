@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, linalg
 from .config import CHECK_GROUPS, SuiteConfig
 from .exprs import compile_expression, compile_map
-from .fields import DEFAULT_FD_STEP, Point, ScalarField, evaluate, jet_stack
+from .fields import DEFAULT_FD_STEP, PointStack, ScalarField, evaluate_stack, jet_stack
 from .hypersurface import (
     Embedding,
     NormalField,
@@ -39,12 +39,7 @@ from .induced import (
     verify_differential_identities,
 )
 from .report import CheckResult, VerificationReport
-from .sampling import (
-    sample_direction_fields,
-    sample_points,
-    sample_vectors,
-    spawn_rngs,
-)
+from .sampling import sample_points, sample_vectors, spawn_rngs
 from .sasakian import check_sasakian_axioms, standard_sasakian
 from .theorems import (
     MODEL_CONCLUSION_TOL,
@@ -74,7 +69,7 @@ class _Context:
         self.ambient = ambient = standard_sasakian(config.n)
         self.ambient_points = sample_points(config.ambient_dim, config.count, config.box,
                                             rngs["ambient_points"])
-        self.ambient_dirs = sample_direction_fields(config.ambient_dim, 5, rngs["ambient_directions"])
+        self.ambient_dirs = sample_vectors(config.ambient_dim, 5, rngs["ambient_directions"])
         self.chart_points = sample_points(config.surface_dim, config.count, config.box,
                                           rngs["chart_points"])
         # the differential battery pairs these consecutively: (0, 1), (2, 3), ...
@@ -87,10 +82,10 @@ class _Context:
         orientation = config.orientation
         if orientation == "lambda_nonneg":
             # pick the sign that makes eta(N) >= 0 at the declared base point
-            base = Point(config.base_point)
-            probe = NormalField(self.embedding, None, 1)
-            eta = evaluate(ambient.eta, self.embedding.point_image(base))
-            lam0 = float(eta @ probe.components_at(base))
+            probe = frame_stack(NormalField(self.embedding, None, 1),
+                                PointStack([config.base_point]))
+            eta = evaluate_stack(ambient.eta, probe.images)[0]
+            lam0 = float(eta @ probe.normal[0])
             orientation = 1 if lam0 >= 0 else -1
         self.orientation = orientation
         self.normal = NormalField(self.embedding, self.scaling_field, orientation)

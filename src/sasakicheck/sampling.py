@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import Point, constant_vector_field
+from .fields import PointStack
 
 DEFAULT_SEED = 7
 
@@ -30,10 +30,10 @@ def spawn_rngs(seed: int) -> dict:
     return {name: np.random.default_rng(c) for name, c in zip(_STREAMS, children)}
 
 
-def sample_points(dim: int, count: int, box: Sequence[float], rng) -> list:
+def sample_points(dim: int, count: int, box: Sequence[float], rng) -> PointStack:
+    """``count`` points drawn uniformly from the cube ``box`` of R^dim, as one stack."""
     lo, hi = float(box[0]), float(box[1])
-    arr = rng.uniform(lo, hi, size=(count, dim))
-    return [Point(row) for row in arr]
+    return PointStack(rng.uniform(lo, hi, size=(count, dim)))
 
 
 def sample_vectors(dim: int, count: int, rng) -> np.ndarray:
@@ -44,10 +44,6 @@ def sample_vectors(dim: int, count: int, rng) -> np.ndarray:
         if np.linalg.norm(v) >= 1e-3:
             out.append(v)
     return np.array(out)
-
-
-def sample_direction_fields(dim: int, count: int, rng) -> list:
-    return [constant_vector_field(dim, v) for v in sample_vectors(dim, count, rng)]
 
 
 def g_normalized(vecs: np.ndarray, g: np.ndarray) -> np.ndarray:

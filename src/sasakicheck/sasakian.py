@@ -12,25 +12,27 @@ phi d/dx^i = -d/dy^i.  That is the sign for which the covariant-derivative
 axioms (1.6) and (1.7) of the identity catalog hold (the opposite sign
 breaks both); the ``axioms`` check group measures them in every report.
 
-The axiom battery evaluates each tensor, jet and Christoffel symbol
-once on the whole stack of sample points, so the component closures of
-a structure must be elementwise: given numpy coordinate columns (or
-duals over them) they return the per-point components as columns (see
-:mod:`sasakicheck.fields`).
+The axiom battery takes the sample points as one
+:class:`~sasakicheck.fields.PointStack` and the directions as a (K, d)
+array.  It evaluates each tensor, jet and Christoffel symbol once on the
+whole stack (phi once, for the structure and two-form axioms alike), so
+the component closures of a structure must be elementwise: given numpy
+coordinate columns (or duals over them) they return the per-point
+components as columns (see :mod:`sasakicheck.fields`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from .connection import MetricField, christoffel_stack, covariant_derivative_components
 from .errors import DimensionMismatchError
-from .fields import Point, PointStack, TensorField, evaluate_stack, jet_stack
+from .fields import PointStack, TensorField, evaluate_stack, jet_stack
 from .linalg import pair, worst
-from .sampling import sample_direction_fields, spawn_rngs, DEFAULT_SEED
+from .sampling import sample_vectors, spawn_rngs, DEFAULT_SEED
 
 RANK_SV_THRESHOLD = 1e-8
 
@@ -134,11 +136,14 @@ def _xi_transport(dxi, phi, dirs) -> float:
     )
 
 
-def two_form_residuals(S: AlmostContactMetricStructure, points: Sequence[Point]) -> Dict[str, float]:
-    """Residuals of the antisymmetry and phi-compatibility identities of 'F."""
-    stack = PointStack(points, S.dim)
+def two_form_residuals(
+    S: AlmostContactMetricStructure, stack: PointStack, phi: Optional[np.ndarray] = None
+) -> Dict[str, float]:
+    """Residuals of the antisymmetry and phi-compatibility identities of 'F
+    on a point stack; ``phi`` is S.phi evaluated there, if already at hand."""
     F = evaluate_stack(fundamental_two_form(S), stack)
-    phi = evaluate_stack(S.phi, stack)
+    if phi is None:
+        phi = evaluate_stack(S.phi, stack)
     FP = F @ phi
     return {
         "1.8": worst(np.abs(F + F.mT)),
@@ -149,32 +154,33 @@ def two_form_residuals(S: AlmostContactMetricStructure, points: Sequence[Point])
 
 def check_sasakian_axioms(
     S: AlmostContactMetricStructure,
-    points: Sequence[Point],
-    directions: Optional[Sequence[TensorField]] = None,
+    stack: PointStack,
+    directions: Optional[np.ndarray] = None,
 ) -> AxiomReport:
     """Max residual of each structure axiom over the samples.
 
     Algebraic axioms are checked on full component arrays (equivalent to
     all directions); the covariant-derivative axioms are contracted
-    against the supplied direction fields.  Every tensor, jet and
-    Christoffel symbol is evaluated once on the whole (P, d) point stack
+    against each row of the (K, d) array ``directions``.  Every tensor,
+    jet and Christoffel symbol is evaluated once on the whole (P, d) point stack
     (the closures are elementwise, see :mod:`sasakicheck.fields`); the
     residuals equal the maxima of one-point runs bit for bit, and an
     error names the first offending point.
     """
-    if not points:
+    if not len(stack):
         raise ValueError("no sample points supplied")
-    for p in points:
-        if p.dim != S.dim:
-            raise DimensionMismatchError(
-                f"sample point of dimension {p.dim} for a structure on dimension {S.dim}"
-            )
+    if stack.dim != S.dim:
+        raise DimensionMismatchError(
+            f"sample point of dimension {stack.dim} for a structure on dimension {S.dim}"
+        )
     if directions is None:
-        rngs = spawn_rngs(DEFAULT_SEED)
-        directions = sample_direction_fields(S.dim, 5, rngs["ambient_directions"])
+        directions = sample_vectors(S.dim, 5, spawn_rngs(DEFAULT_SEED)["ambient_directions"])
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 2 or directions.shape[1] != S.dim:
+        raise DimensionMismatchError(
+            f"directions of shape {directions.shape} for a structure on dimension {S.dim}")
 
     n = S.n
-    stack = PointStack(points, S.dim)
     phi = evaluate_stack(S.phi, stack)
     xi = evaluate_stack(S.xi, stack)
     eta = evaluate_stack(S.eta, stack)
@@ -196,7 +202,8 @@ def check_sasakian_axioms(
     dphi = np.ascontiguousarray(
         covariant_derivative_components(jphi.value, jphi.partials, gamma, (1, 1)))
     dxi = _nabla_xi(S, stack, gamma)
-    dirs = [evaluate_stack(D, stack) for D in directions]
+    # one C-contiguous (P, d) copy per direction, so einsum sums each point as alone
+    dirs = np.repeat(directions[:, None], len(stack), axis=1)
     eta_dirs = [pair(eta, Y)[:, None] for Y in dirs]
     res["1.6"] = 0.0
     for X in dirs:
@@ -207,5 +214,5 @@ def check_sasakian_axioms(
             res["1.6"] = max(res["1.6"], worst(np.abs(lhs - rhs)))
     res["1.7"] = _xi_transport(dxi, phi, dirs)
 
-    res.update(two_form_residuals(S, points))
-    return AxiomReport(residuals=res, sample_count=len(points), direction_count=len(directions))
+    res.update(two_form_residuals(S, stack, phi))
+    return AxiomReport(residuals=res, sample_count=len(stack), direction_count=len(directions))

@@ -8,6 +8,8 @@ from sasakicheck import (
     Embedding,
     MetricField,
     NormalField,
+    Point,
+    PointStack,
     ScalarField,
     TensorField,
     extract_structure,
@@ -62,8 +64,19 @@ def plane_r5(sasaki5):
 
 
 def chart_points(dim, count, seed=7):
+    """``count`` seeded points of the cube [-1, 1]^dim, as one stack."""
     rng = np.random.default_rng(seed)
     return sample_points(dim, count, (-1.0, 1.0), rng)
+
+
+def as_points(stack):
+    """The rows of a point stack as ``Point`` objects, for the one-point API."""
+    return [Point(row) for row in stack.coords]
+
+
+def stack_of(*points):
+    """A stack of the given ``Point`` objects, in order."""
+    return PointStack([p.coords for p in points])
 
 
 def chart_vectors(dim, count, seed=11):
@@ -77,6 +90,16 @@ class SimpleAmbient:
 
     dim: int
     g: MetricField
+
+
+def constant_field(valence, dim, components):
+    """A tensor field whose components are the same at every point."""
+    nested = np.asarray(components, dtype=float).tolist()
+    return TensorField(valence, dim, lambda c: nested)
+
+
+def constant_vector_field(dim, vec):
+    return constant_field((1, 0), dim, vec)
 
 
 def euclidean_metric(dim):

@@ -15,6 +15,7 @@ from sasakicheck import (
     Embedding,
     NormalField,
     Point,
+    PointStack,
     ScalarField,
     check_sasakian_axioms,
     check_theorem_3_3,
@@ -35,9 +36,9 @@ from sasakicheck.dual import cos, exp, sin
 from sasakicheck.hypersurface import reconstruction_residuals
 from sasakicheck.report import render_json
 from sasakicheck.runner import run_suite
-from sasakicheck.sampling import sample_direction_fields, sample_points, sample_vectors
+from sasakicheck.sampling import sample_points, sample_vectors
 
-from conftest import SimpleAmbient, euclidean_metric, states_at
+from conftest import SimpleAmbient, as_points, euclidean_metric, stack_of, states_at
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -70,7 +71,7 @@ def test_criterion_1_sasakian_axioms():
         for n in (1, 2):
             S = standard_sasakian(n)
             pts = _points(S.dim, 100, seed=7)
-            dirs = sample_direction_fields(S.dim, 5, np.random.default_rng(8))
+            dirs = sample_vectors(S.dim, 5, np.random.default_rng(8))
             rep = check_sasakian_axioms(S, pts, dirs)
             assert rep.max_residual <= 1e-8, rep.residuals
         assert time.perf_counter() - start <= 5.0
@@ -80,7 +81,7 @@ def test_criterion_2_ad_fd_cross_validation():
     with criterion(2, "dual-number jets match central differences <= 1e-6 at 50 points"):
         for n in (1, 2):
             S = standard_sasakian(n)
-            for p in _points(S.dim, 50, seed=17):
+            for p in as_points(_points(S.dim, 50, seed=17)):
                 for fld in (S.phi, S.xi, S.eta, S.g.tensor):
                     ad = jet(fld, p).partials
                     fd = fd_derivative(fld, p, step=1e-5).partials
@@ -95,17 +96,18 @@ def test_criterion_3_gauss_weingarten_reconstruction():
             Embedding(2, S3, lambda c: [c[0], c[1], (c[0] ** 2 + c[1] ** 2) / 2]),
         ):
             N = NormalField(emb)
-            for p in _points(2, 25, seed=23):
-                rec = reconstruction_residuals(gauss_weingarten(frame_stack(N, [p], partials=True)))
+            for p in as_points(_points(2, 25, seed=23)):
+                gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))
+                rec = reconstruction_residuals(gw)
                 assert rec["gauss"] <= 1e-6 and rec["weingarten"] <= 1e-6
         euclid = SimpleAmbient(3, euclidean_metric(3))
         r = 2.0
         sphere = Embedding(2, euclid, lambda c: [
             r * cos(c[0]) * cos(c[1]), r * sin(c[0]) * cos(c[1]), r * sin(c[1])])
         N = NormalField(sphere, orientation=-1)
-        for p in _points(2, 10, seed=29):
+        for p in as_points(_points(2, 10, seed=29)):
             q = Point([0.5 * p.coords[0], 0.5 * p.coords[1]])
-            gw = gauss_weingarten(frame_stack(N, [q], partials=True))[0]
+            gw = gauss_weingarten(frame_stack(N, stack_of(q), partials=True))[0]
             assert np.max(np.abs(gw.H_h - np.eye(2) / r)) <= 1e-6
 
 
@@ -113,7 +115,7 @@ def test_criterion_4_induced_structure():
     with criterion(4, "algebraic identity battery <= 1e-5 and max|u| > 1e-3 on both surfaces"):
         S3 = standard_sasakian(1)
         pts = _points(2, 50, seed=31)
-        nonzero_y = [p for p in pts if abs(p.coords[1]) > 1e-2]
+        nonzero_y = PointStack(pts.coords[np.abs(pts.coords[:, 1]) > 1e-2])
         for emb in (
             Embedding(2, S3, lambda c: [c[0], c[1], 0.1]),
             Embedding(2, S3, lambda c: [c[0], c[1], (c[0] ** 2 + c[1] ** 2) / 2]),
@@ -185,8 +187,8 @@ def test_criterion_7_scaled_normal_run():
         rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
         N = NormalField(emb, scaling=rho)
         pts = _points(2, 20, seed=47)
-        for p in pts:
-            gw = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
+        for p in as_points(pts):
+            gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
             assert np.max(np.abs(gw.w - np.array([1.0, 1.0]))) <= 1e-6
         res = check_theorem_3_4(states_at(N, pts, sample_vectors(2, 4, np.random.default_rng(48))))
         assert res.verdict == "vacuous"

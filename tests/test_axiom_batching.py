@@ -1,6 +1,6 @@
 """The ambient axiom battery does not depend on how samples are grouped.
 
-Run on a whole point list, ``check_sasakian_axioms`` and
+Run on a whole point stack, ``check_sasakian_axioms`` and
 ``two_form_residuals`` must return, bit for bit, the per-key maximum of
 the same checks run one point at a time, and they must raise the same
 errors, naming the first offending sample.  The stacked field
@@ -32,13 +32,15 @@ from sasakicheck import (
 )
 from sasakicheck.connection import DET_FLOOR, christoffel, christoffel_stack
 from sasakicheck.errors import DimensionMismatchError, NonFiniteValueError, SingularMetricError
-from sasakicheck.sampling import sample_direction_fields, sample_points
+from sasakicheck.sampling import sample_points, sample_vectors
 from sasakicheck.sasakian import two_form_residuals
+
+from conftest import as_points, stack_of
 
 
 def _samples(dim, count, seed):
     rng = np.random.default_rng(seed)
-    return sample_points(dim, count, (-1.0, 1.0), rng), sample_direction_fields(dim, 5, rng)
+    return sample_points(dim, count, (-1.0, 1.0), rng), sample_vectors(dim, 5, rng)
 
 
 def _per_key_max(dicts):
@@ -53,9 +55,11 @@ def test_axiom_residuals_equal_max_over_single_points(n, count):
     # strided (non-C-contiguous) stack changes the eq 1.6 maximum
     pts, dirs = _samples(S.dim, count, seed=1004)
     whole = check_sasakian_axioms(S, pts, dirs)
-    singles = [check_sasakian_axioms(S, [p], dirs).residuals for p in pts]
+    singles = [check_sasakian_axioms(S, stack_of(p), dirs).residuals for p in as_points(pts)]
     assert whole.residuals == _per_key_max(singles)
     assert (whole.sample_count, whole.direction_count) == (count, 5)
+    # the battery's shared phi gives the two-form residuals of a separate call
+    assert two_form_residuals(S, pts).items() <= whole.residuals.items()
 
 
 @pytest.mark.parametrize("count", [8, 50, 400])
@@ -64,7 +68,7 @@ def test_two_form_residuals_equal_max_over_single_points(n, count):
     S = standard_sasakian(n)
     pts, _ = _samples(S.dim, count, seed=100 * n + count + 1)
     whole = two_form_residuals(S, pts)
-    assert whole == _per_key_max([two_form_residuals(S, [p]) for p in pts])
+    assert whole == _per_key_max([two_form_residuals(S, stack_of(p)) for p in as_points(pts)])
 
 
 def _with(S, **fields):
@@ -74,10 +78,10 @@ def _with(S, **fields):
 
 def _points_with(dim, seed, replaced):
     """Seeded points in (0.5, 1)^dim with some entries replaced."""
-    pts = sample_points(dim, 10, (0.5, 1.0), np.random.default_rng(seed))
+    rows = sample_points(dim, 10, (0.5, 1.0), np.random.default_rng(seed)).coords.copy()
     for i, coords in replaced.items():
-        pts[i] = Point(coords)
-    return pts
+        rows[i] = coords
+    return PointStack(rows)
 
 
 def _blowup(x):
@@ -124,8 +128,8 @@ def test_degenerate_metric_names_first_singular_point(n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_stacked_fields_equal_per_point_fields(n):
     S = standard_sasakian(n)
-    pts, _ = _samples(S.dim, 50, seed=21)
-    stack = PointStack(pts, S.dim)
+    stack, _ = _samples(S.dim, 50, seed=21)
+    pts = as_points(stack)
     for f in (S.phi, S.xi, S.eta, S.g.tensor, fundamental_two_form(S)):
         values = evaluate_stack(f, stack)
         jt = jet_stack(f, stack)
@@ -142,8 +146,8 @@ def test_stacked_fields_equal_per_point_fields(n):
 
 
 def test_stacked_constant_and_scalar_fields_broadcast():
-    pts, _ = _samples(3, 4, seed=22)
-    stack = PointStack(pts, 3)
+    stack, _ = _samples(3, 4, seed=22)
+    pts = as_points(stack)
     vec = evaluate_stack(TensorField((1, 0), 3, lambda c: [1.0, c[0], 2.0]), stack)
     np.testing.assert_array_equal(vec[:, 0], np.ones(4))
     np.testing.assert_array_equal(vec[:, 1], [p.coords[0] for p in pts])
@@ -154,13 +158,24 @@ def test_stacked_constant_and_scalar_fields_broadcast():
 
 
 def test_stack_dimensions_checked():
-    with pytest.raises(DimensionMismatchError):
-        PointStack([Point([0.0, 0.0, 0.0]), Point([0.0, 0.0])], 3)
-    stack = PointStack([Point([0.0, 0.0])], 2)
+    for rows in (np.zeros(3), np.zeros((1, 2, 2))):
+        with pytest.raises(DimensionMismatchError, match="2-D"):
+            PointStack(rows)
+    stack = PointStack([[0.0, 0.0]])
     with pytest.raises(DimensionMismatchError):
         evaluate_stack(standard_sasakian(1).eta, stack)
     with pytest.raises(DimensionMismatchError):
         jet_stack(standard_sasakian(1).eta, stack)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stack_rows_must_be_finite(bad):
+    rows = np.array([[0.5, 1.0], [0.25, bad], [np.nan, 1.0]])
+    with pytest.raises(NonFiniteValueError) as one:
+        Point(rows[1])
+    # the first non-finite row, named as a Point of it would name it
+    with pytest.raises(NonFiniteValueError, match=re.escape(str(one.value))):
+        PointStack(rows)
 
 
 def test_stacked_jet_names_first_non_finite_point():
@@ -169,7 +184,7 @@ def test_stacked_jet_names_first_non_finite_point():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValueError, match=re.escape(f"at {pts[1].coords}")):
-            jet_stack(f, PointStack(pts, 2))
+            jet_stack(f, stack_of(*pts))
 
 
 def test_structure_with_exp_factor_batches_like_the_standard_one(sasaki3):

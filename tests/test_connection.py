@@ -19,14 +19,21 @@ from sasakicheck.connection import (
     levi_civita_gamma,
 )
 from sasakicheck.errors import SingularMetricError, UnsupportedValenceError
-from sasakicheck.fields import PointStack, constant_field, constant_vector_field
+from sasakicheck.fields import PointStack
 
-from conftest import chart_points, chart_vectors, euclidean_metric
+from conftest import (
+    as_points,
+    chart_points,
+    chart_vectors,
+    constant_field,
+    constant_vector_field,
+    euclidean_metric,
+)
 
 
 def test_flat_metric_has_zero_christoffels():
     g = euclidean_metric(3)
-    for p in chart_points(3, 5):
+    for p in as_points(chart_points(3, 5)):
         assert np.max(np.abs(christoffel(g, p))) == 0.0
 
 
@@ -37,7 +44,7 @@ def test_christoffel_symmetry_exact(sasaki3):
 
 
 def test_christoffel_ad_vs_fd(sasaki3):
-    for p in chart_points(3, 20, seed=21):
+    for p in as_points(chart_points(3, 20, seed=21)):
         ad = christoffel(sasaki3.g, p)
         jt = fd_derivative(sasaki3.g.tensor, p)
         fd = levi_civita_gamma(jt.value, jt.partials)
@@ -61,7 +68,7 @@ def test_covariant_derivative_constant_field_flat():
 def test_xi_transport_axiom_on_samples(sasaki3):
     # nabla_X xi + phi X = 0 at 50 points for 5 directions each
     vecs = chart_vectors(3, 5)
-    for p in chart_points(3, 50, seed=3):
+    for p in as_points(chart_points(3, 50, seed=3)):
         phi = evaluate(sasaki3.phi, p)
         for v in vecs:
             X = constant_vector_field(3, v)
@@ -84,7 +91,7 @@ def test_metric_compatibility_random_fields(sasaki3):
         return sum(g[i][j] * y[i] * z[j] for i in range(3) for j in range(3))
 
     scalar = ScalarField(3, g_of_YZ)
-    for p in chart_points(3, 15, seed=4):
+    for p in as_points(chart_points(3, 15, seed=4)):
         dg = jet(scalar, p).partials
         gv = evaluate(sasaki3.g.tensor, p)
         yv, zv = evaluate(Y, p), evaluate(Z, p)
@@ -99,7 +106,7 @@ def test_metric_compatibility_random_fields(sasaki3):
 
 def test_nabla_of_metric_vanishes(sasaki3):
     X = constant_vector_field(3, [0.4, -1.0, 0.7])
-    for p in chart_points(3, 10, seed=6):
+    for p in as_points(chart_points(3, 10, seed=6)):
         out = covariant_derivative_tensor(sasaki3.g, sasaki3.g.tensor, X, p)
         assert np.max(np.abs(out)) < 1e-6
 
@@ -114,7 +121,7 @@ def test_nabla_identity_tensor_flat_chart():
 def test_sasakian_phi_transport_identity(sasaki3):
     # (nabla_X phi) Y = g(X, Y) xi - eta(Y) X over 50 random samples
     vecs = chart_vectors(3, 5, seed=17)
-    for p in chart_points(3, 50, seed=18):
+    for p in as_points(chart_points(3, 50, seed=18)):
         gv = evaluate(sasaki3.g.tensor, p)
         xi = evaluate(sasaki3.xi, p)
         eta = evaluate(sasaki3.eta, p)
@@ -133,7 +140,7 @@ def test_leibniz_rule(sasaki3):
     Yv = [0.2, -0.4, 1.1]
     Y = constant_vector_field(3, Yv)
     fY = TensorField((1, 0), 3, lambda c: [f.func(c) * y for y in Yv])
-    for p in chart_points(3, 10, seed=12):
+    for p in as_points(chart_points(3, 10, seed=12)):
         for v in chart_vectors(3, 3, seed=13):
             X = constant_vector_field(3, v)
             lhs = covariant_derivative_vector(sasaki3.g, X, fY, p)
@@ -151,7 +158,7 @@ def test_unsupported_valence_rejected(sasaki3):
 
 
 def test_metric_invariants(sasaki3):
-    g = evaluate_stack(sasaki3.g.tensor, PointStack(chart_points(3, 20, seed=30), 3))
+    g = evaluate_stack(sasaki3.g.tensor, chart_points(3, 20, seed=30))
     assert np.max(np.abs(g - g.mT)) <= 1e-12
     # positive definite: every leading principal minor is positive
     assert all(np.all(np.linalg.det(g[:, :k, :k]) > 0) for k in range(1, 4))

@@ -7,6 +7,7 @@ from sasakicheck import (
     Embedding,
     NormalField,
     Point,
+    PointStack,
     ScalarField,
     TensorField,
     evaluate,
@@ -15,10 +16,9 @@ from sasakicheck import (
     standard_sasakian,
 )
 from sasakicheck.errors import DimensionMismatchError, NonFiniteValueError
-from sasakicheck.fields import constant_field
 from sasakicheck.hypersurface import frame_stack
 
-from conftest import chart_points
+from conftest import as_points, chart_points, constant_field
 
 
 def test_point_validation():
@@ -81,7 +81,7 @@ def test_jet_exact_for_quadratics():
                 + sum(b[i] * c[i] for i in range(3)))
 
     f = ScalarField(3, quad)
-    for p in chart_points(3, 10):
+    for p in as_points(chart_points(3, 10)):
         j = jet(f, p)
         x = np.array(p.coords)
         grad = (A + A.T) @ x + b
@@ -101,7 +101,7 @@ def test_jet_vs_fd_on_random_cubic():
         return acc
 
     f = ScalarField(3, cubic)
-    for p in chart_points(3, 20, seed=2):
+    for p in as_points(chart_points(3, 20, seed=2)):
         ad = jet(f, p).partials
         fd = fd_derivative(f, p, step=1e-5).partials
         assert np.max(np.abs(ad - fd)) < 1e-6
@@ -129,7 +129,7 @@ def test_fd_step_must_be_positive():
 def test_jet_vs_fd_on_builtin_fields(n):
     S = standard_sasakian(n)
     fields = [S.phi, S.xi, S.eta, S.g.tensor]
-    for p in chart_points(S.dim, 50, seed=13):
+    for p in as_points(chart_points(S.dim, 50, seed=13)):
         for fld in fields:
             ad = jet(fld, p).partials
             fd = fd_derivative(fld, p, step=1e-5).partials
@@ -148,6 +148,6 @@ def test_evaluate_and_jet_are_pure(sasaki3):
 def test_second_order_jet_of_embedding_like_map(sasaki3):
     # second derivatives of a map come from the frame layer's nested dual pass
     E = Embedding(2, sasaki3, lambda c: [c[0], c[1], c[0] ** 3 + c[0] * c[1] ** 2])
-    fs = frame_stack(NormalField(E), [Point([0.5, 2.0])], partials=True)
+    fs = frame_stack(NormalField(E), PointStack([[0.5, 2.0]]), partials=True)
     np.testing.assert_allclose(fs.hessian[0, 2], [[3.0, 4.0], [4.0, 1.0]], atol=1e-12)
     np.testing.assert_allclose(fs.hessian[0, :2], 0.0, atol=0.0)

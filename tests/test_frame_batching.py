@@ -20,7 +20,7 @@ import pytest
 from sasakicheck import (
     Embedding,
     NormalField,
-    Point,
+    PointStack,
     ScalarField,
     extract_structure,
     frame_stack,
@@ -35,7 +35,7 @@ from sasakicheck.errors import (
 from sasakicheck.hypersurface import reconstruction_residuals, second_fundamental_symmetry
 from sasakicheck.sampling import sample_points, sample_vectors
 
-from conftest import SURFACES, states_at, surface_normal
+from conftest import SURFACES, as_points, stack_of, states_at, surface_normal
 
 GW_ARRAYS = ("induced_gamma", "h", "H_w", "H_h", "w", "D", "DN", "normal")
 STATE_ARRAYS = ("dirs", "covphi", "covu", "covv", "covU", "covV")
@@ -64,11 +64,11 @@ def test_extraction_equals_single_point_extractions(surface, count):
     N = surface_normal(SURFACES[surface])
     pts, _ = _samples(N.embedding.dim, count, seed=count + 3)
     whole = extract_structure(N, frame_stack(N, pts))
-    singles = [extract_structure(N, frame_stack(N, [p])) for p in pts]
+    singles = [extract_structure(N, frame_stack(N, stack_of(p))) for p in as_points(pts)]
     for key in ("max_u", "tangency_residual", "lambda_consistency"):
         assert getattr(whole, key) == max(getattr(s, key) for s in singles), key
     assert len(whole.stack) == count
-    for i, (p, single) in enumerate(zip(pts, singles)):
+    for i, (p, single) in enumerate(zip(as_points(pts), singles)):
         _assert_same_bundle(whole.stack[i], single.stack[0], p.coords)
 
 
@@ -79,8 +79,8 @@ def test_sample_states_equal_single_point_states(surface, count):
     pts, dirs = _samples(N.embedding.dim, count, seed=count + 5)
     whole = states_at(N, pts, dirs)
     assert len(whole) == count
-    for p, st in zip(pts, whole):
-        one = states_at(N, [p], dirs)[0]
+    for p, st in zip(as_points(pts), whole):
+        one = states_at(N, stack_of(p), dirs)[0]
         _assert_same_bundle(st.bundle, one.bundle, p.coords)
         for key in GW_ARRAYS:
             assert _same(getattr(st.gw, key), getattr(one.gw, key)), (p.coords, key)
@@ -94,7 +94,8 @@ def test_stacked_reconstruction_equals_single_point_stacks(surface, count):
     N = surface_normal(SURFACES[surface])
     pts, _ = _samples(N.embedding.dim, count, seed=count + 7)
     whole = gauss_weingarten(frame_stack(N, pts, partials=True))
-    singles = [gauss_weingarten(frame_stack(N, [p], partials=True)) for p in pts]
+    singles = [gauss_weingarten(frame_stack(N, stack_of(p), partials=True))
+               for p in as_points(pts)]
     assert all(getattr(whole, f.name).flags.c_contiguous for f in fields(whole))
     rec = reconstruction_residuals(whole)
     for key in ("gauss", "weingarten"):
@@ -105,10 +106,10 @@ def test_stacked_reconstruction_equals_single_point_stacks(surface, count):
 
 def _points(replaced):
     """Seeded chart points in (0.5, 1)^2 with some entries replaced."""
-    pts = sample_points(2, 10, (0.5, 1.0), np.random.default_rng(41))
+    rows = sample_points(2, 10, (0.5, 1.0), np.random.default_rng(41)).coords.copy()
     for i, coords in replaced.items():
-        pts[i] = Point(coords)
-    return pts
+        rows[i] = coords
+    return PointStack(rows)
 
 
 def _raises_naming_first(error, N, pts, first, second):

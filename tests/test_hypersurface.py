@@ -16,12 +16,12 @@ from sasakicheck import (
     unit_normal,
 )
 from sasakicheck.dual import cos, exp, sin
-from sasakicheck.errors import RankDeficientError, SingularMetricError
-from sasakicheck.fields import Point as P
+from sasakicheck.errors import DimensionMismatchError, RankDeficientError, SingularMetricError
+from sasakicheck.fields import Point as P, PointStack
 from sasakicheck.hypersurface import frame_stack, reconstruction_residuals
 from sasakicheck.connection import christoffel
 
-from conftest import SimpleAmbient, chart_points, euclidean_metric
+from conftest import SimpleAmbient, as_points, chart_points, euclidean_metric, stack_of
 
 
 @pytest.fixture()
@@ -52,7 +52,8 @@ def test_flat_plane_unit_normal(flat_plane):
 
 
 def test_flat_plane_totally_geodesic(flat_plane):
-    gw = gauss_weingarten(frame_stack(NormalField(flat_plane), [P([0.5, 0.5])], partials=True))[0]
+    fs = frame_stack(NormalField(flat_plane), stack_of(P([0.5, 0.5])), partials=True)
+    gw = gauss_weingarten(fs)[0]
     assert np.max(np.abs(gw.h)) == 0.0
     assert np.max(np.abs(gw.H_w)) == 0.0
     assert np.max(np.abs(gw.w)) == 0.0
@@ -69,9 +70,9 @@ def test_sphere_shape_operator_is_curvature_times_identity(euclid3):
     for r in (1.0, 2.0, 3.5):
         E = sphere(euclid3, r)
         N = NormalField(E, orientation=-1)
-        for p in chart_points(2, 6, seed=5):
+        for p in as_points(chart_points(2, 6, seed=5)):
             q = P([0.5 * p.coords[0], 0.5 * p.coords[1]])  # stay away from poles
-            gw = gauss_weingarten(frame_stack(N, [q], partials=True))[0]
+            gw = gauss_weingarten(frame_stack(N, stack_of(q), partials=True))[0]
             np.testing.assert_allclose(gw.H_h, np.eye(2) / r, atol=1e-6)
             np.testing.assert_allclose(gw.h, gw.h.T, atol=1e-12)
             gind = evaluate(induced_metric(E).tensor, q)
@@ -99,7 +100,7 @@ def test_induced_metric_vs_fd_oracle(plane_r3):
 def test_induced_metric_positive_definite(quadric_r3):
     g = induced_metric(quadric_r3)
     rng = np.random.default_rng(14)
-    for p in chart_points(2, 10, seed=15):
+    for p in as_points(chart_points(2, 10, seed=15)):
         gv = evaluate(g.tensor, p)
         for _ in range(10):
             x = rng.uniform(-1, 1, 2)
@@ -111,7 +112,7 @@ def test_normal_defining_equations(plane_r3):
     # g~(B e_a, N) = 0 and g~(N, N) = 1, at a point with y != 0
     p = P([0.5, -0.3])
     n = unit_normal(plane_r3, p)
-    B = frame_stack(NormalField(plane_r3), [p]).jacobian[0]
+    B = frame_stack(NormalField(plane_r3), stack_of(p)).jacobian[0]
     gt = evaluate(plane_r3.ambient_metric.tensor, plane_r3.point_image(p))
     assert np.max(np.abs(B.T @ gt @ n)) < 1e-10
     assert abs(float(n @ gt @ n) - 1.0) < 1e-10
@@ -129,8 +130,9 @@ def test_plane_normal_closed_form(plane_r3):
 def test_gauss_weingarten_reconstruction(surface, request):
     E = request.getfixturevalue(surface)
     N = NormalField(E)
-    for p in chart_points(2, 15, seed=19):
-        rec = reconstruction_residuals(gauss_weingarten(frame_stack(N, [p], partials=True)))
+    for p in as_points(chart_points(2, 15, seed=19)):
+        rec = reconstruction_residuals(
+            gauss_weingarten(frame_stack(N, stack_of(p), partials=True)))
         assert rec["gauss"] < 1e-6
         assert rec["weingarten"] < 1e-6
 
@@ -138,8 +140,8 @@ def test_gauss_weingarten_reconstruction(surface, request):
 def test_decomposed_connection_matches_levi_civita(quadric_r3):
     g = induced_metric(quadric_r3)
     N = NormalField(quadric_r3)
-    for p in chart_points(2, 10, seed=23):
-        gw = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
+    for p in as_points(chart_points(2, 10, seed=23)):
+        gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
         gamma = christoffel(g, p)
         assert np.max(np.abs(gw.induced_gamma - gamma)) < 1e-6
 
@@ -152,8 +154,8 @@ def test_decomposed_connection_metricity(quadric_r3):
 
     g = induced_metric(quadric_r3)
     N = NormalField(quadric_r3)
-    for p in chart_points(2, 8, seed=24):
-        gw = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
+    for p in as_points(chart_points(2, 8, seed=24)):
+        gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
         jg = jet(g.tensor, p)
         full = covariant_derivative_components(jg.value, jg.partials, gw.induced_gamma, (0, 2))
         assert np.max(np.abs(full)) < 1e-6
@@ -162,8 +164,8 @@ def test_decomposed_connection_metricity(quadric_r3):
 def test_unit_normal_weingarten_relations(quadric_r3):
     N = NormalField(quadric_r3)
     g = induced_metric(quadric_r3)
-    for p in chart_points(2, 10, seed=27):
-        gw = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
+    for p in as_points(chart_points(2, 10, seed=27)):
+        gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
         assert np.max(np.abs(gw.w)) < 1e-10
         gv = evaluate(g.tensor, p)
         # metric Weingarten relation g(H_w X, Y) = -h(X, Y)
@@ -177,10 +179,10 @@ def test_scaled_normal_product_rule(quadric_r3):
     rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
     N_unit = NormalField(E)
     N_scaled = NormalField(E, scaling=rho)
-    for p in chart_points(2, 8, seed=31):
+    for p in as_points(chart_points(2, 8, seed=31)):
         r = math.exp(p.coords[0] + p.coords[1])
-        gw_u = gauss_weingarten(frame_stack(N_unit, [p], partials=True))[0]
-        stack_s = gauss_weingarten(frame_stack(N_scaled, [p], partials=True))
+        gw_u = gauss_weingarten(frame_stack(N_unit, stack_of(p), partials=True))[0]
+        stack_s = gauss_weingarten(frame_stack(N_scaled, stack_of(p), partials=True))
         gw_s = stack_s[0]
         np.testing.assert_allclose(gw_s.w, [1.0, 1.0], atol=1e-6)
         np.testing.assert_allclose(gw_s.h, gw_u.h / r, atol=1e-6)
@@ -193,9 +195,9 @@ def test_scaled_normal_product_rule(quadric_r3):
 def test_orientation_flip_action(quadric_r3):
     N = NormalField(quadric_r3)
     Nf = N.flipped()
-    for p in chart_points(2, 6, seed=33):
-        a = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
-        b = gauss_weingarten(frame_stack(Nf, [p], partials=True))[0]
+    for p in as_points(chart_points(2, 6, seed=33)):
+        a = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
+        b = gauss_weingarten(frame_stack(Nf, stack_of(p), partials=True))[0]
         np.testing.assert_allclose(b.h, -a.h, atol=1e-12)
         np.testing.assert_allclose(b.H_w, -a.H_w, atol=1e-12)
         np.testing.assert_allclose(b.H_h, -a.H_h, atol=1e-12)
@@ -232,7 +234,12 @@ def test_singular_ambient_metric_rejected():
     with pytest.raises(SingularMetricError):
         unit_normal(E, P([0.2, 0.2]))
     with pytest.raises(SingularMetricError):
-        gauss_weingarten(frame_stack(NormalField(E), [P([0.2, 0.2])], partials=True))[0]
+        gauss_weingarten(frame_stack(NormalField(E), stack_of(P([0.2, 0.2])), partials=True))[0]
+
+
+def test_frame_stack_rejects_points_of_another_chart(plane_r3):
+    with pytest.raises(DimensionMismatchError, match="dimension 3"):
+        frame_stack(NormalField(plane_r3), PointStack([[0.1, 0.2, 0.3]]))
 
 
 def test_wrong_output_arity_rejected(euclid3):

@@ -29,7 +29,7 @@ from sasakicheck.theorems import (
     theorem_3_3_chart,
 )
 
-from conftest import SURFACES, states_at, surface_normal
+from conftest import SURFACES, as_points, stack_of, states_at, surface_normal
 
 
 def _points(dim, count, seed):
@@ -56,8 +56,9 @@ def test_algebraic_battery_equals_single_point_batteries(surface, count):
     pts = _points(N.embedding.dim, count, seed=count + 7)
     S = extract_structure(N, frame_stack(N, pts))
     _assert_combines(verify_algebraic_identities(S),
-                     [verify_algebraic_identities(extract_structure(N, frame_stack(N, [p])))
-                      for p in pts])
+                     [verify_algebraic_identities(
+                         extract_structure(N, frame_stack(N, stack_of(p))))
+                      for p in as_points(pts)])
 
 
 def _zeroed(st, *keys):

@@ -25,6 +25,7 @@ from sasakicheck import (
     MetricField,
     NormalField,
     Point,
+    PointStack,
     ScalarField,
     TensorField,
     extract_structure,
@@ -38,7 +39,7 @@ from sasakicheck import (
 from sasakicheck.dual import exp
 from sasakicheck.errors import TangencyError
 
-from conftest import by_name, chart_points, chart_vectors, states_at
+from conftest import as_points, by_name, chart_points, chart_vectors, stack_of, states_at
 
 
 def _pair_dirs(dim, count=5, seed=11):
@@ -82,7 +83,7 @@ def test_extraction_matches_frozen_plane_oracle(plane_structure):
         np.testing.assert_allclose(bd.U, want["U"], atol=1e-12)
         np.testing.assert_allclose(bd.v, want["v"], atol=1e-12)
         np.testing.assert_allclose(bd.V, want["V"], atol=1e-12)
-        gw = gauss_weingarten(frame_stack(S.normal, [p], partials=True))[0]
+        gw = gauss_weingarten(frame_stack(S.normal, stack_of(p), partials=True))[0]
         np.testing.assert_allclose(gw.h, want["h"], atol=1e-12)
 
 
@@ -136,7 +137,8 @@ def test_sample_states_need_the_partials_split_of_the_same_points(quadric_r3):
     with pytest.raises(ValueError, match="partials"):
         sample_states(extract_structure(N, frame_stack(N, pts)), dirs, gw)
     with pytest.raises(ValueError, match="structure at 4 points, Gauss-Weingarten data at 6"):
-        sample_states(extract_structure(N, frame_stack(N, pts[:4], partials=True)), dirs, gw)
+        fs4 = frame_stack(N, PointStack(pts.coords[:4]), partials=True)
+        sample_states(extract_structure(N, fs4), dirs, gw)
     assert len(sample_states(extract_structure(N, fs), dirs, gw)) == 6
 
 
@@ -151,7 +153,7 @@ def test_extraction_rejects_the_frame_stack_of_another_normal_field(quadric_r3, 
             extract_structure(other, fs)
     # an equal field built separately owns the stack
     S = extract_structure(NormalField(quadric_r3), fs)
-    assert S.stack.lam[0] == pytest.approx(S.values_at(pts[0]).lam, abs=1e-14)
+    assert S.stack.lam[0] == pytest.approx(S.values_at(Point(pts.coords[0])).lam, abs=1e-14)
 
 
 def test_extraction_rejects_non_sasakian_ambient():
@@ -198,7 +200,7 @@ def test_gauge_families_agree_for_unit_normal(plane_r3):
 
 
 def test_v_equals_metric_dual_of_V(plane_structure):
-    for p in chart_points(2, 15, seed=49):
+    for p in as_points(chart_points(2, 15, seed=49)):
         bd = plane_structure.values_at(p)
         np.testing.assert_allclose(bd.g @ bd.V, bd.v, atol=1e-12)
         np.testing.assert_allclose(bd.g @ bd.U, bd.u, atol=1e-12)
@@ -209,7 +211,7 @@ def test_orientation_flip_covariance(plane_r3):
     N = NormalField(plane_r3)
     S = extract_structure(N, frame_stack(N, pts))
     Sf = extract_structure(N.flipped(), frame_stack(N.flipped(), pts))
-    for p in pts[:5]:
+    for p in as_points(pts)[:5]:
         a, b = S.values_at(p), Sf.values_at(p)
         np.testing.assert_allclose(b.u, -a.u, atol=1e-12)
         np.testing.assert_allclose(b.U, -a.U, atol=1e-12)

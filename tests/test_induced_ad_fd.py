@@ -16,7 +16,7 @@ import pytest
 from sasakicheck import (
     Embedding,
     NormalField,
-    Point,
+    PointStack,
     ScalarField,
     christoffel,
     extract_structure,
@@ -26,7 +26,7 @@ from sasakicheck import (
 )
 from sasakicheck.dual import cos, exp, sin
 
-from conftest import SimpleAmbient, chart_points, euclidean_metric
+from conftest import SimpleAmbient, as_points, chart_points, euclidean_metric, stack_of
 
 STEP = 1e-5
 TOL = 1e-6
@@ -52,7 +52,7 @@ def _sphere_normal():
 
 def _sphere_points():
     # half the box keeps the chart away from the poles
-    return [Point([0.5 * c for c in p.coords]) for p in chart_points(2, POINTS, seed=89)]
+    return PointStack(0.5 * chart_points(2, POINTS, seed=89).coords)
 
 
 SURFACES = ["plane_r3", "quadric_r3", "quadric_r3_scaled", "plane_r5"]
@@ -63,7 +63,7 @@ def test_bundle_partials_match_finite_differences(surface, request):
     N = _normal(surface, request)
     pts = chart_points(N.embedding.dim, POINTS, seed=83)
     S = extract_structure(N, frame_stack(N, pts))
-    for p in pts:
+    for p in as_points(pts):
         bd = S.bundle_at(p)
         for partial, name in PARTIALS.items():
             fd = fd_derivative(getattr(S, name), p, step=STEP).partials
@@ -79,8 +79,8 @@ def _fd_normal(N, p):
 
 def _check_normal_partials(N, pts):
     E = N.embedding
-    for p in pts:
-        gw = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
+    for p in as_points(pts):
+        gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
         gamma = christoffel(E.ambient_metric, E.point_image(p))
         dN = gw.DN - np.einsum("ijk,ja,k->ia", gamma, gw.jacobian, gw.normal)
         err = float(np.max(np.abs(dN.T - _fd_normal(N, p))))

@@ -4,6 +4,7 @@ import pytest
 from sasakicheck import (
     AlmostContactMetricStructure,
     Point,
+    PointStack,
     TensorField,
     check_sasakian_axioms,
     evaluate,
@@ -11,28 +12,28 @@ from sasakicheck import (
     standard_sasakian,
 )
 from sasakicheck.errors import DimensionMismatchError
-from sasakicheck.sampling import sample_direction_fields, sample_points
+from sasakicheck.sampling import sample_points, sample_vectors
 from sasakicheck.sasakian import two_form_residuals
 
-from conftest import chart_points, chart_vectors
+from conftest import as_points, chart_points, chart_vectors
 
 
 def _samples(dim, count=30, seed=7):
     rng = np.random.default_rng(seed)
     pts = sample_points(dim, count, (-1.0, 1.0), rng)
-    dirs = sample_direction_fields(dim, 5, rng)
+    dirs = sample_vectors(dim, 5, rng)
     return pts, dirs
 
 
 def test_eta_of_xi_is_one(sasaki3):
-    for p in chart_points(3, 10):
+    for p in as_points(chart_points(3, 10)):
         eta = evaluate(sasaki3.eta, p)
         xi = evaluate(sasaki3.xi, p)
         assert float(eta @ xi) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_phi_of_xi_vanishes(sasaki3):
-    for p in chart_points(3, 10):
+    for p in as_points(chart_points(3, 10)):
         phi = evaluate(sasaki3.phi, p)
         xi = evaluate(sasaki3.xi, p)
         assert np.max(np.abs(phi @ xi)) == 0.0
@@ -48,12 +49,19 @@ def test_full_axiom_suite(n):
 
 def test_axioms_require_matching_dimension(sasaki3):
     with pytest.raises(DimensionMismatchError):
-        check_sasakian_axioms(sasaki3, [Point([0.0, 0.0])])
+        check_sasakian_axioms(sasaki3, PointStack([[0.0, 0.0]]))
+
+
+def test_axioms_require_directions_of_the_ambient_dimension(sasaki3):
+    pts = chart_points(3, 4)
+    for dirs in (chart_vectors(2, 5), chart_vectors(3, 5)[0]):
+        with pytest.raises(DimensionMismatchError, match="directions of shape"):
+            check_sasakian_axioms(sasaki3, pts, dirs)
 
 
 def test_axioms_require_points(sasaki3):
     with pytest.raises(ValueError):
-        check_sasakian_axioms(sasaki3, [])
+        check_sasakian_axioms(sasaki3, PointStack(np.empty((0, 3))))
 
 
 def test_scaled_eta_breaks_unit_axiom(sasaki3):
@@ -103,7 +111,7 @@ def test_builtin_sign_chosen_by_transport_axioms(n):
 
 def test_two_form_antisymmetry_on_random_vectors(sasaki3):
     F = fundamental_two_form(sasaki3)
-    for p in chart_points(3, 10):
+    for p in as_points(chart_points(3, 10)):
         Fv = evaluate(F, p)
         for x in chart_vectors(3, 5):
             assert abs(float(x @ Fv @ x)) <= 1e-12
@@ -131,7 +139,7 @@ def test_unit_axiom_implies_annihilation(sasaki3):
 def test_residuals_invariant_under_sample_reordering(sasaki3):
     pts, dirs = _samples(3, 12)
     a = check_sasakian_axioms(sasaki3, pts, dirs).residuals
-    b = check_sasakian_axioms(sasaki3, list(reversed(pts)), dirs).residuals
+    b = check_sasakian_axioms(sasaki3, PointStack(pts.coords[::-1]), dirs).residuals
     assert a == b
 
 

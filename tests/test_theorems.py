@@ -27,7 +27,15 @@ from sasakicheck.theorems import (
     theorem_3_4_model_consistency,
 )
 
-from conftest import chart_points, chart_vectors, euclidean_metric, states_at
+from conftest import (
+    as_points,
+    chart_points,
+    chart_vectors,
+    constant_vector_field,
+    euclidean_metric,
+    stack_of,
+    states_at,
+)
 
 
 @pytest.fixture()
@@ -45,12 +53,12 @@ def test_parallel_residual_rejects_unknown_field(plane_structure):
 def test_constant_field_on_flat_chart_is_parallel():
     # the covariant derivative machinery itself: flat metric, constant field
     from sasakicheck.connection import christoffel
-    from sasakicheck.fields import constant_vector_field, jet
+    from sasakicheck.fields import jet
     from sasakicheck.connection import covariant_derivative_components
 
     g = euclidean_metric(2)
     Y = constant_vector_field(2, [1.0, 2.0])
-    for p in chart_points(2, 5):
+    for p in as_points(chart_points(2, 5)):
         gamma = christoffel(g, p)
         jy = jet(Y, p)
         full = covariant_derivative_components(jy.value, jy.partials, gamma, (1, 0))
@@ -66,10 +74,9 @@ def test_V_not_parallel_on_plane(plane_structure):
 def test_nabla_V_matches_adjudicated_identity(plane_structure):
     # direct covariant derivative against the (2.15) right-hand side under
     # the adjudicated convention: nabla_Y V = phi' Y - lambda H_w Y
-    pts = chart_points(2, 8, seed=91)
-    for p in pts:
+    for p in as_points(chart_points(2, 8, seed=91)):
         bd = plane_structure.bundle_at(p)
-        gw = gauss_weingarten(frame_stack(plane_structure.normal, [p], partials=True))[0]
+        gw = gauss_weingarten(frame_stack(plane_structure.normal, stack_of(p), partials=True))[0]
         covV = bd.dV + np.einsum("aij,j->ia", bd.gamma, bd.V)
         for Y in chart_vectors(2, 3, seed=92):
             direct = np.einsum("i,ia->a", Y, covV)
@@ -216,10 +223,9 @@ def test_theorem_3_4_chart_vacuous_on_quadric(quadric_r3):
 
 def test_theorem_3_4_scaled_normal_w_is_dlog_rho(quadric_r3):
     rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
-    pts = chart_points(2, 8, seed=103)
     N = NormalField(quadric_r3, scaling=rho)
-    for p in pts:
-        gw = gauss_weingarten(frame_stack(N, [p], partials=True))[0]
+    for p in as_points(chart_points(2, 8, seed=103)):
+        gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
         np.testing.assert_allclose(gw.w, [1.0, 1.0], atol=1e-6)
 
 
