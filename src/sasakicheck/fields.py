@@ -71,11 +71,20 @@ class PointStack:
     Built once from (P, dim) rows and shared by every field evaluated on
     the same points; ``coords`` holds those rows.  The rows must be
     finite: a non-finite coordinate raises :class:`NonFiniteValueError`
-    with the text a :class:`Point` of that row would raise.
+    with the text a :class:`Point` of that row would raise, and rows that
+    do not form a 2-D array (uneven rows among them) raise
+    :class:`DimensionMismatchError`.
     """
 
     def __init__(self, coords):
-        coords = np.asarray(coords, dtype=float)
+        try:
+            coords = np.asarray(coords, dtype=float)
+        except ValueError:
+            shapes = sorted({np.shape(row) for row in coords})
+            if len(shapes) < 2:
+                raise
+            raise DimensionMismatchError(f"point rows must form a 2-D (points, dim) array, "
+                                         f"got rows of shapes {shapes}") from None
         if coords.ndim != 2:
             raise DimensionMismatchError(
                 f"point rows must form a 2-D (points, dim) array, got shape {coords.shape}")

@@ -136,20 +136,21 @@ def _xi_transport(dxi, phi, dirs) -> float:
     )
 
 
-def two_form_residuals(
-    S: AlmostContactMetricStructure, stack: PointStack, phi: Optional[np.ndarray] = None
-) -> Dict[str, float]:
-    """Residuals of the antisymmetry and phi-compatibility identities of 'F
-    on a point stack; ``phi`` is S.phi evaluated there, if already at hand."""
-    F = evaluate_stack(fundamental_two_form(S), stack)
-    if phi is None:
-        phi = evaluate_stack(S.phi, stack)
+def _two_form_identities(F: np.ndarray, phi: np.ndarray) -> Dict[str, float]:
+    """Residuals of (1.8)-(1.10) from 'F and phi evaluated on the same stack."""
     FP = F @ phi
     return {
         "1.8": worst(np.abs(F + F.mT)),
         "1.9": worst(np.abs(FP - FP.mT)),
         "1.10": worst(np.abs(phi.mT @ F @ phi - F)),
     }
+
+
+def two_form_residuals(S: AlmostContactMetricStructure, stack: PointStack) -> Dict[str, float]:
+    """Residuals of the antisymmetry and phi-compatibility identities of 'F
+    on a point stack."""
+    return _two_form_identities(
+        evaluate_stack(fundamental_two_form(S), stack), evaluate_stack(S.phi, stack))
 
 
 def check_sasakian_axioms(
@@ -214,5 +215,5 @@ def check_sasakian_axioms(
             res["1.6"] = max(res["1.6"], worst(np.abs(lhs - rhs)))
     res["1.7"] = _xi_transport(dxi, phi, dirs)
 
-    res.update(two_form_residuals(S, stack, phi))
+    res.update(_two_form_identities(evaluate_stack(fundamental_two_form(S), stack), phi))
     return AxiomReport(residuals=res, sample_count=len(stack), direction_count=len(directions))

@@ -158,7 +158,7 @@ def test_stacked_constant_and_scalar_fields_broadcast():
 
 
 def test_stack_dimensions_checked():
-    for rows in (np.zeros(3), np.zeros((1, 2, 2))):
+    for rows in (np.zeros(3), np.zeros((1, 2, 2)), [[0.0, 0.0, 0.0], [0.0, 0.0]]):
         with pytest.raises(DimensionMismatchError, match="2-D"):
             PointStack(rows)
     stack = PointStack([[0.0, 0.0]])

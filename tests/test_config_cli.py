@@ -6,15 +6,19 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sasakicheck import (
     InducedStructure,
+    NormalField,
     Point,
     PointStack,
+    evaluate,
     hypersurface,
     induced,
     linalg,
+    runner,
     sasakian,
 )
 from sasakicheck.cli import main
@@ -344,9 +348,12 @@ DEGENERATE = {
     "scaling_nonpositive": SCALED.format("s"),
     "scaling_overflow": SCALED.format("exp(-800*s)"),
     "scaling_ill_conditioned": SCALED.format("exp(700*s)"),
+    "map_division_by_zero_at_base": GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, 1/(s-s)")
+    + "\n[normal]\norientation = lambda_nonneg\nbase_point = 0.2, 0.4\n",
 }
-# the error line of each, naming the first offending chart point as a
-# tuple (stack rejections) or as a list (expression and scaling failures)
+# the error line of each, naming the first offending chart point (or the
+# base point) as a tuple (stack rejections) or as a list (expression and
+# scaling failures)
 DEGENERATE_ERRORS = {
     "map_division_by_zero": "error: expression '1/(s-s)' failed at "
     "[0.26408847113914624, -0.026443454071219064]: division by a dual number with zero real part",
@@ -360,6 +367,9 @@ DEGENERATE_ERRORS = {
     "[-0.9314720428144216, 0.3562626262481232]: math range error",
     "scaling_ill_conditioned": "error: tangent-normal frame condition number inf exceeds 1.0e+12 "
     "at (0.26408847113914624, -0.026443454071219064)",
+    # the orientation probe at the base point fails first, in the frame layer's dual pass
+    "map_division_by_zero_at_base": "error: expression '1/(s-s)' failed at [0.2, 0.4]: "
+    "division by a dual number with zero real part",
 }
 
 
@@ -469,6 +479,29 @@ def test_lambda_nonneg_probe_builds_one_row_stacks(monkeypatch):
     assert calls == {"_structure_stack": 1, "gauss_weingarten": 1, "check_sasakian_axioms": 1,
                      "bundle_at": 0, "values_at": 0, "linalg.det": 0, "linalg.solve_columns": 0,
                      "Point": 0, "PointStack": 5}
+
+
+@pytest.mark.parametrize("name,outputs", [
+    ("plane_r3", ["(s^2 + t^2)/2", "s", "t"]),
+    ("plane_r5", ["s1", "s2", "s3", "(s1^2 - s4^2)/2 + s2*s3", "s4"]),
+])
+def test_lambda_nonneg_sign_matches_one_point_probe(name, outputs):
+    # the stacked probe picks the sign of eta(N) that the one-point path gives at
+    # the base point; on these surfaces eta(N) changes sign with the last chart coordinate
+    config = load_suite_config(CONFIGS / f"{name}.cfg")
+    config.count, config.outputs = 2, outputs
+    config.orientation = "lambda_nonneg"
+    signs = []
+    for row in np.random.default_rng(41).uniform(-2.0, 2.0, (20, config.surface_dim)):
+        config.base_point = tuple(row.tolist())
+        context = runner._Context(config)
+        base = Point(config.base_point)
+        probe = NormalField(context.embedding, None, 1)
+        lam0 = float(evaluate(context.ambient.eta, context.embedding.point_image(base))
+                     @ probe.components_at(base))
+        signs.append(context.orientation)
+        assert context.orientation == (1 if lam0 >= 0 else -1), row
+    assert set(signs) == {-1, 1}
 
 
 VALUES, PARTIALS = {"partials": [], "values": [10]}, {"partials": [10], "values": []}
