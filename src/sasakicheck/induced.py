@@ -3,7 +3,7 @@
 Splitting phi~(BX), phi~N and xi against the tangent-plus-normal frame
 of a hypersurface yields a (1,1) tensor phi, vector fields U and V,
 one-forms u and v, and a scalar lambda on the surface chart.  This
-module extracts that data, exposes it as fields, and measures the
+module extracts that data at a stack of chart points, and measures the
 algebraic and covariant-derivative identity battery against it.
 
 The split is one batched float solve X = A^-1 R against the frames
@@ -46,7 +46,7 @@ import numpy as np
 from . import linalg
 from .connection import MetricField, covariant_derivative_components, levi_civita_gamma
 from .errors import TangencyError
-from .fields import Point, PointStack, ScalarField, TensorField, evaluate_stack, jet_stack
+from .fields import Point, PointStack, evaluate_stack, jet_stack
 from .hypersurface import (
     Embedding,
     FrameStack,
@@ -143,16 +143,13 @@ def _structure_at(ambient, N: NormalField, coords, partials: bool) -> StructureB
 
 @dataclass(frozen=True)
 class InducedStructure:
-    """Induced data on a hypersurface; fields live on the surface chart."""
+    """Induced data on a hypersurface: the induced metric as a field on the
+    surface chart, and the split (phi, U, V, u, v, lambda) as the float
+    record ``stack`` at the extraction points (``values_at``/``bundle_at``
+    split it at one other point)."""
 
     embedding: Embedding
     normal: NormalField
-    phi: TensorField
-    U: TensorField
-    V: TensorField
-    u: TensorField
-    v: TensorField
-    lam: ScalarField
     g: MetricField
     noninvariant: bool
     max_u: float
@@ -213,19 +210,9 @@ def extract_structure(
     max_u = linalg.worst(np.abs(st.u))
     lambda_consistency = linalg.worst(np.abs(st.lam - st.eta_n)) if N.scaling is None else 0.0
 
-    def field_func(key):
-        return lambda coords: getattr(_structure_at(E.ambient, N, coords, False), key)
-
-    m = E.dim
     return InducedStructure(
         embedding=E,
         normal=N,
-        phi=TensorField((1, 1), m, field_func("phi")),
-        U=TensorField((1, 0), m, field_func("U")),
-        V=TensorField((1, 0), m, field_func("V")),
-        u=TensorField((0, 1), m, field_func("u")),
-        v=TensorField((0, 1), m, field_func("v")),
-        lam=ScalarField(m, field_func("lam")),
         g=induced_metric(E),
         noninvariant=max_u > NONINVARIANT_THRESHOLD,
         max_u=max_u,

@@ -128,12 +128,25 @@ def _nabla_xi(S, stack, gamma) -> np.ndarray:
     return covariant_derivative_components(jxi.value, jxi.partials, gamma, (1, 0))
 
 
-def _xi_transport(dxi, phi, dirs) -> float:
-    """Eq (1.7): max |nabla_X xi + phi X| over the stack and the directions."""
-    return max(
-        worst(np.abs(np.einsum("...i,...ia->...a", X, dxi) + (phi @ X[:, :, None])[:, :, 0]))
-        for X in dirs
-    )
+def _covariant_axiom_rows(dphi, dxi, phi, xi, eta, g, dirs):
+    """|(1.6)| for every (X, Y) = (dirs[k], dirs[l]) and |(1.7)| for every
+    X = dirs[k], from (K, P, d) directions, as rows of d components: one
+    per (k, l, point), (K*K*P, d), and one per (k, point), (K*P, d).
+
+    (1.6)'s left side is summed in the order einsum("i,iab,b->a") sums one
+    pair: over b for each i, then those partial sums over i."""
+    d = dirs.shape[-1]
+    lhs = 0.0
+    for i in range(d):
+        Xdphi = dirs[:, :, i, None, None] * dphi[:, i]
+        part = 0.0
+        for b in range(d):
+            part = part + Xdphi[:, None, ..., b] * dirs[None, :, :, b, None]
+        lhs = part + lhs
+    gXY = (dirs[:, :, None, :] @ g)[:, None] @ dirs[None, ..., None]
+    rhs = gXY[..., 0] * xi - pair(eta, dirs)[None, ..., None] * dirs[:, None]
+    xi_transport = np.einsum("kpi,pia->kpa", dirs, dxi) + (phi @ dirs[..., None])[..., 0]
+    return np.abs(lhs - rhs).reshape(-1, d), np.abs(xi_transport).reshape(-1, d)
 
 
 def _two_form_identities(F: np.ndarray, phi: np.ndarray) -> Dict[str, float]:
@@ -161,12 +174,14 @@ def check_sasakian_axioms(
     """Max residual of each structure axiom over the samples.
 
     Algebraic axioms are checked on full component arrays (equivalent to
-    all directions); the covariant-derivative axioms are contracted
-    against each row of the (K, d) array ``directions``.  Every tensor,
-    jet and Christoffel symbol is evaluated once on the whole (P, d) point stack
-    (the closures are elementwise, see :mod:`sasakicheck.fields`); the
-    residuals equal the maxima of one-point runs bit for bit, and an
-    error names the first offending point.
+    all directions); the covariant-derivative axioms are measured at
+    every point for every pair (1.6) and every row (1.7) of the (K, d)
+    array ``directions``, as one (K, K, P, d) and one (K, P, d) array.
+    Every tensor, jet and Christoffel symbol is evaluated once on the
+    whole (P, d) point stack (the closures are elementwise, see
+    :mod:`sasakicheck.fields`); the residuals equal the maxima of
+    one-point, one-pair runs bit for bit, and an error names the first
+    offending point.
     """
     if not len(stack):
         raise ValueError("no sample points supplied")
@@ -199,21 +214,14 @@ def check_sasakian_axioms(
 
     gamma = christoffel_stack(S.g, stack)
     jphi = jet_stack(S.phi, stack)
-    # einsum sums in memory order: a C-contiguous stack sums each point as one point would
-    dphi = np.ascontiguousarray(
-        covariant_derivative_components(jphi.value, jphi.partials, gamma, (1, 1)))
+    dphi = covariant_derivative_components(jphi.value, jphi.partials, gamma, (1, 1))
     dxi = _nabla_xi(S, stack, gamma)
-    # one C-contiguous (P, d) copy per direction, so einsum sums each point as alone
+    # the directions as (K, P, d), one C-contiguous row per point, so every
+    # product runs each point's one-point BLAS call
     dirs = np.repeat(directions[:, None], len(stack), axis=1)
-    eta_dirs = [pair(eta, Y)[:, None] for Y in dirs]
-    res["1.6"] = 0.0
-    for X in dirs:
-        Xg = X[:, None, :] @ g
-        for Y, etaY in zip(dirs, eta_dirs):
-            lhs = np.einsum("...i,...iab,...b->...a", X, dphi, Y)
-            rhs = (Xg @ Y[:, :, None])[:, 0] * xi - etaY * X
-            res["1.6"] = max(res["1.6"], worst(np.abs(lhs - rhs)))
-    res["1.7"] = _xi_transport(dxi, phi, dirs)
+    # a NaN (pair, point) row is passed over, as the maximum of one pair's run would
+    rows16, rows17 = _covariant_axiom_rows(dphi, dxi, phi, xi, eta, g, dirs)
+    res["1.6"], res["1.7"] = worst(rows16), worst(rows17)
 
     res.update(_two_form_identities(evaluate_stack(fundamental_two_form(S), stack), phi))
     return AxiomReport(residuals=res, sample_count=len(stack), direction_count=len(directions))

@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from sasakicheck import (
 )
 from sasakicheck.config import load_suite_config
 from sasakicheck.exprs import compile_expression, compile_map
+from sasakicheck.linalg import pair
 from sasakicheck.sampling import sample_points, sample_vectors, spawn_rngs
 
 REPO = Path(__file__).resolve().parent.parent
@@ -132,3 +134,44 @@ def surface_normal(path):
         scaling = ScalarField(config.surface_dim,
                               compile_expression(config.scaling, config.inputs))
     return NormalField(E, scaling, config.orientation)
+
+
+def running_max(values):
+    """max(worst, r) over the values from 0.0, as a per-draw or per-pair loop
+    took it: a NaN value after the first is passed over."""
+    return reduce(max, values, 0.0)
+
+
+def covariant_axiom_loops(dphi, dxi, phi, xi, eta, g, dirs):
+    """The (1.6) and (1.7) residuals of ``check_sasakian_axioms`` from (K, P, d)
+    directions, one einsum per direction pair and per direction, as the
+    battery took them before it stacked the pairs: (K, K, P, d) and (K, P, d)."""
+    # einsum sums in memory order: a C-contiguous stack sums each point as one point would
+    dphi = np.ascontiguousarray(dphi)
+    r16 = np.empty(dirs.shape[:1] + dirs.shape)
+    for k, X in enumerate(dirs):
+        Xg = X[:, None, :] @ g
+        for l, Y in enumerate(dirs):
+            lhs = np.einsum("...i,...iab,...b->...a", X, dphi, Y)
+            rhs = (Xg @ Y[:, :, None])[:, 0] * xi - pair(eta, Y)[:, None] * X
+            r16[k, l] = np.abs(lhs - rhs)
+    r17 = np.stack([np.abs(np.einsum("...i,...ia->...a", X, dxi) + (phi @ X[:, :, None])[:, :, 0])
+                    for X in dirs])
+    return r16, r17
+
+
+def w_map_columns(phi_inv, U, V, g, lam):
+    """Theorem 3.2's affine map w -> h(., V) as (M, base), assembled one
+    column at a time from one h matrix per basis vector, as
+    ``check_theorem_3_2`` assembled it before the one product."""
+    m = len(U)
+
+    def h_matrix(w):
+        H = phi_inv @ (np.outer(U, w) - lam * np.eye(m))
+        return H.T @ g
+
+    base = h_matrix(np.zeros(m)) @ V
+    M = np.zeros((m, m))
+    for c in range(m):
+        M[:, c] = h_matrix(np.eye(m)[c]) @ V - base
+    return M, base

@@ -5,7 +5,8 @@ Run on a whole point stack, ``check_sasakian_axioms`` and
 the same checks run one point at a time, and they must raise the same
 errors, naming the first offending sample.  The stacked field
 evaluators they stand on must match the one-point ``evaluate``/``jet``
-exactly.
+exactly, and the (1.6)/(1.7) residuals of all direction pairs at once
+must match ``covariant_axiom_loops``, one einsum per pair.
 """
 
 import re
@@ -30,12 +31,19 @@ from sasakicheck import (
     jet_stack,
     standard_sasakian,
 )
-from sasakicheck.connection import DET_FLOOR, christoffel, christoffel_stack
+from sasakicheck.connection import (
+    DET_FLOOR,
+    christoffel,
+    christoffel_stack,
+    covariant_derivative_components,
+)
 from sasakicheck.errors import DimensionMismatchError, NonFiniteValueError, SingularMetricError
 from sasakicheck.sampling import sample_points, sample_vectors
-from sasakicheck.sasakian import two_form_residuals
+from sasakicheck.linalg import worst
+from sasakicheck import sasakian
+from sasakicheck.sasakian import _covariant_axiom_rows, _nabla_xi, two_form_residuals
 
-from conftest import as_points, stack_of
+from conftest import as_points, covariant_axiom_loops, running_max, stack_of
 
 
 def _samples(dim, count, seed):
@@ -194,3 +202,63 @@ def test_structure_with_exp_factor_batches_like_the_standard_one(sasaki3):
     pts, dirs = _samples(3, 50, seed=23)
     assert (check_sasakian_axioms(_with(S, eta=eta), pts, dirs).residuals
             == check_sasakian_axioms(S, pts, dirs).residuals)
+
+
+def _covariant_inputs(n, count, K, seed):
+    """What the battery contracts (1.6) and (1.7) on, at ``count`` seeded
+    points and ``K`` seeded directions repeated along them as (K, P, d),
+    with the structure, the stack and the (K, d) directions."""
+    S = standard_sasakian(n)
+    pts, _ = _samples(S.dim, count, seed)
+    directions = sample_vectors(S.dim, K, np.random.default_rng(seed + 1))
+    phi, xi, eta, g = (evaluate_stack(f, pts) for f in (S.phi, S.xi, S.eta, S.g.tensor))
+    gamma = christoffel_stack(S.g, pts)
+    jphi = jet_stack(S.phi, pts)
+    dphi = covariant_derivative_components(jphi.value, jphi.partials, gamma, (1, 1))
+    dirs = np.repeat(directions[:, None], count, axis=1)
+    return [dphi, _nabla_xi(S, pts, gamma), phi, xi, eta, g, dirs], S, pts, directions
+
+
+@pytest.mark.parametrize("K", [1, 5, 7])
+@pytest.mark.parametrize("count", [1, 50, 400])
+@pytest.mark.parametrize("n", [1, 2])
+def test_covariant_axiom_rows_equal_the_pair_loop_bit_for_bit(n, count, K):
+    args, S, pts, directions = _covariant_inputs(n, count, K, seed=1004)
+    rows16, rows17 = _covariant_axiom_rows(*args)
+    r16, r17 = covariant_axiom_loops(*args)
+    assert rows16.tobytes() == r16.tobytes() and rows17.tobytes() == r17.tobytes()
+    res = check_sasakian_axioms(S, pts, directions).residuals
+    assert res["1.6"] == running_max(worst(r) for r in r16.reshape(K * K, count, S.dim))
+    assert res["1.7"] == running_max(worst(r) for r in r17)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_nan_rows_are_passed_over_pair_by_pair(n, monkeypatch):
+    S = standard_sasakian(n)
+    pts, directions = _samples(S.dim, 50, seed=7)
+    near, nan_point, nan_dir = 17, 30, 2
+    seen = []
+
+    def poisoned(dphi, dxi, phi, xi, eta, g, dirs):
+        dphi, dxi, dirs = dphi.copy(), dxi.copy(), dirs.copy()
+        # point ``near`` holds the largest residual of every pair and direction ...
+        dphi[near, 0, 0, 0] += 1.0
+        dxi[near, 0, 0] += 1.0
+        # ... except where direction ``nan_dir`` is NaN there; ``nan_point`` is NaN throughout
+        dirs[nan_dir, near, 0] = np.nan
+        dphi[nan_point, 0, 0, 0] = dxi[nan_point, 0, 0] = np.nan
+        seen.append((dphi, dxi, phi, xi, eta, g, dirs))
+        return rows(*seen[-1])
+
+    rows = sasakian._covariant_axiom_rows
+    monkeypatch.setattr(sasakian, "_covariant_axiom_rows", poisoned)
+    res = check_sasakian_axioms(S, pts, directions).residuals
+    r16, r17 = covariant_axiom_loops(*seen[0])
+    pairs = r16.reshape(25, 50, S.dim)
+    clean = [k * 5 + l for k in range(5) for l in range(5) if nan_dir not in (k, l)]
+    for key, per_run, at_near in (("1.6", pairs, pairs[clean, near]),
+                                  ("1.7", r17, np.delete(r17[:, near], nan_dir, axis=0))):
+        want = running_max(worst(r) for r in per_run)
+        # the per-run maxima skip only the NaN rows: ``near`` keeps its clean ones
+        assert want == np.max(at_near) > 1e-3
+        assert res[key] == want

@@ -7,11 +7,11 @@ way: one ``make_pointwise_model``, ``check_theorem_3_3`` and
 ``check_theorem_3_2`` call per draw, running maxima that pass over NaN,
 and one ``model_structure_residuals`` call over the list of models.  The
 stacked construction itself is held to ``_loop_model``, the one-model
-construction as it stood before the stack.
+construction as it stood before the stack, and Theorem 3.2's one-product
+w-map to ``w_map_columns``, its column-by-column assembly.
 """
 
 import dataclasses
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -25,10 +25,11 @@ from sasakicheck.theorems import (
     MODEL_CONCLUSION_TOL,
     MODEL_TOL,
     PointwiseModel,
+    _w_map,
     model_structure_residuals,
 )
 
-from conftest import SURFACES
+from conftest import SURFACES, running_max, w_map_columns
 
 SEEDS = range(6)
 
@@ -90,11 +91,6 @@ def _bits(model):
     return [np.asarray(getattr(model, f.name)).tobytes() for f in dataclasses.fields(model)[1:]]
 
 
-def _running_max(values):
-    """max(worst, r) over the values from 0.0, as the per-draw loop took it."""
-    return reduce(max, values, 0.0)
-
-
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_models_equal_one_model_calls_bit_for_bit(n, seed):
@@ -133,7 +129,7 @@ def test_stacked_theorem_3_3_is_the_running_max_of_one_model_calls(n):
     for models in (stack, _with_nan_draw(stack, 7, "phi"), _with_nan_draw(stack, 0, "g")):
         singles = [check_theorem_3_3(models[i]) for i in range(len(models))]
         whole = check_theorem_3_3(models)
-        assert whole.conclusion_residuals["max_h"] == _running_max(
+        assert whole.conclusion_residuals["max_h"] == running_max(
             r.conclusion_residuals["max_h"] for r in singles)
         assert whole.verdict == "confirmed"
         assert (whole.samples_used, whole.samples_excluded) == (60, 0)
@@ -149,7 +145,7 @@ def test_stacked_structure_residuals_are_the_running_max_of_one_model_calls(n):
     for models in (stack, _with_nan_draw(stack, 3, "u"), _with_nan_draw(stack, 0, "lam")):
         whole = model_structure_residuals(models)
         singles = [model_structure_residuals([models[i]]) for i in range(len(models))]
-        assert whole == {k: _running_max(s[k] for s in singles) for k in whole}
+        assert whole == {k: running_max(s[k] for s in singles) for k in whole}
         assert whole == model_structure_residuals(list(models))
 
 
@@ -159,7 +155,7 @@ def test_theorem_3_3_stack_excludes_draws_below_the_lambda_floor():
     stack = make_pointwise_model(2, lams, rng)
     whole = check_theorem_3_3(stack)
     kept = [check_theorem_3_3(stack[i]) for i in (0, 2, 4)]
-    assert whole.conclusion_residuals["max_h"] == _running_max(
+    assert whole.conclusion_residuals["max_h"] == running_max(
         r.conclusion_residuals["max_h"] for r in kept)
     assert (whole.verdict, whole.samples_used, whole.samples_excluded) == ("confirmed", 3, 2)
     none_left = check_theorem_3_3(stack[1:4:2])
@@ -179,3 +175,30 @@ def test_one_model_lambda_floor_branches_unchanged(lam):
     assert r32.convention == "w = 0, lambda = 0 branch" and r32.conclusion_residuals["3.7"] == 0.0
     # that branch draws its kernel map from the caller's generator
     assert rng.bit_generator.state != np.random.default_rng(4).bit_generator.state
+
+
+def _report_models(n, seed):
+    """The flat models the models group of a report at config seed ``seed`` builds."""
+    rng = spawn_rngs(seed)["models"]
+    return make_pointwise_model(n, rng.uniform(0.1, 0.9, size=MODEL_DRAWS), rng)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_w_map_equals_the_per_column_assembly_bit_for_bit(n, seed):
+    for model in _report_models(n, seed):
+        args = (np.linalg.inv(model.phi), model.U, model.V, model.g, model.lam)
+        (M, base), (M_cols, base_cols) = _w_map(*args), w_map_columns(*args)
+        assert M.tobytes() == M_cols.tobytes() and base.tobytes() == base_cols.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_w_map_is_the_affine_identity(n):
+    """h(., V) = (U phi^-T g V) w - lambda phi^-T g V for any g, so the
+    assembled M is that scalar times I: an algebraic fact, not the old code."""
+    for model in _report_models(n, seed=10 + n):
+        phi_inv = np.linalg.inv(model.phi)
+        M, base = _w_map(phi_inv, model.U, model.V, model.g, model.lam)
+        gV = phi_inv.T @ model.g @ model.V
+        assert np.max(np.abs(M - (model.U @ gV) * np.eye(2 * n))) <= 1e-13
+        assert np.max(np.abs(base + model.lam * gV)) <= 1e-13
