@@ -143,10 +143,9 @@ def _structure_at(ambient, N: NormalField, coords, partials: bool) -> StructureB
 
 @dataclass(frozen=True)
 class InducedStructure:
-    """Induced data on a hypersurface: the induced metric as a field on the
-    surface chart, and the split (phi, U, V, u, v, lambda) as the float
-    record ``stack`` at the extraction points (``values_at``/``bundle_at``
-    split it at one other point)."""
+    """Induced data on a hypersurface: the induced metric g as a chart field,
+    and the split (phi, U, V, u, v, lambda) as the float record ``stack`` at
+    the extraction points (``values_at``/``bundle_at`` split one other point)."""
 
     embedding: Embedding
     normal: NormalField

@@ -122,31 +122,39 @@ def fundamental_two_form(S: AlmostContactMetricStructure) -> TensorField:
     return TensorField((0, 2), S.dim, func)
 
 
-def _nabla_xi(S, stack, gamma) -> np.ndarray:
-    """(nabla_i xi)^a on the stack, shape (P, d, d)."""
-    jxi = jet_stack(S.xi, stack)
-    return covariant_derivative_components(jxi.value, jxi.partials, gamma, (1, 0))
+def _nabla_phi_xi(S, stack):
+    """nabla phi and nabla xi on the stack, (P, d, d, d) and (P, d, d), derivative index first."""
+    gamma = christoffel_stack(S.g, stack)
+    jphi, jxi = jet_stack(S.phi, stack), jet_stack(S.xi, stack)
+    return (covariant_derivative_components(jphi.value, jphi.partials, gamma, (1, 1)),
+            covariant_derivative_components(jxi.value, jxi.partials, gamma, (1, 0)))
 
 
-def _covariant_axiom_rows(dphi, dxi, phi, xi, eta, g, dirs):
-    """|(1.6)| for every (X, Y) = (dirs[k], dirs[l]) and |(1.7)| for every
-    X = dirs[k], from (K, P, d) directions, as rows of d components: one
-    per (k, l, point), (K*K*P, d), and one per (k, point), (K*P, d).
+def _phi_transport_columns(dphi, g, xi, eta, dirs):
+    """|(nabla_X phi)Y - g(X, Y) xi + eta(Y) X| (eq 1.6) for every pair (X, Y) of
+    the (K, P, d) directions, one component at a time as a (K, K, P) buffer that
+    the next one overwrites, so no (K, K, P, d) array is held.  The left side is
+    summed as einsum("i,iab,b->a") sums one pair: over b for each i, then over i."""
+    gXY = ((dirs[:, :, None, :] @ g)[:, None] @ dirs[None, ..., None])[..., 0, 0]
+    etaY = pair(eta, dirs)
+    lhs, part, term = (np.empty(gXY.shape) for _ in range(3))
+    for a in range(dirs.shape[-1]):
+        lhs[...] = 0.0
+        for i in range(dirs.shape[-1]):
+            Xdphi = dirs[:, :, i, None] * dphi[:, i, a]
+            part[...] = 0.0
+            for b in range(dirs.shape[-1]):
+                part += np.multiply(Xdphi[:, None, :, b], dirs[None, :, :, b], out=term)
+            lhs += part
+        np.multiply(gXY, xi[:, a], out=part)
+        part -= np.multiply(etaY, dirs[:, None, :, a], out=term)
+        lhs -= part
+        yield np.abs(lhs, out=lhs)
 
-    (1.6)'s left side is summed in the order einsum("i,iab,b->a") sums one
-    pair: over b for each i, then those partial sums over i."""
-    d = dirs.shape[-1]
-    lhs = 0.0
-    for i in range(d):
-        Xdphi = dirs[:, :, i, None, None] * dphi[:, i]
-        part = 0.0
-        for b in range(d):
-            part = part + Xdphi[:, None, ..., b] * dirs[None, :, :, b, None]
-        lhs = part + lhs
-    gXY = (dirs[:, :, None, :] @ g)[:, None] @ dirs[None, ..., None]
-    rhs = gXY[..., 0] * xi - pair(eta, dirs)[None, ..., None] * dirs[:, None]
-    xi_transport = np.einsum("kpi,pia->kpa", dirs, dxi) + (phi @ dirs[..., None])[..., 0]
-    return np.abs(lhs - rhs).reshape(-1, d), np.abs(xi_transport).reshape(-1, d)
+
+def _xi_transport(dxi, phi, dirs):
+    """|nabla_X xi + phi X| (eq 1.7) for every row of the (K, P, d) directions."""
+    return np.abs(np.einsum("kpi,pia->kpa", dirs, dxi) + (phi @ dirs[..., None])[..., 0])
 
 
 def _two_form_identities(F: np.ndarray, phi: np.ndarray) -> Dict[str, float]:
@@ -174,14 +182,12 @@ def check_sasakian_axioms(
     """Max residual of each structure axiom over the samples.
 
     Algebraic axioms are checked on full component arrays (equivalent to
-    all directions); the covariant-derivative axioms are measured at
-    every point for every pair (1.6) and every row (1.7) of the (K, d)
-    array ``directions``, as one (K, K, P, d) and one (K, P, d) array.
-    Every tensor, jet and Christoffel symbol is evaluated once on the
-    whole (P, d) point stack (the closures are elementwise, see
-    :mod:`sasakicheck.fields`); the residuals equal the maxima of
-    one-point, one-pair runs bit for bit, and an error names the first
-    offending point.
+    all directions); (1.6) is measured for every pair and (1.7) for every
+    row of the (K, d) array ``directions``, all pairs at once.  Every tensor,
+    jet and Christoffel symbol is evaluated once on the whole (P, d) point stack
+    (the closures are elementwise, see :mod:`sasakicheck.fields`); the residuals
+    equal the maxima of one-point, one-pair runs bit for bit, and an error names
+    the first offending point.
     """
     if not len(stack):
         raise ValueError("no sample points supplied")
@@ -212,16 +218,15 @@ def check_sasakian_axioms(
         "1.5": worst(np.abs((g @ xi[:, :, None])[:, :, 0] - eta)),
     }
 
-    gamma = christoffel_stack(S.g, stack)
-    jphi = jet_stack(S.phi, stack)
-    dphi = covariant_derivative_components(jphi.value, jphi.partials, gamma, (1, 1))
-    dxi = _nabla_xi(S, stack, gamma)
-    # the directions as (K, P, d), one C-contiguous row per point, so every
-    # product runs each point's one-point BLAS call
+    dphi, dxi = _nabla_phi_xi(S, stack)
+    # (K, P, d): one C-contiguous row per point, so each product runs its one-point BLAS call
     dirs = np.repeat(directions[:, None], len(stack), axis=1)
+    rows16 = np.zeros((len(dirs),) + dirs.shape[:2])  # (K, K, P)
+    for column in _phi_transport_columns(dphi, g, xi, eta, dirs):
+        np.maximum(rows16, column, out=rows16)  # NaN-propagating, as np.max over a row
     # a NaN (pair, point) row is passed over, as the maximum of one pair's run would
-    rows16, rows17 = _covariant_axiom_rows(dphi, dxi, phi, xi, eta, g, dirs)
-    res["1.6"], res["1.7"] = worst(rows16), worst(rows17)
+    res["1.6"] = worst(rows16.reshape(-1))
+    res["1.7"] = worst(_xi_transport(dxi, phi, dirs).reshape(-1, S.dim))
 
     res.update(_two_form_identities(evaluate_stack(fundamental_two_form(S), stack), phi))
     return AxiomReport(residuals=res, sample_count=len(stack), direction_count=len(directions))

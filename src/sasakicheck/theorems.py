@@ -13,8 +13,7 @@ A report's models are one stack (:func:`make_pointwise_model` with an
 array of lambdas): one block of normal draws, one stacked QR and
 orientation determinant, stacked products for the model data.  The
 structure identities and Theorem 3.3 read the stack; Theorem 3.2 solves
-for w once per draw, on views into it, after one product per draw
-assembles the affine map that pins w.  Each stacked step is the
+for w once per draw, on views into it.  Each stacked step is the
 one-model step elementwise or per matrix, so the stack holds the bits
 of one-model calls.
 """
@@ -395,12 +394,10 @@ def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> Implicat
 
 
 def _w_map(phi_inv, U, V, g, lam):
-    """h(., V) = M w + base, where h = H^T g and H = phi^-1 (U (x) w - lambda I):
-    the map is affine in w, so it is read off at w = 0 and at each basis
-    vector, as one (m + 1, m, m) product.  Returns (M, base)."""
-    m = len(U)
-    W = np.eye(m + 1, m, -1)  # rows 0, e_1, ..., e_m
-    H = phi_inv @ (U[:, None] * W[:, None, :] - lam * np.eye(m))
+    """(M, base) of h(., V) = M w + base, with h = H^T g and H = phi^-1 (U (x) w - lambda I),
+    read off at w = 0 and at each basis vector as one (m + 1, m, m) product."""
+    W = np.eye(len(U) + 1, len(U), -1)  # w = 0, e_1, ..., e_m
+    H = phi_inv @ (U[:, None] * W[:, None, :] - lam * np.eye(len(U)))
     hV = (H.mT @ g) @ V
     return (hV[1:] - hV[0]).T, hV[0]
 
@@ -411,10 +408,9 @@ def check_theorem_3_2(
     """Impose w(X)U - phi H X - lambda X = 0 on a d(lambda) = 0 model.
 
     H follows from the hypothesis once w is known; w itself is pinned by
-    the scalar compatibility relation h(Y, V) = u(Y) - lambda w(Y), whose
-    left side is affine in w (:func:`_w_map`, one product) and is solved
-    as one m x m system.  The conclusions measured are h(X, phi Y) = lambda g(X, Y) - w(Y) u(X)
-    and w = 2 lambda u.
+    the scalar compatibility relation h(Y, V) = u(Y) - lambda w(Y), affine
+    in w (:func:`_w_map`).  The conclusions measured are
+    h(X, phi Y) = lambda g(X, Y) - w(Y) u(X) and w = 2 lambda u.
     """
     m = 2 * model.n
     lam, g, phi, u, U, V, v = model.lam, model.g, model.phi, model.u, model.U, model.V, model.v
@@ -449,9 +445,10 @@ def check_theorem_3_2(
     M, base = _w_map(phi_inv, U, V, g, lam)
     w = np.linalg.solve(M + lam * np.eye(m), u - base)
 
-    H = phi_inv @ (np.outer(U, w) - lam * np.eye(m))
+    imposed = np.outer(U, w) - lam * np.eye(m)
+    H = phi_inv @ imposed
     hmat = H.T @ g
-    hyp = float(np.max(np.abs(phi @ H - (np.outer(U, w) - lam * np.eye(m)))))
+    hyp = float(np.max(np.abs(phi @ H - imposed)))
     concl = {
         "3.6": float(np.max(np.abs(hmat @ phi - lam * g + np.outer(u, w)))),
         "3.7": float(np.max(np.abs(w - 2.0 * lam * u))),

@@ -31,17 +31,17 @@ from sasakicheck import (
     jet_stack,
     standard_sasakian,
 )
-from sasakicheck.connection import (
-    DET_FLOOR,
-    christoffel,
-    christoffel_stack,
-    covariant_derivative_components,
-)
+from sasakicheck.connection import DET_FLOOR, christoffel, christoffel_stack
 from sasakicheck.errors import DimensionMismatchError, NonFiniteValueError, SingularMetricError
 from sasakicheck.sampling import sample_points, sample_vectors
 from sasakicheck.linalg import worst
 from sasakicheck import sasakian
-from sasakicheck.sasakian import _covariant_axiom_rows, _nabla_xi, two_form_residuals
+from sasakicheck.sasakian import (
+    _nabla_phi_xi,
+    _phi_transport_columns,
+    _xi_transport,
+    two_form_residuals,
+)
 
 from conftest import as_points, covariant_axiom_loops, running_max, stack_of
 
@@ -204,29 +204,28 @@ def test_structure_with_exp_factor_batches_like_the_standard_one(sasaki3):
             == check_sasakian_axioms(S, pts, dirs).residuals)
 
 
-def _covariant_inputs(n, count, K, seed):
-    """What the battery contracts (1.6) and (1.7) on, at ``count`` seeded
-    points and ``K`` seeded directions repeated along them as (K, P, d),
-    with the structure, the stack and the (K, d) directions."""
-    S = standard_sasakian(n)
-    pts, _ = _samples(S.dim, count, seed)
-    directions = sample_vectors(S.dim, K, np.random.default_rng(seed + 1))
+def _covariant_inputs(S, pts, directions):
+    """What the battery contracts (1.6) and (1.7) on: nabla phi~, nabla xi,
+    phi, xi, eta and g on the stack, and the directions repeated along it
+    as (K, P, d)."""
+    dphi, dxi = _nabla_phi_xi(S, pts)
     phi, xi, eta, g = (evaluate_stack(f, pts) for f in (S.phi, S.xi, S.eta, S.g.tensor))
-    gamma = christoffel_stack(S.g, pts)
-    jphi = jet_stack(S.phi, pts)
-    dphi = covariant_derivative_components(jphi.value, jphi.partials, gamma, (1, 1))
-    dirs = np.repeat(directions[:, None], count, axis=1)
-    return [dphi, _nabla_xi(S, pts, gamma), phi, xi, eta, g, dirs], S, pts, directions
+    return dphi, dxi, phi, xi, eta, g, np.repeat(directions[:, None], len(pts), axis=1)
 
 
 @pytest.mark.parametrize("K", [1, 5, 7])
 @pytest.mark.parametrize("count", [1, 50, 400])
 @pytest.mark.parametrize("n", [1, 2])
-def test_covariant_axiom_rows_equal_the_pair_loop_bit_for_bit(n, count, K):
-    args, S, pts, directions = _covariant_inputs(n, count, K, seed=1004)
-    rows16, rows17 = _covariant_axiom_rows(*args)
-    r16, r17 = covariant_axiom_loops(*args)
-    assert rows16.tobytes() == r16.tobytes() and rows17.tobytes() == r17.tobytes()
+def test_covariant_axioms_equal_the_pair_loop_bit_for_bit(n, count, K):
+    S = standard_sasakian(n)
+    pts, _ = _samples(S.dim, count, seed=1004)
+    directions = sample_vectors(S.dim, K, np.random.default_rng(1005))
+    dphi, dxi, phi, xi, eta, g, dirs = _covariant_inputs(S, pts, directions)
+    r16, r17 = covariant_axiom_loops(dphi, dxi, phi, xi, eta, g, dirs)
+    # each column is overwritten by the next, so keep copies
+    columns = [c.copy() for c in _phi_transport_columns(dphi, g, xi, eta, dirs)]
+    assert np.stack(columns, axis=-1).tobytes() == r16.tobytes()
+    assert _xi_transport(dxi, phi, dirs).tobytes() == r17.tobytes()
     res = check_sasakian_axioms(S, pts, directions).residuals
     assert res["1.6"] == running_max(worst(r) for r in r16.reshape(K * K, count, S.dim))
     assert res["1.7"] == running_max(worst(r) for r in r17)
@@ -237,23 +236,25 @@ def test_nan_rows_are_passed_over_pair_by_pair(n, monkeypatch):
     S = standard_sasakian(n)
     pts, directions = _samples(S.dim, 50, seed=7)
     near, nan_point, nan_dir = 17, 30, 2
-    seen = []
-
-    def poisoned(dphi, dxi, phi, xi, eta, g, dirs):
-        dphi, dxi, dirs = dphi.copy(), dxi.copy(), dirs.copy()
-        # point ``near`` holds the largest residual of every pair and direction ...
-        dphi[near, 0, 0, 0] += 1.0
-        dxi[near, 0, 0] += 1.0
-        # ... except where direction ``nan_dir`` is NaN there; ``nan_point`` is NaN throughout
-        dirs[nan_dir, near, 0] = np.nan
-        dphi[nan_point, 0, 0, 0] = dxi[nan_point, 0, 0] = np.nan
-        seen.append((dphi, dxi, phi, xi, eta, g, dirs))
-        return rows(*seen[-1])
-
-    rows = sasakian._covariant_axiom_rows
-    monkeypatch.setattr(sasakian, "_covariant_axiom_rows", poisoned)
+    dphi, dxi, phi, xi, eta, g, dirs = _covariant_inputs(S, pts, directions)
+    dphi, dxi = dphi.copy(), dxi.copy()
+    # point ``near`` holds the largest residual of every pair and direction ...
+    dphi[near, 0, 0, 0] += 1.0
+    dxi[near, 0, 0] += 1.0
+    # ... except where direction ``nan_dir`` is NaN there
+    dirs[nan_dir, near, 0] = np.nan
+    # every row at ``nan_point`` has a NaN component beside a larger finite one,
+    # and is passed over whole
+    dphi[nan_point, 0, 0, 0] = dxi[nan_point, 0, 0] = np.nan
+    dphi[nan_point, 0, 1, 0] += 10.0
+    dxi[nan_point, 0, 1] += 10.0
+    monkeypatch.setattr(sasakian, "_nabla_phi_xi", lambda S, stack: (dphi, dxi))
+    for name in ("_phi_transport_columns", "_xi_transport"):
+        helper = getattr(sasakian, name)
+        monkeypatch.setattr(sasakian, name, lambda *args, helper=helper: helper(*args[:-1], dirs))
     res = check_sasakian_axioms(S, pts, directions).residuals
-    r16, r17 = covariant_axiom_loops(*seen[0])
+
+    r16, r17 = covariant_axiom_loops(dphi, dxi, phi, xi, eta, g, dirs)
     pairs = r16.reshape(25, 50, S.dim)
     clean = [k * 5 + l for k in range(5) for l in range(5) if nan_dir not in (k, l)]
     for key, per_run, at_near in (("1.6", pairs, pairs[clean, near]),

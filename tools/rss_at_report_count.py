@@ -10,7 +10,9 @@ worker's set-up, its host-speed sampler, ``report_sequence``,
 ``run_report`` and the kept ``(path, seed, text, code, error)`` rows)
 for a fixed number of reports instead, so two commits can be compared at
 equal work.  It checks every report against its reference as the worker
-does and prints one JSON line.
+does and prints one JSON line.  It stays until the worker keeps digests
+instead of report texts: until then it is the evidence that a speed-up
+adds no engine memory, only more kept reports.
 """
 
 from __future__ import annotations
