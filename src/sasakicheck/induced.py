@@ -143,9 +143,8 @@ def _structure_at(ambient, N: NormalField, coords, partials: bool) -> StructureB
 
 @dataclass(frozen=True)
 class InducedStructure:
-    """Induced data on a hypersurface: the induced metric g as a chart field,
-    and the split (phi, U, V, u, v, lambda) as the float record ``stack`` at
-    the extraction points (``values_at``/``bundle_at`` split one other point)."""
+    """Induced data: the metric g as a chart field and the split (phi, U, V, u,
+    v, lambda) as the float record ``stack`` at the extraction points."""
 
     embedding: Embedding
     normal: NormalField

@@ -181,13 +181,12 @@ def check_sasakian_axioms(
 ) -> AxiomReport:
     """Max residual of each structure axiom over the samples.
 
-    Algebraic axioms are checked on full component arrays (equivalent to
-    all directions); (1.6) is measured for every pair and (1.7) for every
-    row of the (K, d) array ``directions``, all pairs at once.  Every tensor,
-    jet and Christoffel symbol is evaluated once on the whole (P, d) point stack
-    (the closures are elementwise, see :mod:`sasakicheck.fields`); the residuals
-    equal the maxima of one-point, one-pair runs bit for bit, and an error names
-    the first offending point.
+    Algebraic axioms are checked on full component arrays (equivalent to all
+    directions); (1.6) at every pair and (1.7) at every row of the (K, d) array
+    ``directions``, all pairs at once.  Every tensor, jet and Christoffel symbol
+    is evaluated once on the whole (P, d) point stack (the closures are elementwise,
+    see :mod:`sasakicheck.fields`); the residuals equal the maxima of one-point,
+    one-pair runs bit for bit, and an error names the first offending point.
     """
     if not len(stack):
         raise ValueError("no sample points supplied")
@@ -201,6 +200,8 @@ def check_sasakian_axioms(
     if directions.ndim != 2 or directions.shape[1] != S.dim:
         raise DimensionMismatchError(
             f"directions of shape {directions.shape} for a structure on dimension {S.dim}")
+    if not len(directions):
+        raise ValueError("no directions supplied")
 
     n = S.n
     phi = evaluate_stack(S.phi, stack)

@@ -138,7 +138,7 @@ def surface_normal(path):
 
 def running_max(values):
     """max(worst, r) over the values from 0.0, as a per-draw or per-pair loop
-    took it: a NaN value after the first is passed over."""
+    took it: a NaN value is passed over."""
     return reduce(max, values, 0.0)
 
 

@@ -29,13 +29,13 @@ from sasakicheck import (
     fundamental_two_form,
     jet,
     jet_stack,
+    sasakian,
     standard_sasakian,
 )
 from sasakicheck.connection import DET_FLOOR, christoffel, christoffel_stack
 from sasakicheck.errors import DimensionMismatchError, NonFiniteValueError, SingularMetricError
-from sasakicheck.sampling import sample_points, sample_vectors
 from sasakicheck.linalg import worst
-from sasakicheck import sasakian
+from sasakicheck.sampling import sample_points, sample_vectors
 from sasakicheck.sasakian import (
     _nabla_phi_xi,
     _phi_transport_columns,

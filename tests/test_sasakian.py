@@ -64,6 +64,12 @@ def test_axioms_require_points(sasaki3):
         check_sasakian_axioms(sasaki3, PointStack(np.empty((0, 3))))
 
 
+def test_axioms_require_directions(sasaki3):
+    # no pair to measure must not read as a passing (1.6)/(1.7)
+    with pytest.raises(ValueError, match="no directions supplied"):
+        check_sasakian_axioms(sasaki3, chart_points(3, 4), np.zeros((0, 3)))
+
+
 def test_scaled_eta_breaks_unit_axiom(sasaki3):
     S = sasaki3
     eta2 = TensorField((0, 1), 3, lambda c: [2 * x for x in S.eta.func(c)])
