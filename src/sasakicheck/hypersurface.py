@@ -6,10 +6,11 @@ ambient chart.  Everything the surface checks read starts from one
 :class:`~sasakicheck.fields.PointStack` of chart rows: the images b(p)
 (again a stack), the Jacobians B and Hessians (one dual pass of the
 embedding map on the point stack's coordinate columns, nested for the
-Hessian), the ambient metric and its jet at b(p) chained through B, and
-the normal N with its first partials.  Dual numbers differentiate only the embedding map and
-the ambient tensors; the normal and every frame solve are batched numpy
-calls on (P, d, d) stacks, differentiated implicitly
+Hessian), the ambient metric and its jet at b(p) chained through B, the
+induced metric g = B^T g~ B, and the normal N with its first partials.
+Dual numbers differentiate only the embedding map and the ambient
+tensors; the normal and every frame solve are batched numpy calls on
+(P, d, d) stacks, differentiated implicitly
 (d(A^-1 b) = A^-1 (db - dA A^-1 b)).  Stacked products keep the
 operand layouts and singleton axes of the one-point products, so every
 point gets the bits it gets in a stack of one.  A report builds one
@@ -100,8 +101,8 @@ class NormalField:
 class Stacked:
     """Point indexing for a record whose fields carry the point axis first.
 
-    ``record[i]`` is point i's record: array views, a (P,) field as a Python
-    float, nested records indexed alike and any other field None.
+    ``record[i]`` is point i's record: array views, (P,) fields as Python floats
+    (a one-point record's floats raise TypeError), nested records alike, None as None.
     ``record[a:b]`` is a sub-stack; ``len`` and iteration count and walk points.
     """
 
@@ -121,14 +122,14 @@ def _take(value, index):
     if isinstance(value, np.ndarray):
         part = value[index]
         return part.item() if part.ndim == 0 else part
-    return value[index] if isinstance(value, Stacked) else None
+    return None if value is None else value[index]
 
 
 def _column(value):
     """``_take(value, i)`` for every point i, in one pass over the field."""
     if isinstance(value, np.ndarray):
         return value.tolist() if value.ndim == 1 else list(value)
-    return iter(value) if isinstance(value, Stacked) else repeat(None)
+    return repeat(None) if value is None else iter(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,22 +138,20 @@ class FrameStack:
     from the normal field ``normal_field``.
 
     Every array has the point axis first.  ``images`` holds b(p),
-    ``metric`` the ambient metric there and ``normal`` the effective
-    normal N.  The first-order fields (``hessian[p, i, a, c] =
-    d_c B[p, i, a]``, ``dmetric[p, c] = d_c g~`` along the surface,
-    ``dnormal[p, c] = d_c N`` and the ambient Christoffel symbols
-    ``gamma``) are None on a value-only stack.
+    ``surface_metric`` the induced metric B^T g~ B and ``normal`` the
+    effective normal N.  The first-order fields (``hessian[p, i, a, c] =
+    d_c B[p, i, a]``, ``dnormal[p, c] = d_c N`` and the ambient
+    Christoffel symbols ``gamma``) are None on a value-only stack.
     """
 
     normal_field: NormalField
     points: PointStack
     images: PointStack
     jacobian: np.ndarray
-    metric: np.ndarray
+    surface_metric: np.ndarray
     normal: np.ndarray
     frame: np.ndarray
     hessian: Optional[np.ndarray] = None
-    dmetric: Optional[np.ndarray] = None
     gamma: Optional[np.ndarray] = None
     dnormal: Optional[np.ndarray] = None
 
@@ -237,7 +236,7 @@ def frame_stack(N: NormalField, chart: PointStack, partials: bool = False) -> Fr
                         + B.mT @ dGn.mT)
         rhs[:, -1] = -0.5 * (dGn @ n[:, :, None])[..., 0]
         dn = np.linalg.solve(np.concatenate([B, n[:, :, None]], axis=2).mT @ G, rhs).mT
-        first_order = dict(hessian=hess, dmetric=dG, gamma=levi_civita_gamma(G, jg.partials))
+        first_order = dict(hessian=hess, gamma=levi_civita_gamma(G, jg.partials))
 
     if N.scaling is None:
         nvec, dnvec = n, dn
@@ -251,8 +250,9 @@ def frame_stack(N: NormalField, chart: PointStack, partials: bool = False) -> Fr
         dnvec = jt.partials[:, :, None] * n[:, None, :] + rho[:, None, None] * dn if partials else None
     frame = np.concatenate([B, nvec[:, :, None]], axis=2)
     linalg.check_condition(frame, chart, FRAME_CONDITION_LIMIT, what="tangent-normal frame")
-    return FrameStack(normal_field=N, points=chart, images=images, jacobian=B, metric=G,
-                      normal=nvec, frame=frame, dnormal=dnvec, **first_order)
+    return FrameStack(normal_field=N, points=chart, images=images, jacobian=B,
+                      surface_metric=B.mT @ G @ B, normal=nvec, frame=frame, dnormal=dnvec,
+                      **first_order)
 
 
 def unit_normal(E: Embedding, p: Point, orientation: int = 1) -> np.ndarray:
@@ -261,7 +261,7 @@ def unit_normal(E: Embedding, p: Point, orientation: int = 1) -> np.ndarray:
 
 
 def induced_metric(E: Embedding) -> MetricField:
-    """Pullback metric g(X, Y) = g_ambient(BX, BY) on the surface chart."""
+    """Pullback metric g(X, Y) = g~(BX, BY) on the chart (oracle of ``surface_metric``)."""
 
     def func(coords):
         m, d = E.dim, E.ambient_dim
@@ -282,12 +282,12 @@ class GaussWeingartenData(Stacked):
     """Frame decomposition of the ambient derivative at P chart points.
 
     Every array is C-contiguous with the point axis first.
-    ``induced_gamma[p, c, a, b]`` are the surface connection coefficients
-    from the tangential part of D_a(B e_b); ``h`` is its normal part.
-    ``H_w``/``w`` split D_a N, and ``H_h`` realizes h through the
-    induced metric.  ``D[p, i, a, b]`` and ``DN[p, i, a]`` are the ambient
-    derivatives D_a(B e_b) and D_a N that were decomposed, against the
-    frame of ``jacobian`` B and ``normal`` N.
+    ``induced_gamma[p, c, a, b]`` are the coefficients of the Gauss
+    formula's induced connection, D_a(B e_b) = B(nabla_a e_b) + h N;
+    ``h`` is its normal part.  ``H_w``/``w`` split D_a N, and ``H_h``
+    realizes h through the induced metric.  ``D[p, i, a, b]`` and
+    ``DN[p, i, a]`` are the ambient derivatives D_a(B e_b) and D_a N that
+    were decomposed, against the frame of ``jacobian`` B and ``normal`` N.
     """
 
     induced_gamma: np.ndarray
@@ -318,8 +318,7 @@ def gauss_weingarten(fs: FrameStack) -> GaussWeingartenData:
     DN = fs.dnormal.mT + np.einsum("pijk,pja,pk->pia", gamma_amb, B, nvec)
     solN = np.linalg.solve(frame, DN)
 
-    gind = np.einsum("pia,pij,pjb->pab", B, fs.metric, B)
-    H_h = np.linalg.solve(gind, sol[:, m])
+    H_h = np.linalg.solve(fs.surface_metric, sol[:, m])
     parts = (sol[:, :m], sol[:, m], solN[:, :m], H_h, solN[:, m], D, DN, B, nvec)
     return GaussWeingartenData(*map(np.ascontiguousarray, parts))
 

@@ -16,6 +16,8 @@ through B; central differences of the induced fields stay the
 independent check.  The split is one :class:`StructureBundle`, which
 one :class:`SampleState` holds for the derivative checks; both are
 :class:`~sasakicheck.hypersurface.Stacked` records of (P, ...) arrays.
+Their metric is the frame stack's ``surface_metric``, and every
+covariant derivative uses the Gauss connection ``gw.induced_gamma``.
 
 Sign conventions are adjudicated, not assumed.  Each derivative
 identity is evaluated over a grid of variants:
@@ -44,7 +46,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .connection import MetricField, covariant_derivative_components, levi_civita_gamma
+from .connection import covariant_derivative_components
 from .errors import TangencyError
 from .fields import Point, PointStack, evaluate_stack, jet_stack
 from .hypersurface import (
@@ -54,7 +56,6 @@ from .hypersurface import (
     NormalField,
     Stacked,
     frame_stack,
-    induced_metric,
 )
 from .sampling import g_normalized
 from .sasakian import check_sasakian_axioms
@@ -76,8 +77,7 @@ _HAS_NU = {"2.11": True, "2.12": True, "2.13": True, "2.14": True, "2.15": True,
 @dataclass(frozen=True, slots=True)
 class StructureBundle(Stacked):
     """Float induced data at P points, every field with the point axis
-    first; with partials also ``dphi[p, c] = d_c phi`` (and so on) and the
-    induced Christoffel symbols ``gamma``."""
+    first; with partials also ``dphi[p, c] = d_c phi`` (and so on)."""
 
     phi: np.ndarray
     u: np.ndarray
@@ -94,16 +94,15 @@ class StructureBundle(Stacked):
     dV: Optional[np.ndarray] = None
     dv: Optional[np.ndarray] = None
     dlam: Optional[np.ndarray] = None
-    gamma: Optional[np.ndarray] = None
 
 
 def _structure_stack(ambient, fs: FrameStack) -> StructureBundle:
     """Split phi~B, phi~N and xi against every frame: X = A^-1 [phi~B | phi~N | xi].
 
     On a frame stack with partials the bundle includes every first partial,
-    d_c X = A^-1 (d_c R - d_c A X), and the induced Christoffel symbols.
+    d_c X = A^-1 (d_c R - d_c A X).
     """
-    B, nvec, A, G = fs.jacobian, fs.normal, fs.frame, fs.metric
+    B, nvec, A = fs.jacobian, fs.normal, fs.frame
     count, d, m = B.shape
     fields = (ambient.phi, ambient.xi, ambient.eta)
     jets = None if fs.hessian is None else [jet_stack(f, fs.images) for f in fields]
@@ -114,8 +113,9 @@ def _structure_stack(ambient, fs: FrameStack) -> StructureBundle:
     R = np.concatenate([phit @ B, phit @ nvec[:, :, None], xit[:, :, None]], axis=2)
     X = np.linalg.solve(A, R)
     st = StructureBundle(phi=X[:, :m, :m], u=X[:, m, :m], U=-X[:, :m, m], V=X[:, :m, m + 1],
-                         v=(etat[:, None, :] @ B)[:, 0], lam=X[:, m, m + 1], g=B.mT @ G @ B,
-                         eta_n=linalg.pair(etat, nvec), tangency=np.abs(X[:, m, m]))
+                         v=(etat[:, None, :] @ B)[:, 0], lam=X[:, m, m + 1],
+                         g=fs.surface_metric, eta_n=linalg.pair(etat, nvec),
+                         tangency=np.abs(X[:, m, m]))
     if jets is None:
         return st
 
@@ -129,12 +129,9 @@ def _structure_stack(ambient, fs: FrameStack) -> StructureBundle:
                          dxit[..., None]], axis=3)
     rhs = np.moveaxis(dR - dA @ X[:, None], 1, 2).reshape(count, d, m * (m + 2))
     dX = np.moveaxis(np.linalg.solve(A, rhs).reshape(count, d, m, m + 2), 2, 1)
-    HGB = np.einsum("pcia,pij,pjb->pcab", H, G, B)
-    dg = HGB + HGB.mT + np.einsum("pia,pcij,pjb->pcab", B, fs.dmetric, B)
     return replace(st, dphi=dX[:, :, :m, :m], du=dX[:, :, m, :m], dU=-dX[:, :, :m, m],
                    dV=dX[:, :, :m, m + 1], dlam=dX[:, :, m, m + 1],
-                   dv=detat @ B + np.einsum("pi,pcia->pca", etat, H),
-                   gamma=levi_civita_gamma(st.g, dg))
+                   dv=detat @ B + np.einsum("pi,pcia->pca", etat, H))
 
 
 def _structure_at(ambient, N: NormalField, coords, partials: bool) -> StructureBundle:
@@ -143,12 +140,11 @@ def _structure_at(ambient, N: NormalField, coords, partials: bool) -> StructureB
 
 @dataclass(frozen=True)
 class InducedStructure:
-    """Induced data: the metric g as a chart field and the split (phi, U, V, u,
-    v, lambda) as the float record ``stack`` at the extraction points."""
+    """Induced data: the metric g and the split (phi, U, V, u, v, lambda) as
+    the float record ``stack`` at the extraction points."""
 
     embedding: Embedding
     normal: NormalField
-    g: MetricField
     noninvariant: bool
     max_u: float
     tangency_residual: float
@@ -211,7 +207,6 @@ def extract_structure(
     return InducedStructure(
         embedding=E,
         normal=N,
-        g=induced_metric(E),
         noninvariant=max_u > NONINVARIANT_THRESHOLD,
         max_u=max_u,
         tangency_residual=linalg.worst(tangency),
@@ -228,7 +223,8 @@ class SampleState(Stacked):
     records.  ``dirs[p]`` holds the sampled directions scaled to unit
     g-length at point p, one per row; the ``cov*`` arrays are full
     covariant derivatives of the induced fields, axis 1 the derivative
-    index.  ``states[i]`` is point i's state.
+    index, taken with the Gauss connection ``gw.induced_gamma``.
+    ``states[i]`` is point i's state.
     """
 
     bundle: StructureBundle
@@ -247,14 +243,14 @@ def sample_states(
     """The sample states at the extraction points of ``S``, which must have
     been extracted from the frame stack with partials that ``gw`` was built on."""
     st = S.stack
-    if st.gamma is None:
+    if st.dphi is None:
         raise ValueError("sample_states needs a structure split with partials")
     if len(st) != len(gw):
         raise ValueError(f"structure at {len(st)} points, Gauss-Weingarten data at {len(gw)}")
 
     def cov(key, valence):
         return covariant_derivative_components(getattr(st, key), getattr(st, "d" + key),
-                                               st.gamma, valence)
+                                               gw.induced_gamma, valence)
 
     return SampleState(bundle=st, gw=gw, dirs=g_normalized(np.asarray(directions, float), st.g),
                        covphi=cov("phi", (1, 1)), covu=cov("u", (0, 1)), covv=cov("v", (0, 1)),

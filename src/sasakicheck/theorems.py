@@ -12,10 +12,10 @@ measures the conclusions to machine precision.
 A report's models are one stack (:func:`make_pointwise_model` with an
 array of lambdas): one block of normal draws, one stacked QR and
 orientation determinant, stacked products for the model data.  The
-structure identities and Theorem 3.3 read the stack; Theorem 3.2 solves
-for w once per draw, on views into it.  Each stacked step is the
-one-model step elementwise or per matrix, so the stack holds the bits
-of one-model calls.
+structure identities and Theorem 3.3 read the stack; Theorem 3.2 runs
+once per draw, on views into it, with w in closed form.  Each stacked
+step is the one-model step elementwise or per matrix, so the stack holds
+the bits of one-model calls.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import linalg
+from .hypersurface import Stacked
 from .induced import SampleState, structure_residuals
 
 LAMBDA_FLOOR = 1e-6
@@ -238,8 +239,8 @@ def check_theorem_3_4(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointwiseModel:
+@dataclass(frozen=True, slots=True)
+class PointwiseModel(Stacked):
     """Exact induced data at one abstract point, or at a stack of them.
 
     Built inside a flat linear ambient: identity metric on R^(2n+1),
@@ -249,11 +250,10 @@ class PointwiseModel:
     structure identities hold to machine precision.
 
     On a stack ``lam`` is a (D,) array and every other array carries the
-    draw axis first; ``len`` counts the draws and ``model[i]`` is draw i,
-    with array views and ``lam`` as a Python float.
+    draw axis first; the draws index as a ``Stacked`` record: ``model[i]``
+    is draw i, with array views and ``lam`` as a Python float.
     """
 
-    n: int
     lam: float  # a (D,) array on a stack
     g: np.ndarray
     phi: np.ndarray
@@ -262,13 +262,9 @@ class PointwiseModel:
     U: np.ndarray
     V: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.lam)
-
-    def __getitem__(self, index) -> "PointwiseModel":
-        lam = self.lam[index]
-        return PointwiseModel(self.n, lam.item() if lam.ndim == 0 else lam,
-                              *(getattr(self, f.name)[index] for f in fields(self)[2:]))
+    @property
+    def n(self) -> int:
+        return self.g.shape[-1] // 2
 
 
 def make_pointwise_model(n: int, lam, rng) -> PointwiseModel:
@@ -310,17 +306,22 @@ def make_pointwise_model(n: int, lam, rng) -> PointwiseModel:
     U = (-Bt @ (phi_amb @ Nc))[..., 0]
     V = v = Bt @ xi
     g = Bt @ B
-    models = PointwiseModel(n=n, lam=lams, g=g, phi=phi, u=u, v=v, U=U, V=V)
+    models = PointwiseModel(lam=lams, g=g, phi=phi, u=u, v=v, U=U, V=V)
     return models if np.ndim(lam) else models[0]
 
 
-def model_structure_residuals(models) -> Dict[str, float]:
+def _one_model(model: PointwiseModel, check: str) -> None:
+    if np.ndim(model.lam):
+        raise ValueError(f"{check} takes one model, got a stack of {len(model)} draws")
+
+
+def model_structure_residuals(models: PointwiseModel) -> Dict[str, float]:
     """Largest residual of each algebraic structure identity (2.6)-(2.8)
-    over a stack of models, or over a sequence of models of one dimension
-    stacked here; a draw whose residual is NaN is passed over."""
-    if not isinstance(models, PointwiseModel):
-        models = PointwiseModel(models[0].n, *(np.stack([getattr(md, f.name) for md in models])
-                                               for f in fields(PointwiseModel)[1:]))
+    over a stack of models, one model counting as a stack of one; a draw
+    whose residual is NaN is passed over."""
+    if not np.ndim(models.lam):
+        models = PointwiseModel(*(np.asarray(getattr(models, f.name))[None]
+                                  for f in fields(models)))
     res = structure_residuals(models.phi, models.u, models.U, models.V, models.v, models.lam,
                               models.g, eta_n=models.lam)
     return {k: r for k, r in res.items() if not k.startswith("2.5")}
@@ -334,6 +335,7 @@ def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> Implicat
     hold at all.  The recorded obstruction is that the conclusion
     (1 - lambda^2) g = v (x) v forces a rank-degenerate metric.
     """
+    _one_model(model, "check_theorem_3_1")
     m = 2 * model.n
     lam, g, u, v, U, V = model.lam, model.g, model.u, model.v, model.U, model.V
     # h is unknown once per pair a <= b, in row-major order; sym[a, b] = sym[b, a]
@@ -393,13 +395,13 @@ def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> Implicat
     )
 
 
-def _w_map(phi_inv, U, V, g, lam):
-    """(M, base) of h(., V) = M w + base, with h = H^T g and H = phi^-1 (U (x) w - lambda I),
-    read off at w = 0 and at each basis vector as one (m + 1, m, m) product."""
-    W = np.eye(len(U) + 1, len(U), -1)  # w = 0, e_1, ..., e_m
-    H = phi_inv @ (U[:, None] * W[:, None, :] - lam * np.eye(len(U)))
-    hV = (H.mT @ g) @ V
-    return (hV[1:] - hV[0]).T, hV[0]
+def _imposed_w(phi_inv, u, U, V, g, lam):
+    """The w with h(., V) = (U . a) w - lambda a = u - lambda w, where a = phi^-T g V."""
+    a = phi_inv.T @ (g @ V)
+    slope = U @ a + lam
+    if slope == 0.0:
+        raise ValueError(f"h(., V) = u - lambda w has slope 0 in w at lambda {lam}")
+    return (u + lam * a) / slope
 
 
 def check_theorem_3_2(
@@ -409,9 +411,10 @@ def check_theorem_3_2(
 
     H follows from the hypothesis once w is known; w itself is pinned by
     the scalar compatibility relation h(Y, V) = u(Y) - lambda w(Y), affine
-    in w (:func:`_w_map`).  The conclusions measured are
-    h(X, phi Y) = lambda g(X, Y) - w(Y) u(X) and w = 2 lambda u.
+    in w with a scalar slope (:func:`_imposed_w`).  The conclusions measured
+    are h(X, phi Y) = lambda g(X, Y) - w(Y) u(X) and w = 2 lambda u.
     """
+    _one_model(model, "check_theorem_3_2")
     m = 2 * model.n
     lam, g, phi, u, U, V, v = model.lam, model.g, model.phi, model.u, model.U, model.V, model.v
     notes = []
@@ -442,8 +445,7 @@ def check_theorem_3_2(
     if abs(det) < 1e-12:
         raise ValueError(f"phi unexpectedly singular (det {det:.3e}) for lambda {lam}")
     phi_inv = np.linalg.inv(phi)
-    M, base = _w_map(phi_inv, U, V, g, lam)
-    w = np.linalg.solve(M + lam * np.eye(m), u - base)
+    w = _imposed_w(phi_inv, u, U, V, g, lam)
 
     imposed = np.outer(U, w) - lam * np.eye(m)
     H = phi_inv @ imposed
@@ -504,6 +506,7 @@ def theorem_3_4_model_consistency(model: PointwiseModel) -> ImplicationCheckResu
     """With h = 0, w = 0 and constant lambda the scalar relation forces
     u = 0, which no noninvariant model satisfies; record the forced-u
     residual rather than pretending the family exists."""
+    _one_model(model, "theorem_3_4_model_consistency")
     forced_u = float(np.max(np.abs(model.u)))
     return ImplicationCheckResult(
         name="theorem_3_4_model",

@@ -162,8 +162,9 @@ def covariant_axiom_loops(dphi, dxi, phi, xi, eta, g, dirs):
 
 def w_map_columns(phi_inv, U, V, g, lam):
     """Theorem 3.2's affine map w -> h(., V) as (M, base), assembled one
-    column at a time from one h matrix per basis vector, as
-    ``check_theorem_3_2`` assembled it before the one product."""
+    column at a time from one h matrix per basis vector.  Solving
+    (M + lambda I) w = u - base is the oracle of the closed-form w of
+    ``check_theorem_3_2``."""
     m = len(U)
 
     def h_matrix(w):

@@ -541,7 +541,7 @@ def test_report_digest_one_seed():
     proc = subprocess.run([sys.executable, str(tool), "--seeds", "1"],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == ("reports 30 sha256 "
-                           "7907bb349b4d306c6ac5c14a71ed76e54323571251dbfc7a9ef27565ad276974\n")
+                           "ee25e649fed61a5418792fd7be5abbdf13679a0cbcd71866841f06995b0b464c\n")
 
 
 def test_cli_unwritable_out_exits_one_without_traceback(tmp_path):

@@ -28,18 +28,23 @@ from sasakicheck import (
     PointStack,
     ScalarField,
     TensorField,
+    christoffel,
     extract_structure,
     frame_stack,
     gauss_weingarten,
+    induced_metric,
     linalg,
     sample_states,
+    standard_sasakian,
     verify_algebraic_identities,
     verify_differential_identities,
 )
-from sasakicheck.dual import exp
+from sasakicheck.connection import covariant_derivative_components
+from sasakicheck.dual import cos, exp, sin
 from sasakicheck.errors import TangencyError
 
-from conftest import as_points, by_name, chart_points, chart_vectors, stack_of, states_at
+from conftest import (SURFACES, as_points, by_name, chart_points, chart_vectors, stack_of,
+                      states_at, surface_normal)
 
 
 def _pair_dirs(dim, count=5, seed=11):
@@ -140,6 +145,30 @@ def test_sample_states_need_the_partials_split_of_the_same_points(quadric_r3):
         fs4 = frame_stack(N, PointStack(pts.coords[:4]), partials=True)
         sample_states(extract_structure(N, fs4), dirs, gw)
     assert len(sample_states(extract_structure(N, fs), dirs, gw)) == 6
+
+
+def _sphere_normal():
+    """The sphere of radius 2 about the origin of the standard Sasakian R^3."""
+    return NormalField(Embedding(2, standard_sasakian(1), lambda c: [
+        2.0 * cos(c[0]) * cos(c[1]), 2.0 * sin(c[0]) * cos(c[1]), 2.0 * sin(c[1])]))
+
+
+@pytest.mark.parametrize("surface", ["plane_r3", "quadric_r3", "quadric_r3_scaled", "sphere"])
+def test_sample_state_derivatives_match_the_levi_civita_oracle(surface):
+    # the states take covariant derivatives with the Gauss connection; the
+    # Levi-Civita connection of the pulled-back metric is the independent oracle
+    N = _sphere_normal() if surface == "sphere" else surface_normal(SURFACES[surface])
+    pts = chart_points(2, 8, seed=61)
+    states = states_at(N, pts, chart_vectors(2, 4, seed=62))
+    g = induced_metric(N.embedding)
+    valences = {"phi": (1, 1), "u": (0, 1), "v": (0, 1), "U": (1, 0), "V": (1, 0)}
+    for i, p in enumerate(as_points(pts)):
+        gamma, bd = christoffel(g, p), states.bundle[i]
+        for key, valence in valences.items():
+            oracle = covariant_derivative_components(getattr(bd, key), getattr(bd, "d" + key),
+                                                     gamma, valence)
+            err = np.max(np.abs(getattr(states, "cov" + key)[i] - oracle))
+            assert err <= 1e-9, (surface, key, p.coords, err)
 
 
 def test_extraction_rejects_the_frame_stack_of_another_normal_field(quadric_r3, plane_r3):

@@ -3,12 +3,13 @@
 A report checks the exact pointwise models of ``theorems.py`` on
 ``runner.MODEL_DRAWS`` draws from its ``models`` generator, built as one
 stack.  The rows it reports must equal a reference built here the plain
-way: one ``make_pointwise_model``, ``check_theorem_3_3`` and
-``check_theorem_3_2`` call per draw, running maxima that pass over NaN,
-and one ``model_structure_residuals`` call over the list of models.  The
-stacked construction itself is held to ``_loop_model``, the one-model
-construction as it stood before the stack, and Theorem 3.2's one-product
-w-map to ``w_map_columns``, its column-by-column assembly.
+way: one ``make_pointwise_model``, ``check_theorem_3_3``,
+``check_theorem_3_2`` and ``model_structure_residuals`` call per draw,
+and running maxima that pass over NaN.  The stacked construction itself
+is held to ``_loop_model``, the one-model construction as it stood
+before the stack.  Theorem 3.2's closed-form w is held to
+``w_map_columns``, the column-by-column assembly of its affine map, and
+a solve, on models with a general metric.
 """
 
 import dataclasses
@@ -16,7 +17,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sasakicheck import check_theorem_3_2, check_theorem_3_3, make_pointwise_model
+from sasakicheck import (check_theorem_3_1, check_theorem_3_2, check_theorem_3_3,
+                         make_pointwise_model)
 from sasakicheck.config import load_suite_config
 from sasakicheck.runner import MODEL_DRAWS, run_suite
 from sasakicheck.sampling import spawn_rngs
@@ -25,8 +27,9 @@ from sasakicheck.theorems import (
     MODEL_CONCLUSION_TOL,
     MODEL_TOL,
     PointwiseModel,
-    _w_map,
+    _imposed_w,
     model_structure_residuals,
+    theorem_3_4_model_consistency,
 )
 
 from conftest import SURFACES, running_max, w_map_columns
@@ -46,14 +49,14 @@ def _models_config(n, seed):
 def _reference_rows(n, seed):
     rng = spawn_rngs(seed)["models"]
     worst_33 = worst_36 = worst_37 = 0.0
-    models = []
+    structure = []
     for lam in rng.uniform(0.1, 0.9, size=MODEL_DRAWS):
         model = make_pointwise_model(n, float(lam), rng)
-        models.append(model)
+        structure.append(max(model_structure_residuals(model).values()))
         worst_33 = max(worst_33, check_theorem_3_3(model, MODEL_TOL).conclusion_residuals["max_h"])
         r = check_theorem_3_2(model, MODEL_CONCLUSION_TOL, rng).conclusion_residuals
         worst_36, worst_37 = max(worst_36, r["3.6"]), max(worst_37, r["3.7"])
-    return {"model_structure": max(model_structure_residuals(models).values()),
+    return {"model_structure": running_max(structure),
             "eq_3_6": worst_36, "eq_3_7": worst_37, "thm_3_3_model": worst_33}
 
 
@@ -82,13 +85,13 @@ def _loop_model(n, lam, rng):
     if np.linalg.det(np.column_stack([B, N])) < 0:
         B = B.copy()
         B[:, 0] = -B[:, 0]
-    return PointwiseModel(n=n, lam=lam, g=B.T @ B, phi=B.T @ phi_amb @ B,
+    return PointwiseModel(lam=lam, g=B.T @ B, phi=B.T @ phi_amb @ B,
                           u=(phi_amb @ B).T @ N, v=B.T @ np.concatenate([np.zeros(m), [1.0]]),
                           U=-B.T @ (phi_amb @ N), V=B.T @ xi)
 
 
 def _bits(model):
-    return [np.asarray(getattr(model, f.name)).tobytes() for f in dataclasses.fields(model)[1:]]
+    return [np.asarray(getattr(model, f.name)).tobytes() for f in dataclasses.fields(model)]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -103,6 +106,10 @@ def test_stacked_models_equal_one_model_calls_bit_for_bit(n, seed):
         single = make_pointwise_model(n, lam, single_rng)
         assert type(stack[i].lam) is float and stack[i].n == n
         assert _bits(stack[i]) == _bits(oracle) == _bits(single)
+    with pytest.raises(TypeError):  # one model has no draws to index or walk
+        single[0]
+    with pytest.raises(TypeError):
+        list(single)
     # the stack drew exactly what the one-model calls drew
     assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
     assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
@@ -144,9 +151,20 @@ def test_stacked_structure_residuals_are_the_running_max_of_one_model_calls(n):
                                  np.random.default_rng(20 + n))
     for models in (stack, _with_nan_draw(stack, 3, "u"), _with_nan_draw(stack, 0, "lam")):
         whole = model_structure_residuals(models)
-        singles = [model_structure_residuals([models[i]]) for i in range(len(models))]
+        singles = [model_structure_residuals(models[i:i + 1]) for i in range(len(models))]
         assert whole == {k: running_max(s[k] for s in singles) for k in whole}
-        assert whole == model_structure_residuals(list(models))
+        # one model is a stack of one
+        for i in (0, 3, len(models) - 1):
+            assert model_structure_residuals(models[i]) == singles[i]
+
+
+@pytest.mark.parametrize("check", [check_theorem_3_1, check_theorem_3_2,
+                                   theorem_3_4_model_consistency])
+def test_one_model_checks_reject_a_stack(check):
+    stack = make_pointwise_model(1, np.array([0.3, 0.6]), np.random.default_rng(31))
+    with pytest.raises(ValueError, match=rf"^{check.__name__} takes one model, "
+                                         r"got a stack of 2 draws$"):
+        check(stack)
 
 
 def test_theorem_3_3_stack_excludes_draws_below_the_lambda_floor():
@@ -177,28 +195,49 @@ def test_one_model_lambda_floor_branches_unchanged(lam):
     assert rng.bit_generator.state != np.random.default_rng(4).bit_generator.state
 
 
-def _report_models(n, seed):
-    """The flat models the models group of a report at config seed ``seed`` builds."""
-    rng = spawn_rngs(seed)["models"]
-    return make_pointwise_model(n, rng.uniform(0.1, 0.9, size=MODEL_DRAWS), rng)
+def _general_model(n, rng):
+    """Random model data with an SPD metric g != I and a well-conditioned phi
+    (singular values in [1, 2]); not a hypersurface, only inputs for w.  The
+    report's flat models have U = u and g = I, where a slip between U and u,
+    or a missed g, would not show."""
+    m = 2 * n
+    A = rng.normal(size=(m, m))
+    Q1, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    Q2, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    phi = Q1 @ np.diag(rng.uniform(1.0, 2.0, size=m)) @ Q2
+    u, v, U, V = rng.normal(size=(4, m))
+    return PointwiseModel(lam=float(rng.uniform(0.1, 0.9)), g=A @ A.T + np.eye(m), phi=phi,
+                          u=u, v=v, U=U, V=V)
 
 
-@pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_w_map_equals_the_per_column_assembly_bit_for_bit(n, seed):
-    for model in _report_models(n, seed):
-        args = (np.linalg.inv(model.phi), model.U, model.V, model.g, model.lam)
-        (M, base), (M_cols, base_cols) = _w_map(*args), w_map_columns(*args)
-        assert M.tobytes() == M_cols.tobytes() and base.tobytes() == base_cols.tobytes()
+def test_closed_form_w_equals_the_assembled_affine_solve(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(50):
+        md = _general_model(n, rng)
+        phi_inv = np.linalg.inv(md.phi)
+        M, base = w_map_columns(phi_inv, md.U, md.V, md.g, md.lam)
+        oracle = np.linalg.solve(M + md.lam * np.eye(2 * n), md.u - base)
+        w = _imposed_w(phi_inv, md.u, md.U, md.V, md.g, md.lam)
+        assert np.max(np.abs(w - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_w_map_is_the_affine_identity(n):
-    """h(., V) = (U phi^-T g V) w - lambda phi^-T g V for any g, so the
-    assembled M is that scalar times I: an algebraic fact, not the old code."""
-    for model in _report_models(n, seed=10 + n):
-        phi_inv = np.linalg.inv(model.phi)
-        M, base = _w_map(phi_inv, model.U, model.V, model.g, model.lam)
-        gV = phi_inv.T @ model.g @ model.V
-        assert np.max(np.abs(M - (model.U @ gV) * np.eye(2 * n))) <= 1e-13
-        assert np.max(np.abs(base + model.lam * gV)) <= 1e-13
+def test_closed_form_w_imposes_the_scalar_relation(n):
+    """h(Y, V) = u(Y) - lambda w(Y) for h = H^T g, H = phi^-1 (U (x) w - lambda I)."""
+    rng = np.random.default_rng(50 + n)
+    for _ in range(50):
+        md = _general_model(n, rng)
+        phi_inv = np.linalg.inv(md.phi)
+        w = _imposed_w(phi_inv, md.u, md.U, md.V, md.g, md.lam)
+        H = phi_inv @ (np.outer(md.U, w) - md.lam * np.eye(2 * n))
+        hV = H.T @ md.g @ md.V
+        assert np.max(np.abs(hV - (md.u - md.lam * w))) <= 1e-12 * (1.0 + np.max(np.abs(hV)))
+
+
+def test_theorem_3_2_rejects_a_zero_slope():
+    # phi = g = I and V = e_1 give a = e_1, so U . a + lambda = -0.5 + 0.5 = 0
+    md = PointwiseModel(lam=0.5, g=np.eye(2), phi=np.eye(2), u=np.array([1.0, 0.0]),
+                        v=np.zeros(2), U=np.array([-0.5, 0.0]), V=np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="slope 0"):
+        check_theorem_3_2(md)
