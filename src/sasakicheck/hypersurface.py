@@ -101,20 +101,33 @@ class NormalField:
 class Stacked:
     """Point indexing for a record whose fields carry the point axis first.
 
-    ``record[i]`` is point i's record: array views, (P,) fields as Python floats
-    (a one-point record's floats raise TypeError), nested records alike, None as None.
-    ``record[a:b]`` is a sub-stack; ``len`` and iteration count and walk points.
+    ``record[i]`` is point i's record: array views, (P,) fields as Python floats,
+    nested records alike, None as None.  ``record[a:b]`` is a sub-stack; ``len``
+    and iteration count and walk points.  A subclass sets ``_point_ndim``, the
+    axes of its first field at one point (unless that field is a record), so
+    ``len``, indexing and iteration raise TypeError on a one-point record.
     """
 
     __slots__ = ()
 
+    def _one_point(self) -> bool:
+        first = getattr(self, fields(self)[0].name)
+        if isinstance(first, Stacked):
+            return first._one_point()
+        return np.ndim(first) <= self._point_ndim
+
     def __len__(self) -> int:
+        if self._one_point():
+            raise TypeError(f"a one-point {type(self).__name__} has no points to count, "
+                            "index or walk")
         return len(getattr(self, fields(self)[0].name))
 
     def __iter__(self):
+        len(self)  # raises on a one-point record
         return map(type(self), *(_column(getattr(self, f.name)) for f in fields(self)))
 
     def __getitem__(self, index):
+        len(self)  # raises on a one-point record
         return type(self)(*(_take(getattr(self, f.name), index) for f in fields(self)))
 
 
@@ -299,6 +312,8 @@ class GaussWeingartenData(Stacked):
     DN: np.ndarray
     jacobian: np.ndarray
     normal: np.ndarray
+
+    _point_ndim = 3  # induced_gamma[c, a, b]
 
 
 def gauss_weingarten(fs: FrameStack) -> GaussWeingartenData:

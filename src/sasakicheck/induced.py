@@ -95,6 +95,8 @@ class StructureBundle(Stacked):
     dv: Optional[np.ndarray] = None
     dlam: Optional[np.ndarray] = None
 
+    _point_ndim = 2  # phi[a, b]
+
 
 def _structure_stack(ambient, fs: FrameStack) -> StructureBundle:
     """Split phi~B, phi~N and xi against every frame: X = A^-1 [phi~B | phi~N | xi].

@@ -1,8 +1,10 @@
 """Verification reports: JSON for machines, a fixed-width table for humans.
 
-Verdicts: ``pass``/``fail`` for tolerance checks, ``vacuous`` for
-implication checks whose hypothesis never held, ``refuted`` for
-identity claims that fail under every admissible convention.  Only
+One verdict vocabulary serves report rows and the implication results
+of ``theorems.py`` alike: ``pass``/``fail`` for tolerance checks,
+``vacuous`` for implication checks whose hypothesis never held,
+``refuted`` for identity claims and implications whose conclusion
+misses.  :func:`verdict` is the one rule that picks among them.  Only
 ``fail`` affects the exit code; a refuted claim is a finding about the
 identity, not an engine failure.
 """
@@ -16,6 +18,15 @@ from typing import Dict, List, Optional
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_CHECK_FAILED = 2
+
+
+def verdict(residual, tol, miss: str = "fail", held: bool = True) -> str:
+    """``vacuous`` unless ``held``, else ``pass`` when ``residual <= tol``, else
+    ``miss``.  So a NaN residual never passes, and a gate ``held=hyp <= eps``
+    reads a NaN hypothesis as never holding."""
+    if not held:
+        return "vacuous"
+    return "pass" if residual <= tol else miss
 
 
 @dataclass

@@ -38,7 +38,7 @@ from .induced import (
     verify_algebraic_identities,
     verify_differential_identities,
 )
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, verdict
 from .sampling import sample_points, sample_vectors, spawn_rngs
 from .sasakian import check_sasakian_axioms, standard_sasakian
 from .theorems import (
@@ -124,13 +124,11 @@ class _Context:
         return -1.0 if self.differential.structure_sign == "phi-flipped" else 1.0
 
 
-def _row(name, ref, residual, tol, verdict=None, convention="", used=0, excluded=0, details=None):
-    """One report row; by default it passes when ``residual <= tol``."""
-    if verdict is None:
-        verdict = "pass" if residual <= tol else "fail"
+def _row(name, ref, residual, tol, outcome=None, convention="", used=0, excluded=0, details=None):
+    """One report row; its verdict is ``outcome``, by default ``verdict(residual, tol)``."""
     return CheckResult(name, ref, None if residual is None else float(residual),
-                       None if tol is None else float(tol), verdict, convention, used, excluded,
-                       details or {})
+                       None if tol is None else float(tol), outcome or verdict(residual, tol),
+                       convention, used, excluded, details or {})
 
 
 def _eq(eq):
@@ -143,20 +141,16 @@ def _identity_rows(rep, tol):
     # about the identity (e.g. the rho^2 factors a scaled normal
     # introduces), not an engine failure
     return [_row("eq_" + r.name.replace(".", "_"), r.equation_ref, r.residual, tol,
-                 "pass" if r.residual <= tol else "refuted", r.convention, r.samples_used,
+                 verdict(r.residual, tol, "refuted"), r.convention, r.samples_used,
                  details=r.details)
             for r in rep.identities]
-
-
-def _implication_verdict(result):
-    return {"confirmed": "pass"}.get(result.verdict, result.verdict)
 
 
 def _implication_row(name, ref, result, tol):
     residual = max(result.conclusion_residuals.values()) if result.conclusion_residuals else 0.0
     return _row(
         name, ref, residual if result.verdict != "vacuous" else result.hypothesis_residual, tol,
-        _implication_verdict(result), result.convention, result.samples_used,
+        result.verdict, result.convention, result.samples_used,
         result.samples_excluded, {"hypothesis_residual": result.hypothesis_residual,
                                   "conclusion_residuals": result.conclusion_residuals,
                                   "notes": result.notes})
@@ -218,8 +212,7 @@ def _differential(ctx):
     # (2.18) is an implication: the battery marks it vacuous where its
     # premise h(Y, U) = 0 fails at the same tolerance
     last = rows[-1]
-    last.verdict = ("vacuous" if last.details["vacuous"]
-                    else "pass" if last.max_residual <= tol else "fail")
+    last.verdict = verdict(last.max_residual, tol, held=not last.details["vacuous"])
     return rows
 
 
@@ -228,10 +221,10 @@ def _theorems(ctx):
     hyp, concl = ctx.tol["hypothesis"], ctx.tol["conclusion"]
     r31 = theorem_3_1_chart(states, hyp, concl, sign)
     rows = [_row("eq_3_1", "Eq (3.1)", r31.hypothesis_residual, hyp,
-                 "pass" if r31.hypothesis_residual <= hyp else "vacuous", r31.convention,
+                 verdict(r31.hypothesis_residual, hyp, "vacuous"), r31.convention,
                  len(ctx.chart_points), details={"note": "hypothesis residual |nabla phi|"})]
     rows += [_row(*_eq(eq), r31.conclusion_residuals[eq] if r31.verdict != "vacuous" else None,
-                  concl, _implication_verdict(r31), r31.convention, r31.samples_used,
+                  concl, r31.verdict, r31.convention, r31.samples_used,
                   r31.samples_excluded)
              for eq in ("3.2", "3.3", "3.4", "3.5")]
     r32 = theorem_3_2_chart(states, hyp, concl, sign)

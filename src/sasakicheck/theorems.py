@@ -7,7 +7,10 @@ holds; on generic hypersurfaces that never happens and the verdict is
 ``vacuous``, which is an honest outcome, never a failure.  Model mode
 builds exact pointwise linear-algebra data satisfying the algebraic
 structure identities, imposes the hypothesis algebraically, and
-measures the conclusions to machine precision.
+measures the conclusions to machine precision.  Verdicts come from
+:func:`~sasakicheck.report.verdict` with ``miss="refuted"``: ``vacuous``
+unless the hypothesis holds, ``refuted`` when a conclusion misses (or
+is NaN), ``pass`` otherwise.
 
 A report's models are one stack (:func:`make_pointwise_model` with an
 array of lambdas): one block of normal draws, one stacked QR and
@@ -20,6 +23,7 @@ the bits of one-model calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field, fields
 from operator import attrgetter
 from typing import Dict, List
@@ -29,6 +33,7 @@ import numpy as np
 from . import linalg
 from .hypersurface import Stacked
 from .induced import SampleState, structure_residuals
+from .report import verdict
 
 LAMBDA_FLOOR = 1e-6
 HYPOTHESIS_TOL = 1e-6
@@ -42,19 +47,17 @@ class ImplicationCheckResult:
     name: str
     hypothesis_residual: float
     conclusion_residuals: Dict[str, float]
-    verdict: str  # confirmed | vacuous | refuted
+    verdict: str  # pass | vacuous | refuted, the report's vocabulary
     convention: str = ""
     notes: List[str] = dc_field(default_factory=list)
     samples_used: int = 0
     samples_excluded: int = 0
 
 
-def _verdict(hyp: float, concl: Dict[str, float], eps_h: float, eps_c: float) -> str:
-    if hyp > eps_h:
-        return "vacuous"
-    if concl and max(concl.values()) > eps_c:
-        return "refuted"
-    return "confirmed"
+def _largest(concl: Dict[str, float]) -> float:
+    """The largest conclusion residual; NaN when any is, so a NaN never passes."""
+    values = concl.values()
+    return math.nan if any(v != v for v in values) else max(values)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +137,7 @@ def theorem_3_1_chart(
         name="theorem_3_1_chart",
         hypothesis_residual=hyp,
         conclusion_residuals=concl,
-        verdict=_verdict(hyp, concl, eps_h, eps_c),
+        verdict=verdict(_largest(concl), eps_c, "refuted", held=hyp <= eps_h),
         convention="nabla phi = 0 hypothesis",
         samples_used=used,
         samples_excluded=excluded,
@@ -171,7 +174,7 @@ def theorem_3_2_chart(
         name="theorem_3_2_chart",
         hypothesis_residual=hyp,
         conclusion_residuals=concl,
-        verdict=_verdict(hyp, concl, eps_h, eps_c),
+        verdict=verdict(_largest(concl), eps_c, "refuted", held=hyp <= eps_h),
         convention="nabla U = 0 hypothesis",
         samples_used=used,
         samples_excluded=excluded,
@@ -191,12 +194,11 @@ def theorem_3_3_chart(
     C = (1.0 + _max_per_point(np.abs(g))) * (1.0 + _max_per_point(np.abs(phi)))
     bound = C * np.maximum(eps, 1e-15) / np.abs(lam)
     concl = {"h_bound": linalg.worst(np.maximum(0.0, _max_per_point(np.abs(h)) - bound))}
-    verdict = "vacuous" if used == 0 else ("confirmed" if concl["h_bound"] == 0.0 else "refuted")
     return ImplicationCheckResult(
         name="theorem_3_3_chart",
         hypothesis_residual=hyp,
         conclusion_residuals=concl,
-        verdict=verdict,
+        verdict=verdict(concl["h_bound"], 0.0, "refuted", held=used > 0),
         convention="nabla V = 0 hypothesis",
         samples_used=used,
         samples_excluded=excluded,
@@ -217,17 +219,11 @@ def check_theorem_3_4(
     r = (lam[:, None] * _along(dirs, w) - structure_sign * _along(dirs, u)
          + _along(dirs, dlam))
     concl = {"3.8": linalg.worst(np.abs(r[ok]))}
-    if used == 0:
-        verdict = "vacuous"
-        hyp = float(np.fmin.reduce(hnorm, initial=np.inf))
-    else:
-        hyp = 0.0
-        verdict = "confirmed" if concl["3.8"] <= eps_c else "refuted"
     return ImplicationCheckResult(
         name="theorem_3_4_chart",
-        hypothesis_residual=hyp,
+        hypothesis_residual=float(np.fmin.reduce(hnorm, initial=np.inf)) if used == 0 else 0.0,
         conclusion_residuals=concl,
-        verdict=verdict,
+        verdict=verdict(concl["3.8"], eps_c, "refuted", held=used > 0),
         convention="h = 0 hypothesis",
         samples_used=used,
         samples_excluded=excluded,
@@ -261,6 +257,8 @@ class PointwiseModel(Stacked):
     v: np.ndarray
     U: np.ndarray
     V: np.ndarray
+
+    _point_ndim = 0  # lam
 
     @property
     def n(self) -> int:
@@ -313,6 +311,9 @@ def make_pointwise_model(n: int, lam, rng) -> PointwiseModel:
 def _one_model(model: PointwiseModel, check: str) -> None:
     if np.ndim(model.lam):
         raise ValueError(f"{check} takes one model, got a stack of {len(model)} draws")
+    data = (model.g.ravel(), model.phi.ravel(), model.u, model.v, model.U, model.V, [model.lam])
+    if not np.isfinite(np.concatenate(data)).all():
+        raise ValueError(f"{check} takes finite model data")
 
 
 def model_structure_residuals(models: PointwiseModel) -> Dict[str, float]:
@@ -376,19 +377,17 @@ def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> Implicat
             notes.append("u = v = 0 with V != 0: g(X,Y)V = v(X)Y unsolvable")
         else:
             notes.append("u = v = 0 invariant point: h, H unconstrained")
-    if solve_residual > tol:
+    held = solve_residual <= tol
+    if not held:
         notes.append(
             f"hypothesis not imposable: (3.4) forces rank-degenerate g "
             f"(residual {degeneracy:.3e} with 1 - lambda^2 = {one:.3e})"
         )
-        verdict = "vacuous"
-    else:
-        verdict = "confirmed" if max(concl.values()) <= tol else "refuted"
     return ImplicationCheckResult(
         name="theorem_3_1_model",
         hypothesis_residual=solve_residual,
         conclusion_residuals=concl,
-        verdict=verdict,
+        verdict=verdict(_largest(concl), tol, "refuted", held=held),
         convention="least-squares h (symmetric), H",
         notes=notes,
         samples_used=1,
@@ -417,7 +416,6 @@ def check_theorem_3_2(
     _one_model(model, "check_theorem_3_2")
     m = 2 * model.n
     lam, g, phi, u, U, V, v = model.lam, model.g, model.phi, model.u, model.U, model.V, model.v
-    notes = []
     if abs(lam) < LAMBDA_FLOOR:
         # phi has kernel span(U, V); any H into the kernel satisfies the hypothesis
         rng = rng or np.random.default_rng(0)
@@ -430,39 +428,32 @@ def check_theorem_3_2(
             "3.6": float(np.max(np.abs(hmat @ phi))),
             "3.7": 0.0,
         }
-        notes.append("lambda = 0: phi-inversion obstruction, H fixed only up to ker(phi)")
-        return ImplicationCheckResult(
-            name="theorem_3_2_model",
-            hypothesis_residual=hyp,
-            conclusion_residuals=concl,
-            verdict=_verdict(hyp, concl, 1e-10, tol),
-            convention="w = 0, lambda = 0 branch",
-            notes=notes,
-            samples_used=1,
-        )
+        note = "lambda = 0: phi-inversion obstruction, H fixed only up to ker(phi)"
+        convention = "w = 0, lambda = 0 branch"
+    else:
+        det = np.linalg.det(phi)
+        if abs(det) < 1e-12:
+            raise ValueError(f"phi unexpectedly singular (det {det:.3e}) for lambda {lam}")
+        phi_inv = np.linalg.inv(phi)
+        w = _imposed_w(phi_inv, u, U, V, g, lam)
 
-    det = np.linalg.det(phi)
-    if abs(det) < 1e-12:
-        raise ValueError(f"phi unexpectedly singular (det {det:.3e}) for lambda {lam}")
-    phi_inv = np.linalg.inv(phi)
-    w = _imposed_w(phi_inv, u, U, V, g, lam)
-
-    imposed = np.outer(U, w) - lam * np.eye(m)
-    H = phi_inv @ imposed
-    hmat = H.T @ g
-    hyp = float(np.max(np.abs(phi @ H - imposed)))
-    concl = {
-        "3.6": float(np.max(np.abs(hmat @ phi - lam * g + np.outer(u, w)))),
-        "3.7": float(np.max(np.abs(w - 2.0 * lam * u))),
-    }
-    notes.append(f"h asymmetry under the hypothesis: {np.max(np.abs(hmat - hmat.T)):.3e}")
+        imposed = np.outer(U, w) - lam * np.eye(m)
+        H = phi_inv @ imposed
+        hmat = H.T @ g
+        hyp = float(np.max(np.abs(phi @ H - imposed)))
+        concl = {
+            "3.6": float(np.max(np.abs(hmat @ phi - lam * g + np.outer(u, w)))),
+            "3.7": float(np.max(np.abs(w - 2.0 * lam * u))),
+        }
+        note = f"h asymmetry under the hypothesis: {np.max(np.abs(hmat - hmat.T)):.3e}"
+        convention = "d(lambda) = 0 model, w from scalar compatibility"
     return ImplicationCheckResult(
         name="theorem_3_2_model",
         hypothesis_residual=hyp,
         conclusion_residuals=concl,
-        verdict=_verdict(hyp, concl, 1e-10, tol),
-        convention="d(lambda) = 0 model, w from scalar compatibility",
-        notes=notes,
+        verdict=verdict(_largest(concl), tol, "refuted", held=hyp <= 1e-10),
+        convention=convention,
+        notes=[note],
         samples_used=1,
     )
 
@@ -495,7 +486,7 @@ def check_theorem_3_3(model: PointwiseModel, tol: float = MODEL_TOL) -> Implicat
         name="theorem_3_3_model",
         hypothesis_residual=0.0,
         conclusion_residuals={"max_h": forced_h},
-        verdict="confirmed" if forced_h <= tol else "refuted",
+        verdict=verdict(forced_h, tol, "refuted"),
         convention="H = -phi/lambda",
         samples_used=used,
         samples_excluded=excluded,

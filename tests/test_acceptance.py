@@ -175,7 +175,7 @@ def test_criterion_6_theorem_3_3_models():
             for _ in range(100):
                 model = make_pointwise_model(n, float(rng.uniform(0.1, 0.9)), rng)
                 res = check_theorem_3_3(model)
-                assert res.verdict == "confirmed"
+                assert res.verdict == "pass"
                 assert res.conclusion_residuals["max_h"] <= 1e-12
         assert time.perf_counter() - start <= 2.0
 

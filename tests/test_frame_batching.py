@@ -104,6 +104,22 @@ def test_stacked_reconstruction_equals_single_point_stacks(surface, count):
         second_fundamental_symmetry(s) for s in singles)
 
 
+@pytest.mark.parametrize("surface", ["plane_r3", "plane_r5"])
+def test_one_point_records_have_no_points(surface):
+    """A record of one point is not a stack: counting, indexing or walking
+    its points raises TypeError for every stacked record kind, though the
+    first axis of its arrays is a matrix axis of length m."""
+    N = surface_normal(SURFACES[surface])
+    pts, dirs = _samples(N.embedding.dim, 3, seed=13)
+    states = states_at(N, pts, dirs)
+    for stack in (states, states.bundle, states.gw):
+        assert len(stack) == 3 and len(stack[1:]) == 2
+        one = stack[0]
+        for use in (len, lambda r: r[0], lambda r: r[:1], list):
+            with pytest.raises(TypeError, match=f"^a one-point {type(one).__name__} "):
+                use(one)
+
+
 def _points(replaced):
     """Seeded chart points in (0.5, 1)^2 with some entries replaced."""
     rows = sample_points(2, 10, (0.5, 1.0), np.random.default_rng(41)).coords.copy()

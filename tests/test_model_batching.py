@@ -138,7 +138,7 @@ def test_stacked_theorem_3_3_is_the_running_max_of_one_model_calls(n):
         whole = check_theorem_3_3(models)
         assert whole.conclusion_residuals["max_h"] == running_max(
             r.conclusion_residuals["max_h"] for r in singles)
-        assert whole.verdict == "confirmed"
+        assert whole.verdict == "pass"
         assert (whole.samples_used, whole.samples_excluded) == (60, 0)
     # a one-model call still reports its own NaN
     nan_one = check_theorem_3_3(_with_nan_draw(stack, 7, "phi")[7])
@@ -175,7 +175,7 @@ def test_theorem_3_3_stack_excludes_draws_below_the_lambda_floor():
     kept = [check_theorem_3_3(stack[i]) for i in (0, 2, 4)]
     assert whole.conclusion_residuals["max_h"] == running_max(
         r.conclusion_residuals["max_h"] for r in kept)
-    assert (whole.verdict, whole.samples_used, whole.samples_excluded) == ("confirmed", 3, 2)
+    assert (whole.verdict, whole.samples_used, whole.samples_excluded) == ("pass", 3, 2)
     none_left = check_theorem_3_3(stack[1:4:2])
     assert (none_left.verdict, none_left.hypothesis_residual, none_left.conclusion_residuals,
             none_left.samples_used, none_left.samples_excluded) == ("vacuous", np.inf, {}, 0, 2)

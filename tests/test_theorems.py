@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -18,8 +19,10 @@ from sasakicheck import (
     verify_differential_identities,
 )
 from sasakicheck.dual import exp
+from sasakicheck.report import verdict
 from sasakicheck.theorems import (
     PointwiseModel,
+    _largest,
     model_structure_residuals,
     theorem_3_1_chart,
     theorem_3_2_chart,
@@ -108,7 +111,7 @@ def test_theorem_3_3_exact_models(n):
     for _ in range(100):
         model = make_pointwise_model(n, float(rng.uniform(0.1, 0.9)), rng)
         res = check_theorem_3_3(model)
-        assert res.verdict == "confirmed"
+        assert res.verdict == "pass"
         assert res.conclusion_residuals["max_h"] <= 1e-12
     assert time.perf_counter() - start < 2.0
 
@@ -189,7 +192,7 @@ def test_theorem_3_2_model_confirms_conclusions(n, lam):
     rng = np.random.default_rng(17)
     model = make_pointwise_model(n, lam, rng)
     res = check_theorem_3_2(model)
-    assert res.verdict == "confirmed", (res.conclusion_residuals, res.notes)
+    assert res.verdict == "pass", (res.conclusion_residuals, res.notes)
     assert res.conclusion_residuals["3.6"] <= 1e-10
     assert res.conclusion_residuals["3.7"] <= 1e-10
     assert any("asymmetry" in note for note in res.notes)
@@ -199,7 +202,7 @@ def test_theorem_3_2_lambda_zero_branch():
     rng = np.random.default_rng(19)
     model = make_pointwise_model(1, 0.0, rng)
     res = check_theorem_3_2(model, rng=rng)
-    assert res.verdict == "confirmed"
+    assert res.verdict == "pass"
     assert res.conclusion_residuals["3.6"] <= 1e-10
     assert any("ker(phi)" in note for note in res.notes)
 
@@ -233,13 +236,46 @@ def test_theorem_3_4_model_consistency_recorded():
     assert any("forces u = 0" in n for n in res.notes)
 
 
-def test_implication_verdict_rules():
-    from sasakicheck.theorems import _verdict
+NAN = float("nan")
 
-    assert _verdict(1e-9, {"a": 1e-7}, 1e-6, 1e-5) == "confirmed"
-    assert _verdict(1e-3, {"a": 1e-7}, 1e-6, 1e-5) == "vacuous"
-    assert _verdict(1e-9, {"a": 1e-3}, 1e-6, 1e-5) == "refuted"
-    assert _verdict(1e-9, {}, 1e-6, 1e-5) == "confirmed"
+
+@pytest.mark.parametrize("residual,tol,miss,held,expected", [
+    (1e-7, 1e-5, "fail", True, "pass"),
+    (1e-5, 1e-5, "fail", True, "pass"),  # at the tolerance passes
+    (1e-3, 1e-5, "fail", True, "fail"),
+    (1e-3, 1e-5, "refuted", True, "refuted"),
+    (1e-3, 1e-5, "vacuous", True, "vacuous"),  # eq_3_1: a hypothesis residual over tol
+    (1e-7, 1e-5, "refuted", False, "vacuous"),  # a hypothesis that never held
+    (1e-3, 1e-5, "fail", False, "vacuous"),
+    (0.0, 0.0, "refuted", True, "pass"),  # theorem_3_3_chart's h_bound rule
+    (1e-300, 0.0, "refuted", True, "refuted"),
+    (np.inf, 1e-5, "refuted", True, "refuted"),
+    (1e300, np.inf, "fail", True, "pass"),
+    (NAN, 1e-5, "fail", True, "fail"),  # a NaN residual never passes
+    (NAN, 1e-5, "refuted", True, "refuted"),
+    (NAN, 1e-5, "refuted", NAN <= 1e-6, "vacuous"),  # a NaN hypothesis never holds
+    (1e-7, 1e-5, "refuted", NAN <= 1e-6, "vacuous"),
+])
+def test_verdict_table(residual, tol, miss, held, expected):
+    assert verdict(residual, tol, miss, held) == expected
+
+
+def test_largest_conclusion_is_nan_wherever_a_nan_sits():
+    for concl in ({"a": NAN, "b": 0.0}, {"a": 0.0, "b": NAN}):
+        assert np.isnan(_largest(concl))
+    assert _largest({"a": 1e-3, "b": 2e-3}) == 2e-3
+
+
+@pytest.mark.parametrize("check", [check_theorem_3_1, check_theorem_3_2,
+                                   theorem_3_4_model_consistency])
+@pytest.mark.parametrize("field", ["u", "g", "lam"])
+@pytest.mark.parametrize("bad", [NAN, np.inf])
+def test_one_model_checks_reject_non_finite_data(check, field, bad):
+    model = make_pointwise_model(1, 0.5, np.random.default_rng(37))
+    value = np.array(getattr(model, field), dtype=float)
+    value.flat[0] = bad
+    with pytest.raises(ValueError, match=rf"^{check.__name__} takes finite model data$"):
+        check(dataclasses.replace(model, **{field: value}))
 
 
 def test_verdicts_stable_under_direction_scaling(plane_structure):
