@@ -61,6 +61,12 @@ DEFAULT_TOLERANCES = {
     "reconstruction": 1e-6,
 }
 
+# every section a config may hold, with the keys it may set
+KNOWN_KEYS = {"ambient": ("name", "n"), "embedding": ("inputs", "outputs"),
+              "normal": ("scaling", "orientation", "base_point"),
+              "sample": ("count", "box", "seed"), "tolerances": tuple(DEFAULT_TOLERANCES),
+              "suite": ("checks", "strict_paper")}
+
 
 @dataclass
 class SuiteConfig:
@@ -116,7 +122,8 @@ def resolve_config_path(value: str) -> Path:
 
 def load_suite_config(path) -> SuiteConfig:
     path = Path(path)
-    parser = configparser.ConfigParser()
+    # no section holds defaults: a [DEFAULT] header is an unknown section like any other
+    parser = configparser.ConfigParser(default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -124,6 +131,13 @@ def load_suite_config(path) -> SuiteConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
+    for section in parser.sections():
+        valid = KNOWN_KEYS.get(section)
+        if valid is None:
+            raise ConfigError(f"unknown section [{section}]; valid: {', '.join(KNOWN_KEYS)}")
+        for key in parser.options(section):
+            if key not in valid:
+                raise ConfigError(f"unknown [{section}] key {key!r}; valid: {', '.join(valid)}")
 
     def get(section, key, fallback=None):
         if parser.has_option(section, key):
@@ -210,8 +224,6 @@ def load_suite_config(path) -> SuiteConfig:
     tolerances = dict(DEFAULT_TOLERANCES)
     if parser.has_section("tolerances"):
         for key in parser.options("tolerances"):
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {key!r}")
             try:
                 value = float(parser.get("tolerances", key))
             except ValueError as exc:

@@ -11,14 +11,14 @@ induced metric g = B^T g~ B, and the normal N with its first partials.
 Dual numbers differentiate only the embedding map and the ambient
 tensors; the normal and every frame solve are batched numpy calls on
 (P, d, d) stacks, differentiated implicitly
-(d(A^-1 b) = A^-1 (db - dA A^-1 b)).  Stacked products keep the
+(d(A^-1 b) = A^-1 (db - dA A^-1 b)).  Products on the stack keep the
 operand layouts and singleton axes of the one-point products, so every
 point gets the bits it gets in a stack of one.  A report builds one
 frame stack, with first partials when a check reads derivatives, and
 passes it to the structure split
 (:func:`sasakicheck.induced.extract_structure`) and to
-:func:`gauss_weingarten`.  The decomposition is one :class:`Stacked`
-record, :class:`GaussWeingartenData`, of (P, ...) arrays.
+:func:`gauss_weingarten`.  The decomposition is one record,
+:class:`GaussWeingartenData`, of (P, ...) arrays.
 
 Two shape operators are carried side by side:
 
@@ -31,8 +31,7 @@ between them rather than assuming either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from itertools import repeat
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,53 +95,6 @@ class NormalField:
 
     def flipped(self) -> "NormalField":
         return NormalField(self.embedding, self.scaling, -self.orientation)
-
-
-class Stacked:
-    """Point indexing for a record whose fields carry the point axis first.
-
-    ``record[i]`` is point i's record: array views, (P,) fields as Python floats,
-    nested records alike, None as None.  ``record[a:b]`` is a sub-stack; ``len``
-    and iteration count and walk points.  A subclass sets ``_point_ndim``, the
-    axes of its first field at one point (unless that field is a record), so
-    ``len``, indexing and iteration raise TypeError on a one-point record.
-    """
-
-    __slots__ = ()
-
-    def _one_point(self) -> bool:
-        first = getattr(self, fields(self)[0].name)
-        if isinstance(first, Stacked):
-            return first._one_point()
-        return np.ndim(first) <= self._point_ndim
-
-    def __len__(self) -> int:
-        if self._one_point():
-            raise TypeError(f"a one-point {type(self).__name__} has no points to count, "
-                            "index or walk")
-        return len(getattr(self, fields(self)[0].name))
-
-    def __iter__(self):
-        len(self)  # raises on a one-point record
-        return map(type(self), *(_column(getattr(self, f.name)) for f in fields(self)))
-
-    def __getitem__(self, index):
-        len(self)  # raises on a one-point record
-        return type(self)(*(_take(getattr(self, f.name), index) for f in fields(self)))
-
-
-def _take(value, index):
-    if isinstance(value, np.ndarray):
-        part = value[index]
-        return part.item() if part.ndim == 0 else part
-    return None if value is None else value[index]
-
-
-def _column(value):
-    """``_take(value, i)`` for every point i, in one pass over the field."""
-    if isinstance(value, np.ndarray):
-        return value.tolist() if value.ndim == 1 else list(value)
-    return repeat(None) if value is None else iter(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,7 +243,7 @@ def induced_metric(E: Embedding) -> MetricField:
 
 
 @dataclass(frozen=True, slots=True)
-class GaussWeingartenData(Stacked):
+class GaussWeingartenData:
     """Frame decomposition of the ambient derivative at P chart points.
 
     Every array is C-contiguous with the point axis first.
@@ -312,8 +264,6 @@ class GaussWeingartenData(Stacked):
     DN: np.ndarray
     jacobian: np.ndarray
     normal: np.ndarray
-
-    _point_ndim = 3  # induced_gamma[c, a, b]
 
 
 def gauss_weingarten(fs: FrameStack) -> GaussWeingartenData:

@@ -15,7 +15,7 @@ taken from one stacked dual jet each at the images b(p) and chained
 through B; central differences of the induced fields stay the
 independent check.  The split is one :class:`StructureBundle`, which
 one :class:`SampleState` holds for the derivative checks; both are
-:class:`~sasakicheck.hypersurface.Stacked` records of (P, ...) arrays.
+records of (P, ...) arrays, the point axis first, even at one point.
 Their metric is the frame stack's ``surface_metric``, and every
 covariant derivative uses the Gauss connection ``gw.induced_gamma``.
 
@@ -54,7 +54,6 @@ from .hypersurface import (
     FrameStack,
     GaussWeingartenData,
     NormalField,
-    Stacked,
     frame_stack,
 )
 from .sampling import g_normalized
@@ -75,7 +74,7 @@ _HAS_NU = {"2.11": True, "2.12": True, "2.13": True, "2.14": True, "2.15": True,
 
 
 @dataclass(frozen=True, slots=True)
-class StructureBundle(Stacked):
+class StructureBundle:
     """Float induced data at P points, every field with the point axis
     first; with partials also ``dphi[p, c] = d_c phi`` (and so on)."""
 
@@ -84,18 +83,16 @@ class StructureBundle(Stacked):
     U: np.ndarray
     V: np.ndarray
     v: np.ndarray
-    lam: float
+    lam: np.ndarray
     g: np.ndarray
-    eta_n: float
-    tangency: float
+    eta_n: np.ndarray
+    tangency: np.ndarray
     dphi: Optional[np.ndarray] = None
     du: Optional[np.ndarray] = None
     dU: Optional[np.ndarray] = None
     dV: Optional[np.ndarray] = None
     dv: Optional[np.ndarray] = None
     dlam: Optional[np.ndarray] = None
-
-    _point_ndim = 2  # phi[a, b]
 
 
 def _structure_stack(ambient, fs: FrameStack) -> StructureBundle:
@@ -136,10 +133,6 @@ def _structure_stack(ambient, fs: FrameStack) -> StructureBundle:
                    dv=detat @ B + np.einsum("pi,pcia->pca", etat, H))
 
 
-def _structure_at(ambient, N: NormalField, coords, partials: bool) -> StructureBundle:
-    return _structure_stack(ambient, frame_stack(N, PointStack([coords]), partials))[0]
-
-
 @dataclass(frozen=True)
 class InducedStructure:
     """Induced data: the metric g and the split (phi, U, V, u, v, lambda) as
@@ -159,12 +152,14 @@ class InducedStructure:
         return self.embedding.dim
 
     def values_at(self, p: Point) -> StructureBundle:
-        """Float induced data at p, from a value-only frame, as one point's record."""
-        return _structure_at(self.embedding.ambient, self.normal, p.coords, partials=False)
+        """Float induced data at p, from a value-only frame, as a one-row stack."""
+        fs = frame_stack(self.normal, PointStack([p.coords]))
+        return _structure_stack(self.embedding.ambient, fs)
 
     def bundle_at(self, p: Point) -> StructureBundle:
-        """Values plus first partials of every induced field at p."""
-        return _structure_at(self.embedding.ambient, self.normal, p.coords, partials=True)
+        """Values plus first partials of every induced field at p, as a one-row stack."""
+        fs = frame_stack(self.normal, PointStack([p.coords]), partials=True)
+        return _structure_stack(self.embedding.ambient, fs)
 
 
 def extract_structure(
@@ -218,7 +213,7 @@ def extract_structure(
 
 
 @dataclass(frozen=True, slots=True)
-class SampleState(Stacked):
+class SampleState:
     """Everything the derivative checks read at P chart points, built once.
 
     ``bundle`` and ``gw`` are the points' structure and Gauss-Weingarten
@@ -226,7 +221,6 @@ class SampleState(Stacked):
     g-length at point p, one per row; the ``cov*`` arrays are full
     covariant derivatives of the induced fields, axis 1 the derivative
     index, taken with the Gauss connection ``gw.induced_gamma``.
-    ``states[i]`` is point i's state.
     """
 
     bundle: StructureBundle
@@ -247,8 +241,9 @@ def sample_states(
     st = S.stack
     if st.dphi is None:
         raise ValueError("sample_states needs a structure split with partials")
-    if len(st) != len(gw):
-        raise ValueError(f"structure at {len(st)} points, Gauss-Weingarten data at {len(gw)}")
+    if len(st.lam) != len(gw.h):
+        raise ValueError(f"structure at {len(st.lam)} points, "
+                         f"Gauss-Weingarten data at {len(gw.h)}")
 
     def cov(key, valence):
         return covariant_derivative_components(getattr(st, key), getattr(st, "d" + key),
@@ -328,11 +323,11 @@ def verify_algebraic_identities(S: InducedStructure) -> IdentityReport:
             equation_ref=f"Eq ({name})",
             residual=max(details.values()),
             convention="independent",
-            samples_used=len(st),
+            samples_used=len(st.lam),
             details=details,
         ))
     return IdentityReport(identities=identities, structure_sign="independent",
-                          sample_count=len(st))
+                          sample_count=len(st.lam))
 
 
 def _variant_grid(name):
@@ -387,7 +382,7 @@ def verify_differential_identities(
     t11, t12, t13, t14, t15, t16, t17 = tables = [_variant_table(name, signs) for name in names]
     keys = [key for t in tables for key in t.keys]
     m, pairs = states.dirs.shape[2], states.dirs.shape[1] // 2
-    rows = len(states) * pairs
+    rows = len(states.dirs) * pairs
     if not rows:
         raise ValueError("the differential battery needs at least one direction pair")
     # one row per direction pair, point-major: 14 scalar and 10 vector contractions
@@ -397,25 +392,27 @@ def verify_differential_identities(
     HU_norm = {"H_h": 0.0, "H_w": 0.0}
 
     r = 0
-    for st in states:
-        bd, gw = st.bundle, st.gw
-        Hs = (gw.H_h, gw.H_w, -gw.H_w)
+    bd, gw = states.bundle, states.gw
+    for phi, g, u, v, U, V, dlam, h, H_h, H_w, w, dirs, covphi, covU, covV in zip(
+            bd.phi, bd.g, bd.u, bd.v, bd.U, bd.V, bd.dlam, gw.h, gw.H_h, gw.H_w, gw.w,
+            states.dirs, states.covphi, states.covU, states.covV):
+        Hs = (H_h, H_w, -H_w)
 
-        h_U_premise = max(h_U_premise, float(np.max(np.abs(gw.h @ bd.U))))
-        for hk, H in (("H_h", gw.H_h), ("H_w", gw.H_w)):
-            v_HY[hk] = max(v_HY[hk], float(np.max(np.abs(bd.v @ H))))
-            HU_norm[hk] = max(HU_norm[hk], float(np.max(np.abs(H @ bd.U))))
+        h_U_premise = max(h_U_premise, float(np.max(np.abs(h @ U))))
+        for hk, H in (("H_h", H_h), ("H_w", H_w)):
+            v_HY[hk] = max(v_HY[hk], float(np.max(np.abs(v @ H))))
+            HU_norm[hk] = max(HU_norm[hk], float(np.max(np.abs(H @ U))))
 
-        for X, Y in zip(st.dirs[0::2], st.dirs[1::2]):
-            Yh = Y @ gw.h
-            phiY = bd.phi @ Y
+        for X, Y in zip(dirs[0::2], dirs[1::2]):
+            Yh = Y @ h
+            phiY = phi @ Y
             HY = [H @ Y for H in Hs]  # one per H tag
-            scalars[r] = (X @ bd.g @ Y, X @ gw.h @ Y, bd.u @ X, bd.v @ X, gw.w @ Y,
-                          (bd.phi @ X) @ gw.h @ Y, phiY @ bd.g @ X, Yh @ bd.V, bd.u @ Y,
-                          bd.dlam @ Y, Yh @ bd.U, *(bd.u @ hy for hy in HY))
-            vectors[r] = (phiY, np.einsum("i,iab,b->a", Y, st.covphi, X),
-                          np.einsum("i,ia->a", Y, st.covU), np.einsum("i,ia->a", Y, st.covV),
-                          *HY, *(bd.phi @ hy for hy in HY))
+            scalars[r] = (X @ g @ Y, X @ h @ Y, u @ X, v @ X, w @ Y,
+                          (phi @ X) @ h @ Y, phiY @ g @ X, Yh @ V, u @ Y,
+                          dlam @ Y, Yh @ U, *(u @ hy for hy in HY))
+            vectors[r] = (phiY, np.einsum("i,iab,b->a", Y, covphi, X),
+                          np.einsum("i,ia->a", Y, covU), np.einsum("i,ia->a", Y, covV),
+                          *HY, *(phi @ hy for hy in HY))
             r += 1
 
     # scalars as (R, 1, 1), vectors as (R, 1, m), H-tag rows as (R, 3, ...): a
@@ -490,7 +487,7 @@ def verify_differential_identities(
         equation_ref="Eq (2.18)",
         residual=HU_norm["H_h"],
         convention=f"H_h|{STRUCTURE_TAGS[chosen_s]}",
-        samples_used=len(states),
+        samples_used=len(states.dirs),
         details={
             "premise_max_h_Y_U": h_U_premise,
             "HU_norms": dict(HU_norm),

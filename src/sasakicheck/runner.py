@@ -240,7 +240,7 @@ def _models(ctx):
     n, rng = ctx.config.n, ctx.rngs["models"]
     models = make_pointwise_model(n, rng.uniform(0.1, 0.9, size=MODEL_DRAWS), rng)
     worst_36 = worst_37 = 0.0
-    for model in models:  # Theorem 3.2 imposes its hypothesis one draw at a time
+    for model in models.draws():  # Theorem 3.2 imposes its hypothesis one draw at a time
         r = check_theorem_3_2(model, MODEL_CONCLUSION_TOL, rng).conclusion_residuals
         worst_36, worst_37 = max(worst_36, r["3.6"]), max(worst_37, r["3.7"])
     model0 = make_pointwise_model(n, 0.5, ctx.rngs["misc"])

@@ -16,9 +16,9 @@ A report's models are one stack (:func:`make_pointwise_model` with an
 array of lambdas): one block of normal draws, one stacked QR and
 orientation determinant, stacked products for the model data.  The
 structure identities and Theorem 3.3 read the stack; Theorem 3.2 runs
-once per draw, on views into it, with w in closed form.  Each stacked
-step is the one-model step elementwise or per matrix, so the stack holds
-the bits of one-model calls.
+once per draw, on the views :meth:`PointwiseModel.draws` gives, with w
+in closed form.  Each stacked step is the one-model step elementwise or
+per matrix, so the stack holds the bits of one-model calls.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Dict, List
 import numpy as np
 
 from . import linalg
-from .hypersurface import Stacked
 from .induced import SampleState, structure_residuals
 from .report import verdict
 
@@ -169,7 +168,7 @@ def theorem_3_2_chart(
         concl["3.7"] = linalg.worst(np.abs(
             wY - (2.0 * lam)[:, None] * uX + (lam * lam)[:, None] * dloglam))
         used = dirs.shape[0] * dirs.shape[1] ** 2
-        excluded = len(states) - dirs.shape[0]
+        excluded = len(states.dirs) - dirs.shape[0]
     return ImplicationCheckResult(
         name="theorem_3_2_chart",
         hypothesis_residual=hyp,
@@ -236,7 +235,7 @@ def check_theorem_3_4(
 
 
 @dataclass(frozen=True, slots=True)
-class PointwiseModel(Stacked):
+class PointwiseModel:
     """Exact induced data at one abstract point, or at a stack of them.
 
     Built inside a flat linear ambient: identity metric on R^(2n+1),
@@ -246,8 +245,7 @@ class PointwiseModel(Stacked):
     structure identities hold to machine precision.
 
     On a stack ``lam`` is a (D,) array and every other array carries the
-    draw axis first; the draws index as a ``Stacked`` record: ``model[i]``
-    is draw i, with array views and ``lam`` as a Python float.
+    draw axis first; :meth:`draws` walks its one-draw models.
     """
 
     lam: float  # a (D,) array on a stack
@@ -258,11 +256,14 @@ class PointwiseModel(Stacked):
     U: np.ndarray
     V: np.ndarray
 
-    _point_ndim = 0  # lam
-
     @property
     def n(self) -> int:
         return self.g.shape[-1] // 2
+
+    def draws(self):
+        """The one-draw models of a stack in order: array views, ``lam`` a Python float."""
+        return map(PointwiseModel, self.lam.tolist(), self.g, self.phi, self.u, self.v,
+                   self.U, self.V)
 
 
 def make_pointwise_model(n: int, lam, rng) -> PointwiseModel:
@@ -305,12 +306,12 @@ def make_pointwise_model(n: int, lam, rng) -> PointwiseModel:
     V = v = Bt @ xi
     g = Bt @ B
     models = PointwiseModel(lam=lams, g=g, phi=phi, u=u, v=v, U=U, V=V)
-    return models if np.ndim(lam) else models[0]
+    return models if np.ndim(lam) else next(models.draws())
 
 
 def _one_model(model: PointwiseModel, check: str) -> None:
     if np.ndim(model.lam):
-        raise ValueError(f"{check} takes one model, got a stack of {len(model)} draws")
+        raise ValueError(f"{check} takes one model, got a stack of {len(model.lam)} draws")
     data = (model.g.ravel(), model.phi.ravel(), model.u, model.v, model.U, model.V, [model.lam])
     if not np.isfinite(np.concatenate(data)).all():
         raise ValueError(f"{check} takes finite model data")

@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import reduce
 from pathlib import Path
 
@@ -107,6 +107,24 @@ def constant_vector_field(dim, vec):
 def euclidean_metric(dim):
     eye = np.eye(dim).tolist()
     return MetricField(TensorField((0, 2), dim, lambda c: eye))
+
+
+def row(record, index):
+    """The points ``index`` of a stacked record (``StructureBundle``,
+    ``GaussWeingartenData``, ``SampleState``, ``PointwiseModel``): every
+    field taken at ``index`` along its point axis, nested records alike and
+    None as None.  An int gives one point's record, with array views and
+    each (P,) field as a Python float; a slice gives a sub-stack."""
+
+    def take(value):
+        if value is None:
+            return None
+        if is_dataclass(value):
+            return row(value, index)
+        part = value[index]
+        return part.item() if part.ndim == 0 else part
+
+    return type(record)(*(take(getattr(record, f.name)) for f in fields(record)))
 
 
 def by_name(rep, name):

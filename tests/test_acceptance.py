@@ -38,7 +38,7 @@ from sasakicheck.report import render_json
 from sasakicheck.runner import run_suite
 from sasakicheck.sampling import sample_points, sample_vectors
 
-from conftest import SimpleAmbient, as_points, euclidean_metric, stack_of, states_at
+from conftest import SimpleAmbient, as_points, euclidean_metric, row, stack_of, states_at
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -107,7 +107,7 @@ def test_criterion_3_gauss_weingarten_reconstruction():
         N = NormalField(sphere, orientation=-1)
         for p in as_points(_points(2, 10, seed=29)):
             q = Point([0.5 * p.coords[0], 0.5 * p.coords[1]])
-            gw = gauss_weingarten(frame_stack(N, stack_of(q), partials=True))[0]
+            gw = row(gauss_weingarten(frame_stack(N, stack_of(q), partials=True)), 0)
             assert np.max(np.abs(gw.H_h - np.eye(2) / r)) <= 1e-6
 
 
@@ -188,7 +188,7 @@ def test_criterion_7_scaled_normal_run():
         N = NormalField(emb, scaling=rho)
         pts = _points(2, 20, seed=47)
         for p in as_points(pts):
-            gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
+            gw = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
             assert np.max(np.abs(gw.w - np.array([1.0, 1.0]))) <= 1e-6
         res = check_theorem_3_4(states_at(N, pts, sample_vectors(2, 4, np.random.default_rng(48))))
         assert res.verdict == "vacuous"

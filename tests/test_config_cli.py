@@ -118,6 +118,27 @@ def test_unknown_tolerance_rejected(tmp_path):
         load_suite_config(write_config(tmp_path, bad))
 
 
+SCALED = (CONFIGS / "quadric_r3_scaled.cfg").read_text()
+
+
+@pytest.mark.parametrize("body, message", [
+    (SCALED.replace("scaling = exp", "scalling = exp"),
+     r"unknown \[normal\] key 'scalling'; valid: scaling, orientation, base_point$"),
+    (GOOD.replace("count = 6", "cuont = 6"),
+     r"unknown \[sample\] key 'cuont'; valid: count, box, seed$"),
+    (GOOD + "\n[extra]\nfoo = 1\n",
+     r"unknown section \[extra\]; valid: ambient, embedding, normal, sample, tolerances, suite$"),
+    ("[DEFAULT]\nseed = 3\n" + GOOD, r"unknown section \[DEFAULT\]; valid: ambient, "),
+], ids=["normal_key", "sample_key", "extra_section", "default_section"])
+def test_unknown_section_or_key_rejected(tmp_path, capsys, body, message):
+    """A misspelled key or an extra section is an error, not a silent default."""
+    path = write_config(tmp_path, body)
+    with pytest.raises(ConfigError, match=message):
+        load_suite_config(path)
+    assert main(["--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown ")
+
+
 def test_bad_box_rejected(tmp_path):
     bad = GOOD.replace("seed = 7", "seed = 7\nbox = 2, -2")
     with pytest.raises(ConfigError, match="box"):

@@ -25,6 +25,7 @@ from sasakicheck import (
     extract_structure,
     frame_stack,
     gauss_weingarten,
+    make_pointwise_model,
 )
 from sasakicheck.errors import (
     EvaluationError,
@@ -35,7 +36,7 @@ from sasakicheck.errors import (
 from sasakicheck.hypersurface import reconstruction_residuals, second_fundamental_symmetry
 from sasakicheck.sampling import sample_points, sample_vectors
 
-from conftest import SURFACES, as_points, stack_of, states_at, surface_normal
+from conftest import SURFACES, as_points, row, stack_of, states_at, surface_normal
 
 GW_ARRAYS = ("induced_gamma", "h", "H_w", "H_h", "w", "D", "DN", "normal")
 STATE_ARRAYS = ("dirs", "covphi", "covu", "covv", "covU", "covV")
@@ -67,9 +68,9 @@ def test_extraction_equals_single_point_extractions(surface, count):
     singles = [extract_structure(N, frame_stack(N, stack_of(p))) for p in as_points(pts)]
     for key in ("max_u", "tangency_residual", "lambda_consistency"):
         assert getattr(whole, key) == max(getattr(s, key) for s in singles), key
-    assert len(whole.stack) == count
+    assert len(whole.stack.lam) == count
     for i, (p, single) in enumerate(zip(as_points(pts), singles)):
-        _assert_same_bundle(whole.stack[i], single.stack[0], p.coords)
+        _assert_same_bundle(row(whole.stack, i), row(single.stack, 0), p.coords)
 
 
 @pytest.mark.parametrize("count", [8, 50, 400])
@@ -78,9 +79,9 @@ def test_sample_states_equal_single_point_states(surface, count):
     N = surface_normal(SURFACES[surface])
     pts, dirs = _samples(N.embedding.dim, count, seed=count + 5)
     whole = states_at(N, pts, dirs)
-    assert len(whole) == count
-    for p, st in zip(as_points(pts), whole):
-        one = states_at(N, stack_of(p), dirs)[0]
+    assert len(whole.dirs) == count
+    for i, p in enumerate(as_points(pts)):
+        st, one = row(whole, i), row(states_at(N, stack_of(p), dirs), 0)
         _assert_same_bundle(st.bundle, one.bundle, p.coords)
         for key in GW_ARRAYS:
             assert _same(getattr(st.gw, key), getattr(one.gw, key)), (p.coords, key)
@@ -105,19 +106,18 @@ def test_stacked_reconstruction_equals_single_point_stacks(surface, count):
 
 
 @pytest.mark.parametrize("surface", ["plane_r3", "plane_r5"])
-def test_one_point_records_have_no_points(surface):
-    """A record of one point is not a stack: counting, indexing or walking
-    its points raises TypeError for every stacked record kind, though the
-    first axis of its arrays is a matrix axis of length m."""
+def test_records_are_plain_stacks(surface):
+    """Every record is a plain stack of arrays: counting, indexing or
+    walking it raises TypeError; its points are read from its arrays."""
     N = surface_normal(SURFACES[surface])
     pts, dirs = _samples(N.embedding.dim, 3, seed=13)
     states = states_at(N, pts, dirs)
-    for stack in (states, states.bundle, states.gw):
-        assert len(stack) == 3 and len(stack[1:]) == 2
-        one = stack[0]
-        for use in (len, lambda r: r[0], lambda r: r[:1], list):
-            with pytest.raises(TypeError, match=f"^a one-point {type(one).__name__} "):
-                use(one)
+    models = make_pointwise_model(N.embedding.dim // 2, np.array([0.2, 0.5, 0.7]),
+                                  np.random.default_rng(13))
+    for record in (states, states.bundle, states.gw, models):
+        for use in (len, lambda r: r[0], lambda r: r[:1], iter):
+            with pytest.raises(TypeError):
+                use(record)
 
 
 def _points(replaced):

@@ -21,7 +21,7 @@ from sasakicheck.fields import Point as P, PointStack
 from sasakicheck.hypersurface import frame_stack, reconstruction_residuals
 from sasakicheck.connection import christoffel
 
-from conftest import SimpleAmbient, as_points, chart_points, euclidean_metric, stack_of
+from conftest import SimpleAmbient, as_points, chart_points, euclidean_metric, row, stack_of
 
 
 @pytest.fixture()
@@ -53,7 +53,7 @@ def test_flat_plane_unit_normal(flat_plane):
 
 def test_flat_plane_totally_geodesic(flat_plane):
     fs = frame_stack(NormalField(flat_plane), stack_of(P([0.5, 0.5])), partials=True)
-    gw = gauss_weingarten(fs)[0]
+    gw = row(gauss_weingarten(fs), 0)
     assert np.max(np.abs(gw.h)) == 0.0
     assert np.max(np.abs(gw.H_w)) == 0.0
     assert np.max(np.abs(gw.w)) == 0.0
@@ -72,7 +72,7 @@ def test_sphere_shape_operator_is_curvature_times_identity(euclid3):
         N = NormalField(E, orientation=-1)
         for p in as_points(chart_points(2, 6, seed=5)):
             q = P([0.5 * p.coords[0], 0.5 * p.coords[1]])  # stay away from poles
-            gw = gauss_weingarten(frame_stack(N, stack_of(q), partials=True))[0]
+            gw = row(gauss_weingarten(frame_stack(N, stack_of(q), partials=True)), 0)
             np.testing.assert_allclose(gw.H_h, np.eye(2) / r, atol=1e-6)
             np.testing.assert_allclose(gw.h, gw.h.T, atol=1e-12)
             gind = evaluate(induced_metric(E).tensor, q)
@@ -141,7 +141,7 @@ def test_decomposed_connection_matches_levi_civita(quadric_r3):
     g = induced_metric(quadric_r3)
     N = NormalField(quadric_r3)
     for p in as_points(chart_points(2, 10, seed=23)):
-        gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
+        gw = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
         gamma = christoffel(g, p)
         assert np.max(np.abs(gw.induced_gamma - gamma)) < 1e-6
 
@@ -155,7 +155,7 @@ def test_decomposed_connection_metricity(quadric_r3):
     g = induced_metric(quadric_r3)
     N = NormalField(quadric_r3)
     for p in as_points(chart_points(2, 8, seed=24)):
-        gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
+        gw = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
         jg = jet(g.tensor, p)
         full = covariant_derivative_components(jg.value, jg.partials, gw.induced_gamma, (0, 2))
         assert np.max(np.abs(full)) < 1e-6
@@ -165,7 +165,7 @@ def test_unit_normal_weingarten_relations(quadric_r3):
     N = NormalField(quadric_r3)
     g = induced_metric(quadric_r3)
     for p in as_points(chart_points(2, 10, seed=27)):
-        gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
+        gw = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
         assert np.max(np.abs(gw.w)) < 1e-10
         gv = evaluate(g.tensor, p)
         # metric Weingarten relation g(H_w X, Y) = -h(X, Y)
@@ -181,9 +181,9 @@ def test_scaled_normal_product_rule(quadric_r3):
     N_scaled = NormalField(E, scaling=rho)
     for p in as_points(chart_points(2, 8, seed=31)):
         r = math.exp(p.coords[0] + p.coords[1])
-        gw_u = gauss_weingarten(frame_stack(N_unit, stack_of(p), partials=True))[0]
+        gw_u = row(gauss_weingarten(frame_stack(N_unit, stack_of(p), partials=True)), 0)
         stack_s = gauss_weingarten(frame_stack(N_scaled, stack_of(p), partials=True))
-        gw_s = stack_s[0]
+        gw_s = row(stack_s, 0)
         np.testing.assert_allclose(gw_s.w, [1.0, 1.0], atol=1e-6)
         np.testing.assert_allclose(gw_s.h, gw_u.h / r, atol=1e-6)
         np.testing.assert_allclose(gw_s.H_w, gw_u.H_w * r, atol=1e-6)
@@ -196,8 +196,8 @@ def test_orientation_flip_action(quadric_r3):
     N = NormalField(quadric_r3)
     Nf = N.flipped()
     for p in as_points(chart_points(2, 6, seed=33)):
-        a = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
-        b = gauss_weingarten(frame_stack(Nf, stack_of(p), partials=True))[0]
+        a = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
+        b = row(gauss_weingarten(frame_stack(Nf, stack_of(p), partials=True)), 0)
         np.testing.assert_allclose(b.h, -a.h, atol=1e-12)
         np.testing.assert_allclose(b.H_w, -a.H_w, atol=1e-12)
         np.testing.assert_allclose(b.H_h, -a.H_h, atol=1e-12)
@@ -234,7 +234,7 @@ def test_singular_ambient_metric_rejected():
     with pytest.raises(SingularMetricError):
         unit_normal(E, P([0.2, 0.2]))
     with pytest.raises(SingularMetricError):
-        gauss_weingarten(frame_stack(NormalField(E), stack_of(P([0.2, 0.2])), partials=True))[0]
+        gauss_weingarten(frame_stack(NormalField(E), stack_of(P([0.2, 0.2])), partials=True))
 
 
 def test_frame_stack_rejects_points_of_another_chart(plane_r3):

@@ -29,7 +29,7 @@ from sasakicheck.theorems import (
     theorem_3_3_chart,
 )
 
-from conftest import SURFACES, as_points, stack_of, states_at, surface_normal
+from conftest import SURFACES, as_points, row, stack_of, states_at, surface_normal
 
 
 def _points(dim, count, seed):
@@ -78,7 +78,7 @@ def _edited(states, variant):
         out = _flat_h(out)
     if variant == "lambda_floor":
         lam = out.bundle.lam.copy()
-        lam[[1, len(out) - 2]] = 0.25 * LAMBDA_FLOOR
+        lam[[1, len(lam) - 2]] = 0.25 * LAMBDA_FLOOR
         out = replace(out, bundle=replace(out.bundle, lam=lam))
     return out
 
@@ -120,7 +120,7 @@ def test_chart_theorems_equal_single_state_checks(surface, count, variant, sign)
     pts = sample_points(m, count, (-1.0, 1.0), rng)
     dirs = sample_vectors(m, 10, rng)
     states = _edited(states_at(N, pts, dirs), variant)
-    ones = [states[i:i + 1] for i in range(count)]
+    ones = [row(states, slice(i, i + 1)) for i in range(count)]
 
     for field in ("phi", "U", "V"):
         assert parallel_residual(states, field) == max(parallel_residual(o, field) for o in ones)
@@ -189,7 +189,7 @@ def test_algebraic_battery_equals_per_point_loop(surface):
     N = surface_normal(SURFACES[surface])
     pts = _points(N.embedding.dim, 50, seed=17)
     S = extract_structure(N, frame_stack(N, pts))
-    want = _loop_structure_residuals(S.stack)
+    want = _loop_structure_residuals(row(S.stack, i) for i in range(len(pts)))
     rep = verify_algebraic_identities(S)
     assert {k: v for r in rep.identities for k, v in r.details.items()} == want
 
@@ -203,7 +203,8 @@ def _loop_conclusions(states, sign):
     def bump(key, value):
         out[key] = max(out[key], abs(float(value)))
 
-    for st in states:
+    for i in range(len(states.dirs)):
+        st = row(states, i)
         bd, gw, dirs = st.bundle, st.gw, st.dirs
         lam, u, phi = bd.lam, sign * bd.u, sign * bd.phi
         one = 1.0 - lam * lam

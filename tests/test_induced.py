@@ -43,8 +43,8 @@ from sasakicheck.connection import covariant_derivative_components
 from sasakicheck.dual import cos, exp, sin
 from sasakicheck.errors import TangencyError
 
-from conftest import (SURFACES, as_points, by_name, chart_points, chart_vectors, stack_of,
-                      states_at, surface_normal)
+from conftest import (SURFACES, as_points, by_name, chart_points, chart_vectors, row,
+                      stack_of, states_at, surface_normal)
 
 
 def _pair_dirs(dim, count=5, seed=11):
@@ -80,7 +80,7 @@ def test_extraction_matches_frozen_plane_oracle(plane_structure):
     S = plane_structure
     for t in (-0.9, -0.3, 0.2, 0.75):
         p = Point([0.4, t])
-        bd = S.values_at(p)
+        bd = row(S.values_at(p), 0)
         want = plane_oracle(t)
         np.testing.assert_allclose(bd.lam, want["lam"], atol=1e-12)
         np.testing.assert_allclose(bd.phi, want["phi"], atol=1e-12)
@@ -88,7 +88,7 @@ def test_extraction_matches_frozen_plane_oracle(plane_structure):
         np.testing.assert_allclose(bd.U, want["U"], atol=1e-12)
         np.testing.assert_allclose(bd.v, want["v"], atol=1e-12)
         np.testing.assert_allclose(bd.V, want["V"], atol=1e-12)
-        gw = gauss_weingarten(frame_stack(S.normal, stack_of(p), partials=True))[0]
+        gw = row(gauss_weingarten(frame_stack(S.normal, stack_of(p), partials=True)), 0)
         np.testing.assert_allclose(gw.h, want["h"], atol=1e-12)
 
 
@@ -144,7 +144,7 @@ def test_sample_states_need_the_partials_split_of_the_same_points(quadric_r3):
     with pytest.raises(ValueError, match="structure at 4 points, Gauss-Weingarten data at 6"):
         fs4 = frame_stack(N, PointStack(pts.coords[:4]), partials=True)
         sample_states(extract_structure(N, fs4), dirs, gw)
-    assert len(sample_states(extract_structure(N, fs), dirs, gw)) == 6
+    assert len(sample_states(extract_structure(N, fs), dirs, gw).dirs) == 6
 
 
 def _sphere_normal():
@@ -163,7 +163,7 @@ def test_sample_state_derivatives_match_the_levi_civita_oracle(surface):
     g = induced_metric(N.embedding)
     valences = {"phi": (1, 1), "u": (0, 1), "v": (0, 1), "U": (1, 0), "V": (1, 0)}
     for i, p in enumerate(as_points(pts)):
-        gamma, bd = christoffel(g, p), states.bundle[i]
+        gamma, bd = christoffel(g, p), row(states.bundle, i)
         for key, valence in valences.items():
             oracle = covariant_derivative_components(getattr(bd, key), getattr(bd, "d" + key),
                                                      gamma, valence)
@@ -182,7 +182,8 @@ def test_extraction_rejects_the_frame_stack_of_another_normal_field(quadric_r3, 
             extract_structure(other, fs)
     # an equal field built separately owns the stack
     S = extract_structure(NormalField(quadric_r3), fs)
-    assert S.stack.lam[0] == pytest.approx(S.values_at(Point(pts.coords[0])).lam, abs=1e-14)
+    one = row(S.values_at(Point(pts.coords[0])), 0)
+    assert S.stack.lam[0] == pytest.approx(one.lam, abs=1e-14)
 
 
 def test_extraction_rejects_non_sasakian_ambient():
@@ -213,7 +214,7 @@ def test_algebraic_identities_on_canonical_surfaces(surface, request):
 
 def test_specific_algebraic_values_on_plane(plane_structure):
     for t in (-0.8, 0.5):
-        bd = plane_structure.values_at(Point([0.1, t]))
+        bd = row(plane_structure.values_at(Point([0.1, t])), 0)
         assert abs(float(bd.u @ bd.V)) <= 1e-12
         assert abs(float(bd.v @ bd.U)) <= 1e-12
         assert abs(float(bd.u @ bd.U) - (1 - bd.lam ** 2)) <= 1e-12
@@ -230,7 +231,7 @@ def test_gauge_families_agree_for_unit_normal(plane_r3):
 
 def test_v_equals_metric_dual_of_V(plane_structure):
     for p in as_points(chart_points(2, 15, seed=49)):
-        bd = plane_structure.values_at(p)
+        bd = row(plane_structure.values_at(p), 0)
         np.testing.assert_allclose(bd.g @ bd.V, bd.v, atol=1e-12)
         np.testing.assert_allclose(bd.g @ bd.U, bd.u, atol=1e-12)
 
@@ -241,7 +242,7 @@ def test_orientation_flip_covariance(plane_r3):
     S = extract_structure(N, frame_stack(N, pts))
     Sf = extract_structure(N.flipped(), frame_stack(N.flipped(), pts))
     for p in as_points(pts)[:5]:
-        a, b = S.values_at(p), Sf.values_at(p)
+        a, b = row(S.values_at(p), 0), row(Sf.values_at(p), 0)
         np.testing.assert_allclose(b.u, -a.u, atol=1e-12)
         np.testing.assert_allclose(b.U, -a.U, atol=1e-12)
         np.testing.assert_allclose(b.lam, -a.lam, atol=1e-12)

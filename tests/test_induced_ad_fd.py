@@ -26,7 +26,7 @@ from sasakicheck import (
 )
 from sasakicheck.dual import cos, exp, sin
 
-from conftest import SimpleAmbient, as_points, chart_points, euclidean_metric, stack_of
+from conftest import SimpleAmbient, as_points, chart_points, euclidean_metric, row, stack_of
 
 STEP = 1e-5
 TOL = 1e-6
@@ -64,8 +64,8 @@ def test_bundle_partials_match_finite_differences(surface, request):
     pts = chart_points(N.embedding.dim, POINTS, seed=83)
     S = extract_structure(N, frame_stack(N, pts))
     for p in as_points(pts):
-        bd = S.bundle_at(p)
-        plus, minus = ([S.values_at(p.shifted(k, sign * STEP)) for k in range(p.dim)]
+        bd = row(S.bundle_at(p), 0)
+        plus, minus = ([row(S.values_at(p.shifted(k, sign * STEP)), 0) for k in range(p.dim)]
                        for sign in (1.0, -1.0))
         for partial, name in PARTIALS.items():
             fd = np.stack([(getattr(a, name) - getattr(b, name)) / (2.0 * STEP)
@@ -83,7 +83,7 @@ def _fd_normal(N, p):
 def _check_normal_partials(N, pts):
     E = N.embedding
     for p in as_points(pts):
-        gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
+        gw = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
         gamma = christoffel(E.ambient_metric, E.point_image(p))
         dN = gw.DN - np.einsum("ijk,ja,k->ia", gamma, gw.jacobian, gw.normal)
         err = float(np.max(np.abs(dN.T - _fd_normal(N, p))))

@@ -32,7 +32,7 @@ from sasakicheck.theorems import (
     theorem_3_4_model_consistency,
 )
 
-from conftest import SURFACES, running_max, w_map_columns
+from conftest import SURFACES, row, running_max, w_map_columns
 
 SEEDS = range(6)
 
@@ -100,16 +100,18 @@ def test_stacked_models_equal_one_model_calls_bit_for_bit(n, seed):
     lams = np.random.default_rng(seed).uniform(-0.99, 0.99, size=100)
     stacked_rng, loop_rng, single_rng = (np.random.default_rng(1000 + seed) for _ in range(3))
     stack = make_pointwise_model(n, lams, stacked_rng)
-    assert len(stack) == len(lams) and stack.lam.tobytes() == lams.tobytes()
-    for i, lam in enumerate(lams.tolist()):
+    assert stack.lam.tobytes() == lams.tobytes()
+    draws = list(stack.draws())
+    assert len(draws) == len(lams)
+    for lam, draw in zip(lams.tolist(), draws):
         oracle = _loop_model(n, lam, loop_rng)
         single = make_pointwise_model(n, lam, single_rng)
-        assert type(stack[i].lam) is float and stack[i].n == n
-        assert _bits(stack[i]) == _bits(oracle) == _bits(single)
-    with pytest.raises(TypeError):  # one model has no draws to index or walk
-        single[0]
+        assert type(draw.lam) is float and type(single.lam) is float and draw.n == n
+        assert _bits(draw) == _bits(oracle) == _bits(single)
+    with pytest.raises(AttributeError, match="tolist"):  # one model has no draws to walk
+        single.draws()
     with pytest.raises(TypeError):
-        list(single)
+        single[0]
     # the stack drew exactly what the one-model calls drew
     assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
     assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
@@ -134,14 +136,14 @@ def test_stacked_theorem_3_3_is_the_running_max_of_one_model_calls(n):
     stack = make_pointwise_model(n, np.random.default_rng(n).uniform(0.1, 0.9, size=60),
                                  np.random.default_rng(10 + n))
     for models in (stack, _with_nan_draw(stack, 7, "phi"), _with_nan_draw(stack, 0, "g")):
-        singles = [check_theorem_3_3(models[i]) for i in range(len(models))]
+        singles = [check_theorem_3_3(row(models, i)) for i in range(60)]
         whole = check_theorem_3_3(models)
         assert whole.conclusion_residuals["max_h"] == running_max(
             r.conclusion_residuals["max_h"] for r in singles)
         assert whole.verdict == "pass"
         assert (whole.samples_used, whole.samples_excluded) == (60, 0)
     # a one-model call still reports its own NaN
-    nan_one = check_theorem_3_3(_with_nan_draw(stack, 7, "phi")[7])
+    nan_one = check_theorem_3_3(row(_with_nan_draw(stack, 7, "phi"), 7))
     assert np.isnan(nan_one.conclusion_residuals["max_h"]) and nan_one.verdict == "refuted"
 
 
@@ -151,11 +153,11 @@ def test_stacked_structure_residuals_are_the_running_max_of_one_model_calls(n):
                                  np.random.default_rng(20 + n))
     for models in (stack, _with_nan_draw(stack, 3, "u"), _with_nan_draw(stack, 0, "lam")):
         whole = model_structure_residuals(models)
-        singles = [model_structure_residuals(models[i:i + 1]) for i in range(len(models))]
+        singles = [model_structure_residuals(row(models, slice(i, i + 1))) for i in range(40)]
         assert whole == {k: running_max(s[k] for s in singles) for k in whole}
         # one model is a stack of one
-        for i in (0, 3, len(models) - 1):
-            assert model_structure_residuals(models[i]) == singles[i]
+        for i in (0, 3, 39):
+            assert model_structure_residuals(row(models, i)) == singles[i]
 
 
 @pytest.mark.parametrize("check", [check_theorem_3_1, check_theorem_3_2,
@@ -172,11 +174,11 @@ def test_theorem_3_3_stack_excludes_draws_below_the_lambda_floor():
     lams = np.array([0.5, -LAMBDA_FLOOR / 2, -0.3, 0.0, 0.7])
     stack = make_pointwise_model(2, lams, rng)
     whole = check_theorem_3_3(stack)
-    kept = [check_theorem_3_3(stack[i]) for i in (0, 2, 4)]
+    kept = [check_theorem_3_3(row(stack, i)) for i in (0, 2, 4)]
     assert whole.conclusion_residuals["max_h"] == running_max(
         r.conclusion_residuals["max_h"] for r in kept)
     assert (whole.verdict, whole.samples_used, whole.samples_excluded) == ("pass", 3, 2)
-    none_left = check_theorem_3_3(stack[1:4:2])
+    none_left = check_theorem_3_3(row(stack, slice(1, 4, 2)))
     assert (none_left.verdict, none_left.hypothesis_residual, none_left.conclusion_residuals,
             none_left.samples_used, none_left.samples_excluded) == ("vacuous", np.inf, {}, 0, 2)
 

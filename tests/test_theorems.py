@@ -36,6 +36,7 @@ from conftest import (
     chart_vectors,
     constant_vector_field,
     euclidean_metric,
+    row,
     stack_of,
     states_at,
 )
@@ -78,8 +79,9 @@ def test_nabla_V_matches_adjudicated_identity(plane_structure):
     # direct covariant derivative against the (2.15) right-hand side under
     # the adjudicated convention: nabla_Y V = phi' Y - lambda H_w Y
     for p in as_points(chart_points(2, 8, seed=91)):
-        bd = plane_structure.bundle_at(p)
-        gw = gauss_weingarten(frame_stack(plane_structure.normal, stack_of(p), partials=True))[0]
+        bd = row(plane_structure.bundle_at(p), 0)
+        fs = frame_stack(plane_structure.normal, stack_of(p), partials=True)
+        gw = row(gauss_weingarten(fs), 0)
         covV = bd.dV + np.einsum("aij,j->ia", gw.induced_gamma, bd.V)
         for Y in chart_vectors(2, 3, seed=92):
             direct = np.einsum("i,ia->a", Y, covV)
@@ -224,7 +226,7 @@ def test_theorem_3_4_scaled_normal_w_is_dlog_rho(quadric_r3):
     rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
     N = NormalField(quadric_r3, scaling=rho)
     for p in as_points(chart_points(2, 8, seed=103)):
-        gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))[0]
+        gw = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
         np.testing.assert_allclose(gw.w, [1.0, 1.0], atol=1e-6)
 
 
