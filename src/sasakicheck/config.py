@@ -218,8 +218,11 @@ def load_suite_config(path) -> SuiteConfig:
         raise ConfigError(f"bad [sample] entry: {exc}") from exc
     if count < 1:
         raise ConfigError(f"[sample] count must be >= 1, got {count}")
-    if len(box_vals) != 2 or not all(map(math.isfinite, box_vals)) or box_vals[0] >= box_vals[1]:
-        raise ConfigError(f"[sample] box must be 'lo, hi' with finite lo < hi, got {box_vals}")
+    # a finite width hi - lo implies finite bounds, and the sampler needs it
+    if len(box_vals) != 2 or not (box_vals[0] < box_vals[1]
+                                  and math.isfinite(box_vals[1] - box_vals[0])):
+        raise ConfigError("[sample] box must be 'lo, hi' with lo < hi and a finite width "
+                          f"hi - lo, got {box_vals}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     if parser.has_section("tolerances"):

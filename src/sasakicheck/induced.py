@@ -30,12 +30,15 @@ identity is evaluated over a grid of variants:
   pin one, the derived identities turn out to live in the other).
 
 The variants of an identity form a table (its s and nu signs and H).
-Per direction pair only the contractions are taken, once each, as
-printed; all variants' residuals, the bilinear forms and the maxima are
-one stacked pass over the pairs.  That pass is elementwise and s and nu
-are +-1, so each term keeps the bits of its pair and variant written out
-alone.  The report records every variant's residual and the minimizing
-tags; strict paper mode restricts to the printed form with H = H_h.
+The ten vector contractions of every direction pair (phi Y, H Y, the
+covariant derivatives along Y, ...) are one block of stacked products on
+the point stack; only the scalar pairings are taken per pair, as
+printed.  All variants' residuals, the bilinear forms and the maxima are
+one stacked pass over the pairs.  Each stacked product sums as the
+one-pair product does, that pass is elementwise and s and nu are +-1,
+so each term keeps the bits of its pair and variant written out alone.
+The report records every variant's residual and the minimizing tags;
+strict paper mode restricts to the printed form with H = H_h.
 """
 
 from __future__ import annotations
@@ -359,6 +362,31 @@ def _tag(nu, h):
     return "|".join(parts)
 
 
+def _pairs(dirs):
+    """The (P, K, m) operands X and Y of each point's K direction pairs
+    (0, 1), (2, 3), ...; an unpaired last direction is dropped."""
+    pairs = dirs.shape[1] // 2
+    return dirs[:, 0:2 * pairs:2], dirs[:, 1:2 * pairs:2]
+
+
+def _pair_vectors(states: SampleState) -> np.ndarray:
+    """The 10 vector contractions of every direction pair, as one (P, K, 10, m)
+    block: phi Y, (nabla_Y phi) X, nabla_Y U, nabla_Y V, then H Y and phi H Y
+    for H = H_h, H_w, -H_w.  Each entry has the bits of its product formed
+    for one pair on the point's own views (``phi @ Y``, a one-pair einsum)."""
+    bd, gw = states.bundle, states.gw
+    X, Y = _pairs(states.dirs)
+
+    def times(M, x):  # M[p] @ x[p, k] for every pair k
+        return (M[:, None] @ x[..., None])[..., 0]
+
+    HY = [times(H, Y) for H in (gw.H_h, gw.H_w, -gw.H_w)]
+    return np.stack([times(bd.phi, Y), np.einsum("pki,piab,pkb->pka", Y, states.covphi, X),
+                     np.einsum("pki,pia->pka", Y, states.covU),
+                     np.einsum("pki,pia->pka", Y, states.covV),
+                     *HY, *(times(bd.phi, hy) for hy in HY)], axis=2)
+
+
 def verify_differential_identities(
     states: SampleState,
     tolerance: float = 1e-5,
@@ -366,16 +394,19 @@ def verify_differential_identities(
 ) -> IdentityReport:
     """Covariant-derivative identity battery with convention adjudication.
 
-    Each point's directions are taken in consecutive pairs (X, Y).  The
-    pair loop only takes the contractions (``X @ g @ Y``, ``H @ Y``, the
-    einsums), on the point's own views.  One stacked pass over the R pairs
-    then gives each identity's residuals as an (R, variants, m) array over
-    its :class:`_Variants` table, elementwise in the printed order, so each
-    residual keeps the bits of its pair and variant written out alone.  A
-    variant's residual is its largest over the pairs, a NaN passed over.
-    The report carries the minimizing variant per identity together with
-    one global structure-sign verdict.  In strict paper mode only the
-    printed form with H = H_h and the extracted structure sign is evaluated.
+    Each point's directions are taken in consecutive pairs (X, Y); an
+    unpaired last direction is dropped.  The vector contractions of all
+    pairs are one (P, K, 10, m) block (:func:`_pair_vectors`), and the pair
+    loop only takes the 14 scalar pairings (``X @ g @ Y``, ``u @ X``, ...),
+    on the point's own views, reading phi Y and H Y from the block.  One
+    stacked pass over the R = P K pairs then gives each identity's
+    residuals as an (R, variants, m) array over its :class:`_Variants`
+    table, elementwise in the printed order, so each residual keeps the
+    bits of its pair and variant written out alone.  A variant's residual
+    is its largest over the pairs, a NaN passed over.  The report carries
+    the minimizing variant per identity together with one global
+    structure-sign verdict.  In strict paper mode only the printed form
+    with H = H_h and the extracted structure sign is evaluated.
     """
     names = ["2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17"]
     signs = (1.0,) if strict_paper else (1.0, -1.0)
@@ -385,34 +416,29 @@ def verify_differential_identities(
     rows = len(states.dirs) * pairs
     if not rows:
         raise ValueError("the differential battery needs at least one direction pair")
+    bd, gw = states.bundle, states.gw
+    Xs, Ys = _pairs(states.dirs)
+    block = _pair_vectors(states)
     # one row per direction pair, point-major: 14 scalar and 10 vector contractions
-    scalars, vectors = np.empty((rows, 14)), np.empty((rows, 10, m))
+    scalars, vectors = np.empty((rows, 14)), block.reshape(rows, 10, m)
     v_HY = {"H_h": 0.0, "H_w": 0.0}
     h_U_premise = 0.0
     HU_norm = {"H_h": 0.0, "H_w": 0.0}
 
     r = 0
-    bd, gw = states.bundle, states.gw
-    for phi, g, u, v, U, V, dlam, h, H_h, H_w, w, dirs, covphi, covU, covV in zip(
+    for phi, g, u, v, U, V, dlam, h, H_h, H_w, w, X_p, Y_p, vec_p in zip(
             bd.phi, bd.g, bd.u, bd.v, bd.U, bd.V, bd.dlam, gw.h, gw.H_h, gw.H_w, gw.w,
-            states.dirs, states.covphi, states.covU, states.covV):
-        Hs = (H_h, H_w, -H_w)
-
+            Xs, Ys, block):
         h_U_premise = max(h_U_premise, float(np.max(np.abs(h @ U))))
         for hk, H in (("H_h", H_h), ("H_w", H_w)):
             v_HY[hk] = max(v_HY[hk], float(np.max(np.abs(v @ H))))
             HU_norm[hk] = max(HU_norm[hk], float(np.max(np.abs(H @ U))))
 
-        for X, Y in zip(dirs[0::2], dirs[1::2]):
+        for X, Y, vec in zip(X_p, Y_p, vec_p):
             Yh = Y @ h
-            phiY = phi @ Y
-            HY = [H @ Y for H in Hs]  # one per H tag
             scalars[r] = (X @ g @ Y, X @ h @ Y, u @ X, v @ X, w @ Y,
-                          (phi @ X) @ h @ Y, phiY @ g @ X, Yh @ V, u @ Y,
-                          dlam @ Y, Yh @ U, *(u @ hy for hy in HY))
-            vectors[r] = (phiY, np.einsum("i,iab,b->a", Y, covphi, X),
-                          np.einsum("i,ia->a", Y, covU), np.einsum("i,ia->a", Y, covV),
-                          *HY, *(phi @ hy for hy in HY))
+                          (phi @ X) @ h @ Y, vec[0] @ g @ X, Yh @ V, u @ Y,
+                          dlam @ Y, Yh @ U, *(u @ hy for hy in vec[4:7]))
             r += 1
 
     # scalars as (R, 1, 1), vectors as (R, 1, m), H-tag rows as (R, 3, ...): a
@@ -427,7 +453,7 @@ def verify_differential_identities(
 
     lam, U, V = (per_pair(getattr(states.bundle, key)) for key in ("lam", "U", "V"))
     lam, U, V = lam[:, None, None], U[:, None], V[:, None]
-    X, Y = (states.dirs[:, k:2 * pairs:2].reshape(rows, m) for k in (0, 1))
+    X, Y = (a.reshape(rows, m) for a in (Xs, Ys))
     Bu, Bv = (linalg.bilinear(Y, per_pair(c), X)[:, None, None] for c in (states.covu, states.covv))
     Y = Y[:, None]
     residuals = (

@@ -413,10 +413,12 @@ def test_degenerate_surface_gives_one_error_line_whichever_groups_run(tmp_path, 
     (GOOD, ["--seed", "-1"]),
     (GOOD.replace("seed = 7", "seed = -3"), []),
     (GOOD.replace("seed = 7", "seed = 7\nbox = -inf, inf"), []),
+    (GOOD.replace("seed = 7", "seed = 7\nbox = -1e308, 1e308"), []),
     (GOOD + "\n[tolerances]\naxiom = nan\n", []),
     (GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, " + "(" * 400 + "s" + ")" * 400), []),
     (GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, " + "-" * 3000 + "s"), []),
-], ids=["cli_seed", "config_seed", "box", "tolerance", "deep_parentheses", "deep_signs"])
+], ids=["cli_seed", "config_seed", "box", "box_width_overflow", "tolerance", "deep_parentheses",
+        "deep_signs"])
 def test_cli_bad_number_exits_one_without_traceback(tmp_path, body, args):
     path = write_config(tmp_path, body)
     env = dict(os.environ)

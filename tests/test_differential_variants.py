@@ -10,7 +10,8 @@ every variant, the best residual under the other structure sign, the
 measured v(HY) and the (2.18) details.  A battery over many states must
 also combine the one-state batteries: per-variant maxima, summed counts.
 The stacked bilinear form the battery uses must equal the oracle's scalar
-one bit for bit.
+one bit for bit, and so must each entry of its block of per-pair vector
+contractions equal that product formed for one pair.
 
 The ``eq_2_18`` report row is driven through its non-vacuous branch on
 states edited so that its premise h(Y, U) = 0 holds.
@@ -23,7 +24,12 @@ import pytest
 
 from sasakicheck import linalg
 from sasakicheck.config import load_suite_config
-from sasakicheck.induced import H_TAGS, STRUCTURE_TAGS, verify_differential_identities
+from sasakicheck.induced import (
+    H_TAGS,
+    STRUCTURE_TAGS,
+    _pair_vectors,
+    verify_differential_identities,
+)
 from sasakicheck.runner import GROUPS, _Context
 from sasakicheck.sampling import sample_points, sample_vectors
 
@@ -146,25 +152,47 @@ def _oracle(states, strict_paper):
 @pytest.mark.parametrize("strict_paper", [False, True])
 @pytest.mark.parametrize("surface", sorted(SURFACES))
 def test_battery_equals_per_variant_oracle(surface, strict_paper):
-    states = _states(surface)
-    rep = verify_differential_identities(states, tolerance=1e-5, strict_paper=strict_paper)
-    variants, other, v_HY, premise, HU, pair_count = _oracle(_points(states), strict_paper)
-    assert rep.sample_count == pair_count
-    for name in NAMES:
-        r = by_name(rep, name)
-        assert r.samples_used == pair_count
-        assert r.details["variants"] == variants[name], name
-        assert list(r.details["variants"]) == list(variants[name]), name
-        if strict_paper:
-            assert "best_other_structure_sign" not in r.details
-        else:
-            assert r.details["best_other_structure_sign"] == other[name], name
-    assert rep.extras["v_HY_measured"] == v_HY
-    r18 = by_name(rep, "2.18")
-    assert r18.details == {"premise_max_h_Y_U": premise, "HU_norms": HU,
-                           "vacuous": premise > 1e-5}
-    assert r18.residual == HU["H_h"]
-    assert r18.samples_used == len(states.dirs)
+    # an odd direction count leaves the last direction unpaired, as the oracle's zip does
+    for directions in (6, 7):
+        states = _states(surface, directions=directions)
+        rep = verify_differential_identities(states, tolerance=1e-5, strict_paper=strict_paper)
+        variants, other, v_HY, premise, HU, pair_count = _oracle(_points(states), strict_paper)
+        assert pair_count == len(states.dirs) * 3
+        assert rep.sample_count == pair_count
+        for name in NAMES:
+            r = by_name(rep, name)
+            assert r.samples_used == pair_count
+            assert r.details["variants"] == variants[name], (directions, name)
+            assert list(r.details["variants"]) == list(variants[name]), name
+            if strict_paper:
+                assert "best_other_structure_sign" not in r.details
+            else:
+                assert r.details["best_other_structure_sign"] == other[name], (directions, name)
+        assert rep.extras["v_HY_measured"] == v_HY
+        r18 = by_name(rep, "2.18")
+        assert r18.details == {"premise_max_h_Y_U": premise, "HU_norms": HU,
+                               "vacuous": premise > 1e-5}
+        assert r18.residual == HU["H_h"]
+        assert r18.samples_used == len(states.dirs)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("surface", sorted(SURFACES))
+def test_pair_vectors_equal_per_pair_products_bit_for_bit(surface, seed):
+    # the report's own states, whose records are views with the report's strides
+    config = replace(load_suite_config(SURFACES[surface]), seed=seed)
+    states = _Context(config).states
+    block = _pair_vectors(states)
+    K = states.dirs.shape[1] // 2
+    assert block.shape == (len(states.dirs), K, 10, states.dirs.shape[2])
+    for p, st in enumerate(_points(states)):
+        bd, gw = st.bundle, st.gw
+        for k, (X, Y) in enumerate(zip(st.dirs[0::2], st.dirs[1::2])):
+            HY = [H @ Y for H in (gw.H_h, gw.H_w, -gw.H_w)]
+            want = np.array([bd.phi @ Y, np.einsum("i,iab,b->a", Y, st.covphi, X),
+                             np.einsum("i,ia->a", Y, st.covU), np.einsum("i,ia->a", Y, st.covV),
+                             *HY, *(bd.phi @ hy for hy in HY)])
+            assert np.array_equal(block[p, k].view(np.int64), want.view(np.int64)), (p, k)
 
 
 @pytest.mark.parametrize("strict_paper", [False, True])
