@@ -125,10 +125,12 @@ def load_suite_config(path) -> SuiteConfig:
     # no section holds defaults: a [DEFAULT] header is an unknown section like any other
     parser = configparser.ConfigParser(default_section="")
     try:
-        with open(path) as fh:
-            parser.read_file(fh)
+        parser.read_string(path.read_bytes().decode("utf-8"), source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                          f"at offset {exc.start}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     for section in parser.sections():

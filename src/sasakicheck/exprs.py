@@ -1,19 +1,20 @@
 """Tiny arithmetic expression grammar for embeddings and normal scalings.
 
 Supported: ``+ - * / ^<integer>``, parentheses, ``exp``, ``sin``,
-``cos``, numeric literals and declared variable names.  Parentheses,
-function calls and signs nest at most ``MAX_DEPTH`` deep; a chain of
-``+ -`` or ``* /`` operands of any length runs in one loop.  Expressions
-compile to closures over a coordinate list, dual-compatible, so
-everything built from them can be differentiated.  They are elementwise
-(see :mod:`sasakicheck.fields`): the coordinates may be numpy columns of
-a point stack, or duals over them, and a failure on a stack names the
-first point that fails alone.
+``cos``, numeric literals (``2``, ``.5``, ``1e-3``, ``2.5E+4``) and
+declared variable names.  Parentheses, function calls and signs nest at
+most ``MAX_DEPTH`` deep; a chain of ``+ -`` or ``* /`` operands of any
+length runs in one loop.  Expressions compile to closures over a
+coordinate list, dual-compatible, so everything built from them can be
+differentiated.  They are elementwise (see :mod:`sasakicheck.fields`):
+the coordinates may be numpy columns of a point stack, or duals over
+them, and a failure on a stack names the first point that fails alone.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
@@ -24,6 +25,8 @@ from .errors import EvaluationError, ExprParseError
 
 _FUNCTIONS = {"exp": dual.exp, "sin": dual.sin, "cos": dual.cos}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# digits and points, then an optional exponent; float() rejects a malformed one
+_NUMBER = re.compile(r"[\d.]*(?:[eE][+-]?\d*)?")
 MAX_DEPTH = 50  # about 8 parser frames a level: well inside Python's recursion limit
 
 
@@ -139,12 +142,13 @@ class _Parser:
             return node
         if ch.isdigit() or ch == ".":
             start = self.pos
-            while self.pos < len(self.text) and (self.text[self.pos].isdigit() or self.text[self.pos] == "."):
-                self.pos += 1
+            literal = _NUMBER.match(self.text, start).group()
+            self.pos += len(literal)
             try:
-                value = float(self.text[start:self.pos])
+                value = float(literal)
             except ValueError:
-                self.error(f"bad numeric literal {self.text[start:self.pos]!r}")
+                self.pos = start
+                self.error(f"bad numeric literal {literal!r}")
             return lambda c, v=value: v
         if ch.isalpha() or ch == "_":
             start = self.pos

@@ -44,6 +44,7 @@ strict paper mode restricts to the printed form with H = H_h.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import chain, repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -396,17 +397,20 @@ def verify_differential_identities(
 
     Each point's directions are taken in consecutive pairs (X, Y); an
     unpaired last direction is dropped.  The vector contractions of all
-    pairs are one (P, K, 10, m) block (:func:`_pair_vectors`), and the pair
-    loop only takes the 14 scalar pairings (``X @ g @ Y``, ``u @ X``, ...),
-    on the point's own views, reading phi Y and H Y from the block.  One
-    stacked pass over the R = P K pairs then gives each identity's
-    residuals as an (R, variants, m) array over its :class:`_Variants`
-    table, elementwise in the printed order, so each residual keeps the
-    bits of its pair and variant written out alone.  A variant's residual
-    is its largest over the pairs, a NaN passed over.  The report carries
-    the minimizing variant per identity together with one global
-    structure-sign verdict.  In strict paper mode only the printed form
-    with H = H_h and the extracted structure sign is evaluated.
+    pairs are one (P, K, 10, m) block (:func:`_pair_vectors`), and (2.18)'s
+    premise max |h(., U)|, the norms max |H U| and the reported max |v(H .)|
+    are one stacked product and reduction over the points each.  The one
+    Python loop runs over the direction pairs and only takes the 14 scalar
+    pairings (``X @ g @ Y``, ``u @ X``, ...), on the pair's point's own
+    views, reading phi Y and H Y from the block.  One stacked pass over the
+    R = P K pairs then gives each identity's residuals as an
+    (R, variants, m) array over its :class:`_Variants` table, elementwise
+    in the printed order, so each residual keeps the bits of its pair and
+    variant written out alone.  A variant's residual is its largest over
+    the pairs, a NaN passed over.  The report carries the minimizing
+    variant per identity together with one global structure-sign verdict.
+    In strict paper mode only the printed form with H = H_h and the
+    extracted structure sign is evaluated.
     """
     names = ["2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17"]
     signs = (1.0,) if strict_paper else (1.0, -1.0)
@@ -421,25 +425,24 @@ def verify_differential_identities(
     block = _pair_vectors(states)
     # one row per direction pair, point-major: 14 scalar and 10 vector contractions
     scalars, vectors = np.empty((rows, 14)), block.reshape(rows, 10, m)
-    v_HY = {"H_h": 0.0, "H_w": 0.0}
-    h_U_premise = 0.0
-    HU_norm = {"H_h": 0.0, "H_w": 0.0}
+    # (2.18): its premise h(., U) and the norms of H U and v(H .), each one
+    # stacked product and reduction over the points, a NaN point passed over
+    U_col = bd.U[..., None]
+    h_U_premise = linalg.worst(np.abs(gw.h @ U_col))
+    Hs = {"H_h": gw.H_h, "H_w": gw.H_w}
+    HU_norm = {hk: linalg.worst(np.abs(H @ U_col)) for hk, H in Hs.items()}
+    v_HY = {hk: linalg.worst(np.abs(bd.v[:, None, :] @ H)) for hk, H in Hs.items()}
 
-    r = 0
-    for phi, g, u, v, U, V, dlam, h, H_h, H_w, w, X_p, Y_p, vec_p in zip(
-            bd.phi, bd.g, bd.u, bd.v, bd.U, bd.V, bd.dlam, gw.h, gw.H_h, gw.H_w, gw.w,
-            Xs, Ys, block):
-        h_U_premise = max(h_U_premise, float(np.max(np.abs(h @ U))))
-        for hk, H in (("H_h", H_h), ("H_w", H_w)):
-            v_HY[hk] = max(v_HY[hk], float(np.max(np.abs(v @ H))))
-            HU_norm[hk] = max(HU_norm[hk], float(np.max(np.abs(H @ U))))
-
-        for X, Y, vec in zip(X_p, Y_p, vec_p):
-            Yh = Y @ h
-            scalars[r] = (X @ g @ Y, X @ h @ Y, u @ X, v @ X, w @ Y,
-                          (phi @ X) @ h @ Y, vec[0] @ g @ X, Yh @ V, u @ Y,
-                          dlam @ Y, Yh @ U, *(u @ hy for hy in vec[4:7]))
-            r += 1
+    # the one Python loop: the 14 scalar pairings of each direction pair, on
+    # its point's own views
+    X, Y = (a.reshape(rows, m) for a in (Xs, Ys))
+    point_views = zip(bd.phi, bd.g, bd.u, bd.v, bd.U, bd.V, bd.dlam, gw.h, gw.w)
+    for r, ((phi, g, u, v, U, V, dlam, h, w), X_r, Y_r, vec) in enumerate(zip(
+            chain.from_iterable(repeat(views, pairs) for views in point_views), X, Y, vectors)):
+        Yh = Y_r @ h
+        scalars[r] = (X_r @ g @ Y_r, X_r @ h @ Y_r, u @ X_r, v @ X_r, w @ Y_r,
+                      (phi @ X_r) @ h @ Y_r, vec[0] @ g @ X_r, Yh @ V, u @ Y_r,
+                      dlam @ Y_r, Yh @ U, *(u @ hy for hy in vec[4:7]))
 
     # scalars as (R, 1, 1), vectors as (R, 1, m), H-tag rows as (R, 3, ...): a
     # variant table's (V, 1) columns broadcast them to (R, V, ...)
@@ -453,7 +456,6 @@ def verify_differential_identities(
 
     lam, U, V = (per_pair(getattr(states.bundle, key)) for key in ("lam", "U", "V"))
     lam, U, V = lam[:, None, None], U[:, None], V[:, None]
-    X, Y = (a.reshape(rows, m) for a in (Xs, Ys))
     Bu, Bv = (linalg.bilinear(Y, per_pair(c), X)[:, None, None] for c in (states.covu, states.covv))
     Y = Y[:, None]
     residuals = (

@@ -431,6 +431,21 @@ def test_cli_bad_number_exits_one_without_traceback(tmp_path, body, args):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_config_not_utf8_exits_one_without_traceback(tmp_path):
+    path = tmp_path / "bad.cfg"
+    text = GOOD.encode("utf-8")
+    path.write_bytes(text + b"# \xff\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sasakicheck", "--config", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: config {path} is not UTF-8: byte 0xff "
+                           f"at offset {len(text) + 2}\n")
+    assert "Traceback" not in proc.stderr
+
+
 def _frame_builds(monkeypatch, config):
     """Run the suite and record the frame stacks it builds (the point
     count of each, split by whether it carries partials), and count

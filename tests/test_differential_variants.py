@@ -217,6 +217,26 @@ def test_battery_passes_over_nan_residuals_like_the_oracle(surface, strict_paper
         assert all(np.isfinite(r) for r in variants[name].values()), name
 
 
+@pytest.mark.parametrize("surface", ["quadric_r3", "quadric_r5"])
+def test_eq_2_18_passes_over_nan_inputs_like_the_oracle(surface):
+    states = _states(surface)
+    h, H_h = states.gw.h.copy(), states.gw.H_h.copy()
+    # point 2's h(., U) and point 4's H_h U and v(H_h .) each have a NaN entry
+    h[2, 0, 0] = H_h[4, 0, 0] = np.nan
+    states = replace(states, gw=replace(states.gw, h=h, H_h=H_h))
+    rep = verify_differential_identities(states)
+    variants, _, v_HY, premise, HU, _ = _oracle(_points(states), strict_paper=False)
+    r18 = by_name(rep, "2.18")
+    assert r18.details["premise_max_h_Y_U"] == premise
+    assert r18.details["HU_norms"] == HU
+    assert rep.extras["v_HY_measured"] == v_HY
+    # each NaN point is passed over, as a running max over the points does
+    for value in (premise, *HU.values(), *v_HY.values()):
+        assert np.isfinite(value) and value > 0.0
+    for name in NAMES:
+        assert by_name(rep, name).details["variants"] == variants[name], name
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 def test_stacked_bilinear_equals_the_scalar_form_bit_for_bit(dim):
     rng = np.random.default_rng(40 + dim)

@@ -50,6 +50,26 @@ def test_missing_parenthesis_rejected():
         compile_expression("exp(s", ["s"])
 
 
+@pytest.mark.parametrize("text,coords,expected", [
+    ("1e-3*s", [2.0], 1e-3 * 2.0),
+    ("2.5E+4", [0.0], 2.5e4),
+    ("3e2 - s", [1.0], 300.0 - 1.0),
+    (".5e1", [0.0], 5.0),
+    ("2E-1^2", [0.0], 0.2 * 0.2),
+])
+def test_exponent_literals(text, coords, expected):
+    assert compile_expression(text, ["s"])(coords) == expected
+    # only a literal takes an exponent: e1 stays a name, exp(...) a call
+    assert compile_expression("e1 + exp(0)", ["e1"])([3.0]) == 4.0
+
+
+@pytest.mark.parametrize("text", ["1e", "1e+", "1.2.3", "2E-"])
+def test_malformed_numeric_literal_reports_position(text):
+    with pytest.raises(ExprParseError, match="bad numeric literal") as err:
+        compile_expression("s + " + text, ["s"])
+    assert err.value.pos == 4
+
+
 def test_fractional_exponent_rejected():
     with pytest.raises(ExprParseError, match="integer"):
         compile_expression("s^1.5", ["s"])
