@@ -26,7 +26,7 @@ from .errors import EvaluationError, ExprParseError
 _FUNCTIONS = {"exp": dual.exp, "sin": dual.sin, "cos": dual.cos}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 # digits and points, then an optional exponent; float() rejects a malformed one
-_NUMBER = re.compile(r"[\d.]*(?:[eE][+-]?\d*)?")
+_NUMBER = re.compile(r"[\d.]+(?:[eE][+-]?\d*)?")
 MAX_DEPTH = 50  # about 8 parser frames a level: well inside Python's recursion limit
 
 
@@ -140,10 +140,10 @@ class _Parser:
                 self.error("missing closing parenthesis")
             self.pos += 1
             return node
-        if ch.isdigit() or ch == ".":
-            start = self.pos
-            literal = _NUMBER.match(self.text, start).group()
-            self.pos += len(literal)
+        number = _NUMBER.match(self.text, self.pos)
+        if number:
+            start, literal = self.pos, number.group()
+            self.pos = number.end()
             try:
                 value = float(literal)
             except ValueError:
