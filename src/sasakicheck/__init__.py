@@ -16,15 +16,12 @@ from .connection import (
 )
 from .fields import (
     Jet,
-    Point,
     PointStack,
     ScalarField,
     TensorField,
     evaluate,
-    evaluate_stack,
     fd_derivative,
     jet,
-    jet_stack,
 )
 from .hypersurface import (
     Embedding,
@@ -77,7 +74,6 @@ __all__ = [
     "Jet",
     "MetricField",
     "NormalField",
-    "Point",
     "PointStack",
     "PointwiseModel",
     "SampleState",
@@ -92,7 +88,6 @@ __all__ = [
     "covariant_derivative_tensor",
     "covariant_derivative_vector",
     "evaluate",
-    "evaluate_stack",
     "extract_structure",
     "fd_derivative",
     "frame_stack",
@@ -100,7 +95,6 @@ __all__ = [
     "gauss_weingarten",
     "induced_metric",
     "jet",
-    "jet_stack",
     "make_pointwise_model",
     "parallel_residual",
     "sample_states",

@@ -1,10 +1,11 @@
 """Metrics, Christoffel symbols and covariant derivatives.
 
 The connection is always the Levi-Civita connection of the supplied
-metric; Christoffel symbols come from dual-number jets of the metric
-components.  ``levi_civita_gamma`` and ``covariant_derivative_components``
-accept leading point axes, so the same formulas serve one point and a
-stack of P points (``christoffel_stack``).
+metric; Christoffel symbols come from one dual-number jet of the metric
+components on a :class:`~sasakicheck.fields.PointStack`.
+``levi_civita_gamma`` and ``covariant_derivative_components`` accept
+leading point axes, and every function here returns arrays with the
+point axis first.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMetricError, UnsupportedValenceError
-from .fields import Point, PointStack, TensorField, evaluate, jet, jet_stack
+from .fields import PointStack, TensorField, evaluate, jet
 
 DET_FLOOR = 1e-12
 
@@ -26,16 +27,10 @@ class MetricField:
     tensor: TensorField
 
 
-def christoffel(metric: MetricField, p: Point) -> np.ndarray:
-    """Gamma[k, i, j] = Gamma^k_ij at p, from a dual-number jet of the metric."""
-    jt = jet(metric.tensor, p)
-    require_nonsingular(jt.value[None], PointStack([p.coords]))
-    return levi_civita_gamma(jt.value, jt.partials)
-
-
-def christoffel_stack(metric: MetricField, stack: PointStack) -> np.ndarray:
-    """Gamma[p, k, i, j] at every point of a stack, from one stacked metric jet."""
-    jt = jet_stack(metric.tensor, stack)
+def christoffel(metric: MetricField, stack: PointStack) -> np.ndarray:
+    """Gamma[p, k, i, j] = Gamma^k_ij at every point of a stack, from one
+    dual-number jet of the metric."""
+    jt = jet(metric.tensor, stack)
     require_nonsingular(jt.value, stack)
     return levi_civita_gamma(jt.value, jt.partials)
 
@@ -79,27 +74,25 @@ def covariant_derivative_components(
 
 
 def covariant_derivative_vector(
-    metric: MetricField, X: TensorField, Y: TensorField, p: Point
+    metric: MetricField, X: TensorField, Y: TensorField, stack: PointStack
 ) -> np.ndarray:
-    """(nabla_X Y)^k = X^i (d_i Y^k + Gamma^k_ij Y^j) at a point."""
-    gamma = christoffel(metric, p)
-    jy = jet(Y, p)
+    """(nabla_X Y)[p, k] = X^i (d_i Y^k + Gamma^k_ij Y^j) at every point of a stack."""
+    gamma = christoffel(metric, stack)
+    jy = jet(Y, stack)
     full = covariant_derivative_components(jy.value, jy.partials, gamma, (1, 0))
-    x = evaluate(X, p)
-    return np.einsum("i,ia->a", x, full)
+    return np.einsum("pi,pia->pa", evaluate(X, stack), full)
 
 
 def covariant_derivative_tensor(
-    metric: MetricField, T: TensorField, X: TensorField, p: Point
+    metric: MetricField, T: TensorField, X: TensorField, stack: PointStack
 ) -> np.ndarray:
-    """(nabla_X T) for T of valence (0,1), (1,1) or (0,2)."""
+    """(nabla_X T)[p] for T of valence (0,1), (1,1) or (0,2) at every point of a stack."""
     if T.valence not in ((0, 1), (1, 1), (0, 2)):
         raise UnsupportedValenceError(
             f"covariant_derivative_tensor supports (0,1), (1,1), (0,2); got {T.valence}"
         )
-    gamma = christoffel(metric, p)
-    jt = jet(T, p)
+    gamma = christoffel(metric, stack)
+    jt = jet(T, stack)
     full = covariant_derivative_components(jt.value, jt.partials, gamma, T.valence)
-    x = evaluate(X, p)
-    return np.einsum("i,i...->...", x, full)
+    return np.einsum("pi,pi...->p...", evaluate(X, stack), full)
 

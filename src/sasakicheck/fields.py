@@ -1,26 +1,23 @@
-"""Points, fields on coordinate charts, and their jets.
+"""Point stacks, fields on coordinate charts, and their jets.
 
 Fields are closures over chart coordinates, not symbolic trees: a
-component function receives a list of coordinate values (floats or
-:class:`~sasakicheck.dual.Dual` numbers) and returns nested lists (or a
-scalar) of components.  Differentiation happens by feeding seeded duals
-through the same closure; central finite differences provide an
+component function receives a list of coordinate values and returns
+nested lists (or a scalar) of components.  Differentiation happens by
+feeding seeded :class:`~sasakicheck.dual.Dual` numbers through the same
+closure; central finite differences (:func:`fd_derivative`) provide an
 independent second route for cross checking.
 
-A :class:`PointStack` of (P, dim) rows is the engine's one multi-point
-format: the sampler returns one and every stacked layer takes one.
-:class:`Point` and the one-point :func:`evaluate`, :func:`jet` and
-:func:`fd_derivative` stay as the independent oracles of the stacked
-path.  Component functions are elementwise.  :func:`evaluate_stack` and
-:func:`jet_stack` call the closure once for a whole stack of P points:
-each coordinate is a numpy column of shape (P,), or a dual seeded on
-those columns, and each component comes back as such a column or as a
-constant, which is broadcast to (P,).  Results carry the point axis
+A :class:`PointStack` of (P, dim) rows is the engine's one point format:
+the sampler returns one, every layer takes one, and one point is a
+stack of one row.  Component functions are elementwise.
+:func:`evaluate` and :func:`jet` call the closure once for a whole
+stack: each coordinate is a numpy column of shape (P,), or a dual seeded
+on those columns, and each component comes back as such a column or as
+a constant, which is broadcast to (P,).  Results carry the point axis
 first.  An overflowing product inside a closure gives a non-finite
-component, on a stack as on Python floats, and is reported naming the
-first offending point by its coordinate tuple; on a stack of plain
-columns a division by zero does the same instead of raising
-``ZeroDivisionError``.
+component, which is reported naming the first offending point by its
+coordinate tuple; on a stack of plain columns a division by zero does
+the same instead of raising ``ZeroDivisionError``.
 ``dual.exp`` applies ``math.exp`` to every entry of an array, so its
 bits and its ``OverflowError`` are those of each point alone.  The
 embedding map goes through the same contract: the frame layer
@@ -33,36 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import math
-
 import numpy as np
 
-from .dual import grad_part, real_part, seed, value_part
+from .dual import grad_part, seed, value_part
 from .errors import DimensionMismatchError, EvaluationError, NonFiniteValueError
 
 DEFAULT_FD_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of an open chart of R^d."""
-
-    coords: tuple
-
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(float(c) for c in coords))
-        for c in self.coords:
-            if not math.isfinite(c):
-                raise NonFiniteValueError(f"non-finite coordinate in {self.coords}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def shifted(self, k: int, delta: float) -> "Point":
-        c = list(self.coords)
-        c[k] += delta
-        return Point(c)
 
 
 class PointStack:
@@ -71,9 +44,8 @@ class PointStack:
     Built once from (P, dim) rows and shared by every field evaluated on
     the same points; ``coords`` holds those rows.  The rows must be
     finite: a non-finite coordinate raises :class:`NonFiniteValueError`
-    with the text a :class:`Point` of that row would raise, and rows that
-    do not form a 2-D array (uneven rows among them) raise
-    :class:`DimensionMismatchError`.
+    naming the first such row, and rows that do not form a 2-D array
+    (uneven rows among them) raise :class:`DimensionMismatchError`.
     """
 
     def __init__(self, coords):
@@ -137,21 +109,14 @@ class TensorField:
 
 @dataclass(frozen=True)
 class Jet:
-    """Field components at a point together with coordinate derivatives.
+    """Field components at P points together with coordinate derivatives.
 
-    ``partials[k, ...]`` is the partial derivative along coordinate k of
-    the component array.
+    ``value[p]`` is the component array at point p and ``partials[p, k]``
+    its partial derivative along coordinate k.
     """
 
     value: np.ndarray
     partials: np.ndarray
-
-
-def _check_point(fld, p: Point) -> None:
-    if p.dim != fld.dim:
-        raise DimensionMismatchError(
-            f"point of dimension {p.dim} fed to a field on a {fld.dim}-dimensional chart"
-        )
 
 
 def _component(nested, idx):
@@ -159,27 +124,6 @@ def _component(nested, idx):
     for i in idx:
         out = out[i]
     return out
-
-
-def evaluate(fld, p: Point) -> np.ndarray:
-    """Evaluate a field at a point, returning float components.
-
-    Raises :class:`NonFiniteValueError` naming the first offending
-    component if the output is not finite everywhere.
-    """
-    _check_point(fld, p)
-    raw = fld.func(list(p.coords))
-    shape = fld.shape
-    out = np.empty(shape, dtype=float)
-    for idx in np.ndindex(shape):
-        out[idx] = float(_component(raw, idx))
-    bad = np.argwhere(~np.isfinite(out))
-    if bad.size:
-        idx = tuple(int(i) for i in bad[0])
-        raise NonFiniteValueError(
-            f"non-finite component at index {idx} of field evaluated at {p.coords}"
-        )
-    return out if shape else out[()]
 
 
 def _check_stack(fld, stack: PointStack) -> None:
@@ -197,12 +141,12 @@ def _stacked(raw, shape: tuple, count: int, leaf) -> np.ndarray:
     return out
 
 
-def evaluate_stack(fld, stack: PointStack) -> np.ndarray:
-    """``evaluate`` at every point of a stack in one closure call.
+def evaluate(fld, stack: PointStack) -> np.ndarray:
+    """Float components at every point of a stack, in one closure call.
 
     Returns an array of shape (P, *fld.shape); a non-finite component
-    raises :class:`NonFiniteValueError` for the first such point, as
-    ``evaluate`` would there.
+    raises :class:`NonFiniteValueError` naming the first such point and
+    its first offending component.
     """
     _check_stack(fld, stack)
     with np.errstate(all="ignore"):
@@ -214,8 +158,8 @@ def evaluate_stack(fld, stack: PointStack) -> np.ndarray:
     return out
 
 
-def jet_stack(fld, stack: PointStack) -> Jet:
-    """First-order ``jet`` at every point of a stack in one dual pass.
+def jet(fld, stack: PointStack) -> Jet:
+    """Values and first partials at every point of a stack, in one dual pass.
 
     ``value`` has shape (P, *fld.shape) and ``partials`` (P, dim,
     *fld.shape), with ``partials[p, k]`` the derivative along coordinate k.
@@ -235,39 +179,38 @@ def jet_stack(fld, stack: PointStack) -> Jet:
     return Jet(value=value, partials=partials)
 
 
-def jet(fld, p: Point) -> Jet:
-    """Value and first partials at a point by dual-number propagation."""
-    _check_point(fld, p)
-    d = p.dim
-    raw = fld.func(seed(list(p.coords)))
-    shape = fld.shape
-    value = np.empty(shape, dtype=float)
-    partials = np.zeros((d,) + shape, dtype=float)
-    for idx in np.ndindex(shape):
-        comp = _component(raw, idx)
-        value[idx] = real_part(comp)
-        for k, g in enumerate(grad_part(comp, d)):
-            partials[(k,) + idx] = float(g)
-    if not np.isfinite(value).all() or not np.isfinite(partials).all():
-        raise NonFiniteValueError(f"non-finite jet of field at {p.coords}")
-    return Jet(value=value, partials=partials)
 
 
-def fd_derivative(fld, p: Point, step: float = DEFAULT_FD_STEP) -> Jet:
-    """Central-difference first partials; the independent oracle for ``jet``."""
+# what a closure raises on a bad input, and what ``evaluate`` raises on its output
+_STENCIL_FAILURES = (ArithmeticError, ValueError, NonFiniteValueError, EvaluationError)
+
+
+def fd_derivative(fld, stack: PointStack, step: float = DEFAULT_FD_STEP) -> Jet:
+    """Central-difference first partials at every point of a stack; the
+    independent oracle for ``jet``.
+
+    The 2 * dim shifted copies of every row are one ``evaluate``.  Any
+    failure on the stencil (an ``ArithmeticError`` or ``ValueError`` of the
+    closure, or a non-finite component) raises :class:`EvaluationError`
+    naming the first base point and coordinate k whose stencil fails alone.
+    """
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
-    _check_point(fld, p)
-    value = evaluate(fld, p)
-    shape = fld.shape
-    partials = np.zeros((p.dim,) + shape, dtype=float)
-    for k in range(p.dim):
-        try:
-            plus = evaluate(fld, p.shifted(k, step))
-            minus = evaluate(fld, p.shifted(k, -step))
-        except (ArithmeticError, ValueError) as exc:
-            raise EvaluationError(
-                f"finite-difference stencil failed near {p.coords} along coordinate {k}: {exc}"
-            ) from exc
-        partials[k] = (plus - minus) / (2.0 * step)
-    return Jet(value=value, partials=partials)
+    value = evaluate(fld, stack)
+    d = stack.dim
+    # rows[p, k] is point p shifted by +step, then by -step, along coordinate k
+    rows = stack.coords[:, None, None, :] + np.stack([np.eye(d) * step, np.eye(d) * -step], 1)
+    try:
+        out = evaluate(fld, PointStack(rows.reshape(-1, d)))
+    except _STENCIL_FAILURES as exc:
+        failure, near = exc, f"a stack of {len(stack)} points"
+        for p, k in np.ndindex(rows.shape[:2]):
+            try:
+                evaluate(fld, PointStack(rows[p, k]))
+            except _STENCIL_FAILURES as alone:
+                failure, near = alone, f"{tuple(stack.coords[p].tolist())} along coordinate {k}"
+                break
+        raise EvaluationError(
+            f"finite-difference stencil failed near {near}: {failure}") from failure
+    out = out.reshape(rows.shape[:3] + fld.shape)
+    return Jet(value=value, partials=(out[:, :, 0] - out[:, :, 1]) / (2.0 * step))

@@ -11,14 +11,16 @@ induced metric g = B^T g~ B, and the normal N with its first partials.
 Dual numbers differentiate only the embedding map and the ambient
 tensors; the normal and every frame solve are batched numpy calls on
 (P, d, d) stacks, differentiated implicitly
-(d(A^-1 b) = A^-1 (db - dA A^-1 b)).  Products on the stack keep the
-operand layouts and singleton axes of the one-point products, so every
+(d(A^-1 b) = A^-1 (db - dA A^-1 b)).  Products on the stack keep
+singleton axes and operand layouts that do not depend on P, so every
 point gets the bits it gets in a stack of one.  A report builds one
 frame stack, with first partials when a check reads derivatives, and
 passes it to the structure split
 (:func:`sasakicheck.induced.extract_structure`) and to
 :func:`gauss_weingarten`.  The decomposition is one record,
-:class:`GaussWeingartenData`, of (P, ...) arrays.
+:class:`GaussWeingartenData`, of (P, ...) arrays.  The dual-number
+pullback :func:`induced_metric` is the independent oracle of the
+frame stack's ``surface_metric``.
 
 Two shape operators are carried side by side:
 
@@ -38,10 +40,10 @@ import numpy as np
 
 from . import linalg
 from .connection import MetricField, levi_civita_gamma, require_nonsingular
-from .dual import grad_part, innermost, real_part, seed, value_part
+from .dual import grad_part, innermost, seed, value_part
 from .errors import (DimensionMismatchError, EvaluationError, NonFiniteValueError,
                      RankDeficientError)
-from .fields import Point, PointStack, ScalarField, TensorField, evaluate_stack, jet_stack
+from .fields import PointStack, ScalarField, TensorField, evaluate, jet
 
 MIN_SINGULAR_VALUE = 1e-8
 FRAME_CONDITION_LIMIT = 1e12
@@ -78,9 +80,6 @@ class Embedding:
             )
         return list(out)
 
-    def point_image(self, p: Point) -> Point:
-        return Point([real_part(c) for c in self.map(p.coords)])
-
 
 @dataclass(frozen=True)
 class NormalField:
@@ -89,9 +88,6 @@ class NormalField:
     embedding: Embedding
     scaling: Optional[ScalarField] = None
     orientation: int = 1
-
-    def components_at(self, p: Point) -> np.ndarray:
-        return frame_stack(self, PointStack([p.coords])).normal[0]
 
     def flipped(self) -> "NormalField":
         return NormalField(self.embedding, self.scaling, -self.orientation)
@@ -186,10 +182,10 @@ def frame_stack(N: NormalField, chart: PointStack, partials: bool = False) -> Fr
     b, B, hess = _map_pass(E, chart, partials)
     images = PointStack(b)
     if partials:
-        jg = jet_stack(E.ambient_metric.tensor, images)
+        jg = jet(E.ambient_metric.tensor, images)
         G = jg.value
     else:
-        G = evaluate_stack(E.ambient_metric.tensor, images)
+        G = evaluate(E.ambient_metric.tensor, images)
     require_nonsingular(G, chart)
     n = _unit_normal(B, G, N.orientation, chart)
     first_order, dn = {}, None
@@ -206,8 +202,8 @@ def frame_stack(N: NormalField, chart: PointStack, partials: bool = False) -> Fr
     if N.scaling is None:
         nvec, dnvec = n, dn
     else:
-        jt = jet_stack(N.scaling, chart) if partials else None
-        rho = jt.value if partials else evaluate_stack(N.scaling, chart)
+        jt = jet(N.scaling, chart) if partials else None
+        rho = jt.value if partials else evaluate(N.scaling, chart)
         label = getattr(N.scaling.func, "text", "<callable>")
         chart.reject(rho <= 0.0, EvaluationError, lambda i, at: (
             f"normal scaling {label!r} must stay positive, got {float(rho[i])!r} at {list(at)}"))
@@ -220,9 +216,9 @@ def frame_stack(N: NormalField, chart: PointStack, partials: bool = False) -> Fr
                       **first_order)
 
 
-def unit_normal(E: Embedding, p: Point, orientation: int = 1) -> np.ndarray:
-    """Oriented metric unit normal at a point."""
-    return NormalField(E, None, orientation).components_at(p)
+def unit_normal(E: Embedding, stack: PointStack, orientation: int = 1) -> np.ndarray:
+    """Oriented metric unit normals at every point of a stack, as (P, 2n+1) rows."""
+    return frame_stack(NormalField(E, None, orientation), stack).normal
 
 
 def induced_metric(E: Embedding) -> MetricField:

@@ -52,7 +52,7 @@ import numpy as np
 from . import linalg
 from .connection import covariant_derivative_components
 from .errors import TangencyError
-from .fields import Point, PointStack, evaluate_stack, jet_stack
+from .fields import PointStack, evaluate, jet
 from .hypersurface import (
     Embedding,
     FrameStack,
@@ -108,9 +108,9 @@ def _structure_stack(ambient, fs: FrameStack) -> StructureBundle:
     B, nvec, A = fs.jacobian, fs.normal, fs.frame
     count, d, m = B.shape
     fields = (ambient.phi, ambient.xi, ambient.eta)
-    jets = None if fs.hessian is None else [jet_stack(f, fs.images) for f in fields]
+    jets = None if fs.hessian is None else [jet(f, fs.images) for f in fields]
     if jets is None:
-        phit, xit, etat = (evaluate_stack(f, fs.images) for f in fields)
+        phit, xit, etat = (evaluate(f, fs.images) for f in fields)
     else:
         phit, xit, etat = (j.value for j in jets)
     R = np.concatenate([phit @ B, phit @ nvec[:, :, None], xit[:, :, None]], axis=2)
@@ -155,15 +155,14 @@ class InducedStructure:
     def dim(self) -> int:
         return self.embedding.dim
 
-    def values_at(self, p: Point) -> StructureBundle:
-        """Float induced data at p, from a value-only frame, as a one-row stack."""
-        fs = frame_stack(self.normal, PointStack([p.coords]))
-        return _structure_stack(self.embedding.ambient, fs)
+    def values_at(self, stack: PointStack) -> StructureBundle:
+        """Float induced data at every point of a stack, from a value-only frame."""
+        return _structure_stack(self.embedding.ambient, frame_stack(self.normal, stack))
 
-    def bundle_at(self, p: Point) -> StructureBundle:
-        """Values plus first partials of every induced field at p, as a one-row stack."""
-        fs = frame_stack(self.normal, PointStack([p.coords]), partials=True)
-        return _structure_stack(self.embedding.ambient, fs)
+    def bundle_at(self, stack: PointStack) -> StructureBundle:
+        """Values plus first partials of every induced field at every point of a stack."""
+        return _structure_stack(self.embedding.ambient,
+                                frame_stack(self.normal, stack, partials=True))
 
 
 def extract_structure(

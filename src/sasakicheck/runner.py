@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, linalg
 from .config import CHECK_GROUPS, SuiteConfig
 from .exprs import compile_expression, compile_map
-from .fields import DEFAULT_FD_STEP, PointStack, ScalarField, evaluate_stack, jet_stack
+from .fields import DEFAULT_FD_STEP, PointStack, ScalarField, evaluate, jet
 from .hypersurface import (
     Embedding,
     NormalField,
@@ -84,7 +84,7 @@ class _Context:
             # pick the sign that makes eta(N) >= 0 at the declared base point
             probe = frame_stack(NormalField(self.embedding, None, 1),
                                 PointStack([config.base_point]))
-            eta = evaluate_stack(ambient.eta, probe.images)[0]
+            eta = evaluate(ambient.eta, probe.images)[0]
             lam0 = float(eta @ probe.normal[0])
             orientation = 1 if lam0 >= 0 else -1
         self.orientation = orientation
@@ -178,7 +178,7 @@ def _gauss_weingarten(ctx):
     ]
     if not unit:
         # w must equal d log rho; independent product-rule consequence
-        jt = jet_stack(ctx.scaling_field, ctx.frames.points)
+        jt = jet(ctx.scaling_field, ctx.frames.points)
         rows.append(_row("normal_scaling_w", "w = d log rho",
                          linalg.worst(np.abs(w - jt.partials / jt.value[:, None])), tol,
                          convention="scaled normal", used=used))

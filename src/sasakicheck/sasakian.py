@@ -28,9 +28,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .connection import MetricField, christoffel_stack, covariant_derivative_components
+from .connection import MetricField, christoffel, covariant_derivative_components
 from .errors import DimensionMismatchError
-from .fields import PointStack, TensorField, evaluate_stack, jet_stack
+from .fields import PointStack, TensorField, evaluate, jet
 from .linalg import pair, worst
 from .sampling import sample_vectors, spawn_rngs, DEFAULT_SEED
 
@@ -124,8 +124,8 @@ def fundamental_two_form(S: AlmostContactMetricStructure) -> TensorField:
 
 def _nabla_phi_xi(S, stack):
     """nabla phi and nabla xi on the stack, (P, d, d, d) and (P, d, d), derivative index first."""
-    gamma = christoffel_stack(S.g, stack)
-    jphi, jxi = jet_stack(S.phi, stack), jet_stack(S.xi, stack)
+    gamma = christoffel(S.g, stack)
+    jphi, jxi = jet(S.phi, stack), jet(S.xi, stack)
     return (covariant_derivative_components(jphi.value, jphi.partials, gamma, (1, 1)),
             covariant_derivative_components(jxi.value, jxi.partials, gamma, (1, 0)))
 
@@ -167,13 +167,6 @@ def _two_form_identities(F: np.ndarray, phi: np.ndarray) -> Dict[str, float]:
     }
 
 
-def two_form_residuals(S: AlmostContactMetricStructure, stack: PointStack) -> Dict[str, float]:
-    """Residuals of the antisymmetry and phi-compatibility identities of 'F
-    on a point stack."""
-    return _two_form_identities(
-        evaluate_stack(fundamental_two_form(S), stack), evaluate_stack(S.phi, stack))
-
-
 def check_sasakian_axioms(
     S: AlmostContactMetricStructure,
     stack: PointStack,
@@ -204,10 +197,10 @@ def check_sasakian_axioms(
         raise ValueError("no directions supplied")
 
     n = S.n
-    phi = evaluate_stack(S.phi, stack)
-    xi = evaluate_stack(S.xi, stack)
-    eta = evaluate_stack(S.eta, stack)
-    g = evaluate_stack(S.g.tensor, stack)
+    phi = evaluate(S.phi, stack)
+    xi = evaluate(S.xi, stack)
+    eta = evaluate(S.eta, stack)
+    g = evaluate(S.g.tensor, stack)
     sv = np.linalg.svd(phi, compute_uv=False)
     res = {
         "1.1": worst(np.abs(pair(eta, xi) - 1.0)),
@@ -229,5 +222,5 @@ def check_sasakian_axioms(
     res["1.6"] = worst(rows16.reshape(-1))
     res["1.7"] = worst(_xi_transport(dxi, phi, dirs).reshape(-1, S.dim))
 
-    res.update(_two_form_identities(evaluate_stack(fundamental_two_form(S), stack), phi))
+    res.update(_two_form_identities(evaluate(fundamental_two_form(S), stack), phi))
     return AxiomReport(residuals=res, sample_count=len(stack), direction_count=len(directions))

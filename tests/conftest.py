@@ -9,8 +9,6 @@ from sasakicheck import (
     Embedding,
     MetricField,
     NormalField,
-    Point,
-    PointStack,
     ScalarField,
     TensorField,
     extract_structure,
@@ -69,16 +67,6 @@ def chart_points(dim, count, seed=7):
     """``count`` seeded points of the cube [-1, 1]^dim, as one stack."""
     rng = np.random.default_rng(seed)
     return sample_points(dim, count, (-1.0, 1.0), rng)
-
-
-def as_points(stack):
-    """The rows of a point stack as ``Point`` objects, for the one-point API."""
-    return [Point(row) for row in stack.coords]
-
-
-def stack_of(*points):
-    """A stack of the given ``Point`` objects, in order."""
-    return PointStack([p.coords for p in points])
 
 
 def chart_vectors(dim, count, seed=11):

@@ -14,7 +14,6 @@ import numpy as np
 from sasakicheck import (
     Embedding,
     NormalField,
-    Point,
     PointStack,
     ScalarField,
     check_sasakian_axioms,
@@ -38,7 +37,7 @@ from sasakicheck.report import render_json
 from sasakicheck.runner import run_suite
 from sasakicheck.sampling import sample_points, sample_vectors
 
-from conftest import SimpleAmbient, as_points, euclidean_metric, row, stack_of, states_at
+from conftest import SimpleAmbient, euclidean_metric, states_at
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -81,11 +80,11 @@ def test_criterion_2_ad_fd_cross_validation():
     with criterion(2, "dual-number jets match central differences <= 1e-6 at 50 points"):
         for n in (1, 2):
             S = standard_sasakian(n)
-            for p in as_points(_points(S.dim, 50, seed=17)):
-                for fld in (S.phi, S.xi, S.eta, S.g.tensor):
-                    ad = jet(fld, p).partials
-                    fd = fd_derivative(fld, p, step=1e-5).partials
-                    assert np.max(np.abs(ad - fd)) <= 1e-6
+            pts = _points(S.dim, 50, seed=17)
+            for fld in (S.phi, S.xi, S.eta, S.g.tensor):
+                ad = jet(fld, pts).partials
+                fd = fd_derivative(fld, pts, step=1e-5).partials
+                assert np.max(np.abs(ad - fd)) <= 1e-6
 
 
 def test_criterion_3_gauss_weingarten_reconstruction():
@@ -96,19 +95,17 @@ def test_criterion_3_gauss_weingarten_reconstruction():
             Embedding(2, S3, lambda c: [c[0], c[1], (c[0] ** 2 + c[1] ** 2) / 2]),
         ):
             N = NormalField(emb)
-            for p in as_points(_points(2, 25, seed=23)):
-                gw = gauss_weingarten(frame_stack(N, stack_of(p), partials=True))
-                rec = reconstruction_residuals(gw)
-                assert rec["gauss"] <= 1e-6 and rec["weingarten"] <= 1e-6
+            gw = gauss_weingarten(frame_stack(N, _points(2, 25, seed=23), partials=True))
+            rec = reconstruction_residuals(gw)
+            assert rec["gauss"] <= 1e-6 and rec["weingarten"] <= 1e-6
         euclid = SimpleAmbient(3, euclidean_metric(3))
         r = 2.0
         sphere = Embedding(2, euclid, lambda c: [
             r * cos(c[0]) * cos(c[1]), r * sin(c[0]) * cos(c[1]), r * sin(c[1])])
         N = NormalField(sphere, orientation=-1)
-        for p in as_points(_points(2, 10, seed=29)):
-            q = Point([0.5 * p.coords[0], 0.5 * p.coords[1]])
-            gw = row(gauss_weingarten(frame_stack(N, stack_of(q), partials=True)), 0)
-            assert np.max(np.abs(gw.H_h - np.eye(2) / r)) <= 1e-6
+        half = PointStack(0.5 * _points(2, 10, seed=29).coords)
+        gw = gauss_weingarten(frame_stack(N, half, partials=True))
+        assert np.max(np.abs(gw.H_h - np.eye(2) / r)) <= 1e-6
 
 
 def test_criterion_4_induced_structure():
@@ -187,9 +184,8 @@ def test_criterion_7_scaled_normal_run():
         rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
         N = NormalField(emb, scaling=rho)
         pts = _points(2, 20, seed=47)
-        for p in as_points(pts):
-            gw = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
-            assert np.max(np.abs(gw.w - np.array([1.0, 1.0]))) <= 1e-6
+        gw = gauss_weingarten(frame_stack(N, pts, partials=True))
+        assert np.max(np.abs(gw.w - 1.0)) <= 1e-6
         res = check_theorem_3_4(states_at(N, pts, sample_vectors(2, 4, np.random.default_rng(48))))
         assert res.verdict == "vacuous"
 

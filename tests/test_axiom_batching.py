@@ -1,12 +1,12 @@
 """The ambient axiom battery does not depend on how samples are grouped.
 
-Run on a whole point stack, ``check_sasakian_axioms`` and
-``two_form_residuals`` must return, bit for bit, the per-key maximum of
-the same checks run one point at a time, and they must raise the same
-errors, naming the first offending sample.  The stacked field
-evaluators they stand on must match the one-point ``evaluate``/``jet``
-exactly, and the (1.6)/(1.7) residuals of all direction pairs at once
-must match ``covariant_axiom_loops``, one einsum per pair.
+Run on a whole point stack, ``check_sasakian_axioms`` must return, bit
+for bit, the per-key maximum of the same check run on one-row stacks,
+and it must raise the same errors, naming the first offending sample.
+The field evaluators it stands on must give every row of a stack the
+bits a one-row stack gives it, and the (1.6)/(1.7) residuals of all
+direction pairs at once must match ``covariant_axiom_loops``, one einsum
+per pair.
 """
 
 import re
@@ -18,32 +18,24 @@ import pytest
 from sasakicheck import (
     AlmostContactMetricStructure,
     MetricField,
-    Point,
     PointStack,
     ScalarField,
     TensorField,
     check_sasakian_axioms,
     dual,
     evaluate,
-    evaluate_stack,
     fundamental_two_form,
     jet,
-    jet_stack,
     sasakian,
     standard_sasakian,
 )
-from sasakicheck.connection import DET_FLOOR, christoffel, christoffel_stack
+from sasakicheck.connection import DET_FLOOR, christoffel
 from sasakicheck.errors import DimensionMismatchError, NonFiniteValueError, SingularMetricError
 from sasakicheck.linalg import worst
 from sasakicheck.sampling import sample_points, sample_vectors
-from sasakicheck.sasakian import (
-    _nabla_phi_xi,
-    _phi_transport_columns,
-    _xi_transport,
-    two_form_residuals,
-)
+from sasakicheck.sasakian import _nabla_phi_xi, _phi_transport_columns, _xi_transport
 
-from conftest import as_points, covariant_axiom_loops, running_max, stack_of
+from conftest import covariant_axiom_loops, running_max
 
 
 def _samples(dim, count, seed):
@@ -63,20 +55,9 @@ def test_axiom_residuals_equal_max_over_single_points(n, count):
     # strided (non-C-contiguous) stack changes the eq 1.6 maximum
     pts, dirs = _samples(S.dim, count, seed=1004)
     whole = check_sasakian_axioms(S, pts, dirs)
-    singles = [check_sasakian_axioms(S, stack_of(p), dirs).residuals for p in as_points(pts)]
+    singles = [check_sasakian_axioms(S, PointStack([p]), dirs).residuals for p in pts.coords]
     assert whole.residuals == _per_key_max(singles)
     assert (whole.sample_count, whole.direction_count) == (count, 5)
-    # the battery's shared phi gives the two-form residuals of a separate call
-    assert two_form_residuals(S, pts).items() <= whole.residuals.items()
-
-
-@pytest.mark.parametrize("count", [8, 50, 400])
-@pytest.mark.parametrize("n", [1, 2])
-def test_two_form_residuals_equal_max_over_single_points(n, count):
-    S = standard_sasakian(n)
-    pts, _ = _samples(S.dim, count, seed=100 * n + count + 1)
-    whole = two_form_residuals(S, pts)
-    assert whole == _per_key_max([two_form_residuals(S, stack_of(p)) for p in as_points(pts)])
 
 
 def _with(S, **fields):
@@ -137,32 +118,33 @@ def test_degenerate_metric_names_first_singular_point(n):
 def test_stacked_fields_equal_per_point_fields(n):
     S = standard_sasakian(n)
     stack, _ = _samples(S.dim, 50, seed=21)
-    pts = as_points(stack)
+    singles = [PointStack([p]) for p in stack.coords]
     for f in (S.phi, S.xi, S.eta, S.g.tensor, fundamental_two_form(S)):
-        values = evaluate_stack(f, stack)
-        jt = jet_stack(f, stack)
+        values = evaluate(f, stack)
+        jt = jet(f, stack)
         assert values.shape == jt.value.shape == (50,) + f.shape
         assert jt.partials.shape == (50, S.dim) + f.shape
-        for i, p in enumerate(pts):
-            one = jet(f, p)
-            assert (values[i] == evaluate(f, p)).all()
-            assert (jt.value[i] == one.value).all()
-            assert (jt.partials[i] == one.partials).all()
-    gamma = christoffel_stack(S.g, stack)
-    for i, p in enumerate(pts):
-        assert (gamma[i] == christoffel(S.g, p)).all()
+        for i, one in enumerate(singles):
+            jt_one = jet(f, one)
+            assert (values[i] == evaluate(f, one)[0]).all()
+            # the closure on one row's Python floats
+            assert (values[i] == np.array(f.func(one.coords[0].tolist()), float)).all()
+            assert (jt.value[i] == jt_one.value[0]).all()
+            assert (jt.partials[i] == jt_one.partials[0]).all()
+    gamma = christoffel(S.g, stack)
+    for i, one in enumerate(singles):
+        assert (gamma[i] == christoffel(S.g, one)[0]).all()
 
 
 def test_stacked_constant_and_scalar_fields_broadcast():
     stack, _ = _samples(3, 4, seed=22)
-    pts = as_points(stack)
-    vec = evaluate_stack(TensorField((1, 0), 3, lambda c: [1.0, c[0], 2.0]), stack)
+    vec = evaluate(TensorField((1, 0), 3, lambda c: [1.0, c[0], 2.0]), stack)
     np.testing.assert_array_equal(vec[:, 0], np.ones(4))
-    np.testing.assert_array_equal(vec[:, 1], [p.coords[0] for p in pts])
-    jt = jet_stack(ScalarField(3, lambda c: c[0] * c[1]), stack)
+    np.testing.assert_array_equal(vec[:, 1], stack.coords[:, 0])
+    jt = jet(ScalarField(3, lambda c: c[0] * c[1]), stack)
     assert jt.value.shape == (4,) and jt.partials.shape == (4, 3)
     np.testing.assert_array_equal(jt.partials[:, 2], np.zeros(4))
-    np.testing.assert_array_equal(jt.partials[:, 0], [p.coords[1] for p in pts])
+    np.testing.assert_array_equal(jt.partials[:, 0], stack.coords[:, 1])
 
 
 def test_stack_dimensions_checked():
@@ -171,28 +153,29 @@ def test_stack_dimensions_checked():
             PointStack(rows)
     stack = PointStack([[0.0, 0.0]])
     with pytest.raises(DimensionMismatchError):
-        evaluate_stack(standard_sasakian(1).eta, stack)
+        evaluate(standard_sasakian(1).eta, stack)
     with pytest.raises(DimensionMismatchError):
-        jet_stack(standard_sasakian(1).eta, stack)
+        jet(standard_sasakian(1).eta, stack)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_stack_rows_must_be_finite(bad):
     rows = np.array([[0.5, 1.0], [0.25, bad], [np.nan, 1.0]])
     with pytest.raises(NonFiniteValueError) as one:
-        Point(rows[1])
-    # the first non-finite row, named as a Point of it would name it
+        PointStack(rows[1:2])
+    assert str(one.value) == f"non-finite coordinate in {tuple(rows[1].tolist())}"
+    # the first non-finite row, named as a stack of it alone would name it
     with pytest.raises(NonFiniteValueError, match=re.escape(str(one.value))):
         PointStack(rows)
 
 
 def test_stacked_jet_names_first_non_finite_point():
-    pts = [Point([0.5, 1.0]), Point([5.0, 1.0]), Point([-6.0, 1.0])]
+    pts = PointStack([[0.5, 1.0], [5.0, 1.0], [-6.0, 1.0]])
     f = ScalarField(2, lambda c: _blowup(c[0]) * c[1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteValueError, match=re.escape(f"at {pts[1].coords}")):
-            jet_stack(f, stack_of(*pts))
+        with pytest.raises(NonFiniteValueError, match=re.escape(f"at {(5.0, 1.0)}")):
+            jet(f, pts)
 
 
 def test_structure_with_exp_factor_batches_like_the_standard_one(sasaki3):
@@ -209,7 +192,7 @@ def _covariant_inputs(S, pts, directions):
     phi, xi, eta and g on the stack, and the directions repeated along it
     as (K, P, d)."""
     dphi, dxi = _nabla_phi_xi(S, pts)
-    phi, xi, eta, g = (evaluate_stack(f, pts) for f in (S.phi, S.xi, S.eta, S.g.tensor))
+    phi, xi, eta, g = (evaluate(f, pts) for f in (S.phi, S.xi, S.eta, S.g.tensor))
     return dphi, dxi, phi, xi, eta, g, np.repeat(directions[:, None], len(pts), axis=1)
 
 

@@ -46,7 +46,8 @@ def test_traced_report_equals_untraced_report(monkeypatch):
     # a runner path that bypassed the wrapped names would read zero seconds for its span
     assert {"runner.run_suite", "report.render", "hypersurface.gauss_weingarten",
             "induced.extract", "induced.differential", "theorems.chart",
-            "theorems.models"} <= spans
+            "theorems.models", "fields.jet", "fields.evaluate",
+            "connection.christoffel"} <= spans
     # leaving the block restored the originals: a later run records no span
     recorded = len(tracer.spans)
     assert _report_json(config) == untraced

@@ -11,15 +11,13 @@ import pytest
 
 from sasakicheck import (
     InducedStructure,
-    NormalField,
-    Point,
     PointStack,
-    evaluate,
     hypersurface,
     induced,
     linalg,
     runner,
     sasakian,
+    unit_normal,
 )
 from sasakicheck.cli import main
 from sasakicheck.config import CHECK_GROUPS, load_suite_config, resolve_config_path
@@ -450,13 +448,13 @@ def _frame_builds(monkeypatch, config):
     """Run the suite and record the frame stacks it builds (the point
     count of each, split by whether it carries partials), and count
     structure splits, Gauss-Weingarten decompositions, ambient axiom
-    batteries, one-point structure bundles, dual eliminations, wherever
-    the engine looks them up, and the ``Point`` and ``PointStack`` objects
-    it constructs."""
+    batteries, structure bundles built by ``bundle_at``/``values_at``, dual
+    eliminations, wherever the engine looks them up, and the ``PointStack``
+    objects it constructs."""
     builds = {"partials": [], "values": []}
     calls = dict.fromkeys(["_structure_stack", "gauss_weingarten", "check_sasakian_axioms",
                            "bundle_at", "values_at", "linalg.det", "linalg.solve_columns",
-                           "Point", "PointStack"], 0)
+                           "PointStack"], 0)
     frame_stack = hypersurface.frame_stack
 
     def recorded_frame_stack(N, points, partials=False):
@@ -483,8 +481,7 @@ def _frame_builds(monkeypatch, config):
                     monkeypatch.setattr(module, key, wrapped[id(value)])
     for name in ("bundle_at", "values_at"):
         monkeypatch.setattr(InducedStructure, name, counted(name, getattr(InducedStructure, name)))
-    for cls in (Point, PointStack):
-        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    monkeypatch.setattr(PointStack, "__init__", counted("PointStack", PointStack.__init__))
     run_suite(config)
     return builds, calls
 
@@ -499,10 +496,10 @@ def test_run_suite_builds_each_point_once(monkeypatch):
     assert builds == {"partials": [10], "values": []}
     # the structure is split once; the axioms and two_form groups share
     # one ambient axiom battery; the points are three stacks (the ambient
-    # samples, the chart samples and their images) and never Point objects
+    # samples, the chart samples and their images)
     assert calls == {"_structure_stack": 1, "gauss_weingarten": 1, "check_sasakian_axioms": 1,
                      "bundle_at": 0, "values_at": 0, "linalg.det": 0, "linalg.solve_columns": 0,
-                     "Point": 0, "PointStack": 3}
+                     "PointStack": 3}
 
 
 def test_lambda_nonneg_probe_builds_one_row_stacks(monkeypatch):
@@ -516,7 +513,7 @@ def test_lambda_nonneg_probe_builds_one_row_stacks(monkeypatch):
     assert builds == {"partials": [10], "values": [1]}
     assert calls == {"_structure_stack": 1, "gauss_weingarten": 1, "check_sasakian_axioms": 1,
                      "bundle_at": 0, "values_at": 0, "linalg.det": 0, "linalg.solve_columns": 0,
-                     "Point": 0, "PointStack": 5}
+                     "PointStack": 5}
 
 
 @pytest.mark.parametrize("name,outputs", [
@@ -524,8 +521,9 @@ def test_lambda_nonneg_probe_builds_one_row_stacks(monkeypatch):
     ("plane_r5", ["s1", "s2", "s3", "(s1^2 - s4^2)/2 + s2*s3", "s4"]),
 ])
 def test_lambda_nonneg_sign_matches_one_point_probe(name, outputs):
-    # the stacked probe picks the sign of eta(N) that the one-point path gives at
-    # the base point; on these surfaces eta(N) changes sign with the last chart coordinate
+    # the probe picks the sign of eta(N) at the base point, with eta taken by the
+    # closure on the image's Python floats; on these surfaces eta(N) changes sign
+    # with the last chart coordinate
     config = load_suite_config(CONFIGS / f"{name}.cfg")
     config.count, config.outputs = 2, outputs
     config.orientation = "lambda_nonneg"
@@ -533,10 +531,9 @@ def test_lambda_nonneg_sign_matches_one_point_probe(name, outputs):
     for row in np.random.default_rng(41).uniform(-2.0, 2.0, (20, config.surface_dim)):
         config.base_point = tuple(row.tolist())
         context = runner._Context(config)
-        base = Point(config.base_point)
-        probe = NormalField(context.embedding, None, 1)
-        lam0 = float(evaluate(context.ambient.eta, context.embedding.point_image(base))
-                     @ probe.components_at(base))
+        E = context.embedding
+        eta = np.array(context.ambient.eta.func(E.map(config.base_point)), float)
+        lam0 = float(eta @ unit_normal(E, PointStack([config.base_point]))[0])
         signs.append(context.orientation)
         assert context.orientation == (1 if lam0 >= 0 else -1), row
     assert set(signs) == {-1, 1}
@@ -562,7 +559,7 @@ def test_per_point_data_built_only_for_groups_that_read_it(monkeypatch, checks, 
         # extraction does not re-check the report's ambient
         "check_sasakian_axioms": int("axioms" in checks),
         "bundle_at": 0, "values_at": 0, "linalg.det": 0, "linalg.solve_columns": 0,
-        "Point": 0, "PointStack": 3})
+        "PointStack": 3})
 
 
 @pytest.mark.parametrize("name", ["plane_r3", "quadric_r3", "plane_r5", "quadric_r3_scaled"])

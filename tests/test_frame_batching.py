@@ -2,8 +2,7 @@
 depend on how chart points are grouped.
 
 Run on a whole point list, ``extract_structure`` and ``sample_states``
-must give, bit for bit, the data the same calls give one point at a
-time: every array of every point of the extracted structure record and
+must give, bit for bit, the data the same calls give on one-row stacks: every array of every point of the extracted structure record and
 of the sample-state record, and the report maxima; so must the
 reconstruction and h-symmetry maxima of a Gauss-Weingarten record.  A
 degenerate surface must raise the same error as it does point by point,
@@ -36,7 +35,7 @@ from sasakicheck.errors import (
 from sasakicheck.hypersurface import reconstruction_residuals, second_fundamental_symmetry
 from sasakicheck.sampling import sample_points, sample_vectors
 
-from conftest import SURFACES, as_points, row, stack_of, states_at, surface_normal
+from conftest import SURFACES, row, states_at, surface_normal
 
 GW_ARRAYS = ("induced_gamma", "h", "H_w", "H_h", "w", "D", "DN", "normal")
 STATE_ARRAYS = ("dirs", "covphi", "covu", "covv", "covU", "covV")
@@ -65,12 +64,12 @@ def test_extraction_equals_single_point_extractions(surface, count):
     N = surface_normal(SURFACES[surface])
     pts, _ = _samples(N.embedding.dim, count, seed=count + 3)
     whole = extract_structure(N, frame_stack(N, pts))
-    singles = [extract_structure(N, frame_stack(N, stack_of(p))) for p in as_points(pts)]
+    singles = [extract_structure(N, frame_stack(N, PointStack([p]))) for p in pts.coords]
     for key in ("max_u", "tangency_residual", "lambda_consistency"):
         assert getattr(whole, key) == max(getattr(s, key) for s in singles), key
     assert len(whole.stack.lam) == count
-    for i, (p, single) in enumerate(zip(as_points(pts), singles)):
-        _assert_same_bundle(row(whole.stack, i), row(single.stack, 0), p.coords)
+    for i, (p, single) in enumerate(zip(pts.coords, singles)):
+        _assert_same_bundle(row(whole.stack, i), row(single.stack, 0), p)
 
 
 @pytest.mark.parametrize("count", [8, 50, 400])
@@ -80,13 +79,13 @@ def test_sample_states_equal_single_point_states(surface, count):
     pts, dirs = _samples(N.embedding.dim, count, seed=count + 5)
     whole = states_at(N, pts, dirs)
     assert len(whole.dirs) == count
-    for i, p in enumerate(as_points(pts)):
-        st, one = row(whole, i), row(states_at(N, stack_of(p), dirs), 0)
-        _assert_same_bundle(st.bundle, one.bundle, p.coords)
+    for i, p in enumerate(pts.coords):
+        st, one = row(whole, i), row(states_at(N, PointStack([p]), dirs), 0)
+        _assert_same_bundle(st.bundle, one.bundle, p)
         for key in GW_ARRAYS:
-            assert _same(getattr(st.gw, key), getattr(one.gw, key)), (p.coords, key)
+            assert _same(getattr(st.gw, key), getattr(one.gw, key)), (p, key)
         for key in STATE_ARRAYS:
-            assert _same(getattr(st, key), getattr(one, key)), (p.coords, key)
+            assert _same(getattr(st, key), getattr(one, key)), (p, key)
 
 
 @pytest.mark.parametrize("count", [8, 50])
@@ -95,8 +94,8 @@ def test_stacked_reconstruction_equals_single_point_stacks(surface, count):
     N = surface_normal(SURFACES[surface])
     pts, _ = _samples(N.embedding.dim, count, seed=count + 7)
     whole = gauss_weingarten(frame_stack(N, pts, partials=True))
-    singles = [gauss_weingarten(frame_stack(N, stack_of(p), partials=True))
-               for p in as_points(pts)]
+    singles = [gauss_weingarten(frame_stack(N, PointStack([p]), partials=True))
+               for p in pts.coords]
     assert all(getattr(whole, f.name).flags.c_contiguous for f in fields(whole))
     rec = reconstruction_residuals(whole)
     for key in ("gauss", "weingarten"):

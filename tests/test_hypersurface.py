@@ -17,11 +17,11 @@ from sasakicheck import (
 )
 from sasakicheck.dual import cos, exp, sin
 from sasakicheck.errors import DimensionMismatchError, RankDeficientError, SingularMetricError
-from sasakicheck.fields import Point as P, PointStack
+from sasakicheck.fields import PointStack, jet
 from sasakicheck.hypersurface import frame_stack, reconstruction_residuals
 from sasakicheck.connection import christoffel
 
-from conftest import SimpleAmbient, as_points, chart_points, euclidean_metric, row, stack_of
+from conftest import SimpleAmbient, chart_points, euclidean_metric
 
 
 @pytest.fixture()
@@ -44,16 +44,18 @@ def sphere(euclid3, r):
 
 def test_flat_plane_metric_is_identity(flat_plane):
     g = induced_metric(flat_plane)
-    np.testing.assert_allclose(evaluate(g.tensor, P([0.3, -0.8])), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(evaluate(g.tensor, PointStack([[0.3, -0.8]]))[0], np.eye(2),
+                               atol=1e-15)
 
 
 def test_flat_plane_unit_normal(flat_plane):
-    np.testing.assert_allclose(unit_normal(flat_plane, P([0.1, 0.2])), [0, 0, 1], atol=1e-15)
+    n = unit_normal(flat_plane, PointStack([[0.1, 0.2]]))
+    np.testing.assert_allclose(n, [[0, 0, 1]], atol=1e-15)
 
 
 def test_flat_plane_totally_geodesic(flat_plane):
-    fs = frame_stack(NormalField(flat_plane), stack_of(P([0.5, 0.5])), partials=True)
-    gw = row(gauss_weingarten(fs), 0)
+    fs = frame_stack(NormalField(flat_plane), PointStack([[0.5, 0.5]]), partials=True)
+    gw = gauss_weingarten(fs)
     assert np.max(np.abs(gw.h)) == 0.0
     assert np.max(np.abs(gw.H_w)) == 0.0
     assert np.max(np.abs(gw.w)) == 0.0
@@ -61,8 +63,8 @@ def test_flat_plane_totally_geodesic(flat_plane):
 
 def test_sphere_inward_normal_at_pole(euclid3):
     E = sphere(euclid3, 2.0)
-    n = unit_normal(E, P([0.0, 0.0]), orientation=-1)
-    np.testing.assert_allclose(n, [-1.0, 0.0, 0.0], atol=1e-14)
+    n = unit_normal(E, PointStack([[0.0, 0.0]]), orientation=-1)
+    np.testing.assert_allclose(n, [[-1.0, 0.0, 0.0]], atol=1e-14)
 
 
 def test_sphere_shape_operator_is_curvature_times_identity(euclid3):
@@ -70,38 +72,36 @@ def test_sphere_shape_operator_is_curvature_times_identity(euclid3):
     for r in (1.0, 2.0, 3.5):
         E = sphere(euclid3, r)
         N = NormalField(E, orientation=-1)
-        for p in as_points(chart_points(2, 6, seed=5)):
-            q = P([0.5 * p.coords[0], 0.5 * p.coords[1]])  # stay away from poles
-            gw = row(gauss_weingarten(frame_stack(N, stack_of(q), partials=True)), 0)
-            np.testing.assert_allclose(gw.H_h, np.eye(2) / r, atol=1e-6)
-            np.testing.assert_allclose(gw.h, gw.h.T, atol=1e-12)
-            gind = evaluate(induced_metric(E).tensor, q)
-            np.testing.assert_allclose(gw.h, gind / r, atol=1e-6)
+        pts = PointStack(0.5 * chart_points(2, 6, seed=5).coords)  # stay away from poles
+        gw = gauss_weingarten(frame_stack(N, pts, partials=True))
+        np.testing.assert_allclose(gw.H_h, np.broadcast_to(np.eye(2) / r, (6, 2, 2)), atol=1e-6)
+        np.testing.assert_allclose(gw.h, gw.h.mT, atol=1e-12)
+        gind = evaluate(induced_metric(E).tensor, pts)
+        np.testing.assert_allclose(gw.h, gind / r, atol=1e-6)
 
 
 def test_induced_metric_vs_fd_oracle(plane_r3):
     # pullback formula against central differences of b composed with g~
     E = plane_r3
     step = 1e-5
-    p = P([0.5, -0.3])
+    p = [0.5, -0.3]
 
     def fd_column(k):
-        up = np.array(E.map([p.coords[0] + step * (k == 0), p.coords[1] + step * (k == 1)]))
-        dn = np.array(E.map([p.coords[0] - step * (k == 0), p.coords[1] - step * (k == 1)]))
+        up = np.array(E.map([p[0] + step * (k == 0), p[1] + step * (k == 1)]))
+        dn = np.array(E.map([p[0] - step * (k == 0), p[1] - step * (k == 1)]))
         return (up - dn) / (2 * step)
 
     B = np.column_stack([fd_column(0), fd_column(1)])
-    gt = evaluate(E.ambient_metric.tensor, E.point_image(p))
+    gt = evaluate(E.ambient_metric.tensor, PointStack([E.map(p)]))[0]
     expected = B.T @ gt @ B
-    got = evaluate(induced_metric(E).tensor, p)
+    got = evaluate(induced_metric(E).tensor, PointStack([p]))[0]
     assert np.max(np.abs(got - expected)) < 1e-6
 
 
 def test_induced_metric_positive_definite(quadric_r3):
     g = induced_metric(quadric_r3)
     rng = np.random.default_rng(14)
-    for p in as_points(chart_points(2, 10, seed=15)):
-        gv = evaluate(g.tensor, p)
+    for gv in evaluate(g.tensor, chart_points(2, 10, seed=15)):
         for _ in range(10):
             x = rng.uniform(-1, 1, 2)
             if np.linalg.norm(x) > 1e-6:
@@ -110,10 +110,11 @@ def test_induced_metric_positive_definite(quadric_r3):
 
 def test_normal_defining_equations(plane_r3):
     # g~(B e_a, N) = 0 and g~(N, N) = 1, at a point with y != 0
-    p = P([0.5, -0.3])
-    n = unit_normal(plane_r3, p)
-    B = frame_stack(NormalField(plane_r3), stack_of(p)).jacobian[0]
-    gt = evaluate(plane_r3.ambient_metric.tensor, plane_r3.point_image(p))
+    p = PointStack([[0.5, -0.3]])
+    n = unit_normal(plane_r3, p)[0]
+    fs = frame_stack(NormalField(plane_r3), p)
+    B = fs.jacobian[0]
+    gt = evaluate(plane_r3.ambient_metric.tensor, fs.images)[0]
     assert np.max(np.abs(B.T @ gt @ n)) < 1e-10
     assert abs(float(n @ gt @ n) - 1.0) < 1e-10
     assert np.linalg.det(np.column_stack([B, n])) > 0
@@ -122,55 +123,51 @@ def test_normal_defining_equations(plane_r3):
 def test_plane_normal_closed_form(plane_r3):
     t = -0.3
     sq = math.sqrt(1 + t * t)
-    n = unit_normal(plane_r3, P([0.5, t]))
-    np.testing.assert_allclose(n, [2 * t / sq, 0.0, 2 * sq], atol=1e-12)
+    n = unit_normal(plane_r3, PointStack([[0.5, t]]))
+    np.testing.assert_allclose(n, [[2 * t / sq, 0.0, 2 * sq]], atol=1e-12)
 
 
 @pytest.mark.parametrize("surface", ["plane_r3", "quadric_r3"])
 def test_gauss_weingarten_reconstruction(surface, request):
     E = request.getfixturevalue(surface)
     N = NormalField(E)
-    for p in as_points(chart_points(2, 15, seed=19)):
-        rec = reconstruction_residuals(
-            gauss_weingarten(frame_stack(N, stack_of(p), partials=True)))
-        assert rec["gauss"] < 1e-6
-        assert rec["weingarten"] < 1e-6
+    rec = reconstruction_residuals(
+        gauss_weingarten(frame_stack(N, chart_points(2, 15, seed=19), partials=True)))
+    assert rec["gauss"] < 1e-6
+    assert rec["weingarten"] < 1e-6
 
 
 def test_decomposed_connection_matches_levi_civita(quadric_r3):
     g = induced_metric(quadric_r3)
     N = NormalField(quadric_r3)
-    for p in as_points(chart_points(2, 10, seed=23)):
-        gw = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
-        gamma = christoffel(g, p)
-        assert np.max(np.abs(gw.induced_gamma - gamma)) < 1e-6
+    pts = chart_points(2, 10, seed=23)
+    gw = gauss_weingarten(frame_stack(N, pts, partials=True))
+    assert np.max(np.abs(gw.induced_gamma - christoffel(g, pts))) < 1e-6
 
 
 def test_decomposed_connection_metricity(quadric_r3):
     # nabla g = 0 with the connection coefficients taken from the Gauss
     # decomposition rather than the Levi-Civita formula
     from sasakicheck.connection import covariant_derivative_components
-    from sasakicheck.fields import jet
 
     g = induced_metric(quadric_r3)
-    N = NormalField(quadric_r3)
-    for p in as_points(chart_points(2, 8, seed=24)):
-        gw = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
-        jg = jet(g.tensor, p)
-        full = covariant_derivative_components(jg.value, jg.partials, gw.induced_gamma, (0, 2))
-        assert np.max(np.abs(full)) < 1e-6
+    pts = chart_points(2, 8, seed=24)
+    gw = gauss_weingarten(frame_stack(NormalField(quadric_r3), pts, partials=True))
+    jg = jet(g.tensor, pts)
+    full = covariant_derivative_components(jg.value, jg.partials, gw.induced_gamma, (0, 2))
+    assert np.max(np.abs(full)) < 1e-6
 
 
 def test_unit_normal_weingarten_relations(quadric_r3):
     N = NormalField(quadric_r3)
     g = induced_metric(quadric_r3)
-    for p in as_points(chart_points(2, 10, seed=27)):
-        gw = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
-        assert np.max(np.abs(gw.w)) < 1e-10
-        gv = evaluate(g.tensor, p)
-        # metric Weingarten relation g(H_w X, Y) = -h(X, Y)
-        assert np.max(np.abs(gw.H_w.T @ gv + gw.h)) < 1e-6
-        assert np.max(np.abs(gw.H_w + gw.H_h)) < 1e-6
+    pts = chart_points(2, 10, seed=27)
+    gw = gauss_weingarten(frame_stack(N, pts, partials=True))
+    assert np.max(np.abs(gw.w)) < 1e-10
+    gv = evaluate(g.tensor, pts)
+    # metric Weingarten relation g(H_w X, Y) = -h(X, Y)
+    assert np.max(np.abs(gw.H_w.mT @ gv + gw.h)) < 1e-6
+    assert np.max(np.abs(gw.H_w + gw.H_h)) < 1e-6
 
 
 def test_scaled_normal_product_rule(quadric_r3):
@@ -179,30 +176,29 @@ def test_scaled_normal_product_rule(quadric_r3):
     rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
     N_unit = NormalField(E)
     N_scaled = NormalField(E, scaling=rho)
-    for p in as_points(chart_points(2, 8, seed=31)):
-        r = math.exp(p.coords[0] + p.coords[1])
-        gw_u = row(gauss_weingarten(frame_stack(N_unit, stack_of(p), partials=True)), 0)
-        stack_s = gauss_weingarten(frame_stack(N_scaled, stack_of(p), partials=True))
-        gw_s = row(stack_s, 0)
-        np.testing.assert_allclose(gw_s.w, [1.0, 1.0], atol=1e-6)
-        np.testing.assert_allclose(gw_s.h, gw_u.h / r, atol=1e-6)
-        np.testing.assert_allclose(gw_s.H_w, gw_u.H_w * r, atol=1e-6)
-        np.testing.assert_allclose(gw_s.H_h, gw_u.H_h / r, atol=1e-6)
-        rec = reconstruction_residuals(stack_s)
-        assert rec["gauss"] < 1e-6 and rec["weingarten"] < 1e-6
+    pts = chart_points(2, 8, seed=31)
+    r = np.exp(pts.coords.sum(axis=1))[:, None, None]
+    gw_u = gauss_weingarten(frame_stack(N_unit, pts, partials=True))
+    gw_s = gauss_weingarten(frame_stack(N_scaled, pts, partials=True))
+    np.testing.assert_allclose(gw_s.w, np.ones((8, 2)), atol=1e-6)
+    np.testing.assert_allclose(gw_s.h, gw_u.h / r, atol=1e-6)
+    np.testing.assert_allclose(gw_s.H_w, gw_u.H_w * r, atol=1e-6)
+    np.testing.assert_allclose(gw_s.H_h, gw_u.H_h / r, atol=1e-6)
+    rec = reconstruction_residuals(gw_s)
+    assert rec["gauss"] < 1e-6 and rec["weingarten"] < 1e-6
 
 
 def test_orientation_flip_action(quadric_r3):
     N = NormalField(quadric_r3)
     Nf = N.flipped()
-    for p in as_points(chart_points(2, 6, seed=33)):
-        a = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
-        b = row(gauss_weingarten(frame_stack(Nf, stack_of(p), partials=True)), 0)
-        np.testing.assert_allclose(b.h, -a.h, atol=1e-12)
-        np.testing.assert_allclose(b.H_w, -a.H_w, atol=1e-12)
-        np.testing.assert_allclose(b.H_h, -a.H_h, atol=1e-12)
-        np.testing.assert_allclose(b.w, a.w, atol=1e-12)
-        np.testing.assert_allclose(b.normal, -a.normal, atol=1e-12)
+    pts = chart_points(2, 6, seed=33)
+    a = gauss_weingarten(frame_stack(N, pts, partials=True))
+    b = gauss_weingarten(frame_stack(Nf, pts, partials=True))
+    np.testing.assert_allclose(b.h, -a.h, atol=1e-12)
+    np.testing.assert_allclose(b.H_w, -a.H_w, atol=1e-12)
+    np.testing.assert_allclose(b.H_h, -a.H_h, atol=1e-12)
+    np.testing.assert_allclose(b.w, a.w, atol=1e-12)
+    np.testing.assert_allclose(b.normal, -a.normal, atol=1e-12)
 
 
 def test_second_fundamental_symmetry(quadric_r3, flat_plane):
@@ -224,7 +220,7 @@ def test_gauss_weingarten_needs_frame_partials(quadric_r3):
 def test_rank_deficient_embedding_rejected(euclid3):
     E = Embedding(2, euclid3, lambda c: [c[0], c[0], 0.0])
     with pytest.raises(RankDeficientError):
-        unit_normal(E, P([0.2, 0.2]))
+        unit_normal(E, PointStack([[0.2, 0.2]]))
 
 
 def test_singular_ambient_metric_rejected():
@@ -232,9 +228,9 @@ def test_singular_ambient_metric_rejected():
                                                               [0.0, 0.0, 0.0]]))
     E = Embedding(2, SimpleAmbient(3, degenerate), lambda c: [c[0], c[1], 0.0])
     with pytest.raises(SingularMetricError):
-        unit_normal(E, P([0.2, 0.2]))
+        unit_normal(E, PointStack([[0.2, 0.2]]))
     with pytest.raises(SingularMetricError):
-        gauss_weingarten(frame_stack(NormalField(E), stack_of(P([0.2, 0.2])), partials=True))
+        gauss_weingarten(frame_stack(NormalField(E), PointStack([[0.2, 0.2]]), partials=True))
 
 
 def test_frame_stack_rejects_points_of_another_chart(plane_r3):
@@ -245,4 +241,4 @@ def test_frame_stack_rejects_points_of_another_chart(plane_r3):
 def test_wrong_output_arity_rejected(euclid3):
     E = Embedding(2, euclid3, lambda c: [c[0], c[1]])
     with pytest.raises(RankDeficientError, match="2 ambient coordinates"):
-        E.point_image(P([0.0, 0.0]))
+        frame_stack(NormalField(E), PointStack([[0.0, 0.0]]))

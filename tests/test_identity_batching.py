@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sasakicheck import (
+    PointStack,
     check_theorem_3_4,
     extract_structure,
     frame_stack,
@@ -29,7 +30,7 @@ from sasakicheck.theorems import (
     theorem_3_3_chart,
 )
 
-from conftest import SURFACES, as_points, row, stack_of, states_at, surface_normal
+from conftest import SURFACES, row, states_at, surface_normal
 
 
 def _points(dim, count, seed):
@@ -57,8 +58,8 @@ def test_algebraic_battery_equals_single_point_batteries(surface, count):
     S = extract_structure(N, frame_stack(N, pts))
     _assert_combines(verify_algebraic_identities(S),
                      [verify_algebraic_identities(
-                         extract_structure(N, frame_stack(N, stack_of(p))))
-                      for p in as_points(pts)])
+                         extract_structure(N, frame_stack(N, PointStack([p]))))
+                      for p in pts.coords])
 
 
 def _zeroed(st, *keys):

@@ -24,7 +24,6 @@ from sasakicheck import (
     Embedding,
     MetricField,
     NormalField,
-    Point,
     PointStack,
     ScalarField,
     TensorField,
@@ -43,8 +42,8 @@ from sasakicheck.connection import covariant_derivative_components
 from sasakicheck.dual import cos, exp, sin
 from sasakicheck.errors import TangencyError
 
-from conftest import (SURFACES, as_points, by_name, chart_points, chart_vectors, row,
-                      stack_of, states_at, surface_normal)
+from conftest import (SURFACES, by_name, chart_points, chart_vectors, row, states_at,
+                      surface_normal)
 
 
 def _pair_dirs(dim, count=5, seed=11):
@@ -78,9 +77,12 @@ def plane_oracle(t):
 
 def test_extraction_matches_frozen_plane_oracle(plane_structure):
     S = plane_structure
-    for t in (-0.9, -0.3, 0.2, 0.75):
-        p = Point([0.4, t])
-        bd = row(S.values_at(p), 0)
+    ts = (-0.9, -0.3, 0.2, 0.75)
+    pts = PointStack([[0.4, t] for t in ts])
+    bundle = S.values_at(pts)
+    gws = gauss_weingarten(frame_stack(S.normal, pts, partials=True))
+    for i, t in enumerate(ts):
+        bd, gw = row(bundle, i), row(gws, i)
         want = plane_oracle(t)
         np.testing.assert_allclose(bd.lam, want["lam"], atol=1e-12)
         np.testing.assert_allclose(bd.phi, want["phi"], atol=1e-12)
@@ -88,7 +90,6 @@ def test_extraction_matches_frozen_plane_oracle(plane_structure):
         np.testing.assert_allclose(bd.U, want["U"], atol=1e-12)
         np.testing.assert_allclose(bd.v, want["v"], atol=1e-12)
         np.testing.assert_allclose(bd.V, want["V"], atol=1e-12)
-        gw = row(gauss_weingarten(frame_stack(S.normal, stack_of(p), partials=True)), 0)
         np.testing.assert_allclose(gw.h, want["h"], atol=1e-12)
 
 
@@ -162,13 +163,12 @@ def test_sample_state_derivatives_match_the_levi_civita_oracle(surface):
     states = states_at(N, pts, chart_vectors(2, 4, seed=62))
     g = induced_metric(N.embedding)
     valences = {"phi": (1, 1), "u": (0, 1), "v": (0, 1), "U": (1, 0), "V": (1, 0)}
-    for i, p in enumerate(as_points(pts)):
-        gamma, bd = christoffel(g, p), row(states.bundle, i)
-        for key, valence in valences.items():
-            oracle = covariant_derivative_components(getattr(bd, key), getattr(bd, "d" + key),
-                                                     gamma, valence)
-            err = np.max(np.abs(getattr(states, "cov" + key)[i] - oracle))
-            assert err <= 1e-9, (surface, key, p.coords, err)
+    gamma, bd = christoffel(g, pts), states.bundle
+    for key, valence in valences.items():
+        oracle = covariant_derivative_components(getattr(bd, key), getattr(bd, "d" + key),
+                                                 gamma, valence)
+        err = np.max(np.abs(getattr(states, "cov" + key) - oracle))
+        assert err <= 1e-9, (surface, key, err)
 
 
 def test_extraction_rejects_the_frame_stack_of_another_normal_field(quadric_r3, plane_r3):
@@ -182,8 +182,8 @@ def test_extraction_rejects_the_frame_stack_of_another_normal_field(quadric_r3, 
             extract_structure(other, fs)
     # an equal field built separately owns the stack
     S = extract_structure(NormalField(quadric_r3), fs)
-    one = row(S.values_at(Point(pts.coords[0])), 0)
-    assert S.stack.lam[0] == pytest.approx(one.lam, abs=1e-14)
+    one = S.values_at(PointStack(pts.coords[:1]))
+    assert S.stack.lam[0] == pytest.approx(one.lam[0], abs=1e-14)
 
 
 def test_extraction_rejects_non_sasakian_ambient():
@@ -213,11 +213,10 @@ def test_algebraic_identities_on_canonical_surfaces(surface, request):
 
 
 def test_specific_algebraic_values_on_plane(plane_structure):
-    for t in (-0.8, 0.5):
-        bd = row(plane_structure.values_at(Point([0.1, t])), 0)
-        assert abs(float(bd.u @ bd.V)) <= 1e-12
-        assert abs(float(bd.v @ bd.U)) <= 1e-12
-        assert abs(float(bd.u @ bd.U) - (1 - bd.lam ** 2)) <= 1e-12
+    bd = plane_structure.values_at(PointStack([[0.1, -0.8], [0.1, 0.5]]))
+    assert np.max(np.abs(linalg.pair(bd.u, bd.V))) <= 1e-12
+    assert np.max(np.abs(linalg.pair(bd.v, bd.U))) <= 1e-12
+    assert np.max(np.abs(linalg.pair(bd.u, bd.U) - (1 - bd.lam ** 2))) <= 1e-12
 
 
 def test_gauge_families_agree_for_unit_normal(plane_r3):
@@ -230,10 +229,9 @@ def test_gauge_families_agree_for_unit_normal(plane_r3):
 
 
 def test_v_equals_metric_dual_of_V(plane_structure):
-    for p in as_points(chart_points(2, 15, seed=49)):
-        bd = row(plane_structure.values_at(p), 0)
-        np.testing.assert_allclose(bd.g @ bd.V, bd.v, atol=1e-12)
-        np.testing.assert_allclose(bd.g @ bd.U, bd.u, atol=1e-12)
+    bd = plane_structure.values_at(chart_points(2, 15, seed=49))
+    np.testing.assert_allclose((bd.g @ bd.V[:, :, None])[..., 0], bd.v, atol=1e-12)
+    np.testing.assert_allclose((bd.g @ bd.U[:, :, None])[..., 0], bd.u, atol=1e-12)
 
 
 def test_orientation_flip_covariance(plane_r3):
@@ -241,14 +239,14 @@ def test_orientation_flip_covariance(plane_r3):
     N = NormalField(plane_r3)
     S = extract_structure(N, frame_stack(N, pts))
     Sf = extract_structure(N.flipped(), frame_stack(N.flipped(), pts))
-    for p in as_points(pts)[:5]:
-        a, b = row(S.values_at(p), 0), row(Sf.values_at(p), 0)
-        np.testing.assert_allclose(b.u, -a.u, atol=1e-12)
-        np.testing.assert_allclose(b.U, -a.U, atol=1e-12)
-        np.testing.assert_allclose(b.lam, -a.lam, atol=1e-12)
-        np.testing.assert_allclose(b.v, a.v, atol=1e-12)
-        np.testing.assert_allclose(b.V, a.V, atol=1e-12)
-        np.testing.assert_allclose(b.phi, a.phi, atol=1e-12)
+    first = PointStack(pts.coords[:5])
+    a, b = S.values_at(first), Sf.values_at(first)
+    np.testing.assert_allclose(b.u, -a.u, atol=1e-12)
+    np.testing.assert_allclose(b.U, -a.U, atol=1e-12)
+    np.testing.assert_allclose(b.lam, -a.lam, atol=1e-12)
+    np.testing.assert_allclose(b.v, a.v, atol=1e-12)
+    np.testing.assert_allclose(b.V, a.V, atol=1e-12)
+    np.testing.assert_allclose(b.phi, a.phi, atol=1e-12)
     ra = _differential(S, pts)
     rb = _differential(Sf, pts)
     for x, y in zip(ra.identities, rb.identities):

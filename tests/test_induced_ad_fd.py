@@ -6,7 +6,7 @@ the engine computes them:
 
 * every first partial ``bundle_at`` returns (phi, u, U, V, v, lambda)
   against central differences of the float split ``values_at`` returns
-  at the shifted points;
+  on the point stack shifted along each coordinate;
 * the normal partials that ``gauss_weingarten`` decomposes (``DN`` minus
   its Christoffel term) against central differences of the normal.
 """
@@ -26,7 +26,7 @@ from sasakicheck import (
 )
 from sasakicheck.dual import cos, exp, sin
 
-from conftest import SimpleAmbient, as_points, chart_points, euclidean_metric, row, stack_of
+from conftest import SimpleAmbient, chart_points, euclidean_metric
 
 STEP = 1e-5
 TOL = 1e-6
@@ -58,36 +58,41 @@ def _sphere_points():
 SURFACES = ["plane_r3", "quadric_r3", "quadric_r3_scaled", "plane_r5"]
 
 
+def _shifted(pts, k, delta):
+    """The stack with coordinate k of every row moved by ``delta``."""
+    rows = pts.coords.copy()
+    rows[:, k] += delta
+    return PointStack(rows)
+
+
 @pytest.mark.parametrize("surface", SURFACES)
 def test_bundle_partials_match_finite_differences(surface, request):
     N = _normal(surface, request)
     pts = chart_points(N.embedding.dim, POINTS, seed=83)
     S = extract_structure(N, frame_stack(N, pts))
-    for p in as_points(pts):
-        bd = row(S.bundle_at(p), 0)
-        plus, minus = ([row(S.values_at(p.shifted(k, sign * STEP)), 0) for k in range(p.dim)]
-                       for sign in (1.0, -1.0))
+    bd = S.bundle_at(pts)
+    for k in range(pts.dim):
+        plus, minus = (S.values_at(_shifted(pts, k, sign * STEP)) for sign in (1.0, -1.0))
         for partial, name in PARTIALS.items():
-            fd = np.stack([(getattr(a, name) - getattr(b, name)) / (2.0 * STEP)
-                           for a, b in zip(plus, minus)])
-            err = float(np.max(np.abs(getattr(bd, partial) - fd)))
-            assert err <= TOL, (surface, partial, p.coords, err)
+            fd = (getattr(plus, name) - getattr(minus, name)) / (2.0 * STEP)
+            err = float(np.max(np.abs(getattr(bd, partial)[:, k] - fd)))
+            assert err <= TOL, (surface, partial, k, err)
 
 
-def _fd_normal(N, p):
-    cols = [(N.components_at(p.shifted(k, STEP)) - N.components_at(p.shifted(k, -STEP)))
-            / (2.0 * STEP) for k in range(p.dim)]
-    return np.stack(cols)  # [a, i] = d_a N^i
+def _fd_normal(N, pts):
+    cols = [(frame_stack(N, _shifted(pts, k, STEP)).normal
+             - frame_stack(N, _shifted(pts, k, -STEP)).normal) / (2.0 * STEP)
+            for k in range(pts.dim)]
+    return np.stack(cols, axis=1)  # [p, a, i] = d_a N^i
 
 
 def _check_normal_partials(N, pts):
-    E = N.embedding
-    for p in as_points(pts):
-        gw = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
-        gamma = christoffel(E.ambient_metric, E.point_image(p))
-        dN = gw.DN - np.einsum("ijk,ja,k->ia", gamma, gw.jacobian, gw.normal)
-        err = float(np.max(np.abs(dN.T - _fd_normal(N, p))))
-        assert err <= TOL, (p.coords, err)
+    fs = frame_stack(N, pts, partials=True)
+    gw = gauss_weingarten(fs)
+    gamma = christoffel(N.embedding.ambient_metric, fs.images)
+    dN = gw.DN - np.einsum("pijk,pja,pk->pia", gamma, gw.jacobian, gw.normal)
+    err = float(np.max(np.abs(dN.mT - _fd_normal(N, pts))))
+    assert err <= TOL, err
 
 
 @pytest.mark.parametrize("surface", SURFACES)

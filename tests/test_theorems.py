@@ -31,13 +31,10 @@ from sasakicheck.theorems import (
 )
 
 from conftest import (
-    as_points,
     chart_points,
     chart_vectors,
     constant_vector_field,
     euclidean_metric,
-    row,
-    stack_of,
     states_at,
 )
 
@@ -62,11 +59,10 @@ def test_constant_field_on_flat_chart_is_parallel():
 
     g = euclidean_metric(2)
     Y = constant_vector_field(2, [1.0, 2.0])
-    for p in as_points(chart_points(2, 5)):
-        gamma = christoffel(g, p)
-        jy = jet(Y, p)
-        full = covariant_derivative_components(jy.value, jy.partials, gamma, (1, 0))
-        assert np.max(np.abs(full)) <= 1e-8
+    pts = chart_points(2, 5)
+    jy = jet(Y, pts)
+    full = covariant_derivative_components(jy.value, jy.partials, christoffel(g, pts), (1, 0))
+    assert np.max(np.abs(full)) <= 1e-8
 
 
 def test_V_not_parallel_on_plane(plane_structure):
@@ -78,15 +74,14 @@ def test_V_not_parallel_on_plane(plane_structure):
 def test_nabla_V_matches_adjudicated_identity(plane_structure):
     # direct covariant derivative against the (2.15) right-hand side under
     # the adjudicated convention: nabla_Y V = phi' Y - lambda H_w Y
-    for p in as_points(chart_points(2, 8, seed=91)):
-        bd = row(plane_structure.bundle_at(p), 0)
-        fs = frame_stack(plane_structure.normal, stack_of(p), partials=True)
-        gw = row(gauss_weingarten(fs), 0)
-        covV = bd.dV + np.einsum("aij,j->ia", gw.induced_gamma, bd.V)
-        for Y in chart_vectors(2, 3, seed=92):
-            direct = np.einsum("i,ia->a", Y, covV)
-            via_identity = -(bd.phi @ Y) - bd.lam * (gw.H_w @ Y)
-            assert np.max(np.abs(direct - via_identity)) < 1e-5
+    pts = chart_points(2, 8, seed=91)
+    bd = plane_structure.bundle_at(pts)
+    gw = gauss_weingarten(frame_stack(plane_structure.normal, pts, partials=True))
+    covV = bd.dV + np.einsum("paij,pj->pia", gw.induced_gamma, bd.V)
+    for Y in chart_vectors(2, 3, seed=92):
+        direct = np.einsum("i,pia->pa", Y, covV)
+        via_identity = -(bd.phi @ Y) - bd.lam[:, None] * (gw.H_w @ Y)
+        assert np.max(np.abs(direct - via_identity)) < 1e-5
 
 
 def test_model_constructor_structure_residuals():
@@ -225,9 +220,8 @@ def test_theorem_3_4_chart_vacuous_on_quadric(quadric_r3):
 def test_theorem_3_4_scaled_normal_w_is_dlog_rho(quadric_r3):
     rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
     N = NormalField(quadric_r3, scaling=rho)
-    for p in as_points(chart_points(2, 8, seed=103)):
-        gw = row(gauss_weingarten(frame_stack(N, stack_of(p), partials=True)), 0)
-        np.testing.assert_allclose(gw.w, [1.0, 1.0], atol=1e-6)
+    gw = gauss_weingarten(frame_stack(N, chart_points(2, 8, seed=103), partials=True))
+    np.testing.assert_allclose(gw.w, np.ones((8, 2)), atol=1e-6)
 
 
 def test_theorem_3_4_model_consistency_recorded():
