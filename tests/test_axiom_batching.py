@@ -3,7 +3,7 @@
 Run on a whole point stack, ``check_sasakian_axioms`` must return, bit
 for bit, the per-key maximum of the same check run on one-row stacks,
 and it must raise the same errors, naming the first offending sample.
-The field evaluators it stands on must give every row of a stack the
+So must its (1.8)-(1.10) two-form reduction, run on its own.  The field evaluators it stands on must give every row of a stack the
 bits a one-row stack gives it, and the (1.6)/(1.7) residuals of all
 direction pairs at once must match ``covariant_axiom_loops``, one einsum
 per pair.
@@ -33,7 +33,12 @@ from sasakicheck.connection import DET_FLOOR, christoffel
 from sasakicheck.errors import DimensionMismatchError, NonFiniteValueError, SingularMetricError
 from sasakicheck.linalg import worst
 from sasakicheck.sampling import sample_points, sample_vectors
-from sasakicheck.sasakian import _nabla_phi_xi, _phi_transport_columns, _xi_transport
+from sasakicheck.sasakian import (
+    _nabla_phi_xi,
+    _phi_transport_columns,
+    _two_form_identities,
+    _xi_transport,
+)
 
 from conftest import covariant_axiom_loops, running_max
 
@@ -58,6 +63,22 @@ def test_axiom_residuals_equal_max_over_single_points(n, count):
     singles = [check_sasakian_axioms(S, PointStack([p]), dirs).residuals for p in pts.coords]
     assert whole.residuals == _per_key_max(singles)
     assert (whole.sample_count, whole.direction_count) == (count, 5)
+
+
+@pytest.mark.parametrize("count", [8, 50, 400])
+@pytest.mark.parametrize("n", [1, 2])
+def test_two_form_residuals_equal_max_over_single_points(n, count):
+    S = standard_sasakian(n)
+    pts, dirs = _samples(S.dim, count, seed=100 * n + count + 1)
+    F = fundamental_two_form(S)
+
+    def two_form(stack):
+        return _two_form_identities(evaluate(F, stack), evaluate(S.phi, stack))
+
+    whole = two_form(pts)
+    assert whole == _per_key_max([two_form(PointStack([p])) for p in pts.coords])
+    # the battery reports the same (1.8)-(1.10) residuals from its shared phi
+    assert whole.items() <= check_sasakian_axioms(S, pts, dirs).residuals.items()
 
 
 def _with(S, **fields):
