@@ -8,12 +8,7 @@ conventions adjudicated by residual comparison rather than assumed.
 
 __version__ = "0.1.0"
 
-from .connection import (
-    MetricField,
-    christoffel,
-    covariant_derivative_tensor,
-    covariant_derivative_vector,
-)
+from .connection import MetricField, christoffel
 from .fields import (
     Jet,
     PointStack,
@@ -32,7 +27,6 @@ from .hypersurface import (
     gauss_weingarten,
     induced_metric,
     second_fundamental_symmetry,
-    unit_normal,
 )
 from .induced import (
     IdentityReport,
@@ -85,8 +79,6 @@ __all__ = [
     "check_theorem_3_3",
     "check_theorem_3_4",
     "christoffel",
-    "covariant_derivative_tensor",
-    "covariant_derivative_vector",
     "evaluate",
     "extract_structure",
     "fd_derivative",
@@ -100,7 +92,6 @@ __all__ = [
     "sample_states",
     "second_fundamental_symmetry",
     "standard_sasakian",
-    "unit_normal",
     "verify_algebraic_identities",
     "verify_differential_identities",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMetricError, UnsupportedValenceError
-from .fields import PointStack, TensorField, evaluate, jet
+from .fields import PointStack, TensorField, jet
 
 DET_FLOOR = 1e-12
 
@@ -71,28 +71,3 @@ def covariant_derivative_components(
             - np.einsum("...mib,...am->...iab", gamma, value)
         )
     raise UnsupportedValenceError(f"unsupported tensor valence {valence}")
-
-
-def covariant_derivative_vector(
-    metric: MetricField, X: TensorField, Y: TensorField, stack: PointStack
-) -> np.ndarray:
-    """(nabla_X Y)[p, k] = X^i (d_i Y^k + Gamma^k_ij Y^j) at every point of a stack."""
-    gamma = christoffel(metric, stack)
-    jy = jet(Y, stack)
-    full = covariant_derivative_components(jy.value, jy.partials, gamma, (1, 0))
-    return np.einsum("pi,pia->pa", evaluate(X, stack), full)
-
-
-def covariant_derivative_tensor(
-    metric: MetricField, T: TensorField, X: TensorField, stack: PointStack
-) -> np.ndarray:
-    """(nabla_X T)[p] for T of valence (0,1), (1,1) or (0,2) at every point of a stack."""
-    if T.valence not in ((0, 1), (1, 1), (0, 2)):
-        raise UnsupportedValenceError(
-            f"covariant_derivative_tensor supports (0,1), (1,1), (0,2); got {T.valence}"
-        )
-    gamma = christoffel(metric, stack)
-    jt = jet(T, stack)
-    full = covariant_derivative_components(jt.value, jt.partials, gamma, T.valence)
-    return np.einsum("pi,pi...->p...", evaluate(X, stack), full)
-

@@ -169,11 +169,12 @@ def frame_stack(N: NormalField, chart: PointStack, partials: bool = False) -> Fr
     The unit normal n is differentiated implicitly: differentiating
     g~(B e_a, n) = 0 and g~(n, n) = 1 along e_c gives one solve
         [B | n]^T g~ d_c n = -( (d_c B)^T g~ n + B^T (d_c g~) n ;  n^T (d_c g~) n / 2 ),
-    and a scaled normal N = rho n follows by the product rule.  With g~
-    nonsingular and B of full rank, that system and the frame are
-    nonsingular too.  A degenerate point (non-finite map, rank-deficient
-    B, singular metric, nonpositive scaling, frame condition number over
-    ``FRAME_CONDITION_LIMIT``) raises, naming the first such point.
+    and a scaled normal N = rho n follows by the product rule.  That solve
+    runs only once the frame and the induced metric pass their condition
+    checks.  A degenerate point (non-finite map, rank-deficient B,
+    singular metric, nonpositive scaling, frame or induced metric
+    condition number over ``FRAME_CONDITION_LIMIT``) raises, naming the
+    first such point.
     """
     E = N.embedding
     if chart.dim != E.dim:
@@ -187,8 +188,22 @@ def frame_stack(N: NormalField, chart: PointStack, partials: bool = False) -> Fr
     else:
         G = evaluate(E.ambient_metric.tensor, images)
     require_nonsingular(G, chart)
-    n = _unit_normal(B, G, N.orientation, chart)
-    first_order, dn = {}, None
+    with np.errstate(all="ignore"):
+        n = _unit_normal(B, G, N.orientation, chart)
+    if N.scaling is None:
+        nvec = n
+    else:
+        jt = jet(N.scaling, chart) if partials else None
+        rho = jt.value if partials else evaluate(N.scaling, chart)
+        label = getattr(N.scaling.func, "text", "<callable>")
+        chart.reject(rho <= 0.0, EvaluationError, lambda i, at: (
+            f"normal scaling {label!r} must stay positive, got {float(rho[i])!r} at {list(at)}"))
+        nvec = rho[:, None] * n
+    frame = np.concatenate([B, nvec[:, :, None]], axis=2)
+    linalg.check_condition(frame, chart, FRAME_CONDITION_LIMIT, what="tangent-normal frame")
+    g = B.mT @ G @ B
+    linalg.check_condition(g, chart, FRAME_CONDITION_LIMIT, what="induced metric")
+    first_order = {}
     if partials:
         dG = np.einsum("pkc,pkij->pcij", B, jg.partials)
         dGn = (dG @ n[:, None, :, None])[..., 0]  # [p, c, i]
@@ -197,28 +212,11 @@ def frame_stack(N: NormalField, chart: PointStack, partials: bool = False) -> Fr
                         + B.mT @ dGn.mT)
         rhs[:, -1] = -0.5 * (dGn @ n[:, :, None])[..., 0]
         dn = np.linalg.solve(np.concatenate([B, n[:, :, None]], axis=2).mT @ G, rhs).mT
-        first_order = dict(hessian=hess, gamma=levi_civita_gamma(G, jg.partials))
-
-    if N.scaling is None:
-        nvec, dnvec = n, dn
-    else:
-        jt = jet(N.scaling, chart) if partials else None
-        rho = jt.value if partials else evaluate(N.scaling, chart)
-        label = getattr(N.scaling.func, "text", "<callable>")
-        chart.reject(rho <= 0.0, EvaluationError, lambda i, at: (
-            f"normal scaling {label!r} must stay positive, got {float(rho[i])!r} at {list(at)}"))
-        nvec = rho[:, None] * n
-        dnvec = jt.partials[:, :, None] * n[:, None, :] + rho[:, None, None] * dn if partials else None
-    frame = np.concatenate([B, nvec[:, :, None]], axis=2)
-    linalg.check_condition(frame, chart, FRAME_CONDITION_LIMIT, what="tangent-normal frame")
+        dnvec = dn if N.scaling is None else (jt.partials[:, :, None] * n[:, None, :]
+                                              + rho[:, None, None] * dn)
+        first_order = dict(hessian=hess, gamma=levi_civita_gamma(G, jg.partials), dnormal=dnvec)
     return FrameStack(normal_field=N, points=chart, images=images, jacobian=B,
-                      surface_metric=B.mT @ G @ B, normal=nvec, frame=frame, dnormal=dnvec,
-                      **first_order)
-
-
-def unit_normal(E: Embedding, stack: PointStack, orientation: int = 1) -> np.ndarray:
-    """Oriented metric unit normals at every point of a stack, as (P, 2n+1) rows."""
-    return frame_stack(NormalField(E, None, orientation), stack).normal
+                      surface_metric=g, normal=nvec, frame=frame, **first_order)
 
 
 def induced_metric(E: Embedding) -> MetricField:

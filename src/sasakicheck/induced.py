@@ -151,10 +151,6 @@ class InducedStructure:
     # the float induced data at the extraction points
     stack: Optional[StructureBundle] = dc_field(default=None, compare=False, repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.embedding.dim
-
     def values_at(self, stack: PointStack) -> StructureBundle:
         """Float induced data at every point of a stack, from a value-only frame."""
         return _structure_stack(self.embedding.ambient, frame_stack(self.normal, stack))

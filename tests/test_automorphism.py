@@ -1,11 +1,12 @@
 """A Sasakian automorphism leaves every chart-side measurement unchanged.
 
-F(x, y, z) = (x + a, y + b, z + c + b sum_i x^i) preserves eta =
-(dz - sum_i y^i dx^i)/2, the metric g and phi of ``standard_sasakian(n)``.
-So a surface composed with F has the same induced (phi, g, u, v, lambda)
-data, the same Gauss-Weingarten data in its chart frame, and the same
-report rows, up to roundoff: F only moves the images and pushes the
-ambient vectors forward by its constant differential dF.  This checks
+F(x, y, z) = (x + a, y + b, z + c + b sum_i x^i) and the reflection
+R(x, y, z) = (-x, -y, z) preserve eta = (dz - sum_i y^i dx^i)/2, the
+metric g and phi of ``standard_sasakian(n)``.  So a surface composed
+with either has the same induced (phi, g, u, v, lambda) data, the same
+Gauss-Weingarten data in its chart frame, and the same report rows, up
+to roundoff: each only moves the images and pushes the ambient vectors
+forward by its constant differential.  This checks
 the split, the Gauss-Weingarten layer and the differential battery
 against an answer they do not compute themselves.  The mutant
 z + c - b sum_i x^i is not an automorphism, and it must move the data.
@@ -48,6 +49,17 @@ def _dF(n):
     return J
 
 
+def _reflected(config):
+    """The config whose map is R after the config's own map."""
+    out = config.outputs
+    return replace(config, outputs=[f"-({e})" for e in out[:-1]] + out[-1:])
+
+
+def _dR(n):
+    """R's differential, diag(-1, ..., -1, 1)."""
+    return np.diag([-1.0] * (2 * n) + [1.0])
+
+
 def _close(want, got):
     want, got = np.asarray(want), np.asarray(got)
     return want.shape == got.shape and bool(np.all(np.abs(got - want)
@@ -79,14 +91,16 @@ def _report(config):
 
 @pytest.mark.parametrize("seed", [3, 7])
 @pytest.mark.parametrize("surface", sorted(SURFACES))
-def test_automorphism_leaves_chart_side_unchanged(surface, seed):
+@pytest.mark.parametrize("automorphism,differential", [(_composed, _dF), (_reflected, _dR)],
+                         ids=["F", "R"])
+def test_automorphism_leaves_chart_side_unchanged(automorphism, differential, surface, seed):
     config = replace(load_suite_config(SURFACES[surface]), seed=seed, checks=GROUPS)
-    moved = _composed(config)
+    moved = automorphism(config)
     base, image = _Context(config), _Context(moved)
     for f in fields(base.structure.stack):
         assert _close(getattr(base.structure.stack, f.name),
                       getattr(image.structure.stack, f.name)), f.name
-    dF = _dF(config.n)
+    dF = differential(config.n)
     for key in GW_CHART:
         assert _close(getattr(base.gws, key), getattr(image.gws, key)), key
     for key in GW_AMBIENT:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,13 +12,14 @@ import pytest
 
 from sasakicheck import (
     InducedStructure,
+    NormalField,
     PointStack,
+    frame_stack,
     hypersurface,
     induced,
     linalg,
     runner,
     sasakian,
-    unit_normal,
 )
 from sasakicheck.cli import main
 from sasakicheck.config import CHECK_GROUPS, load_suite_config, resolve_config_path
@@ -369,6 +371,14 @@ DEGENERATE = {
     "scaling_ill_conditioned": SCALED.format("exp(700*s)"),
     "map_division_by_zero_at_base": GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, 1/(s-s)")
     + "\n[normal]\norientation = lambda_nonneg\nbase_point = 0.2, 0.4\n",
+    # too steep to solve against: the frame and the induced metric are
+    # checked before the normal's derivative and the shape operator are
+    # solved for on them
+    "map_steep_frame": GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, 1e50*s*t"),
+    "map_steep_metric": GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, 1e9*s*t"),
+    "map_sin_overflow": GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, sin(1e300*s)"),
+    "map_steep_r5": GOOD.replace("n = 1", "n = 2").replace("inputs = s, t", "inputs = a, b, c, d")
+    .replace("outputs = s, t, 0.1", "outputs = a, b, c, d, 1e200*a*a"),
 }
 # the error line of each, naming the first offending chart point (or the
 # base point) as a tuple (stack rejections) or as a list (expression and
@@ -389,6 +399,14 @@ DEGENERATE_ERRORS = {
     # the orientation probe at the base point fails first, in the frame layer's dual pass
     "map_division_by_zero_at_base": "error: expression '1/(s-s)' failed at [0.2, 0.4]: "
     "division by a dual number with zero real part",
+    "map_steep_frame": "error: tangent-normal frame condition number 2.677e+51 exceeds 1.0e+12 "
+    "at (0.26408847113914624, -0.026443454071219064)",
+    "map_steep_metric": "error: induced metric condition number 1.194e+17 exceeds 1.0e+12 at "
+    "(0.26408847113914624, -0.026443454071219064)",
+    "map_sin_overflow": "error: tangent-normal frame condition number inf exceeds 1.0e+12 at "
+    "(0.26408847113914624, -0.026443454071219064)",
+    "map_steep_r5": "error: tangent-normal frame condition number inf exceeds 1.0e+12 at "
+    "(0.26408847113914624, -0.026443454071219064, -0.9314720428144216, 0.3562626262481232)",
 }
 
 
@@ -397,9 +415,13 @@ def test_degenerate_surface_gives_one_error_line_whichever_groups_run(tmp_path, 
     path = write_config(tmp_path, DEGENERATE[name])
     lines = set()
     for groups in (["structure"], ["structure", "algebraic"], ["structure", "differential"],
-                   ["theorems"], ["gauss_weingarten", "structure"]):
+                   ["theorems"], ["gauss_weingarten", "structure"], list(CHECK_GROUPS)):
         argv = ["--config", str(path)] + [arg for g in groups for arg in ("--check", g)]
-        assert main(argv) == 1, groups
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1, groups
+        # a numpy warning would print to stderr ahead of the error line
+        assert [str(w.message) for w in caught] == [], groups
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
@@ -533,7 +555,7 @@ def test_lambda_nonneg_sign_matches_one_point_probe(name, outputs):
         context = runner._Context(config)
         E = context.embedding
         eta = np.array(context.ambient.eta.func(E.map(config.base_point)), float)
-        lam0 = float(eta @ unit_normal(E, PointStack([config.base_point]))[0])
+        lam0 = float(eta @ frame_stack(NormalField(E), PointStack([config.base_point])).normal[0])
         signs.append(context.orientation)
         assert context.orientation == (1 if lam0 >= 0 else -1), row
     assert set(signs) == {-1, 1}

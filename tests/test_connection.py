@@ -7,8 +7,6 @@ from sasakicheck import (
     ScalarField,
     TensorField,
     christoffel,
-    covariant_derivative_tensor,
-    covariant_derivative_vector,
     evaluate,
     fd_derivative,
     jet,
@@ -53,10 +51,11 @@ def test_christoffel_rejects_singular_metric():
 
 
 def test_covariant_derivative_constant_field_flat():
-    g = euclidean_metric(2)
-    Y = constant_vector_field(2, [1.0, -2.0])
-    X = constant_vector_field(2, [0.5, 0.5])
-    out = covariant_derivative_vector(g, X, Y, PointStack([[0.1, 0.9]]))
+    pts = PointStack([[0.1, 0.9]])
+    jy = jet(constant_vector_field(2, [1.0, -2.0]), pts)
+    full = covariant_derivative_components(jy.value, jy.partials,
+                                           christoffel(euclidean_metric(2), pts), (1, 0))
+    out = np.einsum("i,pia->pa", [0.5, 0.5], full)
     np.testing.assert_allclose(out, [[0.0, 0.0]], atol=1e-15)
 
 
@@ -64,9 +63,11 @@ def test_xi_transport_axiom_on_samples(sasaki3):
     # nabla_X xi + phi X = 0 at 50 points for 5 directions each
     pts = chart_points(3, 50, seed=3)
     phi = evaluate(sasaki3.phi, pts)
+    jxi = jet(sasaki3.xi, pts)
+    full = covariant_derivative_components(jxi.value, jxi.partials, christoffel(sasaki3.g, pts),
+                                           (1, 0))
     for v in chart_vectors(3, 5):
-        X = constant_vector_field(3, v)
-        out = covariant_derivative_vector(sasaki3.g, X, sasaki3.xi, pts)
+        out = np.einsum("i,pia->pa", v, full)
         assert np.max(np.abs(out + phi @ v)) < 1e-6
 
 
@@ -89,27 +90,34 @@ def test_metric_compatibility_random_fields(sasaki3):
     dg = jet(scalar, pts).partials
     gv = evaluate(sasaki3.g.tensor, pts)
     yv, zv = evaluate(Y, pts), evaluate(Z, pts)
+    gamma = christoffel(sasaki3.g, pts)
+    jy, jz = jet(Y, pts), jet(Z, pts)
+    full_y = covariant_derivative_components(jy.value, jy.partials, gamma, (1, 0))
+    full_z = covariant_derivative_components(jz.value, jz.partials, gamma, (1, 0))
     for v in chart_vectors(3, 3):
-        X = constant_vector_field(3, v)
         lhs = dg @ v
-        dy = covariant_derivative_vector(sasaki3.g, X, Y, pts)
-        dz = covariant_derivative_vector(sasaki3.g, X, Z, pts)
+        dy = np.einsum("i,pia->pa", v, full_y)
+        dz = np.einsum("i,pia->pa", v, full_z)
         rhs = np.einsum("pi,pij,pj->p", dy, gv, zv) + np.einsum("pi,pij,pj->p", yv, gv, dz)
         assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
 def test_nabla_of_metric_vanishes(sasaki3):
-    X = constant_vector_field(3, [0.4, -1.0, 0.7])
-    out = covariant_derivative_tensor(sasaki3.g, sasaki3.g.tensor, X, chart_points(3, 10, seed=6))
+    pts = chart_points(3, 10, seed=6)
+    jg = jet(sasaki3.g.tensor, pts)
+    full = covariant_derivative_components(jg.value, jg.partials, christoffel(sasaki3.g, pts),
+                                           (0, 2))
+    out = np.einsum("i,piab->pab", [0.4, -1.0, 0.7], full)
     assert out.shape == (10, 3, 3)
     assert np.max(np.abs(out)) < 1e-6
 
 
 def test_nabla_identity_tensor_flat_chart():
-    g = euclidean_metric(3)
-    X = constant_vector_field(3, [1.0, 2.0, 3.0])
-    out = covariant_derivative_tensor(g, constant_field((1, 1), 3, np.eye(3)), X,
-                                      PointStack([[0.0, 0.1, 0.2]]))
+    pts = PointStack([[0.0, 0.1, 0.2]])
+    jt = jet(constant_field((1, 1), 3, np.eye(3)), pts)
+    full = covariant_derivative_components(jt.value, jt.partials,
+                                           christoffel(euclidean_metric(3), pts), (1, 1))
+    out = np.einsum("i,piab->pab", [1.0, 2.0, 3.0], full)
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -137,19 +145,24 @@ def test_leibniz_rule(sasaki3):
     fY = TensorField((1, 0), 3, lambda c: [f.func(c) * y for y in Yv])
     pts = chart_points(3, 10, seed=12)
     jf = jet(f, pts)
+    gamma = christoffel(sasaki3.g, pts)
+    jfy, jy = jet(fY, pts), jet(Y, pts)
+    full_fy = covariant_derivative_components(jfy.value, jfy.partials, gamma, (1, 0))
+    full_y = covariant_derivative_components(jy.value, jy.partials, gamma, (1, 0))
     for v in chart_vectors(3, 3, seed=13):
-        X = constant_vector_field(3, v)
-        lhs = covariant_derivative_vector(sasaki3.g, X, fY, pts)
+        lhs = np.einsum("i,pia->pa", v, full_fy)
         rhs = (jf.partials @ v)[:, None] * np.array(Yv) + jf.value[:, None] * (
-            covariant_derivative_vector(sasaki3.g, X, Y, pts))
+            np.einsum("i,pia->pa", v, full_y))
         assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
 def test_unsupported_valence_rejected(sasaki3):
     T = TensorField((2, 1), 3, lambda c: [[[0.0] * 3] * 3] * 3)
-    X = constant_vector_field(3, [1, 0, 0])
-    with pytest.raises(UnsupportedValenceError):
-        covariant_derivative_tensor(sasaki3.g, T, X, PointStack([[0, 0, 0]]))
+    pts = PointStack([[0, 0, 0]])
+    jt = jet(T, pts)
+    with pytest.raises(UnsupportedValenceError, match=r"valence \(2, 1\)"):
+        covariant_derivative_components(jt.value, jt.partials, christoffel(sasaki3.g, pts),
+                                        T.valence)
 
 
 def test_metric_invariants(sasaki3):

@@ -13,7 +13,6 @@ from sasakicheck import (
     gauss_weingarten,
     induced_metric,
     second_fundamental_symmetry,
-    unit_normal,
 )
 from sasakicheck.dual import cos, exp, sin
 from sasakicheck.errors import DimensionMismatchError, RankDeficientError, SingularMetricError
@@ -49,7 +48,7 @@ def test_flat_plane_metric_is_identity(flat_plane):
 
 
 def test_flat_plane_unit_normal(flat_plane):
-    n = unit_normal(flat_plane, PointStack([[0.1, 0.2]]))
+    n = frame_stack(NormalField(flat_plane), PointStack([[0.1, 0.2]])).normal
     np.testing.assert_allclose(n, [[0, 0, 1]], atol=1e-15)
 
 
@@ -63,7 +62,7 @@ def test_flat_plane_totally_geodesic(flat_plane):
 
 def test_sphere_inward_normal_at_pole(euclid3):
     E = sphere(euclid3, 2.0)
-    n = unit_normal(E, PointStack([[0.0, 0.0]]), orientation=-1)
+    n = frame_stack(NormalField(E, orientation=-1), PointStack([[0.0, 0.0]])).normal
     np.testing.assert_allclose(n, [[-1.0, 0.0, 0.0]], atol=1e-14)
 
 
@@ -111,8 +110,8 @@ def test_induced_metric_positive_definite(quadric_r3):
 def test_normal_defining_equations(plane_r3):
     # g~(B e_a, N) = 0 and g~(N, N) = 1, at a point with y != 0
     p = PointStack([[0.5, -0.3]])
-    n = unit_normal(plane_r3, p)[0]
     fs = frame_stack(NormalField(plane_r3), p)
+    n = fs.normal[0]
     B = fs.jacobian[0]
     gt = evaluate(plane_r3.ambient_metric.tensor, fs.images)[0]
     assert np.max(np.abs(B.T @ gt @ n)) < 1e-10
@@ -123,7 +122,7 @@ def test_normal_defining_equations(plane_r3):
 def test_plane_normal_closed_form(plane_r3):
     t = -0.3
     sq = math.sqrt(1 + t * t)
-    n = unit_normal(plane_r3, PointStack([[0.5, t]]))
+    n = frame_stack(NormalField(plane_r3), PointStack([[0.5, t]])).normal
     np.testing.assert_allclose(n, [[2 * t / sq, 0.0, 2 * sq]], atol=1e-12)
 
 
@@ -220,7 +219,7 @@ def test_gauss_weingarten_needs_frame_partials(quadric_r3):
 def test_rank_deficient_embedding_rejected(euclid3):
     E = Embedding(2, euclid3, lambda c: [c[0], c[0], 0.0])
     with pytest.raises(RankDeficientError):
-        unit_normal(E, PointStack([[0.2, 0.2]]))
+        frame_stack(NormalField(E), PointStack([[0.2, 0.2]]))
 
 
 def test_singular_ambient_metric_rejected():
@@ -228,7 +227,7 @@ def test_singular_ambient_metric_rejected():
                                                               [0.0, 0.0, 0.0]]))
     E = Embedding(2, SimpleAmbient(3, degenerate), lambda c: [c[0], c[1], 0.0])
     with pytest.raises(SingularMetricError):
-        unit_normal(E, PointStack([[0.2, 0.2]]))
+        frame_stack(NormalField(E), PointStack([[0.2, 0.2]]))
     with pytest.raises(SingularMetricError):
         gauss_weingarten(frame_stack(NormalField(E), PointStack([[0.2, 0.2]]), partials=True))
 

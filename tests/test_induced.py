@@ -52,7 +52,7 @@ def _pair_dirs(dim, count=5, seed=11):
 
 
 def _differential(S, pts, **kwargs):
-    return verify_differential_identities(states_at(S.normal, pts, _pair_dirs(S.dim)), **kwargs)
+    return verify_differential_identities(states_at(S.normal, pts, _pair_dirs(S.embedding.dim)), **kwargs)
 
 
 @pytest.fixture()
