@@ -8,11 +8,10 @@ conventions adjudicated by residual comparison rather than assumed.
 
 __version__ = "0.1.0"
 
-from .connection import MetricField, christoffel
+from .connection import christoffel
 from .fields import (
     Jet,
     PointStack,
-    ScalarField,
     TensorField,
     evaluate,
     fd_derivative,
@@ -66,12 +65,10 @@ __all__ = [
     "ImplicationCheckResult",
     "InducedStructure",
     "Jet",
-    "MetricField",
     "NormalField",
     "PointStack",
     "PointwiseModel",
     "SampleState",
-    "ScalarField",
     "TensorField",
     "check_sasakian_axioms",
     "check_theorem_3_1",

@@ -4,7 +4,8 @@
            [--strict-paper] [--check <group> ...] [--out FILE]
 
 Exit codes: 0 all checks passed (vacuous and refuted rows do not count
-as failures), 2 at least one check failed, 1 configuration error.
+as failures), 2 at least one check failed, 1 configuration error
+(including a sample count too large to allocate).
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run_suite(config)
     except SasakicheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:  # numpy refuses an array too large for the sample count
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     rendered = render_json(report) if args.format == "json" else render_text(report)
     if args.out:

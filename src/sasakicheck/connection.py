@@ -1,16 +1,15 @@
-"""Metrics, Christoffel symbols and covariant derivatives.
+"""Christoffel symbols and covariant derivatives.
 
 The connection is always the Levi-Civita connection of the supplied
-metric; Christoffel symbols come from one dual-number jet of the metric
-components on a :class:`~sasakicheck.fields.PointStack`.
+metric, a (0, 2) :class:`~sasakicheck.fields.TensorField`; Christoffel
+symbols come from one dual-number jet of the metric components on a
+:class:`~sasakicheck.fields.PointStack`.
 ``levi_civita_gamma`` and ``covariant_derivative_components`` accept
 leading point axes, and every function here returns arrays with the
 point axis first.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +19,10 @@ from .fields import PointStack, TensorField, jet
 DET_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class MetricField:
-    """Riemannian metric as a (0,2) tensor field."""
-
-    tensor: TensorField
-
-
-def christoffel(metric: MetricField, stack: PointStack) -> np.ndarray:
+def christoffel(metric: TensorField, stack: PointStack) -> np.ndarray:
     """Gamma[p, k, i, j] = Gamma^k_ij at every point of a stack, from one
-    dual-number jet of the metric."""
-    jt = jet(metric.tensor, stack)
+    dual-number jet of the (0, 2) metric field."""
+    jt = jet(metric, stack)
     require_nonsingular(jt.value, stack)
     return levi_civita_gamma(jt.value, jt.partials)
 

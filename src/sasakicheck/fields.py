@@ -80,23 +80,10 @@ class PointStack:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Real-valued field on a chart; ``func(coords) -> number``."""
-
-    dim: int
-    func: Callable
-
-    valence = ()
-
-    @property
-    def shape(self) -> tuple:
-        return ()
-
-
-@dataclass(frozen=True)
 class TensorField:
     """Tensor field of valence (r, s); ``func(coords)`` returns an array
-    of shape (dim,) * (r + s) as nested lists."""
+    of shape (dim,) * (r + s) as nested lists.  A scalar field has valence
+    (0, 0), shape () and returns one number."""
 
     valence: tuple
     dim: int

@@ -39,11 +39,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .connection import MetricField, levi_civita_gamma, require_nonsingular
+from .connection import levi_civita_gamma, require_nonsingular
 from .dual import grad_part, innermost, seed, value_part
 from .errors import (DimensionMismatchError, EvaluationError, NonFiniteValueError,
                      RankDeficientError)
-from .fields import PointStack, ScalarField, TensorField, evaluate, jet
+from .fields import PointStack, TensorField, evaluate, jet
 
 MIN_SINGULAR_VALUE = 1e-8
 FRAME_CONDITION_LIMIT = 1e12
@@ -56,37 +56,30 @@ class Embedding:
     ``map_func`` takes the 2n surface coordinates and returns the 2n+1
     ambient coordinates; it must be written with dual-compatible,
     elementwise arithmetic (see :mod:`sasakicheck.fields`).  ``ambient``
-    is any object with ``dim`` and a metric field ``g`` (a full almost
-    contact structure or a bare metric carrier).
+    is any object with ``dim`` and a (0, 2) metric field ``g`` (a full
+    almost contact structure or a bare metric carrier).
     """
 
     dim: int
     ambient: object
     map_func: Callable
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.ambient.dim
-
-    @property
-    def ambient_metric(self) -> MetricField:
-        return self.ambient.g
-
     def map(self, coords):
         out = self.map_func(list(coords))
-        if len(out) != self.ambient_dim:
+        if len(out) != self.ambient.dim:
             raise RankDeficientError(
-                f"embedding returned {len(out)} ambient coordinates, expected {self.ambient_dim}"
+                f"embedding returned {len(out)} ambient coordinates, expected {self.ambient.dim}"
             )
         return list(out)
 
 
 @dataclass(frozen=True)
 class NormalField:
-    """Affine normal N = rho * N_unit with positive scaling rho."""
+    """Affine normal N = rho * N_unit with positive scaling rho, a (0, 0)
+    field on the surface chart."""
 
     embedding: Embedding
-    scaling: Optional[ScalarField] = None
+    scaling: Optional[TensorField] = None
     orientation: int = 1
 
     def flipped(self) -> "NormalField":
@@ -120,7 +113,7 @@ class FrameStack:
 def _map_pass(E: Embedding, chart: PointStack, partials: bool):
     """Images, Jacobians and (with ``partials``) Hessians of the map at every
     chart point, from one dual pass on the coordinate columns."""
-    m, d, count = E.dim, E.ambient_dim, len(chart)
+    m, d, count = E.dim, E.ambient.dim, len(chart)
     coords = seed(chart.columns)
     if partials:
         coords = seed(coords)
@@ -183,10 +176,10 @@ def frame_stack(N: NormalField, chart: PointStack, partials: bool = False) -> Fr
     b, B, hess = _map_pass(E, chart, partials)
     images = PointStack(b)
     if partials:
-        jg = jet(E.ambient_metric.tensor, images)
+        jg = jet(E.ambient.g, images)
         G = jg.value
     else:
-        G = evaluate(E.ambient_metric.tensor, images)
+        G = evaluate(E.ambient.g, images)
     require_nonsingular(G, chart)
     with np.errstate(all="ignore"):
         n = _unit_normal(B, G, N.orientation, chart)
@@ -219,13 +212,13 @@ def frame_stack(N: NormalField, chart: PointStack, partials: bool = False) -> Fr
                       surface_metric=g, normal=nvec, frame=frame, **first_order)
 
 
-def induced_metric(E: Embedding) -> MetricField:
+def induced_metric(E: Embedding) -> TensorField:
     """Pullback metric g(X, Y) = g~(BX, BY) on the chart (oracle of ``surface_metric``)."""
 
     def func(coords):
-        m, d = E.dim, E.ambient_dim
+        m, d = E.dim, E.ambient.dim
         outs = E.map(seed(list(coords)))
-        gt = E.ambient_metric.tensor.func([value_part(o) for o in outs])
+        gt = E.ambient.g.func([value_part(o) for o in outs])
         jac = [grad_part(o, m) for o in outs]
         gB = [[sum(gt[i][j] * jac[j][a] for j in range(d)) for a in range(m)] for i in range(d)]
         return [
@@ -233,7 +226,7 @@ def induced_metric(E: Embedding) -> MetricField:
             for a in range(m)
         ]
 
-    return MetricField(TensorField((0, 2), E.dim, func))
+    return TensorField((0, 2), E.dim, func)
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,8 +37,11 @@ printed.  All variants' residuals, the bilinear forms and the maxima are
 one stacked pass over the pairs.  Each stacked product sums as the
 one-pair product does, that pass is elementwise and s and nu are +-1,
 so each term keeps the bits of its pair and variant written out alone.
-The report records every variant's residual and the minimizing tags;
-strict paper mode restricts to the printed form with H = H_h.
+Each battery returns its identities as report rows
+(:class:`~sasakicheck.report.CheckResult`, ``eq_2_5`` and so on) with
+their verdicts; a row records every variant's residual and the
+minimizing tags.  Strict paper mode restricts to the printed form with
+H = H_h.
 """
 
 from __future__ import annotations
@@ -53,13 +56,8 @@ from . import linalg
 from .connection import covariant_derivative_components
 from .errors import TangencyError
 from .fields import PointStack, evaluate, jet
-from .hypersurface import (
-    Embedding,
-    FrameStack,
-    GaussWeingartenData,
-    NormalField,
-    frame_stack,
-)
+from .hypersurface import FrameStack, GaussWeingartenData, NormalField, frame_stack
+from .report import CheckResult, equation, verdict
 from .sampling import g_normalized
 from .sasakian import check_sasakian_axioms
 
@@ -140,11 +138,11 @@ def _structure_stack(ambient, fs: FrameStack) -> StructureBundle:
 @dataclass(frozen=True)
 class InducedStructure:
     """Induced data: the metric g and the split (phi, U, V, u, v, lambda) as
-    the float record ``stack`` at the extraction points."""
+    the float record ``stack`` at the extraction points.  The surface is
+    ``normal.embedding``; it is noninvariant where ``max_u`` exceeds
+    ``NONINVARIANT_THRESHOLD``."""
 
-    embedding: Embedding
     normal: NormalField
-    noninvariant: bool
     max_u: float
     tangency_residual: float
     lambda_consistency: float
@@ -153,20 +151,17 @@ class InducedStructure:
 
     def values_at(self, stack: PointStack) -> StructureBundle:
         """Float induced data at every point of a stack, from a value-only frame."""
-        return _structure_stack(self.embedding.ambient, frame_stack(self.normal, stack))
+        return _structure_stack(self.normal.embedding.ambient, frame_stack(self.normal, stack))
 
     def bundle_at(self, stack: PointStack) -> StructureBundle:
         """Values plus first partials of every induced field at every point of a stack."""
-        return _structure_stack(self.embedding.ambient,
+        return _structure_stack(self.normal.embedding.ambient,
                                 frame_stack(self.normal, stack, partials=True))
 
 
-def extract_structure(
-    N: NormalField, fs: FrameStack, require_sasakian: bool = True
-) -> InducedStructure:
-    """Build the induced structure of ``N`` on its frame stack ``fs`` and
-    validate the decomposition.  A stack built from another normal field
-    raises ``ValueError``.
+def extract_structure(fs: FrameStack, require_sasakian: bool = True) -> InducedStructure:
+    """Build the induced structure of the normal field ``fs.normal_field``
+    on its frame stack ``fs`` and validate the decomposition.
 
     Checks, at every point of the stack, that phi~N has no normal component
     (raising :class:`TangencyError` otherwise, naming the first such
@@ -182,18 +177,17 @@ def extract_structure(
     axioms the ``axioms`` and ``two_form`` groups measure on the
     report's own samples.
     """
-    if fs.normal_field != N:
-        raise ValueError("the frame stack was built from another normal field")
-    E = N.embedding
+    N = fs.normal_field
+    ambient = N.embedding.ambient
     if require_sasakian:
-        rep = check_sasakian_axioms(E.ambient, PointStack(fs.images.coords[:8]))
+        rep = check_sasakian_axioms(ambient, PointStack(fs.images.coords[:8]))
         if rep.max_residual > AMBIENT_AXIOM_TOL:
             raise TangencyError(
                 f"ambient structure fails the axiom battery "
                 f"(max residual {rep.max_residual:.3e} > {AMBIENT_AXIOM_TOL})"
             )
 
-    st = _structure_stack(E.ambient, fs)
+    st = _structure_stack(ambient, fs)
     tangency = st.tangency
     fs.points.reject(tangency > TANGENCY_TOL, TangencyError, lambda i, at: (
         f"phi~N has normal coefficient {tangency[i]:.3e} > {TANGENCY_TOL} at {at}"))
@@ -201,9 +195,7 @@ def extract_structure(
     lambda_consistency = linalg.worst(np.abs(st.lam - st.eta_n)) if N.scaling is None else 0.0
 
     return InducedStructure(
-        embedding=E,
         normal=N,
-        noninvariant=max_u > NONINVARIANT_THRESHOLD,
         max_u=max_u,
         tangency_residual=linalg.worst(tangency),
         lambda_consistency=lambda_consistency,
@@ -254,19 +246,11 @@ def sample_states(
 
 
 @dataclass
-class IdentityResult:
-    name: str
-    equation_ref: str
-    residual: float
-    convention: str
-    samples_used: int
-    samples_excluded: int = 0
-    details: dict = dc_field(default_factory=dict)
-
-
-@dataclass
 class IdentityReport:
-    identities: List[IdentityResult]
+    """An identity battery: one report row per identity, named ``eq_2_5`` and
+    so on, with the structure sign it adjudicated."""
+
+    identities: List[CheckResult]
     structure_sign: str
     sample_count: int
     extras: dict = dc_field(default_factory=dict)
@@ -309,22 +293,27 @@ def structure_residuals(phi, u, U, V, v, lam, g, eta_n) -> Dict[str, float]:
     return out
 
 
-def verify_algebraic_identities(S: InducedStructure) -> IdentityReport:
+def _identity_row(eq, residual, tolerance, convention, used, details, outcome=None):
+    """The report row of identity ``eq``.  Its verdict is ``outcome``, by
+    default ``refuted`` on a miss: identity claims are measured, not
+    asserted, so a miss is a finding about the identity (e.g. the rho^2
+    factors a scaled normal introduces), not an engine failure."""
+    return CheckResult(*equation(eq), residual, tolerance,
+                       outcome or verdict(residual, tolerance, "refuted"), convention, used,
+                       details=details)
+
+
+def verify_algebraic_identities(S: InducedStructure, tolerance: float = 1e-5) -> IdentityReport:
     """Residuals of the derivative-free identity family (2.5) to (2.8) at
-    the extraction points, from the data extraction built there."""
+    the extraction points, from the data extraction built there, as rows
+    judged against ``tolerance``."""
     st = S.stack
     sub = structure_residuals(st.phi, st.u, st.U, st.V, st.v, st.lam, st.g, st.eta_n)
     identities = []
     for name in ("2.5", "2.6", "2.7", "2.8"):
         details = {k: r for k, r in sub.items() if k.startswith(name)}
-        identities.append(IdentityResult(
-            name=name,
-            equation_ref=f"Eq ({name})",
-            residual=max(details.values()),
-            convention="independent",
-            samples_used=len(st.lam),
-            details=details,
-        ))
+        identities.append(_identity_row(name, max(details.values()), tolerance, "independent",
+                                        len(st.lam), details))
     return IdentityReport(identities=identities, structure_sign="independent",
                           sample_count=len(st.lam))
 
@@ -402,10 +391,11 @@ def verify_differential_identities(
     (R, variants, m) array over its :class:`_Variants` table, elementwise
     in the printed order, so each residual keeps the bits of its pair and
     variant written out alone.  A variant's residual is its largest over
-    the pairs, a NaN passed over.  The report carries the minimizing
-    variant per identity together with one global structure-sign verdict.
-    In strict paper mode only the printed form with H = H_h and the
-    extracted structure sign is evaluated.
+    the pairs, a NaN passed over.  The report carries one row per identity,
+    judged against ``tolerance`` with its minimizing variant, together with
+    one global structure-sign verdict.  ``tolerance`` also decides (2.18)'s
+    premise.  In strict paper mode only the printed form with H = H_h and
+    the extracted structure sign is evaluated.
     """
     names = ["2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17"]
     signs = (1.0,) if strict_paper else (1.0, -1.0)
@@ -496,27 +486,17 @@ def verify_differential_identities(
         }
         if other:
             details["best_other_structure_sign"] = other[name][1]
-        identities.append(IdentityResult(
-            name=name,
-            equation_ref=f"Eq ({name})",
-            residual=resid,
-            convention=f"{_tag(nu, htag)}|{STRUCTURE_TAGS[chosen_s]}",
-            samples_used=len(worst),
-            details=details,
-        ))
+        identities.append(_identity_row(name, resid, tolerance,
+                                        f"{_tag(nu, htag)}|{STRUCTURE_TAGS[chosen_s]}",
+                                        len(worst), details))
 
-    identities.append(IdentityResult(
-        name="2.18",
-        equation_ref="Eq (2.18)",
-        residual=HU_norm["H_h"],
-        convention=f"H_h|{STRUCTURE_TAGS[chosen_s]}",
-        samples_used=len(states.dirs),
-        details={
-            "premise_max_h_Y_U": h_U_premise,
-            "HU_norms": dict(HU_norm),
-            "vacuous": h_U_premise > tolerance,
-        },
-    ))
+    # (2.18) is an implication: vacuous where its premise h(Y, U) = 0 fails
+    # at the same tolerance, and a failure where the premise holds and it misses
+    vacuous = h_U_premise > tolerance
+    identities.append(_identity_row(
+        "2.18", HU_norm["H_h"], tolerance, f"H_h|{STRUCTURE_TAGS[chosen_s]}", len(states.dirs),
+        {"premise_max_h_Y_U": h_U_premise, "HU_norms": dict(HU_norm), "vacuous": vacuous},
+        verdict(HU_norm["H_h"], tolerance, held=not vacuous)))
 
     return IdentityReport(
         identities=identities,

@@ -29,6 +29,11 @@ def verdict(residual, tol, miss: str = "fail", held: bool = True) -> str:
     return "pass" if residual <= tol else miss
 
 
+def equation(eq: str) -> tuple:
+    """Row name and reference of a numbered equation: ``eq_2_5``, ``Eq (2.5)``."""
+    return f"eq_{eq.replace('.', '_')}", f"Eq ({eq})"
+
+
 @dataclass
 class CheckResult:
     name: str

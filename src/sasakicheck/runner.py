@@ -1,7 +1,8 @@
 """Execute a configured verification suite and assemble the report.
 
 A report is one :class:`_Context` read by the check groups in
-``GROUPS``, one function per group, each returning its report rows.
+``GROUPS``, one function per group, each returning its report rows; the
+identity batteries of :mod:`sasakicheck.induced` return theirs as built.
 The context draws every sample from the configured seed up front, in a
 fixed order, and builds each shared intermediate once, when a group
 first reads it: the ambient axiom battery; one frame stack of the chart
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__, linalg
 from .config import CHECK_GROUPS, SuiteConfig
 from .exprs import compile_expression, compile_map
-from .fields import DEFAULT_FD_STEP, PointStack, ScalarField, evaluate, jet
+from .fields import DEFAULT_FD_STEP, PointStack, TensorField, evaluate, jet
 from .hypersurface import (
     Embedding,
     NormalField,
@@ -38,7 +39,7 @@ from .induced import (
     verify_algebraic_identities,
     verify_differential_identities,
 )
-from .report import CheckResult, VerificationReport, verdict
+from .report import CheckResult, VerificationReport, equation, verdict
 from .sampling import sample_points, sample_vectors, spawn_rngs
 from .sasakian import check_sasakian_axioms, standard_sasakian
 from .theorems import (
@@ -77,8 +78,8 @@ class _Context:
 
         self.embedding = Embedding(config.surface_dim, ambient,
                                    compile_map(config.outputs, config.inputs))
-        self.scaling_field = None if config.scaling is None else ScalarField(
-            config.surface_dim, compile_expression(config.scaling, config.inputs))
+        self.scaling_field = None if config.scaling is None else TensorField(
+            (0, 0), config.surface_dim, compile_expression(config.scaling, config.inputs))
         orientation = config.orientation
         if orientation == "lambda_nonneg":
             # pick the sign that makes eta(N) >= 0 at the declared base point
@@ -104,7 +105,7 @@ class _Context:
     @cached_property
     def structure(self):
         # the ambient is standard_sasakian(n), measured by the axiom groups
-        return extract_structure(self.normal, self.frames, require_sasakian=False)
+        return extract_structure(self.frames, require_sasakian=False)
 
     @cached_property
     def gws(self):
@@ -131,21 +132,6 @@ def _row(name, ref, residual, tol, outcome=None, convention="", used=0, excluded
                        convention, used, excluded, details or {})
 
 
-def _eq(eq):
-    """Row name and reference of a numbered equation."""
-    return f"eq_{eq.replace('.', '_')}", f"Eq ({eq})"
-
-
-def _identity_rows(rep, tol):
-    # identity claims are measured, not asserted: a miss is a finding
-    # about the identity (e.g. the rho^2 factors a scaled normal
-    # introduces), not an engine failure
-    return [_row("eq_" + r.name.replace(".", "_"), r.equation_ref, r.residual, tol,
-                 verdict(r.residual, tol, "refuted"), r.convention, r.samples_used,
-                 details=r.details)
-            for r in rep.identities]
-
-
 def _implication_row(name, ref, result, tol):
     residual = max(result.conclusion_residuals.values()) if result.conclusion_residuals else 0.0
     return _row(
@@ -161,7 +147,7 @@ def _axiom_rows(ctx, eqs):
     rows = []
     for eq in eqs:
         details = {k: res[k] for k in ("1.3a", "1.3b", "1.3c")} if eq == "1.3" else {}
-        rows.append(_row(*_eq(eq), max(details.values()) if details else res[eq],
+        rows.append(_row(*equation(eq), max(details.values()) if details else res[eq],
                          ctx.tol["axiom"], used=ctx.axioms.sample_count, details=details))
     return rows
 
@@ -171,9 +157,9 @@ def _gauss_weingarten(ctx):
     rec, w = reconstruction_residuals(gws), gws.w
     unit = ctx.scaling_field is None
     rows = [
-        _row(*_eq("2.9"), rec["gauss"], tol, convention="Gauss reconstruction",
+        _row(*equation("2.9"), rec["gauss"], tol, convention="Gauss reconstruction",
              used=used, details={"h_symmetry": second_fundamental_symmetry(gws)}),
-        _row(*_eq("2.10"), rec["weingarten"], tol, convention="Weingarten reconstruction",
+        _row(*equation("2.10"), rec["weingarten"], tol, convention="Weingarten reconstruction",
              used=used, details={"w_residual_unit_normal": linalg.worst(np.abs(w))} if unit else {}),
     ]
     if not unit:
@@ -202,20 +188,6 @@ def _structure(ctx):
     ]
 
 
-def _algebraic(ctx):
-    return _identity_rows(verify_algebraic_identities(ctx.structure), ctx.tol["algebraic"])
-
-
-def _differential(ctx):
-    tol = ctx.tol["differential"]
-    rows = _identity_rows(ctx.differential, tol)
-    # (2.18) is an implication: the battery marks it vacuous where its
-    # premise h(Y, U) = 0 fails at the same tolerance
-    last = rows[-1]
-    last.verdict = verdict(last.max_residual, tol, held=not last.details["vacuous"])
-    return rows
-
-
 def _theorems(ctx):
     states, sign = ctx.states, ctx.structure_sign
     hyp, concl = ctx.tol["hypothesis"], ctx.tol["conclusion"]
@@ -223,7 +195,7 @@ def _theorems(ctx):
     rows = [_row("eq_3_1", "Eq (3.1)", r31.hypothesis_residual, hyp,
                  verdict(r31.hypothesis_residual, hyp, "vacuous"), r31.convention,
                  len(ctx.chart_points), details={"note": "hypothesis residual |nabla phi|"})]
-    rows += [_row(*_eq(eq), r31.conclusion_residuals[eq] if r31.verdict != "vacuous" else None,
+    rows += [_row(*equation(eq), r31.conclusion_residuals[eq] if r31.verdict != "vacuous" else None,
                   concl, r31.verdict, r31.convention, r31.samples_used,
                   r31.samples_excluded)
              for eq in ("3.2", "3.3", "3.4", "3.5")]
@@ -266,8 +238,9 @@ GROUPS = {
     "two_form": lambda ctx: _axiom_rows(ctx, ["1.8", "1.9", "1.10"]),
     "gauss_weingarten": _gauss_weingarten,
     "structure": _structure,
-    "algebraic": _algebraic,
-    "differential": _differential,
+    "algebraic": lambda ctx: verify_algebraic_identities(
+        ctx.structure, ctx.tol["algebraic"]).identities,
+    "differential": lambda ctx: ctx.differential.identities,
     "theorems": _theorems,
     "models": _models,
 }

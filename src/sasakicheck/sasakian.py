@@ -28,7 +28,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .connection import MetricField, christoffel, covariant_derivative_components
+from .connection import christoffel, covariant_derivative_components
 from .errors import DimensionMismatchError
 from .fields import PointStack, TensorField, evaluate, jet
 from .linalg import pair, worst
@@ -43,7 +43,7 @@ class AlmostContactMetricStructure:
     phi: TensorField
     xi: TensorField
     eta: TensorField
-    g: MetricField
+    g: TensorField
     name: str = ""
 
     @property
@@ -102,7 +102,7 @@ def standard_sasakian(n: int) -> AlmostContactMetricStructure:
         phi=TensorField((1, 1), d, lambda c, n=n: _phi_components(c, n)),
         xi=TensorField((1, 0), d, lambda c, x=tuple(xi): list(x)),
         eta=TensorField((0, 1), d, lambda c, n=n: _eta_components(c, n)),
-        g=MetricField(TensorField((0, 2), d, lambda c, n=n: _metric_components(c, n))),
+        g=TensorField((0, 2), d, lambda c, n=n: _metric_components(c, n)),
         name=f"standard_sasakian(n={n})",
     )
 
@@ -112,7 +112,7 @@ def fundamental_two_form(S: AlmostContactMetricStructure) -> TensorField:
 
     def func(coords):
         phi = S.phi.func(coords)
-        g = S.g.tensor.func(coords)
+        g = S.g.func(coords)
         d = S.dim
         return [
             [sum(phi[c][a] * g[c][b] for c in range(d)) for b in range(d)]
@@ -200,7 +200,7 @@ def check_sasakian_axioms(
     phi = evaluate(S.phi, stack)
     xi = evaluate(S.xi, stack)
     eta = evaluate(S.eta, stack)
-    g = evaluate(S.g.tensor, stack)
+    g = evaluate(S.g, stack)
     sv = np.linalg.svd(phi, compute_uv=False)
     res = {
         "1.1": worst(np.abs(pair(eta, xi) - 1.0)),

@@ -87,6 +87,15 @@ def _covariant_along(states: SampleState, field: str) -> np.ndarray:
     return np.abs(np.einsum("pki,pi...->pk...", dirs, cov))
 
 
+def _scalar_relation(states: SampleState, structure_sign: float) -> np.ndarray:
+    """lambda w(X) - s u(X) + d lambda(X) for every point and direction X, as
+    (P, K): the residual of (3.5) and of (3.8), with s the structure sign."""
+    dirs, lam, u, dlam, w = _stack(states, "dirs", "bundle.lam", "bundle.u", "bundle.dlam",
+                                   "gw.w")
+    return (lam[:, None] * _along(dirs, w) - structure_sign * _along(dirs, u)
+            + _along(dirs, dlam))
+
+
 def _max_per_point(a: np.ndarray) -> np.ndarray:
     return np.max(a, axis=tuple(range(1, a.ndim)))
 
@@ -118,18 +127,15 @@ def theorem_3_1_chart(
     concl = {"3.2": 0.0, "3.3": 0.0, "3.4": 0.0, "3.5": 0.0}
     used = excluded = 0
     if hyp <= eps_h:
-        dirs, lam, u, v, V, g, dlam, h, w = _stack(
-            states, "dirs", "bundle.lam", "bundle.u", "bundle.v", "bundle.V", "bundle.g",
-            "bundle.dlam", "gw.h", "gw.w")
-        u = structure_sign * u
+        dirs, lam, u, v, V, g, h = _stack(
+            states, "dirs", "bundle.lam", "bundle.u", "bundle.v", "bundle.V", "bundle.g", "gw.h")
         one = (1.0 - lam * lam)[:, None, None]
-        uY, vX = _along(dirs, u), _along(dirs, v)
+        uY, vX = structure_sign * _along(dirs, u), _along(dirs, v)
         concl["3.2"] = linalg.worst(np.abs(one * _form(dirs, h, dirs) + uY[:, None] * vX[..., None]))
         concl["3.4"] = linalg.worst(np.abs(one * _form(dirs, g, dirs) - vX[..., None] * vX[:, None]))
         concl["3.3"] = linalg.worst(np.abs(h @ V[..., None]))
         small = np.abs(lam) < LAMBDA_FLOOR
-        r = lam[:, None] * _along(dirs, w) - uY + _along(dirs, dlam)
-        concl["3.5"] = linalg.worst(np.abs(r[~small]))
+        concl["3.5"] = linalg.worst(np.abs(_scalar_relation(states, structure_sign)[~small]))
         used = dirs.shape[0] * dirs.shape[1] ** 2
         excluded = int(np.count_nonzero(small))
     return ImplicationCheckResult(
@@ -211,13 +217,10 @@ def check_theorem_3_4(
     structure_sign: float = 1.0,
 ) -> ImplicationCheckResult:
     """h = 0 implies lambda w = u - d lambda; vacuous wherever h != 0."""
-    dirs, lam, u, dlam, h, w = _stack(states, "dirs", "bundle.lam", "bundle.u", "bundle.dlam",
-                                      "gw.h", "gw.w")
+    lam, h = _stack(states, "bundle.lam", "gw.h")
     hnorm = _max_per_point(np.abs(h))
     ok, used, excluded = _gated(hnorm, lam, eps_h)
-    r = (lam[:, None] * _along(dirs, w) - structure_sign * _along(dirs, u)
-         + _along(dirs, dlam))
-    concl = {"3.8": linalg.worst(np.abs(r[ok]))}
+    concl = {"3.8": linalg.worst(np.abs(_scalar_relation(states, structure_sign)[ok]))}
     return ImplicationCheckResult(
         name="theorem_3_4_chart",
         hypothesis_residual=float(np.fmin.reduce(hnorm, initial=np.inf)) if used == 0 else 0.0,
@@ -372,7 +375,6 @@ def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> Implicat
     ]
     if abs(lam) < LAMBDA_FLOOR:
         notes.append("lambda = 0 exclusion for 3.5")
-    degeneracy = float(np.max(np.abs(one * g - np.outer(v, v))))
     if np.max(np.abs(u)) < 1e-12 and np.max(np.abs(v)) < 1e-12:
         if np.max(np.abs(V)) > 1e-12:
             notes.append("u = v = 0 with V != 0: g(X,Y)V = v(X)Y unsolvable")
@@ -382,7 +384,7 @@ def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> Implicat
     if not held:
         notes.append(
             f"hypothesis not imposable: (3.4) forces rank-degenerate g "
-            f"(residual {degeneracy:.3e} with 1 - lambda^2 = {one:.3e})"
+            f"(residual {concl['3.4']:.3e} with 1 - lambda^2 = {one:.3e})"
         )
     return ImplicationCheckResult(
         name="theorem_3_1_model",

@@ -7,9 +7,7 @@ import pytest
 
 from sasakicheck import (
     Embedding,
-    MetricField,
     NormalField,
-    ScalarField,
     TensorField,
     extract_structure,
     frame_stack,
@@ -79,7 +77,7 @@ class SimpleAmbient:
     """Bare metric-carrying ambient chart (no contact structure)."""
 
     dim: int
-    g: MetricField
+    g: TensorField
 
 
 def constant_field(valence, dim, components):
@@ -94,7 +92,7 @@ def constant_vector_field(dim, vec):
 
 def euclidean_metric(dim):
     eye = np.eye(dim).tolist()
-    return MetricField(TensorField((0, 2), dim, lambda c: eye))
+    return TensorField((0, 2), dim, lambda c: eye)
 
 
 def row(record, index):
@@ -115,9 +113,9 @@ def row(record, index):
     return type(record)(*(take(getattr(record, f.name)) for f in fields(record)))
 
 
-def by_name(rep, name):
-    """The result called ``name`` in an identity report."""
-    return {r.name: r for r in rep.identities}[name]
+def by_name(rep, eq):
+    """The row of equation ``eq`` (``"2.5"``, named ``eq_2_5``) in an identity report."""
+    return {r.name: r for r in rep.identities}["eq_" + eq.replace(".", "_")]
 
 
 def states_at(N, points, directions):
@@ -126,7 +124,7 @@ def states_at(N, points, directions):
     frame stack with partials there."""
     fs = frame_stack(N, points, partials=True)
     # the tests' ambients are standard_sasakian(n), whose axioms test_sasakian measures
-    return sample_states(extract_structure(N, fs, require_sasakian=False), directions,
+    return sample_states(extract_structure(fs, require_sasakian=False), directions,
                          gauss_weingarten(fs))
 
 
@@ -137,7 +135,7 @@ def surface_normal(path):
                   compile_map(config.outputs, config.inputs))
     scaling = None
     if config.scaling is not None:
-        scaling = ScalarField(config.surface_dim,
+        scaling = TensorField((0, 0), config.surface_dim,
                               compile_expression(config.scaling, config.inputs))
     return NormalField(E, scaling, config.orientation)
 

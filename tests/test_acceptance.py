@@ -15,7 +15,7 @@ from sasakicheck import (
     Embedding,
     NormalField,
     PointStack,
-    ScalarField,
+    TensorField,
     check_sasakian_axioms,
     check_theorem_3_3,
     check_theorem_3_4,
@@ -81,7 +81,7 @@ def test_criterion_2_ad_fd_cross_validation():
         for n in (1, 2):
             S = standard_sasakian(n)
             pts = _points(S.dim, 50, seed=17)
-            for fld in (S.phi, S.xi, S.eta, S.g.tensor):
+            for fld in (S.phi, S.xi, S.eta, S.g):
                 ad = jet(fld, pts).partials
                 fd = fd_derivative(fld, pts, step=1e-5).partials
                 assert np.max(np.abs(ad - fd)) <= 1e-6
@@ -118,10 +118,10 @@ def test_criterion_4_induced_structure():
             Embedding(2, S3, lambda c: [c[0], c[1], (c[0] ** 2 + c[1] ** 2) / 2]),
         ):
             N = NormalField(emb)
-            S = extract_structure(N, frame_stack(N, nonzero_y))
+            S = extract_structure(frame_stack(N, nonzero_y))
             rep = verify_algebraic_identities(S)
             for r in rep.identities:
-                assert r.residual <= 1e-5, (r.name, r.residual)
+                assert r.max_residual <= 1e-5, (r.name, r.max_residual)
             assert S.max_u > 1e-3
 
 
@@ -141,15 +141,15 @@ def test_criterion_5_derived_identities_adjudicated():
             rep = verify_differential_identities(states_at(NormalField(emb), pts,
                                                            _pair_dirs(dim, seed=41)))
             for r in rep.identities:
-                if r.name == "2.18":
+                if r.name == "eq_2_18":
                     # tautology of the H_h definition: never premise-pass with
                     # conclusion-fail; vacuous wherever h(., U) != 0
                     premise_ok = r.details["premise_max_h_Y_U"] <= 1e-5
                     if premise_ok:
-                        assert r.residual <= 1e-5
+                        assert r.max_residual <= 1e-5
                     assert {"premise_max_h_Y_U", "HU_norms"} <= set(r.details)
                     continue
-                assert r.residual <= 1e-5, (name, r.name, r.residual)
+                assert r.max_residual <= 1e-5, (name, r.name, r.max_residual)
                 conventions.setdefault(r.name, set()).add(r.convention)
         for eq, tags in conventions.items():
             assert len(tags) == 1, (eq, tags)
@@ -161,7 +161,7 @@ def test_criterion_5_derived_identities_adjudicated():
                                                           _pair_dirs(2, seed=41)),
                                                 strict_paper=True)
         assert len(strict.identities) == 8
-        assert all(r.residual > 1e-5 for r in strict.identities if r.name != "2.18")
+        assert all(r.max_residual > 1e-5 for r in strict.identities if r.name != "eq_2_18")
 
 
 def test_criterion_6_theorem_3_3_models():
@@ -181,7 +181,7 @@ def test_criterion_7_scaled_normal_run():
     with criterion(7, "scaled normal: w = d log rho <= 1e-6 and (3.8) vacuous when h != 0"):
         S3 = standard_sasakian(1)
         emb = Embedding(2, S3, lambda c: [c[0], c[1], (c[0] ** 2 + c[1] ** 2) / 2])
-        rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
+        rho = TensorField((0, 0), 2, lambda c: exp(c[0] + c[1]))
         N = NormalField(emb, scaling=rho)
         pts = _points(2, 20, seed=47)
         gw = gauss_weingarten(frame_stack(N, pts, partials=True))

@@ -17,9 +17,7 @@ import pytest
 
 from sasakicheck import (
     AlmostContactMetricStructure,
-    MetricField,
     PointStack,
-    ScalarField,
     TensorField,
     check_sasakian_axioms,
     dual,
@@ -123,8 +121,8 @@ def test_degenerate_metric_names_first_singular_point(n):
     S = standard_sasakian(n)
     d = S.dim
     # the metric vanishes where x^1 = 0 and has determinant >= 0.5^(2d) / 4^(2n+1) elsewhere
-    g = MetricField(TensorField(
-        (0, 2), d, lambda c: [[c[0] * c[0] * x for x in row] for row in S.g.tensor.func(c)]))
+    g = TensorField(
+        (0, 2), d, lambda c: [[c[0] * c[0] * x for x in row] for row in S.g.func(c)])
     first = [0.0] + [0.8] * (d - 1)
     pts = _points_with(d, 4, {2: first, 7: [0.0] + [0.9] * (d - 1)})
     _, dirs = _samples(d, 1, seed=4)
@@ -140,7 +138,7 @@ def test_stacked_fields_equal_per_point_fields(n):
     S = standard_sasakian(n)
     stack, _ = _samples(S.dim, 50, seed=21)
     singles = [PointStack([p]) for p in stack.coords]
-    for f in (S.phi, S.xi, S.eta, S.g.tensor, fundamental_two_form(S)):
+    for f in (S.phi, S.xi, S.eta, S.g, fundamental_two_form(S)):
         values = evaluate(f, stack)
         jt = jet(f, stack)
         assert values.shape == jt.value.shape == (50,) + f.shape
@@ -162,7 +160,7 @@ def test_stacked_constant_and_scalar_fields_broadcast():
     vec = evaluate(TensorField((1, 0), 3, lambda c: [1.0, c[0], 2.0]), stack)
     np.testing.assert_array_equal(vec[:, 0], np.ones(4))
     np.testing.assert_array_equal(vec[:, 1], stack.coords[:, 0])
-    jt = jet(ScalarField(3, lambda c: c[0] * c[1]), stack)
+    jt = jet(TensorField((0, 0), 3, lambda c: c[0] * c[1]), stack)
     assert jt.value.shape == (4,) and jt.partials.shape == (4, 3)
     np.testing.assert_array_equal(jt.partials[:, 2], np.zeros(4))
     np.testing.assert_array_equal(jt.partials[:, 0], stack.coords[:, 1])
@@ -192,7 +190,7 @@ def test_stack_rows_must_be_finite(bad):
 
 def test_stacked_jet_names_first_non_finite_point():
     pts = PointStack([[0.5, 1.0], [5.0, 1.0], [-6.0, 1.0]])
-    f = ScalarField(2, lambda c: _blowup(c[0]) * c[1])
+    f = TensorField((0, 0), 2, lambda c: _blowup(c[0]) * c[1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValueError, match=re.escape(f"at {(5.0, 1.0)}")):
@@ -213,7 +211,7 @@ def _covariant_inputs(S, pts, directions):
     phi, xi, eta and g on the stack, and the directions repeated along it
     as (K, P, d)."""
     dphi, dxi = _nabla_phi_xi(S, pts)
-    phi, xi, eta, g = (evaluate(f, pts) for f in (S.phi, S.xi, S.eta, S.g.tensor))
+    phi, xi, eta, g = (evaluate(f, pts) for f in (S.phi, S.xi, S.eta, S.g))
     return dphi, dxi, phi, xi, eta, g, np.repeat(directions[:, None], len(pts), axis=1)
 
 

@@ -437,8 +437,10 @@ def test_degenerate_surface_gives_one_error_line_whichever_groups_run(tmp_path, 
     (GOOD + "\n[tolerances]\naxiom = nan\n", []),
     (GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, " + "(" * 400 + "s" + ")" * 400), []),
     (GOOD.replace("outputs = s, t, 0.1", "outputs = s, t, " + "-" * 3000 + "s"), []),
+    # 10^12 rows: numpy refuses the allocation at once, with a MemoryError
+    (GOOD.replace("count = 6", "count = 1000000000000"), []),
 ], ids=["cli_seed", "config_seed", "box", "box_width_overflow", "tolerance", "deep_parentheses",
-        "deep_signs"])
+        "deep_signs", "count_unallocatable"])
 def test_cli_bad_number_exits_one_without_traceback(tmp_path, body, args):
     path = write_config(tmp_path, body)
     env = dict(os.environ)

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from sasakicheck import (
-    MetricField,
     PointStack,
-    ScalarField,
     TensorField,
     christoffel,
     evaluate,
@@ -39,13 +37,13 @@ def test_christoffel_symmetry_exact(sasaki3):
 
 def test_christoffel_ad_vs_fd(sasaki3):
     pts = chart_points(3, 20, seed=21)
-    jt = fd_derivative(sasaki3.g.tensor, pts)
+    jt = fd_derivative(sasaki3.g, pts)
     fd = levi_civita_gamma(jt.value, jt.partials)
     assert np.max(np.abs(christoffel(sasaki3.g, pts) - fd)) < 1e-6
 
 
 def test_christoffel_rejects_singular_metric():
-    g = MetricField(TensorField((0, 2), 2, lambda c: [[1.0, 0.0], [0.0, 0.0]]))
+    g = TensorField((0, 2), 2, lambda c: [[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(SingularMetricError):
         christoffel(g, PointStack([[0.0, 0.0]]))
 
@@ -80,15 +78,15 @@ def test_metric_compatibility_random_fields(sasaki3):
     Z = TensorField((1, 0), 3, lambda c: [sum(AZ[i][j] * c[j] for j in range(3)) - 0.5 for i in range(3)])
 
     def g_of_YZ(c):
-        g = sasaki3.g.tensor.func(c)
+        g = sasaki3.g.func(c)
         y = Y.func(c)
         z = Z.func(c)
         return sum(g[i][j] * y[i] * z[j] for i in range(3) for j in range(3))
 
-    scalar = ScalarField(3, g_of_YZ)
+    scalar = TensorField((0, 0), 3, g_of_YZ)
     pts = chart_points(3, 15, seed=4)
     dg = jet(scalar, pts).partials
-    gv = evaluate(sasaki3.g.tensor, pts)
+    gv = evaluate(sasaki3.g, pts)
     yv, zv = evaluate(Y, pts), evaluate(Z, pts)
     gamma = christoffel(sasaki3.g, pts)
     jy, jz = jet(Y, pts), jet(Z, pts)
@@ -104,7 +102,7 @@ def test_metric_compatibility_random_fields(sasaki3):
 
 def test_nabla_of_metric_vanishes(sasaki3):
     pts = chart_points(3, 10, seed=6)
-    jg = jet(sasaki3.g.tensor, pts)
+    jg = jet(sasaki3.g, pts)
     full = covariant_derivative_components(jg.value, jg.partials, christoffel(sasaki3.g, pts),
                                            (0, 2))
     out = np.einsum("i,piab->pab", [0.4, -1.0, 0.7], full)
@@ -125,7 +123,7 @@ def test_sasakian_phi_transport_identity(sasaki3):
     # (nabla_X phi) Y = g(X, Y) xi - eta(Y) X over 50 random samples
     vecs = chart_vectors(3, 5, seed=17)
     pts = chart_points(3, 50, seed=18)
-    gv = evaluate(sasaki3.g.tensor, pts)
+    gv = evaluate(sasaki3.g, pts)
     xi = evaluate(sasaki3.xi, pts)
     eta = evaluate(sasaki3.eta, pts)
     jphi = jet(sasaki3.phi, pts)
@@ -139,7 +137,7 @@ def test_sasakian_phi_transport_identity(sasaki3):
 
 
 def test_leibniz_rule(sasaki3):
-    f = ScalarField(3, lambda c: 0.3 * c[0] ** 2 - c[1] * c[2] + 0.5)
+    f = TensorField((0, 0), 3, lambda c: 0.3 * c[0] ** 2 - c[1] * c[2] + 0.5)
     Yv = [0.2, -0.4, 1.1]
     Y = constant_vector_field(3, Yv)
     fY = TensorField((1, 0), 3, lambda c: [f.func(c) * y for y in Yv])
@@ -166,7 +164,7 @@ def test_unsupported_valence_rejected(sasaki3):
 
 
 def test_metric_invariants(sasaki3):
-    g = evaluate(sasaki3.g.tensor, chart_points(3, 20, seed=30))
+    g = evaluate(sasaki3.g, chart_points(3, 20, seed=30))
     assert np.max(np.abs(g - g.mT)) <= 1e-12
     # positive definite: every leading principal minor is positive
     assert all(np.all(np.linalg.det(g[:, :k, :k]) > 0) for k in range(1, 4))

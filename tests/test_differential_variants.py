@@ -172,7 +172,7 @@ def test_battery_equals_per_variant_oracle(surface, strict_paper):
         r18 = by_name(rep, "2.18")
         assert r18.details == {"premise_max_h_Y_U": premise, "HU_norms": HU,
                                "vacuous": premise > 1e-5}
-        assert r18.residual == HU["H_h"]
+        assert r18.max_residual == HU["H_h"]
         assert r18.samples_used == len(states.dirs)
 
 

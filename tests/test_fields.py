@@ -8,7 +8,6 @@ from sasakicheck import (
     Embedding,
     NormalField,
     PointStack,
-    ScalarField,
     TensorField,
     evaluate,
     fd_derivative,
@@ -60,7 +59,7 @@ def test_evaluate_reports_offending_component():
 
 
 def test_jet_polynomial_by_hand():
-    f = ScalarField(2, lambda c: c[0] ** 2 * c[1])
+    f = TensorField((0, 0), 2, lambda c: c[0] ** 2 * c[1])
     j = jet(f, PointStack([[1.0, 2.0]]))
     assert j.value[0] == pytest.approx(2.0)
     np.testing.assert_allclose(j.partials, [[4.0, 1.0]], atol=1e-12)
@@ -83,7 +82,7 @@ def test_jet_exact_for_quadratics():
 
     pts = chart_points(3, 10)
     grad = pts.coords @ (A + A.T).T + b
-    np.testing.assert_allclose(jet(ScalarField(3, quad), pts).partials, grad, atol=1e-12)
+    np.testing.assert_allclose(jet(TensorField((0, 0), 3, quad), pts).partials, grad, atol=1e-12)
 
 
 def test_jet_vs_fd_on_random_cubic():
@@ -98,7 +97,7 @@ def test_jet_vs_fd_on_random_cubic():
                     acc = acc + coeffs[i][j][k] * c[0] ** i * c[1] ** j * c[2] ** k
         return acc
 
-    f, pts = ScalarField(3, cubic), chart_points(3, 20, seed=2)
+    f, pts = TensorField((0, 0), 3, cubic), chart_points(3, 20, seed=2)
     ad = jet(f, pts).partials
     fd = fd_derivative(f, pts, step=1e-5).partials
     assert ad.shape == fd.shape == (20, 3)
@@ -106,7 +105,7 @@ def test_jet_vs_fd_on_random_cubic():
 
 
 def test_fd_square_at_three():
-    f = ScalarField(1, lambda c: c[0] ** 2)
+    f = TensorField((0, 0), 1, lambda c: c[0] ** 2)
     j = fd_derivative(f, PointStack([[3.0]]), step=1e-5)
     assert j.value[0] == 9.0
     assert j.partials[0, 0] == pytest.approx(6.0, abs=1e-9)
@@ -119,7 +118,7 @@ def test_fd_constant_is_zero():
 
 
 def test_fd_step_must_be_positive():
-    f = ScalarField(1, lambda c: c[0])
+    f = TensorField((0, 0), 1, lambda c: c[0])
     with pytest.raises(ValueError):
         fd_derivative(f, PointStack([[0.0]]), step=0.0)
 
@@ -127,7 +126,7 @@ def test_fd_step_must_be_positive():
 @pytest.mark.parametrize("n", [1, 2])
 def test_jet_vs_fd_on_builtin_fields(n):
     S = standard_sasakian(n)
-    fields = [S.phi, S.xi, S.eta, S.g.tensor]
+    fields = [S.phi, S.xi, S.eta, S.g]
     pts = chart_points(S.dim, 50, seed=13)
     for fld in fields:
         ad = jet(fld, pts).partials
@@ -137,8 +136,8 @@ def test_jet_vs_fd_on_builtin_fields(n):
 
 def test_evaluate_and_jet_are_pure(sasaki3):
     p = PointStack([[0.21, -0.83, 0.4]])
-    a = evaluate(sasaki3.g.tensor, p)
-    b = evaluate(sasaki3.g.tensor, p)
+    a = evaluate(sasaki3.g, p)
+    b = evaluate(sasaki3.g, p)
     assert (a == b).all()
     ja, jb = jet(sasaki3.phi, p), jet(sasaki3.phi, p)
     assert (ja.value == jb.value).all() and (ja.partials == jb.partials).all()
@@ -146,7 +145,7 @@ def test_evaluate_and_jet_are_pure(sasaki3):
 
 def test_fd_stencil_failure_names_base_point_and_coordinate():
     # finite at each base point, infinite where the stencil shifts coordinate 1 up to 0.5
-    f = ScalarField(2, lambda c: 1.0 / (c[1] - 0.5))
+    f = TensorField((0, 0), 2, lambda c: 1.0 / (c[1] - 0.5))
     pts = PointStack([[0.1, 0.0], [0.3, 0.5 - 1e-5], [0.7, 0.5 - 1e-5]])
     evaluate(f, pts)
     with pytest.raises(EvaluationError, match=re.escape(
@@ -156,7 +155,7 @@ def test_fd_stencil_failure_names_base_point_and_coordinate():
 
 def test_fd_stencil_closure_error_names_base_point_and_coordinate():
     # a closure that raises on a shifted row only: sqrt of a negative second coordinate
-    f = ScalarField(2, lambda c: sqrt(c[1]))
+    f = TensorField((0, 0), 2, lambda c: sqrt(c[1]))
     pts = PointStack([[0.2, 0.5], [0.4, 0.0]])
     evaluate(f, pts)
     with pytest.raises(EvaluationError, match=re.escape(

@@ -20,7 +20,7 @@ from sasakicheck import (
     Embedding,
     NormalField,
     PointStack,
-    ScalarField,
+    TensorField,
     extract_structure,
     frame_stack,
     gauss_weingarten,
@@ -63,8 +63,8 @@ def _assert_same_bundle(a, b, where):
 def test_extraction_equals_single_point_extractions(surface, count):
     N = surface_normal(SURFACES[surface])
     pts, _ = _samples(N.embedding.dim, count, seed=count + 3)
-    whole = extract_structure(N, frame_stack(N, pts))
-    singles = [extract_structure(N, frame_stack(N, PointStack([p]))) for p in pts.coords]
+    whole = extract_structure(frame_stack(N, pts))
+    singles = [extract_structure(frame_stack(N, PointStack([p]))) for p in pts.coords]
     for key in ("max_u", "tangency_residual", "lambda_consistency"):
         assert getattr(whole, key) == max(getattr(s, key) for s in singles), key
     assert len(whole.stack.lam) == count
@@ -132,7 +132,7 @@ def _raises_naming_first(error, N, pts, first, second):
     naming ``first``, not ``second``."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for build in (lambda: extract_structure(N, frame_stack(N, pts)),
+        for build in (lambda: extract_structure(frame_stack(N, pts)),
                       lambda: gauss_weingarten(frame_stack(N, pts, partials=True))):
             with pytest.raises(error) as info:
                 build()
@@ -150,7 +150,7 @@ def test_rank_deficient_jacobian_names_first_bad_point(sasaki3):
 
 def test_nonpositive_scaling_names_first_bad_point(quadric_r3):
     # rho vanishes at s = 0.625 and s = 0.875 and is positive elsewhere
-    rho = ScalarField(2, lambda c: ((c[0] - 0.625) * (c[0] - 0.875)) ** 2)
+    rho = TensorField((0, 0), 2, lambda c: ((c[0] - 0.625) * (c[0] - 0.875)) ** 2)
     pts = _points({2: [0.625, 0.5625], 8: [0.875, 0.9375]})
     _raises_naming_first(EvaluationError, NormalField(quadric_r3, rho), pts,
                          re.escape(str([0.625, 0.5625])), re.escape("0.9375"))
@@ -178,7 +178,7 @@ def test_ill_conditioned_frame_names_first_bad_point(sasaki3):
     # the limit there only
     E = Embedding(2, sasaki3, lambda c: [
         c[0], c[1] * (((c[0] - 0.625) * (c[0] - 0.875)) ** 2 + 1e-7), 0.1])
-    rho = ScalarField(2, lambda c: 1e6)
+    rho = TensorField((0, 0), 2, lambda c: 1e6)
     pts = _points({5: [0.625, 0.5625], 9: [0.875, 0.9375]})
     _raises_naming_first(IllConditionedFrameError, NormalField(E, rho), pts,
                          re.escape(str((0.625, 0.5625))), re.escape("0.9375"))

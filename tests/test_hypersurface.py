@@ -5,9 +5,7 @@ import pytest
 
 from sasakicheck import (
     Embedding,
-    MetricField,
     NormalField,
-    ScalarField,
     TensorField,
     evaluate,
     gauss_weingarten,
@@ -43,7 +41,7 @@ def sphere(euclid3, r):
 
 def test_flat_plane_metric_is_identity(flat_plane):
     g = induced_metric(flat_plane)
-    np.testing.assert_allclose(evaluate(g.tensor, PointStack([[0.3, -0.8]]))[0], np.eye(2),
+    np.testing.assert_allclose(evaluate(g, PointStack([[0.3, -0.8]]))[0], np.eye(2),
                                atol=1e-15)
 
 
@@ -75,7 +73,7 @@ def test_sphere_shape_operator_is_curvature_times_identity(euclid3):
         gw = gauss_weingarten(frame_stack(N, pts, partials=True))
         np.testing.assert_allclose(gw.H_h, np.broadcast_to(np.eye(2) / r, (6, 2, 2)), atol=1e-6)
         np.testing.assert_allclose(gw.h, gw.h.mT, atol=1e-12)
-        gind = evaluate(induced_metric(E).tensor, pts)
+        gind = evaluate(induced_metric(E), pts)
         np.testing.assert_allclose(gw.h, gind / r, atol=1e-6)
 
 
@@ -91,16 +89,16 @@ def test_induced_metric_vs_fd_oracle(plane_r3):
         return (up - dn) / (2 * step)
 
     B = np.column_stack([fd_column(0), fd_column(1)])
-    gt = evaluate(E.ambient_metric.tensor, PointStack([E.map(p)]))[0]
+    gt = evaluate(E.ambient.g, PointStack([E.map(p)]))[0]
     expected = B.T @ gt @ B
-    got = evaluate(induced_metric(E).tensor, PointStack([p]))[0]
+    got = evaluate(induced_metric(E), PointStack([p]))[0]
     assert np.max(np.abs(got - expected)) < 1e-6
 
 
 def test_induced_metric_positive_definite(quadric_r3):
     g = induced_metric(quadric_r3)
     rng = np.random.default_rng(14)
-    for gv in evaluate(g.tensor, chart_points(2, 10, seed=15)):
+    for gv in evaluate(g, chart_points(2, 10, seed=15)):
         for _ in range(10):
             x = rng.uniform(-1, 1, 2)
             if np.linalg.norm(x) > 1e-6:
@@ -113,7 +111,7 @@ def test_normal_defining_equations(plane_r3):
     fs = frame_stack(NormalField(plane_r3), p)
     n = fs.normal[0]
     B = fs.jacobian[0]
-    gt = evaluate(plane_r3.ambient_metric.tensor, fs.images)[0]
+    gt = evaluate(plane_r3.ambient.g, fs.images)[0]
     assert np.max(np.abs(B.T @ gt @ n)) < 1e-10
     assert abs(float(n @ gt @ n) - 1.0) < 1e-10
     assert np.linalg.det(np.column_stack([B, n])) > 0
@@ -152,7 +150,7 @@ def test_decomposed_connection_metricity(quadric_r3):
     g = induced_metric(quadric_r3)
     pts = chart_points(2, 8, seed=24)
     gw = gauss_weingarten(frame_stack(NormalField(quadric_r3), pts, partials=True))
-    jg = jet(g.tensor, pts)
+    jg = jet(g, pts)
     full = covariant_derivative_components(jg.value, jg.partials, gw.induced_gamma, (0, 2))
     assert np.max(np.abs(full)) < 1e-6
 
@@ -163,7 +161,7 @@ def test_unit_normal_weingarten_relations(quadric_r3):
     pts = chart_points(2, 10, seed=27)
     gw = gauss_weingarten(frame_stack(N, pts, partials=True))
     assert np.max(np.abs(gw.w)) < 1e-10
-    gv = evaluate(g.tensor, pts)
+    gv = evaluate(g, pts)
     # metric Weingarten relation g(H_w X, Y) = -h(X, Y)
     assert np.max(np.abs(gw.H_w.mT @ gv + gw.h)) < 1e-6
     assert np.max(np.abs(gw.H_w + gw.H_h)) < 1e-6
@@ -172,7 +170,7 @@ def test_unit_normal_weingarten_relations(quadric_r3):
 def test_scaled_normal_product_rule(quadric_r3):
     # rho = exp(s + t): w = d log rho, h scales by 1/rho, H_w by rho
     E = quadric_r3
-    rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
+    rho = TensorField((0, 0), 2, lambda c: exp(c[0] + c[1]))
     N_unit = NormalField(E)
     N_scaled = NormalField(E, scaling=rho)
     pts = chart_points(2, 8, seed=31)
@@ -223,8 +221,8 @@ def test_rank_deficient_embedding_rejected(euclid3):
 
 
 def test_singular_ambient_metric_rejected():
-    degenerate = MetricField(TensorField((0, 2), 3, lambda c: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                                                              [0.0, 0.0, 0.0]]))
+    degenerate = TensorField((0, 2), 3, lambda c: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                  [0.0, 0.0, 0.0]])
     E = Embedding(2, SimpleAmbient(3, degenerate), lambda c: [c[0], c[1], 0.0])
     with pytest.raises(SingularMetricError):
         frame_stack(NormalField(E), PointStack([[0.2, 0.2]]))

@@ -43,7 +43,7 @@ def _assert_combines(whole, singles):
     for i, r in enumerate(whole.identities):
         parts = [s.identities[i] for s in singles]
         assert r.name == parts[0].name
-        assert r.residual == max(p.residual for p in parts), r.name
+        assert r.max_residual == max(p.max_residual for p in parts), r.name
         assert r.samples_used == sum(p.samples_used for p in parts), r.name
         assert list(r.details) == list(parts[0].details), r.name
         for key, value in r.details.items():
@@ -55,10 +55,10 @@ def _assert_combines(whole, singles):
 def test_algebraic_battery_equals_single_point_batteries(surface, count):
     N = surface_normal(SURFACES[surface])
     pts = _points(N.embedding.dim, count, seed=count + 7)
-    S = extract_structure(N, frame_stack(N, pts))
+    S = extract_structure(frame_stack(N, pts))
     _assert_combines(verify_algebraic_identities(S),
                      [verify_algebraic_identities(
-                         extract_structure(N, frame_stack(N, PointStack([p]))))
+                         extract_structure(frame_stack(N, PointStack([p]))))
                       for p in pts.coords])
 
 
@@ -189,7 +189,7 @@ def _loop_structure_residuals(bundles):
 def test_algebraic_battery_equals_per_point_loop(surface):
     N = surface_normal(SURFACES[surface])
     pts = _points(N.embedding.dim, 50, seed=17)
-    S = extract_structure(N, frame_stack(N, pts))
+    S = extract_structure(frame_stack(N, pts))
     want = _loop_structure_residuals(row(S.stack, i) for i in range(len(pts)))
     rep = verify_algebraic_identities(S)
     assert {k: v for r in rep.identities for k, v in r.details.items()} == want

@@ -22,10 +22,8 @@ import pytest
 from sasakicheck import (
     AlmostContactMetricStructure,
     Embedding,
-    MetricField,
     NormalField,
     PointStack,
-    ScalarField,
     TensorField,
     christoffel,
     extract_structure,
@@ -41,6 +39,7 @@ from sasakicheck import (
 from sasakicheck.connection import covariant_derivative_components
 from sasakicheck.dual import cos, exp, sin
 from sasakicheck.errors import TangencyError
+from sasakicheck.induced import NONINVARIANT_THRESHOLD
 
 from conftest import (SURFACES, by_name, chart_points, chart_vectors, row, states_at,
                       surface_normal)
@@ -52,14 +51,15 @@ def _pair_dirs(dim, count=5, seed=11):
 
 
 def _differential(S, pts, **kwargs):
-    return verify_differential_identities(states_at(S.normal, pts, _pair_dirs(S.embedding.dim)), **kwargs)
+    dirs = _pair_dirs(S.normal.embedding.dim)
+    return verify_differential_identities(states_at(S.normal, pts, dirs), **kwargs)
 
 
 @pytest.fixture()
 def plane_structure(plane_r3):
     pts = chart_points(2, 20, seed=41)
     N = NormalField(plane_r3)
-    return extract_structure(N, frame_stack(N, pts))
+    return extract_structure(frame_stack(N, pts))
 
 
 def plane_oracle(t):
@@ -102,7 +102,7 @@ def test_lambda_matches_eta_of_normal_for_unit(plane_structure):
 
 
 def test_noninvariance_detected_on_plane(plane_structure):
-    assert plane_structure.noninvariant
+    assert plane_structure.max_u > NONINVARIANT_THRESHOLD
     assert plane_structure.max_u > 1e-3
 
 
@@ -115,12 +115,12 @@ def test_invariance_detector_on_synthetic_structure():
         phi=TensorField((1, 1), 3, lambda c: [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         xi=TensorField((1, 0), 3, lambda c: [0.0, 0.0, 1.0]),
         eta=TensorField((0, 1), 3, lambda c: [0.0, 0.0, 1.0]),
-        g=MetricField(TensorField((0, 2), 3, lambda c: eye)),
+        g=TensorField((0, 2), 3, lambda c: eye),
     )
     E = Embedding(2, amb, lambda c: [c[0], c[1], 0.0])
     N = NormalField(E)
-    S = extract_structure(N, frame_stack(N, chart_points(2, 10)), require_sasakian=False)
-    assert not S.noninvariant
+    S = extract_structure(frame_stack(N, chart_points(2, 10)), require_sasakian=False)
+    assert not S.max_u > NONINVARIANT_THRESHOLD
     assert S.max_u <= 1e-12
 
 
@@ -129,10 +129,10 @@ def test_extraction_rejects_ill_conditioned_frame(plane_r3):
     # past the condition-number guard
     from sasakicheck.errors import IllConditionedFrameError
 
-    rho = ScalarField(2, lambda c: 1e-13)
+    rho = TensorField((0, 0), 2, lambda c: 1e-13)
     with pytest.raises(IllConditionedFrameError):
         N = NormalField(plane_r3, scaling=rho)
-        extract_structure(N, frame_stack(N, chart_points(2, 3)), require_sasakian=False)
+        extract_structure(frame_stack(N, chart_points(2, 3)), require_sasakian=False)
 
 
 def test_sample_states_need_the_partials_split_of_the_same_points(quadric_r3):
@@ -141,11 +141,11 @@ def test_sample_states_need_the_partials_split_of_the_same_points(quadric_r3):
     fs = frame_stack(N, pts, partials=True)
     gw = gauss_weingarten(fs)
     with pytest.raises(ValueError, match="partials"):
-        sample_states(extract_structure(N, frame_stack(N, pts)), dirs, gw)
+        sample_states(extract_structure(frame_stack(N, pts)), dirs, gw)
     with pytest.raises(ValueError, match="structure at 4 points, Gauss-Weingarten data at 6"):
         fs4 = frame_stack(N, PointStack(pts.coords[:4]), partials=True)
-        sample_states(extract_structure(N, fs4), dirs, gw)
-    assert len(sample_states(extract_structure(N, fs), dirs, gw).dirs) == 6
+        sample_states(extract_structure(fs4), dirs, gw)
+    assert len(sample_states(extract_structure(fs), dirs, gw).dirs) == 6
 
 
 def _sphere_normal():
@@ -171,21 +171,6 @@ def test_sample_state_derivatives_match_the_levi_civita_oracle(surface):
         assert err <= 1e-9, (surface, key, err)
 
 
-def test_extraction_rejects_the_frame_stack_of_another_normal_field(quadric_r3, plane_r3):
-    N = NormalField(quadric_r3)
-    pts = chart_points(2, 6, seed=61)
-    fs = frame_stack(N, pts)
-    rho = ScalarField(2, lambda c: exp(c[0]))
-    # the flipped field would split with lambda of the other sign than its own fields
-    for other in (N.flipped(), NormalField(quadric_r3, rho), NormalField(plane_r3)):
-        with pytest.raises(ValueError, match="another normal field"):
-            extract_structure(other, fs)
-    # an equal field built separately owns the stack
-    S = extract_structure(NormalField(quadric_r3), fs)
-    one = S.values_at(PointStack(pts.coords[:1]))
-    assert S.stack.lam[0] == pytest.approx(one.lam[0], abs=1e-14)
-
-
 def test_extraction_rejects_non_sasakian_ambient():
     eye = np.eye(3).tolist()
     amb = AlmostContactMetricStructure(
@@ -193,12 +178,12 @@ def test_extraction_rejects_non_sasakian_ambient():
         phi=TensorField((1, 1), 3, lambda c: [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         xi=TensorField((1, 0), 3, lambda c: [0.0, 0.0, 1.0]),
         eta=TensorField((0, 1), 3, lambda c: [0.0, 0.0, 1.0]),
-        g=MetricField(TensorField((0, 2), 3, lambda c: eye)),
+        g=TensorField((0, 2), 3, lambda c: eye),
     )
     E = Embedding(2, amb, lambda c: [c[0], c[1], 0.0])
     with pytest.raises(TangencyError, match="axiom battery"):
         N = NormalField(E)
-        extract_structure(N, frame_stack(N, chart_points(2, 5)))
+        extract_structure(frame_stack(N, chart_points(2, 5)))
 
 
 @pytest.mark.parametrize("surface", ["plane_r3", "quadric_r3"])
@@ -206,10 +191,10 @@ def test_algebraic_identities_on_canonical_surfaces(surface, request):
     E = request.getfixturevalue(surface)
     pts = chart_points(2, 30, seed=43)
     N = NormalField(E)
-    S = extract_structure(N, frame_stack(N, pts))
+    S = extract_structure(frame_stack(N, pts))
     rep = verify_algebraic_identities(S)
     for r in rep.identities:
-        assert r.residual <= 1e-8, (r.name, r.residual)
+        assert r.max_residual <= 1e-8, (r.name, r.max_residual)
 
 
 def test_specific_algebraic_values_on_plane(plane_structure):
@@ -221,11 +206,11 @@ def test_specific_algebraic_values_on_plane(plane_structure):
 
 def test_gauge_families_agree_for_unit_normal(plane_r3):
     N = NormalField(plane_r3)
-    S = extract_structure(N, frame_stack(N, chart_points(2, 20, seed=47)))
+    S = extract_structure(frame_stack(N, chart_points(2, 20, seed=47)))
     rep = verify_algebraic_identities(S)
     r25 = by_name(rep, "2.5")
     r28 = by_name(rep, "2.8")
-    assert r25.residual == pytest.approx(r28.residual, abs=1e-12)
+    assert r25.max_residual == pytest.approx(r28.max_residual, abs=1e-12)
 
 
 def test_v_equals_metric_dual_of_V(plane_structure):
@@ -237,8 +222,8 @@ def test_v_equals_metric_dual_of_V(plane_structure):
 def test_orientation_flip_covariance(plane_r3):
     pts = chart_points(2, 10, seed=53)
     N = NormalField(plane_r3)
-    S = extract_structure(N, frame_stack(N, pts))
-    Sf = extract_structure(N.flipped(), frame_stack(N.flipped(), pts))
+    S = extract_structure(frame_stack(N, pts))
+    Sf = extract_structure(frame_stack(N.flipped(), pts))
     first = PointStack(pts.coords[:5])
     a, b = S.values_at(first), Sf.values_at(first)
     np.testing.assert_allclose(b.u, -a.u, atol=1e-12)
@@ -250,7 +235,7 @@ def test_orientation_flip_covariance(plane_r3):
     ra = _differential(S, pts)
     rb = _differential(Sf, pts)
     for x, y in zip(ra.identities, rb.identities):
-        assert x.residual == pytest.approx(y.residual, abs=1e-10)
+        assert x.max_residual == pytest.approx(y.max_residual, abs=1e-10)
 
 
 @pytest.mark.parametrize("surface,n", [("plane_r3", 1), ("quadric_r3", 1), ("plane_r5", 2)])
@@ -259,7 +244,7 @@ def test_differential_identities_adjudicate_consistently(surface, n, request):
     dim = 2 * n
     pts = chart_points(dim, 15, seed=59)
     N = NormalField(E)
-    S = extract_structure(N, frame_stack(N, pts))
+    S = extract_structure(frame_stack(N, pts))
     rep = _differential(S, pts)
     assert rep.structure_sign == "phi-flipped"
     expected = {
@@ -273,7 +258,7 @@ def test_differential_identities_adjudicate_consistently(surface, n, request):
     }
     for name, conv in expected.items():
         r = by_name(rep, name)
-        assert r.residual <= 1e-5, (name, r.residual)
+        assert r.max_residual <= 1e-5, (name, r.max_residual)
         assert r.convention == conv, (name, r.convention)
         if name != "2.17":
             # odd in (phi, u, U): the extracted sign fails by an order-one amount
@@ -288,7 +273,7 @@ def test_strict_paper_mode_reports_printed_residuals(plane_structure):
     rep = _differential(plane_structure, pts, strict_paper=True)
     assert rep.structure_sign == "as-extracted"
     # the printed convention with H = H_h does not hold on actual surfaces
-    assert all(r.residual > 1e-3 for r in rep.identities if r.name != "2.18")
+    assert all(r.max_residual > 1e-3 for r in rep.identities if r.name != "eq_2_18")
 
 
 def test_eq_2_16_value_under_adjudicated_convention(plane_structure):
@@ -296,7 +281,7 @@ def test_eq_2_16_value_under_adjudicated_convention(plane_structure):
     # h(Y, V) = u'(Y) - Y lambda in the adjudicated sign
     pts = chart_points(2, 10, seed=67)
     rep = _differential(plane_structure, pts)
-    assert by_name(rep, "2.16").residual <= 1e-5
+    assert by_name(rep, "2.16").max_residual <= 1e-5
 
 
 def test_eq_2_18_vacuous_on_plane(plane_structure):
@@ -307,6 +292,21 @@ def test_eq_2_18_vacuous_on_plane(plane_structure):
     assert r.details["vacuous"]
 
 
+def test_identity_rows_carry_the_report_verdicts(plane_structure):
+    # identity claims read refuted on a miss, never fail; (2.18) reads
+    # vacuous where its premise fails, whatever its residual
+    for tol in (1e-5, 0.0):
+        rows = verify_algebraic_identities(plane_structure, tol).identities
+        assert [(r.name, r.equation_ref) for r in rows] == [
+            (f"eq_2_{k}", f"Eq (2.{k})") for k in (5, 6, 7, 8)]
+        for r in rows:
+            assert r.tolerance == tol
+            assert r.verdict == ("pass" if r.max_residual <= tol else "refuted"), r.name
+    assert {r.verdict for r in rows} >= {"refuted"}
+    rep = _differential(plane_structure, chart_points(2, 10, seed=71), tolerance=0.0)
+    assert [r.verdict for r in rep.identities] == ["refuted"] * 7 + ["vacuous"]
+
+
 def test_v_HY_is_measured_not_assumed(plane_structure):
     pts = chart_points(2, 10, seed=73)
     rep = _differential(plane_structure, pts)
@@ -314,21 +314,21 @@ def test_v_HY_is_measured_not_assumed(plane_structure):
 
 
 def test_scaled_normal_refutes_unit_gauge_identities(quadric_r3):
-    rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
+    rho = TensorField((0, 0), 2, lambda c: exp(c[0] + c[1]))
     pts = chart_points(2, 12, seed=79)
     N = NormalField(quadric_r3, scaling=rho)
-    S = extract_structure(N, frame_stack(N, pts))
+    S = extract_structure(frame_stack(N, pts))
     alg = verify_algebraic_identities(S)
     # rho^2 factors break the unit-normal forms of (2.6) to (2.8)
-    assert by_name(alg, "2.6").residual > 1e-2
-    assert by_name(alg, "2.7").residual > 1e-2
+    assert by_name(alg, "2.6").max_residual > 1e-2
+    assert by_name(alg, "2.7").max_residual > 1e-2
     rep = _differential(S, pts)
     # the xi-decomposition identities still hold, the eta(N)-gauge ones fail
-    assert by_name(rep, "2.12").residual <= 1e-5
-    assert by_name(rep, "2.15").residual <= 1e-5
-    assert by_name(rep, "2.16").residual <= 1e-5
-    assert by_name(rep, "2.13").residual > 1e-2
-    assert by_name(rep, "2.14").residual > 1e-2
+    assert by_name(rep, "2.12").max_residual <= 1e-5
+    assert by_name(rep, "2.15").max_residual <= 1e-5
+    assert by_name(rep, "2.16").max_residual <= 1e-5
+    assert by_name(rep, "2.13").max_residual > 1e-2
+    assert by_name(rep, "2.14").max_residual > 1e-2
 
 
 def _flat_bilinear(y, M, x):

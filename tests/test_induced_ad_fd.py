@@ -18,7 +18,7 @@ from sasakicheck import (
     Embedding,
     NormalField,
     PointStack,
-    ScalarField,
+    TensorField,
     christoffel,
     extract_structure,
     frame_stack,
@@ -39,7 +39,7 @@ PARTIALS = {"dphi": "phi", "du": "u", "dU": "U", "dV": "V", "dv": "v", "dlam": "
 def _normal(surface, request):
     if surface == "quadric_r3_scaled":
         E = request.getfixturevalue("quadric_r3")
-        return NormalField(E, scaling=ScalarField(2, lambda c: exp(c[0] + c[1])))
+        return NormalField(E, scaling=TensorField((0, 0), 2, lambda c: exp(c[0] + c[1])))
     return NormalField(request.getfixturevalue(surface))
 
 
@@ -69,7 +69,7 @@ def _shifted(pts, k, delta):
 def test_bundle_partials_match_finite_differences(surface, request):
     N = _normal(surface, request)
     pts = chart_points(N.embedding.dim, POINTS, seed=83)
-    S = extract_structure(N, frame_stack(N, pts))
+    S = extract_structure(frame_stack(N, pts))
     bd = S.bundle_at(pts)
     for k in range(pts.dim):
         plus, minus = (S.values_at(_shifted(pts, k, sign * STEP)) for sign in (1.0, -1.0))
@@ -89,7 +89,7 @@ def _fd_normal(N, pts):
 def _check_normal_partials(N, pts):
     fs = frame_stack(N, pts, partials=True)
     gw = gauss_weingarten(fs)
-    gamma = christoffel(N.embedding.ambient_metric, fs.images)
+    gamma = christoffel(N.embedding.ambient.g, fs.images)
     dN = gw.DN - np.einsum("pijk,pja,pk->pia", gamma, gw.jacobian, gw.normal)
     err = float(np.max(np.abs(dN.mT - _fd_normal(N, pts))))
     assert err <= TOL, err

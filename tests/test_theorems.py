@@ -6,7 +6,7 @@ import pytest
 
 from sasakicheck import (
     NormalField,
-    ScalarField,
+    TensorField,
     check_theorem_3_1,
     check_theorem_3_2,
     check_theorem_3_3,
@@ -43,7 +43,7 @@ from conftest import (
 def plane_structure(plane_r3):
     pts = chart_points(2, 12, seed=83)
     N = NormalField(plane_r3)
-    return extract_structure(N, frame_stack(N, pts))
+    return extract_structure(frame_stack(N, pts))
 
 
 def test_parallel_residual_rejects_unknown_field(plane_structure):
@@ -218,7 +218,7 @@ def test_theorem_3_4_chart_vacuous_on_quadric(quadric_r3):
 
 
 def test_theorem_3_4_scaled_normal_w_is_dlog_rho(quadric_r3):
-    rho = ScalarField(2, lambda c: exp(c[0] + c[1]))
+    rho = TensorField((0, 0), 2, lambda c: exp(c[0] + c[1]))
     N = NormalField(quadric_r3, scaling=rho)
     gw = gauss_weingarten(frame_stack(N, chart_points(2, 8, seed=103), partials=True))
     np.testing.assert_allclose(gw.w, np.ones((8, 2)), atol=1e-6)
@@ -282,5 +282,5 @@ def test_verdicts_stable_under_direction_scaling(plane_structure):
     a = verify_differential_identities(states_at(plane_structure.normal, pts, vecs))
     b = verify_differential_identities(states_at(plane_structure.normal, pts, scaled))
     for x, y in zip(a.identities, b.identities):
-        assert x.residual == pytest.approx(y.residual, abs=1e-10)
+        assert x.max_residual == pytest.approx(y.max_residual, abs=1e-10)
         assert x.convention == y.convention
