@@ -28,7 +28,6 @@ from .hypersurface import (
     second_fundamental_symmetry,
 )
 from .induced import (
-    IdentityReport,
     InducedStructure,
     SampleState,
     extract_structure,
@@ -38,13 +37,11 @@ from .induced import (
 )
 from .sasakian import (
     AlmostContactMetricStructure,
-    AxiomReport,
     check_sasakian_axioms,
     fundamental_two_form,
     standard_sasakian,
 )
 from .theorems import (
-    ImplicationCheckResult,
     PointwiseModel,
     check_theorem_3_1,
     check_theorem_3_2,
@@ -57,12 +54,9 @@ from .theorems import (
 __all__ = [
     "__version__",
     "AlmostContactMetricStructure",
-    "AxiomReport",
     "Embedding",
     "FrameStack",
     "GaussWeingartenData",
-    "IdentityReport",
-    "ImplicationCheckResult",
     "InducedStructure",
     "Jet",
     "NormalField",

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import chain, repeat
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .connection import covariant_derivative_components
 from .errors import TangencyError
 from .fields import PointStack, evaluate, jet
 from .hypersurface import FrameStack, GaussWeingartenData, NormalField, frame_stack
-from .report import CheckResult, equation, verdict
+from .report import CheckResult, equation, row, verdict
 from .sampling import g_normalized
 from .sasakian import check_sasakian_axioms
 
@@ -180,11 +180,12 @@ def extract_structure(fs: FrameStack, require_sasakian: bool = True) -> InducedS
     N = fs.normal_field
     ambient = N.embedding.ambient
     if require_sasakian:
-        rep = check_sasakian_axioms(ambient, PointStack(fs.images.coords[:8]))
-        if rep.max_residual > AMBIENT_AXIOM_TOL:
+        largest = max(r.max_residual for r in check_sasakian_axioms(
+            ambient, PointStack(fs.images.coords[:8]), tolerance=AMBIENT_AXIOM_TOL))
+        if largest > AMBIENT_AXIOM_TOL:
             raise TangencyError(
                 f"ambient structure fails the axiom battery "
-                f"(max residual {rep.max_residual:.3e} > {AMBIENT_AXIOM_TOL})"
+                f"(max residual {largest:.3e} > {AMBIENT_AXIOM_TOL})"
             )
 
     st = _structure_stack(ambient, fs)
@@ -245,17 +246,6 @@ def sample_states(
                        covU=cov("U", (1, 0)), covV=cov("V", (1, 0)))
 
 
-@dataclass
-class IdentityReport:
-    """An identity battery: one report row per identity, named ``eq_2_5`` and
-    so on, with the structure sign it adjudicated."""
-
-    identities: List[CheckResult]
-    structure_sign: str
-    sample_count: int
-    extras: dict = dc_field(default_factory=dict)
-
-
 def structure_residuals(phi, u, U, V, v, lam, g, eta_n) -> Dict[str, float]:
     """Largest residual of each algebraic identity (2.5) to (2.8) over (P, ...) stacks.
 
@@ -293,29 +283,26 @@ def structure_residuals(phi, u, U, V, v, lam, g, eta_n) -> Dict[str, float]:
     return out
 
 
-def _identity_row(eq, residual, tolerance, convention, used, details, outcome=None):
-    """The report row of identity ``eq``.  Its verdict is ``outcome``, by
-    default ``refuted`` on a miss: identity claims are measured, not
-    asserted, so a miss is a finding about the identity (e.g. the rho^2
-    factors a scaled normal introduces), not an engine failure."""
-    return CheckResult(*equation(eq), residual, tolerance,
-                       outcome or verdict(residual, tolerance, "refuted"), convention, used,
-                       details=details)
+def verify_algebraic_identities(S: InducedStructure, tolerance: float = 1e-5) -> List[CheckResult]:
+    """The report rows of the derivative-free identity family (2.5) to (2.8)
+    at the extraction points, from the data extraction built there, judged
+    against ``tolerance``.
 
-
-def verify_algebraic_identities(S: InducedStructure, tolerance: float = 1e-5) -> IdentityReport:
-    """Residuals of the derivative-free identity family (2.5) to (2.8) at
-    the extraction points, from the data extraction built there, as rows
-    judged against ``tolerance``."""
+    A miss reads ``refuted``, here and in the differential battery:
+    identity claims are measured, not asserted, so a miss is a finding
+    about the identity (e.g. the rho^2 factors a scaled normal
+    introduces), not an engine failure.
+    """
     st = S.stack
     sub = structure_residuals(st.phi, st.u, st.U, st.V, st.v, st.lam, st.g, st.eta_n)
     identities = []
     for name in ("2.5", "2.6", "2.7", "2.8"):
         details = {k: r for k, r in sub.items() if k.startswith(name)}
-        identities.append(_identity_row(name, max(details.values()), tolerance, "independent",
-                                        len(st.lam), details))
-    return IdentityReport(identities=identities, structure_sign="independent",
-                          sample_count=len(st.lam))
+        largest = max(details.values())
+        identities.append(row(*equation(name), largest, tolerance,
+                              verdict(largest, tolerance, "refuted"), "independent", len(st.lam),
+                              details=details))
+    return identities
 
 
 def _variant_grid(name):
@@ -376,8 +363,10 @@ def verify_differential_identities(
     states: SampleState,
     tolerance: float = 1e-5,
     strict_paper: bool = False,
-) -> IdentityReport:
-    """Covariant-derivative identity battery with convention adjudication.
+) -> Tuple[List[CheckResult], float, Dict[str, float]]:
+    """Covariant-derivative identity battery with convention adjudication:
+    its report rows, the structure sign it adjudicated (1.0 as extracted,
+    -1.0 with (phi, u, U) negated) and the measured max |v(H .)| for each H.
 
     Each point's directions are taken in consecutive pairs (X, Y); an
     unpaired last direction is dropped.  The vector contractions of all
@@ -391,11 +380,11 @@ def verify_differential_identities(
     (R, variants, m) array over its :class:`_Variants` table, elementwise
     in the printed order, so each residual keeps the bits of its pair and
     variant written out alone.  A variant's residual is its largest over
-    the pairs, a NaN passed over.  The report carries one row per identity,
-    judged against ``tolerance`` with its minimizing variant, together with
-    one global structure-sign verdict.  ``tolerance`` also decides (2.18)'s
-    premise.  In strict paper mode only the printed form with H = H_h and
-    the extracted structure sign is evaluated.
+    the pairs, a NaN passed over.  There is one row per identity, judged
+    against ``tolerance`` with its minimizing variant, and one global
+    structure sign.  ``tolerance`` also decides (2.18)'s premise.  In
+    strict paper mode only the printed form with H = H_h and the extracted
+    structure sign is evaluated.
     """
     names = ["2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17"]
     signs = (1.0,) if strict_paper else (1.0, -1.0)
@@ -486,21 +475,17 @@ def verify_differential_identities(
         }
         if other:
             details["best_other_structure_sign"] = other[name][1]
-        identities.append(_identity_row(name, resid, tolerance,
-                                        f"{_tag(nu, htag)}|{STRUCTURE_TAGS[chosen_s]}",
-                                        len(worst), details))
+        identities.append(row(*equation(name), resid, tolerance,
+                              verdict(resid, tolerance, "refuted"),
+                              f"{_tag(nu, htag)}|{STRUCTURE_TAGS[chosen_s]}", len(worst),
+                              details=details))
 
     # (2.18) is an implication: vacuous where its premise h(Y, U) = 0 fails
     # at the same tolerance, and a failure where the premise holds and it misses
     vacuous = h_U_premise > tolerance
-    identities.append(_identity_row(
-        "2.18", HU_norm["H_h"], tolerance, f"H_h|{STRUCTURE_TAGS[chosen_s]}", len(states.dirs),
-        {"premise_max_h_Y_U": h_U_premise, "HU_norms": dict(HU_norm), "vacuous": vacuous},
-        verdict(HU_norm["H_h"], tolerance, held=not vacuous)))
-
-    return IdentityReport(
-        identities=identities,
-        structure_sign=STRUCTURE_TAGS[chosen_s],
-        sample_count=len(worst),
-        extras={"v_HY_measured": dict(v_HY)},
-    )
+    identities.append(row(
+        *equation("2.18"), HU_norm["H_h"], tolerance,
+        verdict(HU_norm["H_h"], tolerance, held=not vacuous), f"H_h|{STRUCTURE_TAGS[chosen_s]}",
+        len(states.dirs),
+        details={"premise_max_h_Y_U": h_U_premise, "HU_norms": dict(HU_norm), "vacuous": vacuous}))
+    return identities, chosen_s, v_HY

@@ -1,12 +1,12 @@
 """Verification reports: JSON for machines, a fixed-width table for humans.
 
-One verdict vocabulary serves report rows and the implication results
-of ``theorems.py`` alike: ``pass``/``fail`` for tolerance checks,
-``vacuous`` for implication checks whose hypothesis never held,
-``refuted`` for identity claims and implications whose conclusion
-misses.  :func:`verdict` is the one rule that picks among them.  Only
-``fail`` affects the exit code; a refuted claim is a finding about the
-identity, not an engine failure.
+Every check returns report rows (:class:`CheckResult`), built by
+:func:`row`.  One verdict vocabulary serves them all: ``pass``/``fail``
+for tolerance checks, ``vacuous`` for implication checks whose
+hypothesis never held, ``refuted`` for identity claims and implications
+whose conclusion misses.  :func:`verdict` is the one rule that picks
+among them.  Only ``fail`` affects the exit code; a refuted claim is a
+finding about the identity, not an engine failure.
 """
 
 from __future__ import annotations
@@ -45,6 +45,14 @@ class CheckResult:
     samples_used: int = 0
     samples_excluded: int = 0
     details: dict = dc_field(default_factory=dict)
+
+
+def row(name, ref, residual, tol, outcome=None, convention="", used=0, excluded=0,
+        details=None) -> CheckResult:
+    """One report row; its verdict is ``outcome``, by default ``verdict(residual, tol)``."""
+    return CheckResult(name, ref, None if residual is None else float(residual),
+                       None if tol is None else float(tol), outcome or verdict(residual, tol),
+                       convention, used, excluded, details or {})
 
 
 @dataclass

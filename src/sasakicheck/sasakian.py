@@ -24,7 +24,7 @@ components as columns (see :mod:`sasakicheck.fields`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -32,9 +32,11 @@ from .connection import christoffel, covariant_derivative_components
 from .errors import DimensionMismatchError
 from .fields import PointStack, TensorField, evaluate, jet
 from .linalg import pair, worst
+from .report import CheckResult, equation, row
 from .sampling import sample_vectors, spawn_rngs, DEFAULT_SEED
 
 RANK_SV_THRESHOLD = 1e-8
+AXIOM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,19 +51,6 @@ class AlmostContactMetricStructure:
     @property
     def n(self) -> int:
         return (self.dim - 1) // 2
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    """Per-axiom max residuals over the sampled points and directions."""
-
-    residuals: Dict[str, float]
-    sample_count: int
-    direction_count: int
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
 
 
 def _eta_components(coords, n):
@@ -171,8 +160,12 @@ def check_sasakian_axioms(
     S: AlmostContactMetricStructure,
     stack: PointStack,
     directions: Optional[np.ndarray] = None,
-) -> AxiomReport:
-    """Max residual of each structure axiom over the samples.
+    tolerance: float = AXIOM_TOL,
+) -> List[CheckResult]:
+    """The report rows ``eq_1_1`` to ``eq_1_10``: the max residual of each
+    structure axiom over the samples, judged against ``tolerance``.  The
+    (1.3) row is the largest of its parts, kept in its details as ``1.3a``
+    (eta phi = 0), ``1.3b`` (phi xi = 0) and ``1.3c`` (rank phi = 2n).
 
     Algebraic axioms are checked on full component arrays (equivalent to all
     directions); (1.6) at every pair and (1.7) at every row of the (K, d) array
@@ -223,4 +216,9 @@ def check_sasakian_axioms(
     res["1.7"] = worst(_xi_transport(dxi, phi, dirs).reshape(-1, S.dim))
 
     res.update(_two_form_identities(evaluate(fundamental_two_form(S), stack), phi))
-    return AxiomReport(residuals=res, sample_count=len(stack), direction_count=len(directions))
+    rows = []
+    for eq in (f"1.{k}" for k in range(1, 11)):
+        details = {k: res[k] for k in ("1.3a", "1.3b", "1.3c")} if eq == "1.3" else {}
+        rows.append(row(*equation(eq), max(details.values()) if details else res[eq], tolerance,
+                        used=len(stack), details=details))
+    return rows

@@ -7,10 +7,13 @@ holds; on generic hypersurfaces that never happens and the verdict is
 ``vacuous``, which is an honest outcome, never a failure.  Model mode
 builds exact pointwise linear-algebra data satisfying the algebraic
 structure identities, imposes the hypothesis algebraically, and
-measures the conclusions to machine precision.  Verdicts come from
-:func:`~sasakicheck.report.verdict` with ``miss="refuted"``: ``vacuous``
-unless the hypothesis holds, ``refuted`` when a conclusion misses (or
-is NaN), ``pass`` otherwise.
+measures the conclusions to machine precision.  Each check returns its
+report row (:class:`~sasakicheck.report.CheckResult`; Theorem 3.1's
+chart check returns five, ``eq_3_1`` to ``eq_3_5``), whose details keep
+the hypothesis residual, the conclusion residuals and the notes.
+Verdicts come from :func:`~sasakicheck.report.verdict` with
+``miss="refuted"``: ``vacuous`` unless the hypothesis holds, ``refuted``
+when a conclusion misses (or is NaN), ``pass`` otherwise.
 
 A report's models are one stack (:func:`make_pointwise_model` with an
 array of lambdas): one block of normal draws, one stacked QR and
@@ -24,7 +27,7 @@ per matrix, so the stack holds the bits of one-model calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Dict, List
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .induced import SampleState, structure_residuals
-from .report import verdict
+from .report import CheckResult, equation, row, verdict
 
 LAMBDA_FLOOR = 1e-6
 HYPOTHESIS_TOL = 1e-6
@@ -41,22 +44,21 @@ MODEL_TOL = 1e-12
 MODEL_CONCLUSION_TOL = 1e-10
 
 
-@dataclass
-class ImplicationCheckResult:
-    name: str
-    hypothesis_residual: float
-    conclusion_residuals: Dict[str, float]
-    verdict: str  # pass | vacuous | refuted, the report's vocabulary
-    convention: str = ""
-    notes: List[str] = dc_field(default_factory=list)
-    samples_used: int = 0
-    samples_excluded: int = 0
-
-
 def _largest(concl: Dict[str, float]) -> float:
-    """The largest conclusion residual; NaN when any is, so a NaN never passes."""
+    """The largest conclusion residual, 0 with none; NaN when any is, so a NaN never passes."""
     values = concl.values()
-    return math.nan if any(v != v for v in values) else max(values)
+    return math.nan if any(v != v for v in values) else max(values, default=0.0)
+
+
+def _implication(name, ref, hyp, concl, tol, held, convention, used=0, excluded=0,
+                 notes=()) -> CheckResult:
+    """The report row of an implication: ``vacuous`` unless ``held``, else
+    ``refuted`` when a conclusion residual misses ``tol``, else ``pass``.
+    Its residual is the largest conclusion residual, or the hypothesis
+    residual when vacuous; its details keep both, and the notes."""
+    return row(name, ref, max(concl.values(), default=0.0) if held else hyp, tol,
+               verdict(_largest(concl), tol, "refuted", held=held), convention, used, excluded,
+               {"hypothesis_residual": hyp, "conclusion_residuals": concl, "notes": list(notes)})
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +123,12 @@ def theorem_3_1_chart(
     eps_h: float = HYPOTHESIS_TOL,
     eps_c: float = CONCLUSION_TOL,
     structure_sign: float = 1.0,
-) -> ImplicationCheckResult:
-    """phi parallel implies (3.2)-(3.5); evaluated only where nabla phi is small."""
+) -> List[CheckResult]:
+    """phi parallel implies (3.2)-(3.5); evaluated only where nabla phi is small.
+
+    The rows are ``eq_3_1``, the hypothesis residual |nabla phi| against
+    ``eps_h`` (``vacuous`` when it misses), and ``eq_3_2`` to ``eq_3_5``,
+    the conclusions against ``eps_c``."""
     hyp = parallel_residual(states, "phi")
     concl = {"3.2": 0.0, "3.3": 0.0, "3.4": 0.0, "3.5": 0.0}
     used = excluded = 0
@@ -138,15 +144,12 @@ def theorem_3_1_chart(
         concl["3.5"] = linalg.worst(np.abs(_scalar_relation(states, structure_sign)[~small]))
         used = dirs.shape[0] * dirs.shape[1] ** 2
         excluded = int(np.count_nonzero(small))
-    return ImplicationCheckResult(
-        name="theorem_3_1_chart",
-        hypothesis_residual=hyp,
-        conclusion_residuals=concl,
-        verdict=verdict(_largest(concl), eps_c, "refuted", held=hyp <= eps_h),
-        convention="nabla phi = 0 hypothesis",
-        samples_used=used,
-        samples_excluded=excluded,
-    )
+    held, convention = hyp <= eps_h, "nabla phi = 0 hypothesis"
+    outcome = verdict(_largest(concl), eps_c, "refuted", held=held)
+    rows = [row("eq_3_1", "Eq (3.1)", hyp, eps_h, verdict(hyp, eps_h, "vacuous"), convention,
+                len(states.dirs), details={"note": "hypothesis residual |nabla phi|"})]
+    return rows + [row(*equation(eq), concl[eq] if held else None, eps_c, outcome, convention,
+                       used, excluded) for eq in concl]
 
 
 def theorem_3_2_chart(
@@ -154,7 +157,7 @@ def theorem_3_2_chart(
     eps_h: float = HYPOTHESIS_TOL,
     eps_c: float = CONCLUSION_TOL,
     structure_sign: float = 1.0,
-) -> ImplicationCheckResult:
+) -> CheckResult:
     """U parallel implies (3.6)-(3.7); generically vacuous."""
     hyp = parallel_residual(states, "U")
     concl = {"3.6": 0.0, "3.7": 0.0}
@@ -175,22 +178,16 @@ def theorem_3_2_chart(
             wY - (2.0 * lam)[:, None] * uX + (lam * lam)[:, None] * dloglam))
         used = dirs.shape[0] * dirs.shape[1] ** 2
         excluded = len(states.dirs) - dirs.shape[0]
-    return ImplicationCheckResult(
-        name="theorem_3_2_chart",
-        hypothesis_residual=hyp,
-        conclusion_residuals=concl,
-        verdict=verdict(_largest(concl), eps_c, "refuted", held=hyp <= eps_h),
-        convention="nabla U = 0 hypothesis",
-        samples_used=used,
-        samples_excluded=excluded,
-    )
+    return _implication("thm_3_2_chart", "Thm 3.2 (chart)", hyp, concl, eps_c, hyp <= eps_h,
+                        "nabla U = 0 hypothesis", used, excluded)
 
 
 def theorem_3_3_chart(
     states: SampleState,
     eps_h: float = HYPOTHESIS_TOL,
-) -> ImplicationCheckResult:
-    """V parallel implies totally geodesic, as the bound |h| <= C eps / |lambda|."""
+) -> CheckResult:
+    """V parallel implies totally geodesic, as the bound |h| <= C eps / |lambda|,
+    decided at tolerance 0."""
     eps = _max_per_point(_covariant_along(states, "V"))
     lam, g, phi, h = _stack(states, "bundle.lam", "bundle.g", "bundle.phi", "gw.h")
     ok, used, excluded = _gated(eps, lam, eps_h)
@@ -199,15 +196,8 @@ def theorem_3_3_chart(
     C = (1.0 + _max_per_point(np.abs(g))) * (1.0 + _max_per_point(np.abs(phi)))
     bound = C * np.maximum(eps, 1e-15) / np.abs(lam)
     concl = {"h_bound": linalg.worst(np.maximum(0.0, _max_per_point(np.abs(h)) - bound))}
-    return ImplicationCheckResult(
-        name="theorem_3_3_chart",
-        hypothesis_residual=hyp,
-        conclusion_residuals=concl,
-        verdict=verdict(concl["h_bound"], 0.0, "refuted", held=used > 0),
-        convention="nabla V = 0 hypothesis",
-        samples_used=used,
-        samples_excluded=excluded,
-    )
+    return _implication("thm_3_3_chart", "Thm 3.3 (chart)", hyp, concl, 0.0, used > 0,
+                        "nabla V = 0 hypothesis", used, excluded)
 
 
 def check_theorem_3_4(
@@ -215,21 +205,15 @@ def check_theorem_3_4(
     eps_h: float = HYPOTHESIS_TOL,
     eps_c: float = CONCLUSION_TOL,
     structure_sign: float = 1.0,
-) -> ImplicationCheckResult:
-    """h = 0 implies lambda w = u - d lambda; vacuous wherever h != 0."""
+) -> CheckResult:
+    """h = 0 implies lambda w = u - d lambda (3.8); vacuous wherever h != 0."""
     lam, h = _stack(states, "bundle.lam", "gw.h")
     hnorm = _max_per_point(np.abs(h))
     ok, used, excluded = _gated(hnorm, lam, eps_h)
     concl = {"3.8": linalg.worst(np.abs(_scalar_relation(states, structure_sign)[ok]))}
-    return ImplicationCheckResult(
-        name="theorem_3_4_chart",
-        hypothesis_residual=float(np.fmin.reduce(hnorm, initial=np.inf)) if used == 0 else 0.0,
-        conclusion_residuals=concl,
-        verdict=verdict(concl["3.8"], eps_c, "refuted", held=used > 0),
-        convention="h = 0 hypothesis",
-        samples_used=used,
-        samples_excluded=excluded,
-    )
+    hyp = float(np.fmin.reduce(hnorm, initial=np.inf)) if used == 0 else 0.0
+    return _implication("eq_3_8", "Eq (3.8)", hyp, concl, eps_c, used > 0, "h = 0 hypothesis",
+                        used, excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +316,7 @@ def model_structure_residuals(models: PointwiseModel) -> Dict[str, float]:
     return {k: r for k, r in res.items() if not k.startswith("2.5")}
 
 
-def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> ImplicationCheckResult:
+def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> CheckResult:
     """Impose v(X)Y - g(X,Y)V + h(X,Y)U + u(X)HY = 0 with symmetric h.
 
     The constraint is solved in least squares over symmetric h and
@@ -386,15 +370,8 @@ def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> Implicat
             f"hypothesis not imposable: (3.4) forces rank-degenerate g "
             f"(residual {concl['3.4']:.3e} with 1 - lambda^2 = {one:.3e})"
         )
-    return ImplicationCheckResult(
-        name="theorem_3_1_model",
-        hypothesis_residual=solve_residual,
-        conclusion_residuals=concl,
-        verdict=verdict(_largest(concl), tol, "refuted", held=held),
-        convention="least-squares h (symmetric), H",
-        notes=notes,
-        samples_used=1,
-    )
+    return _implication("thm_3_1_model", "Thm 3.1 (model)", solve_residual, concl, tol, held,
+                        "least-squares h (symmetric), H", 1, notes=notes)
 
 
 def _imposed_w(phi_inv, u, U, V, g, lam):
@@ -408,7 +385,7 @@ def _imposed_w(phi_inv, u, U, V, g, lam):
 
 def check_theorem_3_2(
     model: PointwiseModel, tol: float = MODEL_CONCLUSION_TOL, rng=None
-) -> ImplicationCheckResult:
+) -> CheckResult:
     """Impose w(X)U - phi H X - lambda X = 0 on a d(lambda) = 0 model.
 
     H follows from the hypothesis once w is known; w itself is pinned by
@@ -450,18 +427,11 @@ def check_theorem_3_2(
         }
         note = f"h asymmetry under the hypothesis: {np.max(np.abs(hmat - hmat.T)):.3e}"
         convention = "d(lambda) = 0 model, w from scalar compatibility"
-    return ImplicationCheckResult(
-        name="theorem_3_2_model",
-        hypothesis_residual=hyp,
-        conclusion_residuals=concl,
-        verdict=verdict(_largest(concl), tol, "refuted", held=hyp <= 1e-10),
-        convention=convention,
-        notes=[note],
-        samples_used=1,
-    )
+    return _implication("thm_3_2_model", "Thm 3.2 (model)", hyp, concl, tol, hyp <= 1e-10,
+                        convention, 1, notes=[note])
 
 
-def check_theorem_3_3(model: PointwiseModel, tol: float = MODEL_TOL) -> ImplicationCheckResult:
+def check_theorem_3_3(model: PointwiseModel, tol: float = MODEL_TOL) -> CheckResult:
     """V parallel forces h = 0: H = -phi/lambda makes g(HX, Y) antisymmetric,
     and a symmetric second fundamental form equal to it must vanish.
 
@@ -473,43 +443,24 @@ def check_theorem_3_3(model: PointwiseModel, tol: float = MODEL_TOL) -> Implicat
     used = int(np.count_nonzero(kept))
     excluded = kept.size - used if lam.ndim else 0
     if used == 0:
-        return ImplicationCheckResult(
-            name="theorem_3_3_model",
-            hypothesis_residual=np.inf,
-            conclusion_residuals={},
-            verdict="vacuous",
-            notes=["lambda = 0 excluded (hypothesis divides by lambda)"],
-            samples_excluded=excluded,
-        )
+        return _implication("thm_3_3_model", "Thm 3.3 (model)", np.inf, {}, tol, False, "",
+                            excluded=excluded,
+                            notes=["lambda = 0 excluded (hypothesis divides by lambda)"])
     H = -model.phi[kept] / lam[kept][:, None, None]
     hmat = H.mT @ model.g[kept]
     forced = 0.5 * np.max(np.abs(hmat + hmat.mT), axis=(1, 2))
     forced_h = linalg.worst(forced) if lam.ndim else float(forced[0])
-    return ImplicationCheckResult(
-        name="theorem_3_3_model",
-        hypothesis_residual=0.0,
-        conclusion_residuals={"max_h": forced_h},
-        verdict=verdict(forced_h, tol, "refuted"),
-        convention="H = -phi/lambda",
-        samples_used=used,
-        samples_excluded=excluded,
-    )
+    return _implication("thm_3_3_model", "Thm 3.3 (model)", 0.0, {"max_h": forced_h}, tol, True,
+                        "H = -phi/lambda", used, excluded)
 
 
-def theorem_3_4_model_consistency(model: PointwiseModel) -> ImplicationCheckResult:
+def theorem_3_4_model_consistency(model: PointwiseModel) -> CheckResult:
     """With h = 0, w = 0 and constant lambda the scalar relation forces
     u = 0, which no noninvariant model satisfies; record the forced-u
     residual rather than pretending the family exists."""
     _one_model(model, "theorem_3_4_model_consistency")
     forced_u = float(np.max(np.abs(model.u)))
-    return ImplicationCheckResult(
-        name="theorem_3_4_model",
-        hypothesis_residual=0.0,
-        conclusion_residuals={"forced_u": forced_u},
-        verdict="vacuous",
-        notes=[
-            "h = 0, w = 0, d(lambda) = 0 forces u = 0; "
-            f"u(U) = 1 - lambda^2 = {1 - model.lam ** 2:.3e} keeps u nonzero"
-        ],
-        samples_used=1,
-    )
+    return _implication("thm_3_4_model", "Thm 3.4 (model)", 0.0, {"forced_u": forced_u},
+                        MODEL_TOL, False, "", 1, notes=[
+                            "h = 0, w = 0, d(lambda) = 0 forces u = 0; "
+                            f"u(U) = 1 - lambda^2 = {1 - model.lam ** 2:.3e} keeps u nonzero"])

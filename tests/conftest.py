@@ -113,9 +113,18 @@ def row(record, index):
     return type(record)(*(take(getattr(record, f.name)) for f in fields(record)))
 
 
-def by_name(rep, eq):
-    """The row of equation ``eq`` (``"2.5"``, named ``eq_2_5``) in an identity report."""
-    return {r.name: r for r in rep.identities}["eq_" + eq.replace(".", "_")]
+def by_name(rows, eq):
+    """The row of equation ``eq`` (``"2.5"``, named ``eq_2_5``) among report rows."""
+    return {r.name: r for r in rows}["eq_" + eq.replace(".", "_")]
+
+
+def axiom_residuals(rows):
+    """The residual of each axiom by equation (``"1.1"``, ...) from the rows of
+    ``check_sasakian_axioms``, with (1.3) as its parts ``1.3a`` to ``1.3c``."""
+    out = {}
+    for r in rows:
+        out.update(r.details or {r.equation_ref[4:-1]: r.max_residual})
+    return out
 
 
 def states_at(N, points, directions):

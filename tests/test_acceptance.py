@@ -71,8 +71,8 @@ def test_criterion_1_sasakian_axioms():
             S = standard_sasakian(n)
             pts = _points(S.dim, 100, seed=7)
             dirs = sample_vectors(S.dim, 5, np.random.default_rng(8))
-            rep = check_sasakian_axioms(S, pts, dirs)
-            assert rep.max_residual <= 1e-8, rep.residuals
+            rows = check_sasakian_axioms(S, pts, dirs, tolerance=1e-8)
+            assert max(r.max_residual for r in rows) <= 1e-8, rows
         assert time.perf_counter() - start <= 5.0
 
 
@@ -119,8 +119,7 @@ def test_criterion_4_induced_structure():
         ):
             N = NormalField(emb)
             S = extract_structure(frame_stack(N, nonzero_y))
-            rep = verify_algebraic_identities(S)
-            for r in rep.identities:
+            for r in verify_algebraic_identities(S):
                 assert r.max_residual <= 1e-5, (r.name, r.max_residual)
             assert S.max_u > 1e-3
 
@@ -138,9 +137,9 @@ def test_criterion_5_derived_identities_adjudicated():
         conventions = {}
         for name, emb, dim in runs:
             pts = _points(dim, 20, seed=37)
-            rep = verify_differential_identities(states_at(NormalField(emb), pts,
-                                                           _pair_dirs(dim, seed=41)))
-            for r in rep.identities:
+            rows, _, _ = verify_differential_identities(states_at(NormalField(emb), pts,
+                                                                  _pair_dirs(dim, seed=41)))
+            for r in rows:
                 if r.name == "eq_2_18":
                     # tautology of the H_h definition: never premise-pass with
                     # conclusion-fail; vacuous wherever h(., U) != 0
@@ -157,11 +156,11 @@ def test_criterion_5_derived_identities_adjudicated():
         # report is still emitted with intact rows
         emb = runs[0][1]
         pts = _points(2, 10, seed=43)
-        strict = verify_differential_identities(states_at(NormalField(emb), pts,
-                                                          _pair_dirs(2, seed=41)),
-                                                strict_paper=True)
-        assert len(strict.identities) == 8
-        assert all(r.max_residual > 1e-5 for r in strict.identities if r.name != "eq_2_18")
+        strict, _, _ = verify_differential_identities(states_at(NormalField(emb), pts,
+                                                                _pair_dirs(2, seed=41)),
+                                                      strict_paper=True)
+        assert len(strict) == 8
+        assert all(r.max_residual > 1e-5 for r in strict if r.name != "eq_2_18")
 
 
 def test_criterion_6_theorem_3_3_models():
@@ -173,7 +172,7 @@ def test_criterion_6_theorem_3_3_models():
                 model = make_pointwise_model(n, float(rng.uniform(0.1, 0.9)), rng)
                 res = check_theorem_3_3(model)
                 assert res.verdict == "pass"
-                assert res.conclusion_residuals["max_h"] <= 1e-12
+                assert res.details["conclusion_residuals"]["max_h"] <= 1e-12
         assert time.perf_counter() - start <= 2.0
 
 

@@ -155,21 +155,22 @@ def test_battery_equals_per_variant_oracle(surface, strict_paper):
     # an odd direction count leaves the last direction unpaired, as the oracle's zip does
     for directions in (6, 7):
         states = _states(surface, directions=directions)
-        rep = verify_differential_identities(states, tolerance=1e-5, strict_paper=strict_paper)
+        rows, sign, v_HY_measured = verify_differential_identities(
+            states, tolerance=1e-5, strict_paper=strict_paper)
         variants, other, v_HY, premise, HU, pair_count = _oracle(_points(states), strict_paper)
         assert pair_count == len(states.dirs) * 3
-        assert rep.sample_count == pair_count
         for name in NAMES:
-            r = by_name(rep, name)
+            r = by_name(rows, name)
             assert r.samples_used == pair_count
+            assert r.convention.endswith(STRUCTURE_TAGS[sign]), name
             assert r.details["variants"] == variants[name], (directions, name)
             assert list(r.details["variants"]) == list(variants[name]), name
             if strict_paper:
                 assert "best_other_structure_sign" not in r.details
             else:
                 assert r.details["best_other_structure_sign"] == other[name], (directions, name)
-        assert rep.extras["v_HY_measured"] == v_HY
-        r18 = by_name(rep, "2.18")
+        assert v_HY_measured == v_HY
+        r18 = by_name(rows, "2.18")
         assert r18.details == {"premise_max_h_Y_U": premise, "HU_norms": HU,
                                "vacuous": premise > 1e-5}
         assert r18.max_residual == HU["H_h"]
@@ -204,10 +205,10 @@ def test_battery_passes_over_nan_residuals_like_the_oracle(surface, strict_paper
     # vector residuals at every pair of points 3 and 5
     covphi[3, 0, 1, 0] = covU[5, 1, 0] = np.nan
     states = replace(states, covphi=covphi, covU=covU)
-    rep = verify_differential_identities(states, strict_paper=strict_paper)
+    rows, _, _ = verify_differential_identities(states, strict_paper=strict_paper)
     variants = _oracle(_points(states), strict_paper)[0]
     for name in NAMES:
-        assert by_name(rep, name).details["variants"] == variants[name], name
+        assert by_name(rows, name).details["variants"] == variants[name], name
     # such a pair's maximum is NaN, so the whole pair is passed over, its
     # finite components included: the point drops out of that identity
     for name, point in (("2.11", 3), ("2.14", 5)):
@@ -224,17 +225,17 @@ def test_eq_2_18_passes_over_nan_inputs_like_the_oracle(surface):
     # point 2's h(., U) and point 4's H_h U and v(H_h .) each have a NaN entry
     h[2, 0, 0] = H_h[4, 0, 0] = np.nan
     states = replace(states, gw=replace(states.gw, h=h, H_h=H_h))
-    rep = verify_differential_identities(states)
+    rows, _, v_HY_measured = verify_differential_identities(states)
     variants, _, v_HY, premise, HU, _ = _oracle(_points(states), strict_paper=False)
-    r18 = by_name(rep, "2.18")
+    r18 = by_name(rows, "2.18")
     assert r18.details["premise_max_h_Y_U"] == premise
     assert r18.details["HU_norms"] == HU
-    assert rep.extras["v_HY_measured"] == v_HY
+    assert v_HY_measured == v_HY
     # each NaN point is passed over, as a running max over the points does
     for value in (premise, *HU.values(), *v_HY.values()):
         assert np.isfinite(value) and value > 0.0
     for name in NAMES:
-        assert by_name(rep, name).details["variants"] == variants[name], name
+        assert by_name(rows, name).details["variants"] == variants[name], name
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -273,11 +274,10 @@ def test_battery_without_a_direction_pair_raises():
 @pytest.mark.parametrize("surface", sorted(SURFACES))
 def test_battery_variants_equal_single_state_batteries(surface, strict_paper):
     states = _states(surface, count=8, seed=29)
-    whole = verify_differential_identities(states, strict_paper=strict_paper)
+    whole = verify_differential_identities(states, strict_paper=strict_paper)[0]
     singles = [verify_differential_identities(row(states, slice(i, i + 1)),
-                                              strict_paper=strict_paper)
+                                              strict_paper=strict_paper)[0]
                for i in range(len(states.dirs))]
-    assert whole.sample_count == sum(s.sample_count for s in singles)
     for name in NAMES:
         r = by_name(whole, name)
         parts = [by_name(s, name) for s in singles]

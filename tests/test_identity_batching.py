@@ -38,10 +38,10 @@ def _points(dim, count, seed):
 
 
 def _assert_combines(whole, singles):
-    """``whole`` report is the per-key maximum of the one-point ``singles``."""
-    assert whole.sample_count == sum(s.sample_count for s in singles)
-    for i, r in enumerate(whole.identities):
-        parts = [s.identities[i] for s in singles]
+    """The ``whole`` rows are the per-key maxima of the one-point ``singles``."""
+    assert len(whole) == 4
+    for i, r in enumerate(whole):
+        parts = [s[i] for s in singles]
         assert r.name == parts[0].name
         assert r.max_residual == max(p.max_residual for p in parts), r.name
         assert r.samples_used == sum(p.samples_used for p in parts), r.name
@@ -84,6 +84,19 @@ def _edited(states, variant):
     return out
 
 
+def _parts(result):
+    """The hypothesis residual, conclusion residuals, samples used and samples
+    excluded of a chart check's row, or of Theorem 3.1's five rows, whose
+    conclusion rows read None (here 0.0) when the hypothesis misses."""
+    if isinstance(result, list):
+        hyp, *concl = result
+        return (hyp.max_residual, {r.equation_ref[4:-1]: r.max_residual or 0.0 for r in concl},
+                concl[0].samples_used, concl[0].samples_excluded)
+    details = result.details
+    return (details["hypothesis_residual"], details["conclusion_residuals"],
+            result.samples_used, result.samples_excluded)
+
+
 def _combined(singles, hypothesis_gated):
     """Combine one-state results the way one call over all states does.
 
@@ -91,23 +104,21 @@ def _combined(singles, hypothesis_gated):
     hypothesis residual is within tolerance; Theorems 3.3 and 3.4 gate
     each sample on its own hypothesis.
     """
-    used = sum(r.samples_used for r in singles)
-    excluded = sum(r.samples_excluded for r in singles)
-    concl = {k: max(r.conclusion_residuals[k] for r in singles)
-             for k in singles[0].conclusion_residuals}
+    singles = [_parts(r) for r in singles]
+    used = sum(r[2] for r in singles)
+    excluded = sum(r[3] for r in singles)
+    concl = {k: max(r[1][k] for r in singles) for k in singles[0][1]}
     if hypothesis_gated:
-        hyp = max(r.hypothesis_residual for r in singles)
+        hyp = max(r[0] for r in singles)
         if hyp > HYPOTHESIS_TOL:
             concl, used, excluded = dict.fromkeys(concl, 0.0), 0, 0
     return concl, used, excluded
 
 
 def _assert_theorem_combines(whole, singles, hypothesis_gated, hyp=None):
-    concl, used, excluded = _combined(singles, hypothesis_gated)
-    assert whole.conclusion_residuals == concl
-    assert (whole.samples_used, whole.samples_excluded) == (used, excluded)
+    assert _parts(whole)[1:] == _combined(singles, hypothesis_gated)
     if hyp is not None:
-        assert whole.hypothesis_residual == hyp
+        assert _parts(whole)[0] == hyp
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -129,25 +140,24 @@ def test_chart_theorems_equal_single_state_checks(surface, count, variant, sign)
     for theorem in (theorem_3_1_chart, theorem_3_2_chart):
         whole = theorem(states, structure_sign=sign)
         singles = [theorem(o, structure_sign=sign) for o in ones]
-        _assert_theorem_combines(whole, singles, True,
-                                 max(r.hypothesis_residual for r in singles))
+        _assert_theorem_combines(whole, singles, True, max(_parts(r)[0] for r in singles))
 
     whole = theorem_3_3_chart(states)
     singles = [theorem_3_3_chart(o) for o in ones]
     _assert_theorem_combines(whole, singles, False,
                              0.0 if whole.samples_used else
-                             max(r.hypothesis_residual for r in singles))
+                             max(_parts(r)[0] for r in singles))
 
     whole = check_theorem_3_4(states, structure_sign=sign)
     singles = [check_theorem_3_4(o, structure_sign=sign) for o in ones]
     # with no usable sample the hypothesis residual is the smallest |h|
     _assert_theorem_combines(whole, singles, False,
                              0.0 if whole.samples_used else
-                             min(r.hypothesis_residual for r in singles))
+                             min(_parts(r)[0] for r in singles))
 
     if variant != "real":
         # the edited hypotheses hold, so the conclusions were evaluated
-        assert theorem_3_1_chart(states).samples_used == count * len(dirs) ** 2
+        assert _parts(theorem_3_1_chart(states))[2] == count * len(dirs) ** 2
     if variant == "lambda_floor":
         assert theorem_3_2_chart(states).samples_excluded == 2
         assert theorem_3_3_chart(states).samples_excluded == 2
@@ -191,8 +201,8 @@ def test_algebraic_battery_equals_per_point_loop(surface):
     pts = _points(N.embedding.dim, 50, seed=17)
     S = extract_structure(frame_stack(N, pts))
     want = _loop_structure_residuals(row(S.stack, i) for i in range(len(pts)))
-    rep = verify_algebraic_identities(S)
-    assert {k: v for r in rep.identities for k, v in r.details.items()} == want
+    rows = verify_algebraic_identities(S)
+    assert {k: v for r in rows for k, v in r.details.items()} == want
 
 
 def _loop_conclusions(states, sign):
@@ -237,11 +247,11 @@ def test_chart_theorems_equal_per_sample_loops(surface, variant, sign):
     pts = sample_points(m, 12, (-1.0, 1.0), rng)
     states = _edited(states_at(N, pts, sample_vectors(m, 6, rng)), variant)
     want = _loop_conclusions(states, sign)
-    got = {**theorem_3_1_chart(states, structure_sign=sign).conclusion_residuals,
-           **theorem_3_2_chart(states, structure_sign=sign).conclusion_residuals,
-           **theorem_3_3_chart(states).conclusion_residuals}
+    got = {**_parts(theorem_3_1_chart(states, structure_sign=sign))[1],
+           **_parts(theorem_3_2_chart(states, structure_sign=sign))[1],
+           **_parts(theorem_3_3_chart(states))[1]}
     if variant == "lambda_floor":  # h = 0 holds only here
-        got.update(check_theorem_3_4(states, structure_sign=sign).conclusion_residuals)
+        got.update(_parts(check_theorem_3_4(states, structure_sign=sign))[1])
     else:
         del want["3.8"]
     # the per-sample dot products read strided views, the stacked ones

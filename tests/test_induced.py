@@ -192,8 +192,7 @@ def test_algebraic_identities_on_canonical_surfaces(surface, request):
     pts = chart_points(2, 30, seed=43)
     N = NormalField(E)
     S = extract_structure(frame_stack(N, pts))
-    rep = verify_algebraic_identities(S)
-    for r in rep.identities:
+    for r in verify_algebraic_identities(S):
         assert r.max_residual <= 1e-8, (r.name, r.max_residual)
 
 
@@ -207,9 +206,9 @@ def test_specific_algebraic_values_on_plane(plane_structure):
 def test_gauge_families_agree_for_unit_normal(plane_r3):
     N = NormalField(plane_r3)
     S = extract_structure(frame_stack(N, chart_points(2, 20, seed=47)))
-    rep = verify_algebraic_identities(S)
-    r25 = by_name(rep, "2.5")
-    r28 = by_name(rep, "2.8")
+    rows = verify_algebraic_identities(S)
+    r25 = by_name(rows, "2.5")
+    r28 = by_name(rows, "2.8")
     assert r25.max_residual == pytest.approx(r28.max_residual, abs=1e-12)
 
 
@@ -232,9 +231,9 @@ def test_orientation_flip_covariance(plane_r3):
     np.testing.assert_allclose(b.v, a.v, atol=1e-12)
     np.testing.assert_allclose(b.V, a.V, atol=1e-12)
     np.testing.assert_allclose(b.phi, a.phi, atol=1e-12)
-    ra = _differential(S, pts)
-    rb = _differential(Sf, pts)
-    for x, y in zip(ra.identities, rb.identities):
+    ra, _, _ = _differential(S, pts)
+    rb, _, _ = _differential(Sf, pts)
+    for x, y in zip(ra, rb):
         assert x.max_residual == pytest.approx(y.max_residual, abs=1e-10)
 
 
@@ -245,8 +244,8 @@ def test_differential_identities_adjudicate_consistently(surface, n, request):
     pts = chart_points(dim, 15, seed=59)
     N = NormalField(E)
     S = extract_structure(frame_stack(N, pts))
-    rep = _differential(S, pts)
-    assert rep.structure_sign == "phi-flipped"
+    rows, sign, _ = _differential(S, pts)
+    assert sign == -1.0
     expected = {
         "2.11": "H_w|printed|phi-flipped",
         "2.12": "H-free|printed|phi-flipped",
@@ -257,7 +256,7 @@ def test_differential_identities_adjudicate_consistently(surface, n, request):
         "2.17": "H_w|printed|phi-flipped",
     }
     for name, conv in expected.items():
-        r = by_name(rep, name)
+        r = by_name(rows, name)
         assert r.max_residual <= 1e-5, (name, r.max_residual)
         assert r.convention == conv, (name, r.convention)
         if name != "2.17":
@@ -270,24 +269,24 @@ def test_differential_identities_adjudicate_consistently(surface, n, request):
 
 def test_strict_paper_mode_reports_printed_residuals(plane_structure):
     pts = chart_points(2, 10, seed=61)
-    rep = _differential(plane_structure, pts, strict_paper=True)
-    assert rep.structure_sign == "as-extracted"
+    rows, sign, _ = _differential(plane_structure, pts, strict_paper=True)
+    assert sign == 1.0
     # the printed convention with H = H_h does not hold on actual surfaces
-    assert all(r.max_residual > 1e-3 for r in rep.identities if r.name != "eq_2_18")
+    assert all(r.max_residual > 1e-3 for r in rows if r.name != "eq_2_18")
 
 
 def test_eq_2_16_value_under_adjudicated_convention(plane_structure):
     # with a unit normal (w = 0) the scalar relation reduces to
     # h(Y, V) = u'(Y) - Y lambda in the adjudicated sign
     pts = chart_points(2, 10, seed=67)
-    rep = _differential(plane_structure, pts)
-    assert by_name(rep, "2.16").max_residual <= 1e-5
+    rows, _, _ = _differential(plane_structure, pts)
+    assert by_name(rows, "2.16").max_residual <= 1e-5
 
 
 def test_eq_2_18_vacuous_on_plane(plane_structure):
     pts = chart_points(2, 10, seed=71)
-    rep = _differential(plane_structure, pts)
-    r = by_name(rep, "2.18")
+    rows, _, _ = _differential(plane_structure, pts)
+    r = by_name(rows, "2.18")
     assert r.details["premise_max_h_Y_U"] > 1e-3
     assert r.details["vacuous"]
 
@@ -296,21 +295,21 @@ def test_identity_rows_carry_the_report_verdicts(plane_structure):
     # identity claims read refuted on a miss, never fail; (2.18) reads
     # vacuous where its premise fails, whatever its residual
     for tol in (1e-5, 0.0):
-        rows = verify_algebraic_identities(plane_structure, tol).identities
+        rows = verify_algebraic_identities(plane_structure, tol)
         assert [(r.name, r.equation_ref) for r in rows] == [
             (f"eq_2_{k}", f"Eq (2.{k})") for k in (5, 6, 7, 8)]
         for r in rows:
             assert r.tolerance == tol
             assert r.verdict == ("pass" if r.max_residual <= tol else "refuted"), r.name
     assert {r.verdict for r in rows} >= {"refuted"}
-    rep = _differential(plane_structure, chart_points(2, 10, seed=71), tolerance=0.0)
-    assert [r.verdict for r in rep.identities] == ["refuted"] * 7 + ["vacuous"]
+    rows, _, _ = _differential(plane_structure, chart_points(2, 10, seed=71), tolerance=0.0)
+    assert [r.verdict for r in rows] == ["refuted"] * 7 + ["vacuous"]
 
 
 def test_v_HY_is_measured_not_assumed(plane_structure):
     pts = chart_points(2, 10, seed=73)
-    rep = _differential(plane_structure, pts)
-    assert rep.extras["v_HY_measured"]["H_h"] > 1e-3
+    _, _, v_HY = _differential(plane_structure, pts)
+    assert v_HY["H_h"] > 1e-3
 
 
 def test_scaled_normal_refutes_unit_gauge_identities(quadric_r3):
@@ -322,13 +321,13 @@ def test_scaled_normal_refutes_unit_gauge_identities(quadric_r3):
     # rho^2 factors break the unit-normal forms of (2.6) to (2.8)
     assert by_name(alg, "2.6").max_residual > 1e-2
     assert by_name(alg, "2.7").max_residual > 1e-2
-    rep = _differential(S, pts)
+    rows, _, _ = _differential(S, pts)
     # the xi-decomposition identities still hold, the eta(N)-gauge ones fail
-    assert by_name(rep, "2.12").max_residual <= 1e-5
-    assert by_name(rep, "2.15").max_residual <= 1e-5
-    assert by_name(rep, "2.16").max_residual <= 1e-5
-    assert by_name(rep, "2.13").max_residual > 1e-2
-    assert by_name(rep, "2.14").max_residual > 1e-2
+    assert by_name(rows, "2.12").max_residual <= 1e-5
+    assert by_name(rows, "2.15").max_residual <= 1e-5
+    assert by_name(rows, "2.16").max_residual <= 1e-5
+    assert by_name(rows, "2.13").max_residual > 1e-2
+    assert by_name(rows, "2.14").max_residual > 1e-2
 
 
 def _flat_bilinear(y, M, x):

@@ -53,8 +53,9 @@ def _reference_rows(n, seed):
     for lam in rng.uniform(0.1, 0.9, size=MODEL_DRAWS):
         model = make_pointwise_model(n, float(lam), rng)
         structure.append(max(model_structure_residuals(model).values()))
-        worst_33 = max(worst_33, check_theorem_3_3(model, MODEL_TOL).conclusion_residuals["max_h"])
-        r = check_theorem_3_2(model, MODEL_CONCLUSION_TOL, rng).conclusion_residuals
+        r33 = check_theorem_3_3(model, MODEL_TOL).details["conclusion_residuals"]
+        worst_33 = max(worst_33, r33["max_h"])
+        r = check_theorem_3_2(model, MODEL_CONCLUSION_TOL, rng).details["conclusion_residuals"]
         worst_36, worst_37 = max(worst_36, r["3.6"]), max(worst_37, r["3.7"])
     return {"model_structure": running_max(structure),
             "eq_3_6": worst_36, "eq_3_7": worst_37, "thm_3_3_model": worst_33}
@@ -138,13 +139,14 @@ def test_stacked_theorem_3_3_is_the_running_max_of_one_model_calls(n):
     for models in (stack, _with_nan_draw(stack, 7, "phi"), _with_nan_draw(stack, 0, "g")):
         singles = [check_theorem_3_3(row(models, i)) for i in range(60)]
         whole = check_theorem_3_3(models)
-        assert whole.conclusion_residuals["max_h"] == running_max(
-            r.conclusion_residuals["max_h"] for r in singles)
+        assert whole.details["conclusion_residuals"]["max_h"] == running_max(
+            r.details["conclusion_residuals"]["max_h"] for r in singles)
         assert whole.verdict == "pass"
         assert (whole.samples_used, whole.samples_excluded) == (60, 0)
     # a one-model call still reports its own NaN
     nan_one = check_theorem_3_3(row(_with_nan_draw(stack, 7, "phi"), 7))
-    assert np.isnan(nan_one.conclusion_residuals["max_h"]) and nan_one.verdict == "refuted"
+    assert np.isnan(nan_one.details["conclusion_residuals"]["max_h"])
+    assert nan_one.verdict == "refuted"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -175,24 +177,26 @@ def test_theorem_3_3_stack_excludes_draws_below_the_lambda_floor():
     stack = make_pointwise_model(2, lams, rng)
     whole = check_theorem_3_3(stack)
     kept = [check_theorem_3_3(row(stack, i)) for i in (0, 2, 4)]
-    assert whole.conclusion_residuals["max_h"] == running_max(
-        r.conclusion_residuals["max_h"] for r in kept)
+    assert whole.details["conclusion_residuals"]["max_h"] == running_max(
+        r.details["conclusion_residuals"]["max_h"] for r in kept)
     assert (whole.verdict, whole.samples_used, whole.samples_excluded) == ("pass", 3, 2)
     none_left = check_theorem_3_3(row(stack, slice(1, 4, 2)))
-    assert (none_left.verdict, none_left.hypothesis_residual, none_left.conclusion_residuals,
-            none_left.samples_used, none_left.samples_excluded) == ("vacuous", np.inf, {}, 0, 2)
+    assert (none_left.verdict, none_left.details["hypothesis_residual"],
+            none_left.details["conclusion_residuals"], none_left.samples_used,
+            none_left.samples_excluded) == ("vacuous", np.inf, {}, 0, 2)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1e-9, -5e-7])
 def test_one_model_lambda_floor_branches_unchanged(lam):
     model = make_pointwise_model(1, lam, np.random.default_rng(3))
     r33 = check_theorem_3_3(model)
-    assert (r33.verdict, r33.hypothesis_residual, r33.conclusion_residuals,
+    assert (r33.verdict, r33.details["hypothesis_residual"], r33.details["conclusion_residuals"],
             r33.samples_used, r33.samples_excluded) == ("vacuous", np.inf, {}, 0, 0)
-    assert r33.notes == ["lambda = 0 excluded (hypothesis divides by lambda)"]
+    assert r33.details["notes"] == ["lambda = 0 excluded (hypothesis divides by lambda)"]
     rng = np.random.default_rng(4)
     r32 = check_theorem_3_2(model, rng=rng)
-    assert r32.convention == "w = 0, lambda = 0 branch" and r32.conclusion_residuals["3.7"] == 0.0
+    assert r32.convention == "w = 0, lambda = 0 branch"
+    assert r32.details["conclusion_residuals"]["3.7"] == 0.0
     # that branch draws its kernel map from the caller's generator
     assert rng.bit_generator.state != np.random.default_rng(4).bit_generator.state
 

@@ -13,7 +13,7 @@ from sasakicheck import (
 from sasakicheck.errors import DimensionMismatchError
 from sasakicheck.sampling import sample_points, sample_vectors
 
-from conftest import chart_points, chart_vectors
+from conftest import axiom_residuals, chart_points, chart_vectors
 
 
 def _samples(dim, count=30, seed=7):
@@ -39,8 +39,8 @@ def test_phi_of_xi_vanishes(sasaki3):
 def test_full_axiom_suite(n):
     S = standard_sasakian(n)
     pts, dirs = _samples(S.dim, 100)
-    rep = check_sasakian_axioms(S, pts, dirs)
-    assert rep.max_residual <= 1e-8, rep.residuals
+    res = axiom_residuals(check_sasakian_axioms(S, pts, dirs))
+    assert max(res.values()) <= 1e-8, res
 
 
 def test_axioms_require_matching_dimension(sasaki3):
@@ -72,7 +72,7 @@ def test_scaled_eta_breaks_unit_axiom(sasaki3):
     broken = AlmostContactMetricStructure(S.dim, S.phi, S.xi, eta2, S.g)
     pts, dirs = _samples(3, 10)
     rep = check_sasakian_axioms(broken, pts, dirs)
-    assert rep.residuals["1.1"] == pytest.approx(1.0, abs=1e-12)
+    assert rep[0].max_residual == pytest.approx(1.0, abs=1e-12)
 
 
 def _phi_negated(S):
@@ -85,14 +85,29 @@ def _phi_negated(S):
 def test_phi_sign_flip_even_axioms_unchanged_odd_break(n):
     S = standard_sasakian(n)
     pts, dirs = _samples(S.dim, 15)
-    base = check_sasakian_axioms(S, pts, dirs)
-    rep = check_sasakian_axioms(_phi_negated(S), pts, dirs)
+    base = axiom_residuals(check_sasakian_axioms(S, pts, dirs))
+    res = axiom_residuals(check_sasakian_axioms(_phi_negated(S), pts, dirs))
     # quadratic in phi: unchanged
-    assert rep.residuals["1.2"] == pytest.approx(base.residuals["1.2"], abs=1e-12)
-    assert rep.residuals["1.4"] == pytest.approx(base.residuals["1.4"], abs=1e-12)
+    assert res["1.2"] == pytest.approx(base["1.2"], abs=1e-12)
+    assert res["1.4"] == pytest.approx(base["1.4"], abs=1e-12)
     # odd in phi: the transport axioms break by an order-one amount
-    assert rep.residuals["1.6"] > 0.1
-    assert rep.residuals["1.7"] > 0.1
+    assert res["1.6"] > 0.1
+    assert res["1.7"] > 0.1
+
+
+def test_axiom_rows_are_judged_against_the_tolerance(sasaki3):
+    pts, dirs = _samples(3, 15)
+    rows = check_sasakian_axioms(_phi_negated(sasaki3), pts, dirs, tolerance=1e-8)
+    assert [(r.name, r.equation_ref) for r in rows] == [
+        (f"eq_1_{k}", f"Eq (1.{k})") for k in range(1, 11)]
+    assert all((r.tolerance, r.samples_used) == (1e-8, 15) for r in rows)
+    # the transport axioms are odd in phi: only they miss, and a miss is a failure
+    assert [r.name for r in rows if r.verdict != "pass"] == ["eq_1_6", "eq_1_7"]
+    assert {r.verdict for r in rows if r.verdict != "pass"} == {"fail"}
+    eq13 = rows[2]
+    assert list(eq13.details) == ["1.3a", "1.3b", "1.3c"]
+    assert eq13.max_residual == max(eq13.details.values())
+    assert not any(r.details for r in rows if r is not eq13)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -104,8 +119,8 @@ def test_builtin_sign_chosen_by_transport_axioms(n):
     np.testing.assert_allclose(phi[:, :n], -np.eye(d)[:, n:2 * n], atol=1e-15)
     # that sign meets the transport axioms (1.6) and (1.7); its negation breaks them
     pts, dirs = _samples(d, 15)
-    built = check_sasakian_axioms(S, pts, dirs).residuals
-    negated = check_sasakian_axioms(_phi_negated(S), pts, dirs).residuals
+    built = axiom_residuals(check_sasakian_axioms(S, pts, dirs))
+    negated = axiom_residuals(check_sasakian_axioms(_phi_negated(S), pts, dirs))
     for eq in ("1.6", "1.7"):
         assert built[eq] <= 1e-12, (eq, built[eq])
         assert negated[eq] > 0.1, (eq, negated[eq])
@@ -122,7 +137,7 @@ def test_two_form_antisymmetry_on_random_vectors(sasaki3):
 def test_two_form_phi_compatibilities(n):
     S = standard_sasakian(n)
     pts, dirs = _samples(S.dim, 50)
-    res = check_sasakian_axioms(S, pts, dirs).residuals
+    res = axiom_residuals(check_sasakian_axioms(S, pts, dirs))
     assert res["1.8"] <= 1e-12
     assert res["1.9"] <= 1e-8
     assert res["1.10"] <= 1e-8
@@ -131,16 +146,16 @@ def test_two_form_phi_compatibilities(n):
 def test_unit_axiom_implies_annihilation(sasaki3):
     # wherever (1.2) holds tightly, (1.3)(a) and (b) must hold too
     pts, dirs = _samples(3, 20)
-    rep = check_sasakian_axioms(sasaki3, pts, dirs)
-    if rep.residuals["1.2"] <= 1e-8:
-        assert rep.residuals["1.3a"] <= 1e-8
-        assert rep.residuals["1.3b"] <= 1e-8
+    res = axiom_residuals(check_sasakian_axioms(sasaki3, pts, dirs))
+    if res["1.2"] <= 1e-8:
+        assert res["1.3a"] <= 1e-8
+        assert res["1.3b"] <= 1e-8
 
 
 def test_residuals_invariant_under_sample_reordering(sasaki3):
     pts, dirs = _samples(3, 12)
-    a = check_sasakian_axioms(sasaki3, pts, dirs).residuals
-    b = check_sasakian_axioms(sasaki3, PointStack(pts.coords[::-1]), dirs).residuals
+    a = check_sasakian_axioms(sasaki3, pts, dirs)
+    b = check_sasakian_axioms(sasaki3, PointStack(pts.coords[::-1]), dirs)
     assert a == b
 
 

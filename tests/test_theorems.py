@@ -109,7 +109,7 @@ def test_theorem_3_3_exact_models(n):
         model = make_pointwise_model(n, float(rng.uniform(0.1, 0.9)), rng)
         res = check_theorem_3_3(model)
         assert res.verdict == "pass"
-        assert res.conclusion_residuals["max_h"] <= 1e-12
+        assert res.details["conclusion_residuals"]["max_h"] <= 1e-12
     assert time.perf_counter() - start < 2.0
 
 
@@ -117,14 +117,14 @@ def test_theorem_3_3_lambda_grid():
     rng = np.random.default_rng(7)
     for lam in np.linspace(0.05, 0.95, 10):
         model = make_pointwise_model(1, float(lam), rng)
-        assert check_theorem_3_3(model).conclusion_residuals["max_h"] <= 1e-12
+        assert check_theorem_3_3(model).details["conclusion_residuals"]["max_h"] <= 1e-12
 
 
 def test_theorem_3_3_lambda_zero_excluded():
     model = make_pointwise_model(1, 1e-9, np.random.default_rng(3))
     res = check_theorem_3_3(model)
     assert res.verdict == "vacuous"
-    assert any("lambda = 0" in n for n in res.notes)
+    assert any("lambda = 0" in n for n in res.details["notes"])
 
 
 def test_theorem_3_3_chart_vacuous_generically(plane_structure):
@@ -141,11 +141,11 @@ def test_theorem_3_1_model_n1_imposable_but_conclusions_fail():
     rng = np.random.default_rng(11)
     model = make_pointwise_model(1, 0.5, rng)
     res = check_theorem_3_1(model)
-    assert res.hypothesis_residual <= 1e-10
+    assert res.details["hypothesis_residual"] <= 1e-10
     assert res.verdict == "refuted"
     for eq in ("3.2", "3.3", "3.4"):
-        assert res.conclusion_residuals[eq] > 0.1
-    assert any("side condition" in n for n in res.notes)
+        assert res.details["conclusion_residuals"][eq] > 0.1
+    assert any("side condition" in n for n in res.details["notes"])
 
 
 def test_theorem_3_1_model_n2_obstructed():
@@ -153,8 +153,8 @@ def test_theorem_3_1_model_n2_obstructed():
     model = make_pointwise_model(2, 0.4, rng)
     res = check_theorem_3_1(model)
     assert res.verdict == "vacuous"
-    assert res.hypothesis_residual > 1e-3
-    assert any("rank-degenerate" in n for n in res.notes)
+    assert res.details["hypothesis_residual"] > 1e-3
+    assert any("rank-degenerate" in n for n in res.details["notes"])
 
 
 def test_theorem_3_1_synthetic_invariant_point_with_nonzero_V():
@@ -167,21 +167,23 @@ def test_theorem_3_1_synthetic_invariant_point_with_nonzero_V():
     )
     res = check_theorem_3_1(model)
     assert res.verdict == "vacuous"
-    assert res.hypothesis_residual > 1e-3
-    assert any("unsolvable" in n for n in res.notes)
+    assert res.details["hypothesis_residual"] > 1e-3
+    assert any("unsolvable" in n for n in res.details["notes"])
 
 
 def test_theorem_3_1_model_lambda_zero_flags_35_exclusion():
     model = make_pointwise_model(1, 0.0, np.random.default_rng(29))
     res = check_theorem_3_1(model)
-    assert any("lambda = 0 exclusion" in n for n in res.notes)
+    assert any("lambda = 0 exclusion" in n for n in res.details["notes"])
 
 
 def test_theorem_3_1_chart_vacuous(plane_structure):
-    res = theorem_3_1_chart(states_at(plane_structure.normal, chart_points(2, 8, seed=95),
-                                      chart_vectors(2, 4, seed=96)), structure_sign=-1.0)
-    assert res.verdict == "vacuous"
-    assert res.hypothesis_residual > 1e-3
+    rows = theorem_3_1_chart(states_at(plane_structure.normal, chart_points(2, 8, seed=95),
+                                       chart_vectors(2, 4, seed=96)), structure_sign=-1.0)
+    assert [r.name for r in rows] == ["eq_3_1", "eq_3_2", "eq_3_3", "eq_3_4", "eq_3_5"]
+    assert [r.verdict for r in rows] == ["vacuous"] * 5
+    assert rows[0].max_residual > 1e-3
+    assert [r.max_residual for r in rows[1:]] == [None] * 4
 
 
 @pytest.mark.parametrize("n,lam", [(1, 0.3), (1, 0.7), (2, 0.5), (3, 0.85)])
@@ -189,10 +191,10 @@ def test_theorem_3_2_model_confirms_conclusions(n, lam):
     rng = np.random.default_rng(17)
     model = make_pointwise_model(n, lam, rng)
     res = check_theorem_3_2(model)
-    assert res.verdict == "pass", (res.conclusion_residuals, res.notes)
-    assert res.conclusion_residuals["3.6"] <= 1e-10
-    assert res.conclusion_residuals["3.7"] <= 1e-10
-    assert any("asymmetry" in note for note in res.notes)
+    assert res.verdict == "pass", (res.details["conclusion_residuals"], res.details["notes"])
+    assert res.details["conclusion_residuals"]["3.6"] <= 1e-10
+    assert res.details["conclusion_residuals"]["3.7"] <= 1e-10
+    assert any("asymmetry" in note for note in res.details["notes"])
 
 
 def test_theorem_3_2_lambda_zero_branch():
@@ -200,8 +202,8 @@ def test_theorem_3_2_lambda_zero_branch():
     model = make_pointwise_model(1, 0.0, rng)
     res = check_theorem_3_2(model, rng=rng)
     assert res.verdict == "pass"
-    assert res.conclusion_residuals["3.6"] <= 1e-10
-    assert any("ker(phi)" in note for note in res.notes)
+    assert res.details["conclusion_residuals"]["3.6"] <= 1e-10
+    assert any("ker(phi)" in note for note in res.details["notes"])
 
 
 def test_theorem_3_2_chart_vacuous(plane_structure):
@@ -228,8 +230,8 @@ def test_theorem_3_4_model_consistency_recorded():
     model = make_pointwise_model(1, 0.5, np.random.default_rng(23))
     res = theorem_3_4_model_consistency(model)
     assert res.verdict == "vacuous"
-    assert res.conclusion_residuals["forced_u"] > 0.1
-    assert any("forces u = 0" in n for n in res.notes)
+    assert res.details["conclusion_residuals"]["forced_u"] > 0.1
+    assert any("forces u = 0" in n for n in res.details["notes"])
 
 
 NAN = float("nan")
@@ -279,8 +281,8 @@ def test_verdicts_stable_under_direction_scaling(plane_structure):
     vecs = chart_vectors(2, 10, seed=108)
     # pairs are (vecs[0], vecs[1]), (vecs[2], vecs[3]), ...; scale X and Y differently
     scaled = [(17.0 if k % 2 == 0 else 0.03) * v for k, v in enumerate(vecs)]
-    a = verify_differential_identities(states_at(plane_structure.normal, pts, vecs))
-    b = verify_differential_identities(states_at(plane_structure.normal, pts, scaled))
-    for x, y in zip(a.identities, b.identities):
+    a, _, _ = verify_differential_identities(states_at(plane_structure.normal, pts, vecs))
+    b, _, _ = verify_differential_identities(states_at(plane_structure.normal, pts, scaled))
+    for x, y in zip(a, b):
         assert x.max_residual == pytest.approx(y.max_residual, abs=1e-10)
         assert x.convention == y.convention
