@@ -18,10 +18,17 @@ when a conclusion misses (or is NaN), ``pass`` otherwise.
 A report's models are one stack (:func:`make_pointwise_model` with an
 array of lambdas): one block of normal draws, one stacked QR and
 orientation determinant, stacked products for the model data.  The
-structure identities and Theorem 3.3 read the stack; Theorem 3.2 runs
-once per draw, on the views :meth:`PointwiseModel.draws` gives, with w
-in closed form.  Each stacked step is the one-model step elementwise or
-per matrix, so the stack holds the bits of one-model calls.
+structure identities and Theorem 3.3 read the stack.  Theorem 3.2
+imposes its hypothesis once per draw, with w in closed form: the report
+checks the whole stack is finite once (:func:`require_finite`) and then
+calls :func:`impose_theorem_3_2` on each draw's arrays, which computes
+only the (3.6) and (3.7) residuals; :func:`check_theorem_3_2` wraps the
+same function for one model and adds its hypothesis residual, note and
+row.  Stacking Theorem 3.2's draws waits on ROADMAP items 1 and 2: the
+benchmark worker keeps every report text, so a cut that large would
+push its peak RSS past the bound.  Each stacked step is the one-model
+step elementwise or per matrix, so the stack holds the bits of
+one-model calls.
 """
 
 from __future__ import annotations
@@ -296,12 +303,18 @@ def make_pointwise_model(n: int, lam, rng) -> PointwiseModel:
     return models if np.ndim(lam) else next(models.draws())
 
 
+def require_finite(models: PointwiseModel, check: str) -> None:
+    """Raise ``ValueError`` naming ``check`` unless every field of the model,
+    or of every draw of a stack, is finite."""
+    data = [np.ravel(getattr(models, f.name)) for f in fields(models)]
+    if not np.isfinite(np.concatenate(data)).all():
+        raise ValueError(f"{check} takes finite model data")
+
+
 def _one_model(model: PointwiseModel, check: str) -> None:
     if np.ndim(model.lam):
         raise ValueError(f"{check} takes one model, got a stack of {len(model.lam)} draws")
-    data = (model.g.ravel(), model.phi.ravel(), model.u, model.v, model.U, model.V, [model.lam])
-    if not np.isfinite(np.concatenate(data)).all():
-        raise ValueError(f"{check} takes finite model data")
+    require_finite(model, check)
 
 
 def model_structure_residuals(models: PointwiseModel) -> Dict[str, float]:
@@ -383,6 +396,28 @@ def _imposed_w(phi_inv, u, U, V, g, lam):
     return (u + lam * a) / slope
 
 
+def impose_theorem_3_2(lam, g, phi, u, U, V, eye):
+    """Impose w(X)U - phi H X - lambda X = 0 on one d(lambda) = 0 model with
+    lambda != 0, given as its arrays, ``lam`` a float and ``eye`` the
+    identity of the model's dimension.
+
+    Returns the (3.6) and (3.7) residuals, then the imposed map
+    U (x) w - lambda I, H = phi^-1 of it and h = H^T g, which
+    :func:`check_theorem_3_2` reads for its hypothesis residual and note.
+    Raises ``ValueError`` for a singular phi or a zero slope in w."""
+    det = np.linalg.det(phi)
+    if abs(det) < 1e-12:
+        raise ValueError(f"phi unexpectedly singular (det {det:.3e}) for lambda {lam}")
+    phi_inv = np.linalg.inv(phi)
+    w = _imposed_w(phi_inv, u, U, V, g, lam)
+    imposed = np.outer(U, w) - lam * eye
+    H = phi_inv @ imposed
+    hmat = H.T @ g
+    residuals = (float(np.max(np.abs(hmat @ phi - lam * g + np.outer(u, w)))),
+                 float(np.max(np.abs(w - 2.0 * lam * u))))
+    return residuals, (imposed, H, hmat)
+
+
 def check_theorem_3_2(
     model: PointwiseModel, tol: float = MODEL_CONCLUSION_TOL, rng=None
 ) -> CheckResult:
@@ -411,20 +446,9 @@ def check_theorem_3_2(
         note = "lambda = 0: phi-inversion obstruction, H fixed only up to ker(phi)"
         convention = "w = 0, lambda = 0 branch"
     else:
-        det = np.linalg.det(phi)
-        if abs(det) < 1e-12:
-            raise ValueError(f"phi unexpectedly singular (det {det:.3e}) for lambda {lam}")
-        phi_inv = np.linalg.inv(phi)
-        w = _imposed_w(phi_inv, u, U, V, g, lam)
-
-        imposed = np.outer(U, w) - lam * np.eye(m)
-        H = phi_inv @ imposed
-        hmat = H.T @ g
+        (r36, r37), (imposed, H, hmat) = impose_theorem_3_2(lam, g, phi, u, U, V, np.eye(m))
         hyp = float(np.max(np.abs(phi @ H - imposed)))
-        concl = {
-            "3.6": float(np.max(np.abs(hmat @ phi - lam * g + np.outer(u, w)))),
-            "3.7": float(np.max(np.abs(w - 2.0 * lam * u))),
-        }
+        concl = {"3.6": r36, "3.7": r37}
         note = f"h asymmetry under the hypothesis: {np.max(np.abs(hmat - hmat.T)):.3e}"
         convention = "d(lambda) = 0 model, w from scalar compatibility"
     return _implication("thm_3_2_model", "Thm 3.2 (model)", hyp, concl, tol, hyp <= 1e-10,

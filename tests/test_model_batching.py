@@ -9,7 +9,10 @@ and running maxima that pass over NaN.  The stacked construction itself
 is held to ``_loop_model``, the one-model construction as it stood
 before the stack.  Theorem 3.2's closed-form w is held to
 ``w_map_columns``, the column-by-column assembly of its affine map, and
-a solve, on models with a general metric.
+a solve, on models with a general metric.  The report calls
+``impose_theorem_3_2`` per draw instead of ``check_theorem_3_2``; its
+residuals are held to the check's, and the check's whole row is pinned
+on fixed models.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ import pytest
 
 from sasakicheck import (check_theorem_3_1, check_theorem_3_2, check_theorem_3_3,
                          make_pointwise_model)
+from sasakicheck import runner
 from sasakicheck.config import load_suite_config
 from sasakicheck.runner import MODEL_DRAWS, run_suite
 from sasakicheck.sampling import spawn_rngs
@@ -28,6 +32,7 @@ from sasakicheck.theorems import (
     MODEL_TOL,
     PointwiseModel,
     _imposed_w,
+    impose_theorem_3_2,
     model_structure_residuals,
     theorem_3_4_model_consistency,
 )
@@ -247,3 +252,61 @@ def test_theorem_3_2_rejects_a_zero_slope():
                         v=np.zeros(2), U=np.array([-0.5, 0.0]), V=np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="slope 0"):
         check_theorem_3_2(md)
+
+
+def _report_draws(n, seed):
+    """The one-draw models of a report's stack, as its models group draws them."""
+    rng = spawn_rngs(seed)["models"]
+    return make_pointwise_model(n, rng.uniform(0.1, 0.9, size=MODEL_DRAWS), rng).draws()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_imposed_residuals_equal_the_check_bit_for_bit(n):
+    rng = np.random.default_rng(70 + n)
+    general = [_general_model(n, rng) for _ in range(50)]
+    for md in [*general, *_report_draws(n, seed=n)]:
+        residuals, _ = impose_theorem_3_2(md.lam, md.g, md.phi, md.u, md.U, md.V, np.eye(2 * n))
+        concl = check_theorem_3_2(md).details["conclusion_residuals"]
+        assert type(residuals[0]) is float and type(residuals[1]) is float
+        assert residuals == (concl["3.6"], concl["3.7"])
+
+
+def _thm_3_2_row(residual, verdict, hyp, r36, r37, asymmetry):
+    return {"name": "thm_3_2_model", "equation_ref": "Thm 3.2 (model)",
+            "max_residual": residual, "tolerance": 1e-10, "verdict": verdict,
+            "convention": "d(lambda) = 0 model, w from scalar compatibility",
+            "samples_used": 1, "samples_excluded": 0,
+            "details": {"hypothesis_residual": hyp,
+                        "conclusion_residuals": {"3.6": r36, "3.7": r37},
+                        "notes": [f"h asymmetry under the hypothesis: {asymmetry}"]}}
+
+
+@pytest.mark.parametrize("model,expected", [
+    (lambda: make_pointwise_model(1, 0.3, np.random.default_rng(61)),
+     _thm_3_2_row(1.1102230246251565e-16, "pass", 0.0, 1.1102230246251565e-16,
+                  5.551115123125783e-17, "1.800e-01")),
+    (lambda: make_pointwise_model(2, -0.6, np.random.default_rng(62)),
+     _thm_3_2_row(2.220446049250313e-16, "pass", 1.1102230246251565e-16,
+                  2.220446049250313e-16, 2.220446049250313e-16, "8.053e-01")),
+    # not a hypersurface's data, so the conclusions miss
+    (lambda: _general_model(3, np.random.default_rng(63)),
+     _thm_3_2_row(3.2987639700220814, "refuted", 4.163336342344337e-17,
+                  3.2987639700220814, 0.5070684582312553, "1.874e+00")),
+])
+def test_theorem_3_2_model_row_pinned(model, expected):
+    assert dataclasses.asdict(check_theorem_3_2(model())) == expected
+
+
+@pytest.mark.parametrize("field,index", [("phi", 37), ("v", 99)])
+def test_report_rejects_a_non_finite_draw(monkeypatch, field, index):
+    """The report checks Theorem 3.2's stack for finite data once, as the
+    per-draw check did: a NaN anywhere in the stack is an error."""
+    build = runner.make_pointwise_model
+
+    def with_nan(n, lam, rng):
+        models = build(n, lam, rng)
+        return _with_nan_draw(models, index, field) if np.ndim(lam) else models
+
+    monkeypatch.setattr(runner, "make_pointwise_model", with_nan)
+    with pytest.raises(ValueError, match=r"^check_theorem_3_2 takes finite model data$"):
+        run_suite(_models_config(2, 0))
