@@ -239,7 +239,7 @@ class GaussWeingartenData:
     ``h`` is its normal part.  ``H_w``/``w`` split D_a N, and ``H_h``
     realizes h through the induced metric.  ``D[p, i, a, b]`` and
     ``DN[p, i, a]`` are the ambient derivatives D_a(B e_b) and D_a N that
-    were decomposed, against the frame of ``jacobian`` B and ``normal`` N.
+    were decomposed, against the frame [B | N] of the frame stack.
     """
 
     induced_gamma: np.ndarray
@@ -249,8 +249,6 @@ class GaussWeingartenData:
     w: np.ndarray
     D: np.ndarray
     DN: np.ndarray
-    jacobian: np.ndarray
-    normal: np.ndarray
 
 
 def gauss_weingarten(fs: FrameStack) -> GaussWeingartenData:
@@ -271,7 +269,7 @@ def gauss_weingarten(fs: FrameStack) -> GaussWeingartenData:
     solN = np.linalg.solve(frame, DN)
 
     H_h = np.linalg.solve(fs.surface_metric, sol[:, m])
-    parts = (sol[:, :m], sol[:, m], solN[:, :m], H_h, solN[:, m], D, DN, B, nvec)
+    parts = (sol[:, :m], sol[:, m], solN[:, :m], H_h, solN[:, m], D, DN)
     return GaussWeingartenData(*map(np.ascontiguousarray, parts))
 
 
@@ -280,11 +278,12 @@ def second_fundamental_symmetry(gw: GaussWeingartenData) -> float:
     return linalg.worst(np.abs(gw.h - gw.h.mT))
 
 
-def reconstruction_residuals(gw: GaussWeingartenData) -> dict:
+def reconstruction_residuals(fs: FrameStack, gw: GaussWeingartenData) -> dict:
     """How exactly B(nabla e_a e_b) + h N and B(H_w e_a) + w N rebuild the
-    ambient derivatives at every point of a stack; the defining contract of
-    the decomposition."""
-    B, nvec = gw.jacobian, gw.normal
+    ambient derivatives at every point of a stack, with B and N read from
+    the frame stack ``gw`` was built on; the defining contract of the
+    decomposition."""
+    B, nvec = fs.jacobian, fs.normal
     gauss = (gw.D - np.einsum("pic,pcab->piab", B, gw.induced_gamma)
              - np.einsum("pab,pi->piab", gw.h, nvec))
     wein = gw.DN - np.einsum("pic,pca->pia", B, gw.H_w) - nvec[:, :, None] * gw.w[:, None, :]

@@ -147,7 +147,7 @@ class InducedStructure:
     tangency_residual: float
     lambda_consistency: float
     # the float induced data at the extraction points
-    stack: Optional[StructureBundle] = dc_field(default=None, compare=False, repr=False)
+    stack: StructureBundle = dc_field(compare=False, repr=False)
 
     def values_at(self, stack: PointStack) -> StructureBundle:
         """Float induced data at every point of a stack, from a value-only frame."""

@@ -12,7 +12,7 @@ finding about the identity, not an engine failure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Dict, List, Optional
 
 EXIT_OK = 0
@@ -65,23 +65,9 @@ class VerificationReport:
 
 
 def report_to_dict(report: VerificationReport) -> dict:
-    return {
-        "meta": report.meta,
-        "checks": [
-            {
-                "name": c.name,
-                "equation_ref": c.equation_ref,
-                "max_residual": c.max_residual,
-                "tolerance": c.tolerance,
-                "verdict": c.verdict,
-                "convention": c.convention,
-                "samples_used": c.samples_used,
-                "samples_excluded": c.samples_excluded,
-                "details": c.details,
-            }
-            for c in report.checks
-        ],
-    }
+    names = [f.name for f in fields(CheckResult)]
+    return {"meta": report.meta,
+            "checks": [{name: getattr(c, name) for name in names} for c in report.checks]}
 
 
 def render_json(report: VerificationReport) -> str:

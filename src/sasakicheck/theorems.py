@@ -15,20 +15,19 @@ Verdicts come from :func:`~sasakicheck.report.verdict` with
 ``miss="refuted"``: ``vacuous`` unless the hypothesis holds, ``refuted``
 when a conclusion misses (or is NaN), ``pass`` otherwise.
 
-A report's models are one stack (:func:`make_pointwise_model` with an
-array of lambdas): one block of normal draws, one stacked QR and
-orientation determinant, stacked products for the model data.  The
-structure identities and Theorem 3.3 read the stack.  Theorem 3.2
-imposes its hypothesis once per draw, with w in closed form: the report
-checks the whole stack is finite once (:func:`require_finite`) and then
-calls :func:`impose_theorem_3_2` on each draw's arrays, which computes
-only the (3.6) and (3.7) residuals; :func:`check_theorem_3_2` wraps the
-same function for one model and adds its hypothesis residual, note and
-row.  Stacking Theorem 3.2's draws waits on ROADMAP items 1 and 2: the
-benchmark worker keeps every report text, so a cut that large would
-push its peak RSS past the bound.  Each stacked step is the one-model
-step elementwise or per matrix, so the stack holds the bits of
-one-model calls.
+A model is a stack of D draws (:class:`PointwiseModel`, from
+:func:`make_pointwise_model` with a 1-D array of lambdas), as a point
+stack is a stack of points; one model is a stack of one.  A report's
+draws are one block of normal draws, one stacked QR and orientation
+determinant, stacked products for the model data.  The structure
+identities and Theorem 3.3 read the whole stack; Theorems 3.1, 3.2 and
+3.4 take one draw.  Every model check requires finite data
+(:func:`require_finite`).  The report's Theorem 3.2 rows
+(:func:`theorem_3_2_rows`) call :func:`impose_theorem_3_2` once per
+draw, with w in closed form, for only the (3.6) and (3.7) residuals;
+:func:`check_theorem_3_2` wraps it for one draw.  Stacking those draws
+waits on ROADMAP items 1 and 2.  Each stacked step is the one-draw step
+elementwise or per matrix, so the stack holds the bits of one-draw calls.
 """
 
 from __future__ import annotations
@@ -230,7 +229,7 @@ def check_theorem_3_4(
 
 @dataclass(frozen=True, slots=True)
 class PointwiseModel:
-    """Exact induced data at one abstract point, or at a stack of them.
+    """Exact induced data at a stack of D abstract points, the draws.
 
     Built inside a flat linear ambient: identity metric on R^(2n+1),
     block rotation as phi~, the last basis vector as xi, a unit normal
@@ -238,11 +237,11 @@ class PointwiseModel:
     space.  The decomposition is solved exactly, so the algebraic
     structure identities hold to machine precision.
 
-    On a stack ``lam`` is a (D,) array and every other array carries the
-    draw axis first; :meth:`draws` walks its one-draw models.
+    ``lam`` is a (D,) array and every other array carries the draw axis
+    first; one model is a stack of one draw.
     """
 
-    lam: float  # a (D,) array on a stack
+    lam: np.ndarray
     g: np.ndarray
     phi: np.ndarray
     u: np.ndarray
@@ -254,25 +253,21 @@ class PointwiseModel:
     def n(self) -> int:
         return self.g.shape[-1] // 2
 
-    def draws(self):
-        """The one-draw models of a stack in order: array views, ``lam`` a Python float."""
-        return map(PointwiseModel, self.lam.tolist(), self.g, self.phi, self.u, self.v,
-                   self.U, self.V)
 
-
-def make_pointwise_model(n: int, lam, rng) -> PointwiseModel:
-    """The model of lambda ``lam``, or with a 1-D array of D lambdas their
-    D models as one stack.
+def make_pointwise_model(n: int, lams, rng) -> PointwiseModel:
+    """The D models of a 1-D array of D lambdas, as one stack.
 
     Each draw takes its normal direction and then its frame columns from
-    ``rng``, so a stack holds what D one-model calls in turn would build,
+    ``rng``, so a stack holds what D one-draw calls in turn would build,
     bit for bit, and leaves ``rng`` in the same state.  Every lambda must
-    lie in (-1, 1).
+    lie in (-1, 1); a scalar lambda raises ``ValueError``: one model is
+    ``make_pointwise_model(n, [lam], rng)``.
     """
-    lams = np.asarray(lam, dtype=float)
-    if lams.ndim > 1 or not np.all((-1.0 < lams) & (lams < 1.0)):
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1:
+        raise ValueError(f"lambdas must form a 1-D array, got shape {lams.shape}")
+    if not np.all((-1.0 < lams) & (lams < 1.0)):
         raise ValueError("lambda must lie in (-1, 1) for a noninvariant model")
-    lams = lams.reshape(-1)
     d = 2 * n + 1
     m = 2 * n
     phi_amb = np.zeros((d, d))
@@ -299,47 +294,47 @@ def make_pointwise_model(n: int, lam, rng) -> PointwiseModel:
     U = (-Bt @ (phi_amb @ Nc))[..., 0]
     V = v = Bt @ xi
     g = Bt @ B
-    models = PointwiseModel(lam=lams, g=g, phi=phi, u=u, v=v, U=U, V=V)
-    return models if np.ndim(lam) else next(models.draws())
+    return PointwiseModel(lam=lams, g=g, phi=phi, u=u, v=v, U=U, V=V)
 
 
 def require_finite(models: PointwiseModel, check: str) -> None:
-    """Raise ``ValueError`` naming ``check`` unless every field of the model,
-    or of every draw of a stack, is finite."""
+    """Raise ``ValueError`` naming ``check`` unless every field of every
+    draw is finite."""
     data = [np.ravel(getattr(models, f.name)) for f in fields(models)]
     if not np.isfinite(np.concatenate(data)).all():
         raise ValueError(f"{check} takes finite model data")
 
 
-def _one_model(model: PointwiseModel, check: str) -> None:
-    if np.ndim(model.lam):
-        raise ValueError(f"{check} takes one model, got a stack of {len(model.lam)} draws")
+def _one_model(model: PointwiseModel, check: str) -> tuple:
+    """The arrays of a one-draw stack's draw in field order, ``lam`` a
+    Python float; ``ValueError`` naming ``check`` for any other draw
+    count or for non-finite data."""
+    if np.shape(model.lam) != (1,):
+        raise ValueError(f"{check} takes one draw, got lambdas of shape {np.shape(model.lam)}")
     require_finite(model, check)
+    return (float(model.lam[0]), *(getattr(model, f.name)[0] for f in fields(model)[1:]))
 
 
 def model_structure_residuals(models: PointwiseModel) -> Dict[str, float]:
     """Largest residual of each algebraic structure identity (2.6)-(2.8)
-    over a stack of models, one model counting as a stack of one; a draw
-    whose residual is NaN is passed over."""
-    if not np.ndim(models.lam):
-        models = PointwiseModel(*(np.asarray(getattr(models, f.name))[None]
-                                  for f in fields(models)))
+    over a stack of models."""
+    require_finite(models, "model_structure_residuals")
     res = structure_residuals(models.phi, models.u, models.U, models.V, models.v, models.lam,
                               models.g, eta_n=models.lam)
     return {k: r for k, r in res.items() if not k.startswith("2.5")}
 
 
 def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> CheckResult:
-    """Impose v(X)Y - g(X,Y)V + h(X,Y)U + u(X)HY = 0 with symmetric h.
+    """Impose v(X)Y - g(X,Y)V + h(X,Y)U + u(X)HY = 0 with symmetric h on a
+    one-draw model.
 
     The constraint is solved in least squares over symmetric h and
     general H; the solve residual measures whether the hypothesis can
     hold at all.  The recorded obstruction is that the conclusion
     (1 - lambda^2) g = v (x) v forces a rank-degenerate metric.
     """
-    _one_model(model, "check_theorem_3_1")
+    lam, g, _, u, v, U, V = _one_model(model, "check_theorem_3_1")
     m = 2 * model.n
-    lam, g, u, v, U, V = model.lam, model.g, model.u, model.v, model.U, model.V
     # h is unknown once per pair a <= b, in row-major order; sym[a, b] = sym[b, a]
     # is that unknown's index.  Row (a, b, c) of the system, row-major, is
     # U^c h(a, b) + u(a) H^c_b = g(a, b) V^c - v(a) delta^c_b
@@ -397,9 +392,9 @@ def _imposed_w(phi_inv, u, U, V, g, lam):
 
 
 def impose_theorem_3_2(lam, g, phi, u, U, V, eye):
-    """Impose w(X)U - phi H X - lambda X = 0 on one d(lambda) = 0 model with
+    """Impose w(X)U - phi H X - lambda X = 0 on one d(lambda) = 0 draw with
     lambda != 0, given as its arrays, ``lam`` a float and ``eye`` the
-    identity of the model's dimension.
+    identity of the draw's dimension.
 
     Returns the (3.6) and (3.7) residuals, then the imposed map
     U (x) w - lambda I, H = phi^-1 of it and h = H^T g, which
@@ -418,19 +413,39 @@ def impose_theorem_3_2(lam, g, phi, u, U, V, eye):
     return residuals, (imposed, H, hmat)
 
 
+def theorem_3_2_rows(models: PointwiseModel) -> List[CheckResult]:
+    """The (3.6) and (3.7) rows over a stack of d(lambda) = 0 models: the
+    largest residuals of :func:`impose_theorem_3_2` over the draws, taken
+    one draw at a time.  Raises ``ValueError`` unless the data are finite,
+    as :func:`check_theorem_3_2` requires, and every lambda clears
+    ``LAMBDA_FLOOR``, so each draw takes that check's lambda != 0 branch."""
+    require_finite(models, "check_theorem_3_2")
+    if np.any(np.abs(models.lam) < LAMBDA_FLOOR):
+        raise ValueError(f"theorem_3_2_rows takes lambdas with |lambda| >= {LAMBDA_FLOOR}")
+    eye, used = np.eye(2 * models.n), len(models.lam)
+    worst_36 = worst_37 = 0.0
+    for lam, g, phi, u, U, V in zip(models.lam.tolist(), models.g, models.phi, models.u,
+                                    models.U, models.V):
+        (r36, r37), _ = impose_theorem_3_2(lam, g, phi, u, U, V, eye)
+        worst_36, worst_37 = max(worst_36, r36), max(worst_37, r37)
+    return [row(*equation("3.6"), worst_36, MODEL_CONCLUSION_TOL,
+                convention="d(lambda) = 0 model", used=used),
+            row(*equation("3.7"), worst_37, MODEL_CONCLUSION_TOL,
+                convention="w = 2 lambda u", used=used)]
+
+
 def check_theorem_3_2(
     model: PointwiseModel, tol: float = MODEL_CONCLUSION_TOL, rng=None
 ) -> CheckResult:
-    """Impose w(X)U - phi H X - lambda X = 0 on a d(lambda) = 0 model.
+    """Impose w(X)U - phi H X - lambda X = 0 on a one-draw d(lambda) = 0 model.
 
     H follows from the hypothesis once w is known; w itself is pinned by
     the scalar compatibility relation h(Y, V) = u(Y) - lambda w(Y), affine
     in w with a scalar slope (:func:`_imposed_w`).  The conclusions measured
     are h(X, phi Y) = lambda g(X, Y) - w(Y) u(X) and w = 2 lambda u.
     """
-    _one_model(model, "check_theorem_3_2")
+    lam, g, phi, u, _, U, V = _one_model(model, "check_theorem_3_2")
     m = 2 * model.n
-    lam, g, phi, u, U, V, v = model.lam, model.g, model.phi, model.u, model.U, model.V, model.v
     if abs(lam) < LAMBDA_FLOOR:
         # phi has kernel span(U, V); any H into the kernel satisfies the hypothesis
         rng = rng or np.random.default_rng(0)
@@ -459,13 +474,13 @@ def check_theorem_3_3(model: PointwiseModel, tol: float = MODEL_TOL) -> CheckRes
     """V parallel forces h = 0: H = -phi/lambda makes g(HX, Y) antisymmetric,
     and a symmetric second fundamental form equal to it must vanish.
 
-    On a stack of models the draws with |lambda| < LAMBDA_FLOOR are
-    excluded, and ``max_h`` is the largest over the others, passing over
-    a NaN draw as :func:`linalg.worst` does."""
-    lam = np.asarray(model.lam)
-    kept = ~(np.abs(lam) < LAMBDA_FLOOR)  # one model is a stack of one here
+    Draws with |lambda| < LAMBDA_FLOOR are excluded, and ``max_h`` is the
+    largest over the others."""
+    require_finite(model, "check_theorem_3_3")
+    lam = model.lam
+    kept = np.abs(lam) >= LAMBDA_FLOOR
     used = int(np.count_nonzero(kept))
-    excluded = kept.size - used if lam.ndim else 0
+    excluded = len(lam) - used
     if used == 0:
         return _implication("thm_3_3_model", "Thm 3.3 (model)", np.inf, {}, tol, False, "",
                             excluded=excluded,
@@ -473,18 +488,18 @@ def check_theorem_3_3(model: PointwiseModel, tol: float = MODEL_TOL) -> CheckRes
     H = -model.phi[kept] / lam[kept][:, None, None]
     hmat = H.mT @ model.g[kept]
     forced = 0.5 * np.max(np.abs(hmat + hmat.mT), axis=(1, 2))
-    forced_h = linalg.worst(forced) if lam.ndim else float(forced[0])
-    return _implication("thm_3_3_model", "Thm 3.3 (model)", 0.0, {"max_h": forced_h}, tol, True,
-                        "H = -phi/lambda", used, excluded)
+    return _implication("thm_3_3_model", "Thm 3.3 (model)", 0.0, {"max_h": linalg.worst(forced)},
+                        tol, True, "H = -phi/lambda", used, excluded)
 
 
 def theorem_3_4_model_consistency(model: PointwiseModel) -> CheckResult:
     """With h = 0, w = 0 and constant lambda the scalar relation forces
     u = 0, which no noninvariant model satisfies; record the forced-u
-    residual rather than pretending the family exists."""
-    _one_model(model, "theorem_3_4_model_consistency")
-    forced_u = float(np.max(np.abs(model.u)))
+    residual rather than pretending the family exists.  Takes a one-draw
+    model."""
+    lam, _, _, u, *_ = _one_model(model, "theorem_3_4_model_consistency")
+    forced_u = float(np.max(np.abs(u)))
     return _implication("thm_3_4_model", "Thm 3.4 (model)", 0.0, {"forced_u": forced_u},
                         MODEL_TOL, False, "", 1, notes=[
                             "h = 0, w = 0, d(lambda) = 0 forces u = 0; "
-                            f"u(U) = 1 - lambda^2 = {1 - model.lam ** 2:.3e} keeps u nonzero"])
+                            f"u(U) = 1 - lambda^2 = {1 - lam ** 2:.3e} keeps u nonzero"])

@@ -100,7 +100,8 @@ def row(record, index):
     ``GaussWeingartenData``, ``SampleState``, ``PointwiseModel``): every
     field taken at ``index`` along its point axis, nested records alike and
     None as None.  An int gives one point's record, with array views and
-    each (P,) field as a Python float; a slice gives a sub-stack."""
+    each (P,) field as a Python float; a slice gives a sub-stack, the one
+    form a model takes: draw i of a model stack is ``slice(i, i + 1)``."""
 
     def take(value):
         if value is None:

@@ -95,8 +95,8 @@ def test_criterion_3_gauss_weingarten_reconstruction():
             Embedding(2, S3, lambda c: [c[0], c[1], (c[0] ** 2 + c[1] ** 2) / 2]),
         ):
             N = NormalField(emb)
-            gw = gauss_weingarten(frame_stack(N, _points(2, 25, seed=23), partials=True))
-            rec = reconstruction_residuals(gw)
+            fs = frame_stack(N, _points(2, 25, seed=23), partials=True)
+            rec = reconstruction_residuals(fs, gauss_weingarten(fs))
             assert rec["gauss"] <= 1e-6 and rec["weingarten"] <= 1e-6
         euclid = SimpleAmbient(3, euclidean_metric(3))
         r = 2.0
@@ -169,7 +169,7 @@ def test_criterion_6_theorem_3_3_models():
         for n in (1, 2, 3):
             rng = np.random.default_rng(300 + n)
             for _ in range(100):
-                model = make_pointwise_model(n, float(rng.uniform(0.1, 0.9)), rng)
+                model = make_pointwise_model(n, [rng.uniform(0.1, 0.9)], rng)
                 res = check_theorem_3_3(model)
                 assert res.verdict == "pass"
                 assert res.details["conclusion_residuals"]["max_h"] <= 1e-12

@@ -29,7 +29,8 @@ GROUPS = ["gauss_weingarten", "structure", "algebraic", "differential", "theorem
 ABS_TOL, REL_TOL = 1e-12, 1e-9
 # Gauss-Weingarten arrays in the chart frame; the rest are ambient vectors
 GW_CHART = ("induced_gamma", "h", "H_w", "H_h", "w")
-GW_AMBIENT = ("D", "DN", "jacobian", "normal")
+GW_AMBIENT = ("D", "DN")
+FRAME_AMBIENT = ("jacobian", "normal")
 
 
 def _composed(config, z_sign=1.0):
@@ -103,10 +104,12 @@ def test_automorphism_leaves_chart_side_unchanged(automorphism, differential, su
     dF = differential(config.n)
     for key in GW_CHART:
         assert _close(getattr(base.gws, key), getattr(image.gws, key)), key
-    for key in GW_AMBIENT:
+    ambient = ([(base.gws, image.gws, key) for key in GW_AMBIENT]
+               + [(base.frames, image.frames, key) for key in FRAME_AMBIENT])
+    for before, after, key in ambient:
         # the ambient index comes right after the point axis
-        pushed = np.moveaxis(np.tensordot(dF, getattr(base.gws, key), axes=(1, 1)), 0, 1)
-        assert _close(pushed, getattr(image.gws, key)), key
+        pushed = np.moveaxis(np.tensordot(dF, getattr(before, key), axes=(1, 1)), 0, 1)
+        assert _close(pushed, getattr(after, key)), key
     want, got = _report(config), _report(moved)
     assert want["meta"]["structure_sign"] == got["meta"]["structure_sign"]
     _same_report(want, got)

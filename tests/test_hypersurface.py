@@ -128,8 +128,8 @@ def test_plane_normal_closed_form(plane_r3):
 def test_gauss_weingarten_reconstruction(surface, request):
     E = request.getfixturevalue(surface)
     N = NormalField(E)
-    rec = reconstruction_residuals(
-        gauss_weingarten(frame_stack(N, chart_points(2, 15, seed=19), partials=True)))
+    fs = frame_stack(N, chart_points(2, 15, seed=19), partials=True)
+    rec = reconstruction_residuals(fs, gauss_weingarten(fs))
     assert rec["gauss"] < 1e-6
     assert rec["weingarten"] < 1e-6
 
@@ -176,12 +176,13 @@ def test_scaled_normal_product_rule(quadric_r3):
     pts = chart_points(2, 8, seed=31)
     r = np.exp(pts.coords.sum(axis=1))[:, None, None]
     gw_u = gauss_weingarten(frame_stack(N_unit, pts, partials=True))
-    gw_s = gauss_weingarten(frame_stack(N_scaled, pts, partials=True))
+    fs_s = frame_stack(N_scaled, pts, partials=True)
+    gw_s = gauss_weingarten(fs_s)
     np.testing.assert_allclose(gw_s.w, np.ones((8, 2)), atol=1e-6)
     np.testing.assert_allclose(gw_s.h, gw_u.h / r, atol=1e-6)
     np.testing.assert_allclose(gw_s.H_w, gw_u.H_w * r, atol=1e-6)
     np.testing.assert_allclose(gw_s.H_h, gw_u.H_h / r, atol=1e-6)
-    rec = reconstruction_residuals(gw_s)
+    rec = reconstruction_residuals(fs_s, gw_s)
     assert rec["gauss"] < 1e-6 and rec["weingarten"] < 1e-6
 
 
@@ -189,13 +190,13 @@ def test_orientation_flip_action(quadric_r3):
     N = NormalField(quadric_r3)
     Nf = N.flipped()
     pts = chart_points(2, 6, seed=33)
-    a = gauss_weingarten(frame_stack(N, pts, partials=True))
-    b = gauss_weingarten(frame_stack(Nf, pts, partials=True))
+    fa, fb = frame_stack(N, pts, partials=True), frame_stack(Nf, pts, partials=True)
+    a, b = gauss_weingarten(fa), gauss_weingarten(fb)
     np.testing.assert_allclose(b.h, -a.h, atol=1e-12)
     np.testing.assert_allclose(b.H_w, -a.H_w, atol=1e-12)
     np.testing.assert_allclose(b.H_h, -a.H_h, atol=1e-12)
     np.testing.assert_allclose(b.w, a.w, atol=1e-12)
-    np.testing.assert_allclose(b.normal, -a.normal, atol=1e-12)
+    np.testing.assert_allclose(fb.normal, -fa.normal, atol=1e-12)
 
 
 def test_second_fundamental_symmetry(quadric_r3, flat_plane):

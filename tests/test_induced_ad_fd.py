@@ -8,11 +8,14 @@ the engine computes them:
   against central differences of the float split ``values_at`` returns
   on the point stack shifted along each coordinate;
 * the normal partials that ``gauss_weingarten`` decomposes (``DN`` minus
-  its Christoffel term) against central differences of the normal.
+  its Christoffel term) against central differences of the normal;
+* on drawn graphs z = f(s, t) of cubic polynomials, the bundle partials
+  as above and the algebraic rows (2.5)-(2.8) at their default tolerance.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from sasakicheck import (
     Embedding,
@@ -23,8 +26,11 @@ from sasakicheck import (
     extract_structure,
     frame_stack,
     gauss_weingarten,
+    standard_sasakian,
+    verify_algebraic_identities,
 )
 from sasakicheck.dual import cos, exp, sin
+from sasakicheck.errors import SasakicheckError
 
 from conftest import SimpleAmbient, chart_points, euclidean_metric
 
@@ -65,18 +71,56 @@ def _shifted(pts, k, delta):
     return PointStack(rows)
 
 
-@pytest.mark.parametrize("surface", SURFACES)
-def test_bundle_partials_match_finite_differences(surface, request):
-    N = _normal(surface, request)
-    pts = chart_points(N.embedding.dim, POINTS, seed=83)
-    S = extract_structure(frame_stack(N, pts))
+def _bundle_partial_errors(S, pts):
+    """max |bundle_at partial - central difference of values_at| over the
+    points, for every partial and coordinate k."""
     bd = S.bundle_at(pts)
+    errors = {}
     for k in range(pts.dim):
         plus, minus = (S.values_at(_shifted(pts, k, sign * STEP)) for sign in (1.0, -1.0))
         for partial, name in PARTIALS.items():
             fd = (getattr(plus, name) - getattr(minus, name)) / (2.0 * STEP)
-            err = float(np.max(np.abs(getattr(bd, partial)[:, k] - fd)))
-            assert err <= TOL, (surface, partial, k, err)
+            errors[partial, k] = float(np.max(np.abs(getattr(bd, partial)[:, k] - fd)))
+    return errors
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_bundle_partials_match_finite_differences(surface, request):
+    N = _normal(surface, request)
+    pts = chart_points(N.embedding.dim, POINTS, seed=83)
+    errors = _bundle_partial_errors(extract_structure(frame_stack(N, pts)), pts)
+    assert all(e <= TOL for e in errors.values()), errors
+
+
+# the exponents (i, j) of the monomials s^i t^j of degree <= 3
+MONOMIALS = [(i, j) for i in range(4) for j in range(4 - i)]
+
+
+def _polynomial_graph(coeffs):
+    """The graph z = sum of coeffs[k] s^i t^j over MONOMIALS[k] = (i, j), in
+    the standard Sasakian R^3."""
+    def embed(c):
+        z = 0.0
+        for a, (i, j) in zip(coeffs, MONOMIALS):
+            z = z + a * c[0] ** i * c[1] ** j
+        return [c[0], c[1], z]
+
+    return Embedding(2, standard_sasakian(1), embed)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=len(MONOMIALS),
+                       max_size=len(MONOMIALS)))
+def test_polynomial_graphs_hold_the_algebraic_identities_and_ad_matches_fd(coeffs):
+    pts = chart_points(2, POINTS, seed=79)
+    try:
+        S = extract_structure(frame_stack(NormalField(_polynomial_graph(coeffs)), pts))
+        errors = _bundle_partial_errors(S, pts)
+    except SasakicheckError:
+        reject()
+    rows = verify_algebraic_identities(S)
+    assert [r.verdict for r in rows] == ["pass"] * 4, [(r.name, r.max_residual) for r in rows]
+    assert all(e <= TOL for e in errors.values()), errors
 
 
 def _fd_normal(N, pts):
@@ -90,7 +134,7 @@ def _check_normal_partials(N, pts):
     fs = frame_stack(N, pts, partials=True)
     gw = gauss_weingarten(fs)
     gamma = christoffel(N.embedding.ambient.g, fs.images)
-    dN = gw.DN - np.einsum("pijk,pja,pk->pia", gamma, gw.jacobian, gw.normal)
+    dN = gw.DN - np.einsum("pijk,pja,pk->pia", gamma, fs.jacobian, fs.normal)
     err = float(np.max(np.abs(dN.mT - _fd_normal(N, pts))))
     assert err <= TOL, err
 

@@ -90,7 +90,7 @@ def test_model_constructor_structure_residuals():
     for _ in range(1000):
         n = int(rng.integers(1, 4))
         lam = float(rng.uniform(-0.99, 0.99))
-        models[n].append(make_pointwise_model(n, lam, rng))
+        models[n].append(make_pointwise_model(n, [lam], rng))
     for same_n in models.values():
         assert max(max(model_structure_residuals(md).values()) for md in same_n) <= 1e-12
 
@@ -98,7 +98,7 @@ def test_model_constructor_structure_residuals():
 def test_model_constructor_rejects_invariant_lambda():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
-        make_pointwise_model(1, 1.0, rng)
+        make_pointwise_model(1, [1.0], rng)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -106,7 +106,7 @@ def test_theorem_3_3_exact_models(n):
     rng = np.random.default_rng(200 + n)
     start = time.perf_counter()
     for _ in range(100):
-        model = make_pointwise_model(n, float(rng.uniform(0.1, 0.9)), rng)
+        model = make_pointwise_model(n, [rng.uniform(0.1, 0.9)], rng)
         res = check_theorem_3_3(model)
         assert res.verdict == "pass"
         assert res.details["conclusion_residuals"]["max_h"] <= 1e-12
@@ -116,12 +116,12 @@ def test_theorem_3_3_exact_models(n):
 def test_theorem_3_3_lambda_grid():
     rng = np.random.default_rng(7)
     for lam in np.linspace(0.05, 0.95, 10):
-        model = make_pointwise_model(1, float(lam), rng)
+        model = make_pointwise_model(1, [lam], rng)
         assert check_theorem_3_3(model).details["conclusion_residuals"]["max_h"] <= 1e-12
 
 
 def test_theorem_3_3_lambda_zero_excluded():
-    model = make_pointwise_model(1, 1e-9, np.random.default_rng(3))
+    model = make_pointwise_model(1, [1e-9], np.random.default_rng(3))
     res = check_theorem_3_3(model)
     assert res.verdict == "vacuous"
     assert any("lambda = 0" in n for n in res.details["notes"])
@@ -139,7 +139,7 @@ def test_theorem_3_1_model_n1_imposable_but_conclusions_fail():
     # symmetry plants -u(U) = lam^2 - 1 in the h(U, V) slot, off the
     # -u (x) v / (1 - lam^2) profile the conclusions assert
     rng = np.random.default_rng(11)
-    model = make_pointwise_model(1, 0.5, rng)
+    model = make_pointwise_model(1, [0.5], rng)
     res = check_theorem_3_1(model)
     assert res.details["hypothesis_residual"] <= 1e-10
     assert res.verdict == "refuted"
@@ -150,7 +150,7 @@ def test_theorem_3_1_model_n1_imposable_but_conclusions_fail():
 
 def test_theorem_3_1_model_n2_obstructed():
     rng = np.random.default_rng(13)
-    model = make_pointwise_model(2, 0.4, rng)
+    model = make_pointwise_model(2, [0.4], rng)
     res = check_theorem_3_1(model)
     assert res.verdict == "vacuous"
     assert res.details["hypothesis_residual"] > 1e-3
@@ -162,8 +162,8 @@ def test_theorem_3_1_synthetic_invariant_point_with_nonzero_V():
     # must record the obstruction instead of pretending otherwise
     m = 2
     model = PointwiseModel(
-        lam=1.0, g=np.eye(m), phi=np.array([[0.0, -1.0], [1.0, 0.0]]),
-        u=np.zeros(m), v=np.zeros(m), U=np.zeros(m), V=np.array([1.0, 0.0]),
+        lam=np.array([1.0]), g=np.eye(m)[None], phi=np.array([[[0.0, -1.0], [1.0, 0.0]]]),
+        u=np.zeros((1, m)), v=np.zeros((1, m)), U=np.zeros((1, m)), V=np.array([[1.0, 0.0]]),
     )
     res = check_theorem_3_1(model)
     assert res.verdict == "vacuous"
@@ -172,7 +172,7 @@ def test_theorem_3_1_synthetic_invariant_point_with_nonzero_V():
 
 
 def test_theorem_3_1_model_lambda_zero_flags_35_exclusion():
-    model = make_pointwise_model(1, 0.0, np.random.default_rng(29))
+    model = make_pointwise_model(1, [0.0], np.random.default_rng(29))
     res = check_theorem_3_1(model)
     assert any("lambda = 0 exclusion" in n for n in res.details["notes"])
 
@@ -189,7 +189,7 @@ def test_theorem_3_1_chart_vacuous(plane_structure):
 @pytest.mark.parametrize("n,lam", [(1, 0.3), (1, 0.7), (2, 0.5), (3, 0.85)])
 def test_theorem_3_2_model_confirms_conclusions(n, lam):
     rng = np.random.default_rng(17)
-    model = make_pointwise_model(n, lam, rng)
+    model = make_pointwise_model(n, [lam], rng)
     res = check_theorem_3_2(model)
     assert res.verdict == "pass", (res.details["conclusion_residuals"], res.details["notes"])
     assert res.details["conclusion_residuals"]["3.6"] <= 1e-10
@@ -199,7 +199,7 @@ def test_theorem_3_2_model_confirms_conclusions(n, lam):
 
 def test_theorem_3_2_lambda_zero_branch():
     rng = np.random.default_rng(19)
-    model = make_pointwise_model(1, 0.0, rng)
+    model = make_pointwise_model(1, [0.0], rng)
     res = check_theorem_3_2(model, rng=rng)
     assert res.verdict == "pass"
     assert res.details["conclusion_residuals"]["3.6"] <= 1e-10
@@ -227,7 +227,7 @@ def test_theorem_3_4_scaled_normal_w_is_dlog_rho(quadric_r3):
 
 
 def test_theorem_3_4_model_consistency_recorded():
-    model = make_pointwise_model(1, 0.5, np.random.default_rng(23))
+    model = make_pointwise_model(1, [0.5], np.random.default_rng(23))
     res = theorem_3_4_model_consistency(model)
     assert res.verdict == "vacuous"
     assert res.details["conclusion_residuals"]["forced_u"] > 0.1
@@ -269,7 +269,7 @@ def test_largest_conclusion_is_nan_wherever_a_nan_sits():
 @pytest.mark.parametrize("field", ["u", "g", "lam"])
 @pytest.mark.parametrize("bad", [NAN, np.inf])
 def test_one_model_checks_reject_non_finite_data(check, field, bad):
-    model = make_pointwise_model(1, 0.5, np.random.default_rng(37))
+    model = make_pointwise_model(1, [0.5], np.random.default_rng(37))
     value = np.array(getattr(model, field), dtype=float)
     value.flat[0] = bad
     with pytest.raises(ValueError, match=rf"^{check.__name__} takes finite model data$"):
