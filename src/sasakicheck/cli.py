@@ -4,8 +4,9 @@
            [--strict-paper] [--check <group> ...] [--out FILE]
 
 Exit codes: 0 all checks passed (vacuous and refuted rows do not count
-as failures), 2 at least one check failed, 1 configuration error
-(including a sample count too large to allocate).
+as failures), 2 at least one check failed, 1 configuration error,
+degenerate surface, sample count too large to allocate or unwritable
+``--out`` file, each with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations

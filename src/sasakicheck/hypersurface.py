@@ -112,7 +112,14 @@ class FrameStack:
 
 def _map_pass(E: Embedding, chart: PointStack, partials: bool):
     """Images, Jacobians and (with ``partials``) Hessians of the map at every
-    chart point, from one dual pass on the coordinate columns."""
+    chart point, from one dual pass on the coordinate columns.
+
+    A non-finite image or Jacobian B raises, and so does a smallest
+    singular value of B at or below ``MIN_SINGULAR_VALUE``: a point passes
+    at once where sigma_min(B) >= sqrt(det(B^T B)) / ||B||_F^(m-1) is at
+    least 1e4 times that floor (:func:`sasakicheck.linalg.check_rank`),
+    and the SVD decides, and prints, the rest.
+    """
     m, d, count = E.dim, E.ambient.dim, len(chart)
     coords = seed(chart.columns)
     if partials:
@@ -131,9 +138,7 @@ def _map_pass(E: Embedding, chart: PointStack, partials: bool):
     finite = np.isfinite(b).all(axis=1) & np.isfinite(B).all(axis=(1, 2))
     chart.reject(~finite, NonFiniteValueError,
                  lambda i, at: f"non-finite embedding value or Jacobian at {at}")
-    sv = np.linalg.svd(B, compute_uv=False)
-    chart.reject(sv[:, -1] <= MIN_SINGULAR_VALUE, RankDeficientError, lambda i, at: (
-        f"embedding Jacobian has smallest singular value {sv[i, -1]:.3e} at {at}"))
+    linalg.check_rank(B, chart, MIN_SINGULAR_VALUE, "embedding Jacobian")
     return b, B, hess
 
 
@@ -167,7 +172,11 @@ def frame_stack(N: NormalField, chart: PointStack, partials: bool = False) -> Fr
     checks.  A degenerate point (non-finite map, rank-deficient B,
     singular metric, nonpositive scaling, frame or induced metric
     condition number over ``FRAME_CONDITION_LIMIT``) raises, naming the
-    first such point.
+    first such point.  The condition checks clear a point at once where
+    the bound cond_2(A) <= ||A||_F^d / |det A| is at most 1e-4 times the
+    limit (:func:`sasakicheck.linalg.check_condition`); only the rest go
+    through ``np.linalg.cond``, and every printed condition number comes
+    from it.
     """
     E = N.embedding
     if chart.dim != E.dim:
