@@ -38,6 +38,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError, ExprParseError
 from .exprs import compile_expression
+from .induced import IDENTITY_TOL
+from .sasakian import AXIOM_TOL
+from .theorems import CONCLUSION_TOL, HYPOTHESIS_TOL
 
 CONFIG_DIR_ENV = "SASAKICHECK_CONFIG_DIR"
 
@@ -52,12 +55,13 @@ CHECK_GROUPS = (
     "models",
 )
 
+# the library's own defaults, and the Gauss-Weingarten reconstruction tolerance
 DEFAULT_TOLERANCES = {
-    "axiom": 1e-8,
-    "algebraic": 1e-5,
-    "differential": 1e-5,
-    "hypothesis": 1e-6,
-    "conclusion": 1e-5,
+    "axiom": AXIOM_TOL,
+    "algebraic": IDENTITY_TOL,
+    "differential": IDENTITY_TOL,
+    "hypothesis": HYPOTHESIS_TOL,
+    "conclusion": CONCLUSION_TOL,
     "reconstruction": 1e-6,
 }
 

@@ -64,6 +64,7 @@ from .sasakian import check_sasakian_axioms
 TANGENCY_TOL = 1e-8
 NONINVARIANT_THRESHOLD = 1e-3
 AMBIENT_AXIOM_TOL = 1e-6
+IDENTITY_TOL = 1e-5
 
 H_TAGS = ("H_h", "H_w", "-H_w")
 STRUCTURE_TAGS = {1.0: "as-extracted", -1.0: "phi-flipped"}
@@ -283,7 +284,8 @@ def structure_residuals(phi, u, U, V, v, lam, g, eta_n) -> Dict[str, float]:
     return out
 
 
-def verify_algebraic_identities(S: InducedStructure, tolerance: float = 1e-5) -> List[CheckResult]:
+def verify_algebraic_identities(S: InducedStructure,
+                                tolerance: float = IDENTITY_TOL) -> List[CheckResult]:
     """The report rows of the derivative-free identity family (2.5) to (2.8)
     at the extraction points, from the data extraction built there, judged
     against ``tolerance``.
@@ -361,7 +363,7 @@ def _pair_vectors(states: SampleState) -> np.ndarray:
 
 def verify_differential_identities(
     states: SampleState,
-    tolerance: float = 1e-5,
+    tolerance: float = IDENTITY_TOL,
     strict_paper: bool = False,
 ) -> Tuple[List[CheckResult], float, Dict[str, float]]:
     """Covariant-derivative identity battery with convention adjudication:

@@ -14,9 +14,11 @@ breaks both); the ``axioms`` check group measures them in every report.
 
 The axiom battery takes the sample points as one
 :class:`~sasakicheck.fields.PointStack` and the directions as a (K, d)
-array.  It evaluates each tensor, jet and Christoffel symbol once on the
-whole stack (phi once, for the structure and two-form axioms alike), so
-the component closures of a structure must be elementwise: given numpy
+array.  It runs each field's closure once on the whole stack (phi and xi
+in their jets; g once more, for its Christoffel symbols) and forms 'F
+from that phi and g.  (1.6) applies nabla_X phi = sum_i X^i nabla_i phi
+to every direction Y, each sum elementwise in index order.  So the
+component closures of a structure must be elementwise: given numpy
 coordinate columns (or duals over them) they return the per-point
 components as columns (see :mod:`sasakicheck.fields`).
 """
@@ -112,33 +114,33 @@ def fundamental_two_form(S: AlmostContactMetricStructure) -> TensorField:
 
 
 def _nabla_phi_xi(S, stack):
-    """nabla phi and nabla xi on the stack, (P, d, d, d) and (P, d, d), derivative index first."""
+    """phi and xi on the stack, each read from its one jet, and their covariant
+    derivatives: (P, d, d), (P, d), (P, d, d, d) and (P, d, d), derivative
+    index first."""
     gamma = christoffel(S.g, stack)
     jphi, jxi = jet(S.phi, stack), jet(S.xi, stack)
-    return (covariant_derivative_components(jphi.value, jphi.partials, gamma, (1, 1)),
+    return (jphi.value, jxi.value,
+            covariant_derivative_components(jphi.value, jphi.partials, gamma, (1, 1)),
             covariant_derivative_components(jxi.value, jxi.partials, gamma, (1, 0)))
 
 
-def _phi_transport_columns(dphi, g, xi, eta, dirs):
-    """|(nabla_X phi)Y - g(X, Y) xi + eta(Y) X| (eq 1.6) for every pair (X, Y) of
-    the (K, P, d) directions, one component at a time as a (K, K, P) buffer that
-    the next one overwrites, so no (K, K, P, d) array is held.  The left side is
-    summed as einsum("i,iab,b->a") sums one pair: over b for each i, then over i."""
+def _phi_transport(dphi, g, xi, eta, dirs):
+    """max_a |(nabla_X phi)Y - g(X, Y) xi + eta(Y) X|^a (eq 1.6) for every pair
+    (X, Y) of the (K, P, d) directions, as (K, K, P); a NaN component gives NaN.
+    For each X, nabla_X phi = sum_i X^i nabla_i phi is applied to every Y.  Both
+    sums run elementwise in index order, on arrays whose point axis is innermost."""
+    d = dirs.shape[-1]
     gXY = ((dirs[:, :, None, :] @ g)[:, None] @ dirs[None, ..., None])[..., 0, 0]
-    etaY = pair(eta, dirs)
-    lhs, part, term = (np.empty(gXY.shape) for _ in range(3))
-    for a in range(dirs.shape[-1]):
-        lhs[...] = 0.0
-        for i in range(dirs.shape[-1]):
-            Xdphi = dirs[:, :, i, None] * dphi[:, i, a]
-            part[...] = 0.0
-            for b in range(dirs.shape[-1]):
-                part += np.multiply(Xdphi[:, None, :, b], dirs[None, :, :, b], out=term)
-            lhs += part
-        np.multiply(gXY, xi[:, a], out=part)
-        part -= np.multiply(etaY, dirs[:, None, :, a], out=term)
-        lhs -= part
-        yield np.abs(lhs, out=lhs)
+    etaY = pair(eta, dirs)[:, None]
+    # dphi[i, a, b], xi[a] and Ys[l, b] as (P,) columns
+    dphi, xi = np.moveaxis(dphi, 0, -1).copy(), xi.T.copy()
+    Ys = dirs.transpose(0, 2, 1).copy()
+    out = np.empty(gXY.shape)
+    for k, X in enumerate(Ys):
+        nabla_X = sum(X[i] * dphi[i] for i in range(d))
+        lhs = sum(nabla_X[:, b] * Ys[:, None, b] for b in range(d))
+        np.max(np.abs(lhs - (gXY[k, :, None] * xi - etaY * X)), axis=1, out=out[k])
+    return out
 
 
 def _xi_transport(dxi, phi, dirs):
@@ -169,10 +171,10 @@ def check_sasakian_axioms(
 
     Algebraic axioms are checked on full component arrays (equivalent to all
     directions); (1.6) at every pair and (1.7) at every row of the (K, d) array
-    ``directions``, all pairs at once.  Every tensor, jet and Christoffel symbol
-    is evaluated once on the whole (P, d) point stack (the closures are elementwise,
-    see :mod:`sasakicheck.fields`); the residuals equal the maxima of one-point,
-    one-pair runs bit for bit, and an error names the first offending point.
+    ``directions``, all pairs at once.  Each closure runs once on the whole (P, d)
+    stack, g's twice (the closures are elementwise, see :mod:`sasakicheck.fields`);
+    the residuals equal the maxima of one-point, one-pair runs bit for bit, and an
+    error names the first offending point.
     """
     if not len(stack):
         raise ValueError("no sample points supplied")
@@ -190,10 +192,9 @@ def check_sasakian_axioms(
         raise ValueError("no directions supplied")
 
     n = S.n
-    phi = evaluate(S.phi, stack)
-    xi = evaluate(S.xi, stack)
     eta = evaluate(S.eta, stack)
     g = evaluate(S.g, stack)
+    phi, xi, dphi, dxi = _nabla_phi_xi(S, stack)
     sv = np.linalg.svd(phi, compute_uv=False)
     res = {
         "1.1": worst(np.abs(pair(eta, xi) - 1.0)),
@@ -205,17 +206,14 @@ def check_sasakian_axioms(
         "1.5": worst(np.abs((g @ xi[:, :, None])[:, :, 0] - eta)),
     }
 
-    dphi, dxi = _nabla_phi_xi(S, stack)
     # (K, P, d): one C-contiguous row per point, so each product runs its one-point BLAS call
     dirs = np.repeat(directions[:, None], len(stack), axis=1)
-    rows16 = np.zeros((len(dirs),) + dirs.shape[:2])  # (K, K, P)
-    for column in _phi_transport_columns(dphi, g, xi, eta, dirs):
-        np.maximum(rows16, column, out=rows16)  # NaN-propagating, as np.max over a row
     # a NaN (pair, point) row is passed over, as the maximum of one pair's run would
-    res["1.6"] = worst(rows16.reshape(-1))
+    res["1.6"] = worst(_phi_transport(dphi, g, xi, eta, dirs).reshape(-1))
     res["1.7"] = worst(_xi_transport(dxi, phi, dirs).reshape(-1, S.dim))
-
-    res.update(_two_form_identities(evaluate(fundamental_two_form(S), stack), phi))
+    # 'F_ab = sum_c phi^c_a g_cb, summed over c as fundamental_two_form sums it
+    F = sum(phi[:, c, :, None] * g[:, c, None, :] for c in range(S.dim))
+    res.update(_two_form_identities(F, phi))
     rows = []
     for eq in (f"1.{k}" for k in range(1, 11)):
         details = {k: res[k] for k in ("1.3a", "1.3b", "1.3c")} if eq == "1.3" else {}

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import Dict, List
 
 import numpy as np
@@ -72,12 +71,6 @@ def _implication(name, ref, hyp, concl, tol, held, convention, used=0, excluded=
 # ---------------------------------------------------------------------------
 
 
-def _stack(states: SampleState, *paths: str) -> List[np.ndarray]:
-    """Each dotted field path (``"gw.h"``, ``"dirs"``) of the states as a
-    C-contiguous array, point axis first."""
-    return [np.ascontiguousarray(attrgetter(path)(states)) for path in paths]
-
-
 def _along(dirs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x[p] @ X for every direction X of every point, as (P, K)."""
     return linalg.pair(x[:, None], dirs)
@@ -91,17 +84,15 @@ def _form(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _covariant_along(states: SampleState, field: str) -> np.ndarray:
     """|nabla_X field| for every point and direction X, as (P, K, ...)."""
-    dirs, cov = _stack(states, "dirs", "cov" + field)
-    return np.abs(np.einsum("pki,pi...->pk...", dirs, cov))
+    return np.abs(np.einsum("pki,pi...->pk...", states.dirs, getattr(states, "cov" + field)))
 
 
 def _scalar_relation(states: SampleState, structure_sign: float) -> np.ndarray:
     """lambda w(X) - s u(X) + d lambda(X) for every point and direction X, as
     (P, K): the residual of (3.5) and of (3.8), with s the structure sign."""
-    dirs, lam, u, dlam, w = _stack(states, "dirs", "bundle.lam", "bundle.u", "bundle.dlam",
-                                   "gw.w")
-    return (lam[:, None] * _along(dirs, w) - structure_sign * _along(dirs, u)
-            + _along(dirs, dlam))
+    bd, dirs = states.bundle, states.dirs
+    return (bd.lam[:, None] * _along(dirs, states.gw.w) - structure_sign * _along(dirs, bd.u)
+            + _along(dirs, bd.dlam))
 
 
 def _max_per_point(a: np.ndarray) -> np.ndarray:
@@ -139,8 +130,8 @@ def theorem_3_1_chart(
     concl = {"3.2": 0.0, "3.3": 0.0, "3.4": 0.0, "3.5": 0.0}
     used = excluded = 0
     if hyp <= eps_h:
-        dirs, lam, u, v, V, g, h = _stack(
-            states, "dirs", "bundle.lam", "bundle.u", "bundle.v", "bundle.V", "bundle.g", "gw.h")
+        bd, dirs, h = states.bundle, states.dirs, states.gw.h
+        lam, u, v, V, g = bd.lam, bd.u, bd.v, bd.V, bd.g
         one = (1.0 - lam * lam)[:, None, None]
         uY, vX = structure_sign * _along(dirs, u), _along(dirs, v)
         concl["3.2"] = linalg.worst(np.abs(one * _form(dirs, h, dirs) + uY[:, None] * vX[..., None]))
@@ -169,10 +160,10 @@ def theorem_3_2_chart(
     concl = {"3.6": 0.0, "3.7": 0.0}
     used = excluded = 0
     if hyp <= eps_h:
-        stacks = _stack(states, "bundle.lam", "dirs", "bundle.u", "bundle.phi", "bundle.g",
-                        "bundle.dlam", "gw.h", "gw.w")
-        kept = ~(np.abs(stacks[0]) < LAMBDA_FLOOR)
-        lam, dirs, u, phi, g, dlam, h, w = (a[kept] for a in stacks)
+        bd, gw = states.bundle, states.gw
+        kept = ~(np.abs(bd.lam) < LAMBDA_FLOOR)
+        lam, dirs, u, phi, g, dlam, h, w = (
+            a[kept] for a in (bd.lam, states.dirs, bd.u, bd.phi, bd.g, bd.dlam, gw.h, gw.w))
         u, phi = structure_sign * u, structure_sign * phi
         phiY = (phi[:, None] @ dirs[..., None])[..., 0]
         uX, wY = _along(dirs, u), _along(dirs, w)
@@ -195,10 +186,10 @@ def theorem_3_3_chart(
     """V parallel implies totally geodesic, as the bound |h| <= C eps / |lambda|,
     decided at tolerance 0."""
     eps = _max_per_point(_covariant_along(states, "V"))
-    lam, g, phi, h = _stack(states, "bundle.lam", "bundle.g", "bundle.phi", "gw.h")
-    ok, used, excluded = _gated(eps, lam, eps_h)
+    bd = states.bundle
+    ok, used, excluded = _gated(eps, bd.lam, eps_h)
     hyp = linalg.worst(np.where(eps > eps_h, eps, 0.0)) if used == 0 else 0.0
-    eps, lam, g, phi, h = (a[ok] for a in (eps, lam, g, phi, h))
+    eps, lam, g, phi, h = (a[ok] for a in (eps, bd.lam, bd.g, bd.phi, states.gw.h))
     C = (1.0 + _max_per_point(np.abs(g))) * (1.0 + _max_per_point(np.abs(phi)))
     bound = C * np.maximum(eps, 1e-15) / np.abs(lam)
     concl = {"h_bound": linalg.worst(np.maximum(0.0, _max_per_point(np.abs(h)) - bound))}
@@ -213,7 +204,7 @@ def check_theorem_3_4(
     structure_sign: float = 1.0,
 ) -> CheckResult:
     """h = 0 implies lambda w = u - d lambda (3.8); vacuous wherever h != 0."""
-    lam, h = _stack(states, "bundle.lam", "gw.h")
+    lam, h = states.bundle.lam, states.gw.h
     hnorm = _max_per_point(np.abs(h))
     ok, used, excluded = _gated(hnorm, lam, eps_h)
     concl = {"3.8": linalg.worst(np.abs(_scalar_relation(states, structure_sign)[ok]))}

@@ -158,15 +158,16 @@ def running_max(values):
 
 def covariant_axiom_loops(dphi, dxi, phi, xi, eta, g, dirs):
     """The (1.6) and (1.7) residuals of ``check_sasakian_axioms`` from (K, P, d)
-    directions, one einsum per direction pair and per direction, as the
-    battery took them before it stacked the pairs: (K, K, P, d) and (K, P, d)."""
-    # einsum sums in memory order: a C-contiguous stack sums each point as one point would
-    dphi = np.ascontiguousarray(dphi)
+    directions, one direction pair and one direction at a time: (K, K, P, d) and
+    (K, P, d).  (1.6) sums as the battery does, nabla_X phi = sum_i X^i nabla_i phi
+    first and then its product with Y, each sum elementwise in index order."""
+    d = dirs.shape[-1]
     r16 = np.empty(dirs.shape[:1] + dirs.shape)
     for k, X in enumerate(dirs):
         Xg = X[:, None, :] @ g
         for l, Y in enumerate(dirs):
-            lhs = np.einsum("...i,...iab,...b->...a", X, dphi, Y)
+            nabla_X = sum(X[:, i, None, None] * dphi[:, i] for i in range(d))
+            lhs = sum(nabla_X[:, :, b] * Y[:, b, None] for b in range(d))
             rhs = (Xg @ Y[:, :, None])[:, 0] * xi - pair(eta, Y)[:, None] * X
             r16[k, l] = np.abs(lhs - rhs)
     r17 = np.stack([np.abs(np.einsum("...i,...ia->...a", X, dxi) + (phi @ X[:, :, None])[:, :, 0])

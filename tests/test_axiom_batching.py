@@ -5,8 +5,8 @@ for bit, the per-key maximum of the same check run on one-row stacks,
 and it must raise the same errors, naming the first offending sample.
 So must its (1.8)-(1.10) two-form reduction, run on its own.  The field evaluators it stands on must give every row of a stack the
 bits a one-row stack gives it, and the (1.6)/(1.7) residuals of all
-direction pairs at once must match ``covariant_axiom_loops``, one einsum
-per pair.
+direction pairs at once must match ``covariant_axiom_loops``, one pair at
+a time.  The battery calls each field's closure once, and g's twice.
 """
 
 import re
@@ -33,7 +33,7 @@ from sasakicheck.linalg import worst
 from sasakicheck.sampling import sample_points, sample_vectors
 from sasakicheck.sasakian import (
     _nabla_phi_xi,
-    _phi_transport_columns,
+    _phi_transport,
     _two_form_identities,
     _xi_transport,
 )
@@ -207,12 +207,33 @@ def test_structure_with_exp_factor_batches_like_the_standard_one(sasaki3):
             == check_sasakian_axioms(S, pts, dirs))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_battery_calls_each_field_once_and_the_metric_twice(n):
+    S = standard_sasakian(n)
+    calls = dict.fromkeys(("phi", "xi", "eta", "g"), 0)
+
+    def counted(name):
+        fld = getattr(S, name)
+
+        def func(coords):
+            calls[name] += 1
+            return fld.func(coords)
+
+        return TensorField(fld.valence, fld.dim, func)
+
+    pts, dirs = _samples(S.dim, 50, seed=24)
+    counted_rows = check_sasakian_axioms(_with(S, **{k: counted(k) for k in calls}), pts, dirs)
+    # phi and xi from their jets; g evaluated once and once more in christoffel's jet
+    assert calls == {"phi": 1, "xi": 1, "eta": 1, "g": 2}
+    assert counted_rows == check_sasakian_axioms(S, pts, dirs)
+
+
 def _covariant_inputs(S, pts, directions):
     """What the battery contracts (1.6) and (1.7) on: nabla phi~, nabla xi,
     phi, xi, eta and g on the stack, and the directions repeated along it
     as (K, P, d)."""
-    dphi, dxi = _nabla_phi_xi(S, pts)
-    phi, xi, eta, g = (evaluate(f, pts) for f in (S.phi, S.xi, S.eta, S.g))
+    phi, xi, dphi, dxi = _nabla_phi_xi(S, pts)
+    eta, g = (evaluate(f, pts) for f in (S.eta, S.g))
     return dphi, dxi, phi, xi, eta, g, np.repeat(directions[:, None], len(pts), axis=1)
 
 
@@ -225,9 +246,8 @@ def test_covariant_axioms_equal_the_pair_loop_bit_for_bit(n, count, K):
     directions = sample_vectors(S.dim, K, np.random.default_rng(1005))
     dphi, dxi, phi, xi, eta, g, dirs = _covariant_inputs(S, pts, directions)
     r16, r17 = covariant_axiom_loops(dphi, dxi, phi, xi, eta, g, dirs)
-    # each column is overwritten by the next, so keep copies
-    columns = [c.copy() for c in _phi_transport_columns(dphi, g, xi, eta, dirs)]
-    assert np.stack(columns, axis=-1).tobytes() == r16.tobytes()
+    # the battery keeps each pair's largest component, NaN-propagating
+    assert _phi_transport(dphi, g, xi, eta, dirs).tobytes() == np.max(r16, axis=-1).tobytes()
     assert _xi_transport(dxi, phi, dirs).tobytes() == r17.tobytes()
     res = axiom_residuals(check_sasakian_axioms(S, pts, directions))
     assert res["1.6"] == running_max(worst(r) for r in r16.reshape(K * K, count, S.dim))
@@ -251,8 +271,8 @@ def test_nan_rows_are_passed_over_pair_by_pair(n, monkeypatch):
     dphi[nan_point, 0, 0, 0] = dxi[nan_point, 0, 0] = np.nan
     dphi[nan_point, 0, 1, 0] += 10.0
     dxi[nan_point, 0, 1] += 10.0
-    monkeypatch.setattr(sasakian, "_nabla_phi_xi", lambda S, stack: (dphi, dxi))
-    for name in ("_phi_transport_columns", "_xi_transport"):
+    monkeypatch.setattr(sasakian, "_nabla_phi_xi", lambda S, stack: (phi, xi, dphi, dxi))
+    for name in ("_phi_transport", "_xi_transport"):
         helper = getattr(sasakian, name)
         monkeypatch.setattr(sasakian, name, lambda *args, helper=helper: helper(*args[:-1], dirs))
     res = axiom_residuals(check_sasakian_axioms(S, pts, directions))

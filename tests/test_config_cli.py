@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -20,9 +21,11 @@ from sasakicheck import (
     linalg,
     runner,
     sasakian,
+    theorems,
 )
 from sasakicheck.cli import main
-from sasakicheck.config import CHECK_GROUPS, load_suite_config, resolve_config_path
+from sasakicheck.config import (CHECK_GROUPS, DEFAULT_TOLERANCES, load_suite_config,
+                                resolve_config_path)
 from sasakicheck.errors import ConfigError
 from sasakicheck.report import render_json, render_text, report_to_dict
 from sasakicheck.runner import GROUPS, run_suite
@@ -116,6 +119,28 @@ def test_unknown_tolerance_rejected(tmp_path):
     bad = GOOD + "\n[tolerances]\nwibble = 1e-3\n"
     with pytest.raises(ConfigError, match="wibble"):
         load_suite_config(write_config(tmp_path, bad))
+
+
+def test_library_default_tolerances_are_the_config_defaults(tmp_path):
+    """A direct library call judges with the tolerances a config without a
+    [tolerances] section gets."""
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    chart = (theorems.theorem_3_1_chart, theorems.theorem_3_2_chart, theorems.check_theorem_3_4)
+    library = {
+        "axiom": [default(sasakian.check_sasakian_axioms, "tolerance")],
+        "algebraic": [default(induced.verify_algebraic_identities, "tolerance")],
+        "differential": [default(induced.verify_differential_identities, "tolerance")],
+        "hypothesis": [default(f, "eps_h") for f in chart + (theorems.theorem_3_3_chart,)],
+        "conclusion": [default(f, "eps_c") for f in chart],
+    }
+    for key, defaults in library.items():
+        assert defaults == [DEFAULT_TOLERANCES[key]] * len(defaults), key
+    assert load_suite_config(write_config(tmp_path, GOOD)).tolerances == DEFAULT_TOLERANCES
+    # the values every report and golden was judged with
+    assert DEFAULT_TOLERANCES == {"axiom": 1e-8, "algebraic": 1e-5, "differential": 1e-5,
+                                  "hypothesis": 1e-6, "conclusion": 1e-5, "reconstruction": 1e-6}
 
 
 SCALED = (CONFIGS / "quadric_r3_scaled.cfg").read_text()
@@ -600,7 +625,7 @@ def test_report_digest_one_seed():
     proc = subprocess.run([sys.executable, str(tool), "--seeds", "1"],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == ("reports 30 sha256 "
-                           "ee25e649fed61a5418792fd7be5abbdf13679a0cbcd71866841f06995b0b464c\n")
+                           "a92ec433bdda13d9e0b615df17dc09bea80b62ca9e5befe2d3c158cc61fe9bbf\n")
 
 
 def test_cli_unwritable_out_exits_one_without_traceback(tmp_path):

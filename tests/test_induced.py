@@ -15,6 +15,7 @@ decomposition by hand and are frozen here:
 import functools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -106,9 +107,9 @@ def test_noninvariance_detected_on_plane(plane_structure):
     assert plane_structure.max_u > 1e-3
 
 
-def test_invariance_detector_on_synthetic_structure():
-    # a flat rotation structure (not a contact metric one) makes every
-    # phi~(BX) tangent to the plane z = 0, so u extracts to zero
+def _flat_rotation_plane():
+    """The frame stack of the plane z = 0 in a flat rotation structure on R^3,
+    an almost contact metric structure that is not a contact metric one."""
     eye = np.eye(3).tolist()
     amb = AlmostContactMetricStructure(
         dim=3,
@@ -118,8 +119,12 @@ def test_invariance_detector_on_synthetic_structure():
         g=TensorField((0, 2), 3, lambda c: eye),
     )
     E = Embedding(2, amb, lambda c: [c[0], c[1], 0.0])
-    N = NormalField(E)
-    S = extract_structure(frame_stack(N, chart_points(2, 10)), require_sasakian=False)
+    return frame_stack(NormalField(E), chart_points(2, 10))
+
+
+def test_invariance_detector_on_synthetic_structure():
+    # the flat rotation makes every phi~(BX) tangent to the plane, so u extracts to zero
+    S = extract_structure(_flat_rotation_plane(), require_sasakian=False)
     assert not S.max_u > NONINVARIANT_THRESHOLD
     assert S.max_u <= 1e-12
 
@@ -172,18 +177,10 @@ def test_sample_state_derivatives_match_the_levi_civita_oracle(surface):
 
 
 def test_extraction_rejects_non_sasakian_ambient():
-    eye = np.eye(3).tolist()
-    amb = AlmostContactMetricStructure(
-        dim=3,
-        phi=TensorField((1, 1), 3, lambda c: [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-        xi=TensorField((1, 0), 3, lambda c: [0.0, 0.0, 1.0]),
-        eta=TensorField((0, 1), 3, lambda c: [0.0, 0.0, 1.0]),
-        g=TensorField((0, 2), 3, lambda c: eye),
-    )
-    E = Embedding(2, amb, lambda c: [c[0], c[1], 0.0])
-    with pytest.raises(TangencyError, match="axiom battery"):
-        N = NormalField(E)
-        extract_structure(frame_stack(N, chart_points(2, 5)))
+    # by default the ambient must pass the axiom battery before it is split
+    message = "ambient structure fails the axiom battery (max residual 1.340e+00 > 1e-06)"
+    with pytest.raises(TangencyError, match=f"^{re.escape(message)}$"):
+        extract_structure(_flat_rotation_plane())
 
 
 @pytest.mark.parametrize("surface", ["plane_r3", "quadric_r3"])

@@ -10,7 +10,10 @@ the engine computes them:
 * the normal partials that ``gauss_weingarten`` decomposes (``DN`` minus
   its Christoffel term) against central differences of the normal;
 * on drawn graphs z = f(s, t) of cubic polynomials, the bundle partials
-  as above and the algebraic rows (2.5)-(2.8) at their default tolerance.
+  as above and the algebraic rows (2.5)-(2.8) at their default tolerance;
+  and on two disjoint samples of each drawn graph, the differential
+  battery adjudicates the same structure sign, phi-flipped, with every
+  row (2.11)-(2.17) passing at its default tolerance.
 """
 
 import numpy as np
@@ -26,13 +29,15 @@ from sasakicheck import (
     extract_structure,
     frame_stack,
     gauss_weingarten,
+    sample_states,
     standard_sasakian,
     verify_algebraic_identities,
+    verify_differential_identities,
 )
 from sasakicheck.dual import cos, exp, sin
 from sasakicheck.errors import SasakicheckError
 
-from conftest import SimpleAmbient, chart_points, euclidean_metric
+from conftest import SimpleAmbient, chart_points, chart_vectors, euclidean_metric
 
 STEP = 1e-5
 TOL = 1e-6
@@ -121,6 +126,26 @@ def test_polynomial_graphs_hold_the_algebraic_identities_and_ad_matches_fd(coeff
     rows = verify_algebraic_identities(S)
     assert [r.verdict for r in rows] == ["pass"] * 4, [(r.name, r.max_residual) for r in rows]
     assert all(e <= TOL for e in errors.values()), errors
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=len(MONOMIALS),
+                       max_size=len(MONOMIALS)))
+def test_polynomial_graphs_adjudicate_one_structure_sign(coeffs):
+    N = NormalField(_polynomial_graph(coeffs))
+    for seed in (71, 73):
+        pts = chart_points(2, POINTS, seed=seed)
+        try:
+            fs = frame_stack(N, pts, partials=True)
+            states = sample_states(extract_structure(fs), chart_vectors(2, 4, seed=seed),
+                                   gauss_weingarten(fs))
+        except SasakicheckError:
+            reject()
+        rows, sign, _ = verify_differential_identities(states)
+        assert sign == -1.0, seed
+        got = [(r.name, r.verdict, r.convention.endswith("|phi-flipped")) for r in rows[:7]]
+        assert got == [(f"eq_2_{k}", "pass", True) for k in range(11, 18)], (
+            seed, [(r.name, r.max_residual) for r in rows])
 
 
 def _fd_normal(N, pts):

@@ -9,8 +9,9 @@ exact arithmetic, and checks:
 * (1.6) and (1.7) hold identically: nabla_i phi^a_b = g_ib xi^a - eta_b
   delta^a_i and nabla_i xi^a = -phi^a_i;
 * ``christoffel`` (Gamma[p, k, i, j] = Gamma^k_ij) and the axiom
-  battery's ``_nabla_phi_xi`` (derivative index first) agree with the
-  exact values at seeded points, to roundoff.
+  battery's ``_nabla_phi_xi`` (phi and xi from their jets, and their
+  covariant derivatives, derivative index first) agree with the exact
+  values at seeded points, to roundoff.
 """
 
 from functools import lru_cache
@@ -78,11 +79,13 @@ def test_christoffel_and_nabla_phi_equal_the_exact_values(n):
     coords, g, eta, xi, phi, gamma, nabla_phi, nabla_xi = _exact(n)
     S = standard_sasakian(n)
     stack = chart_points(S.dim, 20, seed=83)
-    got_phi, got_xi = _nabla_phi_xi(S, stack)
+    jet_phi, jet_xi, got_phi, got_xi = _nabla_phi_xi(S, stack)
     pairs = {
         # the structure the engine builds is the one sympy built ...
         "g": (evaluate(S.g, stack), g), "phi": (evaluate(S.phi, stack), phi),
         "xi": (evaluate(S.xi, stack), list(xi)), "eta": (evaluate(S.eta, stack), list(eta)),
+        # ... and so are the phi and xi the battery reads from their jets ...
+        "jet phi": (jet_phi, phi), "jet xi": (jet_xi, list(xi)),
         # ... and so is its connection
         "gamma": (christoffel(S.g, stack), gamma), "nabla phi": (got_phi, nabla_phi),
         "nabla xi": (got_xi, nabla_xi),
