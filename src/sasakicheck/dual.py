@@ -8,15 +8,16 @@ without a separate engine.
 
 Field component functions are ordinary Python closures written with
 ``+ - * / **`` and the generic ``exp/log/sin/cos/sqrt`` below, so the
-same closure evaluates on floats and on duals.  The contract is
-elementwise: a closure must also accept numpy arrays of coordinates
-(one entry per sample point), and duals whose values and gradient
-entries are such arrays, and give the stack of its per-point results.
-Floats keep the ``math`` functions, arrays use the numpy ones with the
-same domain errors.  ``exp`` is the exception: numpy's ``exp`` rounds
-differently from libm's in a few percent of inputs, so on arrays it
-applies ``math.exp`` entry by entry, and a stack of points gets the bits
-(and the ``OverflowError``) each point would get alone.
+same closure evaluates on floats and on duals, with the same value bits:
+x / y is x.val / y.val at every nesting level, one division rule.
+The contract is elementwise: a closure must also accept numpy arrays of
+coordinates (one entry per sample point), and duals whose values and
+gradient entries are such arrays, and give the stack of its per-point
+results.  Floats keep the ``math`` functions, arrays use the numpy ones
+with the same domain errors.  ``exp`` is the exception: numpy's ``exp``
+rounds differently from libm's in a few percent of inputs, so on arrays
+it applies ``math.exp`` entry by entry, and a stack of points gets the
+bits (and the ``OverflowError``) each point would get alone.
 """
 
 from __future__ import annotations
@@ -97,9 +98,8 @@ class Dual:
         o = self._coerce(other)
         if _any(innermost(o.val) == 0.0):
             raise ZeroDivisionError("division by a dual number with zero real part")
-        inv = 1.0 / o.val if not isinstance(o.val, Dual) else _reciprocal(o.val)
-        q = self.val * inv
-        return Dual(q, tuple((a - q * b) * inv for a, b in zip(self.grad, o.grad)))
+        q = self.val / o.val
+        return Dual(q, tuple((a - q * b) / o.val for a, b in zip(self.grad, o.grad)))
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -136,21 +136,12 @@ def _check_domain(x, bad, message: str) -> None:
         raise ValueError(message.format(float(x[bad].flat[0]) if isinstance(x, np.ndarray) else x))
 
 
-def _reciprocal(x):
-    if isinstance(x, Dual):
-        if _any(innermost(x.val) == 0.0):
-            raise ZeroDivisionError("division by a dual number with zero real part")
-        r = _reciprocal(x.val)
-        return Dual(r, tuple(-(g * r) * r for g in x.grad))
-    return 1.0 / x
-
-
 def _ipow(x, n):
     """x^n by repeated squaring; products commute bit for bit, so x^3 = x * (x * x)."""
     if n == 0:
         return 1.0
     if n < 0:
-        return _reciprocal(_ipow(x, -n))
+        return 1.0 / _ipow(x, -n)
     out = None
     while True:
         if n & 1:
@@ -210,9 +201,7 @@ def log(x):
     if isinstance(x, Dual):
         r = innermost(x.val)
         _check_domain(r, r <= 0.0, "log domain error: real part {} <= 0")
-        v = log(x.val)
-        inv = _reciprocal(x.val)
-        return Dual(v, tuple(inv * g for g in x.grad))
+        return Dual(log(x.val), tuple(g / x.val for g in x.grad))
     _check_domain(x, x <= 0.0, "log domain error: input must be > 0, got {}")
     return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
 
@@ -236,7 +225,6 @@ def sqrt(x):
         r = innermost(x.val)
         _check_domain(r, r <= 0.0, "sqrt domain error: real part {} <= 0")
         s = sqrt(x.val)
-        half_inv = 0.5 * _reciprocal(s)
-        return Dual(s, tuple(half_inv * g for g in x.grad))
+        return Dual(s, tuple(g / (2.0 * s) for g in x.grad))
     _check_domain(x, x < 0.0, "sqrt domain error: input must be >= 0, got {}")
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)

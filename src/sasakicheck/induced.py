@@ -40,8 +40,8 @@ so each term keeps the bits of its pair and variant written out alone.
 Each battery returns its identities as report rows
 (:class:`~sasakicheck.report.CheckResult`, ``eq_2_5`` and so on) with
 their verdicts; a row records every variant's residual and the
-minimizing tags.  Strict paper mode restricts to the printed form with
-H = H_h.
+minimizing tags.  Strict paper mode lists every variant at the extracted
+sign and judges each identity on its printed form with H = H_h alone.
 """
 
 from __future__ import annotations
@@ -384,9 +384,9 @@ def verify_differential_identities(
     variant written out alone.  A variant's residual is its largest over
     the pairs, a NaN passed over.  There is one row per identity, judged
     against ``tolerance`` with its minimizing variant, and one global
-    structure sign.  ``tolerance`` also decides (2.18)'s premise.  In
-    strict paper mode only the printed form with H = H_h and the extracted
-    structure sign is evaluated.
+    structure sign.  ``tolerance`` also decides (2.18)'s premise.  Strict
+    paper mode lists every variant at the extracted structure sign only,
+    and judges each identity on its printed form with H = H_h alone.
     """
     names = ["2.11", "2.12", "2.13", "2.14", "2.15", "2.16", "2.17"]
     signs = (1.0,) if strict_paper else (1.0, -1.0)

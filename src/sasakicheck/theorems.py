@@ -12,7 +12,8 @@ report row (:class:`~sasakicheck.report.CheckResult`; Theorem 3.1's
 chart check returns five, ``eq_3_1`` to ``eq_3_5``), whose details keep
 the hypothesis residual, the conclusion residuals and the notes.
 Verdicts come from :func:`~sasakicheck.report.verdict` with
-``miss="refuted"``: ``vacuous`` unless the hypothesis holds, ``refuted``
+``miss="refuted"``: ``vacuous`` unless the hypothesis holds on samples
+that ``LAMBDA_FLOOR`` keeps (the notes say when it keeps none), ``refuted``
 when a conclusion misses (or is NaN), ``pass`` otherwise.
 
 A model is a stack of D draws (:class:`PointwiseModel`, from
@@ -47,6 +48,7 @@ HYPOTHESIS_TOL = 1e-6
 CONCLUSION_TOL = 1e-5
 MODEL_TOL = 1e-12
 MODEL_CONCLUSION_TOL = 1e-10
+_FLOOR_NOTE = "hypothesis held, but all {} points fell below LAMBDA_FLOOR: no conclusion measured"
 
 
 def _largest(concl: Dict[str, float]) -> float:
@@ -57,11 +59,14 @@ def _largest(concl: Dict[str, float]) -> float:
 
 def _implication(name, ref, hyp, concl, tol, held, convention, used=0, excluded=0,
                  notes=()) -> CheckResult:
-    """The report row of an implication: ``vacuous`` unless ``held``, else
+    """The report row of an implication: ``vacuous`` unless ``held`` on some
+    samples ``used`` (noting the floor's exclusions when none was), else
     ``refuted`` when a conclusion residual misses ``tol``, else ``pass``.
     Its residual is the largest conclusion residual, or the hypothesis
     residual when vacuous; its details keep both, and the notes."""
-    return row(name, ref, max(concl.values(), default=0.0) if held else hyp, tol,
+    if held and not used:
+        held, notes = False, [*notes, _FLOOR_NOTE.format(excluded)]
+    return row(name, ref, _largest(concl) if held else hyp, tol,
                verdict(_largest(concl), tol, "refuted", held=held), convention, used, excluded,
                {"hypothesis_residual": hyp, "conclusion_residuals": concl, "notes": list(notes)})
 
@@ -125,28 +130,33 @@ def theorem_3_1_chart(
 
     The rows are ``eq_3_1``, the hypothesis residual |nabla phi| against
     ``eps_h`` (``vacuous`` when it misses), and ``eq_3_2`` to ``eq_3_5``,
-    the conclusions against ``eps_c``."""
+    the conclusions against ``eps_c``, each with its own verdict and counts;
+    (3.5) divides by lambda: it counts point x direction samples above the floor."""
     hyp = parallel_residual(states, "phi")
-    concl = {"3.2": 0.0, "3.3": 0.0, "3.4": 0.0, "3.5": 0.0}
-    used = excluded = 0
-    if hyp <= eps_h:
-        bd, dirs, h = states.bundle, states.dirs, states.gw.h
-        lam, u, v, V, g = bd.lam, bd.u, bd.v, bd.V, bd.g
-        one = (1.0 - lam * lam)[:, None, None]
-        uY, vX = structure_sign * _along(dirs, u), _along(dirs, v)
-        concl["3.2"] = linalg.worst(np.abs(one * _form(dirs, h, dirs) + uY[:, None] * vX[..., None]))
-        concl["3.4"] = linalg.worst(np.abs(one * _form(dirs, g, dirs) - vX[..., None] * vX[:, None]))
-        concl["3.3"] = linalg.worst(np.abs(h @ V[..., None]))
-        small = np.abs(lam) < LAMBDA_FLOOR
-        concl["3.5"] = linalg.worst(np.abs(_scalar_relation(states, structure_sign)[~small]))
-        used = dirs.shape[0] * dirs.shape[1] ** 2
-        excluded = int(np.count_nonzero(small))
     held, convention = hyp <= eps_h, "nabla phi = 0 hypothesis"
-    outcome = verdict(_largest(concl), eps_c, "refuted", held=held)
     rows = [row("eq_3_1", "Eq (3.1)", hyp, eps_h, verdict(hyp, eps_h, "vacuous"), convention,
                 len(states.dirs), details={"note": "hypothesis residual |nabla phi|"})]
-    return rows + [row(*equation(eq), concl[eq] if held else None, eps_c, outcome, convention,
-                       used, excluded) for eq in concl]
+    if not held:
+        return rows + [row(*equation(eq), None, eps_c, "vacuous", convention)
+                       for eq in ("3.2", "3.3", "3.4", "3.5")]
+    bd, dirs, h = states.bundle, states.dirs, states.gw.h
+    one = (1.0 - bd.lam * bd.lam)[:, None, None]
+    uY, vX = structure_sign * _along(dirs, bd.u), _along(dirs, bd.v)
+    small = np.abs(bd.lam) < LAMBDA_FLOOR
+    relation = np.abs(_scalar_relation(states, structure_sign)[~small])
+    pairs = dirs.shape[0] * dirs.shape[1] ** 2
+    # each conclusion's residuals, samples used and points excluded
+    for eq, (residual, used, excluded) in {
+        "3.2": (np.abs(one * _form(dirs, h, dirs) + uY[:, None] * vX[..., None]), pairs, 0),
+        "3.3": (np.abs(h @ bd.V[..., None]), pairs, 0),
+        "3.4": (np.abs(one * _form(dirs, bd.g, dirs) - vX[..., None] * vX[:, None]), pairs, 0),
+        "3.5": (relation, relation.size, int(np.count_nonzero(small))),
+    }.items():
+        worst = linalg.worst(residual) if used else None
+        rows.append(row(*equation(eq), worst, eps_c,
+                        verdict(worst, eps_c, "refuted", held=used > 0), convention, used,
+                        excluded, None if used else {"notes": [_FLOOR_NOTE.format(excluded)]}))
+    return rows
 
 
 def theorem_3_2_chart(
@@ -193,7 +203,7 @@ def theorem_3_3_chart(
     C = (1.0 + _max_per_point(np.abs(g))) * (1.0 + _max_per_point(np.abs(phi)))
     bound = C * np.maximum(eps, 1e-15) / np.abs(lam)
     concl = {"h_bound": linalg.worst(np.maximum(0.0, _max_per_point(np.abs(h)) - bound))}
-    return _implication("thm_3_3_chart", "Thm 3.3 (chart)", hyp, concl, 0.0, used > 0,
+    return _implication("thm_3_3_chart", "Thm 3.3 (chart)", hyp, concl, 0.0, used + excluded > 0,
                         "nabla V = 0 hypothesis", used, excluded)
 
 
@@ -209,8 +219,8 @@ def check_theorem_3_4(
     ok, used, excluded = _gated(hnorm, lam, eps_h)
     concl = {"3.8": linalg.worst(np.abs(_scalar_relation(states, structure_sign)[ok]))}
     hyp = float(np.fmin.reduce(hnorm, initial=np.inf)) if used == 0 else 0.0
-    return _implication("eq_3_8", "Eq (3.8)", hyp, concl, eps_c, used > 0, "h = 0 hypothesis",
-                        used, excluded)
+    return _implication("eq_3_8", "Eq (3.8)", hyp, concl, eps_c, used + excluded > 0,
+                        "h = 0 hypothesis", used, excluded)
 
 
 # ---------------------------------------------------------------------------

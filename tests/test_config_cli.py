@@ -321,6 +321,18 @@ def test_group_rows_do_not_depend_on_other_groups(name, tolerances):
     assert alone == _rows(config, CHECK_GROUPS)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_rows_under_a_dividing_scaling_do_not_depend_on_other_groups(seed):
+    # dividing by 3 rounds, so the frame stack with partials must divide as
+    # the value-only one does
+    config = replace(load_suite_config(CONFIGS / "quadric_r3.cfg"), scaling="(2 + s)/3",
+                     seed=seed)
+    alone = _rows(config, ["structure", "algebraic"])
+    names = {r["name"] for r in alone}
+    with_partials = _rows(config, ["gauss_weingarten", "structure", "algebraic"])
+    assert alone == [r for r in with_partials if r["name"] in names]
+
+
 def test_lambda_nonneg_orientation(tmp_path, capsys):
     body = GOOD.replace("checks = axioms", "checks = structure") + (
         "\n[normal]\norientation = lambda_nonneg\nbase_point = 0.2, 0.4\n"

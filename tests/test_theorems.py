@@ -18,10 +18,13 @@ from sasakicheck import (
     parallel_residual,
     verify_differential_identities,
 )
+from sasakicheck.config import load_suite_config
 from sasakicheck.dual import exp
 from sasakicheck.report import verdict
+from sasakicheck.runner import run_suite
 from sasakicheck.theorems import (
     PointwiseModel,
+    _implication,
     _largest,
     model_structure_residuals,
     theorem_3_1_chart,
@@ -31,6 +34,7 @@ from sasakicheck.theorems import (
 )
 
 from conftest import (
+    REPO,
     chart_points,
     chart_vectors,
     constant_vector_field,
@@ -262,6 +266,39 @@ def test_largest_conclusion_is_nan_wherever_a_nan_sits():
     for concl in ({"a": NAN, "b": 0.0}, {"a": 0.0, "b": NAN}):
         assert np.isnan(_largest(concl))
     assert _largest({"a": 1e-3, "b": 2e-3}) == 2e-3
+
+
+def test_implication_prints_the_conclusion_its_verdict_judges():
+    res = _implication("thm", "Thm", 0.0, {"3.6": 1e-7, "3.7": NAN}, 1e-5, True, "", 1)
+    assert res.verdict == "refuted"
+    assert np.isnan(res.max_residual)
+
+
+# xi-tangent surfaces (lambda = 0 everywhere) at seed 7: the chart theorem
+# rows eq_3_1 to eq_3_5, thm_3_2_chart, thm_3_3_chart and eq_3_8 as
+# (verdict, samples used, samples excluded)
+_XI_TANGENT_ROWS = {
+    ("plane_r3", "s, 0.3, t"): [("pass", 50, 0), *[("refuted", 5000, 0)] * 3, ("vacuous", 0, 50),
+                                ("vacuous", 0, 50), ("vacuous", 0, 50), ("vacuous", 0, 0)],
+    ("plane_r3", "s, s^2, t"): [("pass", 50, 0), *[("refuted", 5000, 0)] * 3, ("vacuous", 0, 50),
+                                ("vacuous", 0, 50), ("vacuous", 0, 50), ("vacuous", 0, 0)],
+    ("plane_r5", "0.3, a, b, c, d"): [("vacuous", 50, 0), *[("vacuous", 0, 0)] * 4,
+                                      ("vacuous", 0, 50), ("vacuous", 0, 0), ("vacuous", 0, 0)],
+}
+
+
+@pytest.mark.parametrize("config, outputs", sorted(_XI_TANGENT_ROWS))
+def test_no_chart_theorem_row_is_judged_on_zero_samples(config, outputs):
+    suite = load_suite_config(REPO / "configs" / f"{config}.cfg")
+    suite = dataclasses.replace(suite, inputs=["s", "t"] if suite.n == 1 else list("abcd"),
+                                outputs=outputs.split(", "), seed=7, checks=["theorems"])
+    rows = run_suite(suite).checks
+    assert [(r.verdict, r.samples_used, r.samples_excluded)
+            for r in rows] == _XI_TANGENT_ROWS[config, outputs]
+    for r in rows:
+        # a row the floor emptied says so, and no other row does
+        emptied = r.samples_used == 0 and r.samples_excluded > 0
+        assert emptied == any("LAMBDA_FLOOR" in note for note in r.details.get("notes", [])), r.name
 
 
 @pytest.mark.parametrize("check", [check_theorem_3_1, check_theorem_3_2,
