@@ -23,11 +23,13 @@ draws are one block of normal draws, one stacked QR and orientation
 determinant, stacked products for the model data.  The structure
 identities and Theorem 3.3 read the whole stack; Theorems 3.1, 3.2 and
 3.4 take one draw.  Every model check requires finite data
-(:func:`require_finite`).  The report's Theorem 3.2 rows
-(:func:`theorem_3_2_rows`) call :func:`impose_theorem_3_2` once per
-draw, with w in closed form, for only the (3.6) and (3.7) residuals;
-:func:`check_theorem_3_2` wraps it for one draw.  Stacking those draws
-waits on ROADMAP items 1 and 2.  Each stacked step is the one-draw step
+(:func:`require_finite`).  Theorem 3.2 takes phi^-1 of a stack from one
+stacked determinant guard and inverse (:func:`_phi_inverses`); the
+report's rows (:func:`theorem_3_2_rows`) then call
+:func:`impose_theorem_3_2` once per draw, each product an ``ndarray.dot``,
+for only the (3.6) and (3.7) residuals; :func:`check_theorem_3_2` wraps it
+for one draw.  Stacking those products (about -27% a report) waits on
+ROADMAP items 1 and 2.  Each stacked step is the one-draw step
 elementwise or per matrix, so the stack holds the bits of one-draw calls.
 """
 
@@ -383,51 +385,61 @@ def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> CheckRes
                         "least-squares h (symmetric), H", 1, notes=notes)
 
 
+def _phi_inverses(models: PointwiseModel) -> np.ndarray:
+    """phi^-1 of every draw, as (D, m, m): one stacked determinant guard and
+    one stacked inverse, which equal the one-draw calls bit for bit.
+    Raises ``ValueError`` naming the first draw whose phi is singular."""
+    det = np.linalg.det(models.phi)
+    singular = np.abs(det) < 1e-12
+    if singular.any():
+        k = int(np.argmax(singular))
+        raise ValueError(f"phi unexpectedly singular (det {det[k]:.3e}) "
+                         f"for lambda {float(models.lam[k])}")
+    return np.linalg.inv(models.phi)
+
+
 def _imposed_w(phi_inv, u, U, V, g, lam):
     """The w with h(., V) = (U . a) w - lambda a = u - lambda w, where a = phi^-T g V."""
-    a = phi_inv.T @ (g @ V)
-    slope = U @ a + lam
+    a = phi_inv.T.dot(g.dot(V))
+    slope = U.dot(a) + lam
     if slope == 0.0:
         raise ValueError(f"h(., V) = u - lambda w has slope 0 in w at lambda {lam}")
     return (u + lam * a) / slope
 
 
-def impose_theorem_3_2(lam, g, phi, u, U, V, eye):
+def impose_theorem_3_2(lam, g, phi, phi_inv, u, U, V, eye):
     """Impose w(X)U - phi H X - lambda X = 0 on one d(lambda) = 0 draw with
-    lambda != 0, given as its arrays, ``lam`` a float and ``eye`` the
-    identity of the draw's dimension.
+    lambda != 0, given as its arrays and its phi^-1 (:func:`_phi_inverses`),
+    ``lam`` a float and ``eye`` the identity of the draw's dimension.
 
     Returns the (3.6) and (3.7) residuals, then the imposed map
     U (x) w - lambda I, H = phi^-1 of it and h = H^T g, which
     :func:`check_theorem_3_2` reads for its hypothesis residual and note.
-    Raises ``ValueError`` for a singular phi or a zero slope in w."""
-    det = np.linalg.det(phi)
-    if abs(det) < 1e-12:
-        raise ValueError(f"phi unexpectedly singular (det {det:.3e}) for lambda {lam}")
-    phi_inv = np.linalg.inv(phi)
+    Raises ``ValueError`` for a zero slope in w."""
     w = _imposed_w(phi_inv, u, U, V, g, lam)
-    imposed = np.outer(U, w) - lam * eye
-    H = phi_inv @ imposed
-    hmat = H.T @ g
-    residuals = (float(np.max(np.abs(hmat @ phi - lam * g + np.outer(u, w)))),
-                 float(np.max(np.abs(w - 2.0 * lam * u))))
+    imposed = U[:, None] * w - lam * eye
+    H = phi_inv.dot(imposed)
+    hmat = H.T.dot(g)
+    residuals = (float(abs(hmat.dot(phi) - lam * g + u[:, None] * w).max()),
+                 float(abs(w - 2.0 * lam * u).max()))
     return residuals, (imposed, H, hmat)
 
 
 def theorem_3_2_rows(models: PointwiseModel) -> List[CheckResult]:
     """The (3.6) and (3.7) rows over a stack of d(lambda) = 0 models: the
-    largest residuals of :func:`impose_theorem_3_2` over the draws, taken
-    one draw at a time.  Raises ``ValueError`` unless the data are finite,
-    as :func:`check_theorem_3_2` requires, and every lambda clears
-    ``LAMBDA_FLOOR``, so each draw takes that check's lambda != 0 branch."""
+    largest residuals of :func:`impose_theorem_3_2` over the draws, one
+    at a time on one stacked phi^-1.  Raises ``ValueError`` unless the data
+    are finite, as :func:`check_theorem_3_2` requires, and every lambda
+    clears ``LAMBDA_FLOOR``, so each draw takes that check's lambda != 0 branch."""
     require_finite(models, "check_theorem_3_2")
     if np.any(np.abs(models.lam) < LAMBDA_FLOOR):
         raise ValueError(f"theorem_3_2_rows takes lambdas with |lambda| >= {LAMBDA_FLOOR}")
     eye, used = np.eye(2 * models.n), len(models.lam)
     worst_36 = worst_37 = 0.0
-    for lam, g, phi, u, U, V in zip(models.lam.tolist(), models.g, models.phi, models.u,
-                                    models.U, models.V):
-        (r36, r37), _ = impose_theorem_3_2(lam, g, phi, u, U, V, eye)
+    for lam, g, phi, phi_inv, u, U, V in zip(models.lam.tolist(), models.g, models.phi,
+                                             _phi_inverses(models), models.u, models.U,
+                                             models.V):
+        (r36, r37), _ = impose_theorem_3_2(lam, g, phi, phi_inv, u, U, V, eye)
         worst_36, worst_37 = max(worst_36, r36), max(worst_37, r37)
     return [row(*equation("3.6"), worst_36, MODEL_CONCLUSION_TOL,
                 convention="d(lambda) = 0 model", used=used),
@@ -462,7 +474,8 @@ def check_theorem_3_2(
         note = "lambda = 0: phi-inversion obstruction, H fixed only up to ker(phi)"
         convention = "w = 0, lambda = 0 branch"
     else:
-        (r36, r37), (imposed, H, hmat) = impose_theorem_3_2(lam, g, phi, u, U, V, np.eye(m))
+        (r36, r37), (imposed, H, hmat) = impose_theorem_3_2(
+            lam, g, phi, _phi_inverses(model)[0], u, U, V, np.eye(m))
         hyp = float(np.max(np.abs(phi @ H - imposed)))
         concl = {"3.6": r36, "3.7": r37}
         note = f"h asymmetry under the hypothesis: {np.max(np.abs(hmat - hmat.T)):.3e}"
@@ -476,21 +489,17 @@ def check_theorem_3_3(model: PointwiseModel, tol: float = MODEL_TOL) -> CheckRes
     and a symmetric second fundamental form equal to it must vanish.
 
     Draws with |lambda| < LAMBDA_FLOOR are excluded, and ``max_h`` is the
-    largest over the others."""
+    largest over the others; a stack the floor empties reads ``vacuous``
+    with the floor note, as a chart row does."""
     require_finite(model, "check_theorem_3_3")
     lam = model.lam
     kept = np.abs(lam) >= LAMBDA_FLOOR
     used = int(np.count_nonzero(kept))
-    excluded = len(lam) - used
-    if used == 0:
-        return _implication("thm_3_3_model", "Thm 3.3 (model)", np.inf, {}, tol, False, "",
-                            excluded=excluded,
-                            notes=["lambda = 0 excluded (hypothesis divides by lambda)"])
     H = -model.phi[kept] / lam[kept][:, None, None]
     hmat = H.mT @ model.g[kept]
     forced = 0.5 * np.max(np.abs(hmat + hmat.mT), axis=(1, 2))
     return _implication("thm_3_3_model", "Thm 3.3 (model)", 0.0, {"max_h": linalg.worst(forced)},
-                        tol, True, "H = -phi/lambda", used, excluded)
+                        tol, True, "H = -phi/lambda", used, len(lam) - used)
 
 
 def theorem_3_4_model_consistency(model: PointwiseModel) -> CheckResult:

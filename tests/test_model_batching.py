@@ -12,8 +12,9 @@ stack.  Theorem 3.2's closed-form w is held to
 ``w_map_columns``, the column-by-column assembly of its affine map, and
 a solve, on models with a general metric.  The report calls
 ``impose_theorem_3_2`` per draw (``theorem_3_2_rows``) instead of
-``check_theorem_3_2``; its residuals are held to the check's, and the
-check's whole row is pinned on fixed models.
+``check_theorem_3_2``, with phi^-1 from one stacked determinant guard and
+inverse; its residuals are held to the check's, its guard to the check's
+error, and the check's whole row is pinned on fixed models.
 """
 
 import dataclasses
@@ -31,9 +32,11 @@ from sasakicheck.theorems import (
     LAMBDA_FLOOR,
     MODEL_CONCLUSION_TOL,
     MODEL_TOL,
+    _FLOOR_NOTE,
     PointwiseModel,
     _imposed_w,
     _one_model,
+    _phi_inverses,
     impose_theorem_3_2,
     model_structure_residuals,
     theorem_3_2_rows,
@@ -211,10 +214,13 @@ def test_theorem_3_3_stack_excludes_draws_below_the_lambda_floor():
     assert whole.details["conclusion_residuals"]["max_h"] == running_max(
         r.details["conclusion_residuals"]["max_h"] for r in kept)
     assert (whole.verdict, whole.samples_used, whole.samples_excluded) == ("pass", 3, 2)
+    # a stack the floor empties reads as a chart row the floor empties
     none_left = check_theorem_3_3(row(stack, slice(1, 4, 2)))
-    assert (none_left.verdict, none_left.details["hypothesis_residual"],
-            none_left.details["conclusion_residuals"], none_left.samples_used,
-            none_left.samples_excluded) == ("vacuous", np.inf, {}, 0, 2)
+    assert (none_left.verdict, none_left.max_residual, none_left.details["hypothesis_residual"],
+            none_left.details["conclusion_residuals"], none_left.convention,
+            none_left.samples_used, none_left.samples_excluded) == (
+                "vacuous", 0.0, 0.0, {"max_h": 0.0}, "H = -phi/lambda", 0, 2)
+    assert none_left.details["notes"] == [_FLOOR_NOTE.format(2)]
 
 
 @pytest.mark.parametrize("lam", [0.0, 5e-7, -9e-7])
@@ -230,9 +236,10 @@ def test_one_model_lambda_floor_branches_unchanged(lam):
     model = make_pointwise_model(1, [lam], np.random.default_rng(3))
     r33 = check_theorem_3_3(model)
     # a one-draw model counts its excluded draw, as any stack does
-    assert (r33.verdict, r33.details["hypothesis_residual"], r33.details["conclusion_residuals"],
-            r33.samples_used, r33.samples_excluded) == ("vacuous", np.inf, {}, 0, 1)
-    assert r33.details["notes"] == ["lambda = 0 excluded (hypothesis divides by lambda)"]
+    assert (r33.verdict, r33.max_residual, r33.details["hypothesis_residual"],
+            r33.details["conclusion_residuals"], r33.samples_used, r33.samples_excluded) == (
+                "vacuous", 0.0, 0.0, {"max_h": 0.0}, 0, 1)
+    assert r33.details["notes"] == [_FLOOR_NOTE.format(1)]
     rng = np.random.default_rng(4)
     r32 = check_theorem_3_2(model, rng=rng)
     assert r32.convention == "w = 0, lambda = 0 branch"
@@ -280,12 +287,74 @@ def test_closed_form_w_imposes_the_scalar_relation(n):
         assert np.max(np.abs(hV - (u - lam * w))) <= 1e-12 * (1.0 + np.max(np.abs(hV)))
 
 
-def test_theorem_3_2_rejects_a_zero_slope():
+def _zero_slope_draw():
     # phi = g = I and V = e_1 give a = e_1, so U . a + lambda = -0.5 + 0.5 = 0
-    md = _stack_of_one(0.5, np.eye(2), np.eye(2), np.array([1.0, 0.0]), np.zeros(2),
-                       np.array([-0.5, 0.0]), np.array([1.0, 0.0]))
+    return _stack_of_one(0.5, np.eye(2), np.eye(2), np.array([1.0, 0.0]), np.zeros(2),
+                         np.array([-0.5, 0.0]), np.array([1.0, 0.0]))
+
+
+def _stack(draws):
+    """One stack of one-draw stacks, in order."""
+    return PointwiseModel(*(np.concatenate([getattr(md, f.name) for md in draws])
+                            for f in dataclasses.fields(PointwiseModel)))
+
+
+def test_theorem_3_2_rejects_a_zero_slope():
     with pytest.raises(ValueError, match="slope 0"):
-        check_theorem_3_2(md)
+        check_theorem_3_2(_zero_slope_draw())
+    # inside a stack, after draws whose slope is not 0
+    rng = np.random.default_rng(80)
+    draws = [_general_model(1, rng) for _ in range(5)]
+    with pytest.raises(ValueError, match=r"slope 0 in w at lambda 0\.5$"):
+        theorem_3_2_rows(_stack([*draws[:3], _zero_slope_draw(), *draws[3:]]))
+
+
+def _with_singular_phi(md, rng):
+    """``md`` with a phi of determinant about 1e-13 (singular values 1e-13 and 1)."""
+    m = md.phi.shape[-1]
+    Q1, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    Q2, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    phi = Q1 @ np.diag([1e-13, *np.ones(m - 1)]) @ Q2
+    return dataclasses.replace(md, phi=phi[None])
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (2, 6), (3, 11)])
+def test_stacked_guard_names_the_first_singular_draw(n, k):
+    """A singular phi at draw k (and again later) raises the one-draw error
+    of draw k, whose lambda clears the floor, before any draw is imposed."""
+    rng = np.random.default_rng(90 + n)
+    draws = [_general_model(n, rng) for _ in range(12)]
+    draws[k] = _with_singular_phi(draws[k], rng)
+    draws[-1] = _with_singular_phi(draws[-1], rng)
+    lam, det = float(draws[k].lam[0]), np.linalg.det(draws[k].phi[0])
+    assert abs(lam) >= LAMBDA_FLOOR and abs(det) < 1e-12
+    message = f"phi unexpectedly singular (det {det:.3e}) for lambda {lam}"
+    with pytest.raises(ValueError) as stacked:
+        theorem_3_2_rows(_stack(draws))
+    with pytest.raises(ValueError) as alone:
+        check_theorem_3_2(draws[k])
+    assert str(stacked.value) == str(alone.value) == message
+
+
+def test_theorem_3_2_rows_take_one_det_and_one_inverse(monkeypatch):
+    """The guard and phi^-1 of a 100-draw stack are one call each."""
+    stack = make_pointwise_model(2, np.random.default_rng(95).uniform(0.1, 0.9, size=100),
+                                 np.random.default_rng(96))
+    calls = {"det": 0, "inv": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    rows = theorem_3_2_rows(stack)
+    assert calls == {"det": 1, "inv": 1}
+    assert [r.samples_used for r in rows] == [100, 100]
 
 
 def _report_draws(n, seed):
@@ -302,7 +371,8 @@ def test_imposed_residuals_equal_the_check_bit_for_bit(n):
     general = [_general_model(n, rng) for _ in range(50)]
     for md in [*general, *_report_draws(n, seed=n)]:
         lam, g, phi, u, _, U, V = _one_model(md, "")
-        residuals, _ = impose_theorem_3_2(lam, g, phi, u, U, V, np.eye(2 * n))
+        residuals, _ = impose_theorem_3_2(lam, g, phi, _phi_inverses(md)[0], u, U, V,
+                                          np.eye(2 * n))
         concl = check_theorem_3_2(md).details["conclusion_residuals"]
         assert type(residuals[0]) is float and type(residuals[1]) is float
         assert residuals == (concl["3.6"], concl["3.7"])

@@ -23,6 +23,7 @@ from sasakicheck.dual import exp
 from sasakicheck.report import verdict
 from sasakicheck.runner import run_suite
 from sasakicheck.theorems import (
+    _FLOOR_NOTE,
     PointwiseModel,
     _implication,
     _largest,
@@ -128,7 +129,7 @@ def test_theorem_3_3_lambda_zero_excluded():
     model = make_pointwise_model(1, [1e-9], np.random.default_rng(3))
     res = check_theorem_3_3(model)
     assert res.verdict == "vacuous"
-    assert any("lambda = 0" in n for n in res.details["notes"])
+    assert res.details["notes"] == [_FLOOR_NOTE.format(1)]
 
 
 def test_theorem_3_3_chart_vacuous_generically(plane_structure):
