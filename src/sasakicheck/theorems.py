@@ -21,16 +21,14 @@ A model is a stack of D draws (:class:`PointwiseModel`, from
 stack is a stack of points; one model is a stack of one.  A report's
 draws are one block of normal draws, one stacked QR and orientation
 determinant, stacked products for the model data.  The structure
-identities and Theorem 3.3 read the whole stack; Theorems 3.1, 3.2 and
-3.4 take one draw.  Every model check requires finite data
-(:func:`require_finite`).  Theorem 3.2 takes phi^-1 of a stack from one
-stacked determinant guard and inverse (:func:`_phi_inverses`); the
-report's rows (:func:`theorem_3_2_rows`) then call
-:func:`impose_theorem_3_2` once per draw, each product an ``ndarray.dot``,
-for only the (3.6) and (3.7) residuals; :func:`check_theorem_3_2` wraps it
-for one draw.  Stacking those products (about -27% a report) waits on
-ROADMAP items 1 and 2.  Each stacked step is the one-draw step
-elementwise or per matrix, so the stack holds the bits of one-draw calls.
+identities, Theorem 3.2's imposition (:func:`impose_theorem_3_2`: one
+stacked determinant guard and inverse, then stacked products, read by the
+report's rows :func:`theorem_3_2_rows`) and Theorem 3.3 read the whole
+stack, so no model formula walks the draws; Theorems 3.1 and 3.4 and
+:func:`check_theorem_3_2` take one draw.  Every model check requires
+finite data (:func:`require_finite`).  Each stacked step is the one-draw
+step elementwise or per matrix, so the stack holds the bits of one-draw
+calls.
 """
 
 from __future__ import annotations
@@ -280,8 +278,8 @@ def make_pointwise_model(n: int, lams, rng) -> PointwiseModel:
     xi[-1] = 1.0
 
     draws = rng.normal(size=(len(lams), m + d * m))
-    # one BLAS dot per draw, as np.linalg.norm takes it; a stacked sum rounds differently
-    nu = draws[:, :m] / np.sqrt([x.dot(x) for x in draws[:, :m]])[:, None]
+    # one BLAS dot per draw, as np.linalg.norm takes it; a summed square rounds differently
+    nu = draws[:, :m] / np.sqrt(linalg.pair(draws[:, :m], draws[:, :m]))[:, None]
     N = np.concatenate([np.sqrt(1.0 - lams * lams)[:, None] * nu, lams[:, None]], axis=1)
 
     # orthonormal tangent frames spanning the complements of N, oriented by [B | N]
@@ -385,65 +383,54 @@ def check_theorem_3_1(model: PointwiseModel, tol: float = MODEL_TOL) -> CheckRes
                         "least-squares h (symmetric), H", 1, notes=notes)
 
 
-def _phi_inverses(models: PointwiseModel) -> np.ndarray:
-    """phi^-1 of every draw, as (D, m, m): one stacked determinant guard and
-    one stacked inverse, which equal the one-draw calls bit for bit.
-    Raises ``ValueError`` naming the first draw whose phi is singular."""
-    det = np.linalg.det(models.phi)
+def impose_theorem_3_2(models: PointwiseModel):
+    """Impose w(X)U - phi H X - lambda X = 0 on every draw of a stack of
+    d(lambda) = 0 models with lambda != 0, as stacked products.
+
+    phi^-1 comes from one stacked determinant guard and inverse.  w is
+    pinned by the scalar compatibility relation h(., V) = u - lambda w,
+    affine in w: (U . a) w - lambda a = u - lambda w with a = phi^-T g V.
+    Returns the (D,) (3.6) and (3.7) residuals, then the stacks of w, the
+    imposed map U (x) w - lambda I, H = phi^-1 of it and h = H^T g.  Raises
+    ``ValueError`` naming the first draw whose phi is singular, else the
+    first whose slope U . a + lambda is 0."""
+    lam, g, phi, u, U, V = models.lam, models.g, models.phi, models.u, models.U, models.V
+    det = np.linalg.det(phi)
     singular = np.abs(det) < 1e-12
     if singular.any():
         k = int(np.argmax(singular))
         raise ValueError(f"phi unexpectedly singular (det {det[k]:.3e}) "
-                         f"for lambda {float(models.lam[k])}")
-    return np.linalg.inv(models.phi)
-
-
-def _imposed_w(phi_inv, u, U, V, g, lam):
-    """The w with h(., V) = (U . a) w - lambda a = u - lambda w, where a = phi^-T g V."""
-    a = phi_inv.T.dot(g.dot(V))
-    slope = U.dot(a) + lam
-    if slope == 0.0:
-        raise ValueError(f"h(., V) = u - lambda w has slope 0 in w at lambda {lam}")
-    return (u + lam * a) / slope
-
-
-def impose_theorem_3_2(lam, g, phi, phi_inv, u, U, V, eye):
-    """Impose w(X)U - phi H X - lambda X = 0 on one d(lambda) = 0 draw with
-    lambda != 0, given as its arrays and its phi^-1 (:func:`_phi_inverses`),
-    ``lam`` a float and ``eye`` the identity of the draw's dimension.
-
-    Returns the (3.6) and (3.7) residuals, then the imposed map
-    U (x) w - lambda I, H = phi^-1 of it and h = H^T g, which
-    :func:`check_theorem_3_2` reads for its hypothesis residual and note.
-    Raises ``ValueError`` for a zero slope in w."""
-    w = _imposed_w(phi_inv, u, U, V, g, lam)
-    imposed = U[:, None] * w - lam * eye
-    H = phi_inv.dot(imposed)
-    hmat = H.T.dot(g)
-    residuals = (float(abs(hmat.dot(phi) - lam * g + u[:, None] * w).max()),
-                 float(abs(w - 2.0 * lam * u).max()))
-    return residuals, (imposed, H, hmat)
+                         f"for lambda {float(lam[k])}")
+    phi_inv = np.linalg.inv(phi)
+    a = (phi_inv.mT @ (g @ V[..., None]))[..., 0]
+    slope = linalg.pair(U, a) + lam
+    if (zero := slope == 0.0).any():
+        raise ValueError("h(., V) = u - lambda w has slope 0 in w at lambda "
+                         f"{float(lam[np.argmax(zero)])}")
+    w = (u + lam[:, None] * a) / slope[:, None]
+    lam3 = lam[:, None, None]
+    imposed = U[:, :, None] * w[:, None] - lam3 * np.eye(phi.shape[-1])
+    H = phi_inv @ imposed
+    hmat = H.mT @ g
+    residuals = (np.abs(hmat @ phi - lam3 * g + u[:, :, None] * w[:, None]).max(axis=(1, 2)),
+                 np.abs(w - (2.0 * lam)[:, None] * u).max(axis=1))
+    return residuals, (w, imposed, H, hmat)
 
 
 def theorem_3_2_rows(models: PointwiseModel) -> List[CheckResult]:
     """The (3.6) and (3.7) rows over a stack of d(lambda) = 0 models: the
-    largest residuals of :func:`impose_theorem_3_2` over the draws, one
-    at a time on one stacked phi^-1.  Raises ``ValueError`` unless the data
-    are finite, as :func:`check_theorem_3_2` requires, and every lambda
-    clears ``LAMBDA_FLOOR``, so each draw takes that check's lambda != 0 branch."""
+    largest residuals of :func:`impose_theorem_3_2` over the draws.  Raises
+    ``ValueError`` unless the data are finite, as :func:`check_theorem_3_2`
+    requires, and every lambda clears ``LAMBDA_FLOOR``, so each draw takes
+    that check's lambda != 0 branch."""
     require_finite(models, "check_theorem_3_2")
     if np.any(np.abs(models.lam) < LAMBDA_FLOOR):
         raise ValueError(f"theorem_3_2_rows takes lambdas with |lambda| >= {LAMBDA_FLOOR}")
-    eye, used = np.eye(2 * models.n), len(models.lam)
-    worst_36 = worst_37 = 0.0
-    for lam, g, phi, phi_inv, u, U, V in zip(models.lam.tolist(), models.g, models.phi,
-                                             _phi_inverses(models), models.u, models.U,
-                                             models.V):
-        (r36, r37), _ = impose_theorem_3_2(lam, g, phi, phi_inv, u, U, V, eye)
-        worst_36, worst_37 = max(worst_36, r36), max(worst_37, r37)
-    return [row(*equation("3.6"), worst_36, MODEL_CONCLUSION_TOL,
+    (r36, r37), _ = impose_theorem_3_2(models)
+    used = len(models.lam)
+    return [row(*equation("3.6"), linalg.worst(r36), MODEL_CONCLUSION_TOL,
                 convention="d(lambda) = 0 model", used=used),
-            row(*equation("3.7"), worst_37, MODEL_CONCLUSION_TOL,
+            row(*equation("3.7"), linalg.worst(r37), MODEL_CONCLUSION_TOL,
                 convention="w = 2 lambda u", used=used)]
 
 
@@ -454,10 +441,11 @@ def check_theorem_3_2(
 
     H follows from the hypothesis once w is known; w itself is pinned by
     the scalar compatibility relation h(Y, V) = u(Y) - lambda w(Y), affine
-    in w with a scalar slope (:func:`_imposed_w`).  The conclusions measured
-    are h(X, phi Y) = lambda g(X, Y) - w(Y) u(X) and w = 2 lambda u.
+    in w with a scalar slope; the lambda != 0 branch is
+    :func:`impose_theorem_3_2` on the stack of one.  The conclusions
+    measured are h(X, phi Y) = lambda g(X, Y) - w(Y) u(X) and w = 2 lambda u.
     """
-    lam, g, phi, u, _, U, V = _one_model(model, "check_theorem_3_2")
+    lam, g, phi, _, _, U, V = _one_model(model, "check_theorem_3_2")
     m = 2 * model.n
     if abs(lam) < LAMBDA_FLOOR:
         # phi has kernel span(U, V); any H into the kernel satisfies the hypothesis
@@ -474,11 +462,10 @@ def check_theorem_3_2(
         note = "lambda = 0: phi-inversion obstruction, H fixed only up to ker(phi)"
         convention = "w = 0, lambda = 0 branch"
     else:
-        (r36, r37), (imposed, H, hmat) = impose_theorem_3_2(
-            lam, g, phi, _phi_inverses(model)[0], u, U, V, np.eye(m))
-        hyp = float(np.max(np.abs(phi @ H - imposed)))
-        concl = {"3.6": r36, "3.7": r37}
-        note = f"h asymmetry under the hypothesis: {np.max(np.abs(hmat - hmat.T)):.3e}"
+        (r36, r37), (_, imposed, H, hmat) = impose_theorem_3_2(model)
+        hyp = float(np.max(np.abs(phi @ H[0] - imposed[0])))
+        concl = {"3.6": float(r36[0]), "3.7": float(r37[0])}
+        note = f"h asymmetry under the hypothesis: {np.max(np.abs(hmat[0] - hmat[0].T)):.3e}"
         convention = "d(lambda) = 0 model, w from scalar compatibility"
     return _implication("thm_3_2_model", "Thm 3.2 (model)", hyp, concl, tol, hyp <= 1e-10,
                         convention, 1, notes=[note])

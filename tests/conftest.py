@@ -191,3 +191,19 @@ def w_map_columns(phi_inv, U, V, g, lam):
     for c in range(m):
         M[:, c] = h_matrix(np.eye(m)[c]) @ V - base
     return M, base
+
+
+def impose_one_draw(lam, g, phi, u, U, V):
+    """Theorem 3.2's imposition on one draw's arrays, ``lam`` a float, with
+    its own phi^-1 and one ``ndarray.dot`` per product: the reference of
+    the stacked ``impose_theorem_3_2``.  Returns the (3.6) and (3.7)
+    residuals as floats, then w, the imposed map, H and h."""
+    phi_inv = np.linalg.inv(phi)
+    a = phi_inv.T.dot(g.dot(V))
+    w = (u + lam * a) / (U.dot(a) + lam)
+    imposed = U[:, None] * w - lam * np.eye(len(U))
+    H = phi_inv.dot(imposed)
+    hmat = H.T.dot(g)
+    residuals = (float(abs(hmat.dot(phi) - lam * g + u[:, None] * w).max()),
+                 float(abs(w - 2.0 * lam * u).max()))
+    return residuals, (w, imposed, H, hmat)

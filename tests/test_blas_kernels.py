@@ -7,7 +7,9 @@ process with the kernel forced through ``OPENBLAS_CORETYPE`` and compared
 with its golden through the benchmark's own comparison,
 ``perfbench/compare.diff`` (imported read-only, as ``regen_goldens.py``
 imports it): strings, integers and booleans exactly, floats within its
-roundoff bound.  Only the children's environment is set.
+roundoff bound.  The model-mode tests that hold stacked products to
+per-draw ones bit for bit also run in children under each kernel.  Only
+the children's environment is set.
 """
 
 import json
@@ -38,16 +40,34 @@ def _openblas_on_x86_64():
         "x86_64", "AMD64")
 
 
-@pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs numpy on OpenBLAS on x86-64")
-@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
-def test_golden_verdicts_hold_under_another_blas_kernel(core):
+BIT_FOR_BIT = ["test_model_batching.py::test_stacked_imposition_equals_the_per_draw_reference"
+               "_bit_for_bit", "test_model_batching.py::test_model_rows_equal_per_draw_calls"]
+needs_openblas = pytest.mark.skipif(not _openblas_on_x86_64(),
+                                    reason="needs numpy on OpenBLAS on x86-64")
+
+
+def _child(core, *args):
+    """Run Python with ``args`` in the tests directory under the kernel ``core``."""
     path = os.pathsep.join([str(HERE.parent / "src"), str(HERE)])
     env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", RENDER, *GOLDENS], cwd=HERE, env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], cwd=HERE, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+@needs_openblas
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_golden_verdicts_hold_under_another_blas_kernel(core):
+    done = _child(core, "-c", RENDER, *GOLDENS)
     assert done.returncode == 0, done.stderr
     rendered = json.loads(done.stdout)
     for name in GOLDENS:
         golden = json.loads((HERE / "golden" / f"{name}.json").read_text())
         assert diff(golden, json.loads(rendered[name]), name) == []
+
+
+@needs_openblas
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_stacked_models_keep_per_draw_bits_under_another_blas_kernel(core):
+    done = _child(core, "-m", "pytest", "-q", "-p", "no:cacheprovider", *BIT_FOR_BIT)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr

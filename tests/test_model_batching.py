@@ -10,10 +10,11 @@ an error in every model check.  The stacked construction itself is held
 to ``_loop_model``, the one-model construction as it stood before the
 stack.  Theorem 3.2's closed-form w is held to
 ``w_map_columns``, the column-by-column assembly of its affine map, and
-a solve, on models with a general metric.  The report calls
-``impose_theorem_3_2`` per draw (``theorem_3_2_rows``) instead of
-``check_theorem_3_2``, with phi^-1 from one stacked determinant guard and
-inverse; its residuals are held to the check's, its guard to the check's
+a solve, on models with a general metric.  The report's rows
+(``theorem_3_2_rows``) read ``impose_theorem_3_2`` on the whole stack of
+draws instead of ``check_theorem_3_2`` per draw: its stacked products are
+held bit for bit to ``impose_one_draw``, one ``ndarray.dot`` per product
+of one draw, its residuals to the check's, its guard to the check's
 error, and the check's whole row is pinned on fixed models.
 """
 
@@ -34,16 +35,14 @@ from sasakicheck.theorems import (
     MODEL_TOL,
     _FLOOR_NOTE,
     PointwiseModel,
-    _imposed_w,
     _one_model,
-    _phi_inverses,
     impose_theorem_3_2,
     model_structure_residuals,
     theorem_3_2_rows,
     theorem_3_4_model_consistency,
 )
 
-from conftest import SURFACES, row, running_max, w_map_columns
+from conftest import SURFACES, impose_one_draw, row, running_max, w_map_columns
 
 SEEDS = range(6)
 
@@ -262,15 +261,21 @@ def _general_model(n, rng):
     return _stack_of_one(float(rng.uniform(0.1, 0.9)), A @ A.T + np.eye(m), phi, u, v, U, V)
 
 
+def _imposed_w(md):
+    """The closed-form w of a one-draw stack."""
+    return impose_theorem_3_2(md)[1][0][0]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_form_w_equals_the_assembled_affine_solve(n):
     rng = np.random.default_rng(40 + n)
     for _ in range(50):
-        lam, g, phi, u, _, U, V = _one_model(_general_model(n, rng), "")
+        md = _general_model(n, rng)
+        lam, g, phi, u, _, U, V = _one_model(md, "")
         phi_inv = np.linalg.inv(phi)
         M, base = w_map_columns(phi_inv, U, V, g, lam)
         oracle = np.linalg.solve(M + lam * np.eye(2 * n), u - base)
-        w = _imposed_w(phi_inv, u, U, V, g, lam)
+        w = _imposed_w(md)
         assert np.max(np.abs(w - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
@@ -279,9 +284,10 @@ def test_closed_form_w_imposes_the_scalar_relation(n):
     """h(Y, V) = u(Y) - lambda w(Y) for h = H^T g, H = phi^-1 (U (x) w - lambda I)."""
     rng = np.random.default_rng(50 + n)
     for _ in range(50):
-        lam, g, phi, u, _, U, V = _one_model(_general_model(n, rng), "")
+        md = _general_model(n, rng)
+        lam, g, phi, u, _, U, V = _one_model(md, "")
         phi_inv = np.linalg.inv(phi)
-        w = _imposed_w(phi_inv, u, U, V, g, lam)
+        w = _imposed_w(md)
         H = phi_inv @ (np.outer(U, w) - lam * np.eye(2 * n))
         hV = H.T @ g @ V
         assert np.max(np.abs(hV - (u - lam * w))) <= 1e-12 * (1.0 + np.max(np.abs(hV)))
@@ -357,25 +363,39 @@ def test_theorem_3_2_rows_take_one_det_and_one_inverse(monkeypatch):
     assert [r.samples_used for r in rows] == [100, 100]
 
 
-def _report_draws(n, seed):
-    """The draws of a report's stack, as its models group draws them, each
-    as a one-draw stack."""
+def _report_stack(n, seed):
+    """The stack of a report's draws, as its models group draws them."""
     rng = spawn_rngs(seed)["models"]
-    stack = make_pointwise_model(n, rng.uniform(0.1, 0.9, size=MODEL_DRAWS), rng)
-    return [_draw(stack, i) for i in range(MODEL_DRAWS)]
+    return make_pointwise_model(n, rng.uniform(0.1, 0.9, size=MODEL_DRAWS), rng)
+
+
+def _general_and_report_stacks(n, seed):
+    """A stack of 50 general draws and a report's stack of draws."""
+    rng = np.random.default_rng(seed)
+    return _stack([_general_model(n, rng) for _ in range(50)]), _report_stack(n, seed=n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_imposed_residuals_equal_the_check_bit_for_bit(n):
-    rng = np.random.default_rng(70 + n)
-    general = [_general_model(n, rng) for _ in range(50)]
-    for md in [*general, *_report_draws(n, seed=n)]:
-        lam, g, phi, u, _, U, V = _one_model(md, "")
-        residuals, _ = impose_theorem_3_2(lam, g, phi, _phi_inverses(md)[0], u, U, V,
-                                          np.eye(2 * n))
-        concl = check_theorem_3_2(md).details["conclusion_residuals"]
-        assert type(residuals[0]) is float and type(residuals[1]) is float
-        assert residuals == (concl["3.6"], concl["3.7"])
+    for stack in _general_and_report_stacks(n, 70 + n):
+        residuals, _ = impose_theorem_3_2(stack)
+        for i, both in enumerate(zip(*residuals)):
+            concl = check_theorem_3_2(_draw(stack, i)).details["conclusion_residuals"]
+            assert type(concl["3.6"]) is float and type(concl["3.7"]) is float
+            assert both == (concl["3.6"], concl["3.7"])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_imposition_equals_the_per_draw_reference_bit_for_bit(n):
+    """The residuals, w, imposed map, H and h of a stack equal those of the
+    one-draw ``ndarray.dot`` formula, draw by draw."""
+    for stack in _general_and_report_stacks(n, 75 + n):
+        (r36, r37), products = impose_theorem_3_2(stack)
+        for i in range(len(stack.lam)):
+            lam, g, phi, u, _, U, V = _one_model(_draw(stack, i), "")
+            residuals, reference = impose_one_draw(lam, g, phi, u, U, V)
+            assert residuals == (r36[i], r37[i])
+            assert [x[i].tobytes() for x in products] == [x.tobytes() for x in reference]
 
 
 def _thm_3_2_row(residual, verdict, hyp, r36, r37, asymmetry):
